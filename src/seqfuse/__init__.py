@@ -44,18 +44,7 @@ from .featureio import (
     write_label_csv,
 )
 from .metrics import CccReport, ccc, evaluate
-from .nn import (
-    ForwardTrace,
-    Gradients,
-    LinearLayer,
-    LstmCell,
-    Model,
-    backward,
-    forward,
-    init_model,
-    linear_relu,
-    lstm_step,
-)
+from .nn import ForwardTrace, Model, backward, forward, init_model
 from .training import (
     AdamState,
     Checkpoint,

@@ -24,12 +24,10 @@ from .featureio import (
     DEFAULT_FRAME_LEN_MS,
     Manifest,
     VideoEntry,
-    align_tokens_to_frames,
     frame_track_to_tokens,
     load_fused_dataset,
+    load_labeled_sequence,
     load_manifest,
-    parse_feature_csv,
-    read_label_csv,
     save_manifest,
     synth_generate,
     write_feature_csv,
@@ -164,27 +162,19 @@ def cmd_align(args: argparse.Namespace) -> int:
 
     entries: dict[str, VideoEntry] = {}
     for vid, entry in manifest.videos.items():
-        t = None
+        seq = load_labeled_sequence(
+            manifest, vid, list(entry.features), args.frame_len_ms
+        )
         labels = {}
         for target, relpath in entry.labels.items():
-            src = manifest.resolve(relpath)
-            values = read_label_csv(src, args.frame_len_ms)
-            if t is None:
-                t = len(values)
-            elif len(values) != t:
-                raise ConfigError(
-                    f"video {vid!r}: label files disagree on frame count"
-                )
             dst_rel = _label_filename(vid, target)
-            (out_dir / dst_rel).write_bytes(src.read_bytes())
+            (out_dir / dst_rel).write_bytes(manifest.resolve(relpath).read_bytes())
             labels[target] = dst_rel
         features = {}
-        for track_name, relpath in entry.features.items():
-            token_track = parse_feature_csv(manifest.resolve(relpath), name=track_name)
-            aligned = align_tokens_to_frames(token_track, args.frame_len_ms, t)
-            dst_rel = _feature_filename(vid, track_name)
-            write_feature_csv(out_dir / dst_rel, frame_track_to_tokens(aligned))
-            features[track_name] = dst_rel
+        for track in seq.tracks:
+            dst_rel = _feature_filename(vid, track.name)
+            write_feature_csv(out_dir / dst_rel, frame_track_to_tokens(track))
+            features[track.name] = dst_rel
         entries[vid] = VideoEntry(entry.partition, features, labels)
 
     save_manifest(Manifest(entries, root=out_dir), out_dir / "manifest.json")

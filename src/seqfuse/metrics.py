@@ -82,9 +82,10 @@ def evaluate(
     """Score a checkpoint on fused sequences, dropout disabled.
 
     The headline score is CCC over all predictions/labels concatenated in
-    dataset order; per-video scores are computed independently. A video whose
-    per-video CCC is degenerate is logged and omitted from ``per_video`` but
-    still contributes to the concatenated score.
+    dataset order; per-video scores are computed independently. A video with
+    fewer than 2 frames, or whose per-video CCC is degenerate, is logged and
+    omitted from ``per_video`` but still contributes to the concatenated
+    score and to ``n_frames_total``.
     """
     if not dataset:
         raise EmptyDatasetError("evaluate needs at least one sequence")
@@ -93,10 +94,10 @@ def evaluate(
     per_video: dict[str, float] = {}
     n_frames = 0
     for seq in dataset:
-        if seq.dim != model.input_dim:
+        if seq.dim != model.dims["D"]:
             raise DimMismatchError(
                 f"video {seq.video_id!r} has D={seq.dim}, checkpoint expects "
-                f"{model.input_dim}"
+                f"{model.dims['D']}"
             )
         if target not in seq.labels:
             raise TargetMissingError(f"video {seq.video_id!r} lacks target {target!r}")
@@ -105,6 +106,13 @@ def evaluate(
         preds_all.append(trace.predictions)
         labels_all.append(labels)
         n_frames += len(labels)
+        if len(labels) < 2:
+            logger.warning(
+                "video %r: per-video CCC undefined (needs 2 frames, has %d)",
+                seq.video_id,
+                len(labels),
+            )
+            continue
         try:
             per_video[seq.video_id] = ccc(trace.predictions, labels)
         except DegenerateInputError:

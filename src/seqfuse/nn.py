@@ -18,24 +18,58 @@ the mean-squared per-step loss via backpropagation through time.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimMismatchError, TraceMismatchError
 from .util import seeded_rng
 
-PARAM_ORDER = (
-    "projection_w",
-    "projection_b",
-    "lstm_input_w",
-    "lstm_recurrent_w",
-    "lstm_b",
-    "head_hidden_w",
-    "head_hidden_b",
-    "head_out_w",
-    "head_out_b",
-)
+
+class ParamSpec(NamedTuple):
+    """Where one parameter tensor lives in the flat parameter vector."""
+
+    name: str
+    shape: tuple[int, ...]
+    fan_in: int  # init samples lie in [-1/sqrt(fan_in), 1/sqrt(fan_in)]
+    start: int  # element offset into the flat vector
+    size: int
+
+
+def param_layout(dims: dict[str, int]) -> tuple[ParamSpec, ...]:
+    """The parameter table for dims D (input), e (embed), h (hidden), m (head).
+
+    This is the one description of the parameter format: the flat vector and
+    its named views, the init draw order and the checkpoint payload all
+    follow it. LSTM gate blocks are stacked in (i, f, g, o) row order.
+    """
+    D, e, h, m = (operator.index(dims[k]) for k in "Dehm")
+    for key, value in zip("Dehm", (D, e, h, m)):
+        if value < 1:
+            raise DimMismatchError(f"dim {key} must be >= 1, got {value}")
+    table = (
+        ("projection_w", (e, D), D),
+        ("projection_b", (e,), D),
+        ("lstm_input_w", (4 * h, e), e),
+        ("lstm_recurrent_w", (4 * h, h), h),
+        ("lstm_b", (4 * h,), h),
+        ("head_hidden_w", (m, h), h),
+        ("head_hidden_b", (m,), h),
+        ("head_out_w", (1, m), m),
+        ("head_out_b", (1,), m),
+    )
+    layout, start = [], 0
+    for name, shape, fan_in in table:
+        size = math.prod(shape)
+        layout.append(ParamSpec(name, shape, fan_in, start, size))
+        start += size
+    return tuple(layout)
+
+
+PARAM_ORDER = tuple(spec.name for spec in param_layout(dict.fromkeys("Dehm", 1)))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -49,150 +83,37 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class LinearLayer:
-    """Dense layer parameters: ``weight`` is (out, in), ``bias`` is (out,)."""
-
-    weight: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
-            raise DimMismatchError("linear layer weight/bias shapes disagree")
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
-
-    def copy(self) -> "LinearLayer":
-        return LinearLayer(self.weight.copy(), self.bias.copy())
-
-
-@dataclass(eq=False)
-class LstmCell:
-    """Single LSTM cell; gate blocks stacked in (i, f, g, o) row order."""
-
-    input_weights: np.ndarray
-    recurrent_weights: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        self.input_weights = np.asarray(self.input_weights, dtype=np.float64)
-        self.recurrent_weights = np.asarray(self.recurrent_weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        four_h = self.input_weights.shape[0]
-        if four_h % 4 != 0:
-            raise DimMismatchError("LSTM weight rows must stack 4 gate blocks")
-        h = four_h // 4
-        if self.recurrent_weights.shape != (four_h, h) or self.bias.shape != (four_h,):
-            raise DimMismatchError("LSTM parameter shapes disagree")
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.input_weights.shape[0] // 4
-
-    @property
-    def in_dim(self) -> int:
-        return self.input_weights.shape[1]
-
-    def copy(self) -> "LstmCell":
-        return LstmCell(
-            self.input_weights.copy(),
-            self.recurrent_weights.copy(),
-            self.bias.copy(),
-        )
-
-
-@dataclass(eq=False)
 class Model:
-    """Projection -> LSTM -> two-layer regression head."""
+    """Projection -> LSTM -> two-layer regression head.
 
-    projection: LinearLayer
-    lstm: LstmCell
-    head_hidden: LinearLayer
-    head_out: LinearLayer
+    Every parameter lives in one contiguous float64 vector ``params`` laid out
+    by :func:`param_layout`; ``tensors`` maps each name in PARAM_ORDER to a
+    reshaped view of it, so a write through either is seen by both. Without
+    ``params`` the model is all zeros.
+    """
+
+    dims: dict[str, int]
+    params: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.lstm.in_dim != self.projection.out_dim:
-            raise DimMismatchError("projection output does not feed the LSTM input")
-        if self.head_hidden.in_dim != self.lstm.hidden_dim:
-            raise DimMismatchError("LSTM hidden does not feed the head")
-        if self.head_out.in_dim != self.head_hidden.out_dim:
-            raise DimMismatchError("head layers disagree")
-        if self.head_out.out_dim != 1:
-            raise DimMismatchError("output layer must produce a scalar")
+        self.layout = param_layout(self.dims)
+        self.dims = {k: int(self.dims[k]) for k in "Dehm"}
+        size = self.layout[-1].start + self.layout[-1].size
+        if self.params is None:
+            self.params = np.zeros(size)
+        self.params = np.ascontiguousarray(self.params, dtype=np.float64)
+        if self.params.shape != (size,):
+            raise DimMismatchError(
+                f"parameter vector has shape {self.params.shape}, dims need ({size},)"
+            )
+        self.tensors = self.views(self.params)
 
-    @property
-    def input_dim(self) -> int:
-        return self.projection.in_dim
-
-    @property
-    def embed_dim(self) -> int:
-        return self.projection.out_dim
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.lstm.hidden_dim
-
-    @property
-    def head_dim(self) -> int:
-        return self.head_hidden.out_dim
-
-    def param_dict(self) -> dict[str, np.ndarray]:
-        """Live parameter arrays keyed by canonical name, in PARAM_ORDER."""
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Named reshaped views of a vector in this model's layout."""
         return {
-            "projection_w": self.projection.weight,
-            "projection_b": self.projection.bias,
-            "lstm_input_w": self.lstm.input_weights,
-            "lstm_recurrent_w": self.lstm.recurrent_weights,
-            "lstm_b": self.lstm.bias,
-            "head_hidden_w": self.head_hidden.weight,
-            "head_hidden_b": self.head_hidden.bias,
-            "head_out_w": self.head_out.weight,
-            "head_out_b": self.head_out.bias,
+            s.name: flat[s.start : s.start + s.size].reshape(s.shape)
+            for s in self.layout
         }
-
-    def copy(self) -> "Model":
-        return Model(
-            self.projection.copy(),
-            self.lstm.copy(),
-            self.head_hidden.copy(),
-            self.head_out.copy(),
-        )
-
-    @classmethod
-    def from_param_dict(cls, params: dict[str, np.ndarray]) -> "Model":
-        return cls(
-            projection=LinearLayer(params["projection_w"], params["projection_b"]),
-            lstm=LstmCell(
-                params["lstm_input_w"], params["lstm_recurrent_w"], params["lstm_b"]
-            ),
-            head_hidden=LinearLayer(params["head_hidden_w"], params["head_hidden_b"]),
-            head_out=LinearLayer(params["head_out_w"], params["head_out_b"]),
-        )
-
-
-@dataclass(eq=False)
-class Gradients:
-    """d(loss)/d(parameter) for every tensor in a Model."""
-
-    projection_w: np.ndarray
-    projection_b: np.ndarray
-    lstm_input_w: np.ndarray
-    lstm_recurrent_w: np.ndarray
-    lstm_b: np.ndarray
-    head_hidden_w: np.ndarray
-    head_hidden_b: np.ndarray
-    head_out_w: np.ndarray
-    head_out_b: np.ndarray
-
-    def param_dict(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in PARAM_ORDER}
 
 
 @dataclass(eq=False)
@@ -202,7 +123,6 @@ class ForwardTrace:
     inputs: np.ndarray  # (t, D) fused features
     proj_pre: np.ndarray  # (t, e) projection pre-activation
     embed: np.ndarray  # (t, e) after relu and embedding dropout
-    gate_pre: np.ndarray  # (t, 4h) stacked gate pre-activations
     gate_i: np.ndarray  # (t, h)
     gate_f: np.ndarray  # (t, h)
     gate_g: np.ndarray  # (t, h)
@@ -224,57 +144,19 @@ class ForwardTrace:
 def init_model(seed: int, dims: dict[str, int]) -> Model:
     """Seeded uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per tensor.
 
-    ``dims`` holds D (input), e (embedding), h (hidden), m (head). The
-    forget-gate bias block is set to 1.0 after the draw; everything else
-    keeps its uniform sample. Same seed, same dims -> identical model.
+    ``dims`` holds D (input), e (embedding), h (hidden), m (head). One
+    generator draws every tensor in PARAM_ORDER. The forget-gate bias block
+    is set to 1.0 after the draw; everything else keeps its uniform sample.
+    Same seed, same dims -> identical model.
     """
-    D, e, h, m = dims["D"], dims["e"], dims["h"], dims["m"]
-    for key, value in zip("Dehm", (D, e, h, m)):
-        if value < 1:
-            raise DimMismatchError(f"dim {key} must be >= 1, got {value}")
+    model = Model(dims)
     rng = seeded_rng(seed)
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    projection = LinearLayer(uniform((e, D), D), uniform((e,), D))
-    lstm = LstmCell(
-        uniform((4 * h, e), e), uniform((4 * h, h), h), uniform((4 * h,), h)
-    )
-    lstm.bias[h : 2 * h] = 1.0
-    head_hidden = LinearLayer(uniform((m, h), h), uniform((m,), h))
-    head_out = LinearLayer(uniform((1, m), m), uniform((1,), m))
-    return Model(projection, lstm, head_hidden, head_out)
-
-
-def linear_relu(layer: LinearLayer, x: np.ndarray) -> np.ndarray:
-    """max(0, W @ x + b)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (layer.in_dim,):
-        raise DimMismatchError(
-            f"input has shape {x.shape}, layer expects ({layer.in_dim},)"
-        )
-    return np.maximum(0.0, layer.weight @ x + layer.bias)
-
-
-def lstm_step(
-    cell: LstmCell, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One recurrence step; returns (h, c). Pure function of its inputs."""
-    x = np.asarray(x, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    c_prev = np.asarray(c_prev, dtype=np.float64)
-    h = cell.hidden_dim
-    if x.shape != (cell.in_dim,) or h_prev.shape != (h,) or c_prev.shape != (h,):
-        raise DimMismatchError("lstm_step input shapes disagree with the cell")
-    pre = cell.input_weights @ x + cell.recurrent_weights @ h_prev + cell.bias
-    i = _sigmoid(pre[0:h])
-    f = _sigmoid(pre[h : 2 * h])
-    g = np.tanh(pre[2 * h : 3 * h])
-    o = _sigmoid(pre[3 * h : 4 * h])
-    c = f * c_prev + i * g
-    return o * np.tanh(c), c
+    for spec in model.layout:
+        bound = 1.0 / np.sqrt(spec.fan_in)
+        model.tensors[spec.name][...] = rng.uniform(-bound, bound, size=spec.shape)
+    h = model.dims["h"]
+    model.tensors["lstm_b"][h : 2 * h] = 1.0
+    return model
 
 
 def forward(
@@ -291,14 +173,14 @@ def forward(
     then head mask) so a given (model, inputs, mask_seed) is deterministic.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != model.input_dim:
+    D, e, h, m = (model.dims[k] for k in "Dehm")
+    if inputs.ndim != 2 or inputs.shape[1] != D:
         raise DimMismatchError(
-            f"inputs have shape {inputs.shape}, model expects (t, {model.input_dim})"
+            f"inputs have shape {inputs.shape}, model expects (t, {D})"
         )
     if not 0.0 <= dropout_rate < 1.0:
         raise DimMismatchError("dropout_rate must lie in [0, 1)")
     t = inputs.shape[0]
-    e, h, m = model.embed_dim, model.hidden_dim, model.head_dim
 
     mask_embed = mask_head = None
     if mask_seed is not None and dropout_rate > 0.0:
@@ -309,7 +191,6 @@ def forward(
 
     proj_pre = np.empty((t, e))
     embed = np.empty((t, e))
-    gate_pre = np.empty((t, 4 * h))
     gate_i = np.empty((t, h))
     gate_f = np.empty((t, h))
     gate_g = np.empty((t, h))
@@ -320,10 +201,11 @@ def forward(
     head_act = np.empty((t, m))
     predictions = np.empty(t)
 
-    Wp, bp = model.projection.weight, model.projection.bias
-    Wx, Wh, b = model.lstm.input_weights, model.lstm.recurrent_weights, model.lstm.bias
-    Wm, bm = model.head_hidden.weight, model.head_hidden.bias
-    Wo, bo = model.head_out.weight, model.head_out.bias
+    p = model.tensors
+    Wp, bp = p["projection_w"], p["projection_b"]
+    Wx, Wh, b = p["lstm_input_w"], p["lstm_recurrent_w"], p["lstm_b"]
+    Wm, bm = p["head_hidden_w"], p["head_hidden_b"]
+    Wo, bo = p["head_out_w"], p["head_out_b"]
 
     h_prev = np.zeros(h)
     c_prev = np.zeros(h)
@@ -335,7 +217,6 @@ def forward(
         embed[j] = z
 
         pre = Wx @ z + Wh @ h_prev + b
-        gate_pre[j] = pre
         gate_i[j] = _sigmoid(pre[0:h])
         gate_f[j] = _sigmoid(pre[h : 2 * h])
         gate_g[j] = np.tanh(pre[2 * h : 3 * h])
@@ -355,7 +236,6 @@ def forward(
         inputs=inputs,
         proj_pre=proj_pre,
         embed=embed,
-        gate_pre=gate_pre,
         gate_i=gate_i,
         gate_f=gate_f,
         gate_g=gate_g,
@@ -371,42 +251,42 @@ def forward(
     )
 
 
-def backward(model: Model, trace: ForwardTrace, labels: np.ndarray) -> Gradients:
+def backward(model: Model, trace: ForwardTrace, labels: np.ndarray) -> np.ndarray:
     """Exact gradients of mean((y - yhat)^2) through the recorded trace.
 
-    Reuses the trace's dropout masks, so gradients match finite differences
-    of a forward pass run with the same mask seed.
+    Returns one flat vector in the layout of ``model.params``;
+    ``model.views`` names its blocks. Reuses the trace's dropout masks, so
+    gradients match finite differences of a forward pass run with the same
+    mask seed.
     """
     labels = np.asarray(labels, dtype=np.float64)
     t = trace.n_steps
-    e, h, m = model.embed_dim, model.hidden_dim, model.head_dim
+    D, e, h, m = (model.dims[k] for k in "Dehm")
     if labels.shape != (t,):
         raise TraceMismatchError(f"labels have shape {labels.shape}, trace has t={t}")
     if (
-        trace.inputs.shape[1] != model.input_dim
+        trace.inputs.shape[1] != D
         or trace.embed.shape[1] != e
         or trace.hidden.shape[1] != h
         or trace.head_act.shape[1] != m
     ):
         raise TraceMismatchError("trace shapes do not match this model")
 
-    Wx, Wh = model.lstm.input_weights, model.lstm.recurrent_weights
-    Wm, Wo = model.head_hidden.weight, model.head_out.weight
+    p = model.tensors
+    Wx, Wh = p["lstm_input_w"], p["lstm_recurrent_w"]
+    Wm, Wo = p["head_hidden_w"], p["head_out_w"]
     keep_scale = (
         1.0 / (1.0 - trace.dropout_rate) if trace.mask_embed is not None else 1.0
     )
 
     d_pred = 2.0 * (trace.predictions - labels) / t
 
-    g_proj_w = np.zeros_like(model.projection.weight)
-    g_proj_b = np.zeros_like(model.projection.bias)
-    g_wx = np.zeros_like(Wx)
-    g_wh = np.zeros_like(Wh)
-    g_b = np.zeros_like(model.lstm.bias)
-    g_hid_w = np.zeros_like(Wm)
-    g_hid_b = np.zeros_like(model.head_hidden.bias)
-    g_out_w = np.zeros_like(Wo)
-    g_out_b = np.zeros_like(model.head_out.bias)
+    grad = np.zeros_like(model.params)
+    named = model.views(grad)
+    g_proj_w, g_proj_b = named["projection_w"], named["projection_b"]
+    g_wx, g_wh, g_b = named["lstm_input_w"], named["lstm_recurrent_w"], named["lstm_b"]
+    g_hid_w, g_hid_b = named["head_hidden_w"], named["head_hidden_b"]
+    g_out_w, g_out_b = named["head_out_w"], named["head_out_b"]
 
     # Head layers and the per-step hidden-state gradient from the head path.
     d_hidden_head = np.empty((t, h))
@@ -459,14 +339,4 @@ def backward(model: Model, trace: ForwardTrace, labels: np.ndarray) -> Gradients
         g_proj_w += np.outer(d_proj_pre, trace.inputs[j])
         g_proj_b += d_proj_pre
 
-    return Gradients(
-        projection_w=g_proj_w,
-        projection_b=g_proj_b,
-        lstm_input_w=g_wx,
-        lstm_recurrent_w=g_wh,
-        lstm_b=g_b,
-        head_hidden_w=g_hid_w,
-        head_hidden_b=g_hid_b,
-        head_out_w=g_out_w,
-        head_out_b=g_out_b,
-    )
+    return grad

@@ -4,18 +4,20 @@ Checkpoint file format (version 1)
 ----------------------------------
 ``SQF1`` magic, a little-endian uint32 header length, a UTF-8 JSON header
 (config, dims, track order with per-track dims, best devel CCC, best epoch,
-and per-parameter byte offsets), then raw little-endian float64 parameter
-blocks in this fixed order: projection W, projection b, lstm input W, lstm
-recurrent W, lstm b, head_hidden W, head_hidden b, head_out W, head_out b.
-Save/load round-trips parameters bit for bit.
+and per-parameter name, shape and byte offsets), then the model's flat
+parameter vector as raw little-endian float64, laid out by
+:func:`seqfuse.nn.param_layout` (projection W, projection b, lstm input W,
+lstm recurrent W, lstm b, head_hidden W, head_hidden b, head_out W,
+head_out b). Save/load round-trips parameters bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +36,8 @@ from .errors import (
 )
 from .featureio import FusedSequence
 from .metrics import ccc
-from .nn import PARAM_ORDER, Gradients, Model, backward, forward, init_model
-from .util import fmt_float, seeded_rng
+from .nn import Model, ParamSpec, backward, forward, init_model, param_layout
+from .util import _UINT64_MASK, fmt_float, seeded_rng
 
 logger = logging.getLogger(__name__)
 
@@ -45,7 +47,6 @@ CHECKPOINT_VERSION = 1
 # Salts separating the training loop's derived random streams.
 _SHUFFLE_SALT = 1
 _MASK_SALT = 2
-_UINT64_MASK = (1 << 64) - 1
 
 
 @dataclass
@@ -70,6 +71,10 @@ class TrainConfig:
     def __post_init__(self):
         if not self.target:
             raise ConfigError("target must be a nonempty name")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and type(value) is not int:  # bools are rejected too
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         for name in ("embed_dim", "hidden_units", "head_hidden"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -77,6 +82,11 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1)")
+        if self.adam_eps <= 0:
+            raise ConfigError("adam_eps must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must lie in [0, 1)")
         if self.max_time_step < 1:
@@ -89,20 +99,15 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class AdamState:
-    """First/second moment accumulators mirroring the model's parameters."""
+    """First/second moment vectors in the layout of ``Model.params``."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
 
 def init_adam_state(model: Model) -> AdamState:
-    params = model.param_dict()
-    return AdamState(
-        m={name: np.zeros_like(p) for name, p in params.items()},
-        v={name: np.zeros_like(p) for name, p in params.items()},
-        step=0,
-    )
+    return AdamState(np.zeros_like(model.params), np.zeros_like(model.params), 0)
 
 
 def mse_loss(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -143,30 +148,32 @@ def chunk(
 
 
 def adam_step(
-    model: Model, grads: Gradients, state: AdamState, config: TrainConfig
+    model: Model, grads: np.ndarray, state: AdamState, config: TrainConfig
 ) -> tuple[Model, AdamState]:
-    """One bias-corrected Adam update; returns a new model and state."""
+    """One bias-corrected Adam update over the flat parameter vector.
+
+    ``grads`` is a vector like the one :func:`seqfuse.nn.backward` returns.
+    The inputs are left untouched; returns a new model and state.
+    """
     b1, b2, eps, lr = (
         config.adam_beta1,
         config.adam_beta2,
         config.adam_eps,
         config.learning_rate,
     )
+    shape = model.params.shape
+    if grads.shape != shape or state.m.shape != shape or state.v.shape != shape:
+        raise ShapeMismatchError(
+            f"gradient {grads.shape} / state {state.m.shape} do not match "
+            f"parameters {shape}"
+        )
     step = state.step + 1
-    grad_dict = grads.param_dict()
-    new_params, new_m, new_v = {}, {}, {}
-    for name, p in model.param_dict().items():
-        g = grad_dict[name]
-        if g.shape != p.shape or state.m[name].shape != p.shape:
-            raise ShapeMismatchError(f"gradient/state shape mismatch for {name}")
-        m = b1 * state.m[name] + (1.0 - b1) * g
-        v = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**step)
-        v_hat = v / (1.0 - b2**step)
-        new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-        new_m[name] = m
-        new_v[name] = v
-    return Model.from_param_dict(new_params), AdamState(new_m, new_v, step)
+    m = b1 * state.m + (1.0 - b1) * grads
+    v = b2 * state.v + (1.0 - b2) * grads * grads
+    m_hat = m / (1.0 - b1**step)
+    v_hat = v / (1.0 - b2**step)
+    params = model.params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return Model(model.dims, params), AdamState(m, v, step)
 
 
 @dataclass(eq=False)
@@ -268,7 +275,7 @@ def train(
     shuffle_rng = seeded_rng(config.seed, _SHUFFLE_SALT)
 
     best_ccc = _concat_ccc(model, devel_set, config.target)
-    best_model = model.copy()
+    best_model = model
     best_epoch = 0
     bad_epochs = 0
     history: list[EpochStats] = []
@@ -287,14 +294,23 @@ def train(
                     mask_seed=_mask_seed(config.seed, epoch, chunk_index),
                 )
                 losses.append(mse_loss(trace.predictions, labels))
+                if not math.isfinite(losses[-1]):
+                    raise ConfigError(
+                        f"training diverged: non-finite loss at epoch {epoch}, "
+                        f"chunk {chunk_index}"
+                    )
                 grads = backward(model, trace, labels)
                 model, state = adam_step(model, grads, state, config)
                 chunk_index += 1
         devel_ccc = _concat_ccc(model, devel_set, config.target)
+        if not math.isfinite(devel_ccc):
+            raise ConfigError(
+                f"training diverged: non-finite devel CCC at epoch {epoch}"
+            )
         history.append(EpochStats(epoch, float(np.mean(losses)), devel_ccc))
         if devel_ccc > best_ccc:
             best_ccc = devel_ccc
-            best_model = model.copy()
+            best_model = model
             best_epoch = epoch
             bad_epochs = 0
         else:
@@ -325,40 +341,37 @@ def write_history_csv(history: list[EpochStats], path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _param_specs(layout: tuple[ParamSpec, ...]) -> list[dict]:
+    """Header entries for the payload blocks: name, shape, byte offset, size."""
+    return [
+        {
+            "name": spec.name,
+            "shape": list(spec.shape),
+            "offset": 8 * spec.start,
+            "nbytes": 8 * spec.size,
+        }
+        for spec in layout
+    ]
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Write the versioned binary checkpoint described in the module docstring."""
-    params = ckpt.model.param_dict()
-    specs = []
-    blocks = []
-    offset = 0
-    for name in PARAM_ORDER:
-        arr = params[name]
-        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        specs.append(
-            {"name": name, "shape": list(arr.shape), "offset": offset, "nbytes": len(raw)}
-        )
-        blocks.append(raw)
-        offset += len(raw)
+    model = ckpt.model
     header = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(ckpt.config),
-        "dims": {
-            "D": ckpt.model.input_dim,
-            "e": ckpt.model.embed_dim,
-            "h": ckpt.model.hidden_dim,
-            "m": ckpt.model.head_dim,
-        },
+        "dims": model.dims,
         "track_dims": [[name, dim] for name, dim in ckpt.track_dims],
         "best_ccc": ckpt.best_ccc,
         "best_epoch": ckpt.best_epoch,
-        "params": specs,
+        "params": _param_specs(model.layout),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(b"".join(blocks))
+        fh.write(model.params.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -388,41 +401,23 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
     payload = data[8 + header_len :]
     try:
-        specs = header["params"]
         config = TrainConfig(**header["config"])
         track_dims = tuple((str(n), int(d)) for n, d in header["track_dims"])
         best_ccc = float(header["best_ccc"])
         best_epoch = int(header["best_epoch"])
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        dims = header["dims"]
+        layout = param_layout(dims)
+    except (KeyError, TypeError, ValueError, ConfigError, DimMismatchError) as exc:
         raise CorruptCheckpointError(f"{path}: bad header fields: {exc}") from exc
 
-    if [spec.get("name") for spec in specs] != list(PARAM_ORDER):
-        raise CorruptCheckpointError(f"{path}: unexpected parameter list")
-    params = {}
-    total = 0
-    for spec in specs:
-        shape = tuple(int(s) for s in spec["shape"])
-        offset, nbytes = int(spec["offset"]), int(spec["nbytes"])
-        count = int(np.prod(shape)) if shape else 1
-        if nbytes != count * 8 or offset + nbytes > len(payload):
-            raise CorruptCheckpointError(f"{path}: block {spec['name']} out of bounds")
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        params[spec["name"]] = arr.reshape(shape).copy()
-        total += nbytes
-    if total != len(payload):
+    if header.get("params") != _param_specs(layout):
         raise CorruptCheckpointError(
-            f"{path}: payload has {len(payload)} bytes, header describes {total}"
+            f"{path}: parameter specs disagree with header dims"
         )
-    try:
-        model = Model.from_param_dict(params)
-    except DimMismatchError as exc:
-        raise CorruptCheckpointError(f"{path}: inconsistent parameter shapes") from exc
-    dims = header.get("dims", {})
-    if (
-        dims.get("D") != model.input_dim
-        or dims.get("e") != model.embed_dim
-        or dims.get("h") != model.hidden_dim
-        or dims.get("m") != model.head_dim
-    ):
-        raise CorruptCheckpointError(f"{path}: header dims disagree with parameters")
+    expected = 8 * (layout[-1].start + layout[-1].size)
+    if len(payload) != expected:
+        raise CorruptCheckpointError(
+            f"{path}: payload has {len(payload)} bytes, header describes {expected}"
+        )
+    model = Model(dims, np.frombuffer(payload, dtype="<f8").copy())
     return Checkpoint(model, config, track_dims, best_ccc, best_epoch)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqfuse import TrainConfig, fuse, init_model, synth_generate
+from seqfuse import Model, TrainConfig, fuse, init_model, synth_generate
 from seqfuse.cli import main as cli_main
 
 
@@ -49,13 +49,10 @@ def fused_split():
 
 
 def zero_model(D=3, e=3, h=4, m=3):
-    model = init_model(0, {"D": D, "e": e, "h": h, "m": m})
-    for p in model.param_dict().values():
-        p[...] = 0.0
-    return model
+    return Model({"D": D, "e": e, "h": h, "m": m})
 
 
 def assert_models_equal(a, b):
-    pa, pb = a.param_dict(), b.param_dict()
-    for name in pa:
-        assert np.array_equal(pa[name], pb[name]), f"parameter {name} differs"
+    assert a.dims == b.dims
+    for name, p in a.tensors.items():
+        assert np.array_equal(p, b.tensors[name]), f"parameter {name} differs"

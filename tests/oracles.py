@@ -65,16 +65,20 @@ def _sig(z: float) -> float:
     return 1.0 / (1.0 + math.exp(-z))
 
 
-def lstm_step_scalar(cell, x, h_prev, c_prev):
-    """Gate-by-gate scalar evaluation of the standard LSTM equations."""
+def lstm_step_scalar(wx, wh, b, x, h_prev, c_prev):
+    """Gate-by-gate scalar evaluation of the standard LSTM equations.
+
+    ``wx`` (4h, in), ``wh`` (4h, h) and ``b`` (4h,) stack the gate blocks in
+    (i, f, g, o) row order.
+    """
     h = len(h_prev)
 
     def gate_pre(row: int) -> float:
-        s = float(cell.bias[row])
+        s = float(b[row])
         for j, v in enumerate(x):
-            s += float(cell.input_weights[row, j]) * float(v)
+            s += float(wx[row, j]) * float(v)
         for j, v in enumerate(h_prev):
-            s += float(cell.recurrent_weights[row, j]) * float(v)
+            s += float(wh[row, j]) * float(v)
         return s
 
     h_new = []
@@ -105,7 +109,7 @@ def finite_diff_grads(model, inputs, labels, eps=1e-5, dropout_rate=0.0, mask_se
         return mse_loss(trace.predictions, labels)
 
     grads = {}
-    for name, p in model.param_dict().items():
+    for name, p in model.tensors.items():
         g = np.zeros_like(p)
         it = np.nditer(p, flags=["multi_index"])
         for _ in it:

@@ -51,7 +51,7 @@ def test_criterion_1_gradient_correctness():
         inputs = rng.normal(size=(7, 3))
         labels = rng.uniform(-1.0, 1.0, size=7)
         trace = forward(model, inputs)
-        analytic = backward(model, trace, labels).param_dict()
+        analytic = model.views(backward(model, trace, labels))
         numeric = finite_diff_grads(model, inputs, labels, eps=1e-5)
         worst = max(worst, gradcheck_max_relerr(analytic, numeric))
     elapsed = time.monotonic() - start
@@ -229,12 +229,11 @@ def test_criterion_6_chunking_equivalence():
                 )
                 grads = backward(model, trace, labels)
                 model, state = adam_step(model, grads, state, config)
-                snapshots.append({k: v.copy() for k, v in model.param_dict().items()})
+                snapshots.append(model.params.copy())
         models[key] = snapshots
     for snap_a, snap_b in zip(models["chunked"], models["whole"]):
-        for name in snap_a:
-            if not np.array_equal(snap_a[name], snap_b[name]):
-                trajectory_ok = False
+        if not np.array_equal(snap_a, snap_b):
+            trajectory_ok = False
 
     ckpt_a, hist_a = train(train_set, devel_set, config_a)
     ckpt_b, hist_b = train(train_set, devel_set, config_b)
@@ -272,8 +271,9 @@ def test_criterion_7_checkpoint_roundtrip(tmp_path):
         path = tmp_path / "rt.sqf"
         save_checkpoint(ckpt, path)
         back = load_checkpoint(path)
-        params_a, params_b = ckpt.model.param_dict(), back.model.param_dict()
-        if any(not np.array_equal(params_a[n], params_b[n]) for n in params_a):
+        if back.model.dims != ckpt.model.dims or not np.array_equal(
+            back.model.params, ckpt.model.params
+        ):
             bad += 1
         if back.config != ckpt.config or back.track_dims != ckpt.track_dims:
             bad += 1

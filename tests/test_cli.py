@@ -215,6 +215,26 @@ class TestTrain:
         assert code == 0, err
         assert json.loads(out)["concatenated_ccc"] >= 0.95
 
+    @pytest.mark.parametrize(
+        "override,needle",
+        [
+            ({"epochs": 2.5}, "epochs"),
+            ({"adam_beta1": 1.0}, "adam_beta1"),
+            ({"learning_rate": 1e300}, "training diverged"),
+        ],
+        ids=["non-integer-epochs", "beta1-one", "diverging"],
+    )
+    def test_bad_or_diverging_config_exit_2_without_checkpoint(
+        self, synth_dir, tmp_path, run_cli, override, needle
+    ):
+        run_dir = tmp_path / "run"
+        cfg = write_train_config(tmp_path / "cfg.json", synth_dir / "manifest.json",
+                                 run_dir, **override)
+        code, _, err = run_cli("train", "--config", cfg)
+        assert code == 2, err
+        assert needle in err
+        assert not (run_dir / "checkpoint.sqf").exists()
+
     def test_default_track_order_from_manifest(self, synth_dir, tmp_path, run_cli):
         run_dir = tmp_path / "run"
         cfg = write_train_config(tmp_path / "cfg.json", synth_dir / "manifest.json",
@@ -227,7 +247,7 @@ class TestTrain:
 
 def make_zero_checkpoint(path, D=5, head_out_bias=0.0, track_dims=(("track0", 2), ("track1", 3))):
     model = zero_model(D=D, e=4, h=5, m=3)
-    model.head_out.bias[0] = head_out_bias
+    model.tensors["head_out_b"][0] = head_out_bias
     cfg = TrainConfig(
         target="arousal", embed_dim=4, hidden_units=5, head_hidden=3,
         epochs=1, seed=0, track_order=[n for n, _ in track_dims],
@@ -247,6 +267,27 @@ class TestEvaluate:
         assert payload["target"] == "arousal"
         assert set(payload) == {"concatenated_ccc", "n_frames_total", "per_video", "target"}
         assert "concatenated CCC" in err  # summary line on stderr
+
+    def test_one_frame_video_left_out_of_per_video(self, synth_dir, tmp_path, run_cli):
+        manifest = json.loads((synth_dir / "manifest.json").read_text())
+        short, entry = next(iter(manifest["videos"].items()))
+        for relpath in entry["labels"].values():
+            path = synth_dir / relpath
+            path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
+        ckpt_path = tmp_path / "z.sqf"
+        make_zero_checkpoint(ckpt_path)
+        code, out, err = run_cli("evaluate", "--checkpoint", ckpt_path,
+                                 "--manifest", synth_dir / "manifest.json",
+                                 "--partition", "all")
+        assert code == 0, err
+        report = json.loads(out)
+        assert sorted(report["per_video"]) == sorted(set(manifest["videos"]) - {short})
+        frames = {
+            vid: len((synth_dir / e["labels"]["arousal"]).read_text().splitlines()) - 1
+            for vid, e in manifest["videos"].items()
+        }
+        assert frames[short] == 1
+        assert report["n_frames_total"] == sum(frames.values())
 
     def test_report_file_and_dim_mismatch(self, synth_dir, tmp_path, run_cli):
         ckpt_path = tmp_path / "bad.sqf"

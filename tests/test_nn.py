@@ -12,16 +12,24 @@ from oracles import (
 )
 from seqfuse import (
     DimMismatchError,
-    LinearLayer,
-    LstmCell,
+    Model,
     TraceMismatchError,
     backward,
     forward,
     init_model,
-    linear_relu,
-    lstm_step,
     mse_loss,
 )
+
+
+def sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def random_model(seed, D, e, h, m, scale=1.0):
+    """A model whose every parameter is drawn from N(0, scale^2)."""
+    dims = {"D": D, "e": e, "h": h, "m": m}
+    size = Model(dims).params.size
+    return Model(dims, scale * np.random.default_rng(seed).normal(size=size))
 
 
 class TestInitModel:
@@ -32,27 +40,38 @@ class TestInitModel:
 
     def test_shapes(self):
         model = init_model(1, {"D": 5, "e": 4, "h": 3, "m": 2})
-        assert model.projection.weight.shape == (4, 5)
-        assert model.lstm.input_weights.shape == (12, 4)
-        assert model.lstm.recurrent_weights.shape == (12, 3)
-        assert model.lstm.bias.shape == (12,)
-        assert model.head_hidden.weight.shape == (2, 3)
-        assert model.head_out.weight.shape == (1, 2)
+        shapes = {name: p.shape for name, p in model.tensors.items()}
+        assert shapes == {
+            "projection_w": (4, 5),
+            "projection_b": (4,),
+            "lstm_input_w": (12, 4),
+            "lstm_recurrent_w": (12, 3),
+            "lstm_b": (12,),
+            "head_hidden_w": (2, 3),
+            "head_hidden_b": (2,),
+            "head_out_w": (1, 2),
+            "head_out_b": (1,),
+        }
+        assert model.params.shape == (131,)
+        # the named tensors are views that tile the flat vector in order
+        flat = np.concatenate([p.ravel() for p in model.tensors.values()])
+        assert np.array_equal(flat, model.params)
+        assert all(np.shares_memory(p, model.params) for p in model.tensors.values())
 
     def test_forget_gate_bias_is_one(self):
         model = init_model(2, {"D": 5, "e": 4, "h": 3, "m": 2})
         h = 3
-        assert np.all(model.lstm.bias[h : 2 * h] == 1.0)
+        assert np.all(model.tensors["lstm_b"][h : 2 * h] == 1.0)
 
     def test_init_bounds(self):
         model = init_model(3, {"D": 9, "e": 8, "h": 6, "m": 4})
-        assert np.all(np.abs(model.projection.weight) <= 1.0 / 3.0)
-        assert np.all(np.abs(model.lstm.input_weights) <= 1.0 / np.sqrt(8.0))
+        assert np.all(np.abs(model.tensors["projection_w"]) <= 1.0 / 3.0)
+        assert np.all(np.abs(model.tensors["lstm_input_w"]) <= 1.0 / np.sqrt(8.0))
 
     def test_different_seeds_differ(self):
         a = init_model(0, {"D": 5, "e": 4, "h": 3, "m": 2})
         b = init_model(1, {"D": 5, "e": 4, "h": 3, "m": 2})
-        assert not np.array_equal(a.projection.weight, b.projection.weight)
+        assert not np.array_equal(a.tensors["projection_w"], b.tensors["projection_w"])
 
     def test_bad_dims(self):
         with pytest.raises(DimMismatchError):
@@ -60,75 +79,92 @@ class TestInitModel:
 
 
 class TestLinearRelu:
+    """The projection and head stages of ``forward``: relu(W @ x + b)."""
+
     def test_identity_clips_negatives(self):
-        layer = LinearLayer(np.eye(3), np.zeros(3))
-        assert np.array_equal(linear_relu(layer, [1.0, -2.0, 3.0]), [1.0, 0.0, 3.0])
+        model = zero_model(D=3, e=3)
+        model.tensors["projection_w"][...] = np.eye(3)
+        trace = forward(model, np.array([[1.0, -2.0, 3.0]]))
+        assert np.array_equal(trace.embed[0], [1.0, 0.0, 3.0])
 
     def test_zero_weight_constant_output(self):
-        layer = LinearLayer(np.zeros((2, 3)), np.array([-1.0, 2.0]))
-        for x in (np.zeros(3), np.ones(3), np.array([5.0, -7.0, 0.5])):
-            assert np.array_equal(linear_relu(layer, x), [0.0, 2.0])
+        model = zero_model(D=3, e=2)
+        model.tensors["projection_b"][...] = [-1.0, 2.0]
+        trace = forward(model, np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [5.0, -7.0, 0.5]]))
+        for row in trace.embed:
+            assert np.array_equal(row, [0.0, 2.0])
 
     def test_matches_naive_dot_products(self):
-        rng = np.random.default_rng(4)
-        layer = LinearLayer(rng.normal(size=(8, 8)), rng.normal(size=8))
-        x = rng.normal(size=8)
-        ref = linear_relu_naive(layer.weight, layer.bias, x)
-        np.testing.assert_allclose(linear_relu(layer, x), ref, atol=1e-12)
+        model = random_model(4, D=8, e=8, h=5, m=6)
+        x = np.random.default_rng(5).normal(size=(6, 8))
+        trace = forward(model, x)
+        p = model.tensors
+        for j in range(6):
+            ref_embed = linear_relu_naive(p["projection_w"], p["projection_b"], x[j])
+            np.testing.assert_allclose(trace.embed[j], ref_embed, atol=1e-12)
+            ref_act = linear_relu_naive(p["head_hidden_w"], p["head_hidden_b"], trace.hidden[j])
+            np.testing.assert_allclose(trace.head_act[j], ref_act, atol=1e-12)
 
     def test_dim_mismatch(self):
-        layer = LinearLayer(np.eye(3), np.zeros(3))
-        with pytest.raises(DimMismatchError):
-            linear_relu(layer, np.zeros(4))
-
-
-def zero_cell(h=3, e=2):
-    return LstmCell(np.zeros((4 * h, e)), np.zeros((4 * h, h)), np.zeros(4 * h))
+        dims = {"D": 3, "e": 3, "h": 4, "m": 3}
+        size = Model(dims).params.size
+        for bad in (np.zeros(size - 1), np.zeros(size + 1), np.zeros((size, 1))):
+            with pytest.raises(DimMismatchError):
+                Model(dims, bad)
 
 
 class TestLstmStep:
+    """The recurrence inside ``forward``, one step per input row."""
+
     def test_zero_everything_is_fixed_point(self):
-        cell = zero_cell()
-        h, c = lstm_step(cell, np.zeros(2), np.zeros(3), np.zeros(3))
-        assert np.array_equal(h, np.zeros(3))
-        assert np.array_equal(c, np.zeros(3))
+        trace = forward(zero_model(), np.zeros((5, 3)))
+        assert np.array_equal(trace.hidden, np.zeros((5, 4)))
+        assert np.array_equal(trace.cell, np.zeros((5, 4)))
 
     def test_zero_weights_closed_form(self):
-        cell = zero_cell()
-        c_prev = np.array([0.5, -1.0, 2.0])
-        h, c = lstm_step(cell, np.zeros(2), np.zeros(3), c_prev)
-        np.testing.assert_allclose(c, 0.5 * c_prev, atol=1e-15)
-        np.testing.assert_allclose(h, 0.5 * np.tanh(0.5 * c_prev), atol=1e-15)
+        # With zero weights the gates are constants set by the LSTM bias, so
+        # c_j = i * g * (1 + f + ... + f^j) and h_j = o * tanh(c_j).
+        model = zero_model(h=3)
+        b_i, b_f = np.array([0.3, -1.2, 2.0]), np.array([0.0, 1.5, -0.7])
+        b_g, b_o = np.array([1.1, -0.4, 0.9]), np.array([-0.2, 0.8, 0.0])
+        model.tensors["lstm_b"][...] = np.concatenate([b_i, b_f, b_g, b_o])
+        trace = forward(model, np.random.default_rng(6).normal(size=(6, 3)))
+        i, f, g, o = sigmoid(b_i), sigmoid(b_f), np.tanh(b_g), sigmoid(b_o)
+        for j in range(6):
+            c = i * g * (1.0 - f ** (j + 1)) / (1.0 - f)
+            np.testing.assert_allclose(trace.cell[j], c, atol=1e-14)
+            np.testing.assert_allclose(trace.hidden[j], o * np.tanh(c), atol=1e-14)
 
     def test_matches_scalar_oracle(self):
-        rng = np.random.default_rng(12)
-        cell = LstmCell(
-            rng.normal(size=(12, 2)), rng.normal(size=(12, 3)), rng.normal(size=12)
-        )
-        x, h_prev, c_prev = rng.normal(size=2), rng.normal(size=3), rng.normal(size=3)
-        h, c = lstm_step(cell, x, h_prev, c_prev)
-        h_ref, c_ref = lstm_step_scalar(cell, x, h_prev, c_prev)
-        np.testing.assert_allclose(h, h_ref, atol=1e-12)
-        np.testing.assert_allclose(c, c_ref, atol=1e-12)
+        model = random_model(12, D=3, e=2, h=3, m=4)
+        x = np.random.default_rng(13).normal(size=(7, 3))
+        trace = forward(model, x)
+        p = model.tensors
+        h_prev, c_prev = np.zeros(3), np.zeros(3)
+        for j in range(7):
+            embed = linear_relu_naive(p["projection_w"], p["projection_b"], x[j])
+            h_prev, c_prev = lstm_step_scalar(
+                p["lstm_input_w"], p["lstm_recurrent_w"], p["lstm_b"], embed, h_prev, c_prev
+            )
+            act = linear_relu_naive(p["head_hidden_w"], p["head_hidden_b"], h_prev)
+            pred = float(p["head_out_b"][0])
+            for w, a in zip(p["head_out_w"][0], act):
+                pred += float(w) * a
+            np.testing.assert_allclose(trace.hidden[j], h_prev, atol=1e-12)
+            np.testing.assert_allclose(trace.cell[j], c_prev, atol=1e-12)
+            assert trace.predictions[j] == pytest.approx(pred, abs=1e-12)
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimMismatchError):
-            lstm_step(zero_cell(), np.zeros(5), np.zeros(3), np.zeros(3))
+        for bad in (np.zeros(3), np.zeros((2, 2, 3))):
+            with pytest.raises(DimMismatchError):
+                forward(zero_model(), bad)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_hidden_state_bounded(self, seed):
-        rng = np.random.default_rng(seed)
-        cell = LstmCell(
-            3.0 * rng.normal(size=(16, 3)),
-            3.0 * rng.normal(size=(16, 4)),
-            3.0 * rng.normal(size=16),
-        )
-        h = np.zeros(4)
-        c = np.zeros(4)
-        for _ in range(20):
-            h, c = lstm_step(cell, rng.normal(size=3), h, c)
-            assert np.all(np.abs(h) <= 1.0)
+        model = random_model(seed, D=3, e=3, h=4, m=2, scale=3.0)
+        trace = forward(model, np.random.default_rng(seed).normal(size=(20, 3)))
+        assert np.all(np.abs(trace.hidden) <= 1.0)
 
 
 class TestForward:
@@ -155,10 +191,14 @@ class TestForward:
     def test_single_step_equals_manual_composition(self, tiny_model):
         x = np.random.default_rng(3).normal(size=(1, 3))
         trace = forward(tiny_model, x)
-        embed = linear_relu(tiny_model.projection, x[0])
-        h, c = lstm_step(tiny_model.lstm, embed, np.zeros(4), np.zeros(4))
-        act = linear_relu(tiny_model.head_hidden, h)
-        pred = tiny_model.head_out.weight @ act + tiny_model.head_out.bias
+        p = tiny_model.tensors
+        embed = np.maximum(0.0, p["projection_w"] @ x[0] + p["projection_b"])
+        pre = p["lstm_input_w"] @ embed + p["lstm_b"]
+        i, _, g, o = np.split(pre, 4)
+        c = sigmoid(i) * np.tanh(g)  # c_0 = 0, so the forget gate drops out
+        h = sigmoid(o) * np.tanh(c)
+        act = np.maximum(0.0, p["head_hidden_w"] @ h + p["head_hidden_b"])
+        pred = p["head_out_w"] @ act + p["head_out_b"]
         np.testing.assert_allclose(trace.embed[0], embed, atol=1e-15)
         np.testing.assert_allclose(trace.hidden[0], h, atol=1e-15)
         np.testing.assert_allclose(trace.cell[0], c, atol=1e-15)
@@ -184,7 +224,8 @@ class TestForward:
         trace = forward(model, np.random.default_rng(6).normal(size=(t, D)))
         assert trace.predictions.shape == (t,)
         assert trace.n_steps == t
-        assert trace.gate_pre.shape == (t, 4 * h)
+        assert trace.gate_i.shape == (t, h)
+        assert trace.cell.shape == (t, h)
         assert trace.hidden.shape == (t, h)
         assert trace.head_act.shape == (t, m)
 
@@ -198,8 +239,7 @@ class TestBackward:
         x = np.random.default_rng(8).normal(size=(6, 3))
         trace = forward(tiny_model, x)
         grads = backward(tiny_model, trace, trace.predictions.copy())
-        for name, g in grads.param_dict().items():
-            assert np.array_equal(g, np.zeros_like(g)), name
+        assert np.array_equal(grads, np.zeros_like(tiny_model.params))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_matches_finite_differences(self, seed):
@@ -208,7 +248,7 @@ class TestBackward:
         x = rng.normal(size=(7, 3))
         y = rng.uniform(-1.0, 1.0, size=7)
         trace = forward(model, x)
-        analytic = backward(model, trace, y).param_dict()
+        analytic = model.views(backward(model, trace, y))
         numeric = finite_diff_grads(model, x, y)
         assert gradcheck_max_relerr(analytic, numeric) < 1e-4
 
@@ -218,7 +258,7 @@ class TestBackward:
         x = rng.normal(size=(7, 3))
         y = rng.uniform(-1.0, 1.0, size=7)
         trace = forward(model, x, dropout_rate=0.5, mask_seed=55)
-        analytic = backward(model, trace, y).param_dict()
+        analytic = model.views(backward(model, trace, y))
         numeric = finite_diff_grads(model, x, y, dropout_rate=0.5, mask_seed=55)
         assert gradcheck_max_relerr(analytic, numeric) < 1e-4
 
@@ -228,13 +268,10 @@ class TestBackward:
         y1 = rng.uniform(-1.0, 1.0, size=8)
         y2 = rng.uniform(-1.0, 1.0, size=8)
         trace = forward(tiny_model, x, dropout_rate=0.5, mask_seed=9)
-        g1 = backward(tiny_model, trace, y1).param_dict()
-        g2 = backward(tiny_model, trace, y2).param_dict()
-        g_mid = backward(tiny_model, trace, (y1 + y2) / 2.0).param_dict()
-        for name in g1:
-            np.testing.assert_allclose(
-                g_mid[name], (g1[name] + g2[name]) / 2.0, atol=1e-12, err_msg=name
-            )
+        g1 = backward(tiny_model, trace, y1)
+        g2 = backward(tiny_model, trace, y2)
+        g_mid = backward(tiny_model, trace, (y1 + y2) / 2.0)
+        np.testing.assert_allclose(g_mid, (g1 + g2) / 2.0, atol=1e-12)
 
     def test_label_length_mismatch(self, tiny_model):
         trace = forward(tiny_model, np.zeros((4, 3)))
@@ -253,9 +290,7 @@ class TestBackward:
         y = rng.uniform(-1.0, 1.0, size=10)
         trace = forward(tiny_model, x)
         loss0 = mse_loss(trace.predictions, y)
-        grads = backward(tiny_model, trace, y).param_dict()
-        stepped = tiny_model.copy()
-        for name, p in stepped.param_dict().items():
-            p -= 1e-3 * grads[name]
+        grads = backward(tiny_model, trace, y)
+        stepped = Model(tiny_model.dims, tiny_model.params - 1e-3 * grads)
         loss1 = mse_loss(forward(stepped, x).predictions, y)
         assert loss1 < loss0

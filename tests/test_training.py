@@ -1,3 +1,7 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,7 +14,6 @@ from seqfuse import (
     EmptyDatasetError,
     EmptySequenceError,
     FusedSequence,
-    Gradients,
     LengthMismatchError,
     ShapeMismatchError,
     TargetMissingError,
@@ -28,6 +31,30 @@ from seqfuse import (
     train,
 )
 from seqfuse.training import write_history_csv
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("epochs", 2.5),
+            ("epochs", True),
+            ("embed_dim", 4.0),
+            ("seed", "1"),
+            ("patience", None),
+            ("adam_beta1", 1.0),
+            ("adam_beta1", -0.1),
+            ("adam_beta2", 1.0),
+            ("adam_eps", 0.0),
+        ],
+    )
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            small_train_config(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        cfg = small_train_config(adam_beta1=0.0, adam_beta2=0.0, adam_eps=1e-300)
+        assert cfg.adam_beta1 == 0.0
 
 
 class TestMseLoss:
@@ -91,52 +118,49 @@ class TestChunk:
             chunk(seq, 100, "arousal")
 
 
-def _zero_grads(model):
-    return Gradients(**{k: np.zeros_like(v) for k, v in model.param_dict().items()})
-
-
 class TestAdamStep:
     def test_zero_gradient_fresh_state_is_noop(self):
         model = init_model(3, {"D": 3, "e": 3, "h": 4, "m": 3})
         cfg = small_train_config()
-        new_model, state = adam_step(model, _zero_grads(model), init_adam_state(model), cfg)
+        grads = np.zeros_like(model.params)
+        new_model, state = adam_step(model, grads, init_adam_state(model), cfg)
         assert_models_equal(model, new_model)
         assert state.step == 1
 
     def test_single_scalar_parameter_hand_oracle(self):
         model = zero_model()
         cfg = small_train_config(learning_rate=1e-3)
-        grads = _zero_grads(model)
-        grads.head_out_b[0] = 1.0
+        grads = np.zeros_like(model.params)
+        model.views(grads)["head_out_b"][0] = 1.0
         new_model, _ = adam_step(model, grads, init_adam_state(model), cfg)
         expected, *_ = adam_single_update(0.0, 1.0, 1e-3, 0.9, 0.999, 1e-8)
         assert expected == pytest.approx(-1e-3 / (1.0 + 1e-8), abs=1e-18)
-        assert new_model.head_out.bias[0] == pytest.approx(expected, abs=1e-15)
+        assert new_model.tensors["head_out_b"][0] == pytest.approx(expected, abs=1e-15)
         # every other parameter untouched
-        for name, p in new_model.param_dict().items():
+        for name, p in new_model.tensors.items():
             if name != "head_out_b":
-                assert np.array_equal(p, model.param_dict()[name]), name
+                assert np.array_equal(p, model.tensors[name]), name
 
     def test_deterministic(self):
         model = init_model(5, {"D": 3, "e": 3, "h": 4, "m": 3})
         rng = np.random.default_rng(9)
-        grads = Gradients(
-            **{k: rng.normal(size=v.shape) for k, v in model.param_dict().items()}
-        )
+        grads = rng.normal(size=model.params.shape)
         cfg = small_train_config()
         a_model, a_state = adam_step(model, grads, init_adam_state(model), cfg)
         b_model, b_state = adam_step(model, grads, init_adam_state(model), cfg)
         assert_models_equal(a_model, b_model)
-        for name in a_state.m:
-            assert np.array_equal(a_state.m[name], b_state.m[name])
-            assert np.array_equal(a_state.v[name], b_state.v[name])
+        assert np.array_equal(a_state.m, b_state.m)
+        assert np.array_equal(a_state.v, b_state.v)
 
     def test_shape_mismatch(self):
         model = init_model(5, {"D": 3, "e": 3, "h": 4, "m": 3})
-        grads = _zero_grads(model)
-        grads.projection_w = np.zeros((2, 2))
+        grads = np.zeros(model.params.size - 1)
         with pytest.raises(ShapeMismatchError):
             adam_step(model, grads, init_adam_state(model), small_train_config())
+        other = init_model(5, {"D": 4, "e": 3, "h": 4, "m": 3})
+        with pytest.raises(ShapeMismatchError):
+            adam_step(model, np.zeros_like(model.params), init_adam_state(other),
+                      small_train_config())
 
     def test_multi_step_matches_hand_sequence(self):
         model = zero_model()
@@ -144,13 +168,13 @@ class TestAdamStep:
         state = init_adam_state(model)
         p_ref, m_ref, v_ref, step_ref = 0.0, 0.0, 0.0, 0
         for g in (1.0, -0.5, 2.0, 0.25):
-            grads = _zero_grads(model)
-            grads.head_out_b[0] = g
+            grads = np.zeros_like(model.params)
+            model.views(grads)["head_out_b"][0] = g
             model, state = adam_step(model, grads, state, cfg)
             p_ref, m_ref, v_ref, step_ref = adam_single_update(
                 p_ref, g, 0.01, 0.9, 0.999, 1e-8, m_ref, v_ref, step_ref
             )
-            assert model.head_out.bias[0] == pytest.approx(p_ref, abs=1e-15)
+            assert model.tensors["head_out_b"][0] == pytest.approx(p_ref, abs=1e-15)
 
 
 class TestTrain:
@@ -258,6 +282,18 @@ class TestTrain:
         increases = sum(max(0.0, b - a) for a, b in zip(losses, losses[1:]))
         assert increases <= 1e-6
 
+    @pytest.mark.parametrize(
+        "n_train,where", [(1, "non-finite devel CCC"), (3, "non-finite loss")]
+    )
+    def test_divergence_raises(self, n_train, where):
+        # One Adam step of size ~1e300 overflows the forward pass. With one
+        # short train video the first non-finite value is the devel CCC.
+        train_set, devel_set = make_fused_split(
+            seed=5, n_train=n_train, n_devel=1, t_range=(10, 16)
+        )
+        with pytest.raises(ConfigError, match=f"training diverged: {where}"):
+            train(train_set, devel_set, small_train_config(learning_rate=1e300))
+
     def test_chunking_noop_when_t_below_max(self):
         train_set, devel_set = make_fused_split(seed=12, n_train=3, n_devel=1, t_range=(20, 60))
         assert all(s.n_frames <= 100 for s in train_set + devel_set)
@@ -289,6 +325,41 @@ def _random_checkpoint(seed):
         track_order=["track0"],
     )
     return Checkpoint(model, cfg, (("track0", dims["D"]),), float(rng.uniform(-1, 1)), 3)
+
+
+# Bytes the version-1 format gives for _golden_checkpoint(); a change here
+# breaks every checkpoint written before it.
+GOLDEN_SIZE = 2106
+GOLDEN_SHA256 = "86557ed3c49d5fb46d181e9f295395f82d417ce0333fcb18f0ac15150f7f4807"
+
+
+def _golden_checkpoint():
+    cfg = TrainConfig(
+        target="arousal",
+        embed_dim=4,
+        hidden_units=3,
+        head_hidden=2,
+        epochs=1,
+        seed=7,
+        track_order=["track0"],
+    )
+    model = init_model(7, {"D": 5, "e": 4, "h": 3, "m": 2})
+    return Checkpoint(model, cfg, (("track0", 5),), 0.5, 0)
+
+
+def _rewrite_header(src, dst, edit):
+    """Copy a checkpoint with ``edit`` applied to its parsed JSON header."""
+    data = src.read_bytes()
+    (n,) = struct.unpack("<I", data[4:8])
+    header = json.loads(data[8 : 8 + n])
+    edit(header)
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    dst.write_bytes(data[:4] + struct.pack("<I", len(raw)) + raw + data[8 + n :])
+
+
+def _swap_offsets(header, a="head_hidden_b", b="head_out_w"):
+    specs = {spec["name"]: spec for spec in header["params"]}
+    specs[a]["offset"], specs[b]["offset"] = specs[b]["offset"], specs[a]["offset"]
 
 
 class TestCheckpointIo:
@@ -332,6 +403,34 @@ class TestCheckpointIo:
         save_checkpoint(_random_checkpoint(2), path)
         data = path.read_bytes()
         (tmp_path / "bad.sqf").write_bytes(b"WHAT" + data[4:])
+        with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(tmp_path / "bad.sqf")
+
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "golden.sqf"
+        save_checkpoint(_golden_checkpoint(), path)
+        data = path.read_bytes()
+        assert len(data) == GOLDEN_SIZE
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256
+
+    def test_untouched_rewritten_header_loads(self, tmp_path):
+        save_checkpoint(_golden_checkpoint(), tmp_path / "g.sqf")
+        _rewrite_header(tmp_path / "g.sqf", tmp_path / "same.sqf", lambda header: None)
+        assert_models_equal(load_checkpoint(tmp_path / "same.sqf").model,
+                            _golden_checkpoint().model)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda header: header["dims"].update(D=6),
+            lambda header: header["params"][0].update(shape=[5, 4]),
+            _swap_offsets,
+        ],
+        ids=["dims", "shape", "offsets"],
+    )
+    def test_tampered_header_rejected(self, tmp_path, edit):
+        save_checkpoint(_golden_checkpoint(), tmp_path / "g.sqf")
+        _rewrite_header(tmp_path / "g.sqf", tmp_path / "bad.sqf", edit)
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(tmp_path / "bad.sqf")
 
