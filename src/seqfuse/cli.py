@@ -42,7 +42,7 @@ from .training import (
     train,
     write_history_csv,
 )
-from .util import fmt_float
+from .util import fmt_float, write_atomic
 
 SEED_ENV_VAR = "SEQFUSE_SEED"
 
@@ -293,11 +293,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = load_fused_dataset(
         manifest, args.partition, list(ckpt.config.track_order), args.frame_len_ms
     )
-    report = evaluate(ckpt, dataset, ckpt.config.target)
+    report = evaluate(ckpt.model, dataset, ckpt.config.target)
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.out is not None:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(payload, encoding="utf-8")
+        write_atomic(args.out, payload)
     else:
         sys.stdout.write(payload)
     print(report.summary(), file=sys.stderr)
@@ -322,8 +322,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         rows += [
             f"{j * args.frame_len_ms},{fmt_float(v)}" for j, v in enumerate(clamped)
         ]
-        path = out_dir / f"{seq.video_id}_{target}.csv"
-        path.write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+        write_atomic(out_dir / f"{seq.video_id}_{target}.csv", "\n".join(rows) + "\n")
     print(f"wrote predictions for {len(dataset)} videos to {out_dir}")
     return 0
 

@@ -15,12 +15,11 @@ from .errors import (
     LengthMismatchError,
     TargetMissingError,
 )
-from .nn import forward
+from .nn import Model, forward
 from .util import fmt_float
 
 if TYPE_CHECKING:
     from .featureio import FusedSequence
-    from .training import Checkpoint
 
 logger = logging.getLogger(__name__)
 
@@ -76,10 +75,8 @@ class CccReport:
         )
 
 
-def evaluate(
-    model_ckpt: "Checkpoint", dataset: list["FusedSequence"], target: str
-) -> CccReport:
-    """Score a checkpoint on fused sequences, dropout disabled.
+def evaluate(model: Model, dataset: list["FusedSequence"], target: str) -> CccReport:
+    """Score a model on fused sequences, dropout disabled.
 
     The headline score is CCC over all predictions/labels concatenated in
     dataset order; per-video scores are computed independently. A video with
@@ -89,7 +86,6 @@ def evaluate(
     """
     if not dataset:
         raise EmptyDatasetError("evaluate needs at least one sequence")
-    model = model_ckpt.model
     preds_all, labels_all = [], []
     per_video: dict[str, float] = {}
     n_frames = 0

@@ -14,6 +14,12 @@ Initial state h_0 = c_0 = 0. Dropout uses inverted scaling (kept activations
 divided by ``1 - rate``) and is applied only at the two marked sites, never
 inside the recurrence. ``backward`` computes exact reverse-mode gradients of
 the mean-squared per-step loss via backpropagation through time.
+
+Only the recurrence runs step by step: in ``forward`` the ``Wh @ h_{j-1}``
+product, the gate activations and the c/h update; in ``backward`` the
+reverse pass for dh, dc and one gate-gradient row. The projection, the
+input-to-gate product ``Wx @ embed_j + b``, the head, both dropout sites and
+every weight gradient are single matrix expressions over all t steps.
 """
 
 from __future__ import annotations
@@ -73,13 +79,9 @@ PARAM_ORDER = tuple(spec.name for spec in param_layout(dict.fromkeys("Dehm", 1))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows: 1/(1+exp(-x)) for x >= 0, exp(x)/(1+exp(x)) below.
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 @dataclass(eq=False)
@@ -118,15 +120,12 @@ class Model:
 
 @dataclass(eq=False)
 class ForwardTrace:
-    """Every per-step intermediate needed to rerun the backward pass."""
+    """Every intermediate, one row per step, needed to rerun the backward pass."""
 
     inputs: np.ndarray  # (t, D) fused features
     proj_pre: np.ndarray  # (t, e) projection pre-activation
     embed: np.ndarray  # (t, e) after relu and embedding dropout
-    gate_i: np.ndarray  # (t, h)
-    gate_f: np.ndarray  # (t, h)
-    gate_g: np.ndarray  # (t, h)
-    gate_o: np.ndarray  # (t, h)
+    gates: np.ndarray  # (t, 4h) activated gates, blocks in (i, f, g, o) order
     cell: np.ndarray  # (t, h) c_j
     hidden: np.ndarray  # (t, h) h_j
     head_pre: np.ndarray  # (t, m) head hidden pre-activation
@@ -189,57 +188,39 @@ def forward(
         mask_head = rng.random((t, m)) >= dropout_rate
     keep_scale = 1.0 / (1.0 - dropout_rate) if mask_embed is not None else 1.0
 
-    proj_pre = np.empty((t, e))
-    embed = np.empty((t, e))
-    gate_i = np.empty((t, h))
-    gate_f = np.empty((t, h))
-    gate_g = np.empty((t, h))
-    gate_o = np.empty((t, h))
+    p = model.tensors
+    proj_pre = inputs @ p["projection_w"].T + p["projection_b"]
+    embed = np.maximum(0.0, proj_pre)
+    if mask_embed is not None:
+        embed = embed * mask_embed * keep_scale
+
+    # Rows hold the input-to-gate product until step j overwrites row j
+    # with its activated gates.
+    gates = embed @ p["lstm_input_w"].T + p["lstm_b"]
+    Wh = p["lstm_recurrent_w"]
     cell = np.empty((t, h))
     hidden = np.empty((t, h))
-    head_pre = np.empty((t, m))
-    head_act = np.empty((t, m))
-    predictions = np.empty(t)
-
-    p = model.tensors
-    Wp, bp = p["projection_w"], p["projection_b"]
-    Wx, Wh, b = p["lstm_input_w"], p["lstm_recurrent_w"], p["lstm_b"]
-    Wm, bm = p["head_hidden_w"], p["head_hidden_b"]
-    Wo, bo = p["head_out_w"], p["head_out_b"]
-
-    h_prev = np.zeros(h)
-    c_prev = np.zeros(h)
+    h_prev = c_prev = np.zeros(h)
     for j in range(t):
-        proj_pre[j] = Wp @ inputs[j] + bp
-        z = np.maximum(0.0, proj_pre[j])
-        if mask_embed is not None:
-            z = z * mask_embed[j] * keep_scale
-        embed[j] = z
-
-        pre = Wx @ z + Wh @ h_prev + b
-        gate_i[j] = _sigmoid(pre[0:h])
-        gate_f[j] = _sigmoid(pre[h : 2 * h])
-        gate_g[j] = np.tanh(pre[2 * h : 3 * h])
-        gate_o[j] = _sigmoid(pre[3 * h : 4 * h])
-        cell[j] = gate_f[j] * c_prev + gate_i[j] * gate_g[j]
-        hidden[j] = gate_o[j] * np.tanh(cell[j])
+        pre = gates[j] + Wh @ h_prev
+        gates[j] = _sigmoid(pre)
+        gates[j, 2 * h : 3 * h] = np.tanh(pre[2 * h : 3 * h])
+        i, f, g, o = gates[j].reshape(4, h)
+        cell[j] = f * c_prev + i * g
+        hidden[j] = o * np.tanh(cell[j])
         h_prev, c_prev = hidden[j], cell[j]
 
-        head_pre[j] = Wm @ hidden[j] + bm
-        act = np.maximum(0.0, head_pre[j])
-        if mask_head is not None:
-            act = act * mask_head[j] * keep_scale
-        head_act[j] = act
-        predictions[j] = Wo[0] @ act + bo[0]
+    head_pre = hidden @ p["head_hidden_w"].T + p["head_hidden_b"]
+    head_act = np.maximum(0.0, head_pre)
+    if mask_head is not None:
+        head_act = head_act * mask_head * keep_scale
+    predictions = head_act @ p["head_out_w"][0] + p["head_out_b"][0]
 
     return ForwardTrace(
         inputs=inputs,
         proj_pre=proj_pre,
         embed=embed,
-        gate_i=gate_i,
-        gate_f=gate_f,
-        gate_g=gate_g,
-        gate_o=gate_o,
+        gates=gates,
         cell=cell,
         hidden=hidden,
         head_pre=head_pre,
@@ -273,70 +254,60 @@ def backward(model: Model, trace: ForwardTrace, labels: np.ndarray) -> np.ndarra
         raise TraceMismatchError("trace shapes do not match this model")
 
     p = model.tensors
-    Wx, Wh = p["lstm_input_w"], p["lstm_recurrent_w"]
-    Wm, Wo = p["head_hidden_w"], p["head_out_w"]
     keep_scale = (
         1.0 / (1.0 - trace.dropout_rate) if trace.mask_embed is not None else 1.0
     )
-
-    d_pred = 2.0 * (trace.predictions - labels) / t
-
     grad = np.zeros_like(model.params)
     named = model.views(grad)
-    g_proj_w, g_proj_b = named["projection_w"], named["projection_b"]
-    g_wx, g_wh, g_b = named["lstm_input_w"], named["lstm_recurrent_w"], named["lstm_b"]
-    g_hid_w, g_hid_b = named["head_hidden_w"], named["head_hidden_b"]
-    g_out_w, g_out_b = named["head_out_w"], named["head_out_b"]
 
-    # Head layers and the per-step hidden-state gradient from the head path.
-    d_hidden_head = np.empty((t, h))
-    for j in range(t):
-        g_out_w[0] += d_pred[j] * trace.head_act[j]
-        g_out_b[0] += d_pred[j]
-        d_act = Wo[0] * d_pred[j]
-        if trace.mask_head is not None:
-            d_act = d_act * trace.mask_head[j] * keep_scale
-        d_head_pre = d_act * (trace.head_pre[j] > 0.0)
-        g_hid_w += np.outer(d_head_pre, trace.hidden[j])
-        g_hid_b += d_head_pre
-        d_hidden_head[j] = Wm.T @ d_head_pre
+    # Head layers, and the hidden-state gradient that reaches each step from them.
+    d_pred = 2.0 * (trace.predictions - labels) / t
+    named["head_out_w"][0] = d_pred @ trace.head_act
+    named["head_out_b"][0] = d_pred.sum()
+    d_act = d_pred[:, None] * p["head_out_w"][0]
+    if trace.mask_head is not None:
+        d_act = d_act * trace.mask_head * keep_scale
+    d_head_pre = d_act * (trace.head_pre > 0.0)
+    named["head_hidden_w"][...] = d_head_pre.T @ trace.hidden
+    named["head_hidden_b"][...] = d_head_pre.sum(axis=0)
+    d_hidden = d_head_pre @ p["head_hidden_w"]
 
-    # Backpropagation through time.
-    dh_next = np.zeros(h)
-    dc_next = np.zeros(h)
+    # Backpropagation through time. Step j's gate pre-activation gradient is
+    # (dc, dc, dc, dh) * local[j] over the (i, f, g, o) blocks, and dh
+    # reaches the cell gradient as dh * dc_per_dh[j].
+    i, f, g, o = np.split(trace.gates, 4, axis=1)
+    tanh_c = np.tanh(trace.cell)
+    c_prev = np.vstack([np.zeros((1, h)), trace.cell[:-1]])
+    local = np.stack(
+        [
+            g * i * (1.0 - i),
+            c_prev * f * (1.0 - f),
+            i * (1.0 - g * g),
+            tanh_c * o * (1.0 - o),
+        ],
+        axis=1,
+    )  # (t, 4, h)
+    dc_per_dh = o * (1.0 - tanh_c * tanh_c)
+    Wh = p["lstm_recurrent_w"]
+    d_gate = np.empty((t, 4, h))
+    dh_next = dc_next = np.zeros(h)
     for j in range(t - 1, -1, -1):
-        i, f = trace.gate_i[j], trace.gate_f[j]
-        g, o = trace.gate_g[j], trace.gate_o[j]
-        c_prev = trace.cell[j - 1] if j > 0 else np.zeros(h)
-        h_prev = trace.hidden[j - 1] if j > 0 else np.zeros(h)
-        tanh_c = np.tanh(trace.cell[j])
+        dh = d_hidden[j] + dh_next
+        dc = dc_next + dh * dc_per_dh[j]
+        d_gate[j, :3] = dc
+        d_gate[j, 3] = dh
+        d_gate[j] *= local[j]
+        dh_next = d_gate[j].reshape(-1) @ Wh
+        dc_next = dc * f[j]
+    d_gate = d_gate.reshape(t, 4 * h)
 
-        dh = d_hidden_head[j] + dh_next
-        do = dh * tanh_c
-        dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-
-        d_gate = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g * g),
-                do * o * (1.0 - o),
-            ]
-        )
-        g_wx += np.outer(d_gate, trace.embed[j])
-        g_wh += np.outer(d_gate, h_prev)
-        g_b += d_gate
-        dh_next = Wh.T @ d_gate
-        dc_next = dc * f
-
-        d_embed = Wx.T @ d_gate
-        if trace.mask_embed is not None:
-            d_embed = d_embed * trace.mask_embed[j] * keep_scale
-        d_proj_pre = d_embed * (trace.proj_pre[j] > 0.0)
-        g_proj_w += np.outer(d_proj_pre, trace.inputs[j])
-        g_proj_b += d_proj_pre
-
+    named["lstm_input_w"][...] = d_gate.T @ trace.embed
+    named["lstm_recurrent_w"][...] = d_gate[1:].T @ trace.hidden[:-1]
+    named["lstm_b"][...] = d_gate.sum(axis=0)
+    d_embed = d_gate @ p["lstm_input_w"]
+    if trace.mask_embed is not None:
+        d_embed = d_embed * trace.mask_embed * keep_scale
+    d_proj_pre = d_embed * (trace.proj_pre > 0.0)
+    named["projection_w"][...] = d_proj_pre.T @ trace.inputs
+    named["projection_b"][...] = d_proj_pre.sum(axis=0)
     return grad

@@ -35,9 +35,9 @@ from .errors import (
     VersionMismatchError,
 )
 from .featureio import FusedSequence
-from .metrics import ccc
+from .metrics import evaluate
 from .nn import Model, ParamSpec, backward, forward, init_model, param_layout
-from .util import _UINT64_MASK, fmt_float, seeded_rng
+from .util import _UINT64_MASK, fmt_float, seeded_rng, write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -199,20 +199,6 @@ def _mask_seed(seed: int, epoch: int, chunk_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _concat_ccc(model: Model, dataset: list[FusedSequence], target: str) -> float:
-    """Evaluation-mode CCC over all sequences concatenated in order."""
-    preds, labs = [], []
-    for seq in dataset:
-        trace = forward(model, seq.data)
-        preds.append(trace.predictions)
-        labs.append(seq.labels[target])
-    try:
-        return ccc(np.concatenate(preds), np.concatenate(labs))
-    except DegenerateInputError:
-        logger.warning("devel CCC undefined (constant equal sequences); using 0.0")
-        return 0.0
-
-
 def _validate_dataset(
     dataset: list[FusedSequence], target: str, input_dim: int, what: str
 ) -> None:
@@ -229,6 +215,9 @@ def _validate_dataset(
             )
 
 
+# A diverging run ends at a finiteness check with ConfigError; numpy's overflow
+# and invalid-value warnings on the way there add nothing, so they are muted.
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     train_set: list[FusedSequence],
     devel_set: list[FusedSequence],
@@ -273,36 +262,39 @@ def train(
     )
     state = init_adam_state(model)
     shuffle_rng = seeded_rng(config.seed, _SHUFFLE_SALT)
-
-    best_ccc = _concat_ccc(model, devel_set, config.target)
-    best_model = model
-    best_epoch = 0
-    bad_epochs = 0
+    best_model, best_epoch, bad_epochs = model, 0, 0
     history: list[EpochStats] = []
 
-    for epoch in range(1, config.epochs + 1):
-        order = shuffle_rng.permutation(len(train_set))
-        chunk_index = 0
+    for epoch in range(config.epochs + 1):
         losses = []
-        for vi in order:
-            seq = train_set[int(vi)]
-            for features, labels in chunk(seq, config.max_time_step, config.target):
-                trace = forward(
-                    model,
-                    features,
-                    dropout_rate=config.dropout_rate,
-                    mask_seed=_mask_seed(config.seed, epoch, chunk_index),
-                )
-                losses.append(mse_loss(trace.predictions, labels))
-                if not math.isfinite(losses[-1]):
-                    raise ConfigError(
-                        f"training diverged: non-finite loss at epoch {epoch}, "
-                        f"chunk {chunk_index}"
+        if epoch > 0:  # epoch 0 only scores the fresh model
+            chunk_index = 0
+            for vi in shuffle_rng.permutation(len(train_set)):
+                seq = train_set[int(vi)]
+                for features, labels in chunk(seq, config.max_time_step, config.target):
+                    trace = forward(
+                        model,
+                        features,
+                        dropout_rate=config.dropout_rate,
+                        mask_seed=_mask_seed(config.seed, epoch, chunk_index),
                     )
-                grads = backward(model, trace, labels)
-                model, state = adam_step(model, grads, state, config)
-                chunk_index += 1
-        devel_ccc = _concat_ccc(model, devel_set, config.target)
+                    losses.append(mse_loss(trace.predictions, labels))
+                    if not math.isfinite(losses[-1]):
+                        raise ConfigError(
+                            f"training diverged: non-finite loss at epoch {epoch}, "
+                            f"chunk {chunk_index}"
+                        )
+                    grads = backward(model, trace, labels)
+                    model, state = adam_step(model, grads, state, config)
+                    chunk_index += 1
+        try:
+            devel_ccc = evaluate(model, devel_set, config.target).concatenated_ccc
+        except DegenerateInputError:
+            logger.warning("devel CCC undefined (constant equal sequences); using 0.0")
+            devel_ccc = 0.0
+        if epoch == 0:
+            best_ccc = devel_ccc
+            continue
         if not math.isfinite(devel_ccc):
             raise ConfigError(
                 f"training diverged: non-finite devel CCC at epoch {epoch}"
@@ -333,7 +325,7 @@ def write_history_csv(history: list[EpochStats], path: str | Path) -> None:
         f"{st.epoch},{fmt_float(st.train_loss)},{fmt_float(st.devel_ccc)}"
         for st in history
     ]
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+    write_atomic(path, "\n".join(rows) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +359,13 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "params": _param_specs(model.layout),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(model.params.astype("<f8", copy=False).tobytes())
+    write_atomic(
+        path,
+        CHECKPOINT_MAGIC
+        + struct.pack("<I", len(header_bytes))
+        + header_bytes
+        + model.params.astype("<f8", copy=False).tobytes(),
+    )
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -394,6 +388,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         header = json.loads(data[8 : 8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptCheckpointError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CorruptCheckpointError(f"{path}: header is not a JSON object")
     if header.get("version") != CHECKPOINT_VERSION:
         raise VersionMismatchError(
             f"{path}: version {header.get('version')!r}, expected {CHECKPOINT_VERSION}"

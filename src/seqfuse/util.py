@@ -1,8 +1,11 @@
-"""Small shared helpers: seeded RNG construction and exact float text I/O."""
+"""Small shared helpers: seeded RNG construction, exact float text I/O and
+atomic file writes."""
 
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -30,3 +33,25 @@ def parse_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {text!r}")
     return value
+
+
+def write_atomic(path: str | Path, data: bytes | str) -> None:
+    """Write ``data`` (str is encoded as UTF-8) to ``path`` all or nothing.
+
+    The bytes go to a temporary sibling that ``os.replace`` then moves over
+    ``path``, so a reader sees the old file or the complete new one, never a
+    partial write. If writing fails the sibling is removed and ``path`` is
+    left as it was. No fsync is done: this guards against a failed or
+    interrupted process, not against power loss.
+    """
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -121,9 +121,8 @@ def _fused(video_id, t, D, labels, seed=0):
     return FusedSequence(video_id, rng.normal(size=(t, D)), {"arousal": labels})
 
 
-def _fake_ckpt(D=3):
-    model = init_model(0, {"D": D, "e": 3, "h": 4, "m": 3})
-    return SimpleNamespace(model=model)
+def _fake_model(D=3):
+    return init_model(0, {"D": D, "e": 3, "h": 4, "m": 3})
 
 
 def _inject_predictor(monkeypatch, mapping):
@@ -145,7 +144,7 @@ class TestEvaluate:
         _inject_predictor(
             monkeypatch, {s.data.tobytes(): s.labels["arousal"] for s in seqs}
         )
-        report = evaluate(_fake_ckpt(), seqs, "arousal")
+        report = evaluate(_fake_model(), seqs, "arousal")
         assert report.concatenated_ccc == 1.0
         assert report.per_video == {"a": 1.0, "b": 1.0}
         assert report.n_frames_total == 17
@@ -161,7 +160,7 @@ class TestEvaluate:
             monkeypatch,
             {seq_a.data.tobytes(): preds_a, seq_b.data.tobytes(): preds_b},
         )
-        report = evaluate(_fake_ckpt(), [seq_a, seq_b], "arousal")
+        report = evaluate(_fake_model(), [seq_a, seq_b], "arousal")
         expected = ccc_direct(
             np.concatenate([preds_a, preds_b]), np.concatenate([labels_a, labels_b])
         )
@@ -171,19 +170,19 @@ class TestEvaluate:
         )
 
     def test_single_video_concatenated_equals_per_video(self):
-        model_ckpt = SimpleNamespace(model=init_model(4, {"D": 3, "e": 3, "h": 4, "m": 3}))
+        model = init_model(4, {"D": 3, "e": 3, "h": 4, "m": 3})
         seq = _fused("only", 20, 3, np.random.default_rng(5).uniform(-1, 1, 20))
-        report = evaluate(model_ckpt, [seq], "arousal")
+        report = evaluate(model, [seq], "arousal")
         assert report.concatenated_ccc == report.per_video["only"]
 
     def test_dim_mismatch(self):
         seq = _fused("a", 5, 7, np.zeros(5))
         with pytest.raises(DimMismatchError):
-            evaluate(_fake_ckpt(D=3), [seq], "arousal")
+            evaluate(_fake_model(D=3), [seq], "arousal")
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDatasetError):
-            evaluate(_fake_ckpt(), [], "arousal")
+            evaluate(_fake_model(), [], "arousal")
 
     def test_degenerate_video_omitted_but_counted(self, monkeypatch, caplog):
         flat = np.full(6, 0.25)
@@ -195,7 +194,7 @@ class TestEvaluate:
             {seq_flat.data.tobytes(): flat.copy(), seq_varied.data.tobytes(): varied.copy()},
         )
         with caplog.at_level(logging.WARNING):
-            report = evaluate(_fake_ckpt(), [seq_flat, seq_varied], "arousal")
+            report = evaluate(_fake_model(), [seq_flat, seq_varied], "arousal")
         assert "flat" not in report.per_video
         assert report.per_video["varied"] == 1.0
         assert report.n_frames_total == 12
@@ -206,9 +205,9 @@ class TestEvaluate:
         assert any("flat" in rec.message for rec in caplog.records)
 
     def test_report_dict_and_summary(self):
-        model_ckpt = SimpleNamespace(model=init_model(4, {"D": 2, "e": 2, "h": 2, "m": 2}))
+        model = init_model(4, {"D": 2, "e": 2, "h": 2, "m": 2})
         seq = _fused("v", 12, 2, np.random.default_rng(6).uniform(-1, 1, 12))
-        report = evaluate(model_ckpt, [seq], "arousal")
+        report = evaluate(model, [seq], "arousal")
         payload = report.to_dict()
         assert set(payload) == {"target", "concatenated_ccc", "per_video", "n_frames_total"}
         assert "arousal" in report.summary()

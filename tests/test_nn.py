@@ -32,6 +32,16 @@ def random_model(seed, D, e, h, m, scale=1.0):
     return Model(dims, scale * np.random.default_rng(seed).normal(size=size))
 
 
+def _gradcheck_relerr(model, t, data_seed, **dropout):
+    """Worst relative error of ``backward`` against finite differences."""
+    rng = np.random.default_rng(data_seed)
+    x = rng.normal(size=(t, model.dims["D"]))
+    y = rng.uniform(-1.0, 1.0, size=t)
+    trace = forward(model, x, **dropout)
+    analytic = model.views(backward(model, trace, y))
+    return gradcheck_max_relerr(analytic, finite_diff_grads(model, x, y, **dropout))
+
+
 class TestInitModel:
     def test_same_seed_bitwise_identical(self):
         a = init_model(0, {"D": 5, "e": 4, "h": 3, "m": 2})
@@ -224,7 +234,7 @@ class TestForward:
         trace = forward(model, np.random.default_rng(6).normal(size=(t, D)))
         assert trace.predictions.shape == (t,)
         assert trace.n_steps == t
-        assert trace.gate_i.shape == (t, h)
+        assert trace.gates.shape == (t, 4 * h)
         assert trace.cell.shape == (t, h)
         assert trace.hidden.shape == (t, h)
         assert trace.head_act.shape == (t, m)
@@ -241,26 +251,25 @@ class TestBackward:
         grads = backward(tiny_model, trace, trace.predictions.copy())
         assert np.array_equal(grads, np.zeros_like(tiny_model.params))
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_matches_finite_differences(self, seed):
+    # t = 7 keeps the bare seed as its test id. At t = 1 there is no
+    # recurrent step, so d_gate[1:] and hidden[:-1] are empty.
+    @pytest.mark.parametrize(
+        "seed,t",
+        [
+            pytest.param(seed, t, id=str(seed) if t == 7 else f"{seed}-t{t}")
+            for seed in range(5)
+            for t in (7, 1, 2)
+        ],
+    )
+    def test_matches_finite_differences(self, seed, t):
         model = init_model(seed, {"D": 3, "e": 3, "h": 4, "m": 3})
-        rng = np.random.default_rng(1000 + seed)
-        x = rng.normal(size=(7, 3))
-        y = rng.uniform(-1.0, 1.0, size=7)
-        trace = forward(model, x)
-        analytic = model.views(backward(model, trace, y))
-        numeric = finite_diff_grads(model, x, y)
-        assert gradcheck_max_relerr(analytic, numeric) < 1e-4
+        assert _gradcheck_relerr(model, t, data_seed=1000 + seed) < 1e-4
 
     def test_matches_finite_differences_with_dropout(self):
         model = init_model(9, {"D": 3, "e": 3, "h": 4, "m": 3})
-        rng = np.random.default_rng(2024)
-        x = rng.normal(size=(7, 3))
-        y = rng.uniform(-1.0, 1.0, size=7)
-        trace = forward(model, x, dropout_rate=0.5, mask_seed=55)
-        analytic = model.views(backward(model, trace, y))
-        numeric = finite_diff_grads(model, x, y, dropout_rate=0.5, mask_seed=55)
-        assert gradcheck_max_relerr(analytic, numeric) < 1e-4
+        for t in (7, 1, 2):
+            relerr = _gradcheck_relerr(model, t, 2024, dropout_rate=0.5, mask_seed=55)
+            assert relerr < 1e-4, f"t={t}"
 
     def test_gradients_linear_in_labels(self, tiny_model):
         rng = np.random.default_rng(31)

@@ -1,6 +1,9 @@
+import builtins
 import hashlib
+import io
 import json
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from seqfuse import (
     ConfigError,
     CorruptCheckpointError,
     EmptyDatasetError,
+    EpochStats,
     EmptySequenceError,
     FusedSequence,
     LengthMismatchError,
@@ -231,7 +235,9 @@ class TestTrain:
 
         scores = iter([0.5, 0.4, 0.45, 0.3, 0.2, 0.1, 0.05])
         monkeypatch.setattr(
-            training_mod, "_concat_ccc", lambda model, devel, target: next(scores)
+            training_mod,
+            "evaluate",
+            lambda model, devel, target: SimpleNamespace(concatenated_ccc=next(scores)),
         )
         train_set, devel_set = make_fused_split(seed=11, n_train=2, n_devel=1, t_range=(10, 16))
         cfg = small_train_config(epochs=200, patience=3)
@@ -246,7 +252,9 @@ class TestTrain:
 
         scores = iter([0.1, 0.2, 0.15, 0.14, 0.3, 0.1, 0.05, 0.0])
         monkeypatch.setattr(
-            training_mod, "_concat_ccc", lambda model, devel, target: next(scores)
+            training_mod,
+            "evaluate",
+            lambda model, devel, target: SimpleNamespace(concatenated_ccc=next(scores)),
         )
         train_set, devel_set = make_fused_split(seed=11, n_train=2, n_devel=1, t_range=(10, 16))
         cfg = small_train_config(epochs=200, patience=3)
@@ -434,6 +442,13 @@ class TestCheckpointIo:
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(tmp_path / "bad.sqf")
 
+    @pytest.mark.parametrize("header", [b"[]", b'"SQF1"', b"3", b"null"])
+    def test_header_not_an_object_rejected(self, tmp_path, header):
+        path = tmp_path / "list.sqf"
+        path.write_bytes(b"SQF1" + struct.pack("<I", len(header)) + header)
+        with pytest.raises(CorruptCheckpointError, match="not a JSON object"):
+            load_checkpoint(path)
+
     def test_trailing_garbage_rejected(self, tmp_path):
         path = tmp_path / "ckpt.sqf"
         save_checkpoint(_random_checkpoint(3), path)
@@ -453,3 +468,54 @@ class TestHistoryCsv:
         assert lines[0] == "epoch,train_loss,devel_ccc"
         assert lines[1] == "1,0.5,0.1"
         assert lines[2] == "2,0.25,0.4"
+
+
+def _fail_writes_halfway(monkeypatch):
+    """Make every file opened for writing fail after half of its first write."""
+    real_open = builtins.open
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self._fh = fh
+
+        def write(self, data):
+            self._fh.write(data[: len(data) // 2])
+            self._fh.flush()
+            raise OSError(28, "No space left on device")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+        def __getattr__(self, name):
+            return getattr(self._fh, name)
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return HalfWriter(fh) if any(c in mode for c in "wax+") else fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    monkeypatch.setattr(io, "open", failing_open)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: save_checkpoint(_random_checkpoint(5), path),
+            lambda path: write_history_csv([EpochStats(1, 0.5, 0.25)], path),
+        ],
+        ids=["checkpoint", "history"],
+    )
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "artefact"
+        save_checkpoint(_golden_checkpoint(), path)
+        before = path.read_bytes()
+        _fail_writes_halfway(monkeypatch)
+        with pytest.raises(OSError, match="No space left"):
+            write(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artefact"]
