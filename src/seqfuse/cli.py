@@ -168,7 +168,7 @@ def cmd_align(args: argparse.Namespace) -> int:
         labels = {}
         for target, relpath in entry.labels.items():
             dst_rel = _label_filename(vid, target)
-            (out_dir / dst_rel).write_bytes(manifest.resolve(relpath).read_bytes())
+            write_atomic(out_dir / dst_rel, manifest.resolve(relpath).read_bytes())
             labels[target] = dst_rel
         features = {}
         for track in seq.tracks:

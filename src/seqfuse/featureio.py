@@ -28,12 +28,26 @@ Dataset manifest JSON::
                    "labels": {"arousal": "labels/vid001_arousal.csv"}}}}
 
 Relative paths are resolved against the manifest's directory. Floats are
-written with shortest round-trip formatting so write/parse is bitwise exact.
+written with shortest round-trip formatting so write/parse is bitwise exact,
+and every file is written to a temporary sibling and renamed into place.
+
+Cells: ``start_ms``, ``end_ms`` and ``frame_ms`` are decimal integers in the
+int64 range [-2**63, 2**63 - 1]; values are decimal floats with optional
+sign, fraction and exponent (``-0.5``, ``.5``, ``2.5e-3``). Blanks around a
+cell are ignored. Digit separators (``1_000``), non-ASCII digits, hex and
+quoted cells are rejected, and so are NaN and infinite values. Blank lines
+are skipped. Errors name ``path:lineno`` of the first bad row.
+
+Token tracks are columnar: a TokenTrack holds int64 ``start_ms`` and
+``end_ms`` arrays and an (n, d) float64 ``vectors`` matrix. Each file is
+parsed in one bulk pass and validated, sorted and aligned with whole-array
+operations; ``TokenTrack.tokens`` builds TokenFeature objects only when read.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,7 +60,7 @@ from .errors import (
     LengthMismatchError,
     MalformedRowError,
 )
-from .util import fmt_float, parse_float, seeded_rng
+from .util import seeded_rng, write_atomic
 
 DEFAULT_FRAME_LEN_MS = 250
 
@@ -73,28 +87,71 @@ class TokenFeature:
             raise MalformedRowError("token vector contains NaN/Inf")
 
 
-@dataclass(eq=False)
 class TokenTrack:
-    """Ordered token features for one modality of one video.
+    """Token features of one modality of one video, held as columns.
 
-    Tokens are stably sorted by ``start_ms`` on construction; overlapping and
-    duplicate spans are legal (subwords may share a span).
+    ``start_ms`` and ``end_ms`` are int64 arrays and ``vectors`` is the
+    (n, dim) float64 matrix, all stably sorted by ``start_ms``; overlapping
+    and duplicate spans are legal (subwords may share a span).
+
+    ``TokenTrack(name, dim, tokens)`` builds a track from TokenFeature
+    objects. It keeps each token's own vector array, so reading ``vectors``
+    stacks them. ``tokens`` builds one TokenFeature per row on every access,
+    sharing the row vectors; the file readers, alignment and the writers
+    never use it.
     """
 
-    name: str
-    dim: int
-    tokens: list[TokenFeature]
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise DimMismatchError("track dim must be positive")
-        for tok in self.tokens:
-            if tok.vector.shape != (self.dim,):
+    def __init__(self, name: str, dim: int, tokens: Sequence[TokenFeature]):
+        for tok in tokens:
+            if tok.vector.shape != (dim,):
                 raise DimMismatchError(
-                    f"track {self.name!r}: token vector has length "
-                    f"{tok.vector.shape[0]}, expected {self.dim}"
+                    f"track {name!r}: token vector has length "
+                    f"{tok.vector.shape[0]}, expected {dim}"
                 )
-        self.tokens = sorted(self.tokens, key=lambda tok: tok.start_ms)
+        try:
+            start_ms = np.array([tok.start_ms for tok in tokens], dtype=np.int64)
+            end_ms = np.array([tok.end_ms for tok in tokens], dtype=np.int64)
+        except OverflowError as exc:
+            raise MalformedRowError(
+                f"track {name!r}: token span outside the int64 range"
+            ) from exc
+        self._assign(name, dim, start_ms, end_ms, [tok.vector for tok in tokens])
+
+    @classmethod
+    def _from_columns(cls, name, dim, start_ms, end_ms, rows) -> TokenTrack:
+        """Track over already validated columns, kept without copying when sorted."""
+        track = cls.__new__(cls)
+        track._assign(name, dim, start_ms, end_ms, rows)
+        return track
+
+    def _assign(self, name, dim, start_ms, end_ms, rows) -> None:
+        # ``rows`` is an (n, dim) array or a list of n 1-D arrays.
+        if dim < 1:
+            raise DimMismatchError("track dim must be positive")
+        if np.any(start_ms[1:] < start_ms[:-1]):
+            order = np.argsort(start_ms, kind="stable")
+            start_ms, end_ms = start_ms[order], end_ms[order]
+            rows = rows[order] if isinstance(rows, np.ndarray) else [rows[i] for i in order]
+        self.name = name
+        self.dim = dim
+        self.start_ms = start_ms
+        self.end_ms = end_ms
+        self._rows = rows
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The (n, dim) float64 matrix of token vectors, in track order."""
+        return np.asarray(self._rows, dtype=np.float64).reshape(len(self.start_ms), self.dim)
+
+    @property
+    def tokens(self) -> list[TokenFeature]:
+        """One new TokenFeature per row, in track order."""
+        return [
+            TokenFeature(start, end, vector)
+            for start, end, vector in zip(
+                self.start_ms.tolist(), self.end_ms.tolist(), self._rows
+            )
+        ]
 
 
 @dataclass(eq=False)
@@ -217,19 +274,82 @@ def _feature_header(dim: int) -> list[str]:
     return ["start_ms", "end_ms"] + [f"f{i}" for i in range(dim)]
 
 
+def _read_lines(path: Path) -> list[str]:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return fh.read().splitlines()
+
+
+def _lineno(lines: list[str], row: int) -> int:
+    """File line number (1-based) of data row ``row``; blank lines hold no row."""
+    return [i for i, line in enumerate(lines[1:], start=2) if line][row]
+
+
+def _parse_rows(path: Path, lines: list[str], n_int: int, n_float: int) -> np.ndarray:
+    """Parse every non-blank line after the header in one pass.
+
+    Each row holds ``n_int`` int64 cells, then ``n_float`` float cells. Returns
+    a record array with fields ``ints`` (n, n_int) and ``floats`` (n, n_float).
+    Raises EmptyTrackError when there is no row, and MalformedRowError naming
+    ``path:lineno`` of the first row that does not parse.
+    """
+    rows = [line for line in lines[1:] if line]
+    if not rows:
+        raise EmptyTrackError(f"{path}: no data rows")
+    dtype = np.dtype([("ints", np.int64, (n_int,)), ("floats", np.float64, (n_float,))])
+    try:
+        return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:
+        bulk_error = exc
+    # The bulk parse does not say which file line failed: find the first row
+    # that fails on its own, then its first bad cell.
+    for row, line in enumerate(rows):
+        try:
+            np.loadtxt([line], dtype=dtype, delimiter=",", comments=None)
+        except ValueError:
+            where = f"{path}:{_lineno(lines, row)}"
+            cells = line.split(",")
+            if len(cells) != n_int + n_float:
+                raise MalformedRowError(
+                    f"{where}: expected {n_int + n_float} columns, got {len(cells)}"
+                ) from None
+            for col, cell in enumerate(cells):
+                kind = np.int64 if col < n_int else np.float64
+                try:
+                    np.loadtxt([line], dtype=kind, delimiter=",", comments=None, usecols=[col])
+                except ValueError:
+                    raise MalformedRowError(
+                        f"{where}: column {col + 1}: {cell!r} is not "
+                        + ("an int64 integer" if col < n_int else "a decimal number")
+                    ) from None
+    raise MalformedRowError(f"{path}: {bulk_error}")
+
+
+def _check_rows(where, checks) -> None:
+    """Raise MalformedRowError at the first row that any check flags.
+
+    ``checks`` pairs a boolean mask over the rows with a function that
+    describes a flagged row; where one row fails several checks, the earlier
+    check is reported. ``where(row)`` names the row's location.
+    """
+    flagged = [(int(np.argmax(mask)), k) for k, (mask, _) in enumerate(checks) if mask.any()]
+    if flagged:
+        row, k = min(flagged)
+        raise MalformedRowError(f"{where(row)}: {checks[k][1](row)}")
+
+
 def parse_feature_csv(
     path: str | Path, expected_dim: int | None = None, name: str | None = None
 ) -> TokenTrack:
     """Read a Feature CSV into a TokenTrack.
 
     The track name defaults to the file stem. Raises MalformedRowError on a
-    bad header, wrong column count, non-numeric or non-finite cells;
-    DimMismatchError when ``expected_dim`` is given and violated;
-    EmptyTrackError when the file has no data rows.
+    bad header, wrong column count, unparsable or non-finite cells and empty
+    spans, naming ``path:lineno`` of the first bad row; DimMismatchError when
+    ``expected_dim`` is given and violated; EmptyTrackError when the file has
+    no data rows.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise MalformedRowError(f"{path}: empty file, missing header")
     header = lines[0].split(",")
@@ -241,89 +361,88 @@ def parse_feature_csv(
     if expected_dim is not None and dim != expected_dim:
         raise DimMismatchError(f"{path}: header has dim {dim}, expected {expected_dim}")
 
-    tokens = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != dim + 2:
-            raise MalformedRowError(
-                f"{path}:{lineno}: expected {dim + 2} columns, got {len(cells)}"
-            )
-        try:
-            start_ms, end_ms = int(cells[0]), int(cells[1])
-            vector = np.array([parse_float(c) for c in cells[2:]], dtype=np.float64)
-        except ValueError as exc:
-            raise MalformedRowError(f"{path}:{lineno}: {exc}") from exc
-        try:
-            tokens.append(TokenFeature(start_ms, end_ms, vector))
-        except MalformedRowError as exc:
-            raise MalformedRowError(f"{path}:{lineno}: {exc}") from exc
-    if not tokens:
-        raise EmptyTrackError(f"{path}: no data rows")
-    return TokenTrack(name=name or path.stem, dim=dim, tokens=tokens)
+    table = _parse_rows(path, lines, 2, dim)
+    start_ms, end_ms = table["ints"][:, 0], table["ints"][:, 1]
+    vectors = table["floats"]
+    _check_rows(
+        lambda row: f"{path}:{_lineno(lines, row)}",
+        [
+            (
+                start_ms >= end_ms,
+                lambda row: f"token span [{start_ms[row]}, {end_ms[row]}) is empty",
+            ),
+            (~np.isfinite(vectors).all(axis=1), lambda row: "token vector contains NaN/Inf"),
+        ],
+    )
+    return TokenTrack._from_columns(name or path.stem, dim, start_ms, end_ms, vectors)
 
 
 def write_feature_csv(path: str | Path, track: TokenTrack) -> None:
-    """Write a TokenTrack as a Feature CSV (LF endings, round-trip exact floats)."""
+    """Write a TokenTrack as a Feature CSV (LF endings, round-trip exact floats).
+
+    The file is replaced atomically; floats use shortest round-trip ``repr``.
+    """
     rows = [",".join(_feature_header(track.dim))]
-    for tok in track.tokens:
-        cells = [str(tok.start_ms), str(tok.end_ms)]
-        cells += [fmt_float(v) for v in tok.vector]
-        rows.append(",".join(cells))
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+    rows += [
+        f"{start},{end}," + ",".join(map(repr, vector.tolist()))
+        for start, end, vector in zip(
+            track.start_ms.tolist(), track.end_ms.tolist(), track._rows
+        )
+    ]
+    write_atomic(path, "\n".join(rows) + "\n")
 
 
 def frame_track_to_tokens(track: FrameTrack) -> TokenTrack:
-    """View an aligned track as tokens tiling [0, t*frame_len_ms)."""
-    step = track.frame_len_ms
-    tokens = [
-        TokenFeature(j * step, (j + 1) * step, track.frames[j])
-        for j in range(track.n_frames)
-    ]
-    return TokenTrack(track.name, track.dim, tokens)
+    """View an aligned track as tokens tiling [0, t*frame_len_ms); frames are not copied."""
+    start_ms = np.arange(track.n_frames, dtype=np.int64) * track.frame_len_ms
+    return TokenTrack._from_columns(
+        track.name, track.dim, start_ms, start_ms + track.frame_len_ms, track.frames
+    )
 
 
 def read_label_csv(path: str | Path, frame_len_ms: int = DEFAULT_FRAME_LEN_MS) -> np.ndarray:
-    """Read a Label CSV; validates the frame grid and the [-1, 1] range."""
+    """Read a Label CSV; validates the frame grid and the [-1, 1] range.
+
+    Errors name ``path:lineno`` of the first bad row.
+    """
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0] != "frame_ms,value":
         raise MalformedRowError(f"{path}: bad label header")
-    values = []
-    for j, line in enumerate(line for line in lines[1:] if line):
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise MalformedRowError(f"{path}: row {j}: expected 2 columns")
-        try:
-            frame_ms = int(cells[0])
-            value = parse_float(cells[1])
-        except ValueError as exc:
-            raise MalformedRowError(f"{path}: row {j}: {exc}") from exc
-        if frame_ms != j * frame_len_ms:
-            raise MalformedRowError(
-                f"{path}: row {j}: frame_ms {frame_ms} != {j * frame_len_ms}"
-            )
-        if not -1.0 <= value <= 1.0:
-            raise MalformedRowError(f"{path}: row {j}: label {value} outside [-1, 1]")
-        values.append(value)
-    if not values:
-        raise EmptyTrackError(f"{path}: no label rows")
-    return np.array(values, dtype=np.float64)
+    table = _parse_rows(path, lines, 1, 1)
+    frame_ms, values = table["ints"][:, 0], table["floats"][:, 0]
+    grid = np.arange(len(values), dtype=np.int64) * frame_len_ms
+    _check_rows(
+        lambda row: f"{path}:{_lineno(lines, row)}",
+        [
+            (~np.isfinite(values), lambda row: f"non-finite value {values[row]}"),
+            (frame_ms != grid, lambda row: f"frame_ms {frame_ms[row]} != {grid[row]}"),
+            (np.abs(values) > 1.0, lambda row: f"label {values[row]} outside [-1, 1]"),
+        ],
+    )
+    return values.copy()
 
 
 def write_label_csv(
     path: str | Path, values: np.ndarray, frame_len_ms: int = DEFAULT_FRAME_LEN_MS
 ) -> None:
+    """Write a Label CSV atomically, one row per frame."""
     rows = ["frame_ms,value"]
-    rows += [f"{j * frame_len_ms},{fmt_float(v)}" for j, v in enumerate(values)]
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+    rows += [
+        f"{j * frame_len_ms},{value!r}"
+        for j, value in enumerate(np.asarray(values, dtype=np.float64).tolist())
+    ]
+    write_atomic(path, "\n".join(rows) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # Alignment and fusion
 # ---------------------------------------------------------------------------
+
+# Cells (token-frame pairs times dim) that one np.add.at call in
+# align_tokens_to_frames gathers. It bounds alignment's scratch memory to a
+# few MB however many frames the tokens overlap.
+_ALIGN_BLOCK_CELLS = 1 << 18
 
 
 def align_tokens_to_frames(
@@ -334,27 +453,39 @@ def align_tokens_to_frames(
     Frame ``j`` is the unweighted mean of every token whose half-open span
     intersects [j*frame_len_ms, (j+1)*frame_len_ms); any nonempty millisecond
     overlap counts, with no duration weighting. Frames overlapped by no token
-    are zero vectors. Accumulation runs in token order (ascending start_ms) so
-    results are reproducible bit for bit.
+    are zero vectors. Each frame's sum starts at zero and adds its tokens in
+    track order (ascending start_ms), so results are reproducible bit for bit.
     """
     if n_frames < 1:
         raise LengthMismatchError("n_frames must be >= 1")
     if frame_len_ms < 1:
         raise MalformedRowError("frame_len_ms must be >= 1")
-    sums = np.zeros((n_frames, track.dim), dtype=np.float64)
-    counts = np.zeros(n_frames, dtype=np.int64)
-    for tok in track.tokens:
-        first = tok.start_ms // frame_len_ms
-        last = (tok.end_ms - 1) // frame_len_ms
-        lo = max(first, 0)
-        hi = min(last, n_frames - 1)
-        if lo > hi:
-            continue
-        sums[lo : hi + 1] += tok.vector
-        counts[lo : hi + 1] += 1
+    dim = track.dim
+    first = np.maximum(track.start_ms // frame_len_ms, 0)
+    last = np.minimum((track.end_ms - 1) // frame_len_ms, n_frames - 1)
+    used = np.flatnonzero(first <= last)
+    first = first[used]
+    n_covered = last[used] - first + 1
+    # Token i's (token, frame) pairs are pair numbers [stop[i] - n_covered[i], stop[i]).
+    stop = np.cumsum(n_covered)
+    n_pairs = int(stop[-1]) if len(stop) else 0
+    vectors = track.vectors
+    sums = np.zeros((n_frames, dim), dtype=np.float64)
+    flat_sums = sums.reshape(-1)
+    block = max(1, _ALIGN_BLOCK_CELLS // dim)
+    for lo in range(0, n_pairs, block):
+        pair = np.arange(lo, min(lo + block, n_pairs))
+        token = np.searchsorted(stop, pair, side="right")
+        frame = first[token] + pair - (stop[token] - n_covered[token])
+        # np.add.at applies repeated indices one by one in index order.
+        cells = (frame[:, None] * dim + np.arange(dim)).reshape(-1)
+        np.add.at(flat_sums, cells, vectors[used[token]].reshape(-1))
+    bounds = np.bincount(first, minlength=n_frames + 1)
+    bounds -= np.bincount(first + n_covered, minlength=n_frames + 1)
+    counts = np.cumsum(bounds)[:n_frames]
     covered = counts > 0
     sums[covered] /= counts[covered, None]
-    return FrameTrack(track.name, track.dim, frame_len_ms, sums)
+    return FrameTrack(track.name, dim, frame_len_ms, sums)
 
 
 def fuse(
@@ -480,20 +611,27 @@ def load_manifest(path: str | Path) -> Manifest:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or "videos" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("videos"), dict):
         raise ConfigError(f"{path}: manifest must contain a 'videos' object")
     videos = {}
     for vid, entry in raw["videos"].items():
         try:
             partition = entry["partition"]
-            features = dict(entry["features"])
-            labels = dict(entry["labels"])
+            features = entry["features"]
+            labels = entry["labels"]
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: video {vid!r}: bad entry ({exc})") from exc
         if partition not in PARTITIONS:
             raise ConfigError(
                 f"{path}: video {vid!r}: partition {partition!r} not in {PARTITIONS}"
             )
+        for key, paths in (("features", features), ("labels", labels)):
+            if not isinstance(paths, dict) or not all(
+                isinstance(p, str) for p in paths.values()
+            ):
+                raise ConfigError(
+                    f"{path}: video {vid!r}: {key!r} must map names to path strings"
+                )
         if not features or not labels:
             raise ConfigError(f"{path}: video {vid!r}: needs features and labels")
         videos[vid] = VideoEntry(partition, features, labels)
@@ -513,9 +651,7 @@ def save_manifest(manifest: Manifest, path: str | Path) -> None:
             for vid, entry in manifest.videos.items()
         }
     }
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_labeled_sequence(

@@ -1,9 +1,8 @@
-"""Small shared helpers: seeded RNG construction, exact float text I/O and
+"""Small shared helpers: seeded RNG construction, exact float text output and
 atomic file writes."""
 
 from __future__ import annotations
 
-import math
 import os
 from pathlib import Path
 
@@ -25,14 +24,6 @@ def seeded_rng(*entropy: int) -> np.random.Generator:
 def fmt_float(value: float) -> str:
     """Shortest decimal text that parses back to exactly the same float64."""
     return repr(float(value))
-
-
-def parse_float(text: str) -> float:
-    """Parse a finite float; raise ValueError on NaN/Inf or garbage."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
 
 
 def write_atomic(path: str | Path, data: bytes | str) -> None:

@@ -1,3 +1,6 @@
+import builtins
+import io
+
 import numpy as np
 import pytest
 
@@ -56,3 +59,33 @@ def assert_models_equal(a, b):
     assert a.dims == b.dims
     for name, p in a.tensors.items():
         assert np.array_equal(p, b.tensors[name]), f"parameter {name} differs"
+
+
+def fail_writes_halfway(monkeypatch):
+    """Make every file opened for writing fail after half of its first write."""
+    real_open = builtins.open
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self._fh = fh
+
+        def write(self, data):
+            self._fh.write(data[: len(data) // 2])
+            self._fh.flush()
+            raise OSError(28, "No space left on device")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+        def __getattr__(self, name):
+            return getattr(self._fh, name)
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return HalfWriter(fh) if any(c in mode for c in "wax+") else fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    monkeypatch.setattr(io, "open", failing_open)

@@ -35,12 +35,13 @@ def ccc_direct(x, y) -> float:
 def align_bruteforce(track, frame_len_ms: int, n_frames: int) -> FrameTrack:
     """Per-frame scan over every token with a millisecond-intersection test."""
     frames = np.zeros((n_frames, track.dim), dtype=np.float64)
+    tokens = track.tokens  # built on each access
     for j in range(n_frames):
         frame_lo = j * frame_len_ms
         frame_hi = (j + 1) * frame_len_ms
         acc = np.zeros(track.dim, dtype=np.float64)
         count = 0
-        for tok in track.tokens:
+        for tok in tokens:
             # half-open intervals [start, end) and [frame_lo, frame_hi)
             if tok.start_ms < frame_hi and tok.end_ms > frame_lo:
                 acc = acc + tok.vector

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import zero_model
+from conftest import fail_writes_halfway, zero_model
 from seqfuse import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
 from seqfuse.cli import main as cli_main
 
@@ -112,6 +112,34 @@ class TestAlign:
                                "--out-dir", tmp_path / "out")
         assert code == 2
         assert victim.name in err
+
+    def test_failed_write_keeps_previous_output(self, synth_dir, tmp_path, run_cli, monkeypatch):
+        out = tmp_path / "aligned"
+        manifest = synth_dir / "manifest.json"
+        assert run_cli("align", "--manifest", manifest, "--out-dir", out)[0] == 0
+        before = tree_bytes(out)
+        fail_writes_halfway(monkeypatch)
+        code, _, err = run_cli("align", "--manifest", manifest, "--out-dir", out)
+        monkeypatch.undo()
+        assert code == 3 and "No space left" in err
+        assert tree_bytes(out) == before
+
+    @pytest.mark.parametrize(
+        "videos",
+        [
+            [],
+            {"v": {"partition": "train", "features": ["abc"], "labels": {"arousal": "l.csv"}}},
+            {"v": {"partition": "train", "features": {"a": 5}, "labels": {"arousal": "l.csv"}}},
+            {"v": {"partition": "train", "features": {"a": "a.csv"}, "labels": "l.csv"}},
+        ],
+        ids=["videos-list", "features-list", "path-number", "labels-string"],
+    )
+    def test_manifest_type_errors_exit_2(self, tmp_path, run_cli, videos):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"videos": videos}))
+        code, _, err = run_cli("align", "--manifest", manifest, "--out-dir", tmp_path / "out")
+        assert code == 2, err
+        assert "Traceback" not in err and str(manifest) in err
 
     def test_rebins_unaligned_tokens(self, tmp_path, run_cli):
         data = tmp_path / "data"

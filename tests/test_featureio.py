@@ -1,8 +1,12 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fail_writes_halfway
 from oracles import align_bruteforce
 from seqfuse import (
     DimMismatchError,
@@ -14,6 +18,7 @@ from seqfuse import (
     TokenTrack,
     align_tokens_to_frames,
     fuse,
+    load_fused_dataset,
     parse_feature_csv,
     synth_generate,
     write_feature_csv,
@@ -134,6 +139,113 @@ class TestParseFeatureCsv:
             assert np.array_equal(a.vector, b.vector)
 
 
+# Bad data rows after a valid header: (id, body, file line of the first bad
+# row). Blank lines count in line numbers but hold no row.
+BAD_FEATURE_ROWS = [
+    ("wrong-column-count-mid", "0,250,1.0,2.0\n250,500,1.0\n500,750,1.0,2.0\n", 3),
+    ("extra-column-mid", "0,250,1.0,2.0\n250,500,1.0,2.0,3.0\n", 3),
+    ("float-span", "0,250,1.0,2.0\n250.0,500,1.0,2.0\n", 3),
+    ("empty-span-cell", "0,,1.0,2.0\n", 2),
+    ("empty-span", "0,250,1.0,2.0\n250,250,1.0,2.0\n", 3),
+    ("reversed-span", "500,250,1.0,2.0\n", 2),
+    ("nan", "0,250,nan,2.0\n", 2),
+    ("inf", "0,250,1.0,inf\n", 2),
+    ("minus-inf", "0,250,-inf,2.0\n", 2),
+    ("non-numeric-value", "0,250,1.0,abc\n", 2),
+    ("non-numeric-span", "zero,250,1.0,2.0\n", 2),
+    ("span-beyond-int64", "0,9223372036854775808,1.0,2.0\n", 2),
+    ("span-below-int64", "-9223372036854775809,0,1.0,2.0\n", 2),
+    ("blank-lines-mixed", "\n0,250,1.0,2.0\n\n\n250,500,1.0,x\n", 6),
+    ("blank-line-then-empty-span", "0,250,1.0,2.0\n\n250,250,1.0,2.0\n", 4),
+    ("whitespace-only-line", "0,250,1.0,2.0\n   \n", 3),
+    # float() and int() accept these; the bulk parser does not.
+    ("underscore-digits", "0,250,1_000.5,2.0\n", 2),
+    ("non-ascii-digits", "0,250,\u0661.5,2.0\n", 2),
+    ("underscore-span", "0,2_50,1.0,2.0\n", 2),
+    ("non-ascii-span", "0,\u0662\u0665\u0660,1.0,2.0\n", 2),
+]
+
+BAD_LABEL_ROWS = [
+    ("float-frame", "0,0.5\n250.0,0.5\n", 3),
+    ("off-grid", "0,0.5\n300,0.5\n", 3),
+    ("out-of-range", "0,0.5\n250,1.5\n", 3),
+    ("nan", "0,nan\n", 2),
+    ("non-numeric", "0,abc\n", 2),
+    ("wrong-column-count", "0,0.5,1\n", 2),
+    ("frame-beyond-int64", "9223372036854775808,0.5\n", 2),
+    ("blank-lines-mixed", "0,0.5\n\n\n250,2.0\n", 5),
+]
+
+FEATURE_HEADER = "start_ms,end_ms,f0,f1\n"
+LABEL_HEADER = "frame_ms,value\n"
+
+
+def _ids(cases):
+    return [case[0] for case in cases]
+
+
+def _one_video_dataset(root, features, labels):
+    """One train video with feature track ``a`` and arousal labels."""
+    root.mkdir()
+    (root / "v_a.csv").write_text(features, encoding="utf-8")
+    (root / "v_ar.csv").write_text(labels, encoding="utf-8")
+    manifest = {
+        "videos": {
+            "v": {
+                "partition": "train",
+                "features": {"a": "v_a.csv"},
+                "labels": {"arousal": "v_ar.csv"},
+            }
+        }
+    }
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    return root / "manifest.json"
+
+
+class TestBadRows:
+    @pytest.mark.parametrize("case, body, lineno", BAD_FEATURE_ROWS, ids=_ids(BAD_FEATURE_ROWS))
+    def test_feature_error_names_path_and_line(self, tmp_path, case, body, lineno):
+        path = tmp_path / "t.csv"
+        path.write_text(FEATURE_HEADER + body, encoding="utf-8")
+        with pytest.raises(MalformedRowError) as err:
+            parse_feature_csv(path)
+        assert f"{path}:{lineno}: " in str(err.value)
+
+    @pytest.mark.parametrize("case, body, lineno", BAD_LABEL_ROWS, ids=_ids(BAD_LABEL_ROWS))
+    def test_label_error_names_path_and_line(self, tmp_path, case, body, lineno):
+        path = tmp_path / "lab.csv"
+        path.write_text(LABEL_HEADER + body, encoding="utf-8")
+        with pytest.raises(MalformedRowError) as err:
+            read_label_csv(path)
+        assert f"{path}:{lineno}: " in str(err.value)
+
+    @pytest.mark.parametrize(
+        "case, body, lineno",
+        [("features-" + c[0], *c[1:]) for c in BAD_FEATURE_ROWS]
+        + [("labels-" + c[0], *c[1:]) for c in BAD_LABEL_ROWS],
+        ids=["features-" + c for c in _ids(BAD_FEATURE_ROWS)]
+        + ["labels-" + c for c in _ids(BAD_LABEL_ROWS)],
+    )
+    def test_align_exits_2(self, tmp_path, run_cli, case, body, lineno):
+        features = FEATURE_HEADER + "0,500,1.0,2.0\n"
+        labels = LABEL_HEADER + "0,0.5\n250,0.5\n"
+        if case.startswith("features-"):
+            features, bad = FEATURE_HEADER + body, "v_a.csv"
+        else:
+            labels, bad = LABEL_HEADER + body, "v_ar.csv"
+        manifest = _one_video_dataset(tmp_path / "data", features, labels)
+        code, _, err = run_cli("align", "--manifest", manifest, "--out-dir", tmp_path / "out")
+        assert code == 2, err
+        assert f"{bad}:{lineno}: " in err
+        assert "Traceback" not in err
+
+    def test_first_bad_row_wins(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(FEATURE_HEADER + "0,250,1.0,2.0\n0,250,nan,1.0\n0,0,1.0,2.0\n")
+        with pytest.raises(MalformedRowError, match=r"t\.csv:3: "):
+            parse_feature_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # alignment
 # ---------------------------------------------------------------------------
@@ -223,6 +335,65 @@ class TestAlign:
         )
         out = align_tokens_to_frames(track, 250, 12)
         assert np.all(np.isfinite(out.frames))
+
+
+@st.composite
+def adversarial_alignments(draw):
+    """(track, frame_len_ms, n_frames) with spans chosen to break alignment.
+
+    Starts run from before 0 to past the label horizon, lengths include 1 ms
+    and spans longer than the horizon, some spans are repeated, the token list
+    is shuffled, and values include signed zeros.
+    """
+    frame_len_ms = draw(st.sampled_from([1, 7, 250, 1000]))
+    n_frames = draw(st.integers(1, 12))
+    horizon = frame_len_ms * n_frames
+    span = st.tuples(
+        st.integers(-2 * horizon - 3, 2 * horizon + 3),
+        st.one_of(st.just(1), st.integers(1, 3 * horizon + 3)),
+    )
+    spans = draw(st.lists(span, max_size=20))
+    if spans:
+        spans = draw(st.permutations(spans + draw(st.lists(st.sampled_from(spans), max_size=5))))
+    dim = draw(st.integers(1, 3))
+    value = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    tokens = [
+        TokenFeature(start, start + length, np.array(draw(st.lists(value, min_size=dim, max_size=dim))))
+        for start, length in spans
+    ]
+    return TokenTrack("adversarial", dim, tokens), frame_len_ms, n_frames
+
+
+class TestAlignAdversarial:
+    @settings(max_examples=200, deadline=None)
+    @given(case=adversarial_alignments())
+    def test_matches_bruteforce_oracle(self, case):
+        track, frame_len_ms, n_frames = case
+        ours = align_tokens_to_frames(track, frame_len_ms, n_frames)
+        ref = align_bruteforce(track, frame_len_ms, n_frames)
+        assert np.array_equal(ours.frames, ref.frames)
+        assert np.array_equal(np.signbit(ours.frames), np.signbit(ref.frames))
+
+    def test_long_overlapping_tokens_bounded_memory(self):
+        rng = np.random.default_rng(3)
+        dim, frame_len_ms, n_frames = 64, 250, 500
+        starts = rng.integers(0, 100 * frame_len_ms, size=2000)
+        tokens = [
+            TokenFeature(int(s), int(s) + 400 * frame_len_ms, rng.normal(size=dim))
+            for s in starts
+        ]
+        track = TokenTrack("long", dim, tokens)
+        tracemalloc.start()
+        try:
+            ours = align_tokens_to_frames(track, frame_len_ms, n_frames)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # About 800k (token, frame) pairs of 64 cells: gathering them at once
+        # would take over 400 MB.
+        assert peak < 32 * 2**20
+        ref = align_bruteforce(track, frame_len_ms, n_frames)
+        assert np.array_equal(ours.frames, ref.frames)
 
 
 # ---------------------------------------------------------------------------
@@ -393,3 +564,62 @@ class TestManifest:
         ]
         for j, tok in enumerate(tokens.tokens):
             assert np.array_equal(tok.vector, data[j])
+
+
+class TestColumnarTracks:
+    def test_list_constructor_keeps_token_arrays(self):
+        late, early = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        track = TokenTrack("t", 2, [TokenFeature(250, 500, late), TokenFeature(0, 250, early)])
+        assert track.start_ms.dtype == np.int64 and track.start_ms.tolist() == [0, 250]
+        assert track.end_ms.tolist() == [250, 500]
+        assert all(tok.vector is v for tok, v in zip(track.tokens, (early, late)))
+        assert np.array_equal(track.vectors, [[3.0, 4.0], [1.0, 2.0]])
+
+    def test_frame_track_to_tokens_shares_frames(self):
+        frames = np.arange(6.0).reshape(3, 2)
+        track = frame_track_to_tokens(FrameTrack("a", 2, 250, frames))
+        assert np.shares_memory(track.vectors, frames)
+        assert track.start_ms.tolist() == [0, 250, 500]
+
+    def test_load_path_builds_no_token_objects(self, tmp_path, run_cli, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a TokenFeature was built")
+
+        monkeypatch.setattr(TokenFeature, "__post_init__", refuse)
+        raw = tmp_path / "raw"
+        code, _, err = run_cli(
+            "synth", "--out-dir", raw, "--seed", 2, "--n-train", 2, "--n-devel", 1,
+            "--dims", "2,3", "--t-range", "8:12",
+        )
+        assert code == 0, err
+        dataset = load_fused_dataset(load_manifest(raw / "manifest.json"), "all")
+        assert [seq.dim for seq in dataset] == [5, 5, 5]
+        code, _, err = run_cli(
+            "align", "--manifest", raw / "manifest.json", "--out-dir", tmp_path / "aligned"
+        )
+        assert code == 0, err
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: write_feature_csv(path, make_track([(0, 250, [1.0, 2.0])], dim=2)),
+            lambda path: write_label_csv(path, np.array([0.5, -0.25])),
+            lambda path: save_manifest(
+                Manifest({"v": VideoEntry("train", {"a": "a.csv"}, {"arousal": "l.csv"})}),
+                path,
+            ),
+        ],
+        ids=["feature-csv", "label-csv", "manifest"],
+    )
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "artefact"
+        write(path)
+        before = path.read_bytes()
+        fail_writes_halfway(monkeypatch)
+        with pytest.raises(OSError, match="No space left"):
+            write(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artefact"]

@@ -1,6 +1,4 @@
-import builtins
 import hashlib
-import io
 import json
 import struct
 from types import SimpleNamespace
@@ -8,7 +6,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import assert_models_equal, make_fused_split, small_train_config, zero_model
+from conftest import (
+    assert_models_equal,
+    fail_writes_halfway,
+    make_fused_split,
+    small_train_config,
+    zero_model,
+)
 from oracles import adam_single_update, mse_handsum
 from seqfuse import (
     Checkpoint,
@@ -470,36 +474,6 @@ class TestHistoryCsv:
         assert lines[2] == "2,0.25,0.4"
 
 
-def _fail_writes_halfway(monkeypatch):
-    """Make every file opened for writing fail after half of its first write."""
-    real_open = builtins.open
-
-    class HalfWriter:
-        def __init__(self, fh):
-            self._fh = fh
-
-        def write(self, data):
-            self._fh.write(data[: len(data) // 2])
-            self._fh.flush()
-            raise OSError(28, "No space left on device")
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self._fh.close()
-
-        def __getattr__(self, name):
-            return getattr(self._fh, name)
-
-    def failing_open(file, mode="r", *args, **kwargs):
-        fh = real_open(file, mode, *args, **kwargs)
-        return HalfWriter(fh) if any(c in mode for c in "wax+") else fh
-
-    monkeypatch.setattr(builtins, "open", failing_open)
-    monkeypatch.setattr(io, "open", failing_open)
-
-
 class TestAtomicWrites:
     @pytest.mark.parametrize(
         "write",
@@ -513,7 +487,7 @@ class TestAtomicWrites:
         path = tmp_path / "artefact"
         save_checkpoint(_golden_checkpoint(), path)
         before = path.read_bytes()
-        _fail_writes_halfway(monkeypatch)
+        fail_writes_halfway(monkeypatch)
         with pytest.raises(OSError, match="No space left"):
             write(path)
         monkeypatch.undo()
