@@ -1,6 +1,7 @@
 """Command-line pipeline: synth, align, train, evaluate, predict.
 
-Exit codes: 0 success, 2 input/config error, 3 I/O error, 4 internal
+Exit codes: 0 success; 2 input/config error, including an input file that is
+missing, a directory, or not UTF-8 text; 3 any other OS error; 4 internal
 invariant violation. Train runs are configured by a JSON file holding every
 ``TrainConfig`` field plus ``manifest`` and ``out_dir``; command-line flags
 override file values. ``SEQFUSE_SEED`` serves as a fallback seed when the
@@ -14,7 +15,7 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,30 +43,12 @@ from .training import (
     train,
     write_history_csv,
 )
-from .util import fmt_float, write_atomic
+from .util import fmt_float, read_input, read_json_object, write_atomic
 
 SEED_ENV_VAR = "SEQFUSE_SEED"
 
 CHECKPOINT_NAME = "checkpoint.sqf"
 HISTORY_NAME = "history.csv"
-
-_TRAIN_FIELDS = (
-    "target",
-    "embed_dim",
-    "hidden_units",
-    "head_hidden",
-    "epochs",
-    "seed",
-    "track_order",
-    "learning_rate",
-    "adam_beta1",
-    "adam_beta2",
-    "adam_eps",
-    "dropout_rate",
-    "max_time_step",
-    "patience",
-)
-
 
 @dataclass
 class RunConfig:
@@ -83,20 +66,6 @@ def _feature_filename(video_id: str, track: str) -> str:
 
 def _label_filename(video_id: str, target: str) -> str:
     return f"labels/{video_id}_{target}.csv"
-
-
-def _check_manifest_files(manifest: Manifest, partition: str | None) -> None:
-    """Missing referenced files are input errors (exit 2), named in the message."""
-    for vid in manifest.video_ids(partition):
-        entry = manifest.videos[vid]
-        for track, relpath in entry.features.items():
-            path = manifest.resolve(relpath)
-            if not path.is_file():
-                raise ConfigError(f"video {vid!r}: missing feature file: {path}")
-        for target, relpath in entry.labels.items():
-            path = manifest.resolve(relpath)
-            if not path.is_file():
-                raise ConfigError(f"video {vid!r}: missing label file: {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +124,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_align(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
-    _check_manifest_files(manifest, None)
     out_dir = Path(args.out_dir)
     (out_dir / "features").mkdir(parents=True, exist_ok=True)
     (out_dir / "labels").mkdir(parents=True, exist_ok=True)
@@ -168,7 +136,9 @@ def cmd_align(args: argparse.Namespace) -> int:
         labels = {}
         for target, relpath in entry.labels.items():
             dst_rel = _label_filename(vid, target)
-            write_atomic(out_dir / dst_rel, manifest.resolve(relpath).read_bytes())
+            write_atomic(
+                out_dir / dst_rel, read_input(manifest.resolve(relpath), "label file")
+            )
             labels[target] = dst_rel
         features = {}
         for track in seq.tracks:
@@ -198,23 +168,17 @@ def _env_seed() -> int | None:
 
 
 def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
+    known = [f.name for f in fields(TrainConfig)] + ["manifest", "out_dir", "frame_len_ms"]
     merged: dict = {}
     if args.config is not None:
-        path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            file_cfg = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        known = set(_TRAIN_FIELDS) | {"manifest", "out_dir", "frame_len_ms"}
-        unknown = sorted(set(file_cfg) - known)
+        file_cfg = read_json_object(args.config, "config file")
+        unknown = sorted(set(file_cfg) - set(known))
         if unknown:
-            raise ConfigError(f"{path}: unknown config fields: {', '.join(unknown)}")
+            raise ConfigError(
+                f"{args.config}: unknown config fields: {', '.join(unknown)}"
+            )
         merged.update(file_cfg)
-    for name in _TRAIN_FIELDS + ("manifest", "out_dir"):
+    for name in known:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
@@ -225,7 +189,9 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("missing required config field: out_dir")
     manifest_path = Path(merged.pop("manifest"))
     out_dir = Path(merged.pop("out_dir"))
-    frame_len_ms = int(merged.pop("frame_len_ms", DEFAULT_FRAME_LEN_MS))
+    frame_len_ms = merged.pop("frame_len_ms", DEFAULT_FRAME_LEN_MS)
+    if type(frame_len_ms) is not int or frame_len_ms < 1:  # bools are rejected too
+        raise ConfigError(f"frame_len_ms must be an integer >= 1, got {frame_len_ms!r}")
 
     if "seed" not in merged:
         env = _env_seed()
@@ -255,8 +221,6 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
 def cmd_train(args: argparse.Namespace) -> int:
     run = _resolve_run_config(args)
     manifest = load_manifest(run.manifest)
-    _check_manifest_files(manifest, "train")
-    _check_manifest_files(manifest, "devel")
     train_set = load_fused_dataset(
         manifest, "train", run.train.track_order, run.frame_len_ms
     )
@@ -279,17 +243,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_checkpoint_arg(path_str: str):
-    path = Path(path_str)
-    if not path.is_file():
-        raise ConfigError(f"checkpoint not found: {path}")
-    return load_checkpoint(path)
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    ckpt = _load_checkpoint_arg(args.checkpoint)
+    ckpt = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
-    _check_manifest_files(manifest, args.partition if args.partition != "all" else None)
     dataset = load_fused_dataset(
         manifest, args.partition, list(ckpt.config.track_order), args.frame_len_ms
     )
@@ -305,10 +261,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    ckpt = _load_checkpoint_arg(args.checkpoint)
+    ckpt = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
-    partition = None if args.partition == "all" else args.partition
-    _check_manifest_files(manifest, partition)
     dataset = load_fused_dataset(
         manifest, args.partition, list(ckpt.config.track_order), args.frame_len_ms
     )

@@ -1,9 +1,12 @@
 """Exception hierarchy shared across the package.
 
 ``InputError`` subclasses signal bad user-supplied data or configuration and
-map to CLI exit code 2. I/O problems surface as plain ``OSError`` and map to
-exit code 3; anything else is treated as an internal invariant violation
-(exit code 4).
+map to CLI exit code 2. That includes an input file that is missing, a
+directory given as an input file, and one that is not UTF-8 text; every input
+file is read through :func:`seqfuse.util.read_input`, which maps those cases.
+Any other I/O problem, such as permission denied, surfaces as a plain
+``OSError`` and maps to exit code 3; anything else is treated as an internal
+invariant violation (exit code 4).
 """
 
 

@@ -36,7 +36,8 @@ int64 range [-2**63, 2**63 - 1]; values are decimal floats with optional
 sign, fraction and exponent (``-0.5``, ``.5``, ``2.5e-3``). Blanks around a
 cell are ignored. Digit separators (``1_000``), non-ASCII digits, hex and
 quoted cells are rejected, and so are NaN and infinite values. Blank lines
-are skipped. Errors name ``path:lineno`` of the first bad row.
+are skipped. Files must be UTF-8 text. Errors name ``path:lineno`` of the
+first bad row or byte.
 
 Token tracks are columnar: a TokenTrack holds int64 ``start_ms`` and
 ``end_ms`` arrays and an (n, d) float64 ``vectors`` matrix. Each file is
@@ -60,7 +61,7 @@ from .errors import (
     LengthMismatchError,
     MalformedRowError,
 )
-from .util import seeded_rng, write_atomic
+from .util import read_input_text, read_json_object, seeded_rng, write_atomic
 
 DEFAULT_FRAME_LEN_MS = 250
 
@@ -274,11 +275,6 @@ def _feature_header(dim: int) -> list[str]:
     return ["start_ms", "end_ms"] + [f"f{i}" for i in range(dim)]
 
 
-def _read_lines(path: Path) -> list[str]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return fh.read().splitlines()
-
-
 def _lineno(lines: list[str], row: int) -> int:
     """File line number (1-based) of data row ``row``; blank lines hold no row."""
     return [i for i, line in enumerate(lines[1:], start=2) if line][row]
@@ -349,7 +345,7 @@ def parse_feature_csv(
     no data rows.
     """
     path = Path(path)
-    lines = _read_lines(path)
+    lines = read_input_text(path, "feature file").splitlines()
     if not lines:
         raise MalformedRowError(f"{path}: empty file, missing header")
     header = lines[0].split(",")
@@ -406,7 +402,7 @@ def read_label_csv(path: str | Path, frame_len_ms: int = DEFAULT_FRAME_LEN_MS) -
     Errors name ``path:lineno`` of the first bad row.
     """
     path = Path(path)
-    lines = _read_lines(path)
+    lines = read_input_text(path, "label file").splitlines()
     if not lines or lines[0] != "frame_ms,value":
         raise MalformedRowError(f"{path}: bad label header")
     table = _parse_rows(path, lines, 1, 1)
@@ -605,13 +601,8 @@ class Manifest:
 
 def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"manifest not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or not isinstance(raw.get("videos"), dict):
+    raw = read_json_object(path, "manifest")
+    if not isinstance(raw.get("videos"), dict):
         raise ConfigError(f"{path}: manifest must contain a 'videos' object")
     videos = {}
     for vid, entry in raw["videos"].items():

@@ -37,7 +37,7 @@ from .errors import (
 from .featureio import FusedSequence
 from .metrics import evaluate
 from .nn import Model, ParamSpec, backward, forward, init_model, param_layout
-from .util import _UINT64_MASK, fmt_float, seeded_rng, write_atomic
+from .util import _UINT64_MASK, fmt_float, read_input, seeded_rng, write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -93,8 +93,9 @@ class TrainConfig:
             raise ConfigError("max_time_step must be >= 1")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
-        if not self.track_order:
-            raise ConfigError("track_order must be nonempty")
+        names = self.track_order
+        if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
+            raise ConfigError(f"track_order must be a nonempty list of names, got {names!r}")
 
 
 @dataclass(eq=False)
@@ -370,7 +371,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read and validate a checkpoint; inverse of :func:`save_checkpoint`."""
-    data = Path(path).read_bytes()
+    data = read_input(path, "checkpoint")
     if len(data) < 8:
         raise CorruptCheckpointError(f"{path}: file too short")
     magic = data[:4]

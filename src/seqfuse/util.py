@@ -1,12 +1,15 @@
-"""Small shared helpers: seeded RNG construction, exact float text output and
-atomic file writes."""
+"""Small shared helpers: seeded RNG construction, exact float text output,
+atomic file writes and the one reader of user-supplied input files."""
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
 import numpy as np
+
+from .errors import ConfigError, MalformedRowError
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -46,3 +49,45 @@ def write_atomic(path: str | Path, data: bytes | str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_input(path: str | Path, what: str) -> bytes:
+    """Every byte of the user-supplied file ``path``; ``what`` names it in errors.
+
+    Every file the package reads comes through here. A missing path, or a
+    directory given as the file, raises ConfigError naming the path (CLI exit
+    2); any other OSError, such as permission denied, propagates (exit 3).
+    """
+    try:
+        return Path(path).read_bytes()
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise ConfigError(f"{what} not found: {path}") from exc
+    except IsADirectoryError as exc:
+        raise ConfigError(f"{what} is a directory: {path}") from exc
+
+
+def read_input_text(path: str | Path, what: str) -> str:
+    """:func:`read_input` decoded as strict UTF-8, line endings untouched.
+
+    Bytes that are not UTF-8 raise MalformedRowError naming ``path:lineno``
+    of the first bad byte.
+    """
+    data = read_input(path, what)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedRowError(
+            f"{path}:{lineno}: not UTF-8 text ({exc.reason})"
+        ) from exc
+
+
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object held in the UTF-8 file ``path``; anything else is a ConfigError."""
+    try:
+        value = json.loads(read_input_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: {what} must be a JSON object")
+    return value

@@ -249,8 +249,18 @@ class TestTrain:
             ({"epochs": 2.5}, "epochs"),
             ({"adam_beta1": 1.0}, "adam_beta1"),
             ({"learning_rate": 1e300}, "training diverged"),
+            ({"frame_len_ms": "abc"}, "frame_len_ms"),
+            ({"frame_len_ms": [1]}, "frame_len_ms"),
+            ({"frame_len_ms": 2.5}, "frame_len_ms"),
+            ({"frame_len_ms": True}, "frame_len_ms"),
+            ({"frame_len_ms": 0}, "frame_len_ms"),
+            ({"track_order": 5}, "track_order"),
         ],
-        ids=["non-integer-epochs", "beta1-one", "diverging"],
+        ids=[
+            "non-integer-epochs", "beta1-one", "diverging", "frame-len-string",
+            "frame-len-list", "frame-len-float", "frame-len-bool", "frame-len-zero",
+            "track-order-int",
+        ],
     )
     def test_bad_or_diverging_config_exit_2_without_checkpoint(
         self, synth_dir, tmp_path, run_cli, override, needle
@@ -260,7 +270,7 @@ class TestTrain:
                                  run_dir, **override)
         code, _, err = run_cli("train", "--config", cfg)
         assert code == 2, err
-        assert needle in err
+        assert needle in err and "Traceback" not in err
         assert not (run_dir / "checkpoint.sqf").exists()
 
     def test_default_track_order_from_manifest(self, synth_dir, tmp_path, run_cli):
@@ -404,3 +414,69 @@ class TestCliSurface:
         code, _, err = run_cli("align", "--manifest", synth_dir / "manifest.json",
                                "--out-dir", blocker)
         assert code == 3
+
+
+def corrupt(path: Path, fault: str) -> None:
+    """Make ``path`` missing, a directory, or hold byte 0xff at the start of line 2."""
+    if fault == "missing":
+        path.unlink()
+    elif fault == "directory":
+        path.unlink()
+        path.mkdir()
+    else:
+        first, _, rest = path.read_bytes().partition(b"\n")
+        path.write_bytes(first + b"\n\xff" + rest)
+
+
+# Every input file kind, through every command that reads it.
+INPUT_CASES = [
+    ("feature", "align"), ("feature", "train"), ("feature", "evaluate"), ("feature", "predict"),
+    ("label", "align"), ("label", "train"), ("label", "evaluate"), ("label", "predict"),
+    ("manifest", "align"), ("manifest", "train"), ("manifest", "evaluate"),
+    ("manifest", "predict"), ("config", "train"), ("checkpoint", "evaluate"),
+    ("checkpoint", "predict"),
+]
+
+
+class TestInputFileContract:
+    @pytest.mark.parametrize("fault", ["missing", "directory", "non-utf8"])
+    @pytest.mark.parametrize("kind, command", INPUT_CASES, ids=[f"{k}-{c}" for k, c in INPUT_CASES])
+    def test_bad_input_file_exit_2_naming_path(
+        self, synth_dir, tmp_path, run_cli, kind, command, fault
+    ):
+        manifest = synth_dir / "manifest.json"
+        entry = next(iter(json.loads(manifest.read_text())["videos"].values()))
+        ckpt = tmp_path / "z.sqf"
+        make_zero_checkpoint(ckpt)
+        cfg = write_train_config(tmp_path / "cfg.json", manifest, tmp_path / "run")
+        victim = {
+            "feature": synth_dir / entry["features"]["track0"],
+            "label": synth_dir / entry["labels"]["arousal"],
+            "manifest": manifest,
+            "config": cfg,
+            "checkpoint": ckpt,
+        }[kind]
+        argv = {
+            "align": ["align", "--manifest", manifest, "--out-dir", tmp_path / "out"],
+            "train": ["train", "--config", cfg],
+            "evaluate": ["evaluate", "--checkpoint", ckpt, "--manifest", manifest,
+                         "--partition", "all"],
+            "predict": ["predict", "--checkpoint", ckpt, "--manifest", manifest,
+                        "--out-dir", tmp_path / "preds"],
+        }[command]
+        corrupt(victim, fault)
+        code, _, err = run_cli(*argv)
+        assert code == 2, err
+        assert str(victim) in err and "Traceback" not in err
+        if fault == "non-utf8" and kind != "checkpoint":
+            assert f"{victim}:2: not UTF-8" in err
+
+    def test_align_failing_on_later_video_writes_no_manifest(self, synth_dir, tmp_path, run_cli):
+        manifest = synth_dir / "manifest.json"
+        *_, last = json.loads(manifest.read_text())["videos"].values()
+        corrupt(synth_dir / last["features"]["track1"], "non-utf8")
+        out = tmp_path / "out"
+        code, _, err = run_cli("align", "--manifest", manifest, "--out-dir", out)
+        assert code == 2, err
+        assert any((out / "features").iterdir())  # earlier videos were aligned
+        assert not (out / "manifest.json").exists()

@@ -54,6 +54,10 @@ class TestTrainConfig:
             ("adam_beta1", -0.1),
             ("adam_beta2", 1.0),
             ("adam_eps", 0.0),
+            ("track_order", 5),
+            ("track_order", "track0"),
+            ("track_order", []),
+            ("track_order", ["track0", 1]),
         ],
     )
     def test_bad_value_rejected(self, field, value):
