@@ -43,7 +43,7 @@ from .training import (
     train,
     write_history_csv,
 )
-from .util import fmt_float, read_input, read_json_object, write_atomic
+from .util import fmt_float, read_json_object, write_atomic
 
 SEED_ENV_VAR = "SEQFUSE_SEED"
 
@@ -134,11 +134,9 @@ def cmd_align(args: argparse.Namespace) -> int:
             manifest, vid, list(entry.features), args.frame_len_ms
         )
         labels = {}
-        for target, relpath in entry.labels.items():
+        for target, data in seq.label_bytes.items():
             dst_rel = _label_filename(vid, target)
-            write_atomic(
-                out_dir / dst_rel, read_input(manifest.resolve(relpath), "label file")
-            )
+            write_atomic(out_dir / dst_rel, data)
             labels[target] = dst_rel
         features = {}
         for track in seq.tracks:
@@ -183,10 +181,11 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             merged[name] = value
 
-    if "manifest" not in merged:
-        raise ConfigError("missing required config field: manifest")
-    if "out_dir" not in merged:
-        raise ConfigError("missing required config field: out_dir")
+    for name in ("manifest", "out_dir"):
+        if name not in merged:
+            raise ConfigError(f"missing required config field: {name}")
+        if not isinstance(merged[name], str):
+            raise ConfigError(f"{name} must be a path string, got {merged[name]!r}")
     manifest_path = Path(merged.pop("manifest"))
     out_dir = Path(merged.pop("out_dir"))
     frame_len_ms = merged.pop("frame_len_ms", DEFAULT_FRAME_LEN_MS)

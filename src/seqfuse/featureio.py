@@ -61,7 +61,7 @@ from .errors import (
     LengthMismatchError,
     MalformedRowError,
 )
-from .util import read_input_text, read_json_object, seeded_rng, write_atomic
+from .util import read_input, read_input_text, read_json_object, seeded_rng, write_atomic
 
 DEFAULT_FRAME_LEN_MS = 250
 
@@ -182,11 +182,16 @@ class FrameTrack:
 
 @dataclass(eq=False)
 class LabeledSequence:
-    """One video: aligned feature tracks plus per-frame labels in [-1, 1]."""
+    """One video: aligned feature tracks plus per-frame labels in [-1, 1].
+
+    ``label_bytes`` holds, per target, the label file's bytes exactly as they
+    were read and validated, when the sequence was loaded from files.
+    """
 
     video_id: str
     tracks: list[FrameTrack]
     labels: dict[str, np.ndarray]
+    label_bytes: dict[str, bytes] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not self.tracks:
@@ -396,13 +401,17 @@ def frame_track_to_tokens(track: FrameTrack) -> TokenTrack:
     )
 
 
-def read_label_csv(path: str | Path, frame_len_ms: int = DEFAULT_FRAME_LEN_MS) -> np.ndarray:
+def read_label_csv(
+    path: str | Path, frame_len_ms: int = DEFAULT_FRAME_LEN_MS, data: bytes | None = None
+) -> np.ndarray:
     """Read a Label CSV; validates the frame grid and the [-1, 1] range.
 
-    Errors name ``path:lineno`` of the first bad row.
+    ``data``, when given, holds the file's bytes already read, and those are
+    parsed instead of reading ``path``. Errors name ``path:lineno`` of the
+    first bad row.
     """
     path = Path(path)
-    lines = read_input_text(path, "label file").splitlines()
+    lines = read_input_text(path, "label file", data).splitlines()
     if not lines or lines[0] != "frame_ms,value":
         raise MalformedRowError(f"{path}: bad label header")
     table = _parse_rows(path, lines, 1, 1)
@@ -657,10 +666,12 @@ def load_labeled_sequence(
     labelled horizon are dropped); all label targets must agree on length.
     """
     entry = manifest.videos[video_id]
-    labels = {}
+    labels, label_bytes = {}, {}
     t = None
     for target, relpath in entry.labels.items():
-        values = read_label_csv(manifest.resolve(relpath), frame_len_ms)
+        path = manifest.resolve(relpath)
+        label_bytes[target] = read_input(path, "label file")
+        values = read_label_csv(path, frame_len_ms, label_bytes[target])
         if t is None:
             t = len(values)
         elif len(values) != t:
@@ -678,7 +689,7 @@ def load_labeled_sequence(
             manifest.resolve(entry.features[track_name]), name=track_name
         )
         tracks.append(align_tokens_to_frames(token_track, frame_len_ms, t))
-    return LabeledSequence(video_id, tracks, labels)
+    return LabeledSequence(video_id, tracks, labels, label_bytes)
 
 
 def load_fused_dataset(

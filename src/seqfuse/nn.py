@@ -15,11 +15,15 @@ divided by ``1 - rate``) and is applied only at the two marked sites, never
 inside the recurrence. ``backward`` computes exact reverse-mode gradients of
 the mean-squared per-step loss via backpropagation through time.
 
-Only the recurrence runs step by step: in ``forward`` the ``Wh @ h_{j-1}``
-product, the gate activations and the c/h update; in ``backward`` the
-reverse pass for dh, dc and one gate-gradient row. The projection, the
-input-to-gate product ``Wx @ embed_j + b``, the head, both dropout sites and
-every weight gradient are single matrix expressions over all t steps.
+Only the recurrence runs step by step. A ``forward`` step is one
+``Wh @ h_{j-1}`` matvec, one tanh over the whole 4h gate row, one
+scale-and-shift that turns the i, f and o blocks into sigmoids through
+sigmoid(x) = tanh(x/2)/2 + 1/2, and the c/h update written in place into
+the step's rows of the trace. A ``backward`` step is the reverse pass for
+dh, dc and one gate-gradient row, also in preallocated buffers. The
+projection, the input-to-gate product ``Wx @ embed_j + b``, the head, both
+dropout sites and every weight gradient are single matrix expressions over
+all t steps.
 """
 
 from __future__ import annotations
@@ -76,12 +80,6 @@ def param_layout(dims: dict[str, int]) -> tuple[ParamSpec, ...]:
 
 
 PARAM_ORDER = tuple(spec.name for spec in param_layout(dict.fromkeys("Dehm", 1)))
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows: 1/(1+exp(-x)) for x >= 0, exp(x)/(1+exp(x)) below.
-    ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 @dataclass(eq=False)
@@ -194,21 +192,36 @@ def forward(
     if mask_embed is not None:
         embed = embed * mask_embed * keep_scale
 
-    # Rows hold the input-to-gate product until step j overwrites row j
-    # with its activated gates.
+    # sigmoid(x) = tanh(x/2)/2 + 1/2. Halving is exact (barring subnormals),
+    # so the i, f and o rows of the input-to-gate product and of a copy of
+    # Wh are halved once here; each step's pre-activation is then exactly
+    # half the plain one on those rows, and one tanh plus one scale-and-shift
+    # activates the whole gate row. Rows hold the halved input-to-gate
+    # product until step j overwrites row j with its activated gates.
+    scale = np.full(4 * h, 0.5)
+    scale[2 * h : 3 * h] = 1.0
+    shift = 1.0 - scale  # (1/2, 1/2, 0, 1/2) over the (i, f, g, o) blocks
     gates = embed @ p["lstm_input_w"].T + p["lstm_b"]
-    Wh = p["lstm_recurrent_w"]
+    gates *= scale
+    Wh_half = p["lstm_recurrent_w"] * scale[:, None]
     cell = np.empty((t, h))
     hidden = np.empty((t, h))
+    blocks = gates.reshape(t, 4, h)
+    recurrent = np.empty(4 * h)
+    input_part = np.empty(h)
     h_prev = c_prev = np.zeros(h)
-    for j in range(t):
-        pre = gates[j] + Wh @ h_prev
-        gates[j] = _sigmoid(pre)
-        gates[j, 2 * h : 3 * h] = np.tanh(pre[2 * h : 3 * h])
-        i, f, g, o = gates[j].reshape(4, h)
-        cell[j] = f * c_prev + i * g
-        hidden[j] = o * np.tanh(cell[j])
-        h_prev, c_prev = hidden[j], cell[j]
+    for row, (i, f, g, o), c, hj in zip(gates, blocks, cell, hidden):
+        np.dot(Wh_half, h_prev, out=recurrent)
+        row += recurrent
+        np.tanh(row, out=row)
+        row *= scale
+        row += shift
+        np.multiply(f, c_prev, out=c)
+        np.multiply(i, g, out=input_part)
+        c += input_part
+        np.tanh(c, out=hj)
+        hj *= o
+        h_prev, c_prev = hj, c
 
     head_pre = hidden @ p["head_hidden_w"].T + p["head_hidden_b"]
     head_act = np.maximum(0.0, head_pre)
@@ -274,7 +287,9 @@ def backward(model: Model, trace: ForwardTrace, labels: np.ndarray) -> np.ndarra
 
     # Backpropagation through time. Step j's gate pre-activation gradient is
     # (dc, dc, dc, dh) * local[j] over the (i, f, g, o) blocks, and dh
-    # reaches the cell gradient as dh * dc_per_dh[j].
+    # reaches the cell gradient as dh * dc_per_dh[j]. The reverse loop works
+    # in place: d_hidden[j] accumulates into dh, and ``dc`` carries the cell
+    # gradient from step j + 1 into step j.
     i, f, g, o = np.split(trace.gates, 4, axis=1)
     tanh_c = np.tanh(trace.cell)
     c_prev = np.vstack([np.zeros((1, h)), trace.cell[:-1]])
@@ -289,17 +304,18 @@ def backward(model: Model, trace: ForwardTrace, labels: np.ndarray) -> np.ndarra
     )  # (t, 4, h)
     dc_per_dh = o * (1.0 - tanh_c * tanh_c)
     Wh = p["lstm_recurrent_w"]
-    d_gate = np.empty((t, 4, h))
-    dh_next = dc_next = np.zeros(h)
-    for j in range(t - 1, -1, -1):
-        dh = d_hidden[j] + dh_next
-        dc = dc_next + dh * dc_per_dh[j]
-        d_gate[j, :3] = dc
-        d_gate[j, 3] = dh
-        d_gate[j] *= local[j]
-        dh_next = d_gate[j].reshape(-1) @ Wh
-        dc_next = dc * f[j]
-    d_gate = d_gate.reshape(t, 4 * h)
+    d_gate = np.empty((t, 4 * h))
+    dh_next, dc, dc_from_dh = np.zeros(h), np.zeros(h), np.empty(h)
+    per_step = (d_gate, d_gate.reshape(t, 4, h), d_hidden, dc_per_dh, local, f)
+    for row, blocks, dh, dc_dh, local_j, f_j in zip(*(a[::-1] for a in per_step)):
+        dh += dh_next
+        np.multiply(dh, dc_dh, out=dc_from_dh)
+        dc += dc_from_dh
+        blocks[:3] = dc
+        blocks[3] = dh
+        blocks *= local_j
+        np.dot(row, Wh, out=dh_next)
+        dc *= f_j
 
     named["lstm_input_w"][...] = d_gate.T @ trace.embed
     named["lstm_recurrent_w"][...] = d_gate[1:].T @ trace.hidden[:-1]

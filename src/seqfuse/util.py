@@ -66,13 +66,15 @@ def read_input(path: str | Path, what: str) -> bytes:
         raise ConfigError(f"{what} is a directory: {path}") from exc
 
 
-def read_input_text(path: str | Path, what: str) -> str:
+def read_input_text(path: str | Path, what: str, data: bytes | None = None) -> str:
     """:func:`read_input` decoded as strict UTF-8, line endings untouched.
 
-    Bytes that are not UTF-8 raise MalformedRowError naming ``path:lineno``
-    of the first bad byte.
+    ``data``, when given, is the file's bytes as ``read_input`` already
+    returned them, and the file is not read again. Bytes that are not UTF-8
+    raise MalformedRowError naming ``path:lineno`` of the first bad byte.
     """
-    data = read_input(path, what)
+    if data is None:
+        data = read_input(path, what)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

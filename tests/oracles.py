@@ -2,8 +2,9 @@
 
 Everything here is deliberately written along a different computational path
 than the library: plain Python loops, scalar math, raw-moment identities,
-per-frame interval scans, central finite differences. None of it imports the
-functions it is used to verify.
+per-frame interval scans, central finite differences, and the exp-form
+sigmoid with one allocation per operation in the LSTM reference passes. None
+of it imports the functions it is used to verify.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import numpy as np
 
 from seqfuse import forward, mse_loss
 from seqfuse.featureio import FrameTrack
+from seqfuse.nn import ForwardTrace
+from seqfuse.util import seeded_rng
 
 
 def ccc_direct(x, y) -> float:
@@ -93,6 +96,133 @@ def lstm_step_scalar(wx, wh, b, x, h_prev, c_prev):
         c_new.append(c_k)
         h_new.append(o_k * math.tanh(c_k))
     return np.array(h_new), np.array(c_new)
+
+
+def sigmoid_exp(x: np.ndarray) -> np.ndarray:
+    """1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below; exp never overflows."""
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+
+
+def forward_reference(model, inputs, dropout_rate=0.0, mask_seed=None) -> ForwardTrace:
+    """The network of ``seqfuse.nn`` with the plain per-step recurrence.
+
+    Each step adds ``Wh @ h_prev`` to the input-to-gate row, activates the
+    gates with :func:`sigmoid_exp` and ``tanh``, and allocates its c and h.
+    Dropout masks are drawn exactly as ``nn.forward`` draws them.
+    """
+    inputs = np.asarray(inputs, dtype=np.float64)
+    e, h, m = (model.dims[k] for k in "ehm")
+    t = inputs.shape[0]
+    mask_embed = mask_head = None
+    if mask_seed is not None and dropout_rate > 0.0:
+        rng = seeded_rng(mask_seed)
+        mask_embed = rng.random((t, e)) >= dropout_rate
+        mask_head = rng.random((t, m)) >= dropout_rate
+    keep_scale = 1.0 / (1.0 - dropout_rate) if mask_embed is not None else 1.0
+
+    p = model.tensors
+    proj_pre = inputs @ p["projection_w"].T + p["projection_b"]
+    embed = np.maximum(0.0, proj_pre)
+    if mask_embed is not None:
+        embed = embed * mask_embed * keep_scale
+    gates = embed @ p["lstm_input_w"].T + p["lstm_b"]
+    Wh = p["lstm_recurrent_w"]
+    cell = np.empty((t, h))
+    hidden = np.empty((t, h))
+    h_prev = c_prev = np.zeros(h)
+    for j in range(t):
+        pre = gates[j] + Wh @ h_prev
+        gates[j] = sigmoid_exp(pre)
+        gates[j, 2 * h : 3 * h] = np.tanh(pre[2 * h : 3 * h])
+        i, f, g, o = gates[j].reshape(4, h)
+        cell[j] = f * c_prev + i * g
+        hidden[j] = o * np.tanh(cell[j])
+        h_prev, c_prev = hidden[j], cell[j]
+    head_pre = hidden @ p["head_hidden_w"].T + p["head_hidden_b"]
+    head_act = np.maximum(0.0, head_pre)
+    if mask_head is not None:
+        head_act = head_act * mask_head * keep_scale
+    predictions = head_act @ p["head_out_w"][0] + p["head_out_b"][0]
+    return ForwardTrace(
+        inputs=inputs,
+        proj_pre=proj_pre,
+        embed=embed,
+        gates=gates,
+        cell=cell,
+        hidden=hidden,
+        head_pre=head_pre,
+        head_act=head_act,
+        predictions=predictions,
+        mask_embed=mask_embed,
+        mask_head=mask_head,
+        dropout_rate=dropout_rate if mask_embed is not None else 0.0,
+    )
+
+
+def backward_reference(model, trace: ForwardTrace, labels) -> np.ndarray:
+    """Gradients of the MSE loss through ``trace``, one fresh array per step.
+
+    Same formulas as ``nn.backward``; returns a flat vector in the layout of
+    ``model.params``.
+    """
+    labels = np.asarray(labels, dtype=np.float64)
+    t = trace.n_steps
+    h = model.dims["h"]
+    p = model.tensors
+    keep_scale = (
+        1.0 / (1.0 - trace.dropout_rate) if trace.mask_embed is not None else 1.0
+    )
+    grad = np.zeros_like(model.params)
+    named = model.views(grad)
+
+    d_pred = 2.0 * (trace.predictions - labels) / t
+    named["head_out_w"][0] = d_pred @ trace.head_act
+    named["head_out_b"][0] = d_pred.sum()
+    d_act = d_pred[:, None] * p["head_out_w"][0]
+    if trace.mask_head is not None:
+        d_act = d_act * trace.mask_head * keep_scale
+    d_head_pre = d_act * (trace.head_pre > 0.0)
+    named["head_hidden_w"][...] = d_head_pre.T @ trace.hidden
+    named["head_hidden_b"][...] = d_head_pre.sum(axis=0)
+    d_hidden = d_head_pre @ p["head_hidden_w"]
+
+    i, f, g, o = np.split(trace.gates, 4, axis=1)
+    tanh_c = np.tanh(trace.cell)
+    c_prev = np.vstack([np.zeros((1, h)), trace.cell[:-1]])
+    local = np.stack(
+        [
+            g * i * (1.0 - i),
+            c_prev * f * (1.0 - f),
+            i * (1.0 - g * g),
+            tanh_c * o * (1.0 - o),
+        ],
+        axis=1,
+    )
+    dc_per_dh = o * (1.0 - tanh_c * tanh_c)
+    Wh = p["lstm_recurrent_w"]
+    d_gate = np.empty((t, 4, h))
+    dh_next = dc_next = np.zeros(h)
+    for j in range(t - 1, -1, -1):
+        dh = d_hidden[j] + dh_next
+        dc = dc_next + dh * dc_per_dh[j]
+        d_gate[j, :3] = dc
+        d_gate[j, 3] = dh
+        d_gate[j] *= local[j]
+        dh_next = d_gate[j].reshape(-1) @ Wh
+        dc_next = dc * f[j]
+    d_gate = d_gate.reshape(t, 4 * h)
+
+    named["lstm_input_w"][...] = d_gate.T @ trace.embed
+    named["lstm_recurrent_w"][...] = d_gate[1:].T @ trace.hidden[:-1]
+    named["lstm_b"][...] = d_gate.sum(axis=0)
+    d_embed = d_gate @ p["lstm_input_w"]
+    if trace.mask_embed is not None:
+        d_embed = d_embed * trace.mask_embed * keep_scale
+    d_proj_pre = d_embed * (trace.proj_pre > 0.0)
+    named["projection_w"][...] = d_proj_pre.T @ trace.inputs
+    named["projection_b"][...] = d_proj_pre.sum(axis=0)
+    return grad
 
 
 def mse_handsum(predictions, labels) -> float:

@@ -141,6 +141,35 @@ class TestAlign:
         assert code == 2, err
         assert "Traceback" not in err and str(manifest) in err
 
+    def test_reads_each_label_file_once_and_copies_those_bytes(
+        self, synth_dir, tmp_path, run_cli, monkeypatch
+    ):
+        # A valid label file in a spelling the writer would not produce: the
+        # copy must be these bytes, read once.
+        label_files = sorted((synth_dir / "labels").iterdir())
+        assert len(label_files) == 6
+        first = label_files[0]
+        rows = first.read_text().splitlines()
+        rows[1:] = [row + "0" for row in rows[1:]]
+        first.write_bytes(("\r\n".join(rows) + "\r\n").encode())
+        sources = {p.name: p.read_bytes() for p in label_files}
+
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counting_read_bytes(path):
+            reads.append(path.name)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+        out = tmp_path / "aligned"
+        code, _, err = run_cli("align", "--manifest", synth_dir / "manifest.json",
+                               "--out-dir", out)
+        monkeypatch.undo()
+        assert code == 0, err
+        assert sorted(name for name in reads if name in sources) == sorted(sources)
+        assert {p.name: p.read_bytes() for p in (out / "labels").iterdir()} == sources
+
     def test_rebins_unaligned_tokens(self, tmp_path, run_cli):
         data = tmp_path / "data"
         (data / "f").mkdir(parents=True)
@@ -272,6 +301,19 @@ class TestTrain:
         assert code == 2, err
         assert needle in err and "Traceback" not in err
         assert not (run_dir / "checkpoint.sqf").exists()
+
+    @pytest.mark.parametrize("field", ["manifest", "out_dir"])
+    @pytest.mark.parametrize("value", [5, None, ["manifest.json"]], ids=["int", "null", "list"])
+    def test_non_string_path_field_exit_2(self, synth_dir, tmp_path, run_cli, field, value):
+        run_dir = tmp_path / "run"
+        cfg = write_train_config(tmp_path / "cfg.json", synth_dir / "manifest.json", run_dir)
+        raw = json.loads(cfg.read_text())
+        raw[field] = value
+        cfg.write_text(json.dumps(raw))
+        code, _, err = run_cli("train", "--config", cfg)
+        assert code == 2, err
+        assert f"{field} must be a path string" in err and "Traceback" not in err
+        assert not run_dir.exists()
 
     def test_default_track_order_from_manifest(self, synth_dir, tmp_path, run_cli):
         run_dir = tmp_path / "run"

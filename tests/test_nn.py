@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import assert_models_equal, zero_model
 from oracles import (
+    _sig,
+    backward_reference,
     finite_diff_grads,
+    forward_reference,
     gradcheck_max_relerr,
     linear_relu_naive,
     lstm_step_scalar,
@@ -303,3 +306,85 @@ class TestBackward:
         stepped = Model(tiny_model.dims, tiny_model.params - 1e-3 * grads)
         loss1 = mse_loss(forward(stepped, x).predictions, y)
         assert loss1 < loss0
+
+
+def _gap(actual, reference):
+    """Largest |actual - reference| as a share of the largest |reference| entry."""
+    return np.max(np.abs(actual - reference)) / np.max(np.abs(reference))
+
+
+def _reference_gaps(model, t, data_seed, **dropout):
+    """Prediction and gradient gaps of ``forward``/``backward`` from the reference."""
+    rng = np.random.default_rng(data_seed)
+    x = rng.normal(size=(t, model.dims["D"]))
+    y = rng.uniform(-1.0, 1.0, size=t)
+    trace, ref = forward(model, x, **dropout), forward_reference(model, x, **dropout)
+    grads = backward(model, trace, y)
+    return _gap(trace.predictions, ref.predictions), _gap(grads, backward_reference(model, ref, y))
+
+
+class TestReferenceAgreement:
+    """``forward``/``backward`` against the exp-form sigmoid loops in ``oracles``.
+
+    The tanh-form gates differ from the exp-form ones by at most 2.2e-16
+    absolute. Under large random weights the recurrence amplifies that
+    one-ulp difference chaotically, hence the looser adversarial bound.
+    """
+
+    @pytest.mark.parametrize("D", [3, 10])
+    @pytest.mark.parametrize("dropout", [{}, {"dropout_rate": 0.5, "mask_seed": 21}])
+    def test_init_scale_within_1e14(self, D, dropout):
+        for seed in range(3):
+            model = init_model(seed, {"D": D, "e": 16, "h": 32, "m": 16})
+            gaps = _reference_gaps(model, 100, data_seed=40 + seed, **dropout)
+            assert max(gaps) <= 1e-14, (seed, gaps)
+
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("D", [3, 10, 900])
+    @pytest.mark.parametrize("dropout", [{}, {"dropout_rate": 0.5, "mask_seed": 22}])
+    def test_adversarial_weights_within_1e12(self, scale, D, dropout):
+        for seed, t in enumerate((1, 2, 37, 150)):
+            model = random_model(100 * D + seed, D=D, e=8, h=8, m=4, scale=scale)
+            gaps = _reference_gaps(model, t, data_seed=seed, **dropout)
+            assert max(gaps) <= 1e-12, (seed, t, gaps)
+
+    def test_long_eval_forward_matches_at_every_step(self):
+        model = init_model(7, {"D": 10, "e": 16, "h": 32, "m": 16})
+        x = np.random.default_rng(8).normal(size=(1000, 10))
+        trace, ref = forward(model, x), forward_reference(model, x)
+        for name in ("gates", "cell", "hidden"):
+            a, b = getattr(trace, name), getattr(ref, name)
+            per_step = np.max(np.abs(a - b), axis=1) / np.max(np.abs(b))
+            assert np.all(per_step <= 1e-14), (name, int(np.argmax(per_step)))
+        assert _gap(trace.predictions, ref.predictions) <= 1e-14
+
+    @pytest.mark.parametrize("dropout", [{}, {"dropout_rate": 0.5, "mask_seed": 3}])
+    def test_forward_and_backward_leave_params_untouched(self, dropout):
+        model = random_model(5, D=6, e=5, h=7, m=3)
+        before = model.params.tobytes()
+        rng = np.random.default_rng(6)
+        trace = forward(model, rng.normal(size=(20, 6)), **dropout)
+        backward(model, trace, rng.uniform(-1.0, 1.0, size=20))
+        assert model.params.tobytes() == before
+
+    def test_gate_activations_on_a_bias_grid(self):
+        # With zero weights a one-step forward's gate row is the activated
+        # LSTM bias, so the bias grid drives every gate unit directly. The
+        # first call puts inf, -inf and NaN into the i block.
+        grid = np.concatenate([[np.inf, -np.inf, np.nan], np.linspace(-40.0, 40.0, 2401)])
+        h = 101
+        sig, tanh = np.r_[0 : 2 * h, 3 * h : 4 * h], np.r_[2 * h : 3 * h]
+        model = zero_model(D=1, e=1, h=h, m=1)
+        for lo in range(0, grid.size, 4 * h):
+            z = np.zeros(4 * h)
+            z[: grid.size - lo] = grid[lo : lo + 4 * h]
+            model.tensors["lstm_b"][...] = z
+            gates = forward(model, np.zeros((1, 1))).gates[0]
+            assert np.array_equal(gates[tanh], np.tanh(z[tanh]), equal_nan=True)
+            zs, gs = z[sig], gates[sig]
+            assert np.array_equal(np.isnan(gs), np.isnan(zs))
+            if lo == 0:
+                assert gs[0] == 1.0 and gs[1] == 0.0 and np.isnan(gs[2])
+            finite = np.isfinite(zs)
+            expected = np.array([_sig(v) for v in zs[finite]])
+            assert np.max(np.abs(gs[finite] - expected)) <= 2.3e-16
