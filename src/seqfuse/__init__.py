@@ -44,7 +44,7 @@ from .featureio import (
     write_label_csv,
 )
 from .metrics import CccReport, ccc, evaluate
-from .nn import ForwardTrace, Model, backward, forward, init_model
+from .nn import ForwardTrace, Model, backward, forward, init_model, predict
 from .training import (
     AdamState,
     Checkpoint,

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, EmptyDatasetError, InputError
 from .featureio import (
     DEFAULT_FRAME_LEN_MS,
     Manifest,
@@ -35,7 +35,7 @@ from .featureio import (
     write_label_csv,
 )
 from .metrics import evaluate
-from .nn import forward
+from .nn import predict
 from .training import (
     TrainConfig,
     load_checkpoint,
@@ -188,9 +188,7 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"{name} must be a path string, got {merged[name]!r}")
     manifest_path = Path(merged.pop("manifest"))
     out_dir = Path(merged.pop("out_dir"))
-    frame_len_ms = merged.pop("frame_len_ms", DEFAULT_FRAME_LEN_MS)
-    if type(frame_len_ms) is not int or frame_len_ms < 1:  # bools are rejected too
-        raise ConfigError(f"frame_len_ms must be an integer >= 1, got {frame_len_ms!r}")
+    frame_len_ms = _check_frame_len_ms(merged.pop("frame_len_ms", DEFAULT_FRAME_LEN_MS))
 
     if "seed" not in merged:
         env = _env_seed()
@@ -265,12 +263,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
     dataset = load_fused_dataset(
         manifest, args.partition, list(ckpt.config.track_order), args.frame_len_ms
     )
+    if not dataset:
+        raise EmptyDatasetError(f"partition {args.partition!r} has no videos to predict")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     target = ckpt.config.target
-    for seq in dataset:
-        trace = forward(ckpt.model, seq.data)
-        clamped = np.clip(trace.predictions, -1.0, 1.0)
+    preds = predict(ckpt.model, [seq.data for seq in dataset])
+    for seq, video_preds in zip(dataset, preds):
+        clamped = np.clip(video_preds, -1.0, 1.0)
         rows = ["frame_ms,prediction"]
         rows += [
             f"{j * args.frame_len_ms},{fmt_float(v)}" for j, v in enumerate(clamped)
@@ -306,6 +306,33 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
         raise ConfigError(f"bad {what} value {text!r}: {exc}") from exc
 
 
+def _check_frame_len_ms(value) -> int:
+    """A frame length in ms, as the run config and the flags both require."""
+    if type(value) is not int or value < 1:  # bools are rejected too
+        raise ConfigError(f"frame_len_ms must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _frame_len_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = text
+    try:
+        return _check_frame_len_ms(value)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _add_frame_len_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--frame-len-ms",
+        type=_frame_len_arg,
+        default=DEFAULT_FRAME_LEN_MS,
+        help="frame length",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentDefaultsHelpFormatter
     parser = argparse.ArgumentParser(
@@ -332,9 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--manifest", required=True, help="dataset manifest JSON")
     p.add_argument("--out-dir", required=True, help="output directory")
-    p.add_argument(
-        "--frame-len-ms", type=int, default=DEFAULT_FRAME_LEN_MS, help="frame length"
-    )
+    _add_frame_len_arg(p)
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser(
@@ -373,9 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="partition to score",
     )
     p.add_argument("--out", default=None, help="write the JSON report here")
-    p.add_argument(
-        "--frame-len-ms", type=int, default=DEFAULT_FRAME_LEN_MS, help="frame length"
-    )
+    _add_frame_len_arg(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser(
@@ -390,9 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["train", "devel", "test", "all"],
         help="partition to predict",
     )
-    p.add_argument(
-        "--frame-len-ms", type=int, default=DEFAULT_FRAME_LEN_MS, help="frame length"
-    )
+    _add_frame_len_arg(p)
     p.set_defaults(func=cmd_predict)
 
     return parser

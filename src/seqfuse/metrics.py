@@ -15,7 +15,7 @@ from .errors import (
     LengthMismatchError,
     TargetMissingError,
 )
-from .nn import Model, forward
+from .nn import Model, predict
 from .util import fmt_float
 
 if TYPE_CHECKING:
@@ -86,9 +86,6 @@ def evaluate(model: Model, dataset: list["FusedSequence"], target: str) -> CccRe
     """
     if not dataset:
         raise EmptyDatasetError("evaluate needs at least one sequence")
-    preds_all, labels_all = [], []
-    per_video: dict[str, float] = {}
-    n_frames = 0
     for seq in dataset:
         if seq.dim != model.dims["D"]:
             raise DimMismatchError(
@@ -97,11 +94,10 @@ def evaluate(model: Model, dataset: list["FusedSequence"], target: str) -> CccRe
             )
         if target not in seq.labels:
             raise TargetMissingError(f"video {seq.video_id!r} lacks target {target!r}")
-        trace = forward(model, seq.data)
-        labels = seq.labels[target]
-        preds_all.append(trace.predictions)
-        labels_all.append(labels)
-        n_frames += len(labels)
+    preds_all = predict(model, [seq.data for seq in dataset])
+    labels_all = [seq.labels[target] for seq in dataset]
+    per_video: dict[str, float] = {}
+    for seq, preds, labels in zip(dataset, preds_all, labels_all):
         if len(labels) < 2:
             logger.warning(
                 "video %r: per-video CCC undefined (needs 2 frames, has %d)",
@@ -110,11 +106,12 @@ def evaluate(model: Model, dataset: list["FusedSequence"], target: str) -> CccRe
             )
             continue
         try:
-            per_video[seq.video_id] = ccc(trace.predictions, labels)
+            per_video[seq.video_id] = ccc(preds, labels)
         except DegenerateInputError:
             logger.warning(
                 "video %r: per-video CCC undefined (constant equal sequences)",
                 seq.video_id,
             )
-    concatenated = ccc(np.concatenate(preds_all), np.concatenate(labels_all))
-    return CccReport(target, concatenated, per_video, n_frames)
+    all_labels = np.concatenate(labels_all)
+    concatenated = ccc(np.concatenate(preds_all), all_labels)
+    return CccReport(target, concatenated, per_video, len(all_labels))

@@ -24,6 +24,15 @@ dh, dc and one gate-gradient row, also in preallocated buffers. The
 projection, the input-to-gate product ``Wx @ embed_j + b``, the head, both
 dropout sites and every weight gradient are single matrix expressions over
 all t steps.
+
+``forward`` and ``backward`` are the training path. ``predict`` is the eval
+path: it scores up to EVAL_ROWS sequences in one recurrence and keeps no
+trace. The sequences, longest first, are the rows of a (B, h) state whose
+active prefix shrinks as they end, so a step costs one call sequence however
+many rows are active. Each row still gets its own ``Wh @ h`` gemv and its own
+products over its own steps, so its predictions do not depend on the other
+sequences in the batch. With numpy's OpenBLAS they are byte-identical to
+``forward(...).predictions`` unless e >= 32 and h <= 4 (see EVAL_BLOCK).
 """
 
 from __future__ import annotations
@@ -156,6 +165,32 @@ def init_model(seed: int, dims: dict[str, int]) -> Model:
     return model
 
 
+def _checked_inputs(model: Model, inputs) -> np.ndarray:
+    inputs = np.asarray(inputs, dtype=np.float64)
+    D = model.dims["D"]
+    if inputs.ndim != 2 or inputs.shape[1] != D:
+        raise DimMismatchError(
+            f"inputs have shape {inputs.shape}, model expects (t, {D})"
+        )
+    return inputs
+
+
+def _tanh_form(model: Model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row gate scale and shift, and Wh with its sigmoid rows halved.
+
+    sigmoid(x) = tanh(x/2)/2 + 1/2. Halving is exact (barring subnormals),
+    so once the i, f and o rows of the input-to-gate product and of Wh are
+    halved, each step's pre-activation is exactly half the plain one on
+    those rows, and one tanh plus one scale-and-shift activates the whole
+    gate row.
+    """
+    h = model.dims["h"]
+    scale = np.full(4 * h, 0.5)
+    scale[2 * h : 3 * h] = 1.0
+    shift = 1.0 - scale  # (1/2, 1/2, 0, 1/2) over the (i, f, g, o) blocks
+    return scale, shift, model.tensors["lstm_recurrent_w"] * scale[:, None]
+
+
 def forward(
     model: Model,
     inputs: np.ndarray,
@@ -169,12 +204,8 @@ def forward(
     drawn once per call from the seeded generator (embedding mask first,
     then head mask) so a given (model, inputs, mask_seed) is deterministic.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    D, e, h, m = (model.dims[k] for k in "Dehm")
-    if inputs.ndim != 2 or inputs.shape[1] != D:
-        raise DimMismatchError(
-            f"inputs have shape {inputs.shape}, model expects (t, {D})"
-        )
+    inputs = _checked_inputs(model, inputs)
+    e, h, m = (model.dims[k] for k in "ehm")
     if not 0.0 <= dropout_rate < 1.0:
         raise DimMismatchError("dropout_rate must lie in [0, 1)")
     t = inputs.shape[0]
@@ -192,18 +223,11 @@ def forward(
     if mask_embed is not None:
         embed = embed * mask_embed * keep_scale
 
-    # sigmoid(x) = tanh(x/2)/2 + 1/2. Halving is exact (barring subnormals),
-    # so the i, f and o rows of the input-to-gate product and of a copy of
-    # Wh are halved once here; each step's pre-activation is then exactly
-    # half the plain one on those rows, and one tanh plus one scale-and-shift
-    # activates the whole gate row. Rows hold the halved input-to-gate
-    # product until step j overwrites row j with its activated gates.
-    scale = np.full(4 * h, 0.5)
-    scale[2 * h : 3 * h] = 1.0
-    shift = 1.0 - scale  # (1/2, 1/2, 0, 1/2) over the (i, f, g, o) blocks
+    # Rows hold the halved input-to-gate product until step j overwrites
+    # row j with its activated gates.
+    scale, shift, Wh_half = _tanh_form(model)
     gates = embed @ p["lstm_input_w"].T + p["lstm_b"]
     gates *= scale
-    Wh_half = p["lstm_recurrent_w"] * scale[:, None]
     cell = np.empty((t, h))
     hidden = np.empty((t, h))
     blocks = gates.reshape(t, 4, h)
@@ -243,6 +267,110 @@ def forward(
         mask_head=mask_head,
         dropout_rate=dropout_rate if mask_embed is not None else 0.0,
     )
+
+
+# Rows per input-to-gate product in ``predict``: each video's product is
+# computed in blocks of this many of its own steps. BLAS sends a product of
+# a few rows to other kernels whose last bits can differ (OpenBLAS also
+# sends products of at most 1200 cells when e >= 32), so a video's last
+# block is the window of this many rows that ends at its last step, and a
+# shorter video is one product over all its steps, as in ``forward``. With
+# 64 rows the blocks match ``forward``'s product bit for bit unless e >= 32
+# and h <= 4.
+EVAL_BLOCK = 64
+# Most videos in one recurrence. A batch holds every member's projection
+# and hidden states at once, so this bounds memory on partitions of many
+# videos; past about 16 rows a step's fixed cost is already spread thin.
+EVAL_ROWS = 16
+
+
+def predict(model: Model, sequences) -> list[np.ndarray]:
+    """Eval-mode predictions for each (t, D) matrix, in the order given.
+
+    Dropout is off and no trace is kept. The sequences, sorted longest
+    first, are scored EVAL_ROWS at a time in one recurrence each: they are
+    the rows of a (B, h) state whose active prefix shrinks as sequences
+    end. A step makes one ``Wh @ h`` gemv per active row and applies
+    ``forward``'s gate and c/h operations to the active rows at once. Each
+    sequence's projection and head are products over its own steps, and its
+    input-to-gate product is computed in blocks of EVAL_BLOCK of its own
+    steps, so no result depends on which other sequences are scored with it.
+    """
+    inputs = [_checked_inputs(model, x) for x in sequences]
+    preds = [np.zeros(0) for _ in inputs]
+    order = sorted(
+        (v for v, x in enumerate(inputs) if len(x)), key=lambda v: -len(inputs[v])
+    )
+    for first in range(0, len(order), EVAL_ROWS):
+        batch = order[first : first + EVAL_ROWS]
+        for v, y in zip(batch, _predict_batch(model, [inputs[v] for v in batch])):
+            preds[v] = y
+    return preds
+
+
+def _predict_batch(model: Model, inputs: list[np.ndarray]) -> list[np.ndarray]:
+    """``predict`` for nonempty inputs sorted longest first."""
+    h, K, B = model.dims["h"], EVAL_BLOCK, len(inputs)
+    p = model.tensors
+    scale, shift, Wh_half = _tanh_form(model)
+    lengths = [len(x) for x in inputs]
+    embeds = [
+        np.maximum(0.0, x @ p["projection_w"].T + p["projection_b"]) for x in inputs
+    ]
+    hidden = [np.empty((t, h)) for t in lengths]
+
+    # Step-major buffers for one block: row k of each holds step j0 + k of
+    # every active sequence, so the active rows of a step are contiguous.
+    gate_blk = np.empty((K, B, 4 * h))
+    hidden_blk = np.empty((K, B, h))
+    cell = np.zeros((B, h))
+    recurrent = np.empty((B, 4 * h, 1))
+    input_part = np.empty((B, h))
+    h_prev = np.zeros((B, h, 1))
+    preds = [None] * B
+    a = B
+    for j0 in range(0, lengths[0], K):
+        while lengths[a - 1] <= j0:
+            a -= 1
+        for v in range(a):
+            hi = min(j0 + K, lengths[v])
+            lo = max(0, hi - K)
+            blk = embeds[v][lo:hi] @ p["lstm_input_w"].T + p["lstm_b"]
+            blk *= scale
+            gate_blk[: hi - j0, v] = blk[j0 - lo :]
+        a_blk, k0, n = a, 0, min(K, lengths[0] - j0)
+        while k0 < n:  # one pass per run of steps with the same active rows
+            while lengths[a - 1] <= j0 + k0:
+                a -= 1
+            k1 = min(n, lengths[a - 1] - j0)
+            G, H = gate_blk[k0:k1, :a], hidden_blk[k0:k1, :a]
+            c, part, h_prev = cell[:a], input_part[:a], h_prev[:a]
+            rec_col = recurrent[:a]
+            rec = rec_col[..., 0]
+            ifgo = [G[..., s * h : (s + 1) * h] for s in range(4)]
+            for gates, i, f, g, o, hj, hj_col in zip(G, *ifgo, H, H[..., None]):
+                np.matmul(Wh_half, h_prev, out=rec_col)
+                gates += rec
+                np.tanh(gates, out=gates)
+                gates *= scale
+                gates += shift
+                c *= f
+                np.multiply(i, g, out=part)
+                c += part
+                np.tanh(c, out=hj)
+                hj *= o
+                h_prev = hj_col
+            k0 = k1
+        for v in range(a_blk):
+            n = min(K, lengths[v] - j0)
+            hidden[v][j0 : j0 + n] = hidden_blk[:n, v]
+            if lengths[v] <= j0 + K:
+                head_act = np.maximum(
+                    0.0, hidden[v] @ p["head_hidden_w"].T + p["head_hidden_b"]
+                )
+                preds[v] = head_act @ p["head_out_w"][0] + p["head_out_b"][0]
+                embeds[v] = hidden[v] = None
+    return preds
 
 
 def backward(model: Model, trace: ForwardTrace, labels: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from conftest import fail_writes_halfway, zero_model
-from seqfuse import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
+from seqfuse import Checkpoint, TrainConfig, init_model, load_checkpoint, save_checkpoint
 from seqfuse.cli import main as cli_main
 
 
@@ -425,6 +425,45 @@ class TestPredict:
         assert len(list(out.iterdir())) == 1
 
 
+    def test_empty_partition_exit_2_naming_it(self, synth_dir, tmp_path, run_cli):
+        ckpt_path = tmp_path / "z.sqf"
+        make_zero_checkpoint(ckpt_path)
+        out = tmp_path / "preds"
+        code, _, err = run_cli("predict", "--checkpoint", ckpt_path,
+                               "--manifest", synth_dir / "manifest.json",
+                               "--out-dir", out, "--partition", "test")
+        assert code == 2
+        assert "'test'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_test_video_bytes_same_when_predicted_with_all(self, tmp_path, run_cli):
+        raw = tmp_path / "raw"
+        code, _, err = run_cli(
+            "synth", "--out-dir", raw, "--seed", 8, "--n-train", 2, "--n-devel", 1,
+            "--n-test", 3, "--dims", "2,3", "--t-range", "20:80",
+        )
+        assert code == 0, err
+        ckpt_path = tmp_path / "r.sqf"
+        cfg = TrainConfig(
+            target="arousal", embed_dim=4, hidden_units=5, head_hidden=3,
+            epochs=1, seed=0, track_order=["track0", "track1"],
+        )
+        model = init_model(3, {"D": 5, "e": 4, "h": 5, "m": 3})
+        save_checkpoint(Checkpoint(model, cfg, (("track0", 2), ("track1", 3)), 0.0, 0), ckpt_path)
+        outs = {}
+        for partition in ("test", "all"):
+            code, _, err = run_cli("predict", "--checkpoint", ckpt_path,
+                                   "--manifest", raw / "manifest.json",
+                                   "--out-dir", tmp_path / partition, "--partition", partition)
+            assert code == 0, err
+            outs[partition] = tree_bytes(tmp_path / partition)
+        assert (len(outs["test"]), len(outs["all"])) == (3, 6)
+        for name, data in outs["test"].items():
+            assert outs["all"][name] == data, name
+            values = {line.split(b",")[1] for line in data.splitlines()[1:]}
+            assert len(values) > 2  # not clamped to a constant
+
+
 class TestCliSurface:
     @pytest.mark.parametrize("command", ["synth", "align", "train", "evaluate", "predict"])
     def test_help_lists_flags_with_defaults(self, command, capsys):
@@ -434,6 +473,24 @@ class TestCliSurface:
         out = capsys.readouterr().out
         assert "--help" in out
         assert "default" in out
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["align", "--manifest", "m.json", "--out-dir", "o"],
+            ["evaluate", "--checkpoint", "c.sqf", "--manifest", "m.json"],
+            ["predict", "--checkpoint", "c.sqf", "--manifest", "m.json", "--out-dir", "o"],
+        ],
+        ids=["align", "evaluate", "predict"],
+    )
+    def test_frame_len_below_1_rejected_at_parse(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*command, "--frame-len-ms", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"frame_len_ms must be an integer >= 1, got {value}" in err
+        assert "Traceback" not in err
 
     def test_no_subcommand_exits_2(self, capsys):
         assert cli_main([]) == 2

@@ -1,5 +1,4 @@
 import logging
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -126,12 +125,12 @@ def _fake_model(D=3):
 
 
 def _inject_predictor(monkeypatch, mapping):
-    """Replace the network with a lookup keyed by the input matrix bytes."""
+    """Replace the network with a lookup keyed by each input matrix's bytes."""
 
-    def fake_forward(model, data, dropout_rate=0.0, mask_seed=None):
-        return SimpleNamespace(predictions=np.asarray(mapping[data.tobytes()]))
+    def fake_predict(model, sequences):
+        return [np.asarray(mapping[data.tobytes()]) for data in sequences]
 
-    monkeypatch.setattr(metrics_mod, "forward", fake_forward)
+    monkeypatch.setattr(metrics_mod, "predict", fake_predict)
 
 
 class TestEvaluate:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,9 @@ from seqfuse import (
     forward,
     init_model,
     mse_loss,
+    predict,
 )
+from seqfuse.nn import EVAL_BLOCK, EVAL_ROWS
 
 
 def sigmoid(z):
@@ -388,3 +392,128 @@ class TestReferenceAgreement:
             finite = np.isfinite(zs)
             expected = np.array([_sig(v) for v in zs[finite]])
             assert np.max(np.abs(gs[finite] - expected)) <= 2.3e-16
+
+
+# Lengths around the input-to-gate block: equal lengths, one-step videos,
+# block - 1, block, block + 1, block + 2 and a few blocks plus a tail.
+K = EVAL_BLOCK
+BATCH_LENGTHS = (K + 2, 1, 7, K - 1, 7, K, 1, K + 1, 3 * K + 5, 2 * K, 2 * K + 1, 2)
+
+
+def _videos(D, lengths, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(t, D)) for t in lengths]
+
+
+def _bytes(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+class TestPredict:
+    """``predict``: one shrinking-batch recurrence over many videos."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            init_model(0, {"D": 10, "e": 16, "h": 32, "m": 16}),
+            random_model(1, D=3, e=8, h=8, m=4, scale=3.0),
+            init_model(2, {"D": 900, "e": 32, "h": 5, "m": 2}),
+            init_model(3, {"D": 2, "e": 3, "h": 1, "m": 1}),
+        ],
+        ids=["e16h32m16", "e8h8m4-s3", "D900e32h5m2", "e3h1m1"],
+    )
+    def test_video_scores_do_not_depend_on_the_other_videos(self, model):
+        videos = _videos(model.dims["D"], BATCH_LENGTHS, seed=4)
+        alone = _bytes(predict(model, [x])[0] for x in videos)
+        assert _bytes(predict(model, videos)) == alone
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            for picked in (
+                rng.permutation(len(videos)),
+                sorted(rng.choice(len(videos), int(rng.integers(1, 12)), replace=False)),
+            ):
+                got = _bytes(predict(model, [videos[i] for i in picked]))
+                assert got == [alone[i] for i in picked]
+        # Added videos: duplicates of every length and one longer than all,
+        # more than EVAL_ROWS in all.
+        extra = _videos(model.dims["D"], (5 * K + 3, *BATCH_LENGTHS), seed=6)
+        together = _bytes(predict(model, extra + videos + videos))
+        assert len(together) > 2 * EVAL_ROWS
+        assert together[len(extra) :] == alone + alone
+
+    def test_byte_identical_to_forward_at_e16_h32_m16(self):
+        # A one-row input-to-gate product differs from a many-row one in the
+        # last bits here, and reaches the output about one time in four, so
+        # sixteen videos end one step past a block boundary.
+        model = init_model(7, {"D": 10, "e": 16, "h": 32, "m": 16})
+        tails = tuple(n * K + 1 for n in range(1, 17))
+        videos = _videos(10, BATCH_LENGTHS + (1000, 333) + tails, seed=8)
+        expected = [forward(model, x).predictions.tobytes() for x in videos]
+        assert _bytes(predict(model, videos)) == expected
+
+    def test_input_order_empty_videos_and_no_videos(self, tiny_model):
+        videos = _videos(3, (4, 0, 9), seed=9)
+        preds = predict(tiny_model, videos)
+        assert [p.shape for p in preds] == [(4,), (0,), (9,)]
+        assert preds[2].tobytes() == forward(tiny_model, videos[2]).predictions.tobytes()
+        assert predict(tiny_model, []) == []
+
+    def test_dim_mismatch(self, tiny_model):
+        for bad in (np.zeros(3), np.zeros((2, 2, 3)), np.zeros((4, 7))):
+            with pytest.raises(DimMismatchError):
+                predict(tiny_model, [np.zeros((5, 3)), bad])
+
+    @pytest.mark.parametrize("D", [3, 10])
+    def test_init_scale_within_1e14_of_reference(self, D):
+        for seed in range(3):
+            model = init_model(seed, {"D": D, "e": 16, "h": 32, "m": 16})
+            videos = _videos(D, (100, 1000, 1, K + 1), seed=40 + seed)
+            for x, got in zip(videos, predict(model, videos)):
+                ref = forward_reference(model, x).predictions
+                assert _gap(got, ref) <= 1e-14, (seed, len(x))
+
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("D", [3, 10, 900])
+    def test_random_weights_within_1e14_of_reference(self, scale, D):
+        rngs = [np.random.default_rng(seed) for seed in range(4)]
+        videos = [rng.normal(size=(t, D)) for rng, t in zip(rngs, (1, 2, 37, 150))]
+        for seed in range(4):
+            model = random_model(100 * D + seed, D=D, e=8, h=8, m=4, scale=scale)
+            for x, got in zip(videos, predict(model, videos)):
+                ref = forward_reference(model, x).predictions
+                assert _gap(got, ref) <= 1e-14, (seed, len(x))
+
+    def test_params_untouched(self):
+        model = random_model(5, D=6, e=5, h=7, m=3)
+        before = model.params.tobytes()
+        predict(model, _videos(6, BATCH_LENGTHS, seed=10))
+        assert model.params.tobytes() == before
+
+    def test_peak_memory_does_not_grow_with_the_number_of_videos(self):
+        model = init_model(13, {"D": 10, "e": 16, "h": 32, "m": 16})
+        videos = _videos(10, (300,) * (4 * EVAL_ROWS), seed=14)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for batch in (videos[:EVAL_ROWS], videos):
+                tracemalloc.reset_peak()
+                predict(model, batch)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], peaks
+
+    def test_peak_memory_below_forward_one_video_at_a_time(self):
+        model = init_model(11, {"D": 10, "e": 16, "h": 32, "m": 16})
+        videos = _videos(10, (8000, 1000, 5800, 2600, 4600), seed=12)
+        tracemalloc.start()
+        try:
+            for x in videos:
+                forward(model, x)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            predict(model, videos)
+            predict_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert predict_peak < forward_peak, (predict_peak, forward_peak)
