@@ -273,7 +273,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         clamped = np.clip(video_preds, -1.0, 1.0)
         rows = ["frame_ms,prediction"]
         rows += [
-            f"{j * args.frame_len_ms},{fmt_float(v)}" for j, v in enumerate(clamped)
+            f"{j * args.frame_len_ms},{v!r}" for j, v in enumerate(clamped.tolist())
         ]
         write_atomic(out_dir / f"{seq.video_id}_{target}.csv", "\n".join(rows) + "\n")
     print(f"wrote predictions for {len(dataset)} videos to {out_dir}")

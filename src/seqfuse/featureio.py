@@ -43,6 +43,9 @@ Token tracks are columnar: a TokenTrack holds int64 ``start_ms`` and
 ``end_ms`` arrays and an (n, d) float64 ``vectors`` matrix. Each file is
 parsed in one bulk pass and validated, sorted and aligned with whole-array
 operations; ``TokenTrack.tokens`` builds TokenFeature objects only when read.
+The writer formats each run of bit-identical rows once, so the repeated rows
+of an aligned track (a word spanning several frames, a pause between words)
+share one cell text.
 """
 
 from __future__ import annotations
@@ -378,19 +381,39 @@ def parse_feature_csv(
     return TokenTrack._from_columns(name or path.stem, dim, start_ms, end_ms, vectors)
 
 
+def _repeats_previous(vectors: np.ndarray) -> list[bool]:
+    """Whether each row of ``vectors`` is bit-identical to the row before it.
+
+    Bits, not values, are compared: ``-0.0 == 0.0``, but their ``repr``s differ.
+    """
+    bits = vectors.view(np.uint64)
+    return [False] + (bits[1:] == bits[:-1]).all(axis=1).tolist()
+
+
 def write_feature_csv(path: str | Path, track: TokenTrack) -> None:
     """Write a TokenTrack as a Feature CSV (LF endings, round-trip exact floats).
 
     The file is replaced atomically; floats use shortest round-trip ``repr``.
+    A row bit-identical to the one before it reuses that row's cell text, so
+    each run of equal rows is formatted once. A track with no tokens raises
+    EmptyTrackError, as :func:`parse_feature_csv` would, and writes nothing.
     """
-    rows = [",".join(_feature_header(track.dim))]
-    rows += [
-        f"{start},{end}," + ",".join(map(repr, vector.tolist()))
-        for start, end, vector in zip(
-            track.start_ms.tolist(), track.end_ms.tolist(), track._rows
-        )
-    ]
-    write_atomic(path, "\n".join(rows) + "\n")
+    if not len(track.start_ms):
+        raise EmptyTrackError(f"{path}: no data rows")
+    parts = [",".join(_feature_header(track.dim))]
+    cells = ""
+    for start, end, repeat, vector in zip(
+        track.start_ms.tolist(),
+        track.end_ms.tolist(),
+        _repeats_previous(track.vectors),
+        track._rows,
+    ):
+        if not repeat:
+            cells = ",".join(map(repr, vector.tolist()))
+        parts.append(f"\n{start},{end},")
+        parts.append(cells)
+    parts.append("\n")
+    write_atomic(path, "".join(parts))
 
 
 def frame_track_to_tokens(track: FrameTrack) -> TokenTrack:
@@ -431,12 +454,26 @@ def read_label_csv(
 def write_label_csv(
     path: str | Path, values: np.ndarray, frame_len_ms: int = DEFAULT_FRAME_LEN_MS
 ) -> None:
-    """Write a Label CSV atomically, one row per frame."""
+    """Write a Label CSV atomically, one row per frame.
+
+    Values that :func:`read_label_csv` would reject raise its error before
+    anything is written: EmptyTrackError for no values, MalformedRowError for
+    values that are not 1-D, finite and in [-1, 1].
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise MalformedRowError(f"{path}: labels must be 1-D, got shape {values.shape}")
+    if not len(values):
+        raise EmptyTrackError(f"{path}: no data rows")
+    _check_rows(
+        lambda row: f"{path}: frame {row}",
+        [
+            (~np.isfinite(values), lambda row: f"non-finite value {values[row]}"),
+            (np.abs(values) > 1.0, lambda row: f"label {values[row]} outside [-1, 1]"),
+        ],
+    )
     rows = ["frame_ms,value"]
-    rows += [
-        f"{j * frame_len_ms},{value!r}"
-        for j, value in enumerate(np.asarray(values, dtype=np.float64).tolist())
-    ]
+    rows += [f"{j * frame_len_ms},{value!r}" for j, value in enumerate(values.tolist())]
     write_atomic(path, "\n".join(rows) + "\n")
 
 

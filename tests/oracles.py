@@ -54,6 +54,22 @@ def align_bruteforce(track, frame_len_ms: int, n_frames: int) -> FrameTrack:
     return FrameTrack(track.name, track.dim, frame_len_ms, frames)
 
 
+def feature_csv_rowwise(track) -> str:
+    """Feature CSV text of ``track``, every row formatted on its own.
+
+    Each row is its span prefix plus its own ``repr`` of every cell, and the
+    rows are joined with newlines; no row's text is reused for another.
+    """
+    rows = [",".join(["start_ms", "end_ms"] + [f"f{i}" for i in range(track.dim)])]
+    rows += [
+        f"{start},{end}," + ",".join(map(repr, vector.tolist()))
+        for start, end, vector in zip(
+            track.start_ms.tolist(), track.end_ms.tolist(), track.vectors
+        )
+    ]
+    return "\n".join(rows) + "\n"
+
+
 def linear_relu_naive(weight, bias, x) -> list[float]:
     """Elementwise dot products, no matrix routines."""
     out = []

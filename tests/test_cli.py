@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -88,6 +89,42 @@ class TestSynth:
         assert tree_bytes(a) == tree_bytes(b)
 
 
+# A small token-rate set: words that span several frames, pauses between
+# them, two subwords sharing a span, signed zeros, and one frame-rate track
+# whose value holds for several frames.
+GOLDEN_ALIGN_INPUTS = {
+    "features/v1_text.csv": (
+        "start_ms,end_ms,f0,f1,f2\n"
+        "0,700,0.5,-0.0,1.25\n"
+        "700,760,0.1,0.2,0.3\n"
+        "1500,2400,-1.5,2.0,0.001\n"
+        "1500,2400,3.0,-0.0,7.0\n"
+        "2600,3400,-0.0,-0.0,-0.0\n"
+    ),
+    "features/v1_video.csv": "start_ms,end_ms,f0,f1\n" + "".join(
+        f"{j * 250},{(j + 1) * 250},{[0.25, 0.25, 0.25, -0.5][j % 4]},{j // 3 * 0.1}\n"
+        for j in range(12)
+    ),
+    "labels/v1_arousal.csv": "frame_ms,value\n" + "".join(
+        f"{j * 250},{(j - 5) / 8}\n" for j in range(11)
+    ),
+    "features/v2_text.csv": "start_ms,end_ms,f0,f1,f2\n100,1100,0.7,-0.7,0.0\n",
+    "features/v2_video.csv": "start_ms,end_ms,f0,f1\n0,250,1.0,0.0\n250,500,1.0,-0.0\n",
+    "labels/v2_arousal.csv": "frame_ms,value\n0,0.5\n250,-0.25\n500,0.0\n",
+}
+
+# SHA-256 of every file ``align`` writes for GOLDEN_ALIGN_INPUTS.
+GOLDEN_ALIGN_SHA256 = {
+    "features/v1_text.csv": "e4e5e2499530920f75b7f6af3dc479b4b6ed185584a081d6c74f0a595e3d142c",
+    "features/v1_video.csv": "e0addd332f89c2be9800584425d4fc2b2afc52cc81b24e06cb8e1b20f5787ebc",
+    "features/v2_text.csv": "896a0b6dcbf3269eb1f3e319116354539f34b5848b06810e2335f20f9c5c042f",
+    "features/v2_video.csv": "4df694d3478738cf3910ee57827da28fb6243b9af516c09e54480e391199f218",
+    "labels/v1_arousal.csv": "05db94c15a20e1f1f4afedc98d3606e252d52b9b3bbea31bb6f26532193ad4d8",
+    "labels/v2_arousal.csv": "12147ead8ec641fe585652d971affe48132c0cb868be0b24adf5a8d8048754af",
+    "manifest.json": "15f8e2a0a75e2df83faa9a741dae205499df4d55245f9015eace1dfde5685cf4",
+}
+
+
 class TestAlign:
     def test_already_aligned_is_fixed_point(self, synth_dir, tmp_path, run_cli):
         out = tmp_path / "aligned"
@@ -169,6 +206,26 @@ class TestAlign:
         assert code == 0, err
         assert sorted(name for name in reads if name in sources) == sorted(sources)
         assert {p.name: p.read_bytes() for p in (out / "labels").iterdir()} == sources
+
+    def test_golden_bytes(self, tmp_path, run_cli):
+        data = tmp_path / "data"
+        for relpath, text in GOLDEN_ALIGN_INPUTS.items():
+            (data / relpath).parent.mkdir(parents=True, exist_ok=True)
+            (data / relpath).write_text(text)
+        videos = {
+            vid: {
+                "partition": "train",
+                "features": {t: f"features/{vid}_{t}.csv" for t in ("text", "video")},
+                "labels": {"arousal": f"labels/{vid}_arousal.csv"},
+            }
+            for vid in ("v1", "v2")
+        }
+        (data / "manifest.json").write_text(json.dumps({"videos": videos}))
+        out = tmp_path / "out"
+        code, _, err = run_cli("align", "--manifest", data / "manifest.json", "--out-dir", out)
+        assert code == 0, err
+        digests = {name: hashlib.sha256(b).hexdigest() for name, b in tree_bytes(out).items()}
+        assert digests == GOLDEN_ALIGN_SHA256
 
     def test_rebins_unaligned_tokens(self, tmp_path, run_cli):
         data = tmp_path / "data"

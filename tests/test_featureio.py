@@ -3,11 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import fail_writes_halfway
-from oracles import align_bruteforce
+from oracles import align_bruteforce, feature_csv_rowwise
 from seqfuse import (
     DimMismatchError,
     EmptyTrackError,
@@ -32,6 +32,7 @@ from seqfuse.featureio import (
     Manifest,
     VideoEntry,
 )
+from seqfuse.util import write_atomic
 
 
 def make_track(tokens, dim, name="trk"):
@@ -137,6 +138,94 @@ class TestParseFeatureCsv:
             assert a.start_ms == b.start_ms
             assert a.end_ms == b.end_ms
             assert np.array_equal(a.vector, b.vector)
+
+
+def _runs(rng, n_rows, dim, max_run=6):
+    """(n_rows, dim) matrix of runs of equal rows, about a third of them zero."""
+    rows = []
+    while len(rows) < n_rows:
+        vector = rng.normal(size=dim) if rng.random() > 0.3 else np.zeros(dim)
+        rows += [vector] * int(rng.integers(1, max_run + 1))
+    return np.array(rows[:n_rows])
+
+
+# Matrices whose rows repeat in the ways the writer's row reuse must get right.
+WRITER_CASES = {
+    "runs": [[1.0, 2.0]] * 3 + [[0.0, 0.0]] * 2 + [[0.5, -3.0]] + [[1.0, 2.0]] * 2,
+    "signed-zeros": [[0.0, 0.0], [-0.0, -0.0]] * 3 + [[1.0, 0.0], [1.0, -0.0], [1.0, 0.0]],
+    "last-cell-differs": [[1.0, 2.0, 3.0], [1.0, 2.0, 4.0], [1.0, 2.0, 4.0], [1.0, 2.0, 3.0]],
+    "single-row": [[0.1, -0.25]],
+    "all-equal": [[0.1, 1e-300, -7.5]] * 50,
+}
+
+
+def _writer_track(matrix, backing):
+    """A track over ``matrix``: frame-backed (one shared matrix) or TokenFeature-backed."""
+    matrix = np.array(matrix, dtype=np.float64)
+    if backing == "matrix":
+        return frame_track_to_tokens(FrameTrack("w", matrix.shape[1], 250, matrix))
+    return make_track(
+        [(j * 100, j * 100 + 300, row) for j, row in enumerate(matrix)], dim=matrix.shape[1]
+    )
+
+
+class TestWriteFeatureCsv:
+    @pytest.mark.parametrize("backing", ["matrix", "tokens"])
+    @pytest.mark.parametrize("case", list(WRITER_CASES))
+    def test_bytes_match_rowwise_oracle(self, tmp_path, case, backing):
+        track = _writer_track(WRITER_CASES[case], backing)
+        path = tmp_path / "w.csv"
+        write_feature_csv(path, track)
+        assert path.read_bytes() == feature_csv_rowwise(track).encode()
+        back = parse_feature_csv(path)
+        assert back.vectors.tobytes() == track.vectors.tobytes()
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_random_tracks_with_forced_repeats(self, tmp_path, data):
+        dim = data.draw(st.integers(1, 5))
+        value = st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 5e-324]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+        pool = data.draw(
+            st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=1, max_size=4)
+        )
+        # Each vector's twin with its zeros' signs flipped: equal as floats, not as bits.
+        pool += [[-v if v == 0.0 else v for v in vector] for vector in pool]
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+        # Repeat every pick one to three times, so runs of equal rows always occur.
+        rows = [pool[k] for k in picks for _ in range(data.draw(st.integers(1, 3)))]
+        backing = data.draw(st.sampled_from(["matrix", "tokens"]))
+        track = _writer_track(rows, backing)
+        path = tmp_path / "w.csv"
+        write_feature_csv(path, track)
+        assert path.read_bytes() == feature_csv_rowwise(track).encode()
+
+    @pytest.mark.parametrize("backing", ["matrix", "tokens"])
+    def test_peak_memory_no_higher_than_rowwise(self, tmp_path, backing):
+        track = _writer_track(_runs(np.random.default_rng(5), 300, 768), backing)
+        path = tmp_path / "w.csv"
+        peaks = []
+        for write in (
+            lambda: write_feature_csv(path, track),
+            lambda: write_atomic(path, feature_csv_rowwise(track)),
+        ):
+            tracemalloc.start()
+            try:
+                write()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
+
+    def test_empty_track_rejected_without_writing(self, tmp_path):
+        path = tmp_path / "w.csv"
+        with pytest.raises(EmptyTrackError):
+            write_feature_csv(path, TokenTrack("none", 2, []))
+        assert list(tmp_path.iterdir()) == []
 
 
 # Bad data rows after a valid header: (id, body, file line of the first bad
@@ -522,6 +611,24 @@ class TestLabelCsv:
         path.write_text("frame_ms,value\n")
         with pytest.raises(EmptyTrackError):
             read_label_csv(path)
+
+    @pytest.mark.parametrize(
+        "values, error",
+        [
+            ([], EmptyTrackError),
+            ([0.5, np.nan], MalformedRowError),
+            ([np.inf], MalformedRowError),
+            ([2.0, np.nan], MalformedRowError),
+            ([0.0, -1.5], MalformedRowError),
+            ([[0.5, 0.25]], MalformedRowError),
+        ],
+        ids=["empty", "nan", "inf", "out-of-range-then-nan", "below-range", "2-d"],
+    )
+    def test_write_rejects_what_read_rejects(self, tmp_path, values, error):
+        path = tmp_path / "lab.csv"
+        with pytest.raises(error):
+            write_label_csv(path, np.array(values, dtype=np.float64))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestManifest:
