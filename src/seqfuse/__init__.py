@@ -40,6 +40,7 @@ from .featureio import (
     parse_feature_csv,
     save_manifest,
     synth_generate,
+    write_dataset,
     write_feature_csv,
     write_label_csv,
 )

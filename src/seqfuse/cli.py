@@ -23,16 +23,12 @@ import numpy as np
 from .errors import ConfigError, EmptyDatasetError, InputError
 from .featureio import (
     DEFAULT_FRAME_LEN_MS,
-    Manifest,
-    VideoEntry,
-    frame_track_to_tokens,
+    PARTITIONS,
     load_fused_dataset,
     load_labeled_sequence,
     load_manifest,
-    save_manifest,
     synth_generate,
-    write_feature_csv,
-    write_label_csv,
+    write_dataset,
 )
 from .metrics import evaluate
 from .nn import predict
@@ -60,16 +56,8 @@ class RunConfig:
     frame_len_ms: int = DEFAULT_FRAME_LEN_MS
 
 
-def _feature_filename(video_id: str, track: str) -> str:
-    return f"features/{video_id}_{track}.csv"
-
-
-def _label_filename(video_id: str, target: str) -> str:
-    return f"labels/{video_id}_{target}.csv"
-
-
 # ---------------------------------------------------------------------------
-# synth
+# synth / align
 # ---------------------------------------------------------------------------
 
 
@@ -79,74 +67,32 @@ def cmd_synth(args: argparse.Namespace) -> int:
     counts = (args.n_train, args.n_devel, args.n_test)
     if any(c < 0 for c in counts):
         raise ConfigError("partition sizes must be nonnegative")
-    n_videos = sum(counts)
-    if n_videos < 1:
+    partitions = [p for p, count in zip(PARTITIONS, counts) for _ in range(count)]
+    if not partitions:
         raise ConfigError("no videos requested (n-train + n-devel + n-test = 0)")
     seed = args.seed if args.seed is not None else _env_seed()
     if seed is None:
         raise ConfigError(f"missing seed (use --seed or {SEED_ENV_VAR})")
 
-    videos = synth_generate(seed, n_videos, t_range, dims, args.snr)
+    videos = synth_generate(seed, len(partitions), t_range, dims, args.snr)
     out_dir = Path(args.out_dir)
-    (out_dir / "features").mkdir(parents=True, exist_ok=True)
-    (out_dir / "labels").mkdir(parents=True, exist_ok=True)
-
-    entries: dict[str, VideoEntry] = {}
-    for idx, video in enumerate(videos):
-        partition = (
-            "train"
-            if idx < args.n_train
-            else "devel"
-            if idx < args.n_train + args.n_devel
-            else "test"
-        )
-        features = {}
-        for track in video.tracks:
-            relpath = _feature_filename(video.video_id, track.name)
-            write_feature_csv(out_dir / relpath, frame_track_to_tokens(track))
-            features[track.name] = relpath
-        labels = {}
-        for target, values in video.labels.items():
-            relpath = _label_filename(video.video_id, target)
-            write_label_csv(out_dir / relpath, values)
-            labels[target] = relpath
-        entries[video.video_id] = VideoEntry(partition, features, labels)
-
-    save_manifest(Manifest(entries, root=out_dir), out_dir / "manifest.json")
+    n_videos = write_dataset(out_dir, zip(partitions, videos))
     print(f"wrote {n_videos} videos to {out_dir}")
     return 0
 
 
-# ---------------------------------------------------------------------------
-# align
-# ---------------------------------------------------------------------------
-
-
 def cmd_align(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
-    out_dir = Path(args.out_dir)
-    (out_dir / "features").mkdir(parents=True, exist_ok=True)
-    (out_dir / "labels").mkdir(parents=True, exist_ok=True)
-
-    entries: dict[str, VideoEntry] = {}
-    for vid, entry in manifest.videos.items():
-        seq = load_labeled_sequence(
-            manifest, vid, list(entry.features), args.frame_len_ms
+    videos = (
+        (
+            entry.partition,
+            load_labeled_sequence(manifest, vid, list(entry.features), args.frame_len_ms),
         )
-        labels = {}
-        for target, data in seq.label_bytes.items():
-            dst_rel = _label_filename(vid, target)
-            write_atomic(out_dir / dst_rel, data)
-            labels[target] = dst_rel
-        features = {}
-        for track in seq.tracks:
-            dst_rel = _feature_filename(vid, track.name)
-            write_feature_csv(out_dir / dst_rel, frame_track_to_tokens(track))
-            features[track.name] = dst_rel
-        entries[vid] = VideoEntry(entry.partition, features, labels)
-
-    save_manifest(Manifest(entries, root=out_dir), out_dir / "manifest.json")
-    print(f"aligned {len(entries)} videos into {out_dir}")
+        for vid, entry in manifest.videos.items()
+    )
+    out_dir = Path(args.out_dir)
+    n_videos = write_dataset(out_dir, videos)
+    print(f"aligned {n_videos} videos into {out_dir}")
     return 0
 
 
@@ -184,8 +130,10 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
     for name in ("manifest", "out_dir"):
         if name not in merged:
             raise ConfigError(f"missing required config field: {name}")
-        if not isinstance(merged[name], str):
-            raise ConfigError(f"{name} must be a path string, got {merged[name]!r}")
+        if not isinstance(merged[name], str) or "\0" in merged[name]:
+            raise ConfigError(
+                f"{name} must be a path string without NUL, got {merged[name]!r}"
+            )
     manifest_path = Path(merged.pop("manifest"))
     out_dir = Path(merged.pop("out_dir"))
     frame_len_ms = _check_frame_len_ms(merged.pop("frame_len_ms", DEFAULT_FRAME_LEN_MS))

@@ -27,9 +27,18 @@ Dataset manifest JSON::
                    "features": {"track0": "features/vid001_track0.csv"},
                    "labels": {"arousal": "labels/vid001_arousal.csv"}}}}
 
-Relative paths are resolved against the manifest's directory. Floats are
-written with shortest round-trip formatting so write/parse is bitwise exact,
-and every file is written to a temporary sibling and renamed into place.
+Relative paths are resolved against the manifest's directory. Video ids,
+track names and targets become parts of file names, so a name holding ``/``,
+``\\`` or NUL is rejected when the manifest is loaded. Floats are written
+with shortest round-trip formatting so write/parse is bitwise exact, and every
+file is written to a temporary sibling and renamed into place.
+
+Dataset tree, as :func:`write_dataset` lays it out for ``synth`` and
+``align``::
+
+    <out_dir>/features/<video>_<track>.csv   one frame-aligned Feature CSV
+    <out_dir>/labels/<video>_<target>.csv    one Label CSV
+    <out_dir>/manifest.json                  written last, relative paths
 
 Cells: ``start_ms``, ``end_ms`` and ``frame_ms`` are decimal integers in the
 int64 range [-2**63, 2**63 - 1]; values are decimal floats with optional
@@ -51,7 +60,7 @@ share one cell text.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -645,6 +654,21 @@ class Manifest:
         return path if path.is_absolute() else self.root / path
 
 
+# Characters that would let a name reach outside the directory that a file
+# named after it is written to, or that no file name can hold.
+_PATH_CHARS = ("/", "\\", "\0")
+
+
+def check_name(name: str, what: str) -> None:
+    """Raise ConfigError unless ``name`` is a string that can be part of a file name.
+
+    Video ids, track names and targets become parts of file names in the
+    dataset tree and in prediction output, so none may hold ``/``, ``\\`` or NUL.
+    """
+    if not isinstance(name, str) or any(c in name for c in _PATH_CHARS):
+        raise ConfigError(f"{what} must be a name without '/', '\\' or NUL, got {name!r}")
+
+
 def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
     raw = read_json_object(path, "manifest")
@@ -652,6 +676,7 @@ def load_manifest(path: str | Path) -> Manifest:
         raise ConfigError(f"{path}: manifest must contain a 'videos' object")
     videos = {}
     for vid, entry in raw["videos"].items():
+        check_name(vid, f"{path}: video {vid!r}: id")
         try:
             partition = entry["partition"]
             features = entry["features"]
@@ -671,6 +696,9 @@ def load_manifest(path: str | Path) -> Manifest:
                 )
         if not features or not labels:
             raise ConfigError(f"{path}: video {vid!r}: needs features and labels")
+        for key, names in (("track", features), ("target", labels)):
+            for name in names:
+                check_name(name, f"{path}: video {vid!r}: {key}")
         videos[vid] = VideoEntry(partition, features, labels)
     if not videos:
         raise ConfigError(f"{path}: manifest lists no videos")
@@ -689,6 +717,37 @@ def save_manifest(manifest: Manifest, path: str | Path) -> None:
         }
     }
     write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_dataset(
+    out_dir: str | Path, videos: Iterable[tuple[str, LabeledSequence]]
+) -> int:
+    """Write ``(partition, sequence)`` pairs as a dataset tree; returns the video count.
+
+    Each sequence is written as it is drawn from ``videos``: its label files,
+    copied byte for byte from ``label_bytes`` where the sequence kept them and
+    formatted on its frame grid otherwise, then its tracks as frame-aligned
+    Feature CSVs. ``manifest.json`` is written last, so a failure leaves none.
+    """
+    out_dir = Path(out_dir)
+    (out_dir / "features").mkdir(parents=True, exist_ok=True)
+    (out_dir / "labels").mkdir(parents=True, exist_ok=True)
+    entries: dict[str, VideoEntry] = {}
+    for partition, seq in videos:
+        labels = {}
+        for target, values in seq.labels.items():
+            relpath = labels[target] = f"labels/{seq.video_id}_{target}.csv"
+            if target in seq.label_bytes:
+                write_atomic(out_dir / relpath, seq.label_bytes[target])
+            else:
+                write_label_csv(out_dir / relpath, values, seq.tracks[0].frame_len_ms)
+        features = {}
+        for track in seq.tracks:
+            relpath = features[track.name] = f"features/{seq.video_id}_{track.name}.csv"
+            write_feature_csv(out_dir / relpath, frame_track_to_tokens(track))
+        entries[seq.video_id] = VideoEntry(partition, features, labels)
+    save_manifest(Manifest(entries, root=out_dir), out_dir / "manifest.json")
+    return len(entries)
 
 
 def load_labeled_sequence(

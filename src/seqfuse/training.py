@@ -34,7 +34,7 @@ from .errors import (
     TargetMissingError,
     VersionMismatchError,
 )
-from .featureio import FusedSequence
+from .featureio import FusedSequence, check_name
 from .metrics import evaluate
 from .nn import Model, ParamSpec, backward, forward, init_model, param_layout
 from .util import _UINT64_MASK, fmt_float, read_input, seeded_rng, write_atomic
@@ -71,6 +71,7 @@ class TrainConfig:
     def __post_init__(self):
         if not self.target:
             raise ConfigError("target must be a nonempty name")
+        check_name(self.target, "target")
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int" and type(value) is not int:  # bools are rejected too

@@ -54,9 +54,10 @@ def write_atomic(path: str | Path, data: bytes | str) -> None:
 def read_input(path: str | Path, what: str) -> bytes:
     """Every byte of the user-supplied file ``path``; ``what`` names it in errors.
 
-    Every file the package reads comes through here. A missing path, or a
-    directory given as the file, raises ConfigError naming the path (CLI exit
-    2); any other OSError, such as permission denied, propagates (exit 3).
+    Every file the package reads comes through here. A missing path, a
+    directory given as the file, or a path holding a NUL byte raises
+    ConfigError naming the path (CLI exit 2); any other OSError, such as
+    permission denied, propagates (exit 3).
     """
     try:
         return Path(path).read_bytes()
@@ -64,6 +65,8 @@ def read_input(path: str | Path, what: str) -> bytes:
         raise ConfigError(f"{what} not found: {path}") from exc
     except IsADirectoryError as exc:
         raise ConfigError(f"{what} is a directory: {path}") from exc
+    except ValueError as exc:  # the OS cannot take a path holding NUL
+        raise ConfigError(f"{what} path holds a NUL byte: {str(path)!r}") from exc
 
 
 def read_input_text(path: str | Path, what: str, data: bytes | None = None) -> str:

@@ -88,6 +88,39 @@ class TestSynth:
         assert code == 0
         assert tree_bytes(a) == tree_bytes(b)
 
+    def test_golden_bytes(self, tmp_path, run_cli):
+        out = tmp_path / "raw"
+        code, _, err = run_cli(
+            "synth", "--out-dir", out, "--seed", 3, "--n-train", 2, "--n-devel", 1,
+            "--n-test", 1, "--dims", "2,3", "--t-range", "5:9",
+        )
+        assert code == 0, err
+        digests = {name: hashlib.sha256(b).hexdigest() for name, b in tree_bytes(out).items()}
+        assert digests == GOLDEN_SYNTH_SHA256
+
+
+# SHA-256 of every file ``synth --seed 3 --n-train 2 --n-devel 1 --n-test 1
+# --dims 2,3 --t-range 5:9`` writes.
+GOLDEN_SYNTH_SHA256 = {
+    "features/video000_track0.csv": "107c92236bc59c32d6c52e330bb708b3cdc495aaf8a844b1925f4a929ccc3868",
+    "features/video000_track1.csv": "1ca566acb12fe2e1df1d79c27dfc5336d3303837e61521ac28c8353c972918d7",
+    "features/video001_track0.csv": "46177ec997ecad052a272992cf18d251048caa7193d865d2f3c871cee2fe7e25",
+    "features/video001_track1.csv": "4fe7ac621ff8a91d413bd0248a8c7012c0ac86c6b678d99ab8af38df19662ee8",
+    "features/video002_track0.csv": "d0361f16f0ec402d684f89c7b78e6f1263529b167c063642786ae1f5a2b0cdef",
+    "features/video002_track1.csv": "549bbce01f292242819afce5bad993b681ac91c8cccf886825fdda9abdb76600",
+    "features/video003_track0.csv": "ea70b0ab0e54cf43134235ba59f6edf444479e90ce08ef444189b3c4e4853344",
+    "features/video003_track1.csv": "8f2587b9f3dc30bb8280352fb54be8435e5e07053919d0a9a7d7abaccf9a5ba5",
+    "labels/video000_arousal.csv": "b609cffbd301a0dc40005717f065bf91980e173c96bb898b79634a03e83c2c54",
+    "labels/video000_valence.csv": "4e6221f78c3256d4aafe84c861eac3fbe8d083d6f24746f83723db78e545b13d",
+    "labels/video001_arousal.csv": "8361eca960bd58f08421ac592d9076b1fe0e811ed701481ae103071118256a1d",
+    "labels/video001_valence.csv": "81fd7e15e6ccf9331180c36ed418f3a72f611ed916067b11ccc23a16f63d49e3",
+    "labels/video002_arousal.csv": "3f60788f5d5f48a874369be888a9018328e3b02ee0c385ff304ee1740ba0be2c",
+    "labels/video002_valence.csv": "f1a2a5db81f2398f3b46ff93eb26fa0891f90d8db237040cc8d5dfc70f60c736",
+    "labels/video003_arousal.csv": "c87b239f0eabc14e94e42d400224c058650484c6c47086d9ac662cdf925c1274",
+    "labels/video003_valence.csv": "0356e979e8ee120ad03331ab80fcabcaba0d1e4c07f1afb22666db96da743762",
+    "manifest.json": "dcf73beade5516164d66697f09feeab941fe218271492fb3d48e988ecdff10e5",
+}
+
 
 # A small token-rate set: words that span several frames, pauses between
 # them, two subwords sharing a span, signed zeros, and one frame-rate track
@@ -131,8 +164,7 @@ class TestAlign:
         code, _, err = run_cli("align", "--manifest", synth_dir / "manifest.json",
                                "--out-dir", out)
         assert code == 0, err
-        for src in (synth_dir / "features").iterdir():
-            assert (out / "features" / src.name).read_text() == src.read_text()
+        assert tree_bytes(out) == tree_bytes(synth_dir)
 
     def test_idempotent(self, synth_dir, tmp_path, run_cli):
         out = tmp_path / "aligned"
@@ -341,11 +373,12 @@ class TestTrain:
             ({"frame_len_ms": True}, "frame_len_ms"),
             ({"frame_len_ms": 0}, "frame_len_ms"),
             ({"track_order": 5}, "track_order"),
+            ({"target": "../../esc"}, "target must be a name"),
         ],
         ids=[
             "non-integer-epochs", "beta1-one", "diverging", "frame-len-string",
             "frame-len-list", "frame-len-float", "frame-len-bool", "frame-len-zero",
-            "track-order-int",
+            "track-order-int", "target-path",
         ],
     )
     def test_bad_or_diverging_config_exit_2_without_checkpoint(
@@ -360,7 +393,9 @@ class TestTrain:
         assert not (run_dir / "checkpoint.sqf").exists()
 
     @pytest.mark.parametrize("field", ["manifest", "out_dir"])
-    @pytest.mark.parametrize("value", [5, None, ["manifest.json"]], ids=["int", "null", "list"])
+    @pytest.mark.parametrize(
+        "value", [5, None, ["manifest.json"], "run\0x"], ids=["int", "null", "list", "nul"]
+    )
     def test_non_string_path_field_exit_2(self, synth_dir, tmp_path, run_cli, field, value):
         run_dir = tmp_path / "run"
         cfg = write_train_config(tmp_path / "cfg.json", synth_dir / "manifest.json", run_dir)
@@ -595,13 +630,14 @@ INPUT_CASES = [
 
 
 class TestInputFileContract:
-    @pytest.mark.parametrize("fault", ["missing", "directory", "non-utf8"])
+    @pytest.mark.parametrize("fault", ["missing", "directory", "non-utf8", "nul"])
     @pytest.mark.parametrize("kind, command", INPUT_CASES, ids=[f"{k}-{c}" for k, c in INPUT_CASES])
     def test_bad_input_file_exit_2_naming_path(
         self, synth_dir, tmp_path, run_cli, kind, command, fault
     ):
         manifest = synth_dir / "manifest.json"
-        entry = next(iter(json.loads(manifest.read_text())["videos"].values()))
+        raw = json.loads(manifest.read_text())
+        entry = next(iter(raw["videos"].values()))
         ckpt = tmp_path / "z.sqf"
         make_zero_checkpoint(ckpt)
         cfg = write_train_config(tmp_path / "cfg.json", manifest, tmp_path / "run")
@@ -612,6 +648,20 @@ class TestInputFileContract:
             "config": cfg,
             "checkpoint": ckpt,
         }[kind]
+        if fault == "nul":
+            # The file stays intact; the path that names it gains a NUL byte.
+            victim = Path(f"{victim}\0")
+            if kind in ("feature", "label"):
+                key, name = ("features", "track0") if kind == "feature" else ("labels", "arousal")
+                entry[key][name] += "\0"
+                manifest.write_text(json.dumps(raw))
+            elif kind == "manifest":
+                manifest = victim
+                write_train_config(cfg, manifest, tmp_path / "run")
+            elif kind == "config":
+                cfg = victim
+            else:
+                ckpt = victim
         argv = {
             "align": ["align", "--manifest", manifest, "--out-dir", tmp_path / "out"],
             "train": ["train", "--config", cfg],
@@ -620,10 +670,12 @@ class TestInputFileContract:
             "predict": ["predict", "--checkpoint", ckpt, "--manifest", manifest,
                         "--out-dir", tmp_path / "preds"],
         }[command]
-        corrupt(victim, fault)
+        if fault != "nul":
+            corrupt(victim, fault)
         code, _, err = run_cli(*argv)
         assert code == 2, err
-        assert str(victim) in err and "Traceback" not in err
+        assert "Traceback" not in err
+        assert (repr(str(victim)) if fault == "nul" else str(victim)) in err
         if fault == "non-utf8" and kind != "checkpoint":
             assert f"{victim}:2: not UTF-8" in err
 
@@ -636,3 +688,27 @@ class TestInputFileContract:
         assert code == 2, err
         assert any((out / "features").iterdir())  # earlier videos were aligned
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("video_id", ["../../escaped", "esc\0aped"], ids=["dotdot", "nul"])
+    @pytest.mark.parametrize("command", ["align", "predict"])
+    def test_unsafe_video_id_exit_2_writing_nothing(
+        self, synth_dir, tmp_path, run_cli, command, video_id
+    ):
+        manifest = synth_dir / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        raw["videos"] = {video_id if vid == "video000" else vid: entry
+                         for vid, entry in raw["videos"].items()}
+        manifest.write_text(json.dumps(raw))
+        ckpt = tmp_path / "z.sqf"
+        make_zero_checkpoint(ckpt)
+        before = tree_bytes(tmp_path)
+        argv = {
+            "align": ["align", "--manifest", manifest, "--out-dir", tmp_path / "out" / "aligned"],
+            "predict": ["predict", "--checkpoint", ckpt, "--manifest", manifest,
+                        "--out-dir", tmp_path / "out" / "preds"],
+        }[command]
+        code, _, err = run_cli(*argv)
+        assert code == 2, err
+        assert str(manifest) in err and repr(video_id) in err and "Traceback" not in err
+        assert tree_bytes(tmp_path) == before
+        assert not (tmp_path / "out").exists()

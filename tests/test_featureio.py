@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import fail_writes_halfway
 from oracles import align_bruteforce, feature_csv_rowwise
 from seqfuse import (
+    ConfigError,
     DimMismatchError,
     EmptyTrackError,
     FrameTrack,
@@ -25,9 +27,11 @@ from seqfuse import (
 )
 from seqfuse.featureio import (
     frame_track_to_tokens,
+    load_labeled_sequence,
     load_manifest,
     read_label_csv,
     save_manifest,
+    write_dataset,
     write_label_csv,
     Manifest,
     VideoEntry,
@@ -659,6 +663,35 @@ class TestManifest:
         from seqfuse import ConfigError
 
         with pytest.raises(ConfigError):
+            load_manifest(path)
+
+    def test_write_dataset_round_trips_on_its_frame_grid(self, tmp_path):
+        videos = synth_generate(4, 2, (3, 5), [2, 1], 100.0)
+        for video in videos:
+            for track in video.tracks:
+                track.frame_len_ms = 500
+        assert write_dataset(tmp_path, zip(["train", "test"], videos)) == 2
+        manifest = load_manifest(tmp_path / "manifest.json")
+        assert [manifest.videos[v.video_id].partition for v in videos] == ["train", "test"]
+        for video in videos:
+            back = load_labeled_sequence(manifest, video.video_id, None, 500)
+            for target, values in video.labels.items():
+                assert np.array_equal(back.labels[target], values)
+            for track, again in zip(video.tracks, back.tracks):
+                assert np.array_equal(again.frames, track.frames)
+
+    @pytest.mark.parametrize("name", ["../x", "a\\b", "a\0b"], ids=["slash", "backslash", "nul"])
+    @pytest.mark.parametrize("where", ["video", "track", "target"])
+    def test_name_that_is_not_a_file_name_part_rejected(self, tmp_path, where, name):
+        entry = {"partition": "train", "features": {"a": "f.csv"}, "labels": {"arousal": "l.csv"}}
+        if where == "track":
+            entry["features"] = {name: "f.csv"}
+        elif where == "target":
+            entry["labels"] = {name: "l.csv"}
+        vid = name if where == "video" else "v"
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"videos": {vid: entry}}))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: video {vid!r}")):
             load_manifest(path)
 
     def test_frame_track_to_tokens_tiles_grid(self):

@@ -58,6 +58,9 @@ class TestTrainConfig:
             ("track_order", "track0"),
             ("track_order", []),
             ("track_order", ["track0", 1]),
+            ("target", "../esc"),
+            ("target", "a\\b"),
+            ("target", "a\0b"),
         ],
     )
     def test_bad_value_rejected(self, field, value):
@@ -441,8 +444,9 @@ class TestCheckpointIo:
             lambda header: header["dims"].update(D=6),
             lambda header: header["params"][0].update(shape=[5, 4]),
             _swap_offsets,
+            lambda header: header["config"].update(target="../esc"),
         ],
-        ids=["dims", "shape", "offsets"],
+        ids=["dims", "shape", "offsets", "target-path"],
     )
     def test_tampered_header_rejected(self, tmp_path, edit):
         save_checkpoint(_golden_checkpoint(), tmp_path / "g.sqf")
