@@ -3,9 +3,10 @@
 Exit codes: 0 success; 2 input/config error, including an input file that is
 missing, a directory, or not UTF-8 text; 3 any other OS error; 4 internal
 invariant violation. Train runs are configured by a JSON file holding every
-``TrainConfig`` field plus ``manifest`` and ``out_dir``; command-line flags
-override file values. ``SEQFUSE_SEED`` serves as a fallback seed when the
-config omits one.
+``TrainConfig`` field plus ``manifest`` and ``out_dir``, and no other field;
+command-line flags override file values. ``SEQFUSE_SEED`` serves as a
+fallback seed when the config omits one. Every command takes the frame grid
+from the dataset manifest.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 from .errors import ConfigError, EmptyDatasetError, InputError
 from .featureio import (
-    DEFAULT_FRAME_LEN_MS,
     PARTITIONS,
     load_fused_dataset,
     load_labeled_sequence,
@@ -53,7 +53,6 @@ class RunConfig:
     manifest: Path
     out_dir: Path
     train: TrainConfig
-    frame_len_ms: int = DEFAULT_FRAME_LEN_MS
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +83,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_align(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     videos = (
-        (
-            entry.partition,
-            load_labeled_sequence(manifest, vid, list(entry.features), args.frame_len_ms),
-        )
+        (entry.partition, load_labeled_sequence(manifest, vid, list(entry.features)))
         for vid, entry in manifest.videos.items()
     )
     out_dir = Path(args.out_dir)
@@ -112,7 +108,7 @@ def _env_seed() -> int | None:
 
 
 def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
-    known = [f.name for f in fields(TrainConfig)] + ["manifest", "out_dir", "frame_len_ms"]
+    known = [f.name for f in fields(TrainConfig)] + ["manifest", "out_dir"]
     merged: dict = {}
     if args.config is not None:
         file_cfg = read_json_object(args.config, "config file")
@@ -136,7 +132,6 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
             )
     manifest_path = Path(merged.pop("manifest"))
     out_dir = Path(merged.pop("out_dir"))
-    frame_len_ms = _check_frame_len_ms(merged.pop("frame_len_ms", DEFAULT_FRAME_LEN_MS))
 
     if "seed" not in merged:
         env = _env_seed()
@@ -160,18 +155,14 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
         train_cfg = TrainConfig(**merged)
     except TypeError as exc:
         raise ConfigError(f"bad train config: {exc}") from exc
-    return RunConfig(manifest_path, out_dir, train_cfg, frame_len_ms)
+    return RunConfig(manifest_path, out_dir, train_cfg)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     run = _resolve_run_config(args)
     manifest = load_manifest(run.manifest)
-    train_set = load_fused_dataset(
-        manifest, "train", run.train.track_order, run.frame_len_ms
-    )
-    devel_set = load_fused_dataset(
-        manifest, "devel", run.train.track_order, run.frame_len_ms
-    )
+    train_set = load_fused_dataset(manifest, "train", run.train.track_order)
+    devel_set = load_fused_dataset(manifest, "devel", run.train.track_order)
     ckpt, history = train(train_set, devel_set, run.train)
     run.out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt, run.out_dir / CHECKPOINT_NAME)
@@ -191,9 +182,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
-    dataset = load_fused_dataset(
-        manifest, args.partition, list(ckpt.config.track_order), args.frame_len_ms
-    )
+    dataset = load_fused_dataset(manifest, args.partition, list(ckpt.config.track_order))
     report = evaluate(ckpt.model, dataset, ckpt.config.target)
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.out is not None:
@@ -208,9 +197,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
-    dataset = load_fused_dataset(
-        manifest, args.partition, list(ckpt.config.track_order), args.frame_len_ms
-    )
+    dataset = load_fused_dataset(manifest, args.partition, list(ckpt.config.track_order))
     if not dataset:
         raise EmptyDatasetError(f"partition {args.partition!r} has no videos to predict")
     out_dir = Path(args.out_dir)
@@ -221,7 +208,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         clamped = np.clip(video_preds, -1.0, 1.0)
         rows = ["frame_ms,prediction"]
         rows += [
-            f"{j * args.frame_len_ms},{v!r}" for j, v in enumerate(clamped.tolist())
+            f"{j * manifest.frame_len_ms},{v!r}" for j, v in enumerate(clamped.tolist())
         ]
         write_atomic(out_dir / f"{seq.video_id}_{target}.csv", "\n".join(rows) + "\n")
     print(f"wrote predictions for {len(dataset)} videos to {out_dir}")
@@ -254,33 +241,6 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
         raise ConfigError(f"bad {what} value {text!r}: {exc}") from exc
 
 
-def _check_frame_len_ms(value) -> int:
-    """A frame length in ms, as the run config and the flags both require."""
-    if type(value) is not int or value < 1:  # bools are rejected too
-        raise ConfigError(f"frame_len_ms must be an integer >= 1, got {value!r}")
-    return value
-
-
-def _frame_len_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = text
-    try:
-        return _check_frame_len_ms(value)
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _add_frame_len_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--frame-len-ms",
-        type=_frame_len_arg,
-        default=DEFAULT_FRAME_LEN_MS,
-        help="frame length",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentDefaultsHelpFormatter
     parser = argparse.ArgumentParser(
@@ -307,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--manifest", required=True, help="dataset manifest JSON")
     p.add_argument("--out-dir", required=True, help="output directory")
-    _add_frame_len_arg(p)
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser(
@@ -346,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="partition to score",
     )
     p.add_argument("--out", default=None, help="write the JSON report here")
-    _add_frame_len_arg(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser(
@@ -361,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["train", "devel", "test", "all"],
         help="partition to predict",
     )
-    _add_frame_len_arg(p)
     p.set_defaults(func=cmd_predict)
 
     return parser

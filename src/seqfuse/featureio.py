@@ -22,11 +22,14 @@ Row ``j`` must have ``frame_ms = j*250`` and ``value`` in [-1, 1].
 
 Dataset manifest JSON::
 
-    {"videos": {
+    {"frame_len_ms": 500,
+     "videos": {
         "vid001": {"partition": "train",
                    "features": {"track0": "features/vid001_track0.csv"},
                    "labels": {"arousal": "labels/vid001_arousal.csv"}}}}
 
+The optional ``frame_len_ms`` (an integer >= 1, 250 when absent) is the
+dataset's frame grid; the 250 of the CSV formats above stands for it.
 Relative paths are resolved against the manifest's directory. Video ids,
 track names and targets become parts of file names, so a name holding ``/``,
 ``\\`` or NUL is rejected when the manifest is loaded. Floats are written
@@ -39,6 +42,9 @@ Dataset tree, as :func:`write_dataset` lays it out for ``synth`` and
     <out_dir>/features/<video>_<track>.csv   one frame-aligned Feature CSV
     <out_dir>/labels/<video>_<target>.csv    one Label CSV
     <out_dir>/manifest.json                  written last, relative paths
+
+Every track of every video must be on one frame grid, and the manifest
+records it (``frame_len_ms`` is written only when it is not 250).
 
 Cells: ``start_ms``, ``end_ms`` and ``frame_ms`` are decimal integers in the
 int64 range [-2**63, 2**63 - 1]; values are decimal floats with optional
@@ -216,6 +222,11 @@ class LabeledSequence:
         t = lengths.pop()
         if t < 1:
             raise LengthMismatchError(f"{self.video_id}: zero frames")
+        grids = {tr.frame_len_ms for tr in self.tracks}
+        if len(grids) != 1:
+            raise LengthMismatchError(
+                f"{self.video_id}: tracks disagree on frame_len_ms {sorted(grids)}"
+            )
         self.labels = {k: np.asarray(v, dtype=np.float64) for k, v in self.labels.items()}
         for name, values in self.labels.items():
             if values.shape != (t,):
@@ -638,10 +649,14 @@ class VideoEntry:
 
 @dataclass
 class Manifest:
-    """Dataset manifest; ``root`` anchors the entries' relative paths."""
+    """Dataset manifest; ``root`` anchors the entries' relative paths.
+
+    ``frame_len_ms`` is the frame grid of every label file and aligned track.
+    """
 
     videos: dict[str, VideoEntry]
     root: Path = field(default_factory=Path)
+    frame_len_ms: int = DEFAULT_FRAME_LEN_MS
 
     def video_ids(self, partition: str | None = None) -> list[str]:
         """Video ids in manifest order, optionally filtered by partition."""
@@ -674,6 +689,11 @@ def load_manifest(path: str | Path) -> Manifest:
     raw = read_json_object(path, "manifest")
     if not isinstance(raw.get("videos"), dict):
         raise ConfigError(f"{path}: manifest must contain a 'videos' object")
+    frame_len_ms = raw.get("frame_len_ms", DEFAULT_FRAME_LEN_MS)
+    if type(frame_len_ms) is not int or frame_len_ms < 1:  # bools are rejected too
+        raise ConfigError(
+            f"{path}: frame_len_ms must be an integer >= 1, got {frame_len_ms!r}"
+        )
     videos = {}
     for vid, entry in raw["videos"].items():
         check_name(vid, f"{path}: video {vid!r}: id")
@@ -702,7 +722,7 @@ def load_manifest(path: str | Path) -> Manifest:
         videos[vid] = VideoEntry(partition, features, labels)
     if not videos:
         raise ConfigError(f"{path}: manifest lists no videos")
-    return Manifest(videos, root=path.parent)
+    return Manifest(videos, path.parent, frame_len_ms)
 
 
 def save_manifest(manifest: Manifest, path: str | Path) -> None:
@@ -716,6 +736,8 @@ def save_manifest(manifest: Manifest, path: str | Path) -> None:
             for vid, entry in manifest.videos.items()
         }
     }
+    if manifest.frame_len_ms != DEFAULT_FRAME_LEN_MS:
+        payload["frame_len_ms"] = manifest.frame_len_ms
     write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -727,36 +749,55 @@ def write_dataset(
     Each sequence is written as it is drawn from ``videos``: its label files,
     copied byte for byte from ``label_bytes`` where the sequence kept them and
     formatted on its frame grid otherwise, then its tracks as frame-aligned
-    Feature CSVs. ``manifest.json`` is written last, so a failure leaves none.
+    Feature CSVs. A sequence with a track off the first sequence's frame grid
+    raises LengthMismatchError before its files are written, and a file name
+    written twice raises ConfigError before the second write.
+    ``manifest.json``, which records the grid, is written last, so a failure
+    leaves none.
     """
     out_dir = Path(out_dir)
     (out_dir / "features").mkdir(parents=True, exist_ok=True)
     (out_dir / "labels").mkdir(parents=True, exist_ok=True)
     entries: dict[str, VideoEntry] = {}
+    frame_len_ms = None
+    written: set[str] = set()
+
+    def claim(relpath: str) -> Path:
+        # Names are joined with "_", so two entries can map to one file name.
+        if relpath in written:
+            raise ConfigError(f"{out_dir / relpath}: two dataset entries map to this file")
+        written.add(relpath)
+        return out_dir / relpath
+
     for partition, seq in videos:
+        frame_len_ms = frame_len_ms or seq.tracks[0].frame_len_ms
+        grids = {tr.frame_len_ms for tr in seq.tracks}
+        if grids != {frame_len_ms}:
+            raise LengthMismatchError(
+                f"{seq.video_id}: tracks on frame_len_ms {sorted(grids)}, "
+                f"the dataset on {frame_len_ms}"
+            )
         labels = {}
         for target, values in seq.labels.items():
             relpath = labels[target] = f"labels/{seq.video_id}_{target}.csv"
             if target in seq.label_bytes:
-                write_atomic(out_dir / relpath, seq.label_bytes[target])
+                write_atomic(claim(relpath), seq.label_bytes[target])
             else:
-                write_label_csv(out_dir / relpath, values, seq.tracks[0].frame_len_ms)
+                write_label_csv(claim(relpath), values, frame_len_ms)
         features = {}
         for track in seq.tracks:
             relpath = features[track.name] = f"features/{seq.video_id}_{track.name}.csv"
-            write_feature_csv(out_dir / relpath, frame_track_to_tokens(track))
+            write_feature_csv(claim(relpath), frame_track_to_tokens(track))
         entries[seq.video_id] = VideoEntry(partition, features, labels)
-    save_manifest(Manifest(entries, root=out_dir), out_dir / "manifest.json")
+    manifest = Manifest(entries, out_dir, frame_len_ms or DEFAULT_FRAME_LEN_MS)
+    save_manifest(manifest, out_dir / "manifest.json")
     return len(entries)
 
 
 def load_labeled_sequence(
-    manifest: Manifest,
-    video_id: str,
-    track_order: list[str] | None = None,
-    frame_len_ms: int = DEFAULT_FRAME_LEN_MS,
+    manifest: Manifest, video_id: str, track_order: list[str] | None = None
 ) -> LabeledSequence:
-    """Parse, align and assemble one manifest video.
+    """Parse, align and assemble one manifest video on the manifest's frame grid.
 
     The number of frames comes from the label files (features beyond the
     labelled horizon are dropped); all label targets must agree on length.
@@ -767,7 +808,7 @@ def load_labeled_sequence(
     for target, relpath in entry.labels.items():
         path = manifest.resolve(relpath)
         label_bytes[target] = read_input(path, "label file")
-        values = read_label_csv(path, frame_len_ms, label_bytes[target])
+        values = read_label_csv(path, manifest.frame_len_ms, label_bytes[target])
         if t is None:
             t = len(values)
         elif len(values) != t:
@@ -784,19 +825,16 @@ def load_labeled_sequence(
         token_track = parse_feature_csv(
             manifest.resolve(entry.features[track_name]), name=track_name
         )
-        tracks.append(align_tokens_to_frames(token_track, frame_len_ms, t))
+        tracks.append(align_tokens_to_frames(token_track, manifest.frame_len_ms, t))
     return LabeledSequence(video_id, tracks, labels, label_bytes)
 
 
 def load_fused_dataset(
-    manifest: Manifest,
-    partition: str,
-    track_order: list[str] | None = None,
-    frame_len_ms: int = DEFAULT_FRAME_LEN_MS,
+    manifest: Manifest, partition: str, track_order: list[str] | None = None
 ) -> list[FusedSequence]:
     """Fused sequences for one partition, in manifest video order."""
     sequences = []
     for vid in manifest.video_ids(partition):
-        seq = load_labeled_sequence(manifest, vid, track_order, frame_len_ms)
+        seq = load_labeled_sequence(manifest, vid, track_order)
         sequences.append(fuse(seq.tracks, seq.labels, video_id=vid))
     return sequences

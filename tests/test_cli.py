@@ -5,7 +5,18 @@ from pathlib import Path
 import pytest
 
 from conftest import fail_writes_halfway, zero_model
-from seqfuse import Checkpoint, TrainConfig, init_model, load_checkpoint, save_checkpoint
+from seqfuse import (
+    Checkpoint,
+    TrainConfig,
+    evaluate,
+    init_model,
+    load_checkpoint,
+    load_fused_dataset,
+    load_manifest,
+    save_checkpoint,
+    synth_generate,
+    write_dataset,
+)
 from seqfuse.cli import main as cli_main
 
 
@@ -286,6 +297,36 @@ class TestAlign:
         assert lines[1] == "0,250,3.0"  # mean of 2.0 and 4.0
         assert lines[2] == "250,500,2.0"  # only the long token overlaps
 
+    @pytest.mark.parametrize(
+        "entries,collision",
+        [
+            ({"a_b": ("c", "arousal"), "a": ("b_c", "arousal")}, "features/a_b_c.csv"),
+            ({"a_b": ("t", "arousal"), "a": ("u", "b_arousal")}, "labels/a_b_arousal.csv"),
+        ],
+        ids=["features", "labels"],
+    )
+    def test_colliding_file_names_exit_2_without_overwriting(
+        self, tmp_path, run_cli, entries, collision
+    ):
+        data = tmp_path / "data"
+        data.mkdir()
+        videos = {}
+        for k, (vid, (track, target)) in enumerate(entries.items()):
+            (data / f"f{k}.csv").write_text(f"start_ms,end_ms,f0\n0,500,0.{k}5\n")
+            (data / f"l{k}.csv").write_text(f"frame_ms,value\n0,0.{k}5\n250,0.{k}5\n")
+            videos[vid] = {
+                "partition": "train",
+                "features": {track: f"f{k}.csv"},
+                "labels": {target: f"l{k}.csv"},
+            }
+        (data / "manifest.json").write_text(json.dumps({"videos": videos}))
+        out = tmp_path / "out"
+        code, _, err = run_cli("align", "--manifest", data / "manifest.json", "--out-dir", out)
+        assert code == 2, err
+        assert f"{out / collision}: two dataset entries" in err and "Traceback" not in err
+        assert ",0.05\n" in (out / collision).read_text()  # the first video's
+        assert not (out / "manifest.json").exists()
+
 
 class TestTrain:
     def test_end_to_end_writes_artifacts(self, synth_dir, tmp_path, run_cli):
@@ -372,13 +413,14 @@ class TestTrain:
             ({"frame_len_ms": 2.5}, "frame_len_ms"),
             ({"frame_len_ms": True}, "frame_len_ms"),
             ({"frame_len_ms": 0}, "frame_len_ms"),
+            ({"frame_len_ms": 250}, "unknown config fields: frame_len_ms"),
             ({"track_order": 5}, "track_order"),
             ({"target": "../../esc"}, "target must be a name"),
         ],
         ids=[
             "non-integer-epochs", "beta1-one", "diverging", "frame-len-string",
             "frame-len-list", "frame-len-float", "frame-len-bool", "frame-len-zero",
-            "track-order-int", "target-path",
+            "frame-len-250", "track-order-int", "target-path",
         ],
     )
     def test_bad_or_diverging_config_exit_2_without_checkpoint(
@@ -566,7 +608,6 @@ class TestCliSurface:
         assert "--help" in out
         assert "default" in out
 
-    @pytest.mark.parametrize("value", ["0", "-5"])
     @pytest.mark.parametrize(
         "command",
         [
@@ -576,13 +617,11 @@ class TestCliSurface:
         ],
         ids=["align", "evaluate", "predict"],
     )
-    def test_frame_len_below_1_rejected_at_parse(self, command, value, capsys):
+    def test_frame_len_flag_is_gone(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli_main([*command, "--frame-len-ms", value])
+            cli_main([*command, "--frame-len-ms", "250"])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert f"frame_len_ms must be an integer >= 1, got {value}" in err
-        assert "Traceback" not in err
+        assert "unrecognized arguments: --frame-len-ms 250" in capsys.readouterr().err
 
     def test_no_subcommand_exits_2(self, capsys):
         assert cli_main([]) == 2
@@ -712,3 +751,65 @@ class TestInputFileContract:
         assert str(manifest) in err and repr(video_id) in err and "Traceback" not in err
         assert tree_bytes(tmp_path) == before
         assert not (tmp_path / "out").exists()
+
+
+class TestFrameGrid:
+    """The frame grid is the manifest's ``frame_len_ms``; no command takes it."""
+
+    @pytest.mark.parametrize(
+        "value", ["abc", [1], 2.5, True, 0, -5],
+        ids=["string", "list", "float", "bool", "zero", "negative"],
+    )
+    @pytest.mark.parametrize("command", ["align", "train", "evaluate", "predict"])
+    def test_bad_manifest_frame_len_exit_2_naming_manifest(
+        self, synth_dir, tmp_path, run_cli, command, value
+    ):
+        manifest = synth_dir / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        raw["frame_len_ms"] = value
+        manifest.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        ckpt = tmp_path / "z.sqf"
+        make_zero_checkpoint(ckpt)
+        argv = {
+            "align": ["--manifest", manifest, "--out-dir", out],
+            "train": ["--config", write_train_config(tmp_path / "cfg.json", manifest, out)],
+            "evaluate": ["--checkpoint", ckpt, "--manifest", manifest, "--out", out / "r"],
+            "predict": ["--checkpoint", ckpt, "--manifest", manifest, "--out-dir", out],
+        }[command]
+        code, _, err = run_cli(command, *argv)
+        assert code == 2, err
+        assert f"{manifest}: frame_len_ms must be an integer >= 1, got {value!r}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_500ms_dataset_runs_with_no_grid_argument(self, tmp_path, run_cli):
+        videos = synth_generate(6, 3, (10, 16), [2, 3], 100.0)
+        for video in videos:
+            for track in video.tracks:
+                track.frame_len_ms = 500
+        raw, aligned, run_dir = tmp_path / "raw", tmp_path / "aligned", tmp_path / "run"
+        write_dataset(raw, zip(["train", "train", "devel"], videos))
+        code, _, err = run_cli("align", "--manifest", raw / "manifest.json", "--out-dir", aligned)
+        assert code == 0, err
+        manifest = load_manifest(aligned / "manifest.json")
+        assert manifest.frame_len_ms == 500
+        cfg = write_train_config(tmp_path / "cfg.json", aligned / "manifest.json", run_dir)
+        code, _, err = run_cli("train", "--config", cfg)
+        assert code == 0, err
+        ckpt = run_dir / "checkpoint.sqf"
+        report = tmp_path / "report.json"
+        code, _, err = run_cli("evaluate", "--checkpoint", ckpt,
+                               "--manifest", aligned / "manifest.json", "--out", report)
+        assert code == 0, err
+        model = load_checkpoint(ckpt).model
+        devel = load_fused_dataset(manifest, "devel", ["track0", "track1"])
+        expected = evaluate(model, devel, "arousal").to_dict()
+        assert report.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        code, _, err = run_cli("predict", "--checkpoint", ckpt,
+                               "--manifest", aligned / "manifest.json", "--out-dir", tmp_path / "p")
+        assert code == 0, err
+        for video in videos:
+            rows = (tmp_path / "p" / f"{video.video_id}_arousal.csv").read_text().splitlines()
+            frame_ms = [int(row.split(",")[0]) for row in rows[1:]]
+            assert frame_ms == [500 * j for j in range(video.n_frames)]

@@ -14,6 +14,7 @@ from seqfuse import (
     DimMismatchError,
     EmptyTrackError,
     FrameTrack,
+    LabeledSequence,
     LengthMismatchError,
     MalformedRowError,
     TokenFeature,
@@ -529,6 +530,11 @@ class TestFuse:
         with pytest.raises(LengthMismatchError):
             fuse([frame_track("a", a)], {"arousal": np.zeros(9)})
 
+    def test_labeled_sequence_tracks_on_two_grids(self):
+        tracks = [frame_track("a", np.zeros((4, 2))), FrameTrack("b", 1, 500, np.zeros((4, 1)))]
+        with pytest.raises(LengthMismatchError, match=r"frame_len_ms \[250, 500\]"):
+            LabeledSequence("v", tracks, {})
+
     def test_column_slice_recovers_tracks(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(6, 2))
@@ -671,14 +677,34 @@ class TestManifest:
             for track in video.tracks:
                 track.frame_len_ms = 500
         assert write_dataset(tmp_path, zip(["train", "test"], videos)) == 2
+        assert json.loads((tmp_path / "manifest.json").read_text())["frame_len_ms"] == 500
         manifest = load_manifest(tmp_path / "manifest.json")
+        assert manifest.frame_len_ms == 500
         assert [manifest.videos[v.video_id].partition for v in videos] == ["train", "test"]
         for video in videos:
-            back = load_labeled_sequence(manifest, video.video_id, None, 500)
+            back = load_labeled_sequence(manifest, video.video_id)
             for target, values in video.labels.items():
                 assert np.array_equal(back.labels[target], values)
             for track, again in zip(video.tracks, back.tracks):
                 assert np.array_equal(again.frames, track.frames)
+
+    def test_track_off_the_grid_rejected_before_any_file(self, tmp_path):
+        (video,) = synth_generate(3, 1, (6, 6), [2, 3], 100.0)
+        video.tracks[1].frame_len_ms = 500
+        with pytest.raises(LengthMismatchError, match=r"video000: .*\[250, 500\]"):
+            write_dataset(tmp_path, [("train", video)])
+        assert [list(tmp_path.glob(f"{d}/*")) for d in ("features", "labels")] == [[], []]
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_later_sequence_on_another_grid_rejected_before_its_files(self, tmp_path):
+        first, second = synth_generate(3, 2, (6, 6), [2, 3], 100.0)
+        for track in second.tracks:
+            track.frame_len_ms = 500
+        with pytest.raises(LengthMismatchError, match="video001"):
+            write_dataset(tmp_path, [("train", first), ("devel", second)])
+        written = sorted(p.name for p in tmp_path.glob("*/*"))
+        assert written and all(name.startswith("video000_") for name in written)
+        assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("name", ["../x", "a\\b", "a\0b"], ids=["slash", "backslash", "nul"])
     @pytest.mark.parametrize("where", ["video", "track", "target"])
