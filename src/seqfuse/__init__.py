@@ -33,6 +33,7 @@ from .featureio import (
     TokenFeature,
     TokenTrack,
     VideoEntry,
+    align_dataset,
     align_tokens_to_frames,
     fuse,
     load_fused_dataset,

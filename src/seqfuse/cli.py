@@ -21,11 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EmptyDatasetError, InputError
+from .errors import ConfigError, DimMismatchError, EmptyDatasetError, InputError
 from .featureio import (
     PARTITIONS,
+    FusedSequence,
+    Manifest,
+    align_dataset,
     load_fused_dataset,
-    load_labeled_sequence,
     load_manifest,
     synth_generate,
     write_dataset,
@@ -33,6 +35,7 @@ from .featureio import (
 from .metrics import evaluate
 from .nn import predict
 from .training import (
+    Checkpoint,
     TrainConfig,
     load_checkpoint,
     save_checkpoint,
@@ -82,12 +85,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_align(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
-    videos = (
-        (entry.partition, load_labeled_sequence(manifest, vid, list(entry.features)))
-        for vid, entry in manifest.videos.items()
-    )
     out_dir = Path(args.out_dir)
-    n_videos = write_dataset(out_dir, videos)
+    n_videos = align_dataset(manifest, out_dir)
     print(f"aligned {n_videos} videos into {out_dir}")
     return 0
 
@@ -165,8 +164,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     devel_set = load_fused_dataset(manifest, "devel", run.train.track_order)
     ckpt, history = train(train_set, devel_set, run.train)
     run.out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(ckpt, run.out_dir / CHECKPOINT_NAME)
+    # The checkpoint goes last, so a failed run never leaves one that looks finished.
     write_history_csv(history, run.out_dir / HISTORY_NAME)
+    save_checkpoint(ckpt, run.out_dir / CHECKPOINT_NAME)
     print(
         f"best devel CCC {fmt_float(ckpt.best_ccc)} at epoch {ckpt.best_epoch}; "
         f"checkpoint written to {run.out_dir / CHECKPOINT_NAME}"
@@ -179,10 +179,25 @@ def cmd_train(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def _load_scored_partition(
+    args: argparse.Namespace,
+) -> tuple[Checkpoint, Manifest, list[FusedSequence]]:
+    """The checkpoint, and the partition it scores, whose tracks must have its dims."""
     ckpt = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
     dataset = load_fused_dataset(manifest, args.partition, list(ckpt.config.track_order))
+    trained = dict(ckpt.track_dims)
+    for name, dim in dataset[0].track_dims if dataset else ():
+        if trained.get(name, dim) != dim:
+            raise DimMismatchError(
+                f"{args.manifest}: track {name!r} has dim {dim}, but checkpoint "
+                f"{args.checkpoint} was trained on dim {trained[name]}"
+            )
+    return ckpt, manifest, dataset
+
+
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    ckpt, _, dataset = _load_scored_partition(args)
     report = evaluate(ckpt.model, dataset, ckpt.config.target)
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.out is not None:
@@ -195,9 +210,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    manifest = load_manifest(args.manifest)
-    dataset = load_fused_dataset(manifest, args.partition, list(ckpt.config.track_order))
+    ckpt, manifest, dataset = _load_scored_partition(args)
     if not dataset:
         raise EmptyDatasetError(f"partition {args.partition!r} has no videos to predict")
     out_dir = Path(args.out_dir)

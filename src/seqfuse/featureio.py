@@ -29,7 +29,8 @@ Dataset manifest JSON::
                    "labels": {"arousal": "labels/vid001_arousal.csv"}}}}
 
 The optional ``frame_len_ms`` (an integer >= 1, 250 when absent) is the
-dataset's frame grid; the 250 of the CSV formats above stands for it.
+dataset's frame grid; the 250 of the CSV formats above stands for it. No
+other top-level key is accepted.
 Relative paths are resolved against the manifest's directory. Video ids,
 track names and targets become parts of file names, so a name holding ``/``,
 ``\\`` or NUL is rejected when the manifest is loaded. Floats are written
@@ -66,8 +67,11 @@ share one cell text.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import repeat, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -689,6 +693,9 @@ def load_manifest(path: str | Path) -> Manifest:
     raw = read_json_object(path, "manifest")
     if not isinstance(raw.get("videos"), dict):
         raise ConfigError(f"{path}: manifest must contain a 'videos' object")
+    unknown = sorted(set(raw) - {"videos", "frame_len_ms"})
+    if unknown:
+        raise ConfigError(f"{path}: unknown manifest keys: {', '.join(map(repr, unknown))}")
     frame_len_ms = raw.get("frame_len_ms", DEFAULT_FRAME_LEN_MS)
     if type(frame_len_ms) is not int or frame_len_ms < 1:  # bools are rejected too
         raise ConfigError(
@@ -741,26 +748,76 @@ def save_manifest(manifest: Manifest, path: str | Path) -> None:
     write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _make_tree_dirs(out_dir: Path) -> None:
+    (out_dir / "features").mkdir(parents=True, exist_ok=True)
+    (out_dir / "labels").mkdir(parents=True, exist_ok=True)
+
+
+def _video_files(
+    video_id: str, targets: Iterable[str], tracks: Iterable[str]
+) -> tuple[dict[str, str], dict[str, str]]:
+    """Relative paths of one video's label and feature files in a dataset tree."""
+    return (
+        {target: f"labels/{video_id}_{target}.csv" for target in targets},
+        {track: f"features/{video_id}_{track}.csv" for track in tracks},
+    )
+
+
+def _write_video(
+    partition: str, seq: LabeledSequence, frame_len_ms: int, claim
+) -> VideoEntry:
+    """Write one sequence's label files, then its tracks; returns its manifest entry.
+
+    Labels are copied byte for byte from ``label_bytes`` where the sequence
+    kept them and formatted on ``frame_len_ms`` otherwise; tracks are written
+    as frame-aligned Feature CSVs. ``claim(relpath)`` gives the path to write
+    each file to, and may refuse it. A track off ``frame_len_ms`` raises
+    LengthMismatchError before any file is written.
+    """
+    grids = {tr.frame_len_ms for tr in seq.tracks}
+    if grids != {frame_len_ms}:
+        raise LengthMismatchError(
+            f"{seq.video_id}: tracks on frame_len_ms {sorted(grids)}, "
+            f"the dataset on {frame_len_ms}"
+        )
+    labels, features = _video_files(seq.video_id, seq.labels, [tr.name for tr in seq.tracks])
+    for target, values in seq.labels.items():
+        path = claim(labels[target])
+        if target in seq.label_bytes:
+            write_atomic(path, seq.label_bytes[target])
+        else:
+            write_label_csv(path, values, frame_len_ms)
+    for track in seq.tracks:
+        write_feature_csv(claim(features[track.name]), frame_track_to_tokens(track))
+    return VideoEntry(partition, features, labels)
+
+
 def write_dataset(
-    out_dir: str | Path, videos: Iterable[tuple[str, LabeledSequence]]
+    out_dir: str | Path,
+    videos: Iterable[tuple[str, LabeledSequence]],
+    frame_len_ms: int | None = None,
+    entries: dict[str, VideoEntry] | None = None,
 ) -> int:
     """Write ``(partition, sequence)`` pairs as a dataset tree; returns the video count.
 
     Each sequence is written as it is drawn from ``videos``: its label files,
-    copied byte for byte from ``label_bytes`` where the sequence kept them and
-    formatted on its frame grid otherwise, then its tracks as frame-aligned
-    Feature CSVs. A sequence with a track off the first sequence's frame grid
-    raises LengthMismatchError before its files are written, and a file name
-    written twice raises ConfigError before the second write.
+    then its tracks. The tree's frame grid is ``frame_len_ms``, or the first
+    sequence's when that is None; a sequence with a track off the grid raises
+    LengthMismatchError before its files are written, and a file name
+    written twice raises ConfigError before the second write. ``entries``
+    holds videos whose files the caller already wrote into the tree; their
+    file names count as written, and they come first in the manifest.
     ``manifest.json``, which records the grid, is written last, so a failure
     leaves none.
     """
     out_dir = Path(out_dir)
-    (out_dir / "features").mkdir(parents=True, exist_ok=True)
-    (out_dir / "labels").mkdir(parents=True, exist_ok=True)
-    entries: dict[str, VideoEntry] = {}
-    frame_len_ms = None
-    written: set[str] = set()
+    _make_tree_dirs(out_dir)
+    entries = dict(entries or {})
+    written = {
+        relpath
+        for entry in entries.values()
+        for relpath in (*entry.labels.values(), *entry.features.values())
+    }
 
     def claim(relpath: str) -> Path:
         # Names are joined with "_", so two entries can map to one file name.
@@ -771,27 +828,117 @@ def write_dataset(
 
     for partition, seq in videos:
         frame_len_ms = frame_len_ms or seq.tracks[0].frame_len_ms
-        grids = {tr.frame_len_ms for tr in seq.tracks}
-        if grids != {frame_len_ms}:
-            raise LengthMismatchError(
-                f"{seq.video_id}: tracks on frame_len_ms {sorted(grids)}, "
-                f"the dataset on {frame_len_ms}"
-            )
-        labels = {}
-        for target, values in seq.labels.items():
-            relpath = labels[target] = f"labels/{seq.video_id}_{target}.csv"
-            if target in seq.label_bytes:
-                write_atomic(claim(relpath), seq.label_bytes[target])
-            else:
-                write_label_csv(claim(relpath), values, frame_len_ms)
-        features = {}
-        for track in seq.tracks:
-            relpath = features[track.name] = f"features/{seq.video_id}_{track.name}.csv"
-            write_feature_csv(claim(relpath), frame_track_to_tokens(track))
-        entries[seq.video_id] = VideoEntry(partition, features, labels)
+        entries[seq.video_id] = _write_video(partition, seq, frame_len_ms, claim)
     manifest = Manifest(entries, out_dir, frame_len_ms or DEFAULT_FRAME_LEN_MS)
     save_manifest(manifest, out_dir / "manifest.json")
     return len(entries)
+
+
+# Bytes of feature and label input from which ``align_dataset`` aligns its
+# videos in worker processes. Measured on a 2-CPU Xeon with BLAS pinned to one
+# thread: starting the pool costs about 45 ms, and serial alignment runs at
+# about 17 MB of input per second, so the pool breaks even near 1.6 MB. The
+# benchmark's train-small input (0.23 MB) stays serial; ingest-wide (23.1 MB)
+# goes to the pool.
+POOL_MIN_INPUT_BYTES = 4 << 20
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _input_bytes(manifest: Manifest) -> int:
+    """Bytes on disk of the manifest's feature and label files.
+
+    Never raises: a path that is missing, not a regular file or that the OS
+    cannot take counts 0, and the reader reports it when the video is loaded.
+    """
+    total = 0
+    for entry in manifest.videos.values():
+        for relpath in (*entry.features.values(), *entry.labels.values()):
+            try:
+                info = manifest.resolve(relpath).stat()
+            except (OSError, ValueError):
+                continue
+            if stat.S_ISREG(info.st_mode):
+                total += info.st_size
+    return total
+
+
+def _pooled_videos(manifest: Manifest) -> list[str]:
+    """The videos that ``align_dataset`` hands to worker processes, in manifest order.
+
+    Empty unless there are two usable CPUs, two videos and
+    POOL_MIN_INPUT_BYTES of input; then every video before the first one
+    that would write a file name an earlier video wrote.
+    """
+    if _usable_cpus() < 2 or len(manifest.videos) < 2:
+        return []
+    if _input_bytes(manifest) < POOL_MIN_INPUT_BYTES:
+        return []
+    pooled, written = [], set()
+    for vid, entry in manifest.videos.items():
+        labels, features = _video_files(vid, entry.labels, entry.features)
+        names = [*labels.values(), *features.values()]
+        if not written.isdisjoint(names):
+            break
+        written.update(names)
+        pooled.append(vid)
+    return pooled
+
+
+def _load_for_align(manifest: Manifest, video_id: str) -> LabeledSequence:
+    return load_labeled_sequence(manifest, video_id, list(manifest.videos[video_id].features))
+
+
+def _align_video(manifest: Manifest, video_id: str, out_dir: Path) -> VideoEntry:
+    """Load and write one video into the tree at ``out_dir``; runs in a worker process.
+
+    The caller has checked that no other video writes the same file names.
+    """
+    seq = _load_for_align(manifest, video_id)
+    partition = manifest.videos[video_id].partition
+    return _write_video(partition, seq, manifest.frame_len_ms, out_dir.joinpath)
+
+
+def align_dataset(manifest: Manifest, out_dir: str | Path) -> int:
+    """Align every manifest video onto its frame grid and write the tree; returns the count.
+
+    Each video's features and labels are loaded with
+    :func:`load_labeled_sequence` in manifest track order and written as by
+    :func:`write_dataset`, with the same bytes, errors and ``manifest.json``
+    written last. On a large input (see POOL_MIN_INPUT_BYTES) the videos are
+    loaded and written in forked worker processes, one per usable CPU at
+    most; each writes its own files and returns only its manifest entry.
+    Results are taken in manifest order, so the first failing video's error
+    is raised, and videos from the first file name collision on are written
+    in this process, which raises the collision as a serial run would. The
+    workers are forked, so a caller that runs threads of its own should not
+    call this on a large input.
+    """
+    out_dir = Path(out_dir)
+    pooled = _pooled_videos(manifest)
+    entries = {}
+    if pooled:
+        # Imported here because these modules add about 2 MB to every process
+        # that imports the package, and only large inputs use them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        _make_tree_dirs(out_dir)
+        workers = min(_usable_cpus(), len(pooled))
+        # Forked, a worker starts in milliseconds with the package imported;
+        # spawned, it would import numpy again. The CLI starts no threads of
+        # its own, and numpy's BLAS pool guards itself across fork.
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            results = pool.map(_align_video, repeat(manifest), pooled, repeat(out_dir))
+            entries = dict(zip(pooled, results))
+    rest = (
+        (manifest.videos[vid].partition, _load_for_align(manifest, vid))
+        for vid in manifest.video_ids()[len(pooled) :]
+    )
+    return write_dataset(out_dir, rest, manifest.frame_len_ms, entries)
 
 
 def load_labeled_sequence(
@@ -829,12 +976,31 @@ def load_labeled_sequence(
     return LabeledSequence(video_id, tracks, labels, label_bytes)
 
 
+def check_same_tracks(seq: FusedSequence, reference: FusedSequence) -> None:
+    """Raise DimMismatchError naming the first track where ``seq`` and ``reference`` differ.
+
+    Both must carry track metadata; names and dims are compared in order.
+    """
+    pairs = zip_longest(seq.track_dims, reference.track_dims, fillvalue=(None, None))
+    for (name, dim), (ref_name, ref_dim) in pairs:
+        if (name, dim) != (ref_name, ref_dim):
+            raise DimMismatchError(
+                f"{seq.video_id}: track {name!r} has dim {dim} where "
+                f"{reference.video_id} has track {ref_name!r} of dim {ref_dim}"
+            )
+
+
 def load_fused_dataset(
     manifest: Manifest, partition: str, track_order: list[str] | None = None
 ) -> list[FusedSequence]:
-    """Fused sequences for one partition, in manifest video order."""
+    """Fused sequences for one partition, in manifest video order.
+
+    Every video must have the first one's tracks with the same dims, or
+    DimMismatchError names the first track that differs.
+    """
     sequences = []
     for vid in manifest.video_ids(partition):
         seq = load_labeled_sequence(manifest, vid, track_order)
         sequences.append(fuse(seq.tracks, seq.labels, video_id=vid))
+        check_same_tracks(sequences[-1], sequences[0])
     return sequences

@@ -34,7 +34,7 @@ from .errors import (
     TargetMissingError,
     VersionMismatchError,
 )
-from .featureio import FusedSequence, check_name
+from .featureio import FusedSequence, check_name, check_same_tracks
 from .metrics import evaluate
 from .nn import Model, ParamSpec, backward, forward, init_model, param_layout
 from .util import _UINT64_MASK, fmt_float, read_input, seeded_rng, write_atomic
@@ -170,11 +170,23 @@ def adam_step(
             f"parameters {shape}"
         )
     step = state.step + 1
-    m = b1 * state.m + (1.0 - b1) * grads
-    v = b2 * state.v + (1.0 - b2) * grads * grads
-    m_hat = m / (1.0 - b1**step)
-    v_hat = v / (1.0 - b2**step)
-    params = model.params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    # The textbook update, in this operation order, written into four buffers:
+    # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
+    # params - lr*(m/(1-b1**step)) / (sqrt(v/(1-b2**step)) + eps).
+    tmp = np.multiply(grads, 1.0 - b1)
+    m = np.multiply(state.m, b1)
+    m += tmp
+    np.multiply(grads, 1.0 - b2, out=tmp)
+    tmp *= grads
+    v = np.multiply(state.v, b2)
+    v += tmp
+    params = np.divide(v, 1.0 - b2**step)
+    np.sqrt(params, out=params)
+    params += eps
+    np.divide(m, 1.0 - b1**step, out=tmp)
+    tmp *= lr
+    tmp /= params
+    np.subtract(model.params, tmp, out=params)
     return Model(model.dims, params), AdamState(m, v, step)
 
 
@@ -250,6 +262,9 @@ def train(
                 f"fused track order {names} does not match configured "
                 f"{list(config.track_order)}"
             )
+        for seq in (*train_set, *devel_set):
+            if seq.track_dims is not None:
+                check_same_tracks(seq, train_set[0])
     else:
         track_dims = (("fused", input_dim),)
 
@@ -400,13 +415,28 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     payload = data[8 + header_len :]
     try:
         config = TrainConfig(**header["config"])
-        track_dims = tuple((str(n), int(d)) for n, d in header["track_dims"])
+        track_dims = tuple((n, d) for n, d in header["track_dims"])
         best_ccc = float(header["best_ccc"])
-        best_epoch = int(header["best_epoch"])
+        best_epoch = header["best_epoch"]
         dims = header["dims"]
         layout = param_layout(dims)
     except (KeyError, TypeError, ValueError, ConfigError, DimMismatchError) as exc:
         raise CorruptCheckpointError(f"{path}: bad header fields: {exc}") from exc
+    # Checked as TrainConfig checks its int fields: bools, floats and strings are refused.
+    ints = [("best_epoch", best_epoch, 0)]
+    ints += [(f"track {name!r} dim", dim, 1) for name, dim in track_dims]
+    for what, value, least in ints:
+        if type(value) is not int or value < least:
+            raise CorruptCheckpointError(
+                f"{path}: {what} must be an integer >= {least}, got {value!r}"
+            )
+    if not all(isinstance(name, str) for name, _ in track_dims):
+        raise CorruptCheckpointError(f"{path}: track names must be strings")
+    if sum(dim for _, dim in track_dims) != dims["D"]:
+        raise CorruptCheckpointError(
+            f"{path}: track dims sum to {sum(dim for _, dim in track_dims)}, "
+            f"the model takes D={dims['D']}"
+        )
 
     if header.get("params") != _param_specs(layout):
         raise CorruptCheckpointError(

@@ -1,5 +1,8 @@
+import concurrent.futures
 import hashlib
 import json
+import os
+import struct
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ from seqfuse import (
     synth_generate,
     write_dataset,
 )
+from seqfuse import featureio
 from seqfuse.cli import main as cli_main
 
 
@@ -169,6 +173,56 @@ GOLDEN_ALIGN_SHA256 = {
 }
 
 
+def assert_align_golden_bytes(tmp_path, run_cli):
+    data = tmp_path / "data"
+    for relpath, text in GOLDEN_ALIGN_INPUTS.items():
+        (data / relpath).parent.mkdir(parents=True, exist_ok=True)
+        (data / relpath).write_text(text)
+    videos = {
+        vid: {
+            "partition": "train",
+            "features": {t: f"features/{vid}_{t}.csv" for t in ("text", "video")},
+            "labels": {"arousal": f"labels/{vid}_arousal.csv"},
+        }
+        for vid in ("v1", "v2")
+    }
+    (data / "manifest.json").write_text(json.dumps({"videos": videos}))
+    out = tmp_path / "out"
+    code, _, err = run_cli("align", "--manifest", data / "manifest.json", "--out-dir", out)
+    assert code == 0, err
+    digests = {name: hashlib.sha256(b).hexdigest() for name, b in tree_bytes(out).items()}
+    assert digests == GOLDEN_ALIGN_SHA256
+
+
+# Two videos whose file names collide: (video id, (track, target)) per video,
+# and the file name both map to.
+COLLISION_CASES = [
+    ({"a_b": ("c", "arousal"), "a": ("b_c", "arousal")}, "features/a_b_c.csv"),
+    ({"a_b": ("t", "arousal"), "a": ("u", "b_arousal")}, "labels/a_b_arousal.csv"),
+]
+
+
+def assert_collision_exit_2_without_overwriting(tmp_path, run_cli, entries, collision):
+    data = tmp_path / "data"
+    data.mkdir()
+    videos = {}
+    for k, (vid, (track, target)) in enumerate(entries.items()):
+        (data / f"f{k}.csv").write_text(f"start_ms,end_ms,f0\n0,500,0.{k}5\n")
+        (data / f"l{k}.csv").write_text(f"frame_ms,value\n0,0.{k}5\n250,0.{k}5\n")
+        videos[vid] = {
+            "partition": "train",
+            "features": {track: f"f{k}.csv"},
+            "labels": {target: f"l{k}.csv"},
+        }
+    (data / "manifest.json").write_text(json.dumps({"videos": videos}))
+    out = tmp_path / "out"
+    code, _, err = run_cli("align", "--manifest", data / "manifest.json", "--out-dir", out)
+    assert code == 2, err
+    assert f"{out / collision}: two dataset entries" in err and "Traceback" not in err
+    assert ",0.05\n" in (out / collision).read_text()  # the first video's
+    assert not (out / "manifest.json").exists()
+
+
 class TestAlign:
     def test_already_aligned_is_fixed_point(self, synth_dir, tmp_path, run_cli):
         out = tmp_path / "aligned"
@@ -251,24 +305,7 @@ class TestAlign:
         assert {p.name: p.read_bytes() for p in (out / "labels").iterdir()} == sources
 
     def test_golden_bytes(self, tmp_path, run_cli):
-        data = tmp_path / "data"
-        for relpath, text in GOLDEN_ALIGN_INPUTS.items():
-            (data / relpath).parent.mkdir(parents=True, exist_ok=True)
-            (data / relpath).write_text(text)
-        videos = {
-            vid: {
-                "partition": "train",
-                "features": {t: f"features/{vid}_{t}.csv" for t in ("text", "video")},
-                "labels": {"arousal": f"labels/{vid}_arousal.csv"},
-            }
-            for vid in ("v1", "v2")
-        }
-        (data / "manifest.json").write_text(json.dumps({"videos": videos}))
-        out = tmp_path / "out"
-        code, _, err = run_cli("align", "--manifest", data / "manifest.json", "--out-dir", out)
-        assert code == 0, err
-        digests = {name: hashlib.sha256(b).hexdigest() for name, b in tree_bytes(out).items()}
-        assert digests == GOLDEN_ALIGN_SHA256
+        assert_align_golden_bytes(tmp_path, run_cli)
 
     def test_rebins_unaligned_tokens(self, tmp_path, run_cli):
         data = tmp_path / "data"
@@ -297,35 +334,11 @@ class TestAlign:
         assert lines[1] == "0,250,3.0"  # mean of 2.0 and 4.0
         assert lines[2] == "250,500,2.0"  # only the long token overlaps
 
-    @pytest.mark.parametrize(
-        "entries,collision",
-        [
-            ({"a_b": ("c", "arousal"), "a": ("b_c", "arousal")}, "features/a_b_c.csv"),
-            ({"a_b": ("t", "arousal"), "a": ("u", "b_arousal")}, "labels/a_b_arousal.csv"),
-        ],
-        ids=["features", "labels"],
-    )
+    @pytest.mark.parametrize("entries,collision", COLLISION_CASES, ids=["features", "labels"])
     def test_colliding_file_names_exit_2_without_overwriting(
         self, tmp_path, run_cli, entries, collision
     ):
-        data = tmp_path / "data"
-        data.mkdir()
-        videos = {}
-        for k, (vid, (track, target)) in enumerate(entries.items()):
-            (data / f"f{k}.csv").write_text(f"start_ms,end_ms,f0\n0,500,0.{k}5\n")
-            (data / f"l{k}.csv").write_text(f"frame_ms,value\n0,0.{k}5\n250,0.{k}5\n")
-            videos[vid] = {
-                "partition": "train",
-                "features": {track: f"f{k}.csv"},
-                "labels": {target: f"l{k}.csv"},
-            }
-        (data / "manifest.json").write_text(json.dumps({"videos": videos}))
-        out = tmp_path / "out"
-        code, _, err = run_cli("align", "--manifest", data / "manifest.json", "--out-dir", out)
-        assert code == 2, err
-        assert f"{out / collision}: two dataset entries" in err and "Traceback" not in err
-        assert ",0.05\n" in (out / collision).read_text()  # the first video's
-        assert not (out / "manifest.json").exists()
+        assert_collision_exit_2_without_overwriting(tmp_path, run_cli, entries, collision)
 
 
 class TestTrain:
@@ -449,6 +462,24 @@ class TestTrain:
         assert f"{field} must be a path string" in err and "Traceback" not in err
         assert not run_dir.exists()
 
+    def test_unwritable_history_leaves_no_checkpoint(self, synth_dir, tmp_path, run_cli):
+        run_dir = tmp_path / "run"
+        (run_dir / "history.csv").mkdir(parents=True)
+        cfg = write_train_config(tmp_path / "cfg.json", synth_dir / "manifest.json", run_dir)
+        code, _, err = run_cli("train", "--config", cfg)
+        assert code == 3, err
+        assert "history.csv" in err
+        assert not (run_dir / "checkpoint.sqf").exists()
+
+    def test_devel_tracks_with_other_dims_exit_2(self, tmp_path, run_cli):
+        manifest = write_mixed_dims_dataset(tmp_path / "raw", "devel")
+        run_dir = tmp_path / "run"
+        cfg = write_train_config(tmp_path / "cfg.json", manifest, run_dir)
+        code, _, err = run_cli("train", "--config", cfg)
+        assert code == 2, err
+        assert "video003: track 'track0' has dim 3" in err and "Traceback" not in err
+        assert not run_dir.exists()
+
     def test_default_track_order_from_manifest(self, synth_dir, tmp_path, run_cli):
         run_dir = tmp_path / "run"
         cfg = write_train_config(tmp_path / "cfg.json", synth_dir / "manifest.json",
@@ -457,6 +488,15 @@ class TestTrain:
         assert code == 0, err
         ckpt = load_checkpoint(run_dir / "checkpoint.sqf")
         assert list(ckpt.config.track_order) == ["track0", "track1"]
+
+
+def write_mixed_dims_dataset(root, odd_partition):
+    """Two train videos and one devel video on dims 2,3, plus video003 on dims 3,2."""
+    videos = synth_generate(5, 3, (8, 14), [2, 3], 100.0)
+    (odd,) = synth_generate(6, 1, (8, 14), [3, 2], 100.0)
+    odd.video_id = "video003"
+    write_dataset(root, zip(["train", "train", "devel", odd_partition], [*videos, odd]))
+    return root / "manifest.json"
 
 
 def make_zero_checkpoint(path, D=5, head_out_bias=0.0, track_dims=(("track0", 2), ("track1", 3))):
@@ -517,6 +557,67 @@ class TestEvaluate:
         code, _, err = run_cli("evaluate", "--checkpoint", tmp_path / "trunc.sqf",
                                "--manifest", synth_dir / "manifest.json")
         assert code == 2
+
+
+class TestTrackDims:
+    """A loaded partition has one set of track dims, and it must be the checkpoint's."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_dataset_dims_other_than_the_checkpoints_exit_2(self, tmp_path, run_cli, command):
+        raw = tmp_path / "raw"
+        code, _, err = run_cli("synth", "--out-dir", raw, "--seed", 5, "--n-train", 2,
+                               "--n-devel", 1, "--dims", "3,2", "--t-range", "8:14")
+        assert code == 0, err
+        ckpt = tmp_path / "z.sqf"
+        make_zero_checkpoint(ckpt)  # trained on track0:2, track1:3
+        out = tmp_path / "out"
+        argv = {
+            "evaluate": ["--out", out / "report.json"],
+            "predict": ["--out-dir", out],
+        }[command]
+        code, _, err = run_cli(command, "--checkpoint", ckpt, "--manifest", raw / "manifest.json",
+                               *argv)
+        assert code == 2, err
+        assert (
+            f"{raw / 'manifest.json'}: track 'track0' has dim 3, but checkpoint {ckpt} "
+            "was trained on dim 2"
+        ) in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_partition_with_two_sets_of_dims_exit_2(self, tmp_path, run_cli, command):
+        manifest = write_mixed_dims_dataset(tmp_path / "raw", "train")
+        ckpt = tmp_path / "z.sqf"
+        make_zero_checkpoint(ckpt)
+        out = tmp_path / "out"
+        argv = {
+            "evaluate": ["--out", out / "report.json", "--partition", "train"],
+            "predict": ["--out-dir", out, "--partition", "train"],
+        }[command]
+        code, _, err = run_cli(command, "--checkpoint", ckpt, "--manifest", manifest, *argv)
+        assert code == 2, err
+        assert "video003: track 'track0' has dim 3 where video000 has track 'track0' of dim 2" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("value", [float("inf"), 1.5, True], ids=["inf", "float", "bool"])
+    @pytest.mark.parametrize("field", ["best_epoch", "dim"])
+    def test_bad_header_integer_exit_2(self, synth_dir, tmp_path, run_cli, field, value):
+        ckpt = tmp_path / "z.sqf"
+        make_zero_checkpoint(ckpt)
+        data = ckpt.read_bytes()
+        (n,) = struct.unpack("<I", data[4:8])
+        header = json.loads(data[8 : 8 + n])
+        if field == "best_epoch":
+            header["best_epoch"] = value
+        else:
+            header["track_dims"][0][1] = value
+        raw = json.dumps(header, sort_keys=True).encode()
+        ckpt.write_bytes(data[:4] + struct.pack("<I", len(raw)) + raw + data[8 + n :])
+        code, _, err = run_cli("evaluate", "--checkpoint", ckpt,
+                               "--manifest", synth_dir / "manifest.json")
+        assert code == 2, err
+        assert f"{ckpt}: " in err and "must be an integer >= " in err
+        assert "Traceback" not in err
 
 
 class TestPredict:
@@ -668,55 +769,59 @@ INPUT_CASES = [
 ]
 
 
+def assert_bad_input_file_exit_2_naming_path(synth_dir, tmp_path, run_cli, kind, command, fault):
+    manifest = synth_dir / "manifest.json"
+    raw = json.loads(manifest.read_text())
+    entry = next(iter(raw["videos"].values()))
+    ckpt = tmp_path / "z.sqf"
+    make_zero_checkpoint(ckpt)
+    cfg = write_train_config(tmp_path / "cfg.json", manifest, tmp_path / "run")
+    victim = {
+        "feature": synth_dir / entry["features"]["track0"],
+        "label": synth_dir / entry["labels"]["arousal"],
+        "manifest": manifest,
+        "config": cfg,
+        "checkpoint": ckpt,
+    }[kind]
+    if fault == "nul":
+        # The file stays intact; the path that names it gains a NUL byte.
+        victim = Path(f"{victim}\0")
+        if kind in ("feature", "label"):
+            key, name = ("features", "track0") if kind == "feature" else ("labels", "arousal")
+            entry[key][name] += "\0"
+            manifest.write_text(json.dumps(raw))
+        elif kind == "manifest":
+            manifest = victim
+            write_train_config(cfg, manifest, tmp_path / "run")
+        elif kind == "config":
+            cfg = victim
+        else:
+            ckpt = victim
+    argv = {
+        "align": ["align", "--manifest", manifest, "--out-dir", tmp_path / "out"],
+        "train": ["train", "--config", cfg],
+        "evaluate": ["evaluate", "--checkpoint", ckpt, "--manifest", manifest,
+                     "--partition", "all"],
+        "predict": ["predict", "--checkpoint", ckpt, "--manifest", manifest,
+                    "--out-dir", tmp_path / "preds"],
+    }[command]
+    if fault != "nul":
+        corrupt(victim, fault)
+    code, _, err = run_cli(*argv)
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert (repr(str(victim)) if fault == "nul" else str(victim)) in err
+    if fault == "non-utf8" and kind != "checkpoint":
+        assert f"{victim}:2: not UTF-8" in err
+
+
 class TestInputFileContract:
     @pytest.mark.parametrize("fault", ["missing", "directory", "non-utf8", "nul"])
     @pytest.mark.parametrize("kind, command", INPUT_CASES, ids=[f"{k}-{c}" for k, c in INPUT_CASES])
     def test_bad_input_file_exit_2_naming_path(
         self, synth_dir, tmp_path, run_cli, kind, command, fault
     ):
-        manifest = synth_dir / "manifest.json"
-        raw = json.loads(manifest.read_text())
-        entry = next(iter(raw["videos"].values()))
-        ckpt = tmp_path / "z.sqf"
-        make_zero_checkpoint(ckpt)
-        cfg = write_train_config(tmp_path / "cfg.json", manifest, tmp_path / "run")
-        victim = {
-            "feature": synth_dir / entry["features"]["track0"],
-            "label": synth_dir / entry["labels"]["arousal"],
-            "manifest": manifest,
-            "config": cfg,
-            "checkpoint": ckpt,
-        }[kind]
-        if fault == "nul":
-            # The file stays intact; the path that names it gains a NUL byte.
-            victim = Path(f"{victim}\0")
-            if kind in ("feature", "label"):
-                key, name = ("features", "track0") if kind == "feature" else ("labels", "arousal")
-                entry[key][name] += "\0"
-                manifest.write_text(json.dumps(raw))
-            elif kind == "manifest":
-                manifest = victim
-                write_train_config(cfg, manifest, tmp_path / "run")
-            elif kind == "config":
-                cfg = victim
-            else:
-                ckpt = victim
-        argv = {
-            "align": ["align", "--manifest", manifest, "--out-dir", tmp_path / "out"],
-            "train": ["train", "--config", cfg],
-            "evaluate": ["evaluate", "--checkpoint", ckpt, "--manifest", manifest,
-                         "--partition", "all"],
-            "predict": ["predict", "--checkpoint", ckpt, "--manifest", manifest,
-                        "--out-dir", tmp_path / "preds"],
-        }[command]
-        if fault != "nul":
-            corrupt(victim, fault)
-        code, _, err = run_cli(*argv)
-        assert code == 2, err
-        assert "Traceback" not in err
-        assert (repr(str(victim)) if fault == "nul" else str(victim)) in err
-        if fault == "non-utf8" and kind != "checkpoint":
-            assert f"{victim}:2: not UTF-8" in err
+        assert_bad_input_file_exit_2_naming_path(synth_dir, tmp_path, run_cli, kind, command, fault)
 
     def test_align_failing_on_later_video_writes_no_manifest(self, synth_dir, tmp_path, run_cli):
         manifest = synth_dir / "manifest.json"
@@ -783,6 +888,23 @@ class TestFrameGrid:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_misspelt_grid_key_exit_2_naming_manifest_and_key(self, tmp_path, run_cli):
+        videos = synth_generate(6, 2, (10, 16), [2, 3], 100.0)
+        for video in videos:
+            for track in video.tracks:
+                track.frame_len_ms = 500
+        raw = tmp_path / "raw"
+        write_dataset(raw, zip(["train", "devel"], videos))
+        manifest = raw / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["frame_len"] = payload.pop("frame_len_ms")
+        manifest.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        code, _, err = run_cli("align", "--manifest", manifest, "--out-dir", out)
+        assert code == 2, err
+        assert f"{manifest}: unknown manifest keys: 'frame_len'" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_500ms_dataset_runs_with_no_grid_argument(self, tmp_path, run_cli):
         videos = synth_generate(6, 3, (10, 16), [2, 3], 100.0)
         for video in videos:
@@ -813,3 +935,87 @@ class TestFrameGrid:
             rows = (tmp_path / "p" / f"{video.video_id}_arousal.csv").read_text().splitlines()
             frame_ms = [int(row.split(",")[0]) for row in rows[1:]]
             assert frame_ms == [500 * j for j in range(video.n_frames)]
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    """Two usable CPUs, and a record of the worker count of every align pool started."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    started = []
+
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    return started
+
+
+@pytest.fixture
+def pooled(pool_spy, monkeypatch):
+    """Make ``align`` hand its videos to worker processes however small the input."""
+    monkeypatch.setattr(featureio, "POOL_MIN_INPUT_BYTES", 0)
+    return pool_spy
+
+
+class TestPooledAlign:
+    """``align`` in worker processes keeps the serial run's bytes, errors and exit codes."""
+
+    def test_golden_bytes(self, tmp_path, run_cli, pooled):
+        assert_align_golden_bytes(tmp_path, run_cli)
+        assert pooled == [2]
+
+    @pytest.mark.parametrize("entries,collision", COLLISION_CASES, ids=["features", "labels"])
+    def test_colliding_file_names_exit_2_without_overwriting(
+        self, tmp_path, run_cli, pooled, entries, collision
+    ):
+        assert_collision_exit_2_without_overwriting(tmp_path, run_cli, entries, collision)
+        assert pooled == [1]  # the video before the collision
+
+    @pytest.mark.parametrize("fault", ["missing", "directory", "non-utf8", "nul"])
+    @pytest.mark.parametrize("kind", ["feature", "label"])
+    def test_bad_input_file_exit_2_naming_path(
+        self, synth_dir, tmp_path, run_cli, pooled, kind, fault
+    ):
+        assert_bad_input_file_exit_2_naming_path(synth_dir, tmp_path, run_cli, kind, "align", fault)
+        assert pooled == [2]
+
+    def test_label_error_in_later_video_writes_no_manifest(
+        self, synth_dir, tmp_path, run_cli, pooled
+    ):
+        manifest = synth_dir / "manifest.json"
+        *_, last = json.loads(manifest.read_text())["videos"].values()
+        label = synth_dir / last["labels"]["valence"]
+        rows = label.read_text().splitlines()
+        rows[2] = rows[2].split(",")[0] + ",1.5"
+        label.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        code, _, err = run_cli("align", "--manifest", manifest, "--out-dir", out)
+        assert code == 2, err
+        assert f"{label}:3: label 1.5 outside [-1, 1]" in err and "Traceback" not in err
+        assert any((out / "features").iterdir())  # earlier videos were aligned
+        assert not (out / "manifest.json").exists()
+        assert pooled == [2]
+
+    def test_same_tree_just_below_and_at_the_threshold(self, tmp_path, run_cli, pool_spy):
+        raw = tmp_path / "raw"
+        write_dataset(raw, zip(["train", "devel"], synth_generate(1, 2, (230, 230), [200, 200], 100.0)))
+        manifest = load_manifest(raw / "manifest.json")
+        size = featureio._input_bytes(manifest)
+        assert size < featureio.POOL_MIN_INPUT_BYTES
+        # Blank lines are skipped by the reader, so padding changes only the size.
+        padded = manifest.resolve(manifest.videos["video001"].features["track1"])
+        with open(padded, "ab") as fh:
+            fh.write(b"\n" * (featureio.POOL_MIN_INPUT_BYTES - 1 - size))
+        trees = []
+        for extra in (b"", b"\n"):
+            with open(padded, "ab") as fh:
+                fh.write(extra)
+            out = tmp_path / f"out{len(trees)}"
+            code, _, err = run_cli("align", "--manifest", raw / "manifest.json", "--out-dir", out)
+            assert code == 0, err
+            trees.append(tree_bytes(out))
+        assert featureio._input_bytes(manifest) == featureio.POOL_MIN_INPUT_BYTES
+        assert pool_spy == [2]  # only the run at the threshold
+        assert trees[0] == trees[1]

@@ -167,6 +167,28 @@ class TestAdamStep:
         assert np.array_equal(a_state.m, b_state.m)
         assert np.array_equal(a_state.v, b_state.v)
 
+    def test_bitwise_equal_to_the_formula_and_inputs_untouched(self):
+        model = init_model(5, {"D": 7, "e": 3, "h": 4, "m": 3})
+        cfg = small_train_config(learning_rate=0.005)
+        b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
+        rng = np.random.default_rng(4)
+        state = init_adam_state(model)
+        params, m, v = model.params, state.m, state.v
+        for step in range(1, 6):
+            grads = rng.normal(size=model.params.shape) * 10.0 ** rng.integers(-8, 3)
+            inputs = [a.copy() for a in (model.params, grads, state.m, state.v)]
+            model, state = adam_step(model, grads, state, cfg)
+            for before, now in zip(inputs, (params, grads, m, v)):
+                assert np.array_equal(before, now)
+            m = b1 * m + (1.0 - b1) * grads
+            v = b2 * v + (1.0 - b2) * grads * grads
+            m_hat = m / (1.0 - b1**step)
+            v_hat = v / (1.0 - b2**step)
+            params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
+            for got, want in ((model.params, params), (state.m, m), (state.v, v)):
+                assert got.tobytes() == want.tobytes()
+            params, m, v = model.params, state.m, state.v
+
     def test_shape_mismatch(self):
         model = init_model(5, {"D": 3, "e": 3, "h": 4, "m": 3})
         grads = np.zeros(model.params.size - 1)
@@ -452,6 +474,33 @@ class TestCheckpointIo:
         save_checkpoint(_golden_checkpoint(), tmp_path / "g.sqf")
         _rewrite_header(tmp_path / "g.sqf", tmp_path / "bad.sqf", edit)
         with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(tmp_path / "bad.sqf")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("best_epoch", float("inf")),
+            ("best_epoch", 1.5),
+            ("best_epoch", True),
+            ("best_epoch", "0"),
+            ("best_epoch", -1),
+            ("track_dims", [["track0", float("inf")]]),
+            ("track_dims", [["track0", 5.0]]),
+            ("track_dims", [["track0", True], ["track1", 4]]),
+            ("track_dims", [["track0", 0], ["track1", 5]]),
+            ("track_dims", [[5, 5]]),
+            ("track_dims", [["track0", 4]]),
+        ],
+        ids=[
+            "epoch-inf", "epoch-float", "epoch-bool", "epoch-string", "epoch-negative",
+            "dim-inf", "dim-float", "dim-bool", "dim-zero", "name-int", "dims-sum",
+        ],
+    )
+    def test_bad_header_integer_rejected(self, tmp_path, field, value):
+        save_checkpoint(_golden_checkpoint(), tmp_path / "g.sqf")
+        _rewrite_header(tmp_path / "g.sqf", tmp_path / "bad.sqf",
+                        lambda header: header.update({field: value}))
+        with pytest.raises(CorruptCheckpointError, match="bad.sqf: "):
             load_checkpoint(tmp_path / "bad.sqf")
 
     @pytest.mark.parametrize("header", [b"[]", b'"SQF1"', b"3", b"null"])
