@@ -27,7 +27,6 @@ from .errors import (
 from .featureio import (
     DEFAULT_FRAME_LEN_MS,
     FrameTrack,
-    FusedSequence,
     LabeledSequence,
     Manifest,
     TokenFeature,

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, DimMismatchError, EmptyDatasetError, InputError
 from .featureio import (
     PARTITIONS,
-    FusedSequence,
+    LabeledSequence,
     Manifest,
     align_dataset,
     load_fused_dataset,
@@ -171,6 +171,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         f"best devel CCC {fmt_float(ckpt.best_ccc)} at epoch {ckpt.best_epoch}; "
         f"checkpoint written to {run.out_dir / CHECKPOINT_NAME}"
     )
+    # A finite blow-up can leave every trained epoch worse than the fresh model.
+    if history and ckpt.best_epoch == 0:
+        print(
+            "warning: no trained epoch beat the untrained model's devel CCC, so the "
+            "checkpoint holds epoch 0; largest epoch train loss "
+            f"{fmt_float(max(st.train_loss for st in history))}",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -181,7 +189,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _load_scored_partition(
     args: argparse.Namespace,
-) -> tuple[Checkpoint, Manifest, list[FusedSequence]]:
+) -> tuple[Checkpoint, Manifest, list[LabeledSequence]]:
     """The checkpoint, and the partition it scores, whose tracks must have its dims."""
     ckpt = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)

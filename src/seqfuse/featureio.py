@@ -62,6 +62,12 @@ operations; ``TokenTrack.tokens`` builds TokenFeature objects only when read.
 The writer formats each run of bit-identical rows once, so the repeated rows
 of an aligned track (a word spanning several frames, a pause between words)
 share one cell text.
+
+One video in memory is a LabeledSequence, from the loaders and
+``synth_generate`` through the writers, training and evaluation. It fuses
+its aligned FrameTracks once, when it is built, into the (t, D) matrix
+``data`` that the model reads; each track's ``frames`` is a view of its
+column block, so a loaded partition holds its frames once.
 """
 
 from __future__ import annotations
@@ -204,8 +210,12 @@ class FrameTrack:
 
 @dataclass(eq=False)
 class LabeledSequence:
-    """One video: aligned feature tracks plus per-frame labels in [-1, 1].
+    """One video: aligned feature tracks fused into one matrix, plus per-frame labels.
 
+    ``data`` is the (t, D) matrix of :func:`fuse`: the tracks' frames side by
+    side, in track order. Each track's ``frames`` is then a view of its column
+    block of ``data``, so the frames are held once. Every track must have t
+    frames on one frame grid, and every label array t values in [-1, 1].
     ``label_bytes`` holds, per target, the label file's bytes exactly as they
     were read and validated, when the sequence was loaded from files.
     """
@@ -214,6 +224,7 @@ class LabeledSequence:
     tracks: list[FrameTrack]
     labels: dict[str, np.ndarray]
     label_bytes: dict[str, bytes] = field(default_factory=dict, repr=False)
+    data: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.tracks:
@@ -242,60 +253,23 @@ class LabeledSequence:
                 raise MalformedRowError(f"{self.video_id}: non-finite label")
             if np.any(values < -1.0) or np.any(values > 1.0):
                 raise MalformedRowError(f"{self.video_id}: label outside [-1, 1]")
+        self.data = fuse(self.tracks)
+        offset = 0
+        for track in self.tracks:
+            track.frames = self.data[:, offset : offset + track.dim]
+            offset += track.dim
 
     @property
     def n_frames(self) -> int:
         return self.tracks[0].n_frames
 
-
-@dataclass(eq=False)
-class FusedSequence:
-    """One video after fusion: a t x D matrix whose column blocks follow track order."""
-
-    video_id: str
-    data: np.ndarray
-    labels: dict[str, np.ndarray]
-    track_dims: tuple[tuple[str, int], ...] | None = None
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2:
-            raise DimMismatchError(f"{self.video_id}: fused data must be 2-D")
-        if self.track_dims is not None:
-            self.track_dims = tuple((str(n), int(d)) for n, d in self.track_dims)
-            if sum(d for _, d in self.track_dims) != self.data.shape[1]:
-                raise DimMismatchError(
-                    f"{self.video_id}: track dims sum to "
-                    f"{sum(d for _, d in self.track_dims)}, data has "
-                    f"{self.data.shape[1]} columns"
-                )
-        t = self.data.shape[0]
-        for name, values in self.labels.items():
-            values = np.asarray(values, dtype=np.float64)
-            self.labels[name] = values
-            if values.shape != (t,):
-                raise LengthMismatchError(
-                    f"{self.video_id}: labels {name!r} length {values.shape[0]} != t={t}"
-                )
-
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[0]
-
     @property
     def dim(self) -> int:
         return self.data.shape[1]
 
-    def track_slice(self, name: str) -> np.ndarray:
-        """Column block of one constituent track (requires track metadata)."""
-        if self.track_dims is None:
-            raise ConfigError(f"{self.video_id}: no track metadata recorded")
-        offset = 0
-        for track_name, dim in self.track_dims:
-            if track_name == name:
-                return self.data[:, offset : offset + dim]
-            offset += dim
-        raise ConfigError(f"{self.video_id}: no track named {name!r}")
+    @property
+    def track_dims(self) -> tuple[tuple[str, int], ...]:
+        return tuple((tr.name, tr.dim) for tr in self.tracks)
 
 
 # ---------------------------------------------------------------------------
@@ -554,28 +528,9 @@ def align_tokens_to_frames(
     return FrameTrack(track.name, dim, frame_len_ms, sums)
 
 
-def fuse(
-    tracks: list[FrameTrack],
-    labels: dict[str, np.ndarray],
-    video_id: str = "",
-) -> FusedSequence:
-    """Concatenate aligned tracks column-wise, in list order."""
-    if not tracks:
-        raise LengthMismatchError("fuse needs at least one track")
-    lengths = {tr.n_frames for tr in tracks}
-    if len(lengths) != 1:
-        raise LengthMismatchError(
-            f"tracks disagree on frame count: {sorted(lengths)}"
-        )
-    t = lengths.pop()
-    for name, values in labels.items():
-        if len(values) != t:
-            raise LengthMismatchError(
-                f"labels {name!r} have length {len(values)}, tracks have {t}"
-            )
-    data = np.hstack([tr.frames for tr in tracks])
-    track_dims = tuple((tr.name, tr.dim) for tr in tracks)
-    return FusedSequence(video_id, data, dict(labels), track_dims)
+def fuse(tracks: list[FrameTrack]) -> np.ndarray:
+    """The (t, D) matrix of the tracks' frames side by side, in list order."""
+    return np.hstack([tr.frames for tr in tracks])
 
 
 # ---------------------------------------------------------------------------
@@ -976,10 +931,10 @@ def load_labeled_sequence(
     return LabeledSequence(video_id, tracks, labels, label_bytes)
 
 
-def check_same_tracks(seq: FusedSequence, reference: FusedSequence) -> None:
+def check_same_tracks(seq: LabeledSequence, reference: LabeledSequence) -> None:
     """Raise DimMismatchError naming the first track where ``seq`` and ``reference`` differ.
 
-    Both must carry track metadata; names and dims are compared in order.
+    Names and dims are compared in order.
     """
     pairs = zip_longest(seq.track_dims, reference.track_dims, fillvalue=(None, None))
     for (name, dim), (ref_name, ref_dim) in pairs:
@@ -992,15 +947,14 @@ def check_same_tracks(seq: FusedSequence, reference: FusedSequence) -> None:
 
 def load_fused_dataset(
     manifest: Manifest, partition: str, track_order: list[str] | None = None
-) -> list[FusedSequence]:
-    """Fused sequences for one partition, in manifest video order.
+) -> list[LabeledSequence]:
+    """The sequences of one partition, in manifest video order.
 
     Every video must have the first one's tracks with the same dims, or
     DimMismatchError names the first track that differs.
     """
     sequences = []
     for vid in manifest.video_ids(partition):
-        seq = load_labeled_sequence(manifest, vid, track_order)
-        sequences.append(fuse(seq.tracks, seq.labels, video_id=vid))
+        sequences.append(load_labeled_sequence(manifest, vid, track_order))
         check_same_tracks(sequences[-1], sequences[0])
     return sequences

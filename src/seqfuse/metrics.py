@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import (
     DegenerateInputError,
-    DimMismatchError,
     EmptyDatasetError,
     LengthMismatchError,
     TargetMissingError,
@@ -19,7 +18,7 @@ from .nn import Model, predict
 from .util import fmt_float
 
 if TYPE_CHECKING:
-    from .featureio import FusedSequence
+    from .featureio import LabeledSequence
 
 logger = logging.getLogger(__name__)
 
@@ -75,8 +74,8 @@ class CccReport:
         )
 
 
-def evaluate(model: Model, dataset: list["FusedSequence"], target: str) -> CccReport:
-    """Score a model on fused sequences, dropout disabled.
+def evaluate(model: Model, dataset: list["LabeledSequence"], target: str) -> CccReport:
+    """Score a model on sequences, dropout disabled.
 
     The headline score is CCC over all predictions/labels concatenated in
     dataset order; per-video scores are computed independently. A video with
@@ -87,11 +86,6 @@ def evaluate(model: Model, dataset: list["FusedSequence"], target: str) -> CccRe
     if not dataset:
         raise EmptyDatasetError("evaluate needs at least one sequence")
     for seq in dataset:
-        if seq.dim != model.dims["D"]:
-            raise DimMismatchError(
-                f"video {seq.video_id!r} has D={seq.dim}, checkpoint expects "
-                f"{model.dims['D']}"
-            )
         if target not in seq.labels:
             raise TargetMissingError(f"video {seq.video_id!r} lacks target {target!r}")
     preds_all = predict(model, [seq.data for seq in dataset])

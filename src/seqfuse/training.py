@@ -26,7 +26,6 @@ from .errors import (
     ConfigError,
     CorruptCheckpointError,
     DegenerateInputError,
-    DimMismatchError,
     EmptyDatasetError,
     EmptySequenceError,
     LengthMismatchError,
@@ -34,7 +33,7 @@ from .errors import (
     TargetMissingError,
     VersionMismatchError,
 )
-from .featureio import FusedSequence, check_name, check_same_tracks
+from .featureio import LabeledSequence, check_name, check_same_tracks
 from .metrics import evaluate
 from .nn import Model, ParamSpec, backward, forward, init_model, param_layout
 from .util import _UINT64_MASK, fmt_float, read_input, seeded_rng, write_atomic
@@ -127,7 +126,7 @@ def mse_loss(predictions: np.ndarray, labels: np.ndarray) -> float:
 
 
 def chunk(
-    sequence: FusedSequence, max_time_step: int, target: str
+    sequence: LabeledSequence, max_time_step: int, target: str
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split one sequence into consecutive (features, labels) windows.
 
@@ -136,8 +135,6 @@ def chunk(
     """
     if max_time_step < 1:
         raise ConfigError("max_time_step must be >= 1")
-    if sequence.n_frames < 1:
-        raise EmptySequenceError(f"{sequence.video_id}: empty sequence")
     if target not in sequence.labels:
         raise TargetMissingError(
             f"{sequence.video_id}: no labels for target {target!r}"
@@ -214,27 +211,22 @@ def _mask_seed(seed: int, epoch: int, chunk_index: int) -> int:
 
 
 def _validate_dataset(
-    dataset: list[FusedSequence], target: str, input_dim: int, what: str
+    dataset: list[LabeledSequence], target: str, reference: LabeledSequence, what: str
 ) -> None:
-    if not dataset:
-        raise EmptyDatasetError(f"{what} set is empty")
     for seq in dataset:
         if target not in seq.labels:
             raise TargetMissingError(
                 f"{what} video {seq.video_id!r} lacks target {target!r}"
             )
-        if seq.dim != input_dim:
-            raise DimMismatchError(
-                f"{what} video {seq.video_id!r} has D={seq.dim}, expected {input_dim}"
-            )
+        check_same_tracks(seq, reference)
 
 
 # A diverging run ends at a finiteness check with ConfigError; numpy's overflow
 # and invalid-value warnings on the way there add nothing, so they are muted.
 @np.errstate(over="ignore", invalid="ignore")
 def train(
-    train_set: list[FusedSequence],
-    devel_set: list[FusedSequence],
+    train_set: list[LabeledSequence],
+    devel_set: list[LabeledSequence],
     config: TrainConfig,
 ) -> tuple[Checkpoint, list[EpochStats]]:
     """Full training run with validation-CCC model selection.
@@ -247,31 +239,25 @@ def train(
     epoch's parameters are kept. Training stops early after ``patience``
     epochs without improvement. The fresh (epoch 0) model is the initial
     best candidate, so ``epochs=0`` returns it with an empty history.
+    Every sequence must have the first train sequence's tracks and dims
+    (DimMismatchError otherwise), in ``config.track_order`` (ConfigError).
     """
     if not train_set or not devel_set:
         raise EmptyDatasetError("train and devel sets must be nonempty")
-    input_dim = train_set[0].dim
-    _validate_dataset(train_set, config.target, input_dim, "train")
-    _validate_dataset(devel_set, config.target, input_dim, "devel")
-
+    _validate_dataset(train_set, config.target, train_set[0], "train")
+    _validate_dataset(devel_set, config.target, train_set[0], "devel")
     track_dims = train_set[0].track_dims
-    if track_dims is not None:
-        names = [name for name, _ in track_dims]
-        if names != list(config.track_order):
-            raise ConfigError(
-                f"fused track order {names} does not match configured "
-                f"{list(config.track_order)}"
-            )
-        for seq in (*train_set, *devel_set):
-            if seq.track_dims is not None:
-                check_same_tracks(seq, train_set[0])
-    else:
-        track_dims = (("fused", input_dim),)
+    names = [name for name, _ in track_dims]
+    if names != list(config.track_order):
+        raise ConfigError(
+            f"fused track order {names} does not match configured "
+            f"{list(config.track_order)}"
+        )
 
     model = init_model(
         config.seed,
         {
-            "D": input_dim,
+            "D": train_set[0].dim,
             "e": config.embed_dim,
             "h": config.hidden_units,
             "m": config.head_hidden,
@@ -416,14 +402,18 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     try:
         config = TrainConfig(**header["config"])
         track_dims = tuple((n, d) for n, d in header["track_dims"])
-        best_ccc = float(header["best_ccc"])
+        best_ccc = header["best_ccc"]
         best_epoch = header["best_epoch"]
-        dims = header["dims"]
-        layout = param_layout(dims)
-    except (KeyError, TypeError, ValueError, ConfigError, DimMismatchError) as exc:
+        dims = {key: header["dims"][key] for key in "Dehm"}
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise CorruptCheckpointError(f"{path}: bad header fields: {exc}") from exc
+    if type(best_ccc) is not float or not math.isfinite(best_ccc):
+        raise CorruptCheckpointError(
+            f"{path}: best_ccc must be a finite number, got {best_ccc!r}"
+        )
     # Checked as TrainConfig checks its int fields: bools, floats and strings are refused.
     ints = [("best_epoch", best_epoch, 0)]
+    ints += [(f"dim {key}", value, 1) for key, value in dims.items()]
     ints += [(f"track {name!r} dim", dim, 1) for name, dim in track_dims]
     for what, value, least in ints:
         if type(value) is not int or value < least:
@@ -438,6 +428,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"the model takes D={dims['D']}"
         )
 
+    layout = param_layout(dims)
     if header.get("params") != _param_specs(layout):
         raise CorruptCheckpointError(
             f"{path}: parameter specs disagree with header dims"

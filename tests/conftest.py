@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from seqfuse import Model, TrainConfig, fuse, init_model, synth_generate
+from seqfuse import Model, TrainConfig, init_model, synth_generate
 from seqfuse.cli import main as cli_main
 
 
@@ -25,10 +25,9 @@ def tiny_model():
     return init_model(0, {"D": 3, "e": 3, "h": 4, "m": 3})
 
 
-def make_fused_split(seed=3, n_train=8, n_devel=2, t_range=(60, 100), dims=(4, 6), snr=100.0):
+def make_split(seed=3, n_train=8, n_devel=2, t_range=(60, 100), dims=(4, 6), snr=100.0):
     videos = synth_generate(seed, n_train + n_devel, t_range, list(dims), snr)
-    fused = [fuse(v.tracks, v.labels, video_id=v.video_id) for v in videos]
-    return fused[:n_train], fused[n_train:]
+    return videos[:n_train], videos[n_train:]
 
 
 def small_train_config(**overrides):
@@ -44,11 +43,6 @@ def small_train_config(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
-
-
-@pytest.fixture
-def fused_split():
-    return make_fused_split(n_train=3, n_devel=2, t_range=(20, 40))
 
 
 def zero_model(D=3, e=3, h=4, m=3):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import assert_models_equal, make_fused_split
+from conftest import assert_models_equal, make_split
 from oracles import align_bruteforce, ccc_direct, finite_diff_grads, gradcheck_max_relerr
 from seqfuse import (
     TrainConfig,
@@ -129,7 +129,7 @@ def test_criterion_3_alignment_oracle_equivalence():
 
 def test_criterion_4_trainability():
     start = time.monotonic()
-    train_set, devel_set = make_fused_split(
+    train_set, devel_set = make_split(
         seed=3, n_train=8, n_devel=2, t_range=(60, 100), dims=(4, 6), snr=100.0
     )
     config = TrainConfig(
@@ -202,7 +202,7 @@ def test_criterion_6_chunking_equivalence():
     from seqfuse.training import _mask_seed, adam_step, init_adam_state
 
     # short sequences: per-update trajectories must match bitwise
-    train_set, devel_set = make_fused_split(seed=6, n_train=3, n_devel=1, t_range=(30, 90))
+    train_set, devel_set = make_split(seed=6, n_train=3, n_devel=1, t_range=(30, 90))
     assert all(s.n_frames <= 100 for s in train_set)
     config_a = TrainConfig(
         target="arousal", embed_dim=5, hidden_units=6, head_hidden=4, epochs=2,
@@ -244,7 +244,7 @@ def test_criterion_6_chunking_equivalence():
         endpoints_ok = False
 
     # long sequence: 100/100/50 split that concatenates exactly
-    long_train, _ = make_fused_split(seed=8, n_train=1, n_devel=1, t_range=(250, 250))
+    long_train, _ = make_split(seed=8, n_train=1, n_devel=1, t_range=(250, 250))
     pieces = chunk(long_train[0], 100, "arousal")
     lengths = [p[0].shape[0] for p in pieces]
     concat_ok = (

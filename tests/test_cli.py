@@ -18,10 +18,12 @@ from seqfuse import (
     load_manifest,
     save_checkpoint,
     synth_generate,
+    train,
     write_dataset,
 )
 from seqfuse import featureio
 from seqfuse.cli import main as cli_main
+from seqfuse.training import write_history_csv
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -406,6 +408,7 @@ class TestTrain:
         )
         code, _, err = run_cli("train", "--config", cfg)
         assert code == 0, err
+        assert "warning" not in err
         ckpt = load_checkpoint(run_dir / "checkpoint.sqf")
         assert ckpt.best_ccc >= 0.95
         code, out, err = run_cli(
@@ -479,6 +482,35 @@ class TestTrain:
         assert code == 2, err
         assert "video003: track 'track0' has dim 3" in err and "Traceback" not in err
         assert not run_dir.exists()
+
+    def test_finite_blow_up_warns_without_changing_outputs(self, synth_dir, tmp_path, run_cli):
+        run_dir = tmp_path / "run"
+        cfg = write_train_config(tmp_path / "cfg.json", synth_dir / "manifest.json",
+                                 run_dir, learning_rate=1e6)
+        code, _, err = run_cli("train", "--config", cfg)
+        assert code == 0, err
+        rows = (run_dir / "history.csv").read_text().splitlines()[1:]
+        largest = max(float(row.split(",")[1]) for row in rows)
+        assert largest > 1e9
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert warnings == [
+            "warning: no trained epoch beat the untrained model's devel CCC, so the "
+            f"checkpoint holds epoch 0; largest epoch train loss {largest!r}"
+        ]
+        ckpt = load_checkpoint(run_dir / "checkpoint.sqf")
+        assert ckpt.best_epoch == 0
+        # The same run through the library writes the same bytes.
+        manifest = load_manifest(synth_dir / "manifest.json")
+        order = ["track0", "track1"]
+        ckpt, history = train(
+            load_fused_dataset(manifest, "train", order),
+            load_fused_dataset(manifest, "devel", order),
+            ckpt.config,
+        )
+        save_checkpoint(ckpt, tmp_path / "lib.sqf")
+        write_history_csv(history, tmp_path / "lib.csv")
+        assert (tmp_path / "lib.sqf").read_bytes() == (run_dir / "checkpoint.sqf").read_bytes()
+        assert (tmp_path / "lib.csv").read_bytes() == (run_dir / "history.csv").read_bytes()
 
     def test_default_track_order_from_manifest(self, synth_dir, tmp_path, run_cli):
         run_dir = tmp_path / "run"

@@ -503,32 +503,39 @@ def frame_track(name, data):
 class TestFuse:
     def test_single_track_identity(self):
         data = np.arange(8.0).reshape(4, 2)
-        fused = fuse([frame_track("a", data)], {"arousal": np.zeros(4)})
-        assert np.array_equal(fused.data, data)
-        assert fused.track_dims == (("a", 2),)
+        fused = fuse([frame_track("a", data)])
+        assert np.array_equal(fused, data)
+        seq = LabeledSequence("v", [frame_track("a", data)], {"arousal": np.zeros(4)})
+        assert np.array_equal(seq.data, data)
+        assert seq.track_dims == (("a", 2),)
+        assert seq.dim == 2
 
     def test_two_tracks_concatenate_rowwise(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(4, 2))
         b = rng.normal(size=(4, 3))
-        fused = fuse(
-            [frame_track("a", a), frame_track("b", b)], {"arousal": np.zeros(4)}
-        )
-        assert fused.dim == 5
+        tracks = [frame_track("a", a), frame_track("b", b)]
+        fused = fuse(tracks)
+        assert fused.dtype == np.float64
+        assert np.array_equal(fused, np.hstack([a, b]))
         for j in range(4):
-            assert np.array_equal(fused.data[j, :2], a[j])
-            assert np.array_equal(fused.data[j, 2:], b[j])
+            assert np.array_equal(fused[j, :2], a[j])
+            assert np.array_equal(fused[j, 2:], b[j])
+        seq = LabeledSequence("v", tracks, {"arousal": np.zeros(4)})
+        assert np.array_equal(seq.data, fused)
+        assert seq.dim == 5
+        assert seq.track_dims == (("a", 2), ("b", 3))
 
     def test_length_mismatch(self):
         a = np.zeros((10, 2))
         b = np.zeros((9, 3))
-        with pytest.raises(LengthMismatchError):
-            fuse([frame_track("a", a), frame_track("b", b)], {})
+        with pytest.raises(LengthMismatchError, match=r"frame count \[9, 10\]"):
+            LabeledSequence("v", [frame_track("a", a), frame_track("b", b)], {})
 
     def test_label_length_mismatch(self):
         a = np.zeros((10, 2))
-        with pytest.raises(LengthMismatchError):
-            fuse([frame_track("a", a)], {"arousal": np.zeros(9)})
+        with pytest.raises(LengthMismatchError, match="'arousal' have length 9"):
+            LabeledSequence("v", [frame_track("a", a)], {"arousal": np.zeros(9)})
 
     def test_labeled_sequence_tracks_on_two_grids(self):
         tracks = [frame_track("a", np.zeros((4, 2))), FrameTrack("b", 1, 500, np.zeros((4, 1)))]
@@ -539,11 +546,15 @@ class TestFuse:
         rng = np.random.default_rng(5)
         a = rng.normal(size=(6, 2))
         b = rng.normal(size=(6, 3))
-        fused = fuse(
-            [frame_track("a", a), frame_track("b", b)], {"arousal": np.zeros(6)}
+        seq = LabeledSequence(
+            "v", [frame_track("a", a), frame_track("b", b)], {"arousal": np.zeros(6)}
         )
-        assert np.array_equal(fused.track_slice("a"), a)
-        assert np.array_equal(fused.track_slice("b"), b)
+        for track, frames in zip(seq.tracks, (a, b)):
+            assert np.shares_memory(seq.data, track.frames)
+            assert not np.shares_memory(track.frames, frames)
+            assert np.array_equal(track.frames, frames)
+        assert np.array_equal(seq.data[:, :2], a)
+        assert np.array_equal(seq.data[:, 2:], b)
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +771,7 @@ class TestColumnarTracks:
         assert code == 0, err
         dataset = load_fused_dataset(load_manifest(raw / "manifest.json"), "all")
         assert [seq.dim for seq in dataset] == [5, 5, 5]
+        assert all(np.shares_memory(seq.data, tr.frames) for seq in dataset for tr in seq.tracks)
         code, _, err = run_cli(
             "align", "--manifest", raw / "manifest.json", "--out-dir", tmp_path / "aligned"
         )

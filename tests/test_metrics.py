@@ -12,7 +12,8 @@ from seqfuse import (
     DegenerateInputError,
     DimMismatchError,
     EmptyDatasetError,
-    FusedSequence,
+    FrameTrack,
+    LabeledSequence,
     LengthMismatchError,
     ccc,
     evaluate,
@@ -115,9 +116,10 @@ class TestCcc:
         assert ccc(x, 0.5 * x - 0.2) < 1.0
 
 
-def _fused(video_id, t, D, labels, seed=0):
+def _sequence(video_id, t, D, labels, seed=0):
     rng = np.random.default_rng(seed)
-    return FusedSequence(video_id, rng.normal(size=(t, D)), {"arousal": labels})
+    track = FrameTrack("track0", D, 250, rng.normal(size=(t, D)))
+    return LabeledSequence(video_id, [track], {"arousal": labels})
 
 
 def _fake_model(D=3):
@@ -137,8 +139,8 @@ class TestEvaluate:
     def test_perfect_predictor_scores_one(self, monkeypatch):
         rng = np.random.default_rng(3)
         seqs = [
-            _fused("a", 10, 3, rng.uniform(-1, 1, 10), seed=1),
-            _fused("b", 7, 3, rng.uniform(-1, 1, 7), seed=2),
+            _sequence("a", 10, 3, rng.uniform(-1, 1, 10), seed=1),
+            _sequence("b", 7, 3, rng.uniform(-1, 1, 7), seed=2),
         ]
         _inject_predictor(
             monkeypatch, {s.data.tobytes(): s.labels["arousal"] for s in seqs}
@@ -153,8 +155,8 @@ class TestEvaluate:
         labels_b = np.array([-0.2, 0.6, 0.0, 0.5])
         preds_a = np.array([0.2, -0.3, 0.25, 0.7, -0.8])
         preds_b = np.array([-0.1, 0.4, 0.1, 0.45])
-        seq_a = _fused("a", 5, 3, labels_a, seed=10)
-        seq_b = _fused("b", 4, 3, labels_b, seed=11)
+        seq_a = _sequence("a", 5, 3, labels_a, seed=10)
+        seq_b = _sequence("b", 4, 3, labels_b, seed=11)
         _inject_predictor(
             monkeypatch,
             {seq_a.data.tobytes(): preds_a, seq_b.data.tobytes(): preds_b},
@@ -170,12 +172,12 @@ class TestEvaluate:
 
     def test_single_video_concatenated_equals_per_video(self):
         model = init_model(4, {"D": 3, "e": 3, "h": 4, "m": 3})
-        seq = _fused("only", 20, 3, np.random.default_rng(5).uniform(-1, 1, 20))
+        seq = _sequence("only", 20, 3, np.random.default_rng(5).uniform(-1, 1, 20))
         report = evaluate(model, [seq], "arousal")
         assert report.concatenated_ccc == report.per_video["only"]
 
     def test_dim_mismatch(self):
-        seq = _fused("a", 5, 7, np.zeros(5))
+        seq = _sequence("a", 5, 7, np.zeros(5))
         with pytest.raises(DimMismatchError):
             evaluate(_fake_model(D=3), [seq], "arousal")
 
@@ -186,8 +188,8 @@ class TestEvaluate:
     def test_degenerate_video_omitted_but_counted(self, monkeypatch, caplog):
         flat = np.full(6, 0.25)
         varied = np.array([0.1, -0.2, 0.4, 0.9, -0.5, 0.3])
-        seq_flat = _fused("flat", 6, 3, flat, seed=20)
-        seq_varied = _fused("varied", 6, 3, varied, seed=21)
+        seq_flat = _sequence("flat", 6, 3, flat, seed=20)
+        seq_varied = _sequence("varied", 6, 3, varied, seed=21)
         _inject_predictor(
             monkeypatch,
             {seq_flat.data.tobytes(): flat.copy(), seq_varied.data.tobytes(): varied.copy()},
@@ -205,7 +207,7 @@ class TestEvaluate:
 
     def test_report_dict_and_summary(self):
         model = init_model(4, {"D": 2, "e": 2, "h": 2, "m": 2})
-        seq = _fused("v", 12, 2, np.random.default_rng(6).uniform(-1, 1, 12))
+        seq = _sequence("v", 12, 2, np.random.default_rng(6).uniform(-1, 1, 12))
         report = evaluate(model, [seq], "arousal")
         payload = report.to_dict()
         assert set(payload) == {"target", "concatenated_ccc", "per_video", "n_frames_total"}

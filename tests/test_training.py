@@ -9,7 +9,7 @@ import pytest
 from conftest import (
     assert_models_equal,
     fail_writes_halfway,
-    make_fused_split,
+    make_split,
     small_train_config,
     zero_model,
 )
@@ -21,7 +21,8 @@ from seqfuse import (
     EmptyDatasetError,
     EpochStats,
     EmptySequenceError,
-    FusedSequence,
+    FrameTrack,
+    LabeledSequence,
     LengthMismatchError,
     ShapeMismatchError,
     TargetMissingError,
@@ -97,9 +98,9 @@ class TestMseLoss:
 
 def _sequence(t, D=4, video_id="v"):
     rng = np.random.default_rng(t)
-    return FusedSequence(
+    return LabeledSequence(
         video_id,
-        rng.normal(size=(t, D)),
+        [FrameTrack("track0", D, 250, rng.normal(size=(t, D)))],
         {"arousal": rng.uniform(-1, 1, t), "valence": rng.uniform(-1, 1, t)},
     )
 
@@ -128,9 +129,10 @@ class TestChunk:
             chunk(_sequence(10), 100, "dominance")
 
     def test_empty_sequence(self):
-        seq = FusedSequence("e", np.zeros((0, 4)), {"arousal": np.zeros(0)})
-        with pytest.raises(EmptySequenceError):
-            chunk(seq, 100, "arousal")
+        # No sequence without frames reaches chunk: the constructor refuses it.
+        track = FrameTrack("track0", 4, 250, np.zeros((0, 4)))
+        with pytest.raises(LengthMismatchError, match="e: zero frames"):
+            LabeledSequence("e", [track], {"arousal": np.zeros(0)})
 
 
 class TestAdamStep:
@@ -216,7 +218,7 @@ class TestAdamStep:
 
 class TestTrain:
     def test_deterministic_runs(self):
-        train_set, devel_set = make_fused_split(seed=5, n_train=3, n_devel=1, t_range=(15, 30))
+        train_set, devel_set = make_split(seed=5, n_train=3, n_devel=1, t_range=(15, 30))
         cfg = small_train_config(epochs=3)
         ckpt_a, hist_a = train(train_set, devel_set, cfg)
         ckpt_b, hist_b = train(train_set, devel_set, cfg)
@@ -226,7 +228,7 @@ class TestTrain:
         assert ckpt_a.best_epoch == ckpt_b.best_epoch
 
     def test_zero_epochs_returns_fresh_model(self):
-        train_set, devel_set = make_fused_split(seed=6, n_train=2, n_devel=1, t_range=(12, 20))
+        train_set, devel_set = make_split(seed=6, n_train=2, n_devel=1, t_range=(12, 20))
         cfg = small_train_config(epochs=0)
         ckpt, history = train(train_set, devel_set, cfg)
         assert history == []
@@ -238,7 +240,7 @@ class TestTrain:
         assert_models_equal(ckpt.model, fresh)
 
     def test_history_and_checkpoint_metadata(self):
-        train_set, devel_set = make_fused_split(seed=7, n_train=2, n_devel=1, t_range=(12, 20))
+        train_set, devel_set = make_split(seed=7, n_train=2, n_devel=1, t_range=(12, 20))
         cfg = small_train_config(epochs=4, patience=10)
         ckpt, history = train(train_set, devel_set, cfg)
         assert [st.epoch for st in history] == [1, 2, 3, 4]
@@ -247,19 +249,19 @@ class TestTrain:
         assert ckpt.config == cfg
 
     def test_empty_sets_rejected(self):
-        train_set, devel_set = make_fused_split(seed=8, n_train=1, n_devel=1, t_range=(10, 10))
+        train_set, devel_set = make_split(seed=8, n_train=1, n_devel=1, t_range=(10, 10))
         with pytest.raises(EmptyDatasetError):
             train([], devel_set, small_train_config())
         with pytest.raises(EmptyDatasetError):
             train(train_set, [], small_train_config())
 
     def test_target_missing(self):
-        train_set, devel_set = make_fused_split(seed=9, n_train=1, n_devel=1, t_range=(10, 10))
+        train_set, devel_set = make_split(seed=9, n_train=1, n_devel=1, t_range=(10, 10))
         with pytest.raises(TargetMissingError):
             train(train_set, devel_set, small_train_config(target="dominance"))
 
     def test_track_order_mismatch(self):
-        train_set, devel_set = make_fused_split(seed=10, n_train=1, n_devel=1, t_range=(10, 10))
+        train_set, devel_set = make_split(seed=10, n_train=1, n_devel=1, t_range=(10, 10))
         with pytest.raises(ConfigError):
             train(train_set, devel_set, small_train_config(track_order=["track1", "track0"]))
 
@@ -272,7 +274,7 @@ class TestTrain:
             "evaluate",
             lambda model, devel, target: SimpleNamespace(concatenated_ccc=next(scores)),
         )
-        train_set, devel_set = make_fused_split(seed=11, n_train=2, n_devel=1, t_range=(10, 16))
+        train_set, devel_set = make_split(seed=11, n_train=2, n_devel=1, t_range=(10, 16))
         cfg = small_train_config(epochs=200, patience=3)
         ckpt, history = train(train_set, devel_set, cfg)
         # epoch-0 score 0.5 is never beaten; three bad epochs then stop
@@ -289,7 +291,7 @@ class TestTrain:
             "evaluate",
             lambda model, devel, target: SimpleNamespace(concatenated_ccc=next(scores)),
         )
-        train_set, devel_set = make_fused_split(seed=11, n_train=2, n_devel=1, t_range=(10, 16))
+        train_set, devel_set = make_split(seed=11, n_train=2, n_devel=1, t_range=(10, 16))
         cfg = small_train_config(epochs=200, patience=3)
         ckpt, history = train(train_set, devel_set, cfg)
         # improvements at epochs 1 and 4; then three bad epochs (5, 6, 7)
@@ -329,14 +331,14 @@ class TestTrain:
     def test_divergence_raises(self, n_train, where):
         # One Adam step of size ~1e300 overflows the forward pass. With one
         # short train video the first non-finite value is the devel CCC.
-        train_set, devel_set = make_fused_split(
+        train_set, devel_set = make_split(
             seed=5, n_train=n_train, n_devel=1, t_range=(10, 16)
         )
         with pytest.raises(ConfigError, match=f"training diverged: {where}"):
             train(train_set, devel_set, small_train_config(learning_rate=1e300))
 
     def test_chunking_noop_when_t_below_max(self):
-        train_set, devel_set = make_fused_split(seed=12, n_train=3, n_devel=1, t_range=(20, 60))
+        train_set, devel_set = make_split(seed=12, n_train=3, n_devel=1, t_range=(20, 60))
         assert all(s.n_frames <= 100 for s in train_set + devel_set)
         cfg_chunked = small_train_config(epochs=3, max_time_step=100)
         cfg_whole = small_train_config(epochs=3, max_time_step=10**6)
@@ -490,10 +492,25 @@ class TestCheckpointIo:
             ("track_dims", [["track0", 0], ["track1", 5]]),
             ("track_dims", [[5, 5]]),
             ("track_dims", [["track0", 4]]),
+            ("best_ccc", True),
+            ("best_ccc", "0.25"),
+            ("best_ccc", 1),
+            ("best_ccc", None),
+            ("best_ccc", float("nan")),
+            ("best_ccc", float("inf")),
+            ("dims", {"D": True, "e": 4, "h": 3, "m": 2}),
+            ("dims", {"D": 5, "e": 4.0, "h": 3, "m": 2}),
+            ("dims", {"D": 5, "e": 4, "h": "3", "m": 2}),
+            ("dims", {"D": 5, "e": 4, "h": 3, "m": 0}),
+            ("dims", {"D": 5, "e": 4, "h": 3}),
+            ("dims", [5, 4, 3, 2]),
         ],
         ids=[
             "epoch-inf", "epoch-float", "epoch-bool", "epoch-string", "epoch-negative",
             "dim-inf", "dim-float", "dim-bool", "dim-zero", "name-int", "dims-sum",
+            "ccc-bool", "ccc-string", "ccc-int", "ccc-null", "ccc-nan", "ccc-inf",
+            "model-D-bool", "model-e-float", "model-h-string", "model-m-zero",
+            "model-m-missing", "model-dims-list",
         ],
     )
     def test_bad_header_integer_rejected(self, tmp_path, field, value):
@@ -501,6 +518,17 @@ class TestCheckpointIo:
         _rewrite_header(tmp_path / "g.sqf", tmp_path / "bad.sqf",
                         lambda header: header.update({field: value}))
         with pytest.raises(CorruptCheckpointError, match="bad.sqf: "):
+            load_checkpoint(tmp_path / "bad.sqf")
+
+    @pytest.mark.parametrize("key", "Dehm")
+    def test_bool_model_dim_rejected(self, tmp_path, key):
+        # At width 1 a ``true`` dim gives the same layout, so only its type tells.
+        cfg = small_train_config(embed_dim=1, hidden_units=1, head_hidden=1, track_order=["t"])
+        model = init_model(0, {"D": 1, "e": 1, "h": 1, "m": 1})
+        save_checkpoint(Checkpoint(model, cfg, (("t", 1),), 0.5, 0), tmp_path / "g.sqf")
+        _rewrite_header(tmp_path / "g.sqf", tmp_path / "bad.sqf",
+                        lambda header: header["dims"].update({key: True}))
+        with pytest.raises(CorruptCheckpointError, match=f"bad.sqf: dim {key} must be"):
             load_checkpoint(tmp_path / "bad.sqf")
 
     @pytest.mark.parametrize("header", [b"[]", b'"SQF1"', b"3", b"null"])
