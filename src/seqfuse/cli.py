@@ -24,7 +24,6 @@ import numpy as np
 from .errors import ConfigError, DimMismatchError, EmptyDatasetError, InputError
 from .featureio import (
     PARTITIONS,
-    LabeledSequence,
     Manifest,
     align_dataset,
     load_fused_dataset,
@@ -32,8 +31,7 @@ from .featureio import (
     synth_generate,
     write_dataset,
 )
-from .metrics import evaluate
-from .nn import predict
+from .metrics import ScoredVideo, ccc_report, score_partition
 from .training import (
     Checkpoint,
     TrainConfig,
@@ -187,26 +185,27 @@ def cmd_train(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_scored_partition(
+def _scored_partition(
     args: argparse.Namespace,
-) -> tuple[Checkpoint, Manifest, list[LabeledSequence]]:
-    """The checkpoint, and the partition it scores, whose tracks must have its dims."""
+) -> tuple[Checkpoint, Manifest, list[ScoredVideo]]:
+    """The checkpoint, and its predictions on the partition, whose tracks must have its dims."""
     ckpt = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
-    dataset = load_fused_dataset(manifest, args.partition, list(ckpt.config.track_order))
-    trained = dict(ckpt.track_dims)
-    for name, dim in dataset[0].track_dims if dataset else ():
-        if trained.get(name, dim) != dim:
-            raise DimMismatchError(
-                f"{args.manifest}: track {name!r} has dim {dim}, but checkpoint "
-                f"{args.checkpoint} was trained on dim {trained[name]}"
-            )
-    return ckpt, manifest, dataset
+    videos = score_partition(ckpt.model, manifest, args.partition, ckpt.track_dims)
+    if videos and videos[0].track_dims != ckpt.track_dims:
+        # The loader keeps the checkpoint's track order, so only a dim can differ.
+        for (name, dim), (_, trained) in zip(videos[0].track_dims, ckpt.track_dims):
+            if dim != trained:
+                raise DimMismatchError(
+                    f"{args.manifest}: track {name!r} has dim {dim}, but checkpoint "
+                    f"{args.checkpoint} was trained on dim {trained}"
+                )
+    return ckpt, manifest, videos
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    ckpt, _, dataset = _load_scored_partition(args)
-    report = evaluate(ckpt.model, dataset, ckpt.config.target)
+    ckpt, _, videos = _scored_partition(args)
+    report = ccc_report(ckpt.config.target, videos)
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.out is not None:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -218,21 +217,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    ckpt, manifest, dataset = _load_scored_partition(args)
-    if not dataset:
+    ckpt, manifest, videos = _scored_partition(args)
+    if not videos:
         raise EmptyDatasetError(f"partition {args.partition!r} has no videos to predict")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     target = ckpt.config.target
-    preds = predict(ckpt.model, [seq.data for seq in dataset])
-    for seq, video_preds in zip(dataset, preds):
-        clamped = np.clip(video_preds, -1.0, 1.0)
+    for video in videos:
+        clamped = np.clip(video.predictions, -1.0, 1.0)
         rows = ["frame_ms,prediction"]
         rows += [
             f"{j * manifest.frame_len_ms},{v!r}" for j, v in enumerate(clamped.tolist())
         ]
-        write_atomic(out_dir / f"{seq.video_id}_{target}.csv", "\n".join(rows) + "\n")
-    print(f"wrote predictions for {len(dataset)} videos to {out_dir}")
+        write_atomic(out_dir / f"{video.video_id}_{target}.csv", "\n".join(rows) + "\n")
+    print(f"wrote predictions for {len(videos)} videos to {out_dir}")
     return 0
 
 

@@ -73,7 +73,6 @@ column block, so a loaded partition holds its frames once.
 from __future__ import annotations
 
 import json
-import os
 import stat
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -89,7 +88,15 @@ from .errors import (
     LengthMismatchError,
     MalformedRowError,
 )
-from .util import read_input, read_input_text, read_json_object, seeded_rng, write_atomic
+from .util import (
+    map_in_workers,
+    read_input,
+    read_input_text,
+    read_json_object,
+    seeded_rng,
+    usable_cpus,
+    write_atomic,
+)
 
 DEFAULT_FRAME_LEN_MS = 250
 
@@ -789,27 +796,30 @@ def write_dataset(
     return len(entries)
 
 
-# Bytes of feature and label input from which ``align_dataset`` aligns its
-# videos in worker processes. Measured on a 2-CPU Xeon with BLAS pinned to one
-# thread: starting the pool costs about 45 ms, and serial alignment runs at
-# about 17 MB of input per second, so the pool breaks even near 1.6 MB. The
-# benchmark's train-small input (0.23 MB) stays serial; ingest-wide (23.1 MB)
-# goes to the pool.
+# Bytes of feature and label input from which ``align_dataset`` and
+# ``metrics.score_partition`` work in worker processes (see pool_workers).
+# Measured on a 2-CPU Xeon with BLAS pinned to one thread. Align: starting
+# the pool costs about 45 ms, and serial alignment runs at about 17 MB of
+# input per second, so the pool breaks even near 1.6 MB. Scoring: starting
+# and stopping a two-worker pool costs 8-15 ms, and serial loading and
+# prediction run at 30 MB (e16/h32/m16 over D = 10) to 50 MB (D = 900) of
+# input per second, so the pool breaks even below 1 MB. The benchmark's
+# train-small input (0.23 MB, and a 0.05 MB devel partition) stays
+# in-process; ingest-wide (23.1 MB, and a 5.2 MB test partition) and
+# infer-long's 6.3 MB test partition go to the pool.
 POOL_MIN_INPUT_BYTES = 4 << 20
 
 
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _input_bytes(manifest: Manifest) -> int:
-    """Bytes on disk of the manifest's feature and label files.
+def input_bytes(manifest: Manifest, video_ids: Iterable[str]) -> list[int]:
+    """Bytes on disk of each listed video's feature and label files.
 
     Never raises: a path that is missing, not a regular file or that the OS
     cannot take counts 0, and the reader reports it when the video is loaded.
     """
-    total = 0
-    for entry in manifest.videos.values():
+    sizes = []
+    for vid in video_ids:
+        entry = manifest.videos[vid]
+        total = 0
         for relpath in (*entry.features.values(), *entry.labels.values()):
             try:
                 info = manifest.resolve(relpath).stat()
@@ -817,19 +827,30 @@ def _input_bytes(manifest: Manifest) -> int:
                 continue
             if stat.S_ISREG(info.st_mode):
                 total += info.st_size
-    return total
+        sizes.append(total)
+    return sizes
+
+
+def pool_workers(sizes: Sequence[int]) -> int:
+    """Worker processes for videos of these input sizes; 0 keeps them in this process.
+
+    Nonzero only with two usable CPUs, two videos and POOL_MIN_INPUT_BYTES
+    of input; then one per usable CPU, at most one per video.
+    """
+    cpus = usable_cpus()
+    if cpus < 2 or len(sizes) < 2 or sum(sizes) < POOL_MIN_INPUT_BYTES:
+        return 0
+    return min(cpus, len(sizes))
 
 
 def _pooled_videos(manifest: Manifest) -> list[str]:
     """The videos that ``align_dataset`` hands to worker processes, in manifest order.
 
-    Empty unless there are two usable CPUs, two videos and
-    POOL_MIN_INPUT_BYTES of input; then every video before the first one
-    that would write a file name an earlier video wrote.
+    Empty unless :func:`pool_workers` gives workers for the whole manifest;
+    then every video before the first one that would write a file name an
+    earlier video wrote.
     """
-    if _usable_cpus() < 2 or len(manifest.videos) < 2:
-        return []
-    if _input_bytes(manifest) < POOL_MIN_INPUT_BYTES:
+    if not pool_workers(input_bytes(manifest, manifest.videos)):
         return []
     pooled, written = [], set()
     for vid, entry in manifest.videos.items():
@@ -875,20 +896,10 @@ def align_dataset(manifest: Manifest, out_dir: str | Path) -> int:
     pooled = _pooled_videos(manifest)
     entries = {}
     if pooled:
-        # Imported here because these modules add about 2 MB to every process
-        # that imports the package, and only large inputs use them.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
         _make_tree_dirs(out_dir)
-        workers = min(_usable_cpus(), len(pooled))
-        # Forked, a worker starts in milliseconds with the package imported;
-        # spawned, it would import numpy again. The CLI starts no threads of
-        # its own, and numpy's BLAS pool guards itself across fork.
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            results = pool.map(_align_video, repeat(manifest), pooled, repeat(out_dir))
-            entries = dict(zip(pooled, results))
+        workers = min(usable_cpus(), len(pooled))
+        results = map_in_workers(_align_video, workers, repeat(manifest), pooled, repeat(out_dir))
+        entries = dict(zip(pooled, results))
     rest = (
         (manifest.videos[vid].partition, _load_for_align(manifest, vid))
         for vid in manifest.video_ids()[len(pooled) :]
@@ -934,7 +945,8 @@ def load_labeled_sequence(
 def check_same_tracks(seq: LabeledSequence, reference: LabeledSequence) -> None:
     """Raise DimMismatchError naming the first track where ``seq`` and ``reference`` differ.
 
-    Names and dims are compared in order.
+    Names and dims are compared in order. Only ``video_id`` and
+    ``track_dims`` are read, so a ``metrics.ScoredVideo`` serves too.
     """
     pairs = zip_longest(seq.track_dims, reference.track_dims, fillvalue=(None, None))
     for (name, dim), (ref_name, ref_dim) in pairs:

@@ -290,8 +290,9 @@ def predict(model: Model, sequences) -> list[np.ndarray]:
     Dropout is off and no trace is kept. The sequences, sorted longest
     first, are scored EVAL_ROWS at a time in one recurrence each: they are
     the rows of a (B, h) state whose active prefix shrinks as sequences
-    end. A step makes one ``Wh @ h`` gemv per active row and applies
-    ``forward``'s gate and c/h operations to the active rows at once. Each
+    end. A step makes one ``Wh @ h`` gemv per active row (with one row left,
+    ``forward``'s own 1-D ``np.dot``) and applies ``forward``'s gate and c/h
+    operations to the active rows at once. Each
     sequence's projection and head are products over its own steps, and its
     input-to-gate product is computed in blocks of EVAL_BLOCK of its own
     steps, so no result depends on which other sequences are scored with it.
@@ -344,12 +345,16 @@ def _predict_batch(model: Model, inputs: list[np.ndarray]) -> list[np.ndarray]:
                 a -= 1
             k1 = min(n, lengths[a - 1] - j0)
             G, H = gate_blk[k0:k1, :a], hidden_blk[k0:k1, :a]
-            c, part, h_prev = cell[:a], input_part[:a], h_prev[:a]
-            rec_col = recurrent[:a]
-            rec = rec_col[..., 0]
+            c, part, rec_col = cell[:a], input_part[:a], recurrent[:a]
+            if a == 1:  # one row: forward's 1-D matvec costs less than a stacked matmul
+                matvec, G, H, c, part = np.dot, G[:, 0], H[:, 0], c[0], part[0]
+                rec = rec_col = rec_col[0, :, 0]
+                h_prev, H_cols = h_prev[0, :, 0], H
+            else:
+                matvec, rec, h_prev, H_cols = np.matmul, rec_col[..., 0], h_prev[:a], H[..., None]
             ifgo = [G[..., s * h : (s + 1) * h] for s in range(4)]
-            for gates, i, f, g, o, hj, hj_col in zip(G, *ifgo, H, H[..., None]):
-                np.matmul(Wh_half, h_prev, out=rec_col)
+            for gates, i, f, g, o, hj, hj_col in zip(G, *ifgo, H, H_cols):
+                matvec(Wh_half, h_prev, out=rec_col)
                 gates += rec
                 np.tanh(gates, out=gates)
                 gates *= scale
@@ -360,6 +365,7 @@ def _predict_batch(model: Model, inputs: list[np.ndarray]) -> list[np.ndarray]:
                 np.tanh(c, out=hj)
                 hj *= o
                 h_prev = hj_col
+            h_prev = hidden_blk[k1 - 1, :a, :, None]  # as columns, also after a 1-D pass
             k0 = k1
         for v in range(a_blk):
             n = min(K, lengths[v] - j0)

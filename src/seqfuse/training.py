@@ -422,6 +422,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             )
     if not all(isinstance(name, str) for name, _ in track_dims):
         raise CorruptCheckpointError(f"{path}: track names must be strings")
+    names = [name for name, _ in track_dims]
+    if names != list(config.track_order):
+        raise CorruptCheckpointError(
+            f"{path}: track_dims name tracks {names}, but config.track_order is "
+            f"{list(config.track_order)}"
+        )
     if sum(dim for _, dim in track_dims) != dims["D"]:
         raise CorruptCheckpointError(
             f"{path}: track dims sum to {sum(dim for _, dim in track_dims)}, "

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import multiprocessing
 import os
 import struct
 from pathlib import Path
@@ -21,7 +22,7 @@ from seqfuse import (
     train,
     write_dataset,
 )
-from seqfuse import featureio
+from seqfuse import featureio, metrics
 from seqfuse.cli import main as cli_main
 from seqfuse.training import write_history_csv
 
@@ -591,44 +592,77 @@ class TestEvaluate:
         assert code == 2
 
 
+def assert_dims_other_than_the_checkpoints_exit_2(tmp_path, run_cli, command, *extra):
+    raw = tmp_path / "raw"
+    code, _, err = run_cli("synth", "--out-dir", raw, "--seed", 5, "--n-train", 2,
+                           "--n-devel", 1, "--dims", "3,2", "--t-range", "8:14")
+    assert code == 0, err
+    ckpt = tmp_path / "z.sqf"
+    make_zero_checkpoint(ckpt)  # trained on track0:2, track1:3
+    out = tmp_path / "out"
+    argv = {
+        "evaluate": ["--out", out / "report.json"],
+        "predict": ["--out-dir", out],
+    }[command]
+    code, _, err = run_cli(command, "--checkpoint", ckpt, "--manifest", raw / "manifest.json",
+                           *argv, *extra)
+    assert code == 2, err
+    assert (
+        f"{raw / 'manifest.json'}: track 'track0' has dim 3, but checkpoint {ckpt} "
+        "was trained on dim 2"
+    ) in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def assert_partition_with_two_sets_of_dims_exit_2(tmp_path, run_cli, command):
+    manifest = write_mixed_dims_dataset(tmp_path / "raw", "train")
+    ckpt = tmp_path / "z.sqf"
+    make_zero_checkpoint(ckpt)
+    out = tmp_path / "out"
+    argv = {
+        "evaluate": ["--out", out / "report.json", "--partition", "train"],
+        "predict": ["--out-dir", out, "--partition", "train"],
+    }[command]
+    code, _, err = run_cli(command, "--checkpoint", ckpt, "--manifest", manifest, *argv)
+    assert code == 2, err
+    assert "video003: track 'track0' has dim 3 where video000 has track 'track0' of dim 2" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 class TestTrackDims:
     """A loaded partition has one set of track dims, and it must be the checkpoint's."""
 
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     def test_dataset_dims_other_than_the_checkpoints_exit_2(self, tmp_path, run_cli, command):
-        raw = tmp_path / "raw"
-        code, _, err = run_cli("synth", "--out-dir", raw, "--seed", 5, "--n-train", 2,
-                               "--n-devel", 1, "--dims", "3,2", "--t-range", "8:14")
-        assert code == 0, err
-        ckpt = tmp_path / "z.sqf"
-        make_zero_checkpoint(ckpt)  # trained on track0:2, track1:3
-        out = tmp_path / "out"
-        argv = {
-            "evaluate": ["--out", out / "report.json"],
-            "predict": ["--out-dir", out],
-        }[command]
-        code, _, err = run_cli(command, "--checkpoint", ckpt, "--manifest", raw / "manifest.json",
-                               *argv)
-        assert code == 2, err
-        assert (
-            f"{raw / 'manifest.json'}: track 'track0' has dim 3, but checkpoint {ckpt} "
-            "was trained on dim 2"
-        ) in err
-        assert "Traceback" not in err and not out.exists()
+        assert_dims_other_than_the_checkpoints_exit_2(tmp_path, run_cli, command)
 
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     def test_partition_with_two_sets_of_dims_exit_2(self, tmp_path, run_cli, command):
-        manifest = write_mixed_dims_dataset(tmp_path / "raw", "train")
-        ckpt = tmp_path / "z.sqf"
-        make_zero_checkpoint(ckpt)
-        out = tmp_path / "out"
-        argv = {
-            "evaluate": ["--out", out / "report.json", "--partition", "train"],
-            "predict": ["--out-dir", out, "--partition", "train"],
-        }[command]
-        code, _, err = run_cli(command, "--checkpoint", ckpt, "--manifest", manifest, *argv)
+        assert_partition_with_two_sets_of_dims_exit_2(tmp_path, run_cli, command)
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_track_order_other_than_the_track_dims_exit_2(self, tmp_path, run_cli, command):
+        raw, run_dir, out = tmp_path / "raw", tmp_path / "run", tmp_path / "out"
+        code, _, err = run_cli("synth", "--out-dir", raw, "--seed", 3, "--n-train", 3,
+                               "--n-devel", 1, "--n-test", 1, "--dims", "2,3",
+                               "--t-range", "20:30")
+        assert code == 0, err
+        code, _, err = run_cli("train", "--manifest", raw / "manifest.json", "--out-dir", run_dir,
+                               "--target", "arousal", "--seed", 1, "--epochs", 1,
+                               "--embed-dim", 4, "--hidden-units", 4, "--head-hidden", 2)
+        assert code == 0, err
+        ckpt = run_dir / "checkpoint.sqf"
+        data = ckpt.read_bytes()
+        (n,) = struct.unpack("<I", data[4:8])
+        header = json.loads(data[8 : 8 + n])
+        header["config"]["track_order"] = ["track1", "track0"]  # D stays 5
+        raw_header = json.dumps(header, sort_keys=True).encode()
+        ckpt.write_bytes(data[:4] + struct.pack("<I", len(raw_header)) + raw_header + data[8 + n :])
+        argv = {"evaluate": ["--out", out / "report.json"], "predict": ["--out-dir", out]}[command]
+        code, _, err = run_cli(command, "--checkpoint", ckpt, "--manifest", raw / "manifest.json",
+                               "--partition", "test", *argv)
         assert code == 2, err
-        assert "video003: track 'track0' has dim 3 where video000 has track 'track0' of dim 2" in err
+        assert f"{ckpt}: track_dims name tracks ['track0', 'track1'], but " in err
         assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("value", [float("inf"), 1.5, True], ids=["inf", "float", "bool"])
@@ -971,7 +1005,10 @@ class TestFrameGrid:
 
 @pytest.fixture
 def pool_spy(monkeypatch):
-    """Two usable CPUs, and a record of the worker count of every align pool started."""
+    """Two usable CPUs, and a record of the worker count of every pool started.
+
+    Every worker process must have stopped by the end of the test.
+    """
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     started = []
 
@@ -981,12 +1018,13 @@ def pool_spy(monkeypatch):
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
-    return started
+    yield started
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture
 def pooled(pool_spy, monkeypatch):
-    """Make ``align`` hand its videos to worker processes however small the input."""
+    """Make ``align``, ``evaluate`` and ``predict`` use worker processes however small the input."""
     monkeypatch.setattr(featureio, "POOL_MIN_INPUT_BYTES", 0)
     return pool_spy
 
@@ -1034,7 +1072,7 @@ class TestPooledAlign:
         raw = tmp_path / "raw"
         write_dataset(raw, zip(["train", "devel"], synth_generate(1, 2, (230, 230), [200, 200], 100.0)))
         manifest = load_manifest(raw / "manifest.json")
-        size = featureio._input_bytes(manifest)
+        size = sum(featureio.input_bytes(manifest, manifest.videos))
         assert size < featureio.POOL_MIN_INPUT_BYTES
         # Blank lines are skipped by the reader, so padding changes only the size.
         padded = manifest.resolve(manifest.videos["video001"].features["track1"])
@@ -1048,6 +1086,127 @@ class TestPooledAlign:
             code, _, err = run_cli("align", "--manifest", raw / "manifest.json", "--out-dir", out)
             assert code == 0, err
             trees.append(tree_bytes(out))
-        assert featureio._input_bytes(manifest) == featureio.POOL_MIN_INPUT_BYTES
+        size = sum(featureio.input_bytes(manifest, manifest.videos))
+        assert size == featureio.POOL_MIN_INPUT_BYTES
         assert pool_spy == [2]  # only the run at the threshold
         assert trees[0] == trees[1]
+
+
+def write_scoring_checkpoint(path):
+    """A checkpoint of a random model on track0:2, track1:3, whose predictions vary."""
+    cfg = TrainConfig(
+        target="arousal", embed_dim=4, hidden_units=5, head_hidden=3,
+        epochs=1, seed=0, track_order=["track0", "track1"],
+    )
+    model = init_model(3, {"D": 5, "e": 4, "h": 5, "m": 3})
+    save_checkpoint(Checkpoint(model, cfg, (("track0", 2), ("track1", 3)), 0.0, 0), path)
+    return path
+
+
+def score_outputs(run_cli, ckpt, manifest, out):
+    """Exit codes and output of evaluate and predict over all videos, and the predictions."""
+    code_e, report, err_e = run_cli("evaluate", "--checkpoint", ckpt, "--manifest", manifest,
+                                    "--partition", "all")
+    code_p, out_p, err_p = run_cli("predict", "--checkpoint", ckpt, "--manifest", manifest,
+                                   "--out-dir", out)
+    return (code_e, report, err_e, code_p, out_p.replace(str(out), "OUT"), err_p), tree_bytes(out)
+
+
+def groups_of(manifest_path, partition):
+    """The video groups that a two-worker pool scores, as ``score_partition`` splits them."""
+    manifest = load_manifest(manifest_path)
+    ids = manifest.video_ids(partition)
+    return metrics._split_by_size(ids, featureio.input_bytes(manifest, ids), 2)
+
+
+class TestPooledScoring:
+    """``evaluate`` and ``predict`` in worker processes keep the serial run's bytes and errors."""
+
+    def test_same_outputs_below_and_at_the_threshold(self, synth_dir, tmp_path, run_cli,
+                                                     pool_spy, monkeypatch):
+        ckpt = write_scoring_checkpoint(tmp_path / "r.sqf")
+        manifest = synth_dir / "manifest.json"
+        loaded = load_manifest(manifest)
+        size = sum(featureio.input_bytes(loaded, loaded.videos))
+        runs = []
+        for threshold in (size + 1, size):
+            monkeypatch.setattr(featureio, "POOL_MIN_INPUT_BYTES", threshold)
+            runs.append(score_outputs(run_cli, ckpt, manifest, tmp_path / f"p{threshold}"))
+            assert multiprocessing.active_children() == []
+        assert pool_spy == [2, 2]  # only the runs at the threshold
+        (serial, serial_preds), (pooled_run, pooled_preds) = runs
+        assert serial[0] == serial[3] == 0 and "wrote predictions for 3" in serial[4], serial
+        assert pooled_run == serial
+        assert pooled_preds == serial_preds and len(serial_preds) == 3
+        values = {line.split(b",")[1] for data in serial_preds.values()
+                  for line in data.splitlines()[1:]}
+        assert len(values) > 2  # not clamped to a constant
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_dataset_dims_other_than_the_checkpoints_exit_2(self, tmp_path, run_cli, pooled,
+                                                            command):
+        assert_dims_other_than_the_checkpoints_exit_2(tmp_path, run_cli, command,
+                                                      "--partition", "all")
+        assert pooled == [2]
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_partition_with_two_sets_of_dims_exit_2(self, tmp_path, run_cli, pooled, command):
+        assert_partition_with_two_sets_of_dims_exit_2(tmp_path, run_cli, command)
+        groups = groups_of(tmp_path / "raw" / "manifest.json", "train")
+        assert ["video003"] in groups and "video000" not in groups[groups.index(["video003"])]
+        assert pooled == [2]
+
+    @pytest.mark.parametrize("fault", ["missing", "directory", "non-utf8", "nul"])
+    @pytest.mark.parametrize("kind", ["feature", "label", "manifest", "checkpoint"])
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_bad_input_file_exit_2_naming_path(
+        self, synth_dir, tmp_path, run_cli, pooled, command, kind, fault
+    ):
+        assert_bad_input_file_exit_2_naming_path(synth_dir, tmp_path, run_cli, kind, command, fault)
+        # A bad manifest or checkpoint is found before any video is loaded.
+        assert pooled == ([2] if kind in ("feature", "label") else [])
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_first_failure_in_manifest_order_reported_across_groups(
+        self, synth_dir, tmp_path, run_cli, pooled, command
+    ):
+        manifest = synth_dir / "manifest.json"
+        groups = groups_of(manifest, "all")
+        assert groups == [["video002"], ["video000", "video001"]]
+        videos = json.loads(manifest.read_text())["videos"]
+        for vid in ("video001", "video002"):
+            corrupt(synth_dir / videos[vid]["labels"]["valence"], "non-utf8")
+        ckpt = write_scoring_checkpoint(tmp_path / "r.sqf")
+        out = tmp_path / "out"
+        argv = {"evaluate": ["--out", out / "report.json"], "predict": ["--out-dir", out]}[command]
+        code, _, err = run_cli(command, "--checkpoint", ckpt, "--manifest", manifest,
+                               "--partition", "all", *argv)
+        assert code == 2, err
+        first = synth_dir / videos["video001"]["labels"]["valence"]
+        assert f"error: {first}:2: not UTF-8" in err and "video002" not in err
+        assert "Traceback" not in err and not out.exists()
+        assert pooled == [2]
+
+    def test_io_error_in_worker_exit_3_as_in_serial(self, synth_dir, tmp_path, run_cli,
+                                                    pool_spy, monkeypatch):
+        manifest = synth_dir / "manifest.json"
+        victim = synth_dir / json.loads(manifest.read_text())["videos"]["video001"]["labels"][
+            "arousal"]
+        real_read_input = featureio.read_input
+
+        def denied(path, what):
+            if Path(path) == victim:
+                raise PermissionError(13, "Permission denied", str(path))
+            return real_read_input(path, what)
+
+        monkeypatch.setattr(featureio, "read_input", denied)
+        ckpt = write_scoring_checkpoint(tmp_path / "r.sqf")
+        errs = []
+        for threshold in (featureio.POOL_MIN_INPUT_BYTES, 0):
+            monkeypatch.setattr(featureio, "POOL_MIN_INPUT_BYTES", threshold)
+            code, out, err = run_cli("evaluate", "--checkpoint", ckpt, "--manifest", manifest,
+                                     "--partition", "all")
+            assert code == 3 and out == "", err
+            errs.append(err)
+        assert pool_spy == [2]
+        assert errs[0] == errs[1] == f"I/O error: [Errno 13] Permission denied: '{victim}'\n"

@@ -18,6 +18,10 @@ from seqfuse import (
     ccc,
     evaluate,
     init_model,
+    load_manifest,
+    predict,
+    synth_generate,
+    write_dataset,
 )
 
 @st.composite
@@ -212,3 +216,41 @@ class TestEvaluate:
         payload = report.to_dict()
         assert set(payload) == {"target", "concatenated_ccc", "per_video", "n_frames_total"}
         assert "arousal" in report.summary()
+
+
+class TestSplitBySize:
+    def test_largest_first_onto_the_lightest_group_each_in_order(self):
+        groups = metrics_mod._split_by_size(["a", "b", "c", "d", "e"], [5, 9, 2, 7, 3], 2)
+        assert groups == [["b", "c", "e"], ["a", "d"]]  # 14 and 12 bytes
+
+    def test_unknown_sizes_still_give_every_group_a_video(self):
+        assert metrics_mod._split_by_size(["a", "b", "c"], [0, 0, 0], 2) == [["a", "c"], ["b"]]
+
+
+class TestScorePartition:
+    def _dataset(self, tmp_path):
+        videos = synth_generate(2, 3, (10, 20), [2, 3], 100.0)
+        write_dataset(tmp_path, zip(["devel"] * 3, videos))
+        return load_manifest(tmp_path / "manifest.json"), videos
+
+    def test_predictions_are_predicts_in_manifest_order(self, tmp_path):
+        manifest, videos = self._dataset(tmp_path)
+        model = init_model(1, {"D": 5, "e": 3, "h": 4, "m": 3})
+        scored = metrics_mod.score_partition(
+            model, manifest, "devel", (("track0", 2), ("track1", 3))
+        )
+        assert [v.video_id for v in scored] == [v.video_id for v in videos]
+        expected = predict(model, [v.data for v in videos])
+        for video, preds in zip(scored, expected):
+            assert video.predictions.tobytes() == preds.tobytes()
+        report = metrics_mod.ccc_report("arousal", scored)
+        assert report.to_dict() == evaluate(model, videos, "arousal").to_dict()
+
+    def test_other_track_dims_are_loaded_but_not_predicted(self, tmp_path):
+        manifest, _ = self._dataset(tmp_path)
+        model = init_model(1, {"D": 5, "e": 3, "h": 4, "m": 3})
+        scored = metrics_mod.score_partition(
+            model, manifest, "devel", (("track0", 3), ("track1", 2))
+        )
+        assert [v.track_dims for v in scored] == [(("track0", 2), ("track1", 3))] * 3
+        assert all(v.predictions is None for v in scored)

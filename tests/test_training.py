@@ -469,8 +469,13 @@ class TestCheckpointIo:
             lambda header: header["params"][0].update(shape=[5, 4]),
             _swap_offsets,
             lambda header: header["config"].update(target="../esc"),
+            lambda header: header["config"].update(track_order=["track1"]),
+            lambda header: header.update(
+                config={**header["config"], "track_order": ["track0", "track1"]},
+                track_dims=[["track1", 2], ["track0", 3]],
+            ),
         ],
-        ids=["dims", "shape", "offsets", "target-path"],
+        ids=["dims", "shape", "offsets", "target-path", "track-renamed", "track-order-swapped"],
     )
     def test_tampered_header_rejected(self, tmp_path, edit):
         save_checkpoint(_golden_checkpoint(), tmp_path / "g.sqf")

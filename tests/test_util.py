@@ -1,8 +1,11 @@
+import inspect
+import pickle
 import re
 
 import pytest
 
 from seqfuse import ConfigError, MalformedRowError
+from seqfuse import errors
 from seqfuse.util import read_input, read_input_text
 
 
@@ -51,3 +54,20 @@ def test_other_os_errors_propagate(tmp_path, monkeypatch):
     monkeypatch.setattr(type(tmp_path), "read_bytes", denied)
     with pytest.raises(PermissionError):
         read_input(tmp_path / "f.csv", "checkpoint")
+
+
+ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                 if cls.__module__ == errors.__name__]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [cls("data/x.csv:3: bad row") for cls in ERROR_CLASSES]
+    + [PermissionError(13, "Permission denied", "data/x.csv")],
+    ids=[cls.__name__ for cls in ERROR_CLASSES] + ["PermissionError"],
+)
+def test_errors_cross_the_process_boundary_intact(error):
+    """Worker processes send their errors back pickled; the CLI prints ``str`` of them."""
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
