@@ -26,7 +26,7 @@ from .featureio import (
     PARTITIONS,
     Manifest,
     align_dataset,
-    load_fused_dataset,
+    load_fused_datasets,
     load_manifest,
     synth_generate,
     write_dataset,
@@ -158,8 +158,9 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
 def cmd_train(args: argparse.Namespace) -> int:
     run = _resolve_run_config(args)
     manifest = load_manifest(run.manifest)
-    train_set = load_fused_dataset(manifest, "train", run.train.track_order)
-    devel_set = load_fused_dataset(manifest, "devel", run.train.track_order)
+    train_set, devel_set = load_fused_datasets(
+        manifest, ("train", "devel"), run.train.track_order
+    )
     ckpt, history = train(train_set, devel_set, run.train)
     run.out_dir.mkdir(parents=True, exist_ok=True)
     # The checkpoint goes last, so a failed run never leaves one that looks finished.

@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import json
 import stat
+import traceback
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import repeat, zip_longest
@@ -224,7 +225,9 @@ class LabeledSequence:
     block of ``data``, so the frames are held once. Every track must have t
     frames on one frame grid, and every label array t values in [-1, 1].
     ``label_bytes`` holds, per target, the label file's bytes exactly as they
-    were read and validated, when the sequence was loaded from files.
+    were read and validated, when the sequence was loaded from files. A
+    pickled sequence, as a worker process sends it, holds ``data`` once, and
+    its tracks' frames are views of ``data`` again when it is unpickled.
     """
 
     video_id: str
@@ -261,10 +264,29 @@ class LabeledSequence:
             if np.any(values < -1.0) or np.any(values > 1.0):
                 raise MalformedRowError(f"{self.video_id}: label outside [-1, 1]")
         self.data = fuse(self.tracks)
+        self._view_tracks()
+
+    def _view_tracks(self) -> None:
+        """Point each track's ``frames`` at its column block of ``data``."""
         offset = 0
         for track in self.tracks:
             track.frames = self.data[:, offset : offset + track.dim]
             offset += track.dim
+
+    def __getstate__(self) -> dict:
+        # Pickled as they are, the tracks' frames would be sent a second time:
+        # numpy pickles a view as an array of its own.
+        state = dict(self.__dict__)
+        state["tracks"] = [(tr.name, tr.dim, tr.frame_len_ms) for tr in self.tracks]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.tracks = [
+            FrameTrack(name, dim, frame_len_ms, np.empty((0, dim)))
+            for name, dim, frame_len_ms in state["tracks"]
+        ]
+        self._view_tracks()
 
     @property
     def n_frames(self) -> int:
@@ -797,16 +819,21 @@ def write_dataset(
 
 
 # Bytes of feature and label input from which ``align_dataset`` and
-# ``metrics.score_partition`` work in worker processes (see pool_workers).
-# Measured on a 2-CPU Xeon with BLAS pinned to one thread. Align: starting
-# the pool costs about 45 ms, and serial alignment runs at about 17 MB of
-# input per second, so the pool breaks even near 1.6 MB. Scoring: starting
-# and stopping a two-worker pool costs 8-15 ms, and serial loading and
-# prediction run at 30 MB (e16/h32/m16 over D = 10) to 50 MB (D = 900) of
-# input per second, so the pool breaks even below 1 MB. The benchmark's
-# train-small input (0.23 MB, and a 0.05 MB devel partition) stays
-# in-process; ingest-wide (23.1 MB, and a 5.2 MB test partition) and
-# infer-long's 6.3 MB test partition go to the pool.
+# ``map_video_groups`` (``train``'s loading, and ``metrics.score_partition``)
+# work in worker processes (see pool_workers). Measured on a 2-CPU Xeon with
+# BLAS pinned to one thread. Align: starting the pool costs about 45 ms, and
+# serial alignment runs at about 17 MB of input per second, so the pool
+# breaks even near 1.6 MB. Scoring: starting and stopping a two-worker pool
+# costs 8-15 ms, and serial loading and prediction run at 30 MB (e16/h32/m16
+# over D = 10) to 50 MB (D = 900) of input per second, so the pool breaks
+# even below 1 MB. Train: serial loading runs at about 49 MB of input per
+# second at D = 900 (ingest-wide's 14.2 MB of aligned train and devel input
+# in 0.29 s). Two workers took 0.22 s: each group loads in 0.16 s, and
+# starting the pool and sending the fused arrays back cost the rest. The
+# benchmark's train-small input (0.23 MB, and a 0.05 MB devel
+# partition) stays in-process; ingest-wide (23.1 MB, its 14.2 MB of aligned
+# train and devel videos and a 5.2 MB test partition) and infer-long's
+# 6.3 MB test partition go to the pool.
 POOL_MIN_INPUT_BYTES = 4 << 20
 
 
@@ -957,16 +984,135 @@ def check_same_tracks(seq: LabeledSequence, reference: LabeledSequence) -> None:
             )
 
 
+def _split_by_size(video_ids: list[str], sizes: list[int], n_groups: int) -> list[list[str]]:
+    """``n_groups`` nonempty groups of about equal size, each in the given order.
+
+    Largest first, each video joins the group with the least input so far
+    (on a tie, the one with the fewest videos, then the first).
+    """
+    totals, members = [0] * n_groups, [[] for _ in range(n_groups)]
+    for k in sorted(range(len(video_ids)), key=lambda k: -sizes[k]):
+        g = min(range(n_groups), key=lambda g: (totals[g], len(members[g])))
+        totals[g] += sizes[k]
+        members[g].append(k)
+    return [[video_ids[k] for k in sorted(group)] for group in members]
+
+
+class _RemoteTraceback(Exception):
+    """The traceback of an error raised in a worker process, as text."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
+
+
+def _run_group(
+    group_fn, manifest: Manifest, video_ids: list[str], *args
+) -> tuple[list, Exception | None]:
+    """``group_fn``'s results for one group, and the error that stopped it, or None."""
+    done = []
+    try:
+        group_fn(manifest, video_ids, done, *args)
+    except Exception as exc:  # noqa: BLE001 - raised by map_video_groups in order
+        return done, exc
+    return done, None
+
+
+def _run_group_in_worker(*call) -> tuple[list, Exception | None, str | None]:
+    """:func:`_run_group` in a worker process, plus the error's traceback as text.
+
+    A pickled exception loses its ``__traceback__``, so the worker formats it.
+    """
+    done, error = _run_group(*call)
+    return done, error, None if error is None else "".join(traceback.format_exception(error))
+
+
+def map_video_groups(
+    manifest: Manifest, partitions: list[list[str]], group_fn, *args
+) -> list[list]:
+    """``group_fn``'s result for every listed video, with a serial run's errors.
+
+    ``partitions`` holds lists of video ids, in the order a serial run would
+    take them. ``group_fn(manifest, video_ids, done, *args)`` takes one group
+    of those videos in that order and appends one result per video to
+    ``done``, which has the ``video_id`` and ``track_dims`` that
+    :func:`check_same_tracks` reads; it may raise. On a large input (see
+    :func:`pool_workers`) the videos are split by input size into one group
+    per worker, each run in a forked worker process, so ``group_fn`` and its
+    arguments and results cross the process boundary by pickling; otherwise
+    one group of all the videos runs in this process. The workers are
+    forked, so a caller that runs threads of its own should not call this on
+    a large input.
+
+    Returns the results as one list per entry of ``partitions``. Errors are
+    raised as a serial run would raise them: going through the videos in
+    order, a video whose group stopped at it raises that group's error, and
+    a result whose track dims differ from its list's first raises
+    DimMismatchError. An error from a worker has the worker's traceback as
+    its ``__cause__``.
+    """
+    video_ids = [vid for ids in partitions for vid in ids]
+    sizes = input_bytes(manifest, video_ids)
+    workers = pool_workers(sizes)
+    if workers:
+        groups = _split_by_size(video_ids, sizes, workers)
+        results = map_in_workers(
+            _run_group_in_worker, workers, repeat(group_fn), repeat(manifest), groups,
+            *map(repeat, args),
+        )
+    else:
+        groups = [video_ids]
+        results = [(*_run_group(group_fn, manifest, video_ids, *args), None)]
+    done, failed = {}, {}
+    for group, (group_done, error, trace) in zip(groups, results):
+        done.update(zip(group, group_done))
+        if error is not None:
+            if trace is not None:  # as concurrent.futures shows a worker's error
+                error.__cause__ = _RemoteTraceback(trace)
+            # An error after the group's last video was done is charged to it.
+            failed[group[min(len(group_done), len(group) - 1)]] = error
+    replayed = []
+    for ids in partitions:
+        part = []
+        for vid in ids:
+            if vid in failed:
+                raise failed[vid]
+            part.append(done[vid])
+            check_same_tracks(part[-1], part[0])
+        replayed.append(part)
+    return replayed
+
+
+def _load_group(
+    manifest: Manifest, video_ids: list[str], done: list, track_order: list[str] | None
+) -> None:
+    for vid in video_ids:
+        done.append(load_labeled_sequence(manifest, vid, track_order))
+
+
+def load_fused_datasets(
+    manifest: Manifest, partitions: Sequence[str], track_order: list[str] | None = None
+) -> list[list[LabeledSequence]]:
+    """:func:`load_fused_dataset` of each partition, all loaded in one pass.
+
+    On a large input the videos of all the partitions are split into groups
+    and loaded in forked worker processes, each of which sends back its
+    videos' sequences (see :func:`map_video_groups`).
+    """
+    return map_video_groups(
+        manifest, [manifest.video_ids(p) for p in partitions], _load_group, track_order
+    )
+
+
 def load_fused_dataset(
     manifest: Manifest, partition: str, track_order: list[str] | None = None
 ) -> list[LabeledSequence]:
     """The sequences of one partition, in manifest video order.
 
     Every video must have the first one's tracks with the same dims, or
-    DimMismatchError names the first track that differs.
+    DimMismatchError names the first track that differs. The errors are
+    those of loading the videos one by one with :func:`load_labeled_sequence`
+    and comparing each with the first as it is loaded, even when a large
+    partition is loaded in worker processes.
     """
-    sequences = []
-    for vid in manifest.video_ids(partition):
-        sequences.append(load_labeled_sequence(manifest, vid, track_order))
-        check_same_tracks(sequences[-1], sequences[0])
+    (sequences,) = load_fused_datasets(manifest, [partition], track_order)
     return sequences

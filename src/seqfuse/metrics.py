@@ -3,13 +3,14 @@
 Two paths score a model. :func:`evaluate` scores sequences already in
 memory, as ``train`` does on its devel set after each epoch.
 :func:`score_partition` loads a manifest partition and predicts it, as the
-``evaluate`` and ``predict`` commands do. On a large partition (see
-``featureio.pool_workers``) it does so in forked worker processes, each of
-which loads and predicts one group of videos and sends back only their
-track dims, labels and predictions; a small one runs the same group
-function once in this process. Either way the errors, their order and the
-predictions are those of loading the partition video by video and
-predicting it in one call. :func:`ccc_report` turns either path's
+``evaluate`` and ``predict`` commands do. It runs its group function through
+``featureio.map_video_groups``, the grouped loader that ``train`` loads its
+partitions with too: on a large partition (see ``featureio.pool_workers``)
+each forked worker process loads and predicts one group of videos and sends
+back only their track dims, labels and predictions; a small one runs the
+same group function once in this process. Either way the errors, their
+order and the predictions are those of loading the partition video by video
+and predicting it in one call. :func:`ccc_report` turns either path's
 predictions into the report.
 """
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -27,16 +27,9 @@ from .errors import (
     LengthMismatchError,
     TargetMissingError,
 )
-from .featureio import (
-    LabeledSequence,
-    Manifest,
-    check_same_tracks,
-    input_bytes,
-    load_labeled_sequence,
-    pool_workers,
-)
+from .featureio import LabeledSequence, Manifest, load_labeled_sequence, map_video_groups
 from .nn import Model, predict
-from .util import fmt_float, map_in_workers
+from .util import fmt_float
 
 logger = logging.getLogger(__name__)
 
@@ -153,46 +146,28 @@ def evaluate(model: Model, dataset: list[LabeledSequence], target: str) -> CccRe
 
 
 def _score_group(
-    model: Model,
     manifest: Manifest,
     video_ids: list[str],
+    scored: list[ScoredVideo],
+    model: Model,
     track_dims: tuple[tuple[str, int], ...],
-) -> tuple[list[ScoredVideo], Exception | None]:
+) -> None:
     """Load one group's videos in order, and predict them if all have ``track_dims``.
 
-    Runs in a worker process on a large partition, so the first error is
-    returned, not raised, for the caller to raise in partition order; the
-    videos after it are not loaded. The videos are predicted in one
-    ``predict`` call, which cannot fail once their track dims are the
-    model's, since ``load_checkpoint`` checks that those sum to its input
-    width.
+    The group function of :func:`score_partition`: each video's ScoredVideo
+    is appended to ``scored`` as soon as it is loaded. The videos are
+    predicted in one ``predict`` call, which cannot fail once their track
+    dims are the model's, since ``load_checkpoint`` checks that those sum to
+    its input width.
     """
-    scored, data = [], []
-    try:
-        for vid in video_ids:
-            seq = load_labeled_sequence(manifest, vid, [name for name, _ in track_dims])
-            scored.append(ScoredVideo(vid, seq.track_dims, seq.labels))
-            data.append(seq.data)
-    except Exception as exc:  # noqa: BLE001 - raised by score_partition in order
-        return scored, exc
+    data = []
+    for vid in video_ids:
+        seq = load_labeled_sequence(manifest, vid, [name for name, _ in track_dims])
+        scored.append(ScoredVideo(vid, seq.track_dims, seq.labels))
+        data.append(seq.data)
     if all(video.track_dims == track_dims for video in scored):
         for video, preds in zip(scored, predict(model, data)):
             video.predictions = preds
-    return scored, None
-
-
-def _split_by_size(video_ids: list[str], sizes: list[int], n_groups: int) -> list[list[str]]:
-    """``n_groups`` nonempty groups of about equal size, each in the given order.
-
-    Largest first, each video joins the group with the least input so far
-    (on a tie, the one with the fewest videos, then the first).
-    """
-    totals, members = [0] * n_groups, [[] for _ in range(n_groups)]
-    for k in sorted(range(len(video_ids)), key=lambda k: -sizes[k]):
-        g = min(range(n_groups), key=lambda g: (totals[g], len(members[g])))
-        totals[g] += sizes[k]
-        members[g].append(k)
-    return [[video_ids[k] for k in sorted(group)] for group in members]
 
 
 def score_partition(
@@ -206,32 +181,15 @@ def score_partition(
     raises it). When the videos' track dims are not ``track_dims``, nothing
     is predicted, and every ``predictions`` is None.
 
-    On a large partition (``pool_workers``) the videos are split by input
-    size into one group per worker, each loaded and predicted in a forked
-    worker process; otherwise one group of all of them is, in this process.
-    The predictions are the same either way, since ``predict``'s output for
-    a video does not depend on the other videos it is scored with.
+    The videos go through ``featureio.map_video_groups``: on a large
+    partition they are split by input size into one group per worker, each
+    loaded and predicted in a forked worker process that sends back only
+    track dims, labels and predictions; otherwise one group of all of them
+    is, in this process. The predictions are the same either way, since
+    ``predict``'s output for a video does not depend on the other videos it
+    is scored with.
     """
-    video_ids = manifest.video_ids(partition)
-    sizes = input_bytes(manifest, video_ids)
-    workers = pool_workers(sizes)
-    if workers:
-        groups = _split_by_size(video_ids, sizes, workers)
-        results = map_in_workers(
-            _score_group, workers, repeat(model), repeat(manifest), groups, repeat(track_dims)
-        )
-    else:
-        groups = [video_ids]
-        results = [_score_group(model, manifest, video_ids, track_dims)]
-    loaded, failed = {}, {}
-    for group, (scored, error) in zip(groups, results):
-        loaded.update((video.video_id, video) for video in scored)
-        if error is not None:
-            failed[group[len(scored)]] = error
-    videos = []
-    for vid in video_ids:
-        if vid in failed:
-            raise failed[vid]
-        videos.append(loaded[vid])
-        check_same_tracks(videos[-1], videos[0])
+    (videos,) = map_video_groups(
+        manifest, [manifest.video_ids(partition)], _score_group, model, track_dims
+    )
     return videos

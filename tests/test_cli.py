@@ -4,9 +4,12 @@ import json
 import multiprocessing
 import os
 import struct
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import fail_writes_halfway, zero_model
 from seqfuse import (
@@ -22,7 +25,7 @@ from seqfuse import (
     train,
     write_dataset,
 )
-from seqfuse import featureio, metrics
+from seqfuse import featureio
 from seqfuse.cli import main as cli_main
 from seqfuse.training import write_history_csv
 
@@ -1024,7 +1027,7 @@ def pool_spy(monkeypatch):
 
 @pytest.fixture
 def pooled(pool_spy, monkeypatch):
-    """Make ``align``, ``evaluate`` and ``predict`` use worker processes however small the input."""
+    """Make ``align``, ``train``, ``evaluate`` and ``predict`` use workers on any input."""
     monkeypatch.setattr(featureio, "POOL_MIN_INPUT_BYTES", 0)
     return pool_spy
 
@@ -1116,7 +1119,7 @@ def groups_of(manifest_path, partition):
     """The video groups that a two-worker pool scores, as ``score_partition`` splits them."""
     manifest = load_manifest(manifest_path)
     ids = manifest.video_ids(partition)
-    return metrics._split_by_size(ids, featureio.input_bytes(manifest, ids), 2)
+    return featureio._split_by_size(ids, featureio.input_bytes(manifest, ids), 2)
 
 
 class TestPooledScoring:
@@ -1210,3 +1213,215 @@ class TestPooledScoring:
             errs.append(err)
         assert pool_spy == [2]
         assert errs[0] == errs[1] == f"I/O error: [Errno 13] Permission denied: '{victim}'\n"
+
+
+def train_runs(run_cli, monkeypatch, tmp_path, manifest, thresholds, **overrides):
+    """``train`` at each pool threshold: (exit code, stdout, stderr) and the files written.
+
+    Each run writes to a run directory of its own, which stdout names as RUN.
+    """
+    runs = []
+    for k, threshold in enumerate(thresholds):
+        monkeypatch.setattr(featureio, "POOL_MIN_INPUT_BYTES", threshold)
+        run_dir = tmp_path / f"run{k}"
+        cfg = write_train_config(tmp_path / f"cfg{k}.json", manifest, run_dir, **overrides)
+        code, out, err = run_cli("train", "--config", cfg)
+        files = tree_bytes(run_dir) if run_dir.exists() else {}
+        runs.append(((code, out.replace(str(run_dir), "RUN"), err), files))
+    return runs
+
+
+def train_groups(manifest_path):
+    """The video groups that a two-worker pool loads for ``train``: train, then devel videos."""
+    manifest = load_manifest(manifest_path)
+    ids = manifest.video_ids("train") + manifest.video_ids("devel")
+    return featureio._split_by_size(ids, featureio.input_bytes(manifest, ids), 2)
+
+
+# Values the property below may set a manifest field to.
+JSON_VALUES = [5, None, [], {}, "", -1, 1.5, True, "../x"]
+
+
+def json_paths(value, path=()):
+    """The key path of every member of every object nested in ``value``."""
+    if isinstance(value, dict):
+        for key, member in value.items():
+            yield path + (key,)
+            yield from json_paths(member, path + (key,))
+
+
+@st.composite
+def edited_dataset(draw, files):
+    """``files`` (name -> bytes of a dataset tree) with one file edited."""
+    kind = draw(st.sampled_from(["features/", "labels/", "manifest.json"]))
+    name = draw(st.sampled_from(sorted(n for n in files if n.startswith(kind))))
+    data = files[name]
+    if kind == "manifest.json" and draw(st.booleans()):
+        raw = json.loads(data)
+        *parents, key = draw(st.sampled_from(list(json_paths(raw))))
+        member = raw
+        for parent in parents:
+            member = member[parent]
+        member[key] = draw(st.sampled_from(JSON_VALUES))
+        data = json.dumps(raw).encode()
+    else:
+        edit = draw(st.sampled_from(["insert", "delete", "truncate", "flip"]))
+        at = draw(st.integers(0, len(data) - 1))
+        if edit == "insert":
+            data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at:]
+        elif edit == "delete":
+            data = data[:at] + data[at + 1 :]
+        elif edit == "truncate":
+            data = data[:at]
+        else:
+            data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
+    return {**files, name: data}
+
+
+class TestPooledTrain:
+    """``train`` loading its videos in worker processes keeps the serial run's bytes and errors."""
+
+    def test_same_outputs_below_and_at_the_threshold(self, synth_dir, tmp_path, run_cli,
+                                                     pool_spy, monkeypatch):
+        manifest = synth_dir / "manifest.json"
+        loaded = load_manifest(manifest)
+        ids = loaded.video_ids("train") + loaded.video_ids("devel")
+        size = sum(featureio.input_bytes(loaded, ids))
+        (serial, serial_files), (pooled_run, pooled_files) = train_runs(
+            run_cli, monkeypatch, tmp_path, manifest, (size + 1, size)
+        )
+        assert pool_spy == [2]  # only the run at the threshold
+        assert serial[0] == 0 and "checkpoint written to RUN/checkpoint.sqf" in serial[1]
+        # Two epochs on three short videos do not beat epoch 0, so stderr has a line too.
+        assert serial[2].startswith("warning: no trained epoch beat")
+        assert pooled_run == serial
+        assert pooled_files == serial_files
+        assert sorted(serial_files) == ["checkpoint.sqf", "history.csv"]
+
+    @pytest.mark.parametrize("kind", ["feature", "label", "manifest-entry"])
+    def test_bad_train_video_in_second_group_reported_before_bad_devel_video(
+        self, synth_dir, tmp_path, run_cli, pool_spy, monkeypatch, kind
+    ):
+        manifest = synth_dir / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        bad = []
+        for vid in ("video001", "video002"):  # a train video, and the devel video
+            entry = raw["videos"][vid]
+            if kind == "feature":
+                bad.append(synth_dir / entry["features"]["track1"])
+                corrupt(bad[-1], "non-utf8")
+            elif kind == "label":
+                bad.append(synth_dir / entry["labels"]["valence"])
+                corrupt(bad[-1], "non-utf8")
+            else:  # a label file, whose header the feature reader rejects
+                entry["features"]["track1"] = entry["labels"]["valence"]
+                bad.append(synth_dir / entry["features"]["track1"])
+        manifest.write_text(json.dumps(raw))
+        assert train_groups(manifest) == [["video002"], ["video000", "video001"]]
+        runs = train_runs(run_cli, monkeypatch, tmp_path, manifest,
+                          (featureio.POOL_MIN_INPUT_BYTES, 0))
+        assert pool_spy == [2]
+        (serial, serial_files), (pooled_run, pooled_files) = runs
+        assert pooled_run == serial and pooled_files == serial_files == {}
+        code, _, err = serial
+        assert code == 2 and "Traceback" not in err
+        assert err.startswith("error: ") and str(bad[0]) in err and str(bad[1]) not in err
+
+    def test_partition_with_dims_of_two_groups_exit_2(self, tmp_path, run_cli, pool_spy,
+                                                      monkeypatch):
+        manifest = write_mixed_dims_dataset(tmp_path / "raw", "train")
+        groups = train_groups(manifest)
+        assert "video000" not in next(group for group in groups if "video003" in group)
+        runs = train_runs(run_cli, monkeypatch, tmp_path, manifest,
+                          (featureio.POOL_MIN_INPUT_BYTES, 0))
+        assert pool_spy == [2]
+        (serial, serial_files), (pooled_run, pooled_files) = runs
+        assert pooled_run == serial and pooled_files == serial_files == {}
+        assert serial[0] == 2
+        assert serial[2] == (
+            "error: video003: track 'track0' has dim 3 where video000 has track 'track0' of dim 2\n"
+        )
+
+    def test_devel_dims_checked_against_devel_so_a_later_load_error_wins(
+        self, tmp_path, run_cli, pool_spy, monkeypatch
+    ):
+        # Serial train loads every devel video, each checked against the first
+        # devel video, before train() compares devel with train.
+        videos = synth_generate(5, 2, (8, 14), [2, 3], 100.0)
+        videos += synth_generate(6, 2, (8, 14), [3, 2], 100.0)
+        for k, video in enumerate(videos):
+            video.video_id = f"video{k:03d}"
+        raw = tmp_path / "raw"
+        write_dataset(raw, zip(["train", "train", "devel", "devel"], videos))
+        victim = raw / "labels" / "video003_valence.csv"
+        corrupt(victim, "non-utf8")
+        runs = train_runs(run_cli, monkeypatch, tmp_path, raw / "manifest.json",
+                          (featureio.POOL_MIN_INPUT_BYTES, 0))
+        assert pool_spy == [2]
+        (serial, serial_files), (pooled_run, pooled_files) = runs
+        assert pooled_run == serial and pooled_files == serial_files == {}
+        assert serial[0] == 2
+        assert serial[2] == f"error: {victim}:2: not UTF-8 text (invalid start byte)\n"
+
+    def test_io_error_in_worker_exit_3_as_in_serial(self, synth_dir, tmp_path, run_cli,
+                                                    pool_spy, monkeypatch):
+        manifest = synth_dir / "manifest.json"
+        victim = synth_dir / json.loads(manifest.read_text())["videos"]["video001"]["labels"][
+            "arousal"]
+        real_read_input = featureio.read_input
+
+        def denied(path, what):
+            if Path(path) == victim:
+                raise PermissionError(13, "Permission denied", str(path))
+            return real_read_input(path, what)
+
+        monkeypatch.setattr(featureio, "read_input", denied)
+        runs = train_runs(run_cli, monkeypatch, tmp_path, manifest,
+                          (featureio.POOL_MIN_INPUT_BYTES, 0))
+        assert pool_spy == [2]
+        for (code, out, err), files in runs:
+            assert (code, out, files) == (3, "", {})
+            assert err == f"I/O error: [Errno 13] Permission denied: '{victim}'\n"
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_one_bad_input_file_gives_the_serial_result(self, synth_dir, tmp_path, run_cli,
+                                                        pool_spy, monkeypatch, data):
+        files = data.draw(edited_dataset(tree_bytes(synth_dir)))
+        root = Path(tempfile.mkdtemp(dir=tmp_path))
+        for name, content in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_bytes(content)
+        runs = train_runs(run_cli, monkeypatch, root, root / "manifest.json",
+                          (featureio.POOL_MIN_INPUT_BYTES, 0), epochs=1)
+        ((code, _, err), serial_files), ((pooled_code, _, pooled_err), pooled_files) = runs
+        assert code in (0, 2, 3), err
+        assert pooled_code == code, (err, pooled_err)
+        assert pooled_err.splitlines()[-1:] == err.splitlines()[-1:]
+        assert "Traceback" not in err + pooled_err
+        assert pooled_files == serial_files
+        if code:
+            assert "checkpoint.sqf" not in serial_files
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_internal_error_in_worker_prints_the_workers_traceback(
+    synth_dir, tmp_path, run_cli, pooled, monkeypatch, command
+):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(featureio, "read_label_csv", broken)
+    manifest = synth_dir / "manifest.json"
+    argv = {
+        "train": ["--config", write_train_config(tmp_path / "cfg.json", manifest, tmp_path / "r")],
+        "evaluate": ["--checkpoint", write_scoring_checkpoint(tmp_path / "r.sqf"),
+                     "--manifest", manifest, "--partition", "all"],
+    }[command]
+    code, _, err = run_cli(command, *argv)
+    assert code == 4
+    assert err.endswith("internal error: boom\n")
+    # The frame that called the reader ran in a worker.
+    assert "read_label_csv(" in err
+    assert pooled == [2]

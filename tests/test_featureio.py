@@ -1,4 +1,5 @@
 import json
+import pickle
 import re
 import tracemalloc
 
@@ -555,6 +556,27 @@ class TestFuse:
             assert np.array_equal(track.frames, frames)
         assert np.array_equal(seq.data[:, :2], a)
         assert np.array_equal(seq.data[:, 2:], b)
+
+    def test_pickle_sends_data_once_and_tracks_view_it(self, tmp_path):
+        videos = synth_generate(4, 1, (120, 120), [300, 40, 7], 100.0)
+        write_dataset(tmp_path, zip(["train"], videos))
+        manifest = load_manifest(tmp_path / "manifest.json")
+        seq = load_labeled_sequence(manifest, "video000", ["track0", "track1", "track2"])
+        raw = pickle.dumps(seq)
+        back = pickle.loads(raw)
+        assert back.video_id == seq.video_id and back.track_dims == seq.track_dims
+        assert back.data.tobytes() == seq.data.tobytes()
+        assert back.labels.keys() == seq.labels.keys()
+        for target, values in seq.labels.items():
+            assert back.labels[target].tobytes() == values.tobytes()
+        assert back.label_bytes == seq.label_bytes and len(seq.label_bytes) == 2
+        for track, original in zip(back.tracks, seq.tracks):
+            assert np.shares_memory(track.frames, back.data)
+            assert track.frames.tobytes() == original.frames.tobytes()
+            assert track.frame_len_ms == original.frame_len_ms
+        label_size = sum(v.nbytes for v in seq.labels.values())
+        label_size += sum(map(len, seq.label_bytes.values()))
+        assert len(raw) < 1.1 * seq.data.nbytes + label_size
 
 
 # ---------------------------------------------------------------------------

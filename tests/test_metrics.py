@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import seqfuse.metrics as metrics_mod
+from seqfuse.featureio import _split_by_size
 from oracles import ccc_direct
 from seqfuse import (
     DegenerateInputError,
@@ -219,12 +220,14 @@ class TestEvaluate:
 
 
 class TestSplitBySize:
+    """The grouping of ``featureio.map_video_groups``, which scoring runs on."""
+
     def test_largest_first_onto_the_lightest_group_each_in_order(self):
-        groups = metrics_mod._split_by_size(["a", "b", "c", "d", "e"], [5, 9, 2, 7, 3], 2)
+        groups = _split_by_size(["a", "b", "c", "d", "e"], [5, 9, 2, 7, 3], 2)
         assert groups == [["b", "c", "e"], ["a", "d"]]  # 14 and 12 bytes
 
     def test_unknown_sizes_still_give_every_group_a_video(self):
-        assert metrics_mod._split_by_size(["a", "b", "c"], [0, 0, 0], 2) == [["a", "c"], ["b"]]
+        assert _split_by_size(["a", "b", "c"], [0, 0, 0], 2) == [["a", "c"], ["b"]]
 
 
 class TestScorePartition:
