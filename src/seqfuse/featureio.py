@@ -28,9 +28,9 @@ Dataset manifest JSON::
                    "features": {"track0": "features/vid001_track0.csv"},
                    "labels": {"arousal": "labels/vid001_arousal.csv"}}}}
 
-The optional ``frame_len_ms`` (an integer >= 1, 250 when absent) is the
-dataset's frame grid; the 250 of the CSV formats above stands for it. No
-other top-level key is accepted.
+The optional ``frame_len_ms`` (an integer from 1 to 2**63 - 1, 250 when
+absent) is the dataset's frame grid; the 250 of the CSV formats above stands
+for it. No other top-level key is accepted.
 Relative paths are resolved against the manifest's directory. Video ids,
 track names and targets become parts of file names, so a name holding ``/``,
 ``\\`` or NUL is rejected when the manifest is loaded. Floats are written
@@ -100,6 +100,8 @@ from .util import (
 )
 
 DEFAULT_FRAME_LEN_MS = 250
+
+_INT64_MAX = (1 << 63) - 1  # the largest start_ms, end_ms or frame_ms a file holds
 
 TARGETS = ("arousal", "valence")
 
@@ -466,12 +468,16 @@ def read_label_csv(
         raise MalformedRowError(f"{path}: bad label header")
     table = _parse_rows(path, lines, 1, 1)
     frame_ms, values = table["ints"][:, 0], table["floats"][:, 0]
-    grid = np.arange(len(values), dtype=np.int64) * frame_len_ms
+    # Row j is due at j * frame_len_ms, which leaves int64 past row ``last``
+    # (when frame_len_ms itself does, only row 0, due at 0, is in range).
+    rows, last = np.arange(len(values)), _INT64_MAX // frame_len_ms
+    grid = np.minimum(rows, last) * min(frame_len_ms, _INT64_MAX)
+    off_grid = (rows > last) | (frame_ms != grid)
     _check_rows(
         lambda row: f"{path}:{_lineno(lines, row)}",
         [
             (~np.isfinite(values), lambda row: f"non-finite value {values[row]}"),
-            (frame_ms != grid, lambda row: f"frame_ms {frame_ms[row]} != {grid[row]}"),
+            (off_grid, lambda row: f"frame_ms {frame_ms[row]} != {row * frame_len_ms}"),
             (np.abs(values) > 1.0, lambda row: f"label {values[row]} outside [-1, 1]"),
         ],
     )
@@ -485,7 +491,8 @@ def write_label_csv(
 
     Values that :func:`read_label_csv` would reject raise its error before
     anything is written: EmptyTrackError for no values, MalformedRowError for
-    values that are not 1-D, finite and in [-1, 1].
+    values that are not 1-D, finite and in [-1, 1], or for rows whose
+    ``frame_ms`` would be past the int64 range.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
@@ -496,6 +503,8 @@ def write_label_csv(
         lambda row: f"{path}: frame {row}",
         [
             (~np.isfinite(values), lambda row: f"non-finite value {values[row]}"),
+            (np.arange(len(values)) > _INT64_MAX // frame_len_ms,
+             lambda row: f"frame_ms {row * frame_len_ms} is past the int64 range"),
             (np.abs(values) > 1.0, lambda row: f"label {values[row]} outside [-1, 1]"),
         ],
     )
@@ -685,6 +694,8 @@ def load_manifest(path: str | Path) -> Manifest:
         raise ConfigError(
             f"{path}: frame_len_ms must be an integer >= 1, got {frame_len_ms!r}"
         )
+    if frame_len_ms > _INT64_MAX:
+        raise ConfigError(f"{path}: frame_len_ms {frame_len_ms} is past the int64 range")
     videos = {}
     for vid, entry in raw["videos"].items():
         check_name(vid, f"{path}: video {vid!r}: id")
@@ -756,7 +767,8 @@ def _write_video(
     kept them and formatted on ``frame_len_ms`` otherwise; tracks are written
     as frame-aligned Feature CSVs. ``claim(relpath)`` gives the path to write
     each file to, and may refuse it. A track off ``frame_len_ms`` raises
-    LengthMismatchError before any file is written.
+    LengthMismatchError, and a last frame that ends past the int64 range, which
+    no Feature CSV can hold, MalformedRowError, before any file is written.
     """
     grids = {tr.frame_len_ms for tr in seq.tracks}
     if grids != {frame_len_ms}:
@@ -764,6 +776,8 @@ def _write_video(
             f"{seq.video_id}: tracks on frame_len_ms {sorted(grids)}, "
             f"the dataset on {frame_len_ms}"
         )
+    if seq.n_frames * frame_len_ms > _INT64_MAX:
+        raise MalformedRowError(f"{seq.video_id}: frame {seq.n_frames - 1} ends past int64")
     labels, features = _video_files(seq.video_id, seq.labels, [tr.name for tr in seq.tracks])
     for target, values in seq.labels.items():
         path = claim(labels[target])
@@ -818,22 +832,21 @@ def write_dataset(
     return len(entries)
 
 
-# Bytes of feature and label input from which ``align_dataset`` and
-# ``map_video_groups`` (``train``'s loading, and ``metrics.score_partition``)
-# work in worker processes (see pool_workers). Measured on a 2-CPU Xeon with
-# BLAS pinned to one thread. Align: starting the pool costs about 45 ms, and
-# serial alignment runs at about 17 MB of input per second, so the pool
-# breaks even near 1.6 MB. Scoring: starting and stopping a two-worker pool
-# costs 8-15 ms, and serial loading and prediction run at 30 MB (e16/h32/m16
-# over D = 10) to 50 MB (D = 900) of input per second, so the pool breaks
-# even below 1 MB. Train: serial loading runs at about 49 MB of input per
-# second at D = 900 (ingest-wide's 14.2 MB of aligned train and devel input
-# in 0.29 s). Two workers took 0.22 s: each group loads in 0.16 s, and
-# starting the pool and sending the fused arrays back cost the rest. The
-# benchmark's train-small input (0.23 MB, and a 0.05 MB devel
-# partition) stays in-process; ingest-wide (23.1 MB, its 14.2 MB of aligned
-# train and devel videos and a 5.2 MB test partition) and infer-long's
-# 6.3 MB test partition go to the pool.
+# Bytes of feature and label input from which ``map_video_groups`` (``align``,
+# ``train``'s loading and ``metrics.score_partition``) works in worker
+# processes (see pool_workers). Measured on a 2-CPU Xeon with BLAS pinned to
+# one thread. Align: starting the pool costs about 45 ms, and serial alignment
+# runs at about 17 MB of input per second, so the pool breaks even near
+# 1.6 MB. Scoring: starting and stopping a two-worker pool costs 8-15 ms, and
+# serial loading and prediction run at 30 MB (e16/h32/m16 over D = 10) to
+# 50 MB (D = 900) of input per second, so the pool breaks even below 1 MB.
+# Train: serial loading runs at about 49 MB of input per second at D = 900
+# (ingest-wide's 14.2 MB of aligned train and devel input in 0.29 s). Two
+# workers took 0.22 s: each group loads in 0.16 s, and starting the pool and
+# sending the fused arrays back cost the rest. The benchmark's train-small
+# input (0.23 MB, and a 0.05 MB devel partition) stays in-process; ingest-wide
+# (23.1 MB, its 14.2 MB of aligned train and devel videos and a 5.2 MB test
+# partition) and infer-long's 6.3 MB test partition go to the pool.
 POOL_MIN_INPUT_BYTES = 4 << 20
 
 
@@ -870,38 +883,16 @@ def pool_workers(sizes: Sequence[int]) -> int:
     return min(cpus, len(sizes))
 
 
-def _pooled_videos(manifest: Manifest) -> list[str]:
-    """The videos that ``align_dataset`` hands to worker processes, in manifest order.
-
-    Empty unless :func:`pool_workers` gives workers for the whole manifest;
-    then every video before the first one that would write a file name an
-    earlier video wrote.
-    """
-    if not pool_workers(input_bytes(manifest, manifest.videos)):
-        return []
-    pooled, written = [], set()
-    for vid, entry in manifest.videos.items():
-        labels, features = _video_files(vid, entry.labels, entry.features)
-        names = [*labels.values(), *features.values()]
-        if not written.isdisjoint(names):
-            break
-        written.update(names)
-        pooled.append(vid)
-    return pooled
-
-
 def _load_for_align(manifest: Manifest, video_id: str) -> LabeledSequence:
     return load_labeled_sequence(manifest, video_id, list(manifest.videos[video_id].features))
 
 
-def _align_video(manifest: Manifest, video_id: str, out_dir: Path) -> VideoEntry:
-    """Load and write one video into the tree at ``out_dir``; runs in a worker process.
-
-    The caller has checked that no other video writes the same file names.
-    """
-    seq = _load_for_align(manifest, video_id)
-    partition = manifest.videos[video_id].partition
-    return _write_video(partition, seq, manifest.frame_len_ms, out_dir.joinpath)
+def _align_group(manifest: Manifest, video_ids: list[str], done: list, out_dir: Path) -> None:
+    # The caller has checked that no two of these videos write the same file name.
+    for vid in video_ids:
+        seq = _load_for_align(manifest, vid)
+        partition = manifest.videos[vid].partition
+        done.append(_write_video(partition, seq, manifest.frame_len_ms, out_dir.joinpath))
 
 
 def align_dataset(manifest: Manifest, out_dir: str | Path) -> int:
@@ -910,26 +901,30 @@ def align_dataset(manifest: Manifest, out_dir: str | Path) -> int:
     Each video's features and labels are loaded with
     :func:`load_labeled_sequence` in manifest track order and written as by
     :func:`write_dataset`, with the same bytes, errors and ``manifest.json``
-    written last. On a large input (see POOL_MIN_INPUT_BYTES) the videos are
-    loaded and written in forked worker processes, one per usable CPU at
-    most; each writes its own files and returns only its manifest entry.
-    Results are taken in manifest order, so the first failing video's error
-    is raised, and videos from the first file name collision on are written
-    in this process, which raises the collision as a serial run would. The
-    workers are forked, so a caller that runs threads of its own should not
-    call this on a large input.
+    written last. The videos before the first one that would write a file
+    name an earlier video wrote go through :func:`map_video_groups`, one
+    video per list, so no two videos' track dims are compared: on a large
+    input, forked workers each align and write one group of them and return
+    only their manifest entries. The videos from the collision on are
+    written in this process, which raises the collision as a serial run
+    would. The workers are forked, so a caller that runs threads of its own
+    should not call this on a large input.
     """
     out_dir = Path(out_dir)
-    pooled = _pooled_videos(manifest)
-    entries = {}
-    if pooled:
-        _make_tree_dirs(out_dir)
-        workers = min(usable_cpus(), len(pooled))
-        results = map_in_workers(_align_video, workers, repeat(manifest), pooled, repeat(out_dir))
-        entries = dict(zip(pooled, results))
+    _make_tree_dirs(out_dir)
+    prefix, written = [], set()
+    for vid, entry in manifest.videos.items():
+        labels, features = _video_files(vid, entry.labels, entry.features)
+        names = [*labels.values(), *features.values()]
+        if not written.isdisjoint(names):
+            break
+        written.update(names)
+        prefix.append(vid)
+    aligned = map_video_groups(manifest, [[vid] for vid in prefix], _align_group, out_dir)
+    entries = {vid: entry for vid, (entry,) in zip(prefix, aligned)}
     rest = (
         (manifest.videos[vid].partition, _load_for_align(manifest, vid))
-        for vid in manifest.video_ids()[len(pooled) :]
+        for vid in manifest.video_ids()[len(prefix) :]
     )
     return write_dataset(out_dir, rest, manifest.frame_len_ms, entries)
 
@@ -1034,21 +1029,22 @@ def map_video_groups(
     ``partitions`` holds lists of video ids, in the order a serial run would
     take them. ``group_fn(manifest, video_ids, done, *args)`` takes one group
     of those videos in that order and appends one result per video to
-    ``done``, which has the ``video_id`` and ``track_dims`` that
-    :func:`check_same_tracks` reads; it may raise. On a large input (see
-    :func:`pool_workers`) the videos are split by input size into one group
-    per worker, each run in a forked worker process, so ``group_fn`` and its
-    arguments and results cross the process boundary by pickling; otherwise
-    one group of all the videos runs in this process. The workers are
-    forked, so a caller that runs threads of its own should not call this on
-    a large input.
+    ``done``; it may raise. In a list of two or more videos, a result has the
+    ``video_id`` and ``track_dims`` that :func:`check_same_tracks` reads; a
+    one-video list, as :func:`align_dataset` passes, compares nothing. On a
+    large input (see :func:`pool_workers`) the videos are split by input size
+    into one group per worker, each run in a forked worker process, so
+    ``group_fn`` and its arguments and results cross the process boundary by
+    pickling; otherwise one group of all the videos runs in this process. The
+    workers are forked, so a caller that runs threads of its own should not
+    call this on a large input.
 
     Returns the results as one list per entry of ``partitions``. Errors are
     raised as a serial run would raise them: going through the videos in
-    order, a video whose group stopped at it raises that group's error, and
-    a result whose track dims differ from its list's first raises
-    DimMismatchError. An error from a worker has the worker's traceback as
-    its ``__cause__``.
+    order, a video whose group stopped at it raises that group's error, and a
+    result whose track dims differ from those of its list's first result
+    raises DimMismatchError. An error from a worker has the worker's traceback
+    as its ``__cause__``.
     """
     video_ids = [vid for ids in partitions for vid in ids]
     sizes = input_bytes(manifest, video_ids)
@@ -1077,7 +1073,8 @@ def map_video_groups(
             if vid in failed:
                 raise failed[vid]
             part.append(done[vid])
-            check_same_tracks(part[-1], part[0])
+            if len(part) > 1:
+                check_same_tracks(part[-1], part[0])
         replayed.append(part)
     return replayed
 

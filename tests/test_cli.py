@@ -957,6 +957,54 @@ class TestFrameGrid:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["align", "train", "evaluate", "predict"])
+    def test_frame_len_past_int64_exit_2_naming_manifest(
+        self, synth_dir, tmp_path, run_cli, command
+    ):
+        manifest = synth_dir / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        raw["frame_len_ms"] = 2**63
+        manifest.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        ckpt = tmp_path / "z.sqf"
+        make_zero_checkpoint(ckpt)
+        argv = {
+            "align": ["--manifest", manifest, "--out-dir", out],
+            "train": ["--config", write_train_config(tmp_path / "cfg.json", manifest, out)],
+            "evaluate": ["--checkpoint", ckpt, "--manifest", manifest, "--out", out / "r"],
+            "predict": ["--checkpoint", ckpt, "--manifest", manifest, "--out-dir", out],
+        }[command]
+        code, _, err = run_cli(command, *argv)
+        assert code == 2, err
+        assert err == f"error: {manifest}: frame_len_ms {2**63} is past the int64 range\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["align", "train"])
+    def test_label_grid_wrapping_past_int64_exit_2(self, tmp_path, run_cli, command):
+        # On the grid 0, 2**63 - 1, 2 * (2**63 - 1), the last wraps to -2 in int64.
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "f.csv").write_text("start_ms,end_ms,f0,f1\n0,5,1.0,2.0\n")
+        (data / "bad.csv").write_text(f"frame_ms,value\n0,0.5\n{2**63 - 1},0.5\n-2,0.5\n")
+        (data / "good.csv").write_text("frame_ms,value\n0,0.5\n")
+        videos = {
+            vid: {"partition": partition, "features": {"track0": "f.csv"},
+                  "labels": {"arousal": labels}}
+            for vid, partition, labels in [("v", "train", "bad.csv"), ("w", "devel", "good.csv")]
+        }
+        manifest = data / "manifest.json"
+        manifest.write_text(json.dumps({"frame_len_ms": 2**63 - 1, "videos": videos}))
+        out = tmp_path / "out"
+        argv = {
+            "align": ["--manifest", manifest, "--out-dir", out],
+            "train": ["--config", write_train_config(tmp_path / "cfg.json", manifest, out,
+                                                      track_order=["track0"])],
+        }[command]
+        code, _, err = run_cli(command, *argv)
+        assert code == 2, err
+        assert err == f"error: {data / 'bad.csv'}:4: frame_ms -2 != {2 * (2**63 - 1)}\n"
+        assert not (out / "manifest.json").exists() and not (out / "checkpoint.sqf").exists()
+
     def test_misspelt_grid_key_exit_2_naming_manifest_and_key(self, tmp_path, run_cli):
         videos = synth_generate(6, 2, (10, 16), [2, 3], 100.0)
         for video in videos:
@@ -1044,7 +1092,30 @@ class TestPooledAlign:
         self, tmp_path, run_cli, pooled, entries, collision
     ):
         assert_collision_exit_2_without_overwriting(tmp_path, run_cli, entries, collision)
-        assert pooled == [1]  # the video before the collision
+        # Only one video comes before the collision, and one video is not pooled.
+        assert pooled == []
+
+    def test_collision_after_two_videos_exit_2_without_overwriting(
+        self, tmp_path, run_cli, pooled
+    ):
+        entries, collision = COLLISION_CASES[0]
+        first, last = entries.items()
+        entries = dict([first, ("z", ("t", "arousal")), last])
+        assert_collision_exit_2_without_overwriting(tmp_path, run_cli, entries, collision)
+        assert pooled == [2]  # the two videos before the collision
+
+    def test_mixed_track_dims_align_as_in_serial(self, tmp_path, run_cli, pool_spy, monkeypatch):
+        # Unlike train, evaluate and predict, align does not compare videos' tracks.
+        manifest = write_mixed_dims_dataset(tmp_path / "raw", "train")
+        trees = []
+        for threshold in (featureio.POOL_MIN_INPUT_BYTES, 0):
+            monkeypatch.setattr(featureio, "POOL_MIN_INPUT_BYTES", threshold)
+            out = tmp_path / f"out{threshold}"
+            code, _, err = run_cli("align", "--manifest", manifest, "--out-dir", out)
+            assert code == 0, err
+            trees.append(tree_bytes(out))
+        assert pool_spy == [2]  # only the run at threshold 0
+        assert trees[0] == trees[1] == tree_bytes(tmp_path / "raw")
 
     @pytest.mark.parametrize("fault", ["missing", "directory", "non-utf8", "nul"])
     @pytest.mark.parametrize("kind", ["feature", "label"])
@@ -1093,6 +1164,34 @@ class TestPooledAlign:
         assert size == featureio.POOL_MIN_INPUT_BYTES
         assert pool_spy == [2]  # only the run at the threshold
         assert trees[0] == trees[1]
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_one_bad_input_file_aligns_as_in_serial(self, synth_dir, tmp_path, run_cli,
+                                                     pool_spy, monkeypatch, data):
+        files = data.draw(edited_dataset(tree_bytes(synth_dir)))
+        root = Path(tempfile.mkdtemp(dir=tmp_path))
+        for name, content in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_bytes(content)
+        runs = []
+        for threshold in (featureio.POOL_MIN_INPUT_BYTES, 0):
+            monkeypatch.setattr(featureio, "POOL_MIN_INPUT_BYTES", threshold)
+            out = root / f"out{threshold}"
+            code, _, err = run_cli("align", "--manifest", root / "manifest.json", "--out-dir", out)
+            runs.append((code, err.replace(str(out), "OUT"), out))
+        (code, err, out), (pooled_code, pooled_err, pooled_out) = runs
+        assert code in (0, 2, 3), err
+        assert pooled_code == code, (err, pooled_err)
+        assert pooled_err.splitlines()[-1:] == err.splitlines()[-1:]
+        assert "Traceback" not in err + pooled_err
+        if code:
+            # A pooled failure may leave other groups' files: only the manifests are compared.
+            assert not (out / "manifest.json").exists()
+            assert not (pooled_out / "manifest.json").exists()
+        else:
+            assert tree_bytes(pooled_out) == tree_bytes(out)
 
 
 def write_scoring_checkpoint(path):
@@ -1405,7 +1504,7 @@ class TestPooledTrain:
             assert "checkpoint.sqf" not in serial_files
 
 
-@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("command", ["align", "train", "evaluate"])
 def test_internal_error_in_worker_prints_the_workers_traceback(
     synth_dir, tmp_path, run_cli, pooled, monkeypatch, command
 ):
@@ -1415,6 +1514,7 @@ def test_internal_error_in_worker_prints_the_workers_traceback(
     monkeypatch.setattr(featureio, "read_label_csv", broken)
     manifest = synth_dir / "manifest.json"
     argv = {
+        "align": ["--manifest", manifest, "--out-dir", tmp_path / "out"],
         "train": ["--config", write_train_config(tmp_path / "cfg.json", manifest, tmp_path / "r")],
         "evaluate": ["--checkpoint", write_scoring_checkpoint(tmp_path / "r.sqf"),
                      "--manifest", manifest, "--partition", "all"],

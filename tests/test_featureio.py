@@ -673,6 +673,35 @@ class TestLabelCsv:
             write_label_csv(path, np.array(values, dtype=np.float64))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "frame_len_ms, rows, lineno, grid",
+        [
+            (2**63 - 1, [0, 2**63 - 1, -2], 4, 2 * (2**63 - 1)),  # -2 once the grid wraps
+            (2**62, [0, 2**62, 0], 4, 2**63),
+            (2**63, [0, 0], 3, 2**63),
+        ],
+        ids=["wrapping-grid", "grid-one-past", "frame-len-past"],
+    )
+    def test_grid_past_int64_rejected_at_its_first_row(
+        self, tmp_path, frame_len_ms, rows, lineno, grid
+    ):
+        path = tmp_path / "lab.csv"
+        path.write_text("frame_ms,value\n" + "".join(f"{ms},0.5\n" for ms in rows))
+        with pytest.raises(MalformedRowError) as err:
+            read_label_csv(path, frame_len_ms)
+        assert str(err.value) == f"{path}:{lineno}: frame_ms {rows[-1]} != {grid}"
+        path.write_text("frame_ms,value\n" + "".join(f"{ms},0.5\n" for ms in rows[:-1]))
+        assert np.array_equal(read_label_csv(path, frame_len_ms), [0.5] * (len(rows) - 1))
+
+    def test_write_refuses_frame_ms_past_int64(self, tmp_path):
+        path = tmp_path / "lab.csv"
+        with pytest.raises(MalformedRowError, match=f"frame 2: frame_ms {2**63} is past the int64"):
+            write_label_csv(path, np.array([0.5, 0.25, 0.0]), 2**62)
+        assert list(tmp_path.iterdir()) == []
+        write_label_csv(path, np.array([0.5, 0.25]), 2**62)
+        assert path.read_text() == f"frame_ms,value\n0,0.5\n{2**62},0.25\n"
+        assert np.array_equal(read_label_csv(path, 2**62), [0.5, 0.25])
+
 
 class TestManifest:
     def test_roundtrip(self, tmp_path):
@@ -720,6 +749,23 @@ class TestManifest:
                 assert np.array_equal(back.labels[target], values)
             for track, again in zip(video.tracks, back.tracks):
                 assert np.array_equal(again.frames, track.frames)
+
+    @pytest.mark.parametrize("frame_len_ms", [2**63, 2**64])
+    def test_frame_len_past_int64_rejected(self, tmp_path, frame_len_ms):
+        path = tmp_path / "m.json"
+        entry = {"partition": "train", "features": {"a": "f.csv"}, "labels": {"arousal": "l.csv"}}
+        path.write_text(json.dumps({"frame_len_ms": frame_len_ms, "videos": {"v": entry}}))
+        with pytest.raises(ConfigError, match=f"frame_len_ms {frame_len_ms} is past the int64"):
+            load_manifest(path)
+        path.write_text(json.dumps({"frame_len_ms": 2**63 - 1, "videos": {"v": entry}}))
+        assert load_manifest(path).frame_len_ms == 2**63 - 1
+
+    def test_frames_ending_past_int64_rejected_before_any_file(self, tmp_path):
+        (video,) = synth_generate(3, 1, (2, 2), [2], 100.0)
+        video.tracks[0].frame_len_ms = 2**63 - 1  # frame 1 would end at 2**64 - 2
+        with pytest.raises(MalformedRowError, match="video000: frame 1 ends past int64"):
+            write_dataset(tmp_path, [("train", video)])
+        assert [list(tmp_path.glob(f"{d}/*")) for d in ("features", "labels")] == [[], []]
 
     def test_track_off_the_grid_rejected_before_any_file(self, tmp_path):
         (video,) = synth_generate(3, 1, (6, 6), [2, 3], 100.0)
