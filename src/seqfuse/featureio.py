@@ -758,17 +758,32 @@ def _video_files(
     )
 
 
+def _claim_files(
+    claimed: set[str], out_dir: Path, video_id: str, targets: Iterable[str], tracks: Iterable[str]
+) -> None:
+    """Add one video's file names to ``claimed``, in the order they are written.
+
+    Names are joined with "_", so two dataset entries can map to one file
+    name: the first name already in ``claimed`` raises ConfigError.
+    """
+    labels, features = _video_files(video_id, targets, tracks)
+    for relpath in (*labels.values(), *features.values()):
+        if relpath in claimed:
+            raise ConfigError(f"{out_dir / relpath}: two dataset entries map to this file")
+        claimed.add(relpath)
+
+
 def _write_video(
-    partition: str, seq: LabeledSequence, frame_len_ms: int, claim
+    partition: str, seq: LabeledSequence, frame_len_ms: int, out_dir: Path
 ) -> VideoEntry:
-    """Write one sequence's label files, then its tracks; returns its manifest entry.
+    """Write one sequence's label files, then its tracks, under ``out_dir``; returns its entry.
 
     Labels are copied byte for byte from ``label_bytes`` where the sequence
     kept them and formatted on ``frame_len_ms`` otherwise; tracks are written
-    as frame-aligned Feature CSVs. ``claim(relpath)`` gives the path to write
-    each file to, and may refuse it. A track off ``frame_len_ms`` raises
-    LengthMismatchError, and a last frame that ends past the int64 range, which
-    no Feature CSV can hold, MalformedRowError, before any file is written.
+    as frame-aligned Feature CSVs, to the file names of :func:`_video_files`.
+    A track off ``frame_len_ms`` raises LengthMismatchError, and a last frame
+    that ends past the int64 range, which no Feature CSV can hold,
+    MalformedRowError, before any file is written.
     """
     grids = {tr.frame_len_ms for tr in seq.tracks}
     if grids != {frame_len_ms}:
@@ -780,53 +795,33 @@ def _write_video(
         raise MalformedRowError(f"{seq.video_id}: frame {seq.n_frames - 1} ends past int64")
     labels, features = _video_files(seq.video_id, seq.labels, [tr.name for tr in seq.tracks])
     for target, values in seq.labels.items():
-        path = claim(labels[target])
+        path = out_dir / labels[target]
         if target in seq.label_bytes:
             write_atomic(path, seq.label_bytes[target])
         else:
             write_label_csv(path, values, frame_len_ms)
     for track in seq.tracks:
-        write_feature_csv(claim(features[track.name]), frame_track_to_tokens(track))
+        write_feature_csv(out_dir / features[track.name], frame_track_to_tokens(track))
     return VideoEntry(partition, features, labels)
 
 
-def write_dataset(
-    out_dir: str | Path,
-    videos: Iterable[tuple[str, LabeledSequence]],
-    frame_len_ms: int | None = None,
-    entries: dict[str, VideoEntry] | None = None,
-) -> int:
+def write_dataset(out_dir: str | Path, videos: Iterable[tuple[str, LabeledSequence]]) -> int:
     """Write ``(partition, sequence)`` pairs as a dataset tree; returns the video count.
 
     Each sequence is written as it is drawn from ``videos``: its label files,
-    then its tracks. The tree's frame grid is ``frame_len_ms``, or the first
-    sequence's when that is None; a sequence with a track off the grid raises
-    LengthMismatchError before its files are written, and a file name
-    written twice raises ConfigError before the second write. ``entries``
-    holds videos whose files the caller already wrote into the tree; their
-    file names count as written, and they come first in the manifest.
-    ``manifest.json``, which records the grid, is written last, so a failure
-    leaves none.
+    then its tracks. The tree's frame grid is the first sequence's. Before
+    any of a sequence's files is written, a file name that an earlier
+    sequence wrote raises ConfigError, and a track off the grid
+    LengthMismatchError. ``manifest.json``, which records the grid, is
+    written last, so a failure leaves none.
     """
     out_dir = Path(out_dir)
     _make_tree_dirs(out_dir)
-    entries = dict(entries or {})
-    written = {
-        relpath
-        for entry in entries.values()
-        for relpath in (*entry.labels.values(), *entry.features.values())
-    }
-
-    def claim(relpath: str) -> Path:
-        # Names are joined with "_", so two entries can map to one file name.
-        if relpath in written:
-            raise ConfigError(f"{out_dir / relpath}: two dataset entries map to this file")
-        written.add(relpath)
-        return out_dir / relpath
-
+    claimed, entries, frame_len_ms = set(), {}, None
     for partition, seq in videos:
         frame_len_ms = frame_len_ms or seq.tracks[0].frame_len_ms
-        entries[seq.video_id] = _write_video(partition, seq, frame_len_ms, claim)
+        _claim_files(claimed, out_dir, seq.video_id, seq.labels, [tr.name for tr in seq.tracks])
+        entries[seq.video_id] = _write_video(partition, seq, frame_len_ms, out_dir)
     manifest = Manifest(entries, out_dir, frame_len_ms or DEFAULT_FRAME_LEN_MS)
     save_manifest(manifest, out_dir / "manifest.json")
     return len(entries)
@@ -883,50 +878,37 @@ def pool_workers(sizes: Sequence[int]) -> int:
     return min(cpus, len(sizes))
 
 
-def _load_for_align(manifest: Manifest, video_id: str) -> LabeledSequence:
-    return load_labeled_sequence(manifest, video_id, list(manifest.videos[video_id].features))
-
-
 def _align_group(manifest: Manifest, video_ids: list[str], done: list, out_dir: Path) -> None:
-    # The caller has checked that no two of these videos write the same file name.
     for vid in video_ids:
-        seq = _load_for_align(manifest, vid)
+        seq = load_labeled_sequence(manifest, vid, list(manifest.videos[vid].features))
         partition = manifest.videos[vid].partition
-        done.append(_write_video(partition, seq, manifest.frame_len_ms, out_dir.joinpath))
+        done.append(_write_video(partition, seq, manifest.frame_len_ms, out_dir))
 
 
 def align_dataset(manifest: Manifest, out_dir: str | Path) -> int:
     """Align every manifest video onto its frame grid and write the tree; returns the count.
 
-    Each video's features and labels are loaded with
+    Every file name is checked first: a name that two videos map to raises
+    ConfigError, as :func:`write_dataset` would, before any directory or
+    file is made. Each video's features and labels are then loaded with
     :func:`load_labeled_sequence` in manifest track order and written as by
-    :func:`write_dataset`, with the same bytes, errors and ``manifest.json``
-    written last. The videos before the first one that would write a file
-    name an earlier video wrote go through :func:`map_video_groups`, one
-    video per list, so no two videos' track dims are compared: on a large
-    input, forked workers each align and write one group of them and return
-    only their manifest entries. The videos from the collision on are
-    written in this process, which raises the collision as a serial run
-    would. The workers are forked, so a caller that runs threads of its own
-    should not call this on a large input.
+    :func:`write_dataset`, with the same bytes and errors, through
+    :func:`map_video_groups`, one video per list, so no two videos' track
+    dims are compared. On a large input, forked workers each align and write
+    one group of videos and return only their manifest entries; the workers
+    are forked, so a caller that runs threads of its own should not call
+    this on a large input. ``manifest.json`` is written last, so a failure
+    leaves none.
     """
     out_dir = Path(out_dir)
-    _make_tree_dirs(out_dir)
-    prefix, written = [], set()
+    claimed = set()
     for vid, entry in manifest.videos.items():
-        labels, features = _video_files(vid, entry.labels, entry.features)
-        names = [*labels.values(), *features.values()]
-        if not written.isdisjoint(names):
-            break
-        written.update(names)
-        prefix.append(vid)
-    aligned = map_video_groups(manifest, [[vid] for vid in prefix], _align_group, out_dir)
-    entries = {vid: entry for vid, (entry,) in zip(prefix, aligned)}
-    rest = (
-        (manifest.videos[vid].partition, _load_for_align(manifest, vid))
-        for vid in manifest.video_ids()[len(prefix) :]
-    )
-    return write_dataset(out_dir, rest, manifest.frame_len_ms, entries)
+        _claim_files(claimed, out_dir, vid, entry.labels, entry.features)
+    _make_tree_dirs(out_dir)
+    aligned = map_video_groups(manifest, [[vid] for vid in manifest.videos], _align_group, out_dir)
+    entries = {vid: entry for vid, (entry,) in zip(manifest.videos, aligned)}
+    save_manifest(Manifest(entries, out_dir, manifest.frame_len_ms), out_dir / "manifest.json")
+    return len(entries)
 
 
 def load_labeled_sequence(

@@ -48,6 +48,16 @@ _SHUFFLE_SALT = 1
 _MASK_SALT = 2
 
 
+def _is_finite_number(value) -> bool:
+    """Whether ``value`` is an int or float, not a bool, and finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 @dataclass
 class TrainConfig:
     """All run hyperparameters; one model per target."""
@@ -75,6 +85,8 @@ class TrainConfig:
             value = getattr(self, f.name)
             if f.type == "int" and type(value) is not int:  # bools are rejected too
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not _is_finite_number(value):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         for name in ("embed_dim", "hidden_units", "head_hidden"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")

@@ -4,6 +4,8 @@ import json
 import multiprocessing
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -208,12 +210,19 @@ COLLISION_CASES = [
 ]
 
 
-def assert_collision_exit_2_without_overwriting(tmp_path, run_cli, entries, collision):
+def assert_collision_exit_2_without_overwriting(tmp_path, run_cli, started, entries, collision,
+                                                feature_rows=()):
+    """``align`` exits 2 naming ``collision`` before it starts a worker or makes ``--out-dir``.
+
+    ``started`` is a ``pool_spy`` record; ``feature_rows`` replaces the rows
+    of the first videos' feature files.
+    """
     data = tmp_path / "data"
     data.mkdir()
     videos = {}
     for k, (vid, (track, target)) in enumerate(entries.items()):
-        (data / f"f{k}.csv").write_text(f"start_ms,end_ms,f0\n0,500,0.{k}5\n")
+        row = feature_rows[k] if k < len(feature_rows) else f"0,500,0.{k}5"
+        (data / f"f{k}.csv").write_text(f"start_ms,end_ms,f0\n{row}\n")
         (data / f"l{k}.csv").write_text(f"frame_ms,value\n0,0.{k}5\n250,0.{k}5\n")
         videos[vid] = {
             "partition": "train",
@@ -224,9 +233,10 @@ def assert_collision_exit_2_without_overwriting(tmp_path, run_cli, entries, coll
     out = tmp_path / "out"
     code, _, err = run_cli("align", "--manifest", data / "manifest.json", "--out-dir", out)
     assert code == 2, err
-    assert f"{out / collision}: two dataset entries" in err and "Traceback" not in err
-    assert ",0.05\n" in (out / collision).read_text()  # the first video's
-    assert not (out / "manifest.json").exists()
+    assert err == f"error: {out / collision}: two dataset entries map to this file\n"
+    # Every name is checked before anything is loaded or written.
+    assert not out.exists()
+    assert started == []
 
 
 class TestAlign:
@@ -342,9 +352,10 @@ class TestAlign:
 
     @pytest.mark.parametrize("entries,collision", COLLISION_CASES, ids=["features", "labels"])
     def test_colliding_file_names_exit_2_without_overwriting(
-        self, tmp_path, run_cli, entries, collision
+        self, tmp_path, run_cli, pool_spy, entries, collision
     ):
-        assert_collision_exit_2_without_overwriting(tmp_path, run_cli, entries, collision)
+        assert_collision_exit_2_without_overwriting(tmp_path, run_cli, pool_spy, entries,
+                                                    collision)
 
 
 class TestTrain:
@@ -453,6 +464,34 @@ class TestTrain:
         assert code == 2, err
         assert needle in err and "Traceback" not in err
         assert not (run_dir / "checkpoint.sqf").exists()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("adam_eps", float("inf")), ("learning_rate", True), ("learning_rate", float("nan")),
+         ("dropout_rate", "0.5")],
+        ids=["eps-inf", "lr-bool", "lr-nan", "dropout-string"],
+    )
+    def test_float_field_not_a_finite_number_exit_2_before_loading(
+        self, synth_dir, tmp_path, run_cli, monkeypatch, field, value
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a video was loaded")
+
+        monkeypatch.setattr(featureio, "load_labeled_sequence", never)
+        run_dir = tmp_path / "run"
+        cfg = write_train_config(tmp_path / "cfg.json", synth_dir / "manifest.json", run_dir,
+                                 **{field: value})
+        code, _, err = run_cli("train", "--config", cfg)
+        assert (code, err) == (2, f"error: {field} must be a finite number, got {value!r}\n")
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_learning_rate_flag_not_finite_exit_2(self, synth_dir, tmp_path, run_cli, value):
+        run_dir = tmp_path / "run"
+        cfg = write_train_config(tmp_path / "cfg.json", synth_dir / "manifest.json", run_dir)
+        code, _, err = run_cli("train", "--config", cfg, "--learning-rate", value)
+        assert (code, err) == (2, f"error: learning_rate must be a finite number, got {value}\n")
+        assert not run_dir.exists()
 
     @pytest.mark.parametrize("field", ["manifest", "out_dir"])
     @pytest.mark.parametrize(
@@ -585,6 +624,22 @@ class TestEvaluate:
         code, _, err = run_cli("evaluate", "--checkpoint", ckpt_path,
                                "--manifest", synth_dir / "manifest.json")
         assert code == 2
+
+    def test_non_finite_config_float_in_header_exit_2(self, synth_dir, tmp_path, run_cli):
+        ckpt = tmp_path / "z.sqf"
+        make_zero_checkpoint(ckpt)
+        data = ckpt.read_bytes()
+        (n,) = struct.unpack("<I", data[4:8])
+        header = json.loads(data[8 : 8 + n])
+        header["config"]["adam_eps"] = float("inf")
+        raw = json.dumps(header, sort_keys=True).encode()
+        assert b'"adam_eps": Infinity' in raw
+        ckpt.write_bytes(data[:4] + struct.pack("<I", len(raw)) + raw + data[8 + n :])
+        code, out, err = run_cli("evaluate", "--checkpoint", ckpt,
+                                 "--manifest", synth_dir / "manifest.json")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {ckpt}: bad header fields: adam_eps must be a finite number, "
+                       "got inf\n")
 
     def test_corrupt_checkpoint_exit_2(self, synth_dir, tmp_path, run_cli):
         ckpt_path = tmp_path / "z.sqf"
@@ -1091,9 +1146,7 @@ class TestPooledAlign:
     def test_colliding_file_names_exit_2_without_overwriting(
         self, tmp_path, run_cli, pooled, entries, collision
     ):
-        assert_collision_exit_2_without_overwriting(tmp_path, run_cli, entries, collision)
-        # Only one video comes before the collision, and one video is not pooled.
-        assert pooled == []
+        assert_collision_exit_2_without_overwriting(tmp_path, run_cli, pooled, entries, collision)
 
     def test_collision_after_two_videos_exit_2_without_overwriting(
         self, tmp_path, run_cli, pooled
@@ -1101,8 +1154,17 @@ class TestPooledAlign:
         entries, collision = COLLISION_CASES[0]
         first, last = entries.items()
         entries = dict([first, ("z", ("t", "arousal")), last])
-        assert_collision_exit_2_without_overwriting(tmp_path, run_cli, entries, collision)
-        assert pooled == [2]  # the two videos before the collision
+        assert_collision_exit_2_without_overwriting(tmp_path, run_cli, pooled, entries, collision)
+
+    @pytest.mark.parametrize("row", ["0,500,x", "500,0,1.0"], ids=["cell", "span"])
+    def test_collision_reported_before_an_earlier_videos_malformed_features(
+        self, tmp_path, run_cli, pooled, row
+    ):
+        entries, collision = COLLISION_CASES[0]
+        first, last = entries.items()
+        entries = dict([first, ("z", ("t", "arousal")), last])
+        assert_collision_exit_2_without_overwriting(tmp_path, run_cli, pooled, entries, collision,
+                                                    feature_rows=[row])
 
     def test_mixed_track_dims_align_as_in_serial(self, tmp_path, run_cli, pool_spy, monkeypatch):
         # Unlike train, evaluate and predict, align does not compare videos' tracks.
@@ -1313,6 +1375,40 @@ class TestPooledScoring:
         assert pool_spy == [2]
         assert errs[0] == errs[1] == f"I/O error: [Errno 13] Permission denied: '{victim}'\n"
 
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_one_bad_input_file_scores_as_in_serial(self, synth_dir, tmp_path, run_cli,
+                                                    pool_spy, monkeypatch, data):
+        files = data.draw(edited_dataset(tree_bytes(synth_dir)))
+        root = Path(tempfile.mkdtemp(dir=tmp_path))
+        for name, content in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_bytes(content)
+        ckpt = write_scoring_checkpoint(root / "r.sqf")
+        for command in ("evaluate", "predict"):
+            runs = []
+            for threshold in (featureio.POOL_MIN_INPUT_BYTES, 0):
+                monkeypatch.setattr(featureio, "POOL_MIN_INPUT_BYTES", threshold)
+                out = root / f"{command}{threshold}"
+                argv = {"evaluate": ["--out", out / "report.json"],
+                        "predict": ["--out-dir", out]}[command]
+                code, stdout, err = run_cli(command, "--checkpoint", ckpt,
+                                            "--manifest", root / "manifest.json",
+                                            "--partition", "all", *argv)
+                written = tree_bytes(out) if out.exists() else None
+                runs.append((code, stdout.replace(str(out), "OUT"), err, written))
+            (code, stdout, err, written), (pooled_code, pooled_stdout, pooled_err,
+                                           pooled_written) = runs
+            assert code in (0, 2, 3), err
+            assert pooled_code == code, (err, pooled_err)
+            assert pooled_err.splitlines()[-1:] == err.splitlines()[-1:]
+            assert "Traceback" not in err + pooled_err
+            if code:
+                assert written is pooled_written is None  # no report, no prediction directory
+            else:
+                assert (pooled_stdout, pooled_written) == (stdout, written)
+
 
 def train_runs(run_cli, monkeypatch, tmp_path, manifest, thresholds, **overrides):
     """``train`` at each pool threshold: (exit code, stdout, stderr) and the files written.
@@ -1337,8 +1433,8 @@ def train_groups(manifest_path):
     return featureio._split_by_size(ids, featureio.input_bytes(manifest, ids), 2)
 
 
-# Values the property below may set a manifest field to.
-JSON_VALUES = [5, None, [], {}, "", -1, 1.5, True, "../x"]
+# Values that ``edited_dataset`` may set a manifest field to.
+JSON_VALUES = [5, None, [], {}, "", -1, 1.5, True, "../x", float("inf"), float("nan"), "a\0b"]
 
 
 def json_paths(value, path=()):
@@ -1525,3 +1621,31 @@ def test_internal_error_in_worker_prints_the_workers_traceback(
     # The frame that called the reader ran in a worker.
     assert "read_label_csv(" in err
     assert pooled == [2]
+
+
+def test_blas_thread_count_leaves_checkpoint_and_prediction_bytes_unchanged(tmp_path, run_cli):
+    # At D = 100 and e64/h32/m16 the projection's matrix products are large
+    # enough for OpenBLAS to split them between threads.
+    raw = tmp_path / "raw"
+    code, _, err = run_cli("synth", "--out-dir", raw, "--seed", 2, "--n-train", 3, "--n-devel", 1,
+                           "--n-test", 1, "--dims", "60,40", "--t-range", "120:160")
+    assert code == 0, err
+    src = str(Path(featureio.__file__).parents[1])
+    trees = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run_dir = tmp_path / f"run{threads}"
+        for argv in (
+            ["train", "--manifest", raw / "manifest.json", "--out-dir", run_dir,
+             "--target", "arousal", "--seed", 1, "--epochs", 3, "--embed-dim", 64,
+             "--hidden-units", 32, "--head-hidden", 16],
+            ["predict", "--checkpoint", run_dir / "checkpoint.sqf",
+             "--manifest", raw / "manifest.json", "--out-dir", run_dir / "predictions"],
+        ):
+            done = subprocess.run([sys.executable, "-m", "seqfuse.cli", *map(str, argv)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+        trees.append(tree_bytes(run_dir))
+    assert len(trees[0]) == 2 + 5  # checkpoint, history and one prediction file per video
+    assert trees[0] == trees[1]

@@ -785,6 +785,22 @@ class TestManifest:
         assert written and all(name.startswith("video000_") for name in written)
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_colliding_sequence_writes_none_of_its_files(self, tmp_path):
+        first, second = synth_generate(3, 2, (6, 6), [2, 3], 100.0)
+        # Only second's last file, after its labels and track0, collides:
+        # "video000" + "_" + "x_track1" == "video000_x" + "_" + "track1".
+        first.tracks[1].name = "x_track1"
+        second.video_id = "video000_x"
+        write_dataset(tmp_path / "ref", [("train", first)])
+        collision = tmp_path / "out" / "features" / "video000_x_track1.csv"
+        with pytest.raises(ConfigError, match=re.escape(f"{collision}: two dataset entries")):
+            write_dataset(tmp_path / "out", [("train", first), ("devel", second)])
+        written = {p.relative_to(tmp_path / "out"): p.read_bytes()
+                   for p in (tmp_path / "out").rglob("*") if p.is_file()}
+        assert written == {p.relative_to(tmp_path / "ref"): p.read_bytes()
+                           for p in (tmp_path / "ref").glob("*/*")}
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     @pytest.mark.parametrize("name", ["../x", "a\\b", "a\0b"], ids=["slash", "backslash", "nul"])
     @pytest.mark.parametrize("where", ["video", "track", "target"])
     def test_name_that_is_not_a_file_name_part_rejected(self, tmp_path, where, name):

@@ -62,6 +62,13 @@ class TestTrainConfig:
             ("target", "../esc"),
             ("target", "a\\b"),
             ("target", "a\0b"),
+            ("adam_eps", float("inf")),
+            ("learning_rate", True),
+            ("learning_rate", float("nan")),
+            ("learning_rate", "0.1"),
+            pytest.param("learning_rate", 10**400, id="learning_rate-past-float"),
+            ("adam_beta2", None),
+            ("dropout_rate", float("-inf")),
         ],
     )
     def test_bad_value_rejected(self, field, value):
@@ -71,6 +78,9 @@ class TestTrainConfig:
     def test_boundary_values_accepted(self):
         cfg = small_train_config(adam_beta1=0.0, adam_beta2=0.0, adam_eps=1e-300)
         assert cfg.adam_beta1 == 0.0
+        # A JSON config may hold a float field as an integer.
+        cfg = small_train_config(learning_rate=1, adam_beta1=0, dropout_rate=0)
+        assert (cfg.learning_rate, cfg.adam_beta1, cfg.dropout_rate) == (1, 0, 0)
 
 
 class TestMseLoss:
@@ -523,6 +533,15 @@ class TestCheckpointIo:
         _rewrite_header(tmp_path / "g.sqf", tmp_path / "bad.sqf",
                         lambda header: header.update({field: value}))
         with pytest.raises(CorruptCheckpointError, match="bad.sqf: "):
+            load_checkpoint(tmp_path / "bad.sqf")
+
+    @pytest.mark.parametrize("field", ["learning_rate", "adam_eps", "dropout_rate"])
+    def test_non_finite_config_float_rejected(self, tmp_path, field):
+        save_checkpoint(_golden_checkpoint(), tmp_path / "g.sqf")
+        _rewrite_header(tmp_path / "g.sqf", tmp_path / "bad.sqf",
+                        lambda header: header["config"].update({field: float("inf")}))
+        with pytest.raises(CorruptCheckpointError,
+                           match=f"bad.sqf: bad header fields: {field} must be a finite number"):
             load_checkpoint(tmp_path / "bad.sqf")
 
     @pytest.mark.parametrize("key", "Dehm")
