@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimMismatchError, EmptyDatasetError, InputError
+from .errors import ConfigError, EmptyDatasetError, InputError
 from .featureio import (
     PARTITIONS,
     Manifest,
@@ -49,9 +49,9 @@ HISTORY_NAME = "history.csv"
 
 @dataclass
 class RunConfig:
-    """Fully resolved training run: file locations plus hyperparameters."""
+    """Fully resolved training run: the loaded manifest, output directory and hyperparameters."""
 
-    manifest: Path
+    manifest: Manifest
     out_dir: Path
     train: TrainConfig
 
@@ -138,8 +138,8 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
             )
         merged["seed"] = env
 
+    manifest = load_manifest(manifest_path)
     if "track_order" not in merged:
-        manifest = load_manifest(manifest_path)
         first = next(iter(manifest.videos.values()))
         merged["track_order"] = sorted(first.features)
     elif isinstance(merged["track_order"], str):
@@ -152,14 +152,13 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
         train_cfg = TrainConfig(**merged)
     except TypeError as exc:
         raise ConfigError(f"bad train config: {exc}") from exc
-    return RunConfig(manifest_path, out_dir, train_cfg)
+    return RunConfig(manifest, out_dir, train_cfg)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     run = _resolve_run_config(args)
-    manifest = load_manifest(run.manifest)
     train_set, devel_set = load_fused_datasets(
-        manifest, ("train", "devel"), run.train.track_order
+        run.manifest, ("train", "devel"), run.train.track_order
     )
     ckpt, history = train(train_set, devel_set, run.train)
     run.out_dir.mkdir(parents=True, exist_ok=True)
@@ -192,15 +191,9 @@ def _scored_partition(
     """The checkpoint, and its predictions on the partition, whose tracks must have its dims."""
     ckpt = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
-    videos = score_partition(ckpt.model, manifest, args.partition, ckpt.track_dims)
-    if videos and videos[0].track_dims != ckpt.track_dims:
-        # The loader keeps the checkpoint's track order, so only a dim can differ.
-        for (name, dim), (_, trained) in zip(videos[0].track_dims, ckpt.track_dims):
-            if dim != trained:
-                raise DimMismatchError(
-                    f"{args.manifest}: track {name!r} has dim {dim}, but checkpoint "
-                    f"{args.checkpoint} was trained on dim {trained}"
-                )
+    videos = score_partition(
+        ckpt.model, manifest, args.partition, ckpt.track_dims, f"checkpoint {args.checkpoint}"
+    )
     return ckpt, manifest, videos
 
 

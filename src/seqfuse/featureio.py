@@ -370,16 +370,13 @@ def _check_rows(where, checks) -> None:
         raise MalformedRowError(f"{where(row)}: {checks[k][1](row)}")
 
 
-def parse_feature_csv(
-    path: str | Path, expected_dim: int | None = None, name: str | None = None
-) -> TokenTrack:
+def parse_feature_csv(path: str | Path, name: str | None = None) -> TokenTrack:
     """Read a Feature CSV into a TokenTrack.
 
     The track name defaults to the file stem. Raises MalformedRowError on a
     bad header, wrong column count, unparsable or non-finite cells and empty
-    spans, naming ``path:lineno`` of the first bad row; DimMismatchError when
-    ``expected_dim`` is given and violated; EmptyTrackError when the file has
-    no data rows.
+    spans, naming ``path:lineno`` of the first bad row; EmptyTrackError when
+    the file has no data rows.
     """
     path = Path(path)
     lines = read_input_text(path, "feature file").splitlines()
@@ -391,8 +388,6 @@ def parse_feature_csv(
     dim = len(header) - 2
     if header != _feature_header(dim):
         raise MalformedRowError(f"{path}: bad feature column names in header")
-    if expected_dim is not None and dim != expected_dim:
-        raise DimMismatchError(f"{path}: header has dim {dim}, expected {expected_dim}")
 
     table = _parse_rows(path, lines, 2, dim)
     start_ms, end_ms = table["ints"][:, 0], table["ints"][:, 1]
@@ -607,12 +602,14 @@ def synth_generate(
     lo, hi = int(t_range[0]), int(t_range[1])
     if lo < 2 or hi < lo:
         raise ConfigError(f"t_range ({lo}, {hi}) must satisfy 2 <= lo <= hi")
+    if (hi - 1) * DEFAULT_FRAME_LEN_MS > _INT64_MAX:
+        raise ConfigError(f"t_range ({lo}, {hi}) puts frame_ms past the int64 range")
     if n_videos < 1:
         raise ConfigError("n_videos must be >= 1")
     if not dims or any(d < 1 for d in dims):
         raise ConfigError("dims must be a nonempty list of positive integers")
-    if snr <= 0:
-        raise ConfigError("snr must be positive")
+    if not snr > 0:  # also NaN
+        raise ConfigError(f"snr must be positive, got {snr}")
 
     rng = seeded_rng(seed)
     mixers = [rng.normal(size=(dim, len(TARGETS))) for dim in dims]
@@ -893,8 +890,7 @@ def align_dataset(manifest: Manifest, out_dir: str | Path) -> int:
     file is made. Each video's features and labels are then loaded with
     :func:`load_labeled_sequence` in manifest track order and written as by
     :func:`write_dataset`, with the same bytes and errors, through
-    :func:`map_video_groups`, one video per list, so no two videos' track
-    dims are compared. On a large input, forked workers each align and write
+    :func:`map_video_groups`. On a large input, forked workers each align and write
     one group of videos and return only their manifest entries; the workers
     are forked, so a caller that runs threads of its own should not call
     this on a large input. ``manifest.json`` is written last, so a failure
@@ -905,8 +901,8 @@ def align_dataset(manifest: Manifest, out_dir: str | Path) -> int:
     for vid, entry in manifest.videos.items():
         _claim_files(claimed, out_dir, vid, entry.labels, entry.features)
     _make_tree_dirs(out_dir)
-    aligned = map_video_groups(manifest, [[vid] for vid in manifest.videos], _align_group, out_dir)
-    entries = {vid: entry for vid, (entry,) in zip(manifest.videos, aligned)}
+    aligned = map_video_groups(manifest, list(manifest.videos), _align_group, out_dir)
+    entries = dict(zip(manifest.videos, aligned))
     save_manifest(Manifest(entries, out_dir, manifest.frame_len_ms), out_dir / "manifest.json")
     return len(entries)
 
@@ -946,19 +942,29 @@ def load_labeled_sequence(
     return LabeledSequence(video_id, tracks, labels, label_bytes)
 
 
-def check_same_tracks(seq: LabeledSequence, reference: LabeledSequence) -> None:
-    """Raise DimMismatchError naming the first track where ``seq`` and ``reference`` differ.
+def check_same_tracks(
+    seq: LabeledSequence, track_dims: Sequence[tuple[str, int]], owner: str
+) -> None:
+    """Raise DimMismatchError naming the first track where ``seq`` and ``track_dims`` differ.
 
-    Names and dims are compared in order. Only ``video_id`` and
-    ``track_dims`` are read, so a ``metrics.ScoredVideo`` serves too.
+    Names and dims are compared in order. ``owner`` names whose tracks
+    ``track_dims`` are, such as the first video of a partition or a
+    checkpoint file.
     """
-    pairs = zip_longest(seq.track_dims, reference.track_dims, fillvalue=(None, None))
+    pairs = zip_longest(seq.track_dims, track_dims, fillvalue=(None, None))
     for (name, dim), (ref_name, ref_dim) in pairs:
-        if (name, dim) != (ref_name, ref_dim):
-            raise DimMismatchError(
-                f"{seq.video_id}: track {name!r} has dim {dim} where "
-                f"{reference.video_id} has track {ref_name!r} of dim {ref_dim}"
+        if (name, dim) == (ref_name, ref_dim):
+            continue
+        if name is None:
+            problem = f"has no track {ref_name!r} where {owner} has one of dim {ref_dim}"
+        elif ref_name is None:
+            problem = f"has track {name!r} of dim {dim} where {owner} has no such track"
+        else:
+            problem = (
+                f"track {name!r} has dim {dim} where {owner} has track {ref_name!r} "
+                f"of dim {ref_dim}"
             )
+        raise DimMismatchError(f"{seq.video_id}: {problem}")
 
 
 def _split_by_size(video_ids: list[str], sizes: list[int], n_groups: int) -> list[list[str]]:
@@ -1003,32 +1009,24 @@ def _run_group_in_worker(*call) -> tuple[list, Exception | None, str | None]:
     return done, error, None if error is None else "".join(traceback.format_exception(error))
 
 
-def map_video_groups(
-    manifest: Manifest, partitions: list[list[str]], group_fn, *args
-) -> list[list]:
-    """``group_fn``'s result for every listed video, with a serial run's errors.
+def map_video_groups(manifest: Manifest, video_ids: list[str], group_fn, *args) -> list:
+    """``group_fn``'s result for every listed video, in the given order.
 
-    ``partitions`` holds lists of video ids, in the order a serial run would
-    take them. ``group_fn(manifest, video_ids, done, *args)`` takes one group
-    of those videos in that order and appends one result per video to
-    ``done``; it may raise. In a list of two or more videos, a result has the
-    ``video_id`` and ``track_dims`` that :func:`check_same_tracks` reads; a
-    one-video list, as :func:`align_dataset` passes, compares nothing. On a
-    large input (see :func:`pool_workers`) the videos are split by input size
-    into one group per worker, each run in a forked worker process, so
-    ``group_fn`` and its arguments and results cross the process boundary by
-    pickling; otherwise one group of all the videos runs in this process. The
-    workers are forked, so a caller that runs threads of its own should not
-    call this on a large input.
+    ``group_fn(manifest, group, done, *args)`` takes a group of the videos,
+    in the given order, and appends one entry to ``done`` as it finishes
+    each video, so that when it raises, ``len(done)`` is the index of the
+    video that failed. When it returns, ``done`` holds one result per video.
+    On a large input (see :func:`pool_workers`) the videos are split by
+    input size into one group per worker, each run in a forked worker
+    process, so ``group_fn`` and its arguments and results cross the process
+    boundary by pickling; otherwise one group of all the videos runs in this
+    process. The workers are forked, so a caller that runs threads of its
+    own should not call this on a large input.
 
-    Returns the results as one list per entry of ``partitions``. Errors are
-    raised as a serial run would raise them: going through the videos in
-    order, a video whose group stopped at it raises that group's error, and a
-    result whose track dims differ from those of its list's first result
-    raises DimMismatchError. An error from a worker has the worker's traceback
-    as its ``__cause__``.
+    Of the videos that failed, the first in the given order raises its
+    error, as a serial run would. An error from a worker has the worker's
+    traceback as its ``__cause__``.
     """
-    video_ids = [vid for ids in partitions for vid in ids]
     sizes = input_bytes(manifest, video_ids)
     workers = pool_workers(sizes)
     if workers:
@@ -1048,17 +1046,10 @@ def map_video_groups(
                 error.__cause__ = _RemoteTraceback(trace)
             # An error after the group's last video was done is charged to it.
             failed[group[min(len(group_done), len(group) - 1)]] = error
-    replayed = []
-    for ids in partitions:
-        part = []
-        for vid in ids:
-            if vid in failed:
-                raise failed[vid]
-            part.append(done[vid])
-            if len(part) > 1:
-                check_same_tracks(part[-1], part[0])
-        replayed.append(part)
-    return replayed
+    for vid in video_ids:
+        if vid in failed:
+            raise failed[vid]
+    return [done[vid] for vid in video_ids]
 
 
 def _load_group(
@@ -1073,13 +1064,22 @@ def load_fused_datasets(
 ) -> list[list[LabeledSequence]]:
     """:func:`load_fused_dataset` of each partition, all loaded in one pass.
 
-    On a large input the videos of all the partitions are split into groups
-    and loaded in forked worker processes, each of which sends back its
-    videos' sequences (see :func:`map_video_groups`).
+    Every video is loaded first, so a load error anywhere, the first in
+    partition and manifest order, is raised before any track dims are
+    compared. Then each partition's videos must have its first video's
+    tracks with the same dims, or DimMismatchError names the first track
+    that differs. On a large input the videos of all the partitions are
+    split into groups and loaded in forked worker processes, each of which
+    sends back its videos' sequences (see :func:`map_video_groups`).
     """
-    return map_video_groups(
-        manifest, [manifest.video_ids(p) for p in partitions], _load_group, track_order
-    )
+    ids = [manifest.video_ids(p) for p in partitions]
+    loaded = iter(map_video_groups(manifest, [vid for part in ids for vid in part],
+                                   _load_group, track_order))
+    datasets = [[next(loaded) for _ in part] for part in ids]
+    for dataset in datasets:
+        for seq in dataset[1:]:
+            check_same_tracks(seq, dataset[0].track_dims, dataset[0].video_id)
+    return datasets
 
 
 def load_fused_dataset(
@@ -1088,10 +1088,8 @@ def load_fused_dataset(
     """The sequences of one partition, in manifest video order.
 
     Every video must have the first one's tracks with the same dims, or
-    DimMismatchError names the first track that differs. The errors are
-    those of loading the videos one by one with :func:`load_labeled_sequence`
-    and comparing each with the first as it is loaded, even when a large
-    partition is loaded in worker processes.
+    DimMismatchError names the first track that differs; a load error in
+    any video is raised before that check (see :func:`load_fused_datasets`).
     """
     (sequences,) = load_fused_datasets(manifest, [partition], track_order)
     return sequences

@@ -7,10 +7,11 @@ memory, as ``train`` does on its devel set after each epoch.
 ``featureio.map_video_groups``, the grouped loader that ``train`` loads its
 partitions with too: on a large partition (see ``featureio.pool_workers``)
 each forked worker process loads and predicts one group of videos and sends
-back only their track dims, labels and predictions; a small one runs the
-same group function once in this process. Either way the errors, their
-order and the predictions are those of loading the partition video by video
-and predicting it in one call. :func:`ccc_report` turns either path's
+back only their labels and predictions; a small one runs the same group
+function once in this process. Either way each video's tracks are checked
+against the model's as soon as it is loaded, and the errors, their order and
+the predictions are those of loading the partition video by video and
+predicting it in one call. :func:`ccc_report` turns either path's
 predictions into the report.
 """
 
@@ -27,7 +28,13 @@ from .errors import (
     LengthMismatchError,
     TargetMissingError,
 )
-from .featureio import LabeledSequence, Manifest, load_labeled_sequence, map_video_groups
+from .featureio import (
+    LabeledSequence,
+    Manifest,
+    check_same_tracks,
+    load_labeled_sequence,
+    map_video_groups,
+)
 from .nn import Model, predict
 from .util import fmt_float
 
@@ -87,16 +94,11 @@ class CccReport:
 
 @dataclass
 class ScoredVideo:
-    """One scored video: its track dims and labels, and the model's predictions.
-
-    ``predictions`` is None when the video was loaded but not predicted,
-    because its partition does not have the model's track dims.
-    """
+    """One scored video: its labels and the model's predictions."""
 
     video_id: str
-    track_dims: tuple[tuple[str, int], ...]
     labels: dict[str, np.ndarray]
-    predictions: np.ndarray | None = None
+    predictions: np.ndarray
 
 
 def ccc_report(target: str, videos: list[ScoredVideo]) -> CccReport:
@@ -139,7 +141,7 @@ def evaluate(model: Model, dataset: list[LabeledSequence], target: str) -> CccRe
     """:func:`ccc_report` of the model's eval-mode predictions on in-memory sequences."""
     preds = predict(model, [seq.data for seq in dataset])
     scored = [
-        ScoredVideo(seq.video_id, seq.track_dims, seq.labels, video_preds)
+        ScoredVideo(seq.video_id, seq.labels, video_preds)
         for seq, video_preds in zip(dataset, preds)
     ]
     return ccc_report(target, scored)
@@ -148,48 +150,50 @@ def evaluate(model: Model, dataset: list[LabeledSequence], target: str) -> CccRe
 def _score_group(
     manifest: Manifest,
     video_ids: list[str],
-    scored: list[ScoredVideo],
+    scored: list,
     model: Model,
     track_dims: tuple[tuple[str, int], ...],
+    owner: str,
 ) -> None:
-    """Load one group's videos in order, and predict them if all have ``track_dims``.
+    """Load one group's videos in order, check each against ``track_dims``, and predict them.
 
-    The group function of :func:`score_partition`: each video's ScoredVideo
-    is appended to ``scored`` as soon as it is loaded. The videos are
-    predicted in one ``predict`` call, which cannot fail once their track
-    dims are the model's, since ``load_checkpoint`` checks that those sum to
-    its input width.
+    The group function of :func:`score_partition`: each video's sequence is
+    appended to ``scored`` as soon as it is loaded and checked, and replaced
+    by its ScoredVideo once the group is predicted in one ``predict`` call.
+    That call cannot fail once the videos' track dims are the model's, since
+    ``load_checkpoint`` checks that those sum to its input width.
     """
-    data = []
     for vid in video_ids:
         seq = load_labeled_sequence(manifest, vid, [name for name, _ in track_dims])
-        scored.append(ScoredVideo(vid, seq.track_dims, seq.labels))
-        data.append(seq.data)
-    if all(video.track_dims == track_dims for video in scored):
-        for video, preds in zip(scored, predict(model, data)):
-            video.predictions = preds
+        check_same_tracks(seq, track_dims, owner)
+        scored.append(seq)
+    preds = predict(model, [seq.data for seq in scored])
+    scored[:] = [ScoredVideo(seq.video_id, seq.labels, p) for seq, p in zip(scored, preds)]
 
 
 def score_partition(
-    model: Model, manifest: Manifest, partition: str, track_dims: tuple[tuple[str, int], ...]
+    model: Model,
+    manifest: Manifest,
+    partition: str,
+    track_dims: tuple[tuple[str, int], ...],
+    owner: str,
 ) -> list[ScoredVideo]:
     """Load a partition's videos in ``track_dims``' track order and predict them.
 
-    Returns the videos in manifest order. The first error in that order is
-    raised: a video that fails to load, or one whose track dims differ from
-    the first video's (DimMismatchError, as :func:`load_fused_dataset`
-    raises it). When the videos' track dims are not ``track_dims``, nothing
-    is predicted, and every ``predictions`` is None.
+    Returns the videos in manifest order. Each video must have the tracks
+    of ``track_dims`` with the same dims, or DimMismatchError names the
+    video, its first differing track and ``owner``, whose tracks
+    ``track_dims`` are (a checkpoint file, say). The first error in manifest
+    order is raised, whether a video fails to load or to match.
 
     The videos go through ``featureio.map_video_groups``: on a large
     partition they are split by input size into one group per worker, each
     loaded and predicted in a forked worker process that sends back only
-    track dims, labels and predictions; otherwise one group of all of them
-    is, in this process. The predictions are the same either way, since
-    ``predict``'s output for a video does not depend on the other videos it
-    is scored with.
+    labels and predictions; otherwise one group of all of them is, in this
+    process. The predictions are the same either way, since ``predict``'s
+    output for a video does not depend on the other videos it is scored
+    with.
     """
-    (videos,) = map_video_groups(
-        manifest, [manifest.video_ids(partition)], _score_group, model, track_dims
+    return map_video_groups(
+        manifest, manifest.video_ids(partition), _score_group, model, track_dims, owner
     )
-    return videos

@@ -230,7 +230,7 @@ def _validate_dataset(
             raise TargetMissingError(
                 f"{what} video {seq.video_id!r} lacks target {target!r}"
             )
-        check_same_tracks(seq, reference)
+        check_same_tracks(seq, reference.track_dims, reference.video_id)
 
 
 # A diverging run ends at a finiteness check with ConfigError; numpy's overflow

@@ -27,6 +27,7 @@ from seqfuse import (
     train,
     write_dataset,
 )
+from seqfuse import cli as cli_module
 from seqfuse import featureio
 from seqfuse.cli import main as cli_main
 from seqfuse.training import write_history_csv
@@ -85,6 +86,17 @@ class TestSynth:
         )
         assert code == 2
         assert "no videos" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--snr", "nan"], "error: snr must be positive, got nan\n"),
+        (["--t-range", "2:100000000000000000000"],
+         "error: t_range (2, 100000000000000000000) puts frame_ms past the int64 range\n"),
+    ], ids=["snr-nan", "t-range-past-int64"])
+    def test_bad_value_exit_2_naming_it(self, tmp_path, run_cli, argv, message):
+        out = tmp_path / "x"
+        code, _, err = run_cli("synth", "--out-dir", out, "--seed", 1, *argv)
+        assert (code, err) == (2, message)
+        assert not out.exists()
 
     def test_manifest_partitions(self, synth_dir):
         manifest = json.loads((synth_dir / "manifest.json").read_text())
@@ -564,6 +576,20 @@ class TestTrain:
         ckpt = load_checkpoint(run_dir / "checkpoint.sqf")
         assert list(ckpt.config.track_order) == ["track0", "track1"]
 
+    @pytest.mark.parametrize("track_order", [None, ["track0", "track1"]], ids=["default", "given"])
+    def test_manifest_read_once(self, synth_dir, tmp_path, run_cli, monkeypatch, track_order):
+        # The default track order and the loaded videos come from one read.
+        reads = []
+        real_load_manifest = cli_module.load_manifest
+        monkeypatch.setattr(cli_module, "load_manifest",
+                            lambda path: reads.append(Path(path)) or real_load_manifest(path))
+        manifest = synth_dir / "manifest.json"
+        cfg = write_train_config(tmp_path / "cfg.json", manifest, tmp_path / "run",
+                                 track_order=track_order)
+        code, _, err = run_cli("train", "--config", cfg)
+        assert code == 0, err
+        assert reads == [manifest]
+
 
 def write_mixed_dims_dataset(root, odd_partition):
     """Two train videos and one devel video on dims 2,3, plus video003 on dims 3,2."""
@@ -650,7 +676,7 @@ class TestEvaluate:
         assert code == 2
 
 
-def assert_dims_other_than_the_checkpoints_exit_2(tmp_path, run_cli, command, *extra):
+def assert_dims_other_than_the_checkpoints_exit_2(tmp_path, run_cli, command, partition=None):
     raw = tmp_path / "raw"
     code, _, err = run_cli("synth", "--out-dir", raw, "--seed", 5, "--n-train", 2,
                            "--n-devel", 1, "--dims", "3,2", "--t-range", "8:14")
@@ -662,14 +688,19 @@ def assert_dims_other_than_the_checkpoints_exit_2(tmp_path, run_cli, command, *e
         "evaluate": ["--out", out / "report.json"],
         "predict": ["--out-dir", out],
     }[command]
+    if partition is not None:
+        argv += ["--partition", partition]
     code, _, err = run_cli(command, "--checkpoint", ckpt, "--manifest", raw / "manifest.json",
-                           *argv, *extra)
+                           *argv)
     assert code == 2, err
-    assert (
-        f"{raw / 'manifest.json'}: track 'track0' has dim 3, but checkpoint {ckpt} "
-        "was trained on dim 2"
-    ) in err
-    assert "Traceback" not in err and not out.exists()
+    # The first video scored, of the command's default partition or the given one.
+    default = {"evaluate": "devel", "predict": "all"}[command]
+    first = load_manifest(raw / "manifest.json").video_ids(partition or default)[0]
+    assert err == (
+        f"error: {first}: track 'track0' has dim 3 where checkpoint {ckpt} has track "
+        "'track0' of dim 2\n"
+    )
+    assert not out.exists()
 
 
 def assert_partition_with_two_sets_of_dims_exit_2(tmp_path, run_cli, command):
@@ -683,12 +714,16 @@ def assert_partition_with_two_sets_of_dims_exit_2(tmp_path, run_cli, command):
     }[command]
     code, _, err = run_cli(command, "--checkpoint", ckpt, "--manifest", manifest, *argv)
     assert code == 2, err
-    assert "video003: track 'track0' has dim 3 where video000 has track 'track0' of dim 2" in err
-    assert "Traceback" not in err and not out.exists()
+    # video000 and video001 have the checkpoint's dims; video003 is checked against it too.
+    assert err == (
+        f"error: video003: track 'track0' has dim 3 where checkpoint {ckpt} has track "
+        "'track0' of dim 2\n"
+    )
+    assert not out.exists()
 
 
 class TestTrackDims:
-    """A loaded partition has one set of track dims, and it must be the checkpoint's."""
+    """Every scored video must have the checkpoint's track dims."""
 
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     def test_dataset_dims_other_than_the_checkpoints_exit_2(self, tmp_path, run_cli, command):
@@ -1309,8 +1344,7 @@ class TestPooledScoring:
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     def test_dataset_dims_other_than_the_checkpoints_exit_2(self, tmp_path, run_cli, pooled,
                                                             command):
-        assert_dims_other_than_the_checkpoints_exit_2(tmp_path, run_cli, command,
-                                                      "--partition", "all")
+        assert_dims_other_than_the_checkpoints_exit_2(tmp_path, run_cli, command, "all")
         assert pooled == [2]
 
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
@@ -1319,6 +1353,35 @@ class TestPooledScoring:
         groups = groups_of(tmp_path / "raw" / "manifest.json", "train")
         assert ["video003"] in groups and "video000" not in groups[groups.index(["video003"])]
         assert pooled == [2]
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_first_videos_other_dims_reported_before_a_later_load_error(
+        self, tmp_path, run_cli, pool_spy, monkeypatch, command
+    ):
+        # Each video is checked against the checkpoint as soon as it is loaded.
+        raw = tmp_path / "raw"
+        code, _, err = run_cli("synth", "--out-dir", raw, "--seed", 5, "--n-train", 2,
+                               "--n-devel", 1, "--dims", "3,2", "--t-range", "8:14")
+        assert code == 0, err
+        videos = json.loads((raw / "manifest.json").read_text())["videos"]
+        corrupt(raw / videos["video002"]["labels"]["valence"], "non-utf8")
+        ckpt = tmp_path / "z.sqf"
+        make_zero_checkpoint(ckpt)  # trained on track0:2, track1:3
+        runs = []
+        for threshold in (featureio.POOL_MIN_INPUT_BYTES, 0):
+            monkeypatch.setattr(featureio, "POOL_MIN_INPUT_BYTES", threshold)
+            out = tmp_path / f"out{threshold}"
+            argv = {"evaluate": ["--out", out / "report.json"],
+                    "predict": ["--out-dir", out]}[command]
+            code, stdout, err = run_cli(command, "--checkpoint", ckpt,
+                                        "--manifest", raw / "manifest.json",
+                                        "--partition", "all", *argv)
+            runs.append((code, stdout, err, out.exists()))
+        assert pool_spy == [2]  # only the run at threshold 0
+        assert runs[0] == runs[1] == (
+            2, "", f"error: video000: track 'track0' has dim 3 where checkpoint {ckpt} has "
+            "track 'track0' of dim 2\n", False
+        )
 
     @pytest.mark.parametrize("fault", ["missing", "directory", "non-utf8", "nul"])
     @pytest.mark.parametrize("kind", ["feature", "label", "manifest", "checkpoint"])
@@ -1537,11 +1600,32 @@ class TestPooledTrain:
             "error: video003: track 'track0' has dim 3 where video000 has track 'track0' of dim 2\n"
         )
 
+    def test_load_error_reported_before_an_earlier_videos_other_dims(
+        self, tmp_path, run_cli, pool_spy, monkeypatch
+    ):
+        # Every video is loaded before any two are compared.
+        videos = synth_generate(5, 1, (8, 14), [2, 3], 100.0)
+        videos += synth_generate(6, 1, (8, 14), [3, 2], 100.0)
+        videos += synth_generate(7, 2, (8, 14), [2, 3], 100.0)
+        for k, video in enumerate(videos):
+            video.video_id = f"video{k:03d}"
+        raw = tmp_path / "raw"
+        write_dataset(raw, zip(["train", "train", "train", "devel"], videos))
+        victim = raw / "labels" / "video002_valence.csv"
+        corrupt(victim, "non-utf8")
+        runs = train_runs(run_cli, monkeypatch, tmp_path, raw / "manifest.json",
+                          (featureio.POOL_MIN_INPUT_BYTES, 0))
+        assert pool_spy == [2]
+        (serial, serial_files), (pooled_run, pooled_files) = runs
+        assert pooled_run == serial and pooled_files == serial_files == {}
+        assert serial[0] == 2
+        assert serial[2] == f"error: {victim}:2: not UTF-8 text (invalid start byte)\n"
+
     def test_devel_dims_checked_against_devel_so_a_later_load_error_wins(
         self, tmp_path, run_cli, pool_spy, monkeypatch
     ):
-        # Serial train loads every devel video, each checked against the first
-        # devel video, before train() compares devel with train.
+        # train loads every train and devel video, then checks each partition
+        # against its first video, before train() compares devel with train.
         videos = synth_generate(5, 2, (8, 14), [2, 3], 100.0)
         videos += synth_generate(6, 2, (8, 14), [3, 2], 100.0)
         for k, video in enumerate(videos):

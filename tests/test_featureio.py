@@ -103,12 +103,6 @@ class TestParseFeatureCsv:
         with pytest.raises(MalformedRowError):
             parse_feature_csv(path)
 
-    def test_expected_dim_mismatch(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("start_ms,end_ms,f0,f1\n0,250,1.0,2.0\n")
-        with pytest.raises(DimMismatchError):
-            parse_feature_csv(path, expected_dim=3)
-
     def test_empty_track(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("start_ms,end_ms,f0,f1\n")
@@ -137,7 +131,7 @@ class TestParseFeatureCsv:
         track = TokenTrack("big", 5, tokens)
         path = tmp_path / "big.csv"
         write_feature_csv(path, track)
-        back = parse_feature_csv(path, expected_dim=5, name="big")
+        back = parse_feature_csv(path, name="big")
         assert back.dim == track.dim
         assert len(back.tokens) == len(track.tokens)
         for a, b in zip(track.tokens, back.tokens):
@@ -624,6 +618,18 @@ class TestSynthGenerate:
         b = synth_generate(2, 2, (10, 10), [3], 50.0)
         assert not np.array_equal(a[0].tracks[0].frames, b[0].tracks[0].frames)
 
+    @pytest.mark.parametrize("snr", [float("nan"), 0.0, -1.0])
+    def test_snr_not_positive_rejected(self, snr):
+        with pytest.raises(ConfigError, match=r"^snr must be positive, got "):
+            synth_generate(1, 1, (4, 4), [2], snr)
+
+    def test_frame_grid_past_int64_rejected(self):
+        last = (2**63 - 1) // 250  # the last row whose frame_ms fits in int64
+        with pytest.raises(ConfigError, match="past the int64 range"):
+            synth_generate(1, 1, (2, last + 2), [2], 100.0)
+        with pytest.raises(ConfigError, match="past the int64 range"):
+            synth_generate(1, 1, (2, 10**20), [2], 100.0)
+
 
 # ---------------------------------------------------------------------------
 # label CSV and manifest
@@ -701,6 +707,27 @@ class TestLabelCsv:
         write_label_csv(path, np.array([0.5, 0.25]), 2**62)
         assert path.read_text() == f"frame_ms,value\n0,0.5\n{2**62},0.25\n"
         assert np.array_equal(read_label_csv(path, 2**62), [0.5, 0.25])
+
+
+class TestCheckSameTracks:
+    """Videos of one partition must have the first video's tracks and dims."""
+
+    @pytest.mark.parametrize("dims_per_video,message", [
+        ([[2, 3], [2]], "video001: has no track 'track1' where video000 has one of dim 3"),
+        ([[2], [2, 3]], "video001: has track 'track1' of dim 3 where video000 has no such track"),
+        ([[2, 3], [2, 4]],
+         "video001: track 'track1' has dim 4 where video000 has track 'track1' of dim 3"),
+    ], ids=["missing", "extra", "other-dim"])
+    def test_first_difference_named(self, tmp_path, dims_per_video, message):
+        videos = []
+        for k, dims in enumerate(dims_per_video):
+            (video,) = synth_generate(k, 1, (6, 6), dims, 100.0)
+            video.video_id = f"video{k:03d}"
+            videos.append(video)
+        write_dataset(tmp_path, zip(["train"] * len(videos), videos))
+        with pytest.raises(DimMismatchError) as info:
+            load_fused_dataset(load_manifest(tmp_path / "manifest.json"), "train")
+        assert str(info.value) == message
 
 
 class TestManifest:

@@ -240,7 +240,7 @@ class TestScorePartition:
         manifest, videos = self._dataset(tmp_path)
         model = init_model(1, {"D": 5, "e": 3, "h": 4, "m": 3})
         scored = metrics_mod.score_partition(
-            model, manifest, "devel", (("track0", 2), ("track1", 3))
+            model, manifest, "devel", (("track0", 2), ("track1", 3)), "checkpoint c.sqf"
         )
         assert [v.video_id for v in scored] == [v.video_id for v in videos]
         expected = predict(model, [v.data for v in videos])
@@ -249,11 +249,18 @@ class TestScorePartition:
         report = metrics_mod.ccc_report("arousal", scored)
         assert report.to_dict() == evaluate(model, videos, "arousal").to_dict()
 
-    def test_other_track_dims_are_loaded_but_not_predicted(self, tmp_path):
+    def test_other_track_dims_raise_naming_the_owner(self, tmp_path, monkeypatch):
         manifest, _ = self._dataset(tmp_path)
         model = init_model(1, {"D": 5, "e": 3, "h": 4, "m": 3})
-        scored = metrics_mod.score_partition(
-            model, manifest, "devel", (("track0", 3), ("track1", 2))
+        loaded = []
+        real_load = metrics_mod.load_labeled_sequence
+        monkeypatch.setattr(metrics_mod, "load_labeled_sequence",
+                            lambda *call: loaded.append(call[1]) or real_load(*call))
+        with pytest.raises(DimMismatchError) as info:
+            metrics_mod.score_partition(
+                model, manifest, "devel", (("track0", 3), ("track1", 2)), "checkpoint c.sqf"
+            )
+        assert str(info.value) == (
+            "video000: track 'track0' has dim 2 where checkpoint c.sqf has track 'track0' of dim 3"
         )
-        assert [v.track_dims for v in scored] == [(("track0", 2), ("track1", 3))] * 3
-        assert all(v.predictions is None for v in scored)
+        assert loaded == ["video000"]  # checked as soon as it is loaded

@@ -18,6 +18,7 @@ from seqfuse import (
     Checkpoint,
     ConfigError,
     CorruptCheckpointError,
+    DimMismatchError,
     EmptyDatasetError,
     EpochStats,
     EmptySequenceError,
@@ -37,6 +38,7 @@ from seqfuse import (
     load_checkpoint,
     mse_loss,
     save_checkpoint,
+    synth_generate,
     train,
 )
 from seqfuse.training import write_history_csv
@@ -269,6 +271,14 @@ class TestTrain:
         train_set, devel_set = make_split(seed=9, n_train=1, n_devel=1, t_range=(10, 10))
         with pytest.raises(TargetMissingError):
             train(train_set, devel_set, small_train_config(target="dominance"))
+
+    def test_extra_track_named(self):
+        (a,) = synth_generate(1, 1, (10, 10), [4, 6], 100.0)
+        (b,) = synth_generate(2, 1, (10, 10), [4], 100.0)
+        a.video_id, b.video_id = "a", "b"
+        with pytest.raises(DimMismatchError) as info:
+            train([b, a], [a], small_train_config())
+        assert str(info.value) == "a: has track 'track1' of dim 6 where b has no such track"
 
     def test_track_order_mismatch(self):
         train_set, devel_set = make_split(seed=10, n_train=1, n_devel=1, t_range=(10, 10))
