@@ -35,7 +35,6 @@ from .featureio import (
     align_dataset,
     align_tokens_to_frames,
     fuse,
-    load_fused_dataset,
     load_manifest,
     parse_feature_csv,
     save_manifest,

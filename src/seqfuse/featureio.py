@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import json
 import stat
-import traceback
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import repeat, zip_longest
@@ -90,7 +89,6 @@ from .errors import (
     MalformedRowError,
 )
 from .util import (
-    map_in_workers,
     read_input,
     read_input_text,
     read_json_object,
@@ -597,7 +595,8 @@ def synth_generate(
     low-frequency sinusoids) and one frame-aligned track per entry of
     ``dims``. Track ``k`` is a fixed linear image of the stacked label pair,
     shared across videos, plus Gaussian noise scaled by ``1/snr``. The same
-    seed yields bitwise-identical output.
+    seed yields bitwise-identical output. A video too long to allocate
+    raises ConfigError naming ``t_range``.
     """
     lo, hi = int(t_range[0]), int(t_range[1])
     if lo < 2 or hi < lo:
@@ -614,16 +613,21 @@ def synth_generate(
     rng = seeded_rng(seed)
     mixers = [rng.normal(size=(dim, len(TARGETS))) for dim in dims]
     videos = []
-    for v in range(n_videos):
-        t = int(rng.integers(lo, hi + 1))
-        labels = {target: _smooth_labels(rng, t) for target in TARGETS}
-        stacked = np.stack([labels[target] for target in TARGETS], axis=1)
-        tracks = []
-        for k, dim in enumerate(dims):
-            noise = rng.normal(size=(t, dim)) / snr
-            frames = stacked @ mixers[k].T + noise
-            tracks.append(FrameTrack(f"track{k}", dim, DEFAULT_FRAME_LEN_MS, frames))
-        videos.append(LabeledSequence(f"video{v:03d}", tracks, labels))
+    try:
+        for v in range(n_videos):
+            t = int(rng.integers(lo, hi + 1))
+            labels = {target: _smooth_labels(rng, t) for target in TARGETS}
+            stacked = np.stack([labels[target] for target in TARGETS], axis=1)
+            tracks = []
+            for k, dim in enumerate(dims):
+                noise = rng.normal(size=(t, dim)) / snr
+                frames = stacked @ mixers[k].T + noise
+                tracks.append(FrameTrack(f"track{k}", dim, DEFAULT_FRAME_LEN_MS, frames))
+            videos.append(LabeledSequence(f"video{v:03d}", tracks, labels))
+    except MemoryError as exc:
+        raise ConfigError(
+            f"t_range ({lo}, {hi}): a video of {t} frames does not fit in memory"
+        ) from exc
     return videos
 
 
@@ -875,11 +879,16 @@ def pool_workers(sizes: Sequence[int]) -> int:
     return min(cpus, len(sizes))
 
 
-def _align_group(manifest: Manifest, video_ids: list[str], done: list, out_dir: Path) -> None:
-    for vid in video_ids:
-        seq = load_labeled_sequence(manifest, vid, list(manifest.videos[vid].features))
-        partition = manifest.videos[vid].partition
-        done.append(_write_video(partition, seq, manifest.frame_len_ms, out_dir))
+def _align_group(manifest: Manifest, video_ids: list[str], out_dir: Path) -> list[VideoEntry]:
+    return [
+        _write_video(
+            manifest.videos[vid].partition,
+            load_labeled_sequence(manifest, vid, list(manifest.videos[vid].features)),
+            manifest.frame_len_ms,
+            out_dir,
+        )
+        for vid in video_ids
+    ]
 
 
 def align_dataset(manifest: Manifest, out_dir: str | Path) -> int:
@@ -890,11 +899,10 @@ def align_dataset(manifest: Manifest, out_dir: str | Path) -> int:
     file is made. Each video's features and labels are then loaded with
     :func:`load_labeled_sequence` in manifest track order and written as by
     :func:`write_dataset`, with the same bytes and errors, through
-    :func:`map_video_groups`. On a large input, forked workers each align and write
-    one group of videos and return only their manifest entries; the workers
-    are forked, so a caller that runs threads of its own should not call
-    this on a large input. ``manifest.json`` is written last, so a failure
-    leaves none.
+    :func:`map_video_groups`, whose workers on a large input each align and
+    write one group of videos and return only their manifest entries. A
+    failed pooled run is made again in this process, which writes the same
+    bytes again. ``manifest.json`` is written last, so a failure leaves none.
     """
     out_dir = Path(out_dir)
     claimed = set()
@@ -981,96 +989,59 @@ def _split_by_size(video_ids: list[str], sizes: list[int], n_groups: int) -> lis
     return [[video_ids[k] for k in sorted(group)] for group in members]
 
 
-class _RemoteTraceback(Exception):
-    """The traceback of an error raised in a worker process, as text."""
-
-    def __str__(self) -> str:
-        return f'\n"""\n{self.args[0]}"""'
-
-
-def _run_group(
-    group_fn, manifest: Manifest, video_ids: list[str], *args
-) -> tuple[list, Exception | None]:
-    """``group_fn``'s results for one group, and the error that stopped it, or None."""
-    done = []
-    try:
-        group_fn(manifest, video_ids, done, *args)
-    except Exception as exc:  # noqa: BLE001 - raised by map_video_groups in order
-        return done, exc
-    return done, None
-
-
-def _run_group_in_worker(*call) -> tuple[list, Exception | None, str | None]:
-    """:func:`_run_group` in a worker process, plus the error's traceback as text.
-
-    A pickled exception loses its ``__traceback__``, so the worker formats it.
-    """
-    done, error = _run_group(*call)
-    return done, error, None if error is None else "".join(traceback.format_exception(error))
-
-
 def map_video_groups(manifest: Manifest, video_ids: list[str], group_fn, *args) -> list:
-    """``group_fn``'s result for every listed video, in the given order.
+    """``group_fn(manifest, video_ids, *args)``: one result per listed video, in order.
 
-    ``group_fn(manifest, group, done, *args)`` takes a group of the videos,
-    in the given order, and appends one entry to ``done`` as it finishes
-    each video, so that when it raises, ``len(done)`` is the index of the
-    video that failed. When it returns, ``done`` holds one result per video.
-    On a large input (see :func:`pool_workers`) the videos are split by
-    input size into one group per worker, each run in a forked worker
-    process, so ``group_fn`` and its arguments and results cross the process
-    boundary by pickling; otherwise one group of all the videos runs in this
-    process. The workers are forked, so a caller that runs threads of its
-    own should not call this on a large input.
-
-    Of the videos that failed, the first in the given order raises its
-    error, as a serial run would. An error from a worker has the worker's
-    traceback as its ``__cause__``.
+    ``group_fn`` takes videos in the given order and returns one result per
+    video, in that order. Run in this process, it defines every result and
+    error. On a large input (see :func:`pool_workers`) the videos are first
+    split by input size into one group per forked worker process, so
+    ``group_fn``, its arguments and its results are pickled. If that pooled
+    run raises anything, the serial run is made instead: it raises the first
+    error in the given order, with this process's traceback, or returns its
+    results if the failure does not repeat. So ``group_fn`` must be safe to
+    run twice. A caller that runs threads of its own should not call this
+    on a large input, since the workers are forked.
     """
     sizes = input_bytes(manifest, video_ids)
     workers = pool_workers(sizes)
     if workers:
+        # Imported here because these modules add about 2 MB to every process
+        # that imports the package, and only large inputs use them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         groups = _split_by_size(video_ids, sizes, workers)
-        results = map_in_workers(
-            _run_group_in_worker, workers, repeat(group_fn), repeat(manifest), groups,
-            *map(repeat, args),
-        )
-    else:
-        groups = [video_ids]
-        results = [(*_run_group(group_fn, manifest, video_ids, *args), None)]
-    done, failed = {}, {}
-    for group, (group_done, error, trace) in zip(groups, results):
-        done.update(zip(group, group_done))
-        if error is not None:
-            if trace is not None:  # as concurrent.futures shows a worker's error
-                error.__cause__ = _RemoteTraceback(trace)
-            # An error after the group's last video was done is charged to it.
-            failed[group[min(len(group_done), len(group) - 1)]] = error
-    for vid in video_ids:
-        if vid in failed:
-            raise failed[vid]
-    return [done[vid] for vid in video_ids]
+        # Forked, a worker starts in milliseconds with the package imported;
+        # spawned, it would import numpy again. The CLI starts no threads of
+        # its own, and numpy's BLAS pool guards itself across fork.
+        context = multiprocessing.get_context("fork")
+        try:
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                results = pool.map(group_fn, repeat(manifest), groups, *map(repeat, args))
+                done = {vid: r for group, rs in zip(groups, results) for vid, r in zip(group, rs)}
+            return [done[vid] for vid in video_ids]
+        except Exception:  # noqa: BLE001 - the serial run below raises it in order
+            pass
+    return group_fn(manifest, video_ids, *args)
 
 
 def _load_group(
-    manifest: Manifest, video_ids: list[str], done: list, track_order: list[str] | None
-) -> None:
-    for vid in video_ids:
-        done.append(load_labeled_sequence(manifest, vid, track_order))
+    manifest: Manifest, video_ids: list[str], track_order: list[str] | None
+) -> list[LabeledSequence]:
+    return [load_labeled_sequence(manifest, vid, track_order) for vid in video_ids]
 
 
 def load_fused_datasets(
     manifest: Manifest, partitions: Sequence[str], track_order: list[str] | None = None
 ) -> list[list[LabeledSequence]]:
-    """:func:`load_fused_dataset` of each partition, all loaded in one pass.
+    """The sequences of each partition, in manifest video order, all loaded in one pass.
 
-    Every video is loaded first, so a load error anywhere, the first in
-    partition and manifest order, is raised before any track dims are
-    compared. Then each partition's videos must have its first video's
-    tracks with the same dims, or DimMismatchError names the first track
-    that differs. On a large input the videos of all the partitions are
-    split into groups and loaded in forked worker processes, each of which
-    sends back its videos' sequences (see :func:`map_video_groups`).
+    Every video is loaded first, through :func:`map_video_groups`, so a load
+    error anywhere, the first in partition and manifest order, is raised
+    before any track dims are compared. Then each partition's videos must
+    have its first video's tracks with the same dims, or DimMismatchError
+    names the first track that differs.
     """
     ids = [manifest.video_ids(p) for p in partitions]
     loaded = iter(map_video_groups(manifest, [vid for part in ids for vid in part],
@@ -1081,15 +1052,3 @@ def load_fused_datasets(
             check_same_tracks(seq, dataset[0].track_dims, dataset[0].video_id)
     return datasets
 
-
-def load_fused_dataset(
-    manifest: Manifest, partition: str, track_order: list[str] | None = None
-) -> list[LabeledSequence]:
-    """The sequences of one partition, in manifest video order.
-
-    Every video must have the first one's tracks with the same dims, or
-    DimMismatchError names the first track that differs; a load error in
-    any video is raised before that check (see :func:`load_fused_datasets`).
-    """
-    (sequences,) = load_fused_datasets(manifest, [partition], track_order)
-    return sequences

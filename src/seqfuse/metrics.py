@@ -3,16 +3,14 @@
 Two paths score a model. :func:`evaluate` scores sequences already in
 memory, as ``train`` does on its devel set after each epoch.
 :func:`score_partition` loads a manifest partition and predicts it, as the
-``evaluate`` and ``predict`` commands do. It runs its group function through
+``evaluate`` and ``predict`` commands do, through
 ``featureio.map_video_groups``, the grouped loader that ``train`` loads its
-partitions with too: on a large partition (see ``featureio.pool_workers``)
-each forked worker process loads and predicts one group of videos and sends
-back only their labels and predictions; a small one runs the same group
-function once in this process. Either way each video's tracks are checked
-against the model's as soon as it is loaded, and the errors, their order and
-the predictions are those of loading the partition video by video and
-predicting it in one call. :func:`ccc_report` turns either path's
-predictions into the report.
+partitions with too. Each video's tracks are checked against the model's as
+soon as it is loaded, and the errors, their order and the predictions are
+those of loading the partition video by video in this process and
+predicting it in one call; on a large partition, forked workers first try
+the same work group by group (see ``featureio.map_video_groups``).
+:func:`ccc_report` turns either path's predictions into the report.
 """
 
 from __future__ import annotations
@@ -150,25 +148,23 @@ def evaluate(model: Model, dataset: list[LabeledSequence], target: str) -> CccRe
 def _score_group(
     manifest: Manifest,
     video_ids: list[str],
-    scored: list,
     model: Model,
     track_dims: tuple[tuple[str, int], ...],
     owner: str,
-) -> None:
-    """Load one group's videos in order, check each against ``track_dims``, and predict them.
+) -> list[ScoredVideo]:
+    """Load videos in order, check each against ``track_dims``, and predict them in one call.
 
-    The group function of :func:`score_partition`: each video's sequence is
-    appended to ``scored`` as soon as it is loaded and checked, and replaced
-    by its ScoredVideo once the group is predicted in one ``predict`` call.
-    That call cannot fail once the videos' track dims are the model's, since
+    The group function of :func:`score_partition`. The ``predict`` call
+    cannot fail once the videos' track dims are the model's, since
     ``load_checkpoint`` checks that those sum to its input width.
     """
+    sequences = []
     for vid in video_ids:
         seq = load_labeled_sequence(manifest, vid, [name for name, _ in track_dims])
         check_same_tracks(seq, track_dims, owner)
-        scored.append(seq)
-    preds = predict(model, [seq.data for seq in scored])
-    scored[:] = [ScoredVideo(seq.video_id, seq.labels, p) for seq, p in zip(scored, preds)]
+        sequences.append(seq)
+    preds = predict(model, [seq.data for seq in sequences])
+    return [ScoredVideo(seq.video_id, seq.labels, p) for seq, p in zip(sequences, preds)]
 
 
 def score_partition(
@@ -187,12 +183,10 @@ def score_partition(
     order is raised, whether a video fails to load or to match.
 
     The videos go through ``featureio.map_video_groups``: on a large
-    partition they are split by input size into one group per worker, each
-    loaded and predicted in a forked worker process that sends back only
-    labels and predictions; otherwise one group of all of them is, in this
-    process. The predictions are the same either way, since ``predict``'s
-    output for a video does not depend on the other videos it is scored
-    with.
+    partition each forked worker loads and predicts one group of them and
+    sends back only labels and predictions. The predictions are the same
+    either way, since ``predict``'s output for a video does not depend on
+    the other videos it is scored with.
     """
     return map_video_groups(
         manifest, manifest.video_ids(partition), _score_group, model, track_dims, owner

@@ -88,15 +88,12 @@ def param_layout(dims: dict[str, int]) -> tuple[ParamSpec, ...]:
     return tuple(layout)
 
 
-PARAM_ORDER = tuple(spec.name for spec in param_layout(dict.fromkeys("Dehm", 1)))
-
-
 @dataclass(eq=False)
 class Model:
     """Projection -> LSTM -> two-layer regression head.
 
     Every parameter lives in one contiguous float64 vector ``params`` laid out
-    by :func:`param_layout`; ``tensors`` maps each name in PARAM_ORDER to a
+    by :func:`param_layout`; ``tensors`` maps each parameter's name to a
     reshaped view of it, so a write through either is seen by both. Without
     ``params`` the model is all zeros.
     """
@@ -151,8 +148,9 @@ def init_model(seed: int, dims: dict[str, int]) -> Model:
     """Seeded uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per tensor.
 
     ``dims`` holds D (input), e (embedding), h (hidden), m (head). One
-    generator draws every tensor in PARAM_ORDER. The forget-gate bias block
-    is set to 1.0 after the draw; everything else keeps its uniform sample.
+    generator draws every tensor in :func:`param_layout` order. The
+    forget-gate bias block is set to 1.0 after the draw; everything else
+    keeps its uniform sample.
     Same seed, same dims -> identical model.
     """
     model = Model(dims)

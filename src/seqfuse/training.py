@@ -456,5 +456,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CorruptCheckpointError(
             f"{path}: payload has {len(payload)} bytes, header describes {expected}"
         )
-    model = Model(dims, np.frombuffer(payload, dtype="<f8").copy())
-    return Checkpoint(model, config, track_dims, best_ccc, best_epoch)
+    params = np.frombuffer(payload, dtype="<f8").copy()
+    for spec in layout:
+        if not np.isfinite(params[spec.start : spec.start + spec.size]).all():
+            raise CorruptCheckpointError(f"{path}: parameter {spec.name!r} is not finite")
+    return Checkpoint(Model(dims, params), config, track_dims, best_ccc, best_epoch)

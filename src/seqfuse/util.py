@@ -1,6 +1,6 @@
 """Small shared helpers: seeded RNG construction, exact float text output,
-atomic file writes, the one reader of user-supplied input files and the one
-pool of worker processes."""
+atomic file writes, the one reader of user-supplied input files and the
+count of usable CPUs."""
 
 from __future__ import annotations
 
@@ -103,24 +103,3 @@ def usable_cpus() -> int:
     """CPUs this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
-
-def map_in_workers(fn, workers: int, *iterables) -> list:
-    """``list(map(fn, *iterables))``, with the calls run in forked worker processes.
-
-    At most ``workers`` processes are started, and all have stopped when this
-    returns. Results come back in call order; if a call raised, the first
-    such call's exception is raised here instead. Arguments and results cross
-    the process boundary by pickling. The workers are forked, so a caller that
-    runs threads of its own should not call this.
-    """
-    # Imported here because these modules add about 2 MB to every process
-    # that imports the package, and only large inputs use them.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # Forked, a worker starts in milliseconds with the package imported;
-    # spawned, it would import numpy again. The CLI starts no threads of
-    # its own, and numpy's BLAS pool guards itself across fork.
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        return list(pool.map(fn, *iterables))

@@ -23,12 +23,12 @@ from seqfuse import (
     forward,
     init_model,
     load_checkpoint,
-    load_fused_dataset,
     load_manifest,
     save_checkpoint,
     train,
 )
 from seqfuse.cli import main as cli_main
+from seqfuse.featureio import load_fused_datasets
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -319,8 +319,8 @@ def test_criterion_8_cross_command_consistency(tmp_path):
         "--dims", "4,6", "--t-range", "60:100", "--snr", 100,
     ) == 0
     manifest = load_manifest(raw / "manifest.json")
-    train_set = load_fused_dataset(manifest, "train", ["track0", "track1"])
-    devel_set = load_fused_dataset(manifest, "devel", ["track0", "track1"])
+    (train_set,) = load_fused_datasets(manifest, ["train"], ["track0", "track1"])
+    (devel_set,) = load_fused_datasets(manifest, ["devel"], ["track0", "track1"])
     config = TrainConfig(
         target="arousal", embed_dim=16, hidden_units=32, head_hidden=16,
         epochs=60, seed=3, track_order=["track0", "track1"], patience=60,

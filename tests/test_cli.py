@@ -20,7 +20,6 @@ from seqfuse import (
     evaluate,
     init_model,
     load_checkpoint,
-    load_fused_dataset,
     load_manifest,
     save_checkpoint,
     synth_generate,
@@ -30,6 +29,8 @@ from seqfuse import (
 from seqfuse import cli as cli_module
 from seqfuse import featureio
 from seqfuse.cli import main as cli_main
+from seqfuse.featureio import load_fused_datasets
+from seqfuse.nn import param_layout
 from seqfuse.training import write_history_csv
 
 
@@ -91,7 +92,11 @@ class TestSynth:
         (["--snr", "nan"], "error: snr must be positive, got nan\n"),
         (["--t-range", "2:100000000000000000000"],
          "error: t_range (2, 100000000000000000000) puts frame_ms past the int64 range\n"),
-    ], ids=["snr-nan", "t-range-past-int64"])
+        (["--n-train", 1, "--n-devel", 0, "--dims", "2",
+          "--t-range", "10000000000000000:10000000000000000"],
+         "error: t_range (10000000000000000, 10000000000000000): a video of "
+         "10000000000000000 frames does not fit in memory\n"),
+    ], ids=["snr-nan", "t-range-past-int64", "t-range-past-memory"])
     def test_bad_value_exit_2_naming_it(self, tmp_path, run_cli, argv, message):
         out = tmp_path / "x"
         code, _, err = run_cli("synth", "--out-dir", out, "--seed", 1, *argv)
@@ -558,8 +563,8 @@ class TestTrain:
         manifest = load_manifest(synth_dir / "manifest.json")
         order = ["track0", "track1"]
         ckpt, history = train(
-            load_fused_dataset(manifest, "train", order),
-            load_fused_dataset(manifest, "devel", order),
+            load_fused_datasets(manifest, ["train"], order)[0],
+            load_fused_datasets(manifest, ["devel"], order)[0],
             ckpt.config,
         )
         save_checkpoint(ckpt, tmp_path / "lib.sqf")
@@ -666,6 +671,30 @@ class TestEvaluate:
         assert (code, out) == (2, "")
         assert err == (f"error: {ckpt}: bad header fields: adam_eps must be a finite number, "
                        "got inf\n")
+
+    @pytest.mark.parametrize("value,name", [
+        (float("nan"), "projection_w"),
+        (float("inf"), "lstm_b"),
+    ], ids=["nan", "inf"])
+    def test_non_finite_parameter_exit_2_writing_nothing(self, synth_dir, tmp_path, run_cli,
+                                                         value, name):
+        ckpt = write_scoring_checkpoint(tmp_path / "r.sqf")
+        data = bytearray(ckpt.read_bytes())
+        (n,) = struct.unpack("<I", data[4:8])
+        payload = 8 + n
+        # The first entry of ``name`` and the last of the payload, in head_out_b.
+        start = {spec.name: spec.start
+                 for spec in param_layout(load_checkpoint(ckpt).model.dims)}[name]
+        for entry in (start, (len(data) - payload) // 8 - 1):
+            struct.pack_into("<d", data, payload + 8 * entry, value)
+        ckpt.write_bytes(bytes(data))
+        out = tmp_path / "out"
+        for argv in (["evaluate", "--out", out / "report.json"], ["predict", "--out-dir", out]):
+            code, stdout, err = run_cli(*argv, "--checkpoint", ckpt,
+                                        "--manifest", synth_dir / "manifest.json")
+            assert (code, stdout) == (2, ""), err
+            assert err == f"error: {ckpt}: parameter {name!r} is not finite\n"
+        assert not out.exists()
 
     def test_corrupt_checkpoint_exit_2(self, synth_dir, tmp_path, run_cli):
         ckpt_path = tmp_path / "z.sqf"
@@ -1132,7 +1161,7 @@ class TestFrameGrid:
                                "--manifest", aligned / "manifest.json", "--out", report)
         assert code == 0, err
         model = load_checkpoint(ckpt).model
-        devel = load_fused_dataset(manifest, "devel", ["track0", "track1"])
+        (devel,) = load_fused_datasets(manifest, ["devel"], ["track0", "track1"])
         expected = evaluate(model, devel, "arousal").to_dict()
         assert report.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
         code, _, err = run_cli("predict", "--checkpoint", ckpt,
@@ -1685,7 +1714,7 @@ class TestPooledTrain:
 
 
 @pytest.mark.parametrize("command", ["align", "train", "evaluate"])
-def test_internal_error_in_worker_prints_the_workers_traceback(
+def test_internal_error_in_worker_prints_the_serial_traceback(
     synth_dir, tmp_path, run_cli, pooled, monkeypatch, command
 ):
     def broken(*args, **kwargs):
@@ -1702,9 +1731,46 @@ def test_internal_error_in_worker_prints_the_workers_traceback(
     code, _, err = run_cli(command, *argv)
     assert code == 4
     assert err.endswith("internal error: boom\n")
-    # The frame that called the reader ran in a worker.
+    # The frame that called the reader, as the serial run in this process made it.
     assert "read_label_csv(" in err
     assert pooled == [2]
+
+
+@pytest.mark.parametrize("fault", ["raise", "exit"])
+@pytest.mark.parametrize("command", ["align", "train", "evaluate"])
+def test_failure_only_in_a_worker_gives_the_serial_result(
+    synth_dir, tmp_path, run_cli, pool_spy, monkeypatch, command, fault
+):
+    real_read_label_csv = featureio.read_label_csv
+    test_pid = os.getpid()
+
+    def fails_in_a_worker(*args, **kwargs):
+        if os.getpid() != test_pid:
+            if fault == "exit":
+                os._exit(1)
+            raise RuntimeError("only in a worker")
+        return real_read_label_csv(*args, **kwargs)
+
+    monkeypatch.setattr(featureio, "read_label_csv", fails_in_a_worker)
+    manifest = synth_dir / "manifest.json"
+    ckpt = write_scoring_checkpoint(tmp_path / "r.sqf")
+    runs = []
+    for threshold in (featureio.POOL_MIN_INPUT_BYTES, 0):
+        monkeypatch.setattr(featureio, "POOL_MIN_INPUT_BYTES", threshold)
+        out = tmp_path / f"out{threshold}"
+        argv = {
+            "align": ["--manifest", manifest, "--out-dir", out],
+            "train": ["--config", write_train_config(tmp_path / f"cfg{threshold}.json",
+                                                     manifest, out)],
+            "evaluate": ["--checkpoint", ckpt, "--manifest", manifest, "--partition", "all",
+                         "--out", out / "report.json"],
+        }[command]
+        code, stdout, err = run_cli(command, *argv)
+        runs.append((code, stdout.replace(str(out), "OUT"), err, tree_bytes(out)))
+        assert multiprocessing.active_children() == []
+    assert pool_spy == [2]  # only the run at threshold 0
+    assert runs[0][0] == 0 and runs[0][3], runs[0]
+    assert runs[1] == runs[0]
 
 
 def test_blas_thread_count_leaves_checkpoint_and_prediction_bytes_unchanged(tmp_path, run_cli):

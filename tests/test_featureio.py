@@ -22,13 +22,13 @@ from seqfuse import (
     TokenTrack,
     align_tokens_to_frames,
     fuse,
-    load_fused_dataset,
     parse_feature_csv,
     synth_generate,
     write_feature_csv,
 )
 from seqfuse.featureio import (
     frame_track_to_tokens,
+    load_fused_datasets,
     load_labeled_sequence,
     load_manifest,
     read_label_csv,
@@ -726,7 +726,7 @@ class TestCheckSameTracks:
             videos.append(video)
         write_dataset(tmp_path, zip(["train"] * len(videos), videos))
         with pytest.raises(DimMismatchError) as info:
-            load_fused_dataset(load_manifest(tmp_path / "manifest.json"), "train")
+            load_fused_datasets(load_manifest(tmp_path / "manifest.json"), ["train"])
         assert str(info.value) == message
 
 
@@ -880,7 +880,7 @@ class TestColumnarTracks:
             "--dims", "2,3", "--t-range", "8:12",
         )
         assert code == 0, err
-        dataset = load_fused_dataset(load_manifest(raw / "manifest.json"), "all")
+        (dataset,) = load_fused_datasets(load_manifest(raw / "manifest.json"), ["all"])
         assert [seq.dim for seq in dataset] == [5, 5, 5]
         assert all(np.shares_memory(seq.data, tr.frames) for seq in dataset for tr in seq.tracks)
         code, _, err = run_cli(

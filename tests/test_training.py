@@ -572,6 +572,15 @@ class TestCheckpointIo:
         with pytest.raises(CorruptCheckpointError, match="not a JSON object"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")], ids=["nan", "inf"])
+    def test_non_finite_parameter_rejected_naming_it(self, tmp_path, value):
+        ckpt = _random_checkpoint(3)
+        ckpt.model.tensors["head_hidden_b"][-1] = value
+        save_checkpoint(ckpt, tmp_path / "bad.sqf")
+        with pytest.raises(CorruptCheckpointError,
+                           match="bad.sqf: parameter 'head_hidden_b' is not finite"):
+            load_checkpoint(tmp_path / "bad.sqf")
+
     def test_trailing_garbage_rejected(self, tmp_path):
         path = tmp_path / "ckpt.sqf"
         save_checkpoint(_random_checkpoint(3), path)
