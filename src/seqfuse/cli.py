@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,14 +46,6 @@ SEED_ENV_VAR = "SEQFUSE_SEED"
 
 CHECKPOINT_NAME = "checkpoint.sqf"
 HISTORY_NAME = "history.csv"
-
-@dataclass
-class RunConfig:
-    """Fully resolved training run: the loaded manifest, output directory and hyperparameters."""
-
-    manifest: Manifest
-    out_dir: Path
-    train: TrainConfig
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +96,7 @@ def _env_seed() -> int | None:
         raise ConfigError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from exc
 
 
-def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
+def _resolve_run_config(args: argparse.Namespace) -> tuple[Manifest, Path, TrainConfig]:
     known = [f.name for f in fields(TrainConfig)] + ["manifest", "out_dir"]
     merged: dict = {}
     if args.config is not None:
@@ -145,29 +137,27 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
     elif isinstance(merged["track_order"], str):
         merged["track_order"] = _parse_str_list(merged["track_order"])
 
-    for name in ("target", "embed_dim", "hidden_units", "head_hidden", "epochs"):
-        if name not in merged:
-            raise ConfigError(f"missing required config field: {name}")
+    for f in fields(TrainConfig):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in merged:
+            raise ConfigError(f"missing required config field: {f.name}")
     try:
-        train_cfg = TrainConfig(**merged)
+        config = TrainConfig(**merged)
     except TypeError as exc:
         raise ConfigError(f"bad train config: {exc}") from exc
-    return RunConfig(manifest, out_dir, train_cfg)
+    return manifest, out_dir, config
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    run = _resolve_run_config(args)
-    train_set, devel_set = load_fused_datasets(
-        run.manifest, ("train", "devel"), run.train.track_order
-    )
-    ckpt, history = train(train_set, devel_set, run.train)
-    run.out_dir.mkdir(parents=True, exist_ok=True)
+    manifest, out_dir, config = _resolve_run_config(args)
+    train_set, devel_set = load_fused_datasets(manifest, ("train", "devel"), config.track_order)
+    ckpt, history = train(train_set, devel_set, config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     # The checkpoint goes last, so a failed run never leaves one that looks finished.
-    write_history_csv(history, run.out_dir / HISTORY_NAME)
-    save_checkpoint(ckpt, run.out_dir / CHECKPOINT_NAME)
+    write_history_csv(history, out_dir / HISTORY_NAME)
+    save_checkpoint(ckpt, out_dir / CHECKPOINT_NAME)
     print(
         f"best devel CCC {fmt_float(ckpt.best_ccc)} at epoch {ckpt.best_epoch}; "
-        f"checkpoint written to {run.out_dir / CHECKPOINT_NAME}"
+        f"checkpoint written to {out_dir / CHECKPOINT_NAME}"
     )
     # A finite blow-up can leave every trained epoch worse than the fresh model.
     if history and ckpt.best_epoch == 0:

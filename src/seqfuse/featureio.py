@@ -75,7 +75,7 @@ from __future__ import annotations
 import json
 import stat
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import repeat, zip_longest
 from pathlib import Path
 
@@ -84,6 +84,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DimMismatchError,
+    EmptyDatasetError,
     EmptyTrackError,
     LengthMismatchError,
     MalformedRowError,
@@ -673,12 +674,13 @@ _PATH_CHARS = ("/", "\\", "\0")
 
 
 def check_name(name: str, what: str) -> None:
-    """Raise ConfigError unless ``name`` is a string that can be part of a file name.
+    """Raise ConfigError unless ``name`` is a nonempty string that can be part of a file name.
 
     Video ids, track names and targets become parts of file names in the
-    dataset tree and in prediction output, so none may hold ``/``, ``\\`` or NUL.
+    dataset tree and in prediction output, so none may be empty or hold
+    ``/``, ``\\`` or NUL.
     """
-    if not isinstance(name, str) or any(c in name for c in _PATH_CHARS):
+    if not isinstance(name, str) or not name or any(c in name for c in _PATH_CHARS):
         raise ConfigError(f"{what} must be a name without '/', '\\' or NUL, got {name!r}")
 
 
@@ -729,16 +731,7 @@ def load_manifest(path: str | Path) -> Manifest:
 
 
 def save_manifest(manifest: Manifest, path: str | Path) -> None:
-    payload = {
-        "videos": {
-            vid: {
-                "partition": entry.partition,
-                "features": entry.features,
-                "labels": entry.labels,
-            }
-            for vid, entry in manifest.videos.items()
-        }
-    }
+    payload = {"videos": {vid: asdict(entry) for vid, entry in manifest.videos.items()}}
     if manifest.frame_len_ms != DEFAULT_FRAME_LEN_MS:
         payload["frame_len_ms"] = manifest.frame_len_ms
     write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -814,7 +807,8 @@ def write_dataset(out_dir: str | Path, videos: Iterable[tuple[str, LabeledSequen
     any of a sequence's files is written, a file name that an earlier
     sequence wrote raises ConfigError, and a track off the grid
     LengthMismatchError. ``manifest.json``, which records the grid, is
-    written last, so a failure leaves none.
+    written last, so a failure leaves none; no videos at all raise
+    EmptyDatasetError, since a manifest must list at least one.
     """
     out_dir = Path(out_dir)
     _make_tree_dirs(out_dir)
@@ -823,7 +817,9 @@ def write_dataset(out_dir: str | Path, videos: Iterable[tuple[str, LabeledSequen
         frame_len_ms = frame_len_ms or seq.tracks[0].frame_len_ms
         _claim_files(claimed, out_dir, seq.video_id, seq.labels, [tr.name for tr in seq.tracks])
         entries[seq.video_id] = _write_video(partition, seq, frame_len_ms, out_dir)
-    manifest = Manifest(entries, out_dir, frame_len_ms or DEFAULT_FRAME_LEN_MS)
+    if not entries:
+        raise EmptyDatasetError(f"{out_dir}: no videos to write")
+    manifest = Manifest(entries, out_dir, frame_len_ms)
     save_manifest(manifest, out_dir / "manifest.json")
     return len(entries)
 
@@ -916,12 +912,14 @@ def align_dataset(manifest: Manifest, out_dir: str | Path) -> int:
 
 
 def load_labeled_sequence(
-    manifest: Manifest, video_id: str, track_order: list[str] | None = None
+    manifest: Manifest, video_id: str, track_order: list[str]
 ) -> LabeledSequence:
     """Parse, align and assemble one manifest video on the manifest's frame grid.
 
-    The number of frames comes from the label files (features beyond the
-    labelled horizon are dropped); all label targets must agree on length.
+    Its tracks are fused in ``track_order``, the caller's choice of the
+    video's manifest tracks (ConfigError names one it lacks). The number of
+    frames comes from the label files (features beyond the labelled horizon
+    are dropped); all label targets must agree on length.
     """
     entry = manifest.videos[video_id]
     labels, label_bytes = {}, {}
@@ -938,9 +936,8 @@ def load_labeled_sequence(
                 f"{len(values)}, expected {t})"
             )
         labels[target] = values
-    order = track_order if track_order is not None else sorted(entry.features)
     tracks = []
-    for track_name in order:
+    for track_name in track_order:
         if track_name not in entry.features:
             raise ConfigError(f"{video_id}: manifest has no track {track_name!r}")
         token_track = parse_feature_csv(
@@ -956,8 +953,7 @@ def check_same_tracks(
     """Raise DimMismatchError naming the first track where ``seq`` and ``track_dims`` differ.
 
     Names and dims are compared in order. ``owner`` names whose tracks
-    ``track_dims`` are, such as the first video of a partition or a
-    checkpoint file.
+    ``track_dims`` are, such as the first train video or a checkpoint file.
     """
     pairs = zip_longest(seq.track_dims, track_dims, fillvalue=(None, None))
     for (name, dim), (ref_name, ref_dim) in pairs:
@@ -1027,28 +1023,24 @@ def map_video_groups(manifest: Manifest, video_ids: list[str], group_fn, *args) 
 
 
 def _load_group(
-    manifest: Manifest, video_ids: list[str], track_order: list[str] | None
+    manifest: Manifest, video_ids: list[str], track_order: list[str]
 ) -> list[LabeledSequence]:
     return [load_labeled_sequence(manifest, vid, track_order) for vid in video_ids]
 
 
 def load_fused_datasets(
-    manifest: Manifest, partitions: Sequence[str], track_order: list[str] | None = None
+    manifest: Manifest, partitions: Sequence[str], track_order: list[str]
 ) -> list[list[LabeledSequence]]:
     """The sequences of each partition, in manifest video order, all loaded in one pass.
 
-    Every video is loaded first, through :func:`map_video_groups`, so a load
-    error anywhere, the first in partition and manifest order, is raised
-    before any track dims are compared. Then each partition's videos must
-    have its first video's tracks with the same dims, or DimMismatchError
-    names the first track that differs.
+    Every video is loaded through :func:`map_video_groups` with the tracks
+    of ``track_order``; the first load error in partition and manifest
+    order is raised. No track dims are compared here: ``training.train``
+    checks every train and devel video against the first train video, and
+    a caller with another reference checks with :func:`check_same_tracks`.
     """
     ids = [manifest.video_ids(p) for p in partitions]
     loaded = iter(map_video_groups(manifest, [vid for part in ids for vid in part],
                                    _load_group, track_order))
-    datasets = [[next(loaded) for _ in part] for part in ids]
-    for dataset in datasets:
-        for seq in dataset[1:]:
-            check_same_tracks(seq, dataset[0].track_dims, dataset[0].video_id)
-    return datasets
+    return [[next(loaded) for _ in part] for part in ids]
 

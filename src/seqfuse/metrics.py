@@ -16,7 +16,7 @@ the same work group by group (see ``featureio.map_video_groups``).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -76,12 +76,7 @@ class CccReport:
     n_frames_total: int
 
     def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "concatenated_ccc": self.concatenated_ccc,
-            "per_video": dict(self.per_video),
-            "n_frames_total": self.n_frames_total,
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         return (
@@ -135,14 +130,15 @@ def ccc_report(target: str, videos: list[ScoredVideo]) -> CccReport:
     return CccReport(target, ccc(all_preds, all_labels), per_video, len(all_labels))
 
 
+def _predict_videos(model: Model, sequences: list[LabeledSequence]) -> list[ScoredVideo]:
+    """The model's eval-mode predictions on the sequences, in one ``predict`` call."""
+    preds = predict(model, [seq.data for seq in sequences])
+    return [ScoredVideo(seq.video_id, seq.labels, p) for seq, p in zip(sequences, preds)]
+
+
 def evaluate(model: Model, dataset: list[LabeledSequence], target: str) -> CccReport:
     """:func:`ccc_report` of the model's eval-mode predictions on in-memory sequences."""
-    preds = predict(model, [seq.data for seq in dataset])
-    scored = [
-        ScoredVideo(seq.video_id, seq.labels, video_preds)
-        for seq, video_preds in zip(dataset, preds)
-    ]
-    return ccc_report(target, scored)
+    return ccc_report(target, _predict_videos(model, dataset))
 
 
 def _score_group(
@@ -163,8 +159,7 @@ def _score_group(
         seq = load_labeled_sequence(manifest, vid, [name for name, _ in track_dims])
         check_same_tracks(seq, track_dims, owner)
         sequences.append(seq)
-    preds = predict(model, [seq.data for seq in sequences])
-    return [ScoredVideo(seq.video_id, seq.labels, p) for seq, p in zip(sequences, preds)]
+    return _predict_videos(model, sequences)
 
 
 def score_partition(

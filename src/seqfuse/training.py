@@ -60,7 +60,13 @@ def _is_finite_number(value) -> bool:
 
 @dataclass
 class TrainConfig:
-    """All run hyperparameters; one model per target."""
+    """All run hyperparameters; one model per target.
+
+    The fields without a default are the ones a run config must give.
+    ``target`` follows :func:`seqfuse.featureio.check_name`, and
+    ``track_order`` is a nonempty list of distinct track names. A bad value
+    raises ConfigError naming its field.
+    """
 
     target: str
     embed_dim: int
@@ -78,8 +84,6 @@ class TrainConfig:
     patience: int = 10
 
     def __post_init__(self):
-        if not self.target:
-            raise ConfigError("target must be a nonempty name")
         check_name(self.target, "target")
         for f in fields(self):
             value = getattr(self, f.name)
@@ -108,6 +112,11 @@ class TrainConfig:
         names = self.track_order
         if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
             raise ConfigError(f"track_order must be a nonempty list of names, got {names!r}")
+        seen = set()
+        for name in names:
+            if name in seen:
+                raise ConfigError(f"track_order names track {name!r} twice")
+            seen.add(name)
 
 
 @dataclass(eq=False)

@@ -89,9 +89,21 @@ def read_input_text(path: str | Path, what: str, data: bytes | None = None) -> s
 
 
 def read_json_object(path: str | Path, what: str) -> dict:
-    """The JSON object held in the UTF-8 file ``path``; anything else is a ConfigError."""
+    """The JSON object held in the UTF-8 file ``path``; anything else is a ConfigError.
+
+    So is a key given twice in one object, at any depth.
+    """
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ConfigError(f"{path}: key {key!r} is given twice in one object")
+            seen.add(key)
+        return dict(pairs)
+
     try:
-        value = json.loads(read_input_text(path, what))
+        value = json.loads(read_input_text(path, what), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(value, dict):

@@ -367,6 +367,40 @@ class TestAlign:
         assert lines[1] == "0,250,3.0"  # mean of 2.0 and 4.0
         assert lines[2] == "250,500,2.0"  # only the long token overlaps
 
+    def test_empty_track_name_exit_2_writing_nothing(self, synth_dir, tmp_path, run_cli):
+        manifest = synth_dir / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        features = raw["videos"]["video000"]["features"]
+        features[""] = features.pop("track0")
+        manifest.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        code, _, err = run_cli("align", "--manifest", manifest, "--out-dir", out)
+        assert (code, err) == (
+            2, f"error: {manifest}: video 'video000': track must be a name without '/', '\\' "
+            "or NUL, got ''\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("depth", ["video-id", "entry-field"])
+    def test_key_given_twice_exit_2_writing_nothing(self, synth_dir, tmp_path, run_cli, depth):
+        manifest = synth_dir / "manifest.json"
+        videos = json.loads(manifest.read_text())["videos"]
+        if depth == "video-id":
+            # json.dumps cannot repeat a key, so the object is spelt out.
+            pairs = [*videos.items(), ("video000", videos["video000"])]
+            text = '{"videos": {' + ", ".join(
+                f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}}"
+            key = "video000"
+        else:
+            text = json.dumps({"videos": videos}).replace(
+                '"partition": "train"', '"partition": "train", "partition": "devel"', 1)
+            key = "partition"
+        manifest.write_text(text)
+        out = tmp_path / "out"
+        code, _, err = run_cli("align", "--manifest", manifest, "--out-dir", out)
+        assert (code, err) == (2, f"error: {manifest}: key {key!r} is given twice in one object\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("entries,collision", COLLISION_CASES, ids=["features", "labels"])
     def test_colliding_file_names_exit_2_without_overwriting(
         self, tmp_path, run_cli, pool_spy, entries, collision
@@ -424,6 +458,14 @@ class TestTrain:
         code, _, err = run_cli("train", "--config", cfg)
         assert code == 2
         assert "lr" in err
+
+    def test_config_key_given_twice_exit_2(self, synth_dir, tmp_path, run_cli):
+        run_dir = tmp_path / "run"
+        cfg = write_train_config(tmp_path / "cfg.json", synth_dir / "manifest.json", run_dir)
+        cfg.write_text(cfg.read_text()[:-1] + ', "epochs": 3}')
+        code, _, err = run_cli("train", "--config", cfg)
+        assert (code, err) == (2, f"error: {cfg}: key 'epochs' is given twice in one object\n")
+        assert not run_dir.exists()
 
     def test_trainability_scenario_through_cli(self, tmp_path, run_cli):
         raw = tmp_path / "raw"
@@ -1650,11 +1692,11 @@ class TestPooledTrain:
         assert serial[0] == 2
         assert serial[2] == f"error: {victim}:2: not UTF-8 text (invalid start byte)\n"
 
-    def test_devel_dims_checked_against_devel_so_a_later_load_error_wins(
+    def test_load_error_wins_over_devel_dims_unlike_train(
         self, tmp_path, run_cli, pool_spy, monkeypatch
     ):
-        # train loads every train and devel video, then checks each partition
-        # against its first video, before train() compares devel with train.
+        # train loads every train and devel video before train() compares
+        # each with the first train video, so the later load error is reported.
         videos = synth_generate(5, 2, (8, 14), [2, 3], 100.0)
         videos += synth_generate(6, 2, (8, 14), [3, 2], 100.0)
         for k, video in enumerate(videos):

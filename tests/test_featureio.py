@@ -13,6 +13,7 @@ from oracles import align_bruteforce, feature_csv_rowwise
 from seqfuse import (
     ConfigError,
     DimMismatchError,
+    EmptyDatasetError,
     EmptyTrackError,
     FrameTrack,
     LabeledSequence,
@@ -27,6 +28,7 @@ from seqfuse import (
     write_feature_csv,
 )
 from seqfuse.featureio import (
+    check_same_tracks,
     frame_track_to_tokens,
     load_fused_datasets,
     load_labeled_sequence,
@@ -710,7 +712,7 @@ class TestLabelCsv:
 
 
 class TestCheckSameTracks:
-    """Videos of one partition must have the first video's tracks and dims."""
+    """A video must have the reference video's tracks and dims."""
 
     @pytest.mark.parametrize("dims_per_video,message", [
         ([[2, 3], [2]], "video001: has no track 'track1' where video000 has one of dim 3"),
@@ -718,15 +720,15 @@ class TestCheckSameTracks:
         ([[2, 3], [2, 4]],
          "video001: track 'track1' has dim 4 where video000 has track 'track1' of dim 3"),
     ], ids=["missing", "extra", "other-dim"])
-    def test_first_difference_named(self, tmp_path, dims_per_video, message):
+    def test_first_difference_named(self, dims_per_video, message):
         videos = []
         for k, dims in enumerate(dims_per_video):
             (video,) = synth_generate(k, 1, (6, 6), dims, 100.0)
             video.video_id = f"video{k:03d}"
             videos.append(video)
-        write_dataset(tmp_path, zip(["train"] * len(videos), videos))
+        first, second = videos
         with pytest.raises(DimMismatchError) as info:
-            load_fused_datasets(load_manifest(tmp_path / "manifest.json"), ["train"])
+            check_same_tracks(second, first.track_dims, first.video_id)
         assert str(info.value) == message
 
 
@@ -771,7 +773,7 @@ class TestManifest:
         assert manifest.frame_len_ms == 500
         assert [manifest.videos[v.video_id].partition for v in videos] == ["train", "test"]
         for video in videos:
-            back = load_labeled_sequence(manifest, video.video_id)
+            back = load_labeled_sequence(manifest, video.video_id, ["track0", "track1"])
             for target, values in video.labels.items():
                 assert np.array_equal(back.labels[target], values)
             for track, again in zip(video.tracks, back.tracks):
@@ -812,6 +814,11 @@ class TestManifest:
         assert written and all(name.startswith("video000_") for name in written)
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_no_videos_rejected_without_a_manifest(self, tmp_path):
+        with pytest.raises(EmptyDatasetError, match="no videos to write"):
+            write_dataset(tmp_path, iter([]))
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_colliding_sequence_writes_none_of_its_files(self, tmp_path):
         first, second = synth_generate(3, 2, (6, 6), [2, 3], 100.0)
         # Only second's last file, after its labels and track0, collides:
@@ -828,7 +835,9 @@ class TestManifest:
                            for p in (tmp_path / "ref").glob("*/*")}
         assert not (tmp_path / "out" / "manifest.json").exists()
 
-    @pytest.mark.parametrize("name", ["../x", "a\\b", "a\0b"], ids=["slash", "backslash", "nul"])
+    @pytest.mark.parametrize(
+        "name", ["../x", "a\\b", "a\0b", ""], ids=["slash", "backslash", "nul", "empty"]
+    )
     @pytest.mark.parametrize("where", ["video", "track", "target"])
     def test_name_that_is_not_a_file_name_part_rejected(self, tmp_path, where, name):
         entry = {"partition": "train", "features": {"a": "f.csv"}, "labels": {"arousal": "l.csv"}}
@@ -880,7 +889,9 @@ class TestColumnarTracks:
             "--dims", "2,3", "--t-range", "8:12",
         )
         assert code == 0, err
-        (dataset,) = load_fused_datasets(load_manifest(raw / "manifest.json"), ["all"])
+        (dataset,) = load_fused_datasets(
+            load_manifest(raw / "manifest.json"), ["all"], ["track0", "track1"]
+        )
         assert [seq.dim for seq in dataset] == [5, 5, 5]
         assert all(np.shares_memory(seq.data, tr.frames) for seq in dataset for tr in seq.tracks)
         code, _, err = run_cli(

@@ -56,3 +56,42 @@ def test_pool_modules_are_imported_only_inside_functions():
     # The grouped loader does import them, so the check above has something to find.
     pool_helper = dict(modules())["featureio.py"]
     assert any(n in LAZY for node in ast.walk(pool_helper) for n in imported_names(node))
+
+
+def calls_by_function(tree):
+    """(enclosing function name, called name) for every call under ``tree``.
+
+    The called name is a bare function's name or a method's attribute name,
+    prefixed with its object's name when that is a plain name (``json.loads``).
+    """
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                found.append((function, func.id))
+            elif isinstance(func, ast.Attribute):
+                owner = f"{func.value.id}." if isinstance(func.value, ast.Name) else ""
+                found.append((function, owner + func.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_input_boundary():
+    # Every input file goes through util's readers, and every JSON text
+    # through util.read_json_object, which rejects a key given twice, or
+    # through load_checkpoint, which parses a header that the package wrote.
+    calls = [(name, function, called) for name, tree in modules()
+             for function, called in calls_by_function(tree)]
+    file_reads = [(name, function, called) for name, function, called in calls
+                  if called.split(".")[-1] in {"open", "read_bytes", "read_text"}]
+    assert file_reads and {name for name, _, _ in file_reads} == {"util.py"}
+    json_parses = {(name, function) for name, function, called in calls
+                   if called in {"json.loads", "json.load"}}
+    assert json_parses == {("util.py", "read_json_object"), ("training.py", "load_checkpoint")}

@@ -61,6 +61,8 @@ class TestTrainConfig:
             ("track_order", "track0"),
             ("track_order", []),
             ("track_order", ["track0", 1]),
+            ("track_order", ["track0", "track0"]),
+            ("target", ""),
             ("target", "../esc"),
             ("target", "a\\b"),
             ("target", "a\0b"),
@@ -494,8 +496,13 @@ class TestCheckpointIo:
                 config={**header["config"], "track_order": ["track0", "track1"]},
                 track_dims=[["track1", 2], ["track0", 3]],
             ),
+            lambda header: header.update(
+                config={**header["config"], "track_order": ["track0", "track0"]},
+                track_dims=[["track0", 2], ["track0", 3]],
+            ),
         ],
-        ids=["dims", "shape", "offsets", "target-path", "track-renamed", "track-order-swapped"],
+        ids=["dims", "shape", "offsets", "target-path", "track-renamed", "track-order-swapped",
+             "track-named-twice"],
     )
     def test_tampered_header_rejected(self, tmp_path, edit):
         save_checkpoint(_golden_checkpoint(), tmp_path / "g.sqf")
