@@ -44,8 +44,8 @@ Dataset tree, as :func:`write_dataset` lays it out for ``synth`` and
     <out_dir>/labels/<video>_<target>.csv    one Label CSV
     <out_dir>/manifest.json                  written last, relative paths
 
-Every track of every video must be on one frame grid, and the manifest
-records it (``frame_len_ms`` is written only when it is not 250).
+Every video of a tree must be on one frame grid, and the manifest records
+it (``frame_len_ms`` is written only when it is not 250).
 
 Cells: ``start_ms``, ``end_ms`` and ``frame_ms`` are decimal integers in the
 int64 range [-2**63, 2**63 - 1]; values are decimal floats with optional
@@ -64,10 +64,10 @@ of an aligned track (a word spanning several frames, a pause between words)
 share one cell text.
 
 One video in memory is a LabeledSequence, from the loaders and
-``synth_generate`` through the writers, training and evaluation. It fuses
-its aligned FrameTracks once, when it is built, into the (t, D) matrix
-``data`` that the model reads; each track's ``frames`` is a view of its
-column block, so a loaded partition holds its frames once.
+``synth_generate`` through the writers, training and evaluation. It holds
+one frame grid, ``frame_len_ms``, and fuses its FrameTracks (each a name and
+its frames) once, into the (t, D) matrix ``data`` that the model reads; each
+track's ``frames`` is a view of its column block, held once.
 """
 
 from __future__ import annotations
@@ -194,27 +194,33 @@ class TokenTrack:
 
 @dataclass(eq=False)
 class FrameTrack:
-    """Frame-aligned features: row ``j`` covers [j*frame_len_ms, (j+1)*frame_len_ms)."""
+    """Frame-aligned features: row ``j`` is frame ``j`` of its video's frame grid."""
 
     name: str
-    dim: int
-    frame_len_ms: int
     frames: np.ndarray
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
-        if self.frames.ndim != 2 or self.frames.shape[1] != self.dim:
-            raise DimMismatchError(
-                f"track {self.name!r}: frames must be (t, {self.dim})"
-            )
-        if self.frame_len_ms < 1:
-            raise MalformedRowError("frame_len_ms must be positive")
+        if self.frames.ndim != 2:
+            raise DimMismatchError(f"track {self.name!r}: frames must be (t, dim)")
         if not np.all(np.isfinite(self.frames)):
             raise MalformedRowError(f"track {self.name!r}: non-finite frame value")
 
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.frames.shape[1]
+
+
+def _check_frame_len(value, where: str | Path) -> None:
+    """Raise ConfigError unless ``value`` is an int (not a bool) from 1 to 2**63 - 1."""
+    if type(value) is not int or value < 1:  # bools are rejected too
+        raise ConfigError(f"{where}: frame_len_ms must be an integer >= 1, got {value!r}")
+    if value > _INT64_MAX:
+        raise ConfigError(f"{where}: frame_len_ms {value} is past the int64 range")
 
 
 @dataclass(eq=False)
@@ -224,20 +230,22 @@ class LabeledSequence:
     ``data`` is the (t, D) matrix of :func:`fuse`: the tracks' frames side by
     side, in track order. Each track's ``frames`` is then a view of its column
     block of ``data``, so the frames are held once. Every track must have t
-    frames on one frame grid, and every label array t values in [-1, 1].
-    ``label_bytes`` holds, per target, the label file's bytes exactly as they
-    were read and validated, when the sequence was loaded from files. A
-    pickled sequence, as a worker process sends it, holds ``data`` once, and
-    its tracks' frames are views of ``data`` again when it is unpickled.
+    frames on the one grid ``frame_len_ms``, and every label array t values
+    in [-1, 1]. ``label_bytes`` holds each label file's bytes as they were
+    read and validated, when the sequence was loaded from files. Pickled, as
+    a worker process sends it, a sequence holds ``data`` once, and its
+    tracks' frames are views of ``data`` again when it is unpickled.
     """
 
     video_id: str
     tracks: list[FrameTrack]
     labels: dict[str, np.ndarray]
     label_bytes: dict[str, bytes] = field(default_factory=dict, repr=False)
+    frame_len_ms: int = DEFAULT_FRAME_LEN_MS
     data: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        _check_frame_len(self.frame_len_ms, self.video_id)
         if not self.tracks:
             raise LengthMismatchError(f"{self.video_id}: needs at least one track")
         lengths = {tr.n_frames for tr in self.tracks}
@@ -248,11 +256,6 @@ class LabeledSequence:
         t = lengths.pop()
         if t < 1:
             raise LengthMismatchError(f"{self.video_id}: zero frames")
-        grids = {tr.frame_len_ms for tr in self.tracks}
-        if len(grids) != 1:
-            raise LengthMismatchError(
-                f"{self.video_id}: tracks disagree on frame_len_ms {sorted(grids)}"
-            )
         self.labels = {k: np.asarray(v, dtype=np.float64) for k, v in self.labels.items()}
         for name, values in self.labels.items():
             if values.shape != (t,):
@@ -278,15 +281,12 @@ class LabeledSequence:
         # Pickled as they are, the tracks' frames would be sent a second time:
         # numpy pickles a view as an array of its own.
         state = dict(self.__dict__)
-        state["tracks"] = [(tr.name, tr.dim, tr.frame_len_ms) for tr in self.tracks]
+        state["tracks"] = [(tr.name, tr.dim) for tr in self.tracks]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self.tracks = [
-            FrameTrack(name, dim, frame_len_ms, np.empty((0, dim)))
-            for name, dim, frame_len_ms in state["tracks"]
-        ]
+        self.tracks = [FrameTrack(name, np.empty((0, dim))) for name, dim in state["tracks"]]
         self._view_tracks()
 
     @property
@@ -439,11 +439,11 @@ def write_feature_csv(path: str | Path, track: TokenTrack) -> None:
     write_atomic(path, "".join(parts))
 
 
-def frame_track_to_tokens(track: FrameTrack) -> TokenTrack:
+def frame_track_to_tokens(track: FrameTrack, frame_len_ms: int) -> TokenTrack:
     """View an aligned track as tokens tiling [0, t*frame_len_ms); frames are not copied."""
-    start_ms = np.arange(track.n_frames, dtype=np.int64) * track.frame_len_ms
+    start_ms = np.arange(track.n_frames, dtype=np.int64) * frame_len_ms
     return TokenTrack._from_columns(
-        track.name, track.dim, start_ms, start_ms + track.frame_len_ms, track.frames
+        track.name, track.dim, start_ms, start_ms + frame_len_ms, track.frames
     )
 
 
@@ -486,8 +486,10 @@ def write_label_csv(
     Values that :func:`read_label_csv` would reject raise its error before
     anything is written: EmptyTrackError for no values, MalformedRowError for
     values that are not 1-D, finite and in [-1, 1], or for rows whose
-    ``frame_ms`` would be past the int64 range.
+    ``frame_ms`` would be past the int64 range. So does a ``frame_len_ms``
+    that :func:`load_manifest` would reject, with ConfigError.
     """
+    _check_frame_len(frame_len_ms, path)
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise MalformedRowError(f"{path}: labels must be 1-D, got shape {values.shape}")
@@ -557,7 +559,7 @@ def align_tokens_to_frames(
     counts = np.cumsum(bounds)[:n_frames]
     covered = counts > 0
     sums[covered] /= counts[covered, None]
-    return FrameTrack(track.name, dim, frame_len_ms, sums)
+    return FrameTrack(track.name, sums)
 
 
 def fuse(tracks: list[FrameTrack]) -> np.ndarray:
@@ -596,8 +598,8 @@ def synth_generate(
     low-frequency sinusoids) and one frame-aligned track per entry of
     ``dims``. Track ``k`` is a fixed linear image of the stacked label pair,
     shared across videos, plus Gaussian noise scaled by ``1/snr``. The same
-    seed yields bitwise-identical output. A video too long to allocate
-    raises ConfigError naming ``t_range``.
+    seed yields bitwise-identical output. Tracks too wide or a video too
+    long to allocate raise ConfigError naming ``dims`` or ``t_range``.
     """
     lo, hi = int(t_range[0]), int(t_range[1])
     if lo < 2 or hi < lo:
@@ -612,7 +614,10 @@ def synth_generate(
         raise ConfigError(f"snr must be positive, got {snr}")
 
     rng = seeded_rng(seed)
-    mixers = [rng.normal(size=(dim, len(TARGETS))) for dim in dims]
+    try:
+        mixers = [rng.normal(size=(dim, len(TARGETS))) for dim in dims]
+    except (MemoryError, ValueError) as exc:  # ValueError: a size past numpy's index range
+        raise ConfigError(f"dims {dims}: the tracks do not fit in memory") from exc
     videos = []
     try:
         for v in range(n_videos):
@@ -623,7 +628,7 @@ def synth_generate(
             for k, dim in enumerate(dims):
                 noise = rng.normal(size=(t, dim)) / snr
                 frames = stacked @ mixers[k].T + noise
-                tracks.append(FrameTrack(f"track{k}", dim, DEFAULT_FRAME_LEN_MS, frames))
+                tracks.append(FrameTrack(f"track{k}", frames))
             videos.append(LabeledSequence(f"video{v:03d}", tracks, labels))
     except MemoryError as exc:
         raise ConfigError(
@@ -693,12 +698,7 @@ def load_manifest(path: str | Path) -> Manifest:
     if unknown:
         raise ConfigError(f"{path}: unknown manifest keys: {', '.join(map(repr, unknown))}")
     frame_len_ms = raw.get("frame_len_ms", DEFAULT_FRAME_LEN_MS)
-    if type(frame_len_ms) is not int or frame_len_ms < 1:  # bools are rejected too
-        raise ConfigError(
-            f"{path}: frame_len_ms must be an integer >= 1, got {frame_len_ms!r}"
-        )
-    if frame_len_ms > _INT64_MAX:
-        raise ConfigError(f"{path}: frame_len_ms {frame_len_ms} is past the int64 range")
+    _check_frame_len(frame_len_ms, path)
     videos = {}
     for vid, entry in raw["videos"].items():
         check_name(vid, f"{path}: video {vid!r}: id")
@@ -775,15 +775,15 @@ def _write_video(
     Labels are copied byte for byte from ``label_bytes`` where the sequence
     kept them and formatted on ``frame_len_ms`` otherwise; tracks are written
     as frame-aligned Feature CSVs, to the file names of :func:`_video_files`.
-    A track off ``frame_len_ms`` raises LengthMismatchError, and a last frame
-    that ends past the int64 range, which no Feature CSV can hold,
-    MalformedRowError, before any file is written.
+    A grid that :func:`load_manifest` would reject raises ConfigError, a
+    sequence on another grid than ``frame_len_ms`` LengthMismatchError, and
+    a last frame that ends past the int64 range, which no Feature CSV can
+    hold, MalformedRowError, before any file is written.
     """
-    grids = {tr.frame_len_ms for tr in seq.tracks}
-    if grids != {frame_len_ms}:
+    _check_frame_len(seq.frame_len_ms, seq.video_id)
+    if seq.frame_len_ms != frame_len_ms:
         raise LengthMismatchError(
-            f"{seq.video_id}: tracks on frame_len_ms {sorted(grids)}, "
-            f"the dataset on {frame_len_ms}"
+            f"{seq.video_id}: on frame_len_ms {seq.frame_len_ms}, the dataset on {frame_len_ms}"
         )
     if seq.n_frames * frame_len_ms > _INT64_MAX:
         raise MalformedRowError(f"{seq.video_id}: frame {seq.n_frames - 1} ends past int64")
@@ -795,7 +795,8 @@ def _write_video(
         else:
             write_label_csv(path, values, frame_len_ms)
     for track in seq.tracks:
-        write_feature_csv(out_dir / features[track.name], frame_track_to_tokens(track))
+        tokens = frame_track_to_tokens(track, frame_len_ms)
+        write_feature_csv(out_dir / features[track.name], tokens)
     return VideoEntry(partition, features, labels)
 
 
@@ -803,18 +804,18 @@ def write_dataset(out_dir: str | Path, videos: Iterable[tuple[str, LabeledSequen
     """Write ``(partition, sequence)`` pairs as a dataset tree; returns the video count.
 
     Each sequence is written as it is drawn from ``videos``: its label files,
-    then its tracks. The tree's frame grid is the first sequence's. Before
-    any of a sequence's files is written, a file name that an earlier
-    sequence wrote raises ConfigError, and a track off the grid
-    LengthMismatchError. ``manifest.json``, which records the grid, is
-    written last, so a failure leaves none; no videos at all raise
-    EmptyDatasetError, since a manifest must list at least one.
+    then its tracks, all on the first sequence's ``frame_len_ms``. Before any
+    of a sequence's files is written, a file name that an earlier sequence
+    wrote or a grid that :func:`load_manifest` rejects raises ConfigError,
+    and a sequence on another grid LengthMismatchError. ``manifest.json``,
+    which records the grid, is written last, so a failure leaves none; no
+    videos at all raise EmptyDatasetError, since a manifest must list one.
     """
     out_dir = Path(out_dir)
     _make_tree_dirs(out_dir)
     claimed, entries, frame_len_ms = set(), {}, None
     for partition, seq in videos:
-        frame_len_ms = frame_len_ms or seq.tracks[0].frame_len_ms
+        frame_len_ms = frame_len_ms or seq.frame_len_ms
         _claim_files(claimed, out_dir, seq.video_id, seq.labels, [tr.name for tr in seq.tracks])
         entries[seq.video_id] = _write_video(partition, seq, frame_len_ms, out_dir)
     if not entries:
@@ -944,7 +945,7 @@ def load_labeled_sequence(
             manifest.resolve(entry.features[track_name]), name=track_name
         )
         tracks.append(align_tokens_to_frames(token_track, manifest.frame_len_ms, t))
-    return LabeledSequence(video_id, tracks, labels, label_bytes)
+    return LabeledSequence(video_id, tracks, labels, label_bytes, manifest.frame_len_ms)
 
 
 def check_same_tracks(

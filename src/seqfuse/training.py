@@ -262,6 +262,7 @@ def train(
     best candidate, so ``epochs=0`` returns it with an empty history.
     Every sequence must have the first train sequence's tracks and dims
     (DimMismatchError otherwise), in ``config.track_order`` (ConfigError).
+    A model too large to allocate raises ConfigError naming its dims.
     """
     if not train_set or not devel_set:
         raise EmptyDatasetError("train and devel sets must be nonempty")
@@ -275,16 +276,14 @@ def train(
             f"{list(config.track_order)}"
         )
 
-    model = init_model(
-        config.seed,
-        {
-            "D": train_set[0].dim,
-            "e": config.embed_dim,
-            "h": config.hidden_units,
-            "m": config.head_hidden,
-        },
-    )
-    state = init_adam_state(model)
+    dims = {"D": train_set[0].dim, "e": config.embed_dim, "h": config.hidden_units,
+            "m": config.head_hidden}
+    try:
+        model = init_model(config.seed, dims)
+        state = init_adam_state(model)
+    except (MemoryError, ValueError) as exc:  # ValueError: a size past numpy's index range
+        shown = ", ".join(f"{k}={v}" for k, v in dims.items())
+        raise ConfigError(f"model dims {shown} do not fit in memory") from exc
     shuffle_rng = seeded_rng(config.seed, _SHUFFLE_SALT)
     best_model, best_epoch, bad_epochs = model, 0, 0
     history: list[EpochStats] = []
@@ -370,30 +369,39 @@ def _param_specs(layout: tuple[ParamSpec, ...]) -> list[dict]:
     ]
 
 
-def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Write the versioned binary checkpoint described in the module docstring."""
-    model = ckpt.model
+def _header_bytes(ckpt: Checkpoint) -> bytes:
+    """The JSON header of ``ckpt``: the one header that saves and loads it."""
     header = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(ckpt.config),
-        "dims": model.dims,
+        "dims": ckpt.model.dims,
         "track_dims": [[name, dim] for name, dim in ckpt.track_dims],
         "best_ccc": ckpt.best_ccc,
         "best_epoch": ckpt.best_epoch,
-        "params": _param_specs(model.layout),
+        "params": _param_specs(ckpt.model.layout),
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    return json.dumps(header, sort_keys=True).encode("utf-8")
+
+
+def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
+    """Write the versioned binary checkpoint described in the module docstring."""
+    header_bytes = _header_bytes(ckpt)
     write_atomic(
         path,
         CHECKPOINT_MAGIC
         + struct.pack("<I", len(header_bytes))
         + header_bytes
-        + model.params.astype("<f8", copy=False).tobytes(),
+        + ckpt.model.params.astype("<f8", copy=False).tobytes(),
     )
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read and validate a checkpoint; inverse of :func:`save_checkpoint`."""
+    """Read and validate a checkpoint; inverse of :func:`save_checkpoint`.
+
+    Once its fields are checked, the header must be byte for byte the one
+    that :func:`save_checkpoint` writes for them, so a repeated, missing or
+    unknown key, another layout or another spacing is rejected.
+    """
     data = read_input(path, "checkpoint")
     if len(data) < 8:
         raise CorruptCheckpointError(f"{path}: file too short")
@@ -456,17 +464,18 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         )
 
     layout = param_layout(dims)
-    if header.get("params") != _param_specs(layout):
-        raise CorruptCheckpointError(
-            f"{path}: parameter specs disagree with header dims"
-        )
     expected = 8 * (layout[-1].start + layout[-1].size)
     if len(payload) != expected:
         raise CorruptCheckpointError(
             f"{path}: payload has {len(payload)} bytes, header describes {expected}"
         )
     params = np.frombuffer(payload, dtype="<f8").copy()
+    ckpt = Checkpoint(Model(dims, params), config, track_dims, best_ccc, best_epoch)
+    if data[8 : 8 + header_len] != _header_bytes(ckpt):
+        raise CorruptCheckpointError(
+            f"{path}: header differs from the one its fields are saved with"
+        )
     for spec in layout:
         if not np.isfinite(params[spec.start : spec.start + spec.size]).all():
             raise CorruptCheckpointError(f"{path}: parameter {spec.name!r} is not finite")
-    return Checkpoint(Model(dims, params), config, track_dims, best_ccc, best_epoch)
+    return ckpt

@@ -51,7 +51,7 @@ def align_bruteforce(track, frame_len_ms: int, n_frames: int) -> FrameTrack:
                 count += 1
         if count:
             frames[j] = acc / count
-    return FrameTrack(track.name, track.dim, frame_len_ms, frames)
+    return FrameTrack(track.name, frames)
 
 
 def feature_csv_rowwise(track) -> str:

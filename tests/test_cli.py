@@ -96,7 +96,13 @@ class TestSynth:
           "--t-range", "10000000000000000:10000000000000000"],
          "error: t_range (10000000000000000, 10000000000000000): a video of "
          "10000000000000000 frames does not fit in memory\n"),
-    ], ids=["snr-nan", "t-range-past-int64", "t-range-past-memory"])
+        # 142 PiB of mixer, past any address space; then past numpy's index range.
+        (["--dims", "2,10000000000000000"],
+         "error: dims [2, 10000000000000000]: the tracks do not fit in memory\n"),
+        (["--dims", "100000000000000000000"],
+         "error: dims [100000000000000000000]: the tracks do not fit in memory\n"),
+    ], ids=["snr-nan", "t-range-past-int64", "t-range-past-memory", "dims-past-memory",
+            "dims-past-index-range"])
     def test_bad_value_exit_2_naming_it(self, tmp_path, run_cli, argv, message):
         out = tmp_path / "x"
         code, _, err = run_cli("synth", "--out-dir", out, "--seed", 1, *argv)
@@ -465,6 +471,21 @@ class TestTrain:
         cfg.write_text(cfg.read_text()[:-1] + ', "epochs": 3}')
         code, _, err = run_cli("train", "--config", cfg)
         assert (code, err) == (2, f"error: {cfg}: key 'epochs' is given twice in one object\n")
+        assert not run_dir.exists()
+
+    # 185 PiB and 284 PiB of parameters, past any address space; then past
+    # numpy's index range.
+    @pytest.mark.parametrize("field,value", [
+        ("embed_dim", 10**15), ("hidden_units", 10**8), ("embed_dim", 10**20),
+    ], ids=["embed-past-memory", "hidden-past-memory", "embed-past-index-range"])
+    def test_model_too_large_exit_2_naming_dims(self, synth_dir, tmp_path, run_cli, field, value):
+        run_dir = tmp_path / "run"
+        cfg = write_train_config(tmp_path / "cfg.json", synth_dir / "manifest.json", run_dir,
+                                 **{field: value})
+        code, _, err = run_cli("train", "--config", cfg)
+        dims = {"D": 5, "e": 4, "h": 5, "m": 3, {"embed_dim": "e", "hidden_units": "h"}[field]: value}
+        expected = ", ".join(f"{k}={v}" for k, v in dims.items())
+        assert (code, err) == (2, f"error: model dims {expected} do not fit in memory\n")
         assert not run_dir.exists()
 
     def test_trainability_scenario_through_cli(self, tmp_path, run_cli):
@@ -849,6 +870,26 @@ class TestTrackDims:
         assert f"{ckpt}: " in err and "must be an integer >= " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw.replace(b'"best_epoch": 0', b'"best_epoch": 0, "best_epoch": 2'),
+        lambda raw: raw.replace(b'{"best_ccc"', b'{"extra": 1, "best_ccc"'),
+    ], ids=["repeated-key", "extra-key"])
+    def test_header_with_a_key_save_never_writes_exit_2(self, synth_dir, tmp_path, run_cli, edit):
+        ckpt = tmp_path / "z.sqf"
+        make_zero_checkpoint(ckpt)
+        data = ckpt.read_bytes()
+        (n,) = struct.unpack("<I", data[4:8])
+        raw = edit(data[8 : 8 + n])
+        assert raw != data[8 : 8 + n]
+        ckpt.write_bytes(data[:4] + struct.pack("<I", len(raw)) + raw + data[8 + n :])
+        out = tmp_path / "report.json"
+        code, _, err = run_cli("evaluate", "--checkpoint", ckpt, "--out", out,
+                               "--manifest", synth_dir / "manifest.json")
+        assert (code, err) == (
+            2, f"error: {ckpt}: header differs from the one its fields are saved with\n"
+        )
+        assert not out.exists()
+
 
 class TestPredict:
     def test_zero_checkpoint_predicts_zero(self, synth_dir, tmp_path, run_cli):
@@ -1169,8 +1210,7 @@ class TestFrameGrid:
     def test_misspelt_grid_key_exit_2_naming_manifest_and_key(self, tmp_path, run_cli):
         videos = synth_generate(6, 2, (10, 16), [2, 3], 100.0)
         for video in videos:
-            for track in video.tracks:
-                track.frame_len_ms = 500
+            video.frame_len_ms = 500
         raw = tmp_path / "raw"
         write_dataset(raw, zip(["train", "devel"], videos))
         manifest = raw / "manifest.json"
@@ -1186,8 +1226,7 @@ class TestFrameGrid:
     def test_500ms_dataset_runs_with_no_grid_argument(self, tmp_path, run_cli):
         videos = synth_generate(6, 3, (10, 16), [2, 3], 100.0)
         for video in videos:
-            for track in video.tracks:
-                track.frame_len_ms = 500
+            video.frame_len_ms = 500
         raw, aligned, run_dir = tmp_path / "raw", tmp_path / "aligned", tmp_path / "run"
         write_dataset(raw, zip(["train", "train", "devel"], videos))
         code, _, err = run_cli("align", "--manifest", raw / "manifest.json", "--out-dir", aligned)

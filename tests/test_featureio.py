@@ -165,7 +165,7 @@ def _writer_track(matrix, backing):
     """A track over ``matrix``: frame-backed (one shared matrix) or TokenFeature-backed."""
     matrix = np.array(matrix, dtype=np.float64)
     if backing == "matrix":
-        return frame_track_to_tokens(FrameTrack("w", matrix.shape[1], 250, matrix))
+        return frame_track_to_tokens(FrameTrack("w", matrix), 250)
     return make_track(
         [(j * 100, j * 100 + 300, row) for j, row in enumerate(matrix)], dim=matrix.shape[1]
     )
@@ -494,7 +494,7 @@ class TestAlignAdversarial:
 
 def frame_track(name, data):
     data = np.asarray(data, dtype=float)
-    return FrameTrack(name, data.shape[1], 250, data)
+    return FrameTrack(name, data)
 
 
 class TestFuse:
@@ -534,10 +534,20 @@ class TestFuse:
         with pytest.raises(LengthMismatchError, match="'arousal' have length 9"):
             LabeledSequence("v", [frame_track("a", a)], {"arousal": np.zeros(9)})
 
-    def test_labeled_sequence_tracks_on_two_grids(self):
-        tracks = [frame_track("a", np.zeros((4, 2))), FrameTrack("b", 1, 500, np.zeros((4, 1)))]
-        with pytest.raises(LengthMismatchError, match=r"frame_len_ms \[250, 500\]"):
-            LabeledSequence("v", tracks, {})
+    @pytest.mark.parametrize(
+        "frame_len_ms,message",
+        [
+            (0, "v: frame_len_ms must be an integer >= 1, got 0"),
+            (250.5, "v: frame_len_ms must be an integer >= 1, got 250.5"),
+            (True, "v: frame_len_ms must be an integer >= 1, got True"),
+            (2**63, f"v: frame_len_ms {2**63} is past the int64 range"),
+        ],
+        ids=["zero", "float", "bool", "past-int64"],
+    )
+    def test_labeled_sequence_bad_grid_rejected(self, frame_len_ms, message):
+        tracks = [frame_track("a", np.zeros((4, 2)))]
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            LabeledSequence("v", tracks, {"arousal": np.zeros(4)}, frame_len_ms=frame_len_ms)
 
     def test_column_slice_recovers_tracks(self):
         rng = np.random.default_rng(5)
@@ -555,12 +565,14 @@ class TestFuse:
 
     def test_pickle_sends_data_once_and_tracks_view_it(self, tmp_path):
         videos = synth_generate(4, 1, (120, 120), [300, 40, 7], 100.0)
+        videos[0].frame_len_ms = 500
         write_dataset(tmp_path, zip(["train"], videos))
         manifest = load_manifest(tmp_path / "manifest.json")
         seq = load_labeled_sequence(manifest, "video000", ["track0", "track1", "track2"])
         raw = pickle.dumps(seq)
         back = pickle.loads(raw)
         assert back.video_id == seq.video_id and back.track_dims == seq.track_dims
+        assert back.frame_len_ms == seq.frame_len_ms == 500
         assert back.data.tobytes() == seq.data.tobytes()
         assert back.labels.keys() == seq.labels.keys()
         for target, values in seq.labels.items():
@@ -569,7 +581,6 @@ class TestFuse:
         for track, original in zip(back.tracks, seq.tracks):
             assert np.shares_memory(track.frames, back.data)
             assert track.frames.tobytes() == original.frames.tobytes()
-            assert track.frame_len_ms == original.frame_len_ms
         label_size = sum(v.nbytes for v in seq.labels.values())
         label_size += sum(map(len, seq.label_bytes.values()))
         assert len(raw) < 1.1 * seq.data.nbytes + label_size
@@ -701,6 +712,13 @@ class TestLabelCsv:
         path.write_text("frame_ms,value\n" + "".join(f"{ms},0.5\n" for ms in rows[:-1]))
         assert np.array_equal(read_label_csv(path, frame_len_ms), [0.5] * (len(rows) - 1))
 
+    @pytest.mark.parametrize("frame_len_ms", [0, 250.5, True, 2**63])
+    def test_write_refuses_a_grid_that_load_manifest_rejects(self, tmp_path, frame_len_ms):
+        path = tmp_path / "lab.csv"
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: frame_len_ms "):
+            write_label_csv(path, np.array([0.5, 0.25]), frame_len_ms)
+        assert list(tmp_path.iterdir()) == []
+
     def test_write_refuses_frame_ms_past_int64(self, tmp_path):
         path = tmp_path / "lab.csv"
         with pytest.raises(MalformedRowError, match=f"frame 2: frame_ms {2**63} is past the int64"):
@@ -765,8 +783,7 @@ class TestManifest:
     def test_write_dataset_round_trips_on_its_frame_grid(self, tmp_path):
         videos = synth_generate(4, 2, (3, 5), [2, 1], 100.0)
         for video in videos:
-            for track in video.tracks:
-                track.frame_len_ms = 500
+            video.frame_len_ms = 500
         assert write_dataset(tmp_path, zip(["train", "test"], videos)) == 2
         assert json.loads((tmp_path / "manifest.json").read_text())["frame_len_ms"] == 500
         manifest = load_manifest(tmp_path / "manifest.json")
@@ -791,23 +808,23 @@ class TestManifest:
 
     def test_frames_ending_past_int64_rejected_before_any_file(self, tmp_path):
         (video,) = synth_generate(3, 1, (2, 2), [2], 100.0)
-        video.tracks[0].frame_len_ms = 2**63 - 1  # frame 1 would end at 2**64 - 2
+        video.frame_len_ms = 2**63 - 1  # frame 1 would end at 2**64 - 2
         with pytest.raises(MalformedRowError, match="video000: frame 1 ends past int64"):
             write_dataset(tmp_path, [("train", video)])
         assert [list(tmp_path.glob(f"{d}/*")) for d in ("features", "labels")] == [[], []]
 
-    def test_track_off_the_grid_rejected_before_any_file(self, tmp_path):
-        (video,) = synth_generate(3, 1, (6, 6), [2, 3], 100.0)
-        video.tracks[1].frame_len_ms = 500
-        with pytest.raises(LengthMismatchError, match=r"video000: .*\[250, 500\]"):
+    @pytest.mark.parametrize("frame_len_ms", [0, 250.5, True, 2**63])
+    def test_grid_that_load_manifest_rejects_is_not_written(self, tmp_path, frame_len_ms):
+        (video,) = synth_generate(3, 1, (6, 6), [2], 100.0)
+        video.frame_len_ms = frame_len_ms
+        with pytest.raises(ConfigError, match="^video000: frame_len_ms "):
             write_dataset(tmp_path, [("train", video)])
         assert [list(tmp_path.glob(f"{d}/*")) for d in ("features", "labels")] == [[], []]
         assert not (tmp_path / "manifest.json").exists()
 
     def test_later_sequence_on_another_grid_rejected_before_its_files(self, tmp_path):
         first, second = synth_generate(3, 2, (6, 6), [2, 3], 100.0)
-        for track in second.tracks:
-            track.frame_len_ms = 500
+        second.frame_len_ms = 500
         with pytest.raises(LengthMismatchError, match="video001"):
             write_dataset(tmp_path, [("train", first), ("devel", second)])
         written = sorted(p.name for p in tmp_path.glob("*/*"))
@@ -853,7 +870,7 @@ class TestManifest:
 
     def test_frame_track_to_tokens_tiles_grid(self):
         data = np.arange(6.0).reshape(3, 2)
-        tokens = frame_track_to_tokens(FrameTrack("a", 2, 250, data))
+        tokens = frame_track_to_tokens(FrameTrack("a", data), 250)
         assert [(t.start_ms, t.end_ms) for t in tokens.tokens] == [
             (0, 250),
             (250, 500),
@@ -874,7 +891,7 @@ class TestColumnarTracks:
 
     def test_frame_track_to_tokens_shares_frames(self):
         frames = np.arange(6.0).reshape(3, 2)
-        track = frame_track_to_tokens(FrameTrack("a", 2, 250, frames))
+        track = frame_track_to_tokens(FrameTrack("a", frames), 250)
         assert np.shares_memory(track.vectors, frames)
         assert track.start_ms.tolist() == [0, 250, 500]
 

@@ -123,7 +123,7 @@ class TestCcc:
 
 def _sequence(video_id, t, D, labels, seed=0):
     rng = np.random.default_rng(seed)
-    track = FrameTrack("track0", D, 250, rng.normal(size=(t, D)))
+    track = FrameTrack("track0", rng.normal(size=(t, D)))
     return LabeledSequence(video_id, [track], {"arousal": labels})
 
 

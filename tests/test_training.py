@@ -114,7 +114,7 @@ def _sequence(t, D=4, video_id="v"):
     rng = np.random.default_rng(t)
     return LabeledSequence(
         video_id,
-        [FrameTrack("track0", D, 250, rng.normal(size=(t, D)))],
+        [FrameTrack("track0", rng.normal(size=(t, D)))],
         {"arousal": rng.uniform(-1, 1, t), "valence": rng.uniform(-1, 1, t)},
     )
 
@@ -144,7 +144,7 @@ class TestChunk:
 
     def test_empty_sequence(self):
         # No sequence without frames reaches chunk: the constructor refuses it.
-        track = FrameTrack("track0", 4, 250, np.zeros((0, 4)))
+        track = FrameTrack("track0", np.zeros((0, 4)))
         with pytest.raises(LengthMismatchError, match="e: zero frames"):
             LabeledSequence("e", [track], {"arousal": np.zeros(0)})
 
@@ -500,14 +500,30 @@ class TestCheckpointIo:
                 config={**header["config"], "track_order": ["track0", "track0"]},
                 track_dims=[["track0", 2], ["track0", 3]],
             ),
+            lambda header: header.update(extra=1),
+            lambda header: header.pop("params"),
         ],
         ids=["dims", "shape", "offsets", "target-path", "track-renamed", "track-order-swapped",
-             "track-named-twice"],
+             "track-named-twice", "extra-key", "params-missing"],
     )
     def test_tampered_header_rejected(self, tmp_path, edit):
         save_checkpoint(_golden_checkpoint(), tmp_path / "g.sqf")
         _rewrite_header(tmp_path / "g.sqf", tmp_path / "bad.sqf", edit)
         with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(tmp_path / "bad.sqf")
+
+    @pytest.mark.parametrize("second", [b"2", b"0"])
+    def test_repeated_header_key_rejected(self, tmp_path, second):
+        save_checkpoint(_golden_checkpoint(), tmp_path / "g.sqf")
+        data = (tmp_path / "g.sqf").read_bytes()
+        (n,) = struct.unpack("<I", data[4:8])
+        raw = data[8 : 8 + n]
+        assert raw.count(b'"best_epoch": 0') == 1
+        raw = raw.replace(b'"best_epoch": 0', b'"best_epoch": 0, "best_epoch": ' + second)
+        (tmp_path / "bad.sqf").write_bytes(
+            data[:4] + struct.pack("<I", len(raw)) + raw + data[8 + n :]
+        )
+        with pytest.raises(CorruptCheckpointError, match="bad.sqf: header differs from the one"):
             load_checkpoint(tmp_path / "bad.sqf")
 
     @pytest.mark.parametrize(
