@@ -18,6 +18,7 @@ from .errors import (
     InputError,
     LengthMismatchError,
     MalformedRowError,
+    NonFiniteOutputError,
     SeqfuseError,
     ShapeMismatchError,
     TargetMissingError,

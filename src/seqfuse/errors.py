@@ -68,3 +68,7 @@ class VersionMismatchError(InputError):
 
 class CorruptCheckpointError(InputError):
     """A checkpoint file is truncated or internally inconsistent."""
+
+
+class NonFiniteOutputError(InputError):
+    """A model's outputs are not finite: its parameters or inputs overflow float64."""

@@ -454,18 +454,19 @@ def read_label_csv(
 
     ``data``, when given, holds the file's bytes already read, and those are
     parsed instead of reading ``path``. Errors name ``path:lineno`` of the
-    first bad row.
+    first bad row. A ``frame_len_ms`` that :func:`load_manifest` would reject
+    raises ConfigError before anything is read.
     """
     path = Path(path)
+    _check_frame_len(frame_len_ms, path)
     lines = read_input_text(path, "label file", data).splitlines()
     if not lines or lines[0] != "frame_ms,value":
         raise MalformedRowError(f"{path}: bad label header")
     table = _parse_rows(path, lines, 1, 1)
     frame_ms, values = table["ints"][:, 0], table["floats"][:, 0]
-    # Row j is due at j * frame_len_ms, which leaves int64 past row ``last``
-    # (when frame_len_ms itself does, only row 0, due at 0, is in range).
+    # Row j is due at j * frame_len_ms, which leaves int64 past row ``last``.
     rows, last = np.arange(len(values)), _INT64_MAX // frame_len_ms
-    grid = np.minimum(rows, last) * min(frame_len_ms, _INT64_MAX)
+    grid = np.minimum(rows, last) * frame_len_ms
     off_grid = (rows > last) | (frame_ms != grid)
     _check_rows(
         lambda row: f"{path}:{_lineno(lines, row)}",

@@ -16,6 +16,7 @@ the same work group by group (see ``featureio.map_video_groups``).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import (
     DegenerateInputError,
     EmptyDatasetError,
     LengthMismatchError,
+    NonFiniteOutputError,
     TargetMissingError,
 )
 from .featureio import (
@@ -53,6 +55,13 @@ def ccc(x: np.ndarray, y: np.ndarray) -> float:
         raise LengthMismatchError(f"ccc inputs have shapes {x.shape} and {y.shape}")
     if x.shape[0] < 2:
         raise LengthMismatchError("ccc needs at least 2 points")
+    # CCC is unchanged when x and y are scaled together, and a power of two
+    # scales exactly, so finite inputs past 2**480 are brought below it
+    # before a sum or a square can overflow. Other inputs are left as given.
+    peak = max(np.max(np.abs(x)), np.max(np.abs(y)))
+    shift = min(0, 480 - math.frexp(peak)[1])
+    if shift:
+        x, y = np.ldexp(x, shift), np.ldexp(y, shift)
     mean_x = np.mean(x)
     mean_y = np.mean(y)
     dx = x - mean_x
@@ -152,14 +161,25 @@ def _score_group(
 
     The group function of :func:`score_partition`. The ``predict`` call
     cannot fail once the videos' track dims are the model's, since
-    ``load_checkpoint`` checks that those sum to its input width.
+    ``load_checkpoint`` checks that those sum to its input width. Finite
+    parameters or features near the float range can still overflow it: the
+    first video whose predictions are not finite raises NonFiniteOutputError.
     """
     sequences = []
     for vid in video_ids:
         seq = load_labeled_sequence(manifest, vid, [name for name, _ in track_dims])
         check_same_tracks(seq, track_dims, owner)
         sequences.append(seq)
-    return _predict_videos(model, sequences)
+    # An overflow is refused below, so numpy's warnings on the way add nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scored = _predict_videos(model, sequences)
+    for video in scored:
+        if not np.isfinite(video.predictions).all():
+            raise NonFiniteOutputError(
+                f"{video.video_id}: the predictions of {owner} are not finite "
+                "(its parameters or these features overflow float64)"
+            )
+    return scored
 
 
 def score_partition(

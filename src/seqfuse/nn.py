@@ -37,6 +37,7 @@ sequences in the batch. With numpy's OpenBLAS they are byte-identical to
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -69,6 +70,13 @@ def param_layout(dims: dict[str, int]) -> tuple[ParamSpec, ...]:
     for key, value in zip("Dehm", (D, e, h, m)):
         if value < 1:
             raise DimMismatchError(f"dim {key} must be >= 1, got {value}")
+    return _layout(D, e, h, m)
+
+
+# Every Adam step builds a new Model of the same dims, so a layout is built
+# once per dims and then shared; it holds only ints and tuples.
+@functools.lru_cache(maxsize=8)
+def _layout(D: int, e: int, h: int, m: int) -> tuple[ParamSpec, ...]:
     table = (
         ("projection_w", (e, D), D),
         ("projection_b", (e,), D),
@@ -222,26 +230,30 @@ def forward(
         embed = embed * mask_embed * keep_scale
 
     # Rows hold the halved input-to-gate product until step j overwrites
-    # row j with its activated gates.
+    # row j with its activated gates. The per-gate (t, h) views and the
+    # functions are bound once and ``out`` is passed positionally, so a step
+    # does no Python work beside its numpy calls. ``Wh_half.dot`` is
+    # ``np.dot`` without its Python-level dispatch.
     scale, shift, Wh_half = _tanh_form(model)
     gates = embed @ p["lstm_input_w"].T + p["lstm_b"]
     gates *= scale
     cell = np.empty((t, h))
     hidden = np.empty((t, h))
-    blocks = gates.reshape(t, 4, h)
     recurrent = np.empty(4 * h)
     input_part = np.empty(h)
     h_prev = c_prev = np.zeros(h)
-    for row, (i, f, g, o), c, hj in zip(gates, blocks, cell, hidden):
-        np.dot(Wh_half, h_prev, out=recurrent)
+    wh_dot, tanh, multiply = Wh_half.dot, np.tanh, np.multiply
+    steps = zip(gates, *gates.reshape(t, 4, h).transpose(1, 0, 2), cell, hidden)
+    for row, i, f, g, o, c, hj in steps:
+        wh_dot(h_prev, recurrent)
         row += recurrent
-        np.tanh(row, out=row)
+        tanh(row, row)
         row *= scale
         row += shift
-        np.multiply(f, c_prev, out=c)
-        np.multiply(i, g, out=input_part)
+        multiply(f, c_prev, c)
+        multiply(i, g, input_part)
         c += input_part
-        np.tanh(c, out=hj)
+        tanh(c, hj)
         hj *= o
         h_prev, c_prev = hj, c
 
@@ -328,6 +340,7 @@ def _predict_batch(model: Model, inputs: list[np.ndarray]) -> list[np.ndarray]:
     h_prev = np.zeros((B, h, 1))
     preds = [None] * B
     a = B
+    tanh, multiply = np.tanh, np.multiply
     for j0 in range(0, lengths[0], K):
         while lengths[a - 1] <= j0:
             a -= 1
@@ -352,15 +365,15 @@ def _predict_batch(model: Model, inputs: list[np.ndarray]) -> list[np.ndarray]:
                 matvec, rec, h_prev, H_cols = np.matmul, rec_col[..., 0], h_prev[:a], H[..., None]
             ifgo = [G[..., s * h : (s + 1) * h] for s in range(4)]
             for gates, i, f, g, o, hj, hj_col in zip(G, *ifgo, H, H_cols):
-                matvec(Wh_half, h_prev, out=rec_col)
+                matvec(Wh_half, h_prev, rec_col)
                 gates += rec
-                np.tanh(gates, out=gates)
+                tanh(gates, gates)
                 gates *= scale
                 gates += shift
                 c *= f
-                np.multiply(i, g, out=part)
+                multiply(i, g, part)
                 c += part
-                np.tanh(c, out=hj)
+                tanh(c, hj)
                 hj *= o
                 h_prev = hj_col
             h_prev = hidden_blk[k1 - 1, :a, :, None]  # as columns, also after a 1-D pass
@@ -422,7 +435,7 @@ def backward(model: Model, trace: ForwardTrace, labels: np.ndarray) -> np.ndarra
     # reaches the cell gradient as dh * dc_per_dh[j]. The reverse loop works
     # in place: d_hidden[j] accumulates into dh, and ``dc`` carries the cell
     # gradient from step j + 1 into step j.
-    i, f, g, o = np.split(trace.gates, 4, axis=1)
+    i, f, g, o = trace.gates.reshape(t, 4, h).transpose(1, 0, 2)
     tanh_c = np.tanh(trace.cell)
     c_prev = np.vstack([np.zeros((1, h)), trace.cell[:-1]])
     local = np.stack(
@@ -438,15 +451,16 @@ def backward(model: Model, trace: ForwardTrace, labels: np.ndarray) -> np.ndarra
     Wh = p["lstm_recurrent_w"]
     d_gate = np.empty((t, 4 * h))
     dh_next, dc, dc_from_dh = np.zeros(h), np.zeros(h), np.empty(h)
+    multiply = np.multiply
     per_step = (d_gate, d_gate.reshape(t, 4, h), d_hidden, dc_per_dh, local, f)
     for row, blocks, dh, dc_dh, local_j, f_j in zip(*(a[::-1] for a in per_step)):
         dh += dh_next
-        np.multiply(dh, dc_dh, out=dc_from_dh)
+        multiply(dh, dc_dh, dc_from_dh)
         dc += dc_from_dh
         blocks[:3] = dc
         blocks[3] = dh
         blocks *= local_j
-        np.dot(row, Wh, out=dh_next)
+        row.dot(Wh, dh_next)  # np.dot without its Python-level dispatch
         dc *= f_j
 
     named["lstm_input_w"][...] = d_gate.T @ trace.embed

@@ -4,7 +4,10 @@ Everything here is deliberately written along a different computational path
 than the library: plain Python loops, scalar math, raw-moment identities,
 per-frame interval scans, central finite differences, and the exp-form
 sigmoid with one allocation per operation in the LSTM reference passes. None
-of it imports the functions it is used to verify.
+of it imports the functions it is used to verify. The two ``*_rowwise``
+passes are the one exception to the different path: they repeat ``nn``'s
+own operations in their original loop form, so that byte equality with them
+pins the bytes the package computes.
 """
 
 from __future__ import annotations
@@ -120,15 +123,58 @@ def sigmoid_exp(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
-def forward_reference(model, inputs, dropout_rate=0.0, mask_seed=None) -> ForwardTrace:
-    """The network of ``seqfuse.nn`` with the plain per-step recurrence.
+def _recurrence_expform(gates, Wh):
+    """Each step adds ``Wh @ h_prev`` to its row, activates the gates with
+    :func:`sigmoid_exp` and ``tanh``, and allocates its c and h."""
+    t, h = gates.shape[0], Wh.shape[1]
+    cell = np.empty((t, h))
+    hidden = np.empty((t, h))
+    h_prev = c_prev = np.zeros(h)
+    for j in range(t):
+        pre = gates[j] + Wh @ h_prev
+        gates[j] = sigmoid_exp(pre)
+        gates[j, 2 * h : 3 * h] = np.tanh(pre[2 * h : 3 * h])
+        i, f, g, o = gates[j].reshape(4, h)
+        cell[j] = f * c_prev + i * g
+        hidden[j] = o * np.tanh(cell[j])
+        h_prev, c_prev = hidden[j], cell[j]
+    return gates, cell, hidden
 
-    Each step adds ``Wh @ h_prev`` to the input-to-gate row, activates the
-    gates with :func:`sigmoid_exp` and ``tanh``, and allocates its c and h.
-    Dropout masks are drawn exactly as ``nn.forward`` draws them.
-    """
+
+def _recurrence_rowwise(gates, Wh):
+    """``nn.forward``'s in-place tanh-form step loop as first written: every
+    step unpacks its gate row into four fresh views and looks up each numpy
+    function by name."""
+    t, h = gates.shape[0], Wh.shape[1]
+    scale = np.full(4 * h, 0.5)
+    scale[2 * h : 3 * h] = 1.0
+    shift = 1.0 - scale
+    Wh_half = Wh * scale[:, None]
+    gates *= scale
+    cell = np.empty((t, h))
+    hidden = np.empty((t, h))
+    blocks = gates.reshape(t, 4, h)
+    recurrent = np.empty(4 * h)
+    input_part = np.empty(h)
+    h_prev = c_prev = np.zeros(h)
+    for row, (i, f, g, o), c, hj in zip(gates, blocks, cell, hidden):
+        np.dot(Wh_half, h_prev, out=recurrent)
+        row += recurrent
+        np.tanh(row, out=row)
+        row *= scale
+        row += shift
+        np.multiply(f, c_prev, out=c)
+        np.multiply(i, g, out=input_part)
+        c += input_part
+        np.tanh(c, out=hj)
+        hj *= o
+        h_prev, c_prev = hj, c
+    return gates, cell, hidden
+
+
+def _forward(model, inputs, dropout_rate, mask_seed, recurrence) -> ForwardTrace:
     inputs = np.asarray(inputs, dtype=np.float64)
-    e, h, m = (model.dims[k] for k in "ehm")
+    e, m = model.dims["e"], model.dims["m"]
     t = inputs.shape[0]
     mask_embed = mask_head = None
     if mask_seed is not None and dropout_rate > 0.0:
@@ -142,19 +188,9 @@ def forward_reference(model, inputs, dropout_rate=0.0, mask_seed=None) -> Forwar
     embed = np.maximum(0.0, proj_pre)
     if mask_embed is not None:
         embed = embed * mask_embed * keep_scale
-    gates = embed @ p["lstm_input_w"].T + p["lstm_b"]
-    Wh = p["lstm_recurrent_w"]
-    cell = np.empty((t, h))
-    hidden = np.empty((t, h))
-    h_prev = c_prev = np.zeros(h)
-    for j in range(t):
-        pre = gates[j] + Wh @ h_prev
-        gates[j] = sigmoid_exp(pre)
-        gates[j, 2 * h : 3 * h] = np.tanh(pre[2 * h : 3 * h])
-        i, f, g, o = gates[j].reshape(4, h)
-        cell[j] = f * c_prev + i * g
-        hidden[j] = o * np.tanh(cell[j])
-        h_prev, c_prev = hidden[j], cell[j]
+    gates, cell, hidden = recurrence(
+        embed @ p["lstm_input_w"].T + p["lstm_b"], p["lstm_recurrent_w"]
+    )
     head_pre = hidden @ p["head_hidden_w"].T + p["head_hidden_b"]
     head_act = np.maximum(0.0, head_pre)
     if mask_head is not None:
@@ -176,12 +212,55 @@ def forward_reference(model, inputs, dropout_rate=0.0, mask_seed=None) -> Forwar
     )
 
 
-def backward_reference(model, trace: ForwardTrace, labels) -> np.ndarray:
-    """Gradients of the MSE loss through ``trace``, one fresh array per step.
+def forward_reference(model, inputs, dropout_rate=0.0, mask_seed=None) -> ForwardTrace:
+    """The network of ``seqfuse.nn`` with the plain per-step recurrence.
 
-    Same formulas as ``nn.backward``; returns a flat vector in the layout of
-    ``model.params``.
+    Dropout masks are drawn exactly as ``nn.forward`` draws them.
     """
+    return _forward(model, inputs, dropout_rate, mask_seed, _recurrence_expform)
+
+
+def forward_rowwise(model, inputs, dropout_rate=0.0, mask_seed=None) -> ForwardTrace:
+    """``nn.forward`` with its step loop as first written; it must match byte for byte."""
+    return _forward(model, inputs, dropout_rate, mask_seed, _recurrence_rowwise)
+
+
+def _bptt_fresh(d_hidden, dc_per_dh, local, f, Wh):
+    """The reverse loop with one fresh array per step."""
+    t, h = d_hidden.shape
+    d_gate = np.empty((t, 4, h))
+    dh_next = dc_next = np.zeros(h)
+    for j in range(t - 1, -1, -1):
+        dh = d_hidden[j] + dh_next
+        dc = dc_next + dh * dc_per_dh[j]
+        d_gate[j, :3] = dc
+        d_gate[j, 3] = dh
+        d_gate[j] *= local[j]
+        dh_next = d_gate[j].reshape(-1) @ Wh
+        dc_next = dc * f[j]
+    return d_gate.reshape(t, 4 * h)
+
+
+def _bptt_rowwise(d_hidden, dc_per_dh, local, f, Wh):
+    """``nn.backward``'s in-place reverse loop as first written, every numpy
+    function looked up by name."""
+    t, h = d_hidden.shape
+    d_gate = np.empty((t, 4 * h))
+    dh_next, dc, dc_from_dh = np.zeros(h), np.zeros(h), np.empty(h)
+    per_step = (d_gate, d_gate.reshape(t, 4, h), d_hidden, dc_per_dh, local, f)
+    for row, blocks, dh, dc_dh, local_j, f_j in zip(*(a[::-1] for a in per_step)):
+        dh += dh_next
+        np.multiply(dh, dc_dh, out=dc_from_dh)
+        dc += dc_from_dh
+        blocks[:3] = dc
+        blocks[3] = dh
+        blocks *= local_j
+        np.dot(row, Wh, out=dh_next)
+        dc *= f_j
+    return d_gate
+
+
+def _backward(model, trace: ForwardTrace, labels, bptt) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.float64)
     t = trace.n_steps
     h = model.dims["h"]
@@ -216,18 +295,7 @@ def backward_reference(model, trace: ForwardTrace, labels) -> np.ndarray:
         axis=1,
     )
     dc_per_dh = o * (1.0 - tanh_c * tanh_c)
-    Wh = p["lstm_recurrent_w"]
-    d_gate = np.empty((t, 4, h))
-    dh_next = dc_next = np.zeros(h)
-    for j in range(t - 1, -1, -1):
-        dh = d_hidden[j] + dh_next
-        dc = dc_next + dh * dc_per_dh[j]
-        d_gate[j, :3] = dc
-        d_gate[j, 3] = dh
-        d_gate[j] *= local[j]
-        dh_next = d_gate[j].reshape(-1) @ Wh
-        dc_next = dc * f[j]
-    d_gate = d_gate.reshape(t, 4 * h)
+    d_gate = bptt(d_hidden, dc_per_dh, local, f, p["lstm_recurrent_w"])
 
     named["lstm_input_w"][...] = d_gate.T @ trace.embed
     named["lstm_recurrent_w"][...] = d_gate[1:].T @ trace.hidden[:-1]
@@ -239,6 +307,20 @@ def backward_reference(model, trace: ForwardTrace, labels) -> np.ndarray:
     named["projection_w"][...] = d_proj_pre.T @ trace.inputs
     named["projection_b"][...] = d_proj_pre.sum(axis=0)
     return grad
+
+
+def backward_reference(model, trace: ForwardTrace, labels) -> np.ndarray:
+    """Gradients of the MSE loss through ``trace``, one fresh array per step.
+
+    Same formulas as ``nn.backward``; returns a flat vector in the layout of
+    ``model.params``.
+    """
+    return _backward(model, trace, labels, _bptt_fresh)
+
+
+def backward_rowwise(model, trace: ForwardTrace, labels) -> np.ndarray:
+    """``nn.backward`` with its reverse loop as first written; it must match byte for byte."""
+    return _backward(model, trace, labels, _bptt_rowwise)
 
 
 def mse_handsum(predictions, labels) -> float:

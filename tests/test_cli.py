@@ -71,6 +71,15 @@ def synth_dir(tmp_path, run_cli):
     return out
 
 
+@pytest.fixture
+def trained_checkpoint(synth_dir, tmp_path, run_cli) -> bytes:
+    """The bytes of the checkpoint that ``train`` writes for ``synth_dir``."""
+    run_dir = tmp_path / "run"
+    cfg = write_train_config(tmp_path / "cfg.json", synth_dir / "manifest.json", run_dir)
+    assert run_cli("train", "--config", cfg)[0] == 0
+    return (run_dir / "checkpoint.sqf").read_bytes()
+
+
 class TestSynth:
     def test_deterministic_directory_trees(self, tmp_path, run_cli):
         args = ["synth", "--seed", 7, "--n-train", 2, "--n-devel", 1, "--dims", "2,3",
@@ -668,9 +677,13 @@ def write_mixed_dims_dataset(root, odd_partition):
     return root / "manifest.json"
 
 
-def make_zero_checkpoint(path, D=5, head_out_bias=0.0, track_dims=(("track0", 2), ("track1", 3))):
+def make_zero_checkpoint(path, D=5, head_out_bias=0.0, track_dims=(("track0", 2), ("track1", 3)),
+                         **tensors):
+    """A zero model's checkpoint; each keyword names a tensor to fill with its value."""
     model = zero_model(D=D, e=4, h=5, m=3)
     model.tensors["head_out_b"][0] = head_out_bias
+    for name, value in tensors.items():
+        model.tensors[name][...] = value
     cfg = TrainConfig(
         target="arousal", embed_dim=4, hidden_units=5, head_hidden=3,
         epochs=1, seed=0, track_order=[n for n, _ in track_dims],
@@ -759,6 +772,39 @@ class TestEvaluate:
             assert err == f"error: {ckpt}: parameter {name!r} is not finite\n"
         assert not out.exists()
 
+    def test_parameters_that_overflow_exit_2_naming_the_video(self, synth_dir, tmp_path,
+                                                              run_cli):
+        ckpt, out = tmp_path / "z.sqf", tmp_path / "out"
+        # Every head unit is 1.0, so every prediction is 3e308: inf.
+        make_zero_checkpoint(ckpt, head_hidden_b=1.0, head_out_w=1e308)
+        for argv in (["evaluate", "--out", out / "report.json"], ["predict", "--out-dir", out]):
+            code, stdout, err = run_cli(*argv, "--checkpoint", ckpt, "--partition", "all",
+                                        "--manifest", synth_dir / "manifest.json")
+            assert (code, stdout) == (2, ""), err
+            assert err == (f"error: video000: the predictions of checkpoint {ckpt} are not "
+                           "finite (its parameters or these features overflow float64)\n")
+        assert not out.exists()
+
+    def test_finite_predictions_near_the_float_range_scored(self, synth_dir, tmp_path, run_cli):
+        ckpt = tmp_path / "z.sqf"
+        make_zero_checkpoint(ckpt, head_out_bias=1e300)
+        code, out, err = run_cli("evaluate", "--checkpoint", ckpt,
+                                 "--manifest", synth_dir / "manifest.json")
+        assert code == 0, err
+        assert json.loads(out)["concatenated_ccc"] == 0.0  # constant, far from the labels
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_edited_checkpoint_exit_0_or_2(self, synth_dir, tmp_path, run_cli,
+                                           trained_checkpoint, data):
+        ckpt = tmp_path / "edited.sqf"
+        ckpt.write_bytes(data.draw(edited_checkpoint(trained_checkpoint)))
+        code, _, err = run_cli("evaluate", "--checkpoint", ckpt,
+                               "--manifest", synth_dir / "manifest.json")
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+
     def test_corrupt_checkpoint_exit_2(self, synth_dir, tmp_path, run_cli):
         ckpt_path = tmp_path / "z.sqf"
         make_zero_checkpoint(ckpt_path)
@@ -766,6 +812,25 @@ class TestEvaluate:
         code, _, err = run_cli("evaluate", "--checkpoint", tmp_path / "trunc.sqf",
                                "--manifest", synth_dir / "manifest.json")
         assert code == 2
+
+
+@st.composite
+def edited_checkpoint(draw, data):
+    """``data`` with one to three bytes set, deleted or inserted, most in the header."""
+    (n,) = struct.unpack("<I", data[4:8])
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        in_header = draw(st.integers(0, 9)) < 8
+        at = draw(st.integers(0, 8 + n - 1) if in_header else st.integers(8 + n, len(data) - 1))
+        at = min(at, len(data) - 1)
+        edit = draw(st.sampled_from(["set", "delete", "insert"]))
+        if edit == "set":
+            data[at] = draw(st.integers(0, 255))
+        elif edit == "delete":
+            del data[at]
+        else:
+            data.insert(at, draw(st.integers(0, 255)))
+    return bytes(data)
 
 
 def assert_dims_other_than_the_checkpoints_exit_2(tmp_path, run_cli, command, partition=None):

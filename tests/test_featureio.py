@@ -697,9 +697,8 @@ class TestLabelCsv:
         [
             (2**63 - 1, [0, 2**63 - 1, -2], 4, 2 * (2**63 - 1)),  # -2 once the grid wraps
             (2**62, [0, 2**62, 0], 4, 2**63),
-            (2**63, [0, 0], 3, 2**63),
         ],
-        ids=["wrapping-grid", "grid-one-past", "frame-len-past"],
+        ids=["wrapping-grid", "grid-one-past"],
     )
     def test_grid_past_int64_rejected_at_its_first_row(
         self, tmp_path, frame_len_ms, rows, lineno, grid
@@ -718,6 +717,17 @@ class TestLabelCsv:
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: frame_len_ms "):
             write_label_csv(path, np.array([0.5, 0.25]), frame_len_ms)
         assert list(tmp_path.iterdir()) == []
+
+    # One row at 0 is on every grid, so only the grid rule can refuse it.
+    @pytest.mark.parametrize(
+        "frame_len_ms", [0, -250, True, 250.0, 2**63],
+        ids=["zero", "negative", "bool", "float", "past-int64"],
+    )
+    def test_read_refuses_a_grid_that_load_manifest_rejects(self, tmp_path, frame_len_ms):
+        path = tmp_path / "lab.csv"
+        path.write_text("frame_ms,value\n0,0.5\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: frame_len_ms "):
+            read_label_csv(path, frame_len_ms)
 
     def test_write_refuses_frame_ms_past_int64(self, tmp_path):
         path = tmp_path / "lab.csv"

@@ -120,6 +120,14 @@ class TestCcc:
         assert ccc(x, x + 0.3) < 1.0
         assert ccc(x, 0.5 * x - 0.2) < 1.0
 
+    @pytest.mark.parametrize("power", [480, 600, 1020])
+    def test_inputs_near_the_float_range_scale_exactly(self, power):
+        rng = np.random.default_rng(power)
+        x, y = rng.normal(size=50), rng.uniform(-1.0, 1.0, size=50)
+        s = 2.0**power
+        assert ccc(x * s, y * s) == ccc(x, y)
+        assert ccc(x * s, y) == pytest.approx(ccc_direct(x * s / 2.0**1000, y / 2.0**1000))
+
 
 def _sequence(video_id, t, D, labels, seed=0):
     rng = np.random.default_rng(seed)

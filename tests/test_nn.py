@@ -9,8 +9,10 @@ from conftest import assert_models_equal, zero_model
 from oracles import (
     _sig,
     backward_reference,
+    backward_rowwise,
     finite_diff_grads,
     forward_reference,
+    forward_rowwise,
     gradcheck_max_relerr,
     linear_relu_naive,
     lstm_step_scalar,
@@ -361,6 +363,19 @@ class TestReferenceAgreement:
             per_step = np.max(np.abs(a - b), axis=1) / np.max(np.abs(b))
             assert np.all(per_step <= 1e-14), (name, int(np.argmax(per_step)))
         assert _gap(trace.predictions, ref.predictions) <= 1e-14
+
+    @pytest.mark.parametrize("h", [1, 32])
+    @pytest.mark.parametrize("t", [1, 100])
+    @pytest.mark.parametrize("dropout", [{}, {"dropout_rate": 0.5, "mask_seed": 23}])
+    def test_byte_identical_to_the_rowwise_loops(self, h, t, dropout):
+        model = init_model(h + t, {"D": 10, "e": 16, "h": h, "m": 16})
+        rng = np.random.default_rng(t)
+        x, y = rng.normal(size=(t, 10)), rng.uniform(-1.0, 1.0, size=t)
+        trace, ref = forward(model, x, **dropout), forward_rowwise(model, x, **dropout)
+        for name in ("gates", "cell", "hidden", "predictions"):
+            assert getattr(trace, name).tobytes() == getattr(ref, name).tobytes(), name
+        got, want = backward(model, trace, y), backward_rowwise(model, ref, y)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dropout", [{}, {"dropout_rate": 0.5, "mask_seed": 3}])
     def test_forward_and_backward_leave_params_untouched(self, dropout):

@@ -35,3 +35,7 @@ def test_train_small_stages_run_under_the_tracer(tmp_path):
     assert layers["featureio.fuse.calls"] > 0
     assert layers["featureio.parse_feature_csv.rows"] > 0
     assert layers["training.chunk.chunks"] > 0
+    # The per-layer metrics that a training speed claim cites.
+    assert layers["nn.forward.train.steps"] > 0
+    assert layers["nn.backward.steps"] > 0
+    assert layers["training.adam_step.calls"] > 0
