@@ -530,11 +530,11 @@ def align_tokens_to_frames(
     overlap counts, with no duration weighting. Frames overlapped by no token
     are zero vectors. Each frame's sum starts at zero and adds its tokens in
     track order (ascending start_ms), so results are reproducible bit for bit.
+    A grid that ``load_manifest`` would reject raises ConfigError.
     """
     if n_frames < 1:
         raise LengthMismatchError("n_frames must be >= 1")
-    if frame_len_ms < 1:
-        raise MalformedRowError("frame_len_ms must be >= 1")
+    _check_frame_len(frame_len_ms, track.name)
     dim = track.dim
     first = np.maximum(track.start_ms // frame_len_ms, 0)
     last = np.minimum((track.end_ms - 1) // frame_len_ms, n_frames - 1)

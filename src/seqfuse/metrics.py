@@ -10,6 +10,7 @@ soon as it is loaded, and the errors, their order and the predictions are
 those of loading the partition video by video in this process and
 predicting it in one call; on a large partition, forked workers first try
 the same work group by group (see ``featureio.map_video_groups``).
+Both refuse predictions that are not finite with NonFiniteOutputError.
 :func:`ccc_report` turns either path's predictions into the report.
 """
 
@@ -139,15 +140,27 @@ def ccc_report(target: str, videos: list[ScoredVideo]) -> CccReport:
     return CccReport(target, ccc(all_preds, all_labels), per_video, len(all_labels))
 
 
-def _predict_videos(model: Model, sequences: list[LabeledSequence]) -> list[ScoredVideo]:
-    """The model's eval-mode predictions on the sequences, in one ``predict`` call."""
-    preds = predict(model, [seq.data for seq in sequences])
-    return [ScoredVideo(seq.video_id, seq.labels, p) for seq, p in zip(sequences, preds)]
+def _predict_videos(model: Model, seqs: list[LabeledSequence], owner: str) -> list[ScoredVideo]:
+    """The model's eval-mode predictions on the sequences, in one ``predict`` call.
+
+    The first video, in the order given, whose predictions are not finite
+    raises NonFiniteOutputError naming it and ``owner``, the model's name.
+    """
+    # An overflow is refused below, so numpy's warnings on the way add nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds = predict(model, [seq.data for seq in seqs])
+    for seq, p in zip(seqs, preds):
+        if not np.isfinite(p).all():
+            raise NonFiniteOutputError(
+                f"{seq.video_id}: the predictions of {owner} are not finite "
+                "(its parameters or these features overflow float64)"
+            )
+    return [ScoredVideo(seq.video_id, seq.labels, p) for seq, p in zip(seqs, preds)]
 
 
 def evaluate(model: Model, dataset: list[LabeledSequence], target: str) -> CccReport:
     """:func:`ccc_report` of the model's eval-mode predictions on in-memory sequences."""
-    return ccc_report(target, _predict_videos(model, dataset))
+    return ccc_report(target, _predict_videos(model, dataset, "the model"))
 
 
 def _score_group(
@@ -157,29 +170,13 @@ def _score_group(
     track_dims: tuple[tuple[str, int], ...],
     owner: str,
 ) -> list[ScoredVideo]:
-    """Load videos in order, check each against ``track_dims``, and predict them in one call.
-
-    The group function of :func:`score_partition`. The ``predict`` call
-    cannot fail once the videos' track dims are the model's, since
-    ``load_checkpoint`` checks that those sum to its input width. Finite
-    parameters or features near the float range can still overflow it: the
-    first video whose predictions are not finite raises NonFiniteOutputError.
-    """
+    """:func:`score_partition`'s group function: load, check and predict videos in order."""
     sequences = []
     for vid in video_ids:
         seq = load_labeled_sequence(manifest, vid, [name for name, _ in track_dims])
         check_same_tracks(seq, track_dims, owner)
         sequences.append(seq)
-    # An overflow is refused below, so numpy's warnings on the way add nothing.
-    with np.errstate(over="ignore", invalid="ignore"):
-        scored = _predict_videos(model, sequences)
-    for video in scored:
-        if not np.isfinite(video.predictions).all():
-            raise NonFiniteOutputError(
-                f"{video.video_id}: the predictions of {owner} are not finite "
-                "(its parameters or these features overflow float64)"
-            )
-    return scored
+    return _predict_videos(model, sequences, owner)
 
 
 def score_partition(
@@ -195,7 +192,8 @@ def score_partition(
     of ``track_dims`` with the same dims, or DimMismatchError names the
     video, its first differing track and ``owner``, whose tracks
     ``track_dims`` are (a checkpoint file, say). The first error in manifest
-    order is raised, whether a video fails to load or to match.
+    order is raised, whether a video fails to load or to match; then the
+    first video whose predictions are not finite, as NonFiniteOutputError.
 
     The videos go through ``featureio.map_video_groups``: on a large
     partition each forked worker loads and predicts one group of them and

@@ -29,6 +29,7 @@ from .errors import (
     EmptyDatasetError,
     EmptySequenceError,
     LengthMismatchError,
+    NonFiniteOutputError,
     ShapeMismatchError,
     TargetMissingError,
     VersionMismatchError,
@@ -242,8 +243,7 @@ def _validate_dataset(
         check_same_tracks(seq, reference.track_dims, reference.video_id)
 
 
-# A diverging run ends at a finiteness check with ConfigError; numpy's overflow
-# and invalid-value warnings on the way there add nothing, so they are muted.
+# A diverging run ends in ConfigError below; numpy's overflow warnings on the way add nothing.
 @np.errstate(over="ignore", invalid="ignore")
 def train(
     train_set: list[LabeledSequence],
@@ -315,13 +315,13 @@ def train(
         except DegenerateInputError:
             logger.warning("devel CCC undefined (constant equal sequences); using 0.0")
             devel_ccc = 0.0
+        except NonFiniteOutputError as exc:
+            raise ConfigError(
+                f"training diverged: non-finite devel CCC at epoch {epoch}"
+            ) from exc
         if epoch == 0:
             best_ccc = devel_ccc
             continue
-        if not math.isfinite(devel_ccc):
-            raise ConfigError(
-                f"training diverged: non-finite devel CCC at epoch {epoch}"
-            )
         history.append(EpochStats(epoch, float(np.mean(losses)), devel_ccc))
         if devel_ccc > best_ccc:
             best_ccc = devel_ccc

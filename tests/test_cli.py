@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import fail_writes_halfway, zero_model
@@ -424,6 +424,56 @@ class TestAlign:
                                                     collision)
 
 
+# The run config that ``edited_run_config`` edits, after its two paths. With
+# patience 1, seed 11 stops after epoch 1, so any epoch count trains fast.
+RUN_CONFIG_PATHS = b'{"manifest": "raw/manifest.json", "out_dir": "run", '
+RUN_CONFIG = dict(target="arousal", embed_dim=4, hidden_units=5, head_hidden=3, epochs=2,
+                  seed=11, track_order=["track0", "track1"], patience=1)
+SIZE_FIELDS = ("embed_dim", "hidden_units", "head_hidden")
+FLOAT_FIELDS = ("learning_rate", "dropout_rate", "adam_beta1", "adam_eps")
+# Small counts, and counts too large to allocate a model of or to be valid at all.
+COUNTS = st.one_of(st.integers(1, 8), st.sampled_from([-1, 0, True, 2**62, 2**64]))
+
+
+@st.composite
+def edited_run_config(draw):
+    """A run config's JSON bytes with one top-level value edited, or 1-3 bytes after its paths."""
+    fields = dict(RUN_CONFIG)
+    if draw(st.booleans()):
+        key = draw(st.sampled_from([*RUN_CONFIG, "max_time_step", *FLOAT_FIELDS]))
+        values = {
+            "target": st.sampled_from(["valence", "missing", "a/b"]),
+            "seed": st.integers(-2**70, 2**70),
+            "track_order": st.sampled_from([["track1", "track0"], ["track0"], ["track0"] * 2,
+                                            "track0,track1", ["track0", 5]]),
+        }.get(key, st.floats() if key in FLOAT_FIELDS else COUNTS)
+        if draw(st.booleans()):
+            fields.pop(key, None)
+        else:
+            fields[key] = draw(st.one_of(values, st.sampled_from(JSON_VALUES)))
+        return RUN_CONFIG_PATHS + json.dumps(fields)[1:].encode()
+    body = json.dumps(fields)[1:].encode()
+    edit, n = draw(st.sampled_from(["set", "delete", "insert"])), draw(st.integers(1, 3))
+    at = draw(st.integers(0, len(body) - n))
+    new = b"" if edit == "delete" else draw(st.binary(min_size=n, max_size=n))
+    return RUN_CONFIG_PATHS + body[:at] + new + body[at + (0 if edit == "insert" else n):]
+
+
+def allocates_little(text):
+    """Whether a model that ``text`` asks for is small or too large to allocate at all.
+
+    An inserted digit can make a size of thousands, whose model would take
+    gigabytes; such configs are not run.
+    """
+    try:
+        cfg = json.loads(text)
+    except ValueError:
+        return True
+    return not isinstance(cfg, dict) or all(
+        not (type(cfg.get(name)) is int and 64 < cfg[name] < 2**40) for name in SIZE_FIELDS
+    )
+
+
 class TestTrain:
     def test_end_to_end_writes_artifacts(self, synth_dir, tmp_path, run_cli):
         run_dir = tmp_path / "run"
@@ -666,6 +716,17 @@ class TestTrain:
         code, _, err = run_cli("train", "--config", cfg)
         assert code == 0, err
         assert reads == [manifest]
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=edited_run_config())
+    def test_edited_run_config_exit_0_or_2(self, synth_dir, tmp_path, run_cli, monkeypatch, text):
+        monkeypatch.chdir(tmp_path)  # the config's paths are relative to it
+        assume(allocates_little(text))
+        (tmp_path / "cfg.json").write_bytes(text)
+        code, _, err = run_cli("train", "--config", "cfg.json")
+        assert code in (0, 2), err
+        assert "Traceback" not in err
 
 
 def write_mixed_dims_dataset(root, odd_partition):

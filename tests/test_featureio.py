@@ -415,6 +415,17 @@ class TestAlign:
         np.testing.assert_allclose(a.frames, b.frames, atol=1e-12)
         np.testing.assert_allclose(a.frames, [[7.0 / 3.0]], atol=1e-12)
 
+    # Before the grid rule was shared, True aligned onto a 1 ms grid, 250.0
+    # raised IndexError and 2**63 OverflowError.
+    @pytest.mark.parametrize(
+        "frame_len_ms", [0, -250, True, 250.0, 2**63],
+        ids=["zero", "negative", "bool", "float", "past-int64"],
+    )
+    def test_refuses_a_grid_that_load_manifest_rejects(self, frame_len_ms):
+        track = make_track([(0, 1000, [2.0])], dim=1)
+        with pytest.raises(ConfigError, match=f"^{track.name}: frame_len_ms "):
+            align_tokens_to_frames(track, frame_len_ms, 4)
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_tokens=st.integers(0, 60))
     def test_output_always_finite(self, seed, n_tokens):

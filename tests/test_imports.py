@@ -95,3 +95,16 @@ def test_input_boundary():
     json_parses = {(name, function) for name, function, called in calls
                    if called in {"json.loads", "json.load"}}
     assert json_parses == {("util.py", "read_json_object"), ("training.py", "load_checkpoint")}
+
+
+def test_one_scoring_path():
+    # Every prediction is made by metrics._predict_videos, the one place
+    # that decides what a prediction that is not finite means.
+    calls = [(name, function, called) for name, tree in modules()
+             for function, called in calls_by_function(tree)]
+    predicts = {(name, function) for name, function, called in calls
+                if called.split(".")[-1] == "predict"}
+    assert predicts == {("metrics.py", "_predict_videos")}
+    refusals = {(name, function) for name, function, called in calls
+                if called.split(".")[-1] == "NonFiniteOutputError"}
+    assert refusals == {("metrics.py", "_predict_videos")}

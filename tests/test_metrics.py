@@ -16,6 +16,7 @@ from seqfuse import (
     FrameTrack,
     LabeledSequence,
     LengthMismatchError,
+    NonFiniteOutputError,
     ccc,
     evaluate,
     init_model,
@@ -217,6 +218,34 @@ class TestEvaluate:
         )
         assert report.concatenated_ccc == pytest.approx(expected, abs=1e-12)
         assert any("flat" in rec.message for rec in caplog.records)
+
+    def test_overflowing_predictions_raise_naming_the_video(self):
+        model = init_model(1, {"D": 5, "e": 4, "h": 5, "m": 3})
+        # Each head unit stays near tanh(1.0) = 0.76, so three of them times 1e308 overflow.
+        model.tensors["head_hidden_b"][...] = 1.0
+        model.tensors["head_out_w"][...] = 1e308
+        videos = synth_generate(3, 2, (20, 30), [2, 3], 100.0)
+        with pytest.raises(NonFiniteOutputError) as info:
+            evaluate(model, videos, "arousal")
+        assert str(info.value) == (
+            "video000: the predictions of the model are not finite "
+            "(its parameters or these features overflow float64)"
+        )
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_first_non_finite_video_in_the_given_order_is_named(self, monkeypatch, bad):
+        labels = np.array([0.1, -0.4, 0.3])
+        seq_a, seq_b, seq_c = (_sequence(v, 3, 3, labels, seed=k)
+                               for k, v in enumerate("abc"))
+        _inject_predictor(monkeypatch, {
+            seq_a.data.tobytes(): labels,
+            seq_b.data.tobytes(): [0.2, bad, 0.1],
+            seq_c.data.tobytes(): [bad, bad, bad],
+        })
+        for order, named in (([seq_a, seq_b, seq_c], "b"), ([seq_c, seq_b], "c")):
+            with pytest.raises(NonFiniteOutputError, match=f"^{named}: the predictions of"):
+                evaluate(_fake_model(), order, "arousal")
+        assert evaluate(_fake_model(), [seq_a], "arousal").concatenated_ccc == 1.0
 
     def test_report_dict_and_summary(self):
         model = init_model(4, {"D": 2, "e": 2, "h": 2, "m": 2})
