@@ -19,8 +19,6 @@ import traceback
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError, EmptyDatasetError, InputError
 from .featureio import (
     PARTITIONS,
@@ -31,7 +29,7 @@ from .featureio import (
     synth_generate,
     write_dataset,
 )
-from .metrics import ScoredVideo, ccc_report, score_partition
+from .metrics import ccc_report, predict_partition, score_partition
 from .training import (
     Checkpoint,
     TrainConfig,
@@ -175,20 +173,21 @@ def cmd_train(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _scored_partition(
-    args: argparse.Namespace,
-) -> tuple[Checkpoint, Manifest, list[ScoredVideo]]:
-    """The checkpoint, and its predictions on the partition, whose tracks must have its dims."""
+def _scored_partition(args: argparse.Namespace, score) -> tuple[Checkpoint, Manifest, list]:
+    """The checkpoint, and ``score``'s results on the partition, whose tracks must have its dims.
+
+    ``score`` is ``metrics.score_partition`` or ``metrics.predict_partition``.
+    """
     ckpt = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
-    videos = score_partition(
+    results = score(
         ckpt.model, manifest, args.partition, ckpt.track_dims, f"checkpoint {args.checkpoint}"
     )
-    return ckpt, manifest, videos
+    return ckpt, manifest, results
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    ckpt, _, videos = _scored_partition(args)
+    ckpt, _, videos = _scored_partition(args, score_partition)
     report = ccc_report(ckpt.config.target, videos)
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.out is not None:
@@ -201,20 +200,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    ckpt, manifest, videos = _scored_partition(args)
-    if not videos:
+    # Every video is scored and formatted before the output directory is made.
+    ckpt, manifest, texts = _scored_partition(args, predict_partition)
+    if not texts:
         raise EmptyDatasetError(f"partition {args.partition!r} has no videos to predict")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     target = ckpt.config.target
-    for video in videos:
-        clamped = np.clip(video.predictions, -1.0, 1.0)
-        rows = ["frame_ms,prediction"]
-        rows += [
-            f"{j * manifest.frame_len_ms},{v!r}" for j, v in enumerate(clamped.tolist())
-        ]
-        write_atomic(out_dir / f"{video.video_id}_{target}.csv", "\n".join(rows) + "\n")
-    print(f"wrote predictions for {len(videos)} videos to {out_dir}")
+    for video_id, text in zip(manifest.video_ids(args.partition), texts):
+        write_atomic(out_dir / f"{video_id}_{target}.csv", text)
+    print(f"wrote predictions for {len(texts)} videos to {out_dir}")
     return 0
 
 

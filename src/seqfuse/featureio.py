@@ -59,6 +59,9 @@ Token tracks are columnar: a TokenTrack holds int64 ``start_ms`` and
 ``end_ms`` arrays and an (n, d) float64 ``vectors`` matrix. Each file is
 parsed in one bulk pass and validated, sorted and aligned with whole-array
 operations; ``TokenTrack.tokens`` builds TokenFeature objects only when read.
+A track already on the frame grid, one token per frame as every aligned file
+holds, is copied onto the frames rather than averaged again, with the same
+bits.
 The writer formats each run of bit-identical rows once, so the repeated rows
 of an aligned track (a word spanning several frames, a pause between words)
 share one cell text.
@@ -73,6 +76,7 @@ track's ``frames`` is a view of its column block, held once.
 from __future__ import annotations
 
 import json
+import os
 import stat
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field
@@ -530,11 +534,42 @@ def align_tokens_to_frames(
     overlap counts, with no duration weighting. Frames overlapped by no token
     are zero vectors. Each frame's sum starts at zero and adds its tokens in
     track order (ascending start_ms), so results are reproducible bit for bit.
-    A grid that ``load_manifest`` would reject raises ConfigError.
+    A track already on the grid (see :func:`_on_grid`) holds one token per
+    frame, whose mean ``(0.0 + v) / 1`` is ``v + 0.0``, so its rows are
+    copied, with the same bits. A grid that ``load_manifest`` would reject
+    raises ConfigError.
     """
     if n_frames < 1:
         raise LengthMismatchError("n_frames must be >= 1")
     _check_frame_len(frame_len_ms, track.name)
+    if _on_grid(track.start_ms, track.end_ms, frame_len_ms, n_frames):
+        frames = np.zeros((n_frames, track.dim))
+        m = min(len(track.start_ms), n_frames)
+        np.add(track.vectors[:m], 0.0, out=frames[:m])  # -0.0 becomes 0.0, as in a sum
+        return FrameTrack(track.name, frames)
+    return FrameTrack(track.name, _average_tokens(track, frame_len_ms, n_frames))
+
+
+def _on_grid(start_ms: np.ndarray, end_ms: np.ndarray, frame_len_ms: int, n_frames: int) -> bool:
+    """Whether sorted spans put exactly one token in each of their frames.
+
+    That is: row k spans exactly frame k, [k*frame_len_ms, (k+1)*frame_len_ms),
+    for every k < m = min(rows, n_frames), and any further row starts at or
+    after frame n_frames. Frames are compared by division, so no product
+    overflows int64 on any grid.
+    """
+    m = min(len(start_ms), n_frames)
+    start = start_ms[:m]
+    return (
+        np.array_equal(start // frame_len_ms, np.arange(m))
+        and not (start % frame_len_ms).any()
+        and bool((end_ms[:m] - start == frame_len_ms).all())  # start >= 0: no overflow
+        and (m == len(start_ms) or start_ms[m] // frame_len_ms >= n_frames)
+    )
+
+
+def _average_tokens(track: TokenTrack, frame_len_ms: int, n_frames: int) -> np.ndarray:
+    """:func:`align_tokens_to_frames`' (n_frames, dim) means, for any sorted track."""
     dim = track.dim
     first = np.maximum(track.start_ms // frame_len_ms, 0)
     last = np.minimum((track.end_ms - 1) // frame_len_ms, n_frames - 1)
@@ -560,7 +595,7 @@ def align_tokens_to_frames(
     counts = np.cumsum(bounds)[:n_frames]
     covered = counts > 0
     sums[covered] /= counts[covered, None]
-    return FrameTrack(track.name, sums)
+    return sums
 
 
 def fuse(tracks: list[FrameTrack]) -> np.ndarray:
@@ -889,12 +924,40 @@ def _align_group(manifest: Manifest, video_ids: list[str], out_dir: Path) -> lis
     ]
 
 
+def _refuse_cross_reads(manifest: Manifest, out_dir: Path) -> None:
+    """Raise ConfigError if one video's output file under ``out_dir`` is another video's input.
+
+    A video reads every input before it writes, so it may be aligned onto
+    its own input files. Another video might read such a file before or
+    after it is rewritten, and on a pooled run that would depend on worker
+    timing. Paths are compared absolute and normalised, with no system call
+    per file, so a symlink or hard link that aliases a file is not detected.
+    """
+    root, out = os.path.abspath(manifest.root), os.path.abspath(out_dir)
+    readers: dict[str, list[str]] = {}
+    for vid, entry in manifest.videos.items():
+        for relpath in (*entry.labels.values(), *entry.features.values()):
+            readers.setdefault(os.path.normpath(os.path.join(root, relpath)), []).append(vid)
+    for vid, entry in manifest.videos.items():
+        labels, features = _video_files(vid, entry.labels, entry.features)
+        for relpath in (*labels.values(), *features.values()):
+            path = os.path.normpath(os.path.join(out, relpath))
+            other = next((r for r in readers.get(path, ()) if r != vid), None)
+            if other is not None:
+                raise ConfigError(
+                    f"{out_dir / relpath}: video {vid!r} would write this file, "
+                    f"which video {other!r} reads"
+                )
+
+
 def align_dataset(manifest: Manifest, out_dir: str | Path) -> int:
     """Align every manifest video onto its frame grid and write the tree; returns the count.
 
     Every file name is checked first: a name that two videos map to raises
-    ConfigError, as :func:`write_dataset` would, before any directory or
-    file is made. Each video's features and labels are then loaded with
+    ConfigError, as :func:`write_dataset` would, and so does an output file
+    of one video that is an input file of another (see
+    :func:`_refuse_cross_reads`), before any directory or file is made.
+    Each video's features and labels are then loaded with
     :func:`load_labeled_sequence` in manifest track order and written as by
     :func:`write_dataset`, with the same bytes and errors, through
     :func:`map_video_groups`, whose workers on a large input each align and
@@ -906,6 +969,7 @@ def align_dataset(manifest: Manifest, out_dir: str | Path) -> int:
     claimed = set()
     for vid, entry in manifest.videos.items():
         _claim_files(claimed, out_dir, vid, entry.labels, entry.features)
+    _refuse_cross_reads(manifest, out_dir)
     _make_tree_dirs(out_dir)
     aligned = map_video_groups(manifest, list(manifest.videos), _align_group, out_dir)
     entries = dict(zip(manifest.videos, aligned))

@@ -3,15 +3,17 @@
 Two paths score a model. :func:`evaluate` scores sequences already in
 memory, as ``train`` does on its devel set after each epoch.
 :func:`score_partition` loads a manifest partition and predicts it, as the
-``evaluate`` and ``predict`` commands do, through
-``featureio.map_video_groups``, the grouped loader that ``train`` loads its
-partitions with too. Each video's tracks are checked against the model's as
-soon as it is loaded, and the errors, their order and the predictions are
-those of loading the partition video by video in this process and
-predicting it in one call; on a large partition, forked workers first try
-the same work group by group (see ``featureio.map_video_groups``).
-Both refuse predictions that are not finite with NonFiniteOutputError.
-:func:`ccc_report` turns either path's predictions into the report.
+``evaluate`` command does, through ``featureio.map_video_groups``, the
+grouped loader that ``train`` loads its partitions with too. Each video's
+tracks are checked against the model's as soon as it is loaded, and the
+errors, their order and the predictions are those of loading the partition
+video by video in this process and predicting it in one call; on a large
+partition, forked workers first try the same work group by group (see
+``featureio.map_video_groups``). :func:`predict_partition`, for the
+``predict`` command, does the same work and formats each video's prediction
+file (:func:`prediction_csv`) where it was scored, so each worker formats its
+own videos. Both paths refuse predictions that are not finite with
+NonFiniteOutputError. :func:`ccc_report` turns scored videos into the report.
 """
 
 from __future__ import annotations
@@ -177,6 +179,50 @@ def _score_group(
         check_same_tracks(seq, track_dims, owner)
         sequences.append(seq)
     return _predict_videos(model, sequences, owner)
+
+
+def prediction_csv(predictions: np.ndarray, frame_len_ms: int) -> str:
+    """One video's prediction file: a ``frame_ms,prediction`` header, then one row per frame.
+
+    Row ``j`` is ``j*frame_len_ms`` and the prediction clamped to [-1, 1],
+    in shortest round-trip ``repr``.
+    """
+    clamped = np.clip(predictions, -1.0, 1.0)
+    rows = ["frame_ms,prediction"]
+    rows += [f"{j * frame_len_ms},{v!r}" for j, v in enumerate(clamped.tolist())]
+    return "\n".join(rows) + "\n"
+
+
+def _predict_group(
+    manifest: Manifest,
+    video_ids: list[str],
+    model: Model,
+    track_dims: tuple[tuple[str, int], ...],
+    owner: str,
+) -> list[str]:
+    """:func:`predict_partition`'s group function: :func:`_score_group`, then each file's text."""
+    return [
+        prediction_csv(video.predictions, manifest.frame_len_ms)
+        for video in _score_group(manifest, video_ids, model, track_dims, owner)
+    ]
+
+
+def predict_partition(
+    model: Model,
+    manifest: Manifest,
+    partition: str,
+    track_dims: tuple[tuple[str, int], ...],
+    owner: str,
+) -> list[str]:
+    """:func:`score_partition`'s work, returning each video's :func:`prediction_csv` text.
+
+    The texts are in manifest order, and the errors are those of
+    :func:`score_partition`. On a large partition each forked worker formats
+    the files of the videos it scored and sends back only their text.
+    """
+    return map_video_groups(
+        manifest, manifest.video_ids(partition), _predict_group, model, track_dims, owner
+    )
 
 
 def score_partition(

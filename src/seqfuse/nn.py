@@ -29,10 +29,13 @@ all t steps.
 path: it scores up to EVAL_ROWS sequences in one recurrence and keeps no
 trace. The sequences, longest first, are the rows of a (B, h) state whose
 active prefix shrinks as they end, so a step costs one call sequence however
-many rows are active. Each row still gets its own ``Wh @ h`` gemv and its own
-products over its own steps, so its predictions do not depend on the other
-sequences in the batch. With numpy's OpenBLAS they are byte-identical to
-``forward(...).predictions`` unless e >= 32 and h <= 4 (see EVAL_BLOCK).
+many rows are active. Its step buffers are gate-major, so each gate block of
+the active rows (the i, f, g or o part of every row) is one contiguous
+(rows, h) array, as the c/h update reads it. Each row still gets its own
+``Wh @ h`` gemv and its own products over its own steps, so its predictions
+do not depend on the other sequences in the batch. With numpy's OpenBLAS
+they are byte-identical to ``forward(...).predictions`` unless e >= 32 and
+h <= 4 (see EVAL_BLOCK).
 """
 
 from __future__ import annotations
@@ -286,7 +289,9 @@ def forward(
 # block is the window of this many rows that ends at its last step, and a
 # shorter video is one product over all its steps, as in ``forward``. With
 # 64 rows the blocks match ``forward``'s product bit for bit unless e >= 32
-# and h <= 4.
+# and h <= 4. The recurrence's step buffers hold one block: the gates
+# gate-major, as (EVAL_BLOCK, 4, rows, h), and the hidden states as
+# (EVAL_BLOCK, rows, h).
 EVAL_BLOCK = 64
 # Most videos in one recurrence. A batch holds every member's projection
 # and hidden states at once, so this bounds memory on partitions of many
@@ -300,12 +305,13 @@ def predict(model: Model, sequences) -> list[np.ndarray]:
     Dropout is off and no trace is kept. The sequences, sorted longest
     first, are scored EVAL_ROWS at a time in one recurrence each: they are
     the rows of a (B, h) state whose active prefix shrinks as sequences
-    end. A step makes one ``Wh @ h`` gemv per active row (with one row left,
-    ``forward``'s own 1-D ``np.dot``) and applies ``forward``'s gate and c/h
-    operations to the active rows at once. Each
-    sequence's projection and head are products over its own steps, and its
-    input-to-gate product is computed in blocks of EVAL_BLOCK of its own
-    steps, so no result depends on which other sequences are scored with it.
+    end. A step makes one ``Wh @ h`` gemv per active row and applies
+    ``forward``'s gate and c/h operations to the active rows at once, on
+    gate-major buffers; with one row left it is ``forward``'s own 1-D step.
+    Each sequence's projection and head are products over its own steps,
+    and its input-to-gate product is computed in blocks of EVAL_BLOCK of its
+    own steps, so no result depends on which other sequences are scored
+    with it.
     """
     inputs = [_checked_inputs(model, x) for x in sequences]
     preds = [np.zeros(0) for _ in inputs]
@@ -330,52 +336,73 @@ def _predict_batch(model: Model, inputs: list[np.ndarray]) -> list[np.ndarray]:
     ]
     hidden = [np.empty((t, h)) for t in lengths]
 
-    # Step-major buffers for one block: row k of each holds step j0 + k of
-    # every active sequence, so the active rows of a step are contiguous.
-    gate_blk = np.empty((K, B, 4 * h))
+    # Buffers for one block. Step k of sequence v is gate_blk[k, :, v] and
+    # hidden_blk[k, v]. gate_blk is gate-major over the block's active rows,
+    # so each gate block of a step is one contiguous (a, h) array, and so
+    # are its hidden and cell rows. The gate scale and shift are laid out
+    # the same way, so no step broadcasts.
+    gate_buf = np.empty(K * 4 * B * h)
     hidden_blk = np.empty((K, B, h))
+    scale_blk, shift_blk = (np.repeat(x.reshape(4, 1, h), B, axis=1) for x in (scale, shift))
     cell = np.zeros((B, h))
     recurrent = np.empty((B, 4 * h, 1))
     input_part = np.empty((B, h))
     h_prev = np.zeros((B, h, 1))
     preds = [None] * B
     a = B
+    # One row's gemv is forward's; several rows' is one stacked matmul, a gemv per row.
     tanh, multiply = np.tanh, np.multiply
+    wh_dot, rows_dot = Wh_half.dot, functools.partial(np.matmul, Wh_half)
     for j0 in range(0, lengths[0], K):
         while lengths[a - 1] <= j0:
             a -= 1
+        gate_blk = gate_buf[: K * 4 * a * h].reshape(K, 4, a, h)
         for v in range(a):
             hi = min(j0 + K, lengths[v])
             lo = max(0, hi - K)
             blk = embeds[v][lo:hi] @ p["lstm_input_w"].T + p["lstm_b"]
             blk *= scale
-            gate_blk[: hi - j0, v] = blk[j0 - lo :]
+            gate_blk[: hi - j0, :, v] = blk[j0 - lo :].reshape(-1, 4, h)
         a_blk, k0, n = a, 0, min(K, lengths[0] - j0)
         while k0 < n:  # one pass per run of steps with the same active rows
             while lengths[a - 1] <= j0 + k0:
                 a -= 1
             k1 = min(n, lengths[a - 1] - j0)
-            G, H = gate_blk[k0:k1, :a], hidden_blk[k0:k1, :a]
-            c, part, rec_col = cell[:a], input_part[:a], recurrent[:a]
-            if a == 1:  # one row: forward's 1-D matvec costs less than a stacked matmul
-                matvec, G, H, c, part = np.dot, G[:, 0], H[:, 0], c[0], part[0]
-                rec = rec_col = rec_col[0, :, 0]
-                h_prev, H_cols = h_prev[0, :, 0], H
+            if a == 1:
+                # forward's 1-D step, on the row's gates as contiguous 4h rows
+                # (copied when other rows share the block)
+                G = gate_blk[k0:k1, :, 0].reshape(k1 - k0, 4 * h)
+                ifgo = G.reshape(k1 - k0, 4, h).transpose(1, 0, 2)
+                H = H_next = hidden_blk[k0:k1, 0]
+                c, part, hp = cell[0], input_part[0], h_prev[0, :, 0]
+                matvec, rec = wh_dot, recurrent[0, :, 0]
+                rec_out, gate_scale, gate_shift = rec, scale, shift
             else:
-                matvec, rec, h_prev, H_cols = np.matmul, rec_col[..., 0], h_prev[:a], H[..., None]
-            ifgo = [G[..., s * h : (s + 1) * h] for s in range(4)]
-            for gates, i, f, g, o, hj, hj_col in zip(G, *ifgo, H, H_cols):
-                matvec(Wh_half, h_prev, rec_col)
+                # Copied only once a row has ended in this block, so that
+                # every operand of a step's gate operations but ``rec`` is
+                # contiguous.
+                G = np.ascontiguousarray(gate_blk[k0:k1, :, :a])
+                ifgo = G.transpose(1, 0, 2, 3)
+                H = hidden_blk[k0:k1, :a]
+                H_next = H[..., None]  # the next step's h_prev, as columns
+                c, part, hp = cell[:a], input_part[:a], h_prev[:a]
+                matvec, rec_out = rows_dot, recurrent[:a]
+                rec = rec_out[..., 0].reshape(a, 4, h).transpose(1, 0, 2)
+                gate_scale, gate_shift = (
+                    np.ascontiguousarray(x[:, :a]) for x in (scale_blk, shift_blk)
+                )
+            for gates, i, f, g, o, hj, hj_next in zip(G, *ifgo, H, H_next):
+                matvec(hp, rec_out)
                 gates += rec
                 tanh(gates, gates)
-                gates *= scale
-                gates += shift
+                gates *= gate_scale
+                gates += gate_shift
                 c *= f
                 multiply(i, g, part)
                 c += part
                 tanh(c, hj)
                 hj *= o
-                h_prev = hj_col
+                hp = hj_next
             h_prev = hidden_blk[k1 - 1, :a, :, None]  # as columns, also after a 1-D pass
             k0 = k1
         for v in range(a_blk):

@@ -423,6 +423,38 @@ class TestAlign:
         assert_collision_exit_2_without_overwriting(tmp_path, run_cli, pool_spy, entries,
                                                     collision)
 
+    @pytest.mark.parametrize("spelling", ["relative", "dotted", "absolute"])
+    def test_output_that_another_video_reads_exit_2_writing_nothing(
+        self, synth_dir, run_cli, pooled, spelling
+    ):
+        # Videos 0 and 1 read each other's track0 file. Aligned into the
+        # manifest's own directory, video 1 once read video 0's new output
+        # and the command exited 0.
+        manifest = synth_dir / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        first, second = (raw["videos"][vid]["features"] for vid in ("video000", "video001"))
+        spell = {"relative": str, "dotted": lambda p: f"./labels/../{p}",
+                 "absolute": lambda p: str(synth_dir / p)}[spelling]
+        first["track0"], second["track0"] = spell(second["track0"]), spell(first["track0"])
+        manifest.write_text(json.dumps(raw))
+        before = tree_bytes(synth_dir)
+        code, out, err = run_cli("align", "--manifest", manifest, "--out-dir", synth_dir)
+        assert (code, out, err) == (
+            2, "", f"error: {synth_dir / 'features' / 'video000_track0.csv'}: video 'video000' "
+            "would write this file, which video 'video001' reads\n"
+        )
+        assert tree_bytes(synth_dir) == before
+        assert pooled == []
+
+    def test_in_place_keeps_the_tree(self, synth_dir, run_cli, pooled):
+        # Each video reads its own files before it writes them.
+        before = tree_bytes(synth_dir)
+        code, _, err = run_cli("align", "--manifest", synth_dir / "manifest.json",
+                               "--out-dir", synth_dir)
+        assert code == 0, err
+        assert tree_bytes(synth_dir) == before
+        assert pooled == [2]
+
 
 # The run config that ``edited_run_config`` edits, after its two paths. With
 # patience 1, seed 11 stops after epoch 1, so any epoch count trains fast.

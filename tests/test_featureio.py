@@ -2,6 +2,7 @@ import json
 import pickle
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import fail_writes_halfway
 from oracles import align_bruteforce, feature_csv_rowwise
+from seqfuse import featureio
 from seqfuse import (
     ConfigError,
     DimMismatchError,
@@ -496,6 +498,88 @@ class TestAlignAdversarial:
         assert peak < 32 * 2**20
         ref = align_bruteforce(track, frame_len_ms, n_frames)
         assert np.array_equal(ours.frames, ref.frames)
+
+
+_INT64_MAX = 2**63 - 1
+
+
+@st.composite
+def on_grid_alignments(draw):
+    """(track, frame_len_ms, n_frames) whose row k spans exactly frame k.
+
+    Rows cover the first frames or all of them, and when they cover all of
+    them, rows that start at or after the horizon may follow. Grids run up to
+    2**63 - 1, and cells include signed zeros.
+    """
+    frame_len_ms = draw(st.one_of(st.integers(1, 1000), st.integers(1, _INT64_MAX),
+                                  st.just(_INT64_MAX)))
+    n_frames = draw(st.integers(1, 8))
+    fit = _INT64_MAX // frame_len_ms  # frames that end within the int64 range
+    n_rows = draw(st.integers(0, min(n_frames, fit)))
+    spans = [(k * frame_len_ms, (k + 1) * frame_len_ms) for k in range(n_rows)]
+    if n_rows == n_frames < fit:
+        for _ in range(draw(st.integers(0, 3))):
+            start = draw(st.integers(n_frames * frame_len_ms, _INT64_MAX - 1))
+            spans.append((start, draw(st.integers(start + 1, _INT64_MAX))))
+    spans = draw(st.permutations(spans))
+    dim = draw(st.integers(1, 3))
+    cell = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-1e300, 1e300, allow_nan=False))
+    tokens = [TokenFeature(start, end, np.array(draw(st.lists(cell, min_size=dim, max_size=dim))))
+              for start, end in spans]
+    return TokenTrack("grid", dim, tokens), frame_len_ms, n_frames
+
+
+def align_counting_averages(track, frame_len_ms, n_frames):
+    """align_tokens_to_frames' frames, and how often it took the general path."""
+    with mock.patch.object(featureio, "_average_tokens", wraps=featureio._average_tokens) as spy:
+        frames = align_tokens_to_frames(track, frame_len_ms, n_frames).frames
+    return frames, spy.call_count
+
+
+class TestAlignOnGrid:
+    """A track with one token per frame is copied, with the bits of the general path."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=on_grid_alignments())
+    def test_copy_matches_general_path_and_oracle(self, case):
+        track, frame_len_ms, n_frames = case
+        frames, averaged = align_counting_averages(track, frame_len_ms, n_frames)
+        assert averaged == 0
+        general = featureio._average_tokens(track, frame_len_ms, n_frames)
+        ref = align_bruteforce(track, frame_len_ms, n_frames).frames
+        assert frames.tobytes() == general.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "spans",
+        [
+            [(0, 250), (250, 500), (501, 751), (750, 1000)],
+            [(0, 250), (0, 250), (250, 500), (500, 750)],
+            [(250, 500), (500, 750), (750, 1000)],
+            [(0, 250), (250, 500), (500, 750), (750, 1000), (999, 1300)],
+            [(0, 250), (250, 499), (500, 750)],
+        ],
+        ids=["shifted-1ms", "duplicated", "first-at-L", "past-T-inside-last", "short"],
+    )
+    def test_near_misses_take_the_general_path(self, spans):
+        rng = np.random.default_rng(len(spans))
+        track = make_track([(s, e, rng.normal(size=2)) for s, e in spans], dim=2)
+        frames, averaged = align_counting_averages(track, 250, 4)
+        assert averaged == 1
+        assert frames.tobytes() == align_bruteforce(track, 250, 4).frames.tobytes()
+
+    def test_copy_peaks_near_its_output_size(self):
+        # Averaging this track again would gather its pairs and index arrays:
+        # a peak of about twice the output.
+        frames = np.random.default_rng(2).normal(size=(2000, 768))
+        track = frame_track_to_tokens(FrameTrack("text", frames), 250)
+        tracemalloc.start()
+        try:
+            out = align_tokens_to_frames(track, 250, 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.frames.tobytes() == frames.tobytes()
+        assert peak < 1.25 * frames.nbytes, peak
 
 
 # ---------------------------------------------------------------------------

@@ -108,3 +108,18 @@ def test_one_scoring_path():
     refusals = {(name, function) for name, function, called in calls
                 if called.split(".")[-1] == "NonFiniteOutputError"}
     assert refusals == {("metrics.py", "_predict_videos")}
+
+
+def test_one_prediction_format():
+    # One function builds a prediction file's text, and only the group
+    # function that scores each video calls it, so every pooled worker
+    # formats the videos it scored.
+    texts = {(name, node.name) for name, tree in modules() for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)
+             and any(isinstance(c, ast.Constant) and "frame_ms,prediction" in str(c.value)
+                     for c in ast.walk(node))}
+    assert texts == {("metrics.py", "prediction_csv")}
+    callers = {(name, function) for name, tree in modules()
+               for function, called in calls_by_function(tree)
+               if called.split(".")[-1] == "prediction_csv"}
+    assert callers == {("metrics.py", "_predict_group")}
