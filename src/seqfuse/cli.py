@@ -45,6 +45,11 @@ SEED_ENV_VAR = "SEQFUSE_SEED"
 CHECKPOINT_NAME = "checkpoint.sqf"
 HISTORY_NAME = "history.csv"
 
+# synth builds every video in memory before it writes the first, at a few kB
+# each however short, so a count far past this would exhaust memory before
+# anything is written (MuSe-Wild itself has a few hundred videos).
+MAX_SYNTH_VIDEOS = 100_000
+
 
 # ---------------------------------------------------------------------------
 # synth / align
@@ -57,6 +62,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     counts = (args.n_train, args.n_devel, args.n_test)
     if any(c < 0 for c in counts):
         raise ConfigError("partition sizes must be nonnegative")
+    if sum(counts) > MAX_SYNTH_VIDEOS:
+        raise ConfigError(
+            f"n-train + n-devel + n-test = {sum(counts)} videos, more than the "
+            f"{MAX_SYNTH_VIDEOS} that synth makes"
+        )
     partitions = [p for p, count in zip(PARTITIONS, counts) for _ in range(count)]
     if not partitions:
         raise ConfigError("no videos requested (n-train + n-devel + n-test = 0)")
@@ -150,7 +160,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_set, devel_set = load_fused_datasets(manifest, ("train", "devel"), config.track_order)
     ckpt, history = train(train_set, devel_set, config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # The checkpoint goes last, so a failed run never leaves one that looks finished.
+    # An old checkpoint goes first and the new one last, so a failed run never
+    # leaves one that looks finished beside another run's history.
+    (out_dir / CHECKPOINT_NAME).unlink(missing_ok=True)
     write_history_csv(history, out_dir / HISTORY_NAME)
     save_checkpoint(ckpt, out_dir / CHECKPOINT_NAME)
     print(

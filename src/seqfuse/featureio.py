@@ -40,12 +40,31 @@ file is written to a temporary sibling and renamed into place.
 Dataset tree, as :func:`write_dataset` lays it out for ``synth`` and
 ``align``::
 
-    <out_dir>/features/<video>_<track>.csv   one frame-aligned Feature CSV
-    <out_dir>/labels/<video>_<target>.csv    one Label CSV
-    <out_dir>/manifest.json                  written last, relative paths
+    <out_dir>/features/<video>_<track>.csv       one frame-aligned Feature CSV
+    <out_dir>/features/<video>_<track>.csv.cols  its parse cache (sidecar)
+    <out_dir>/labels/<video>_<target>.csv        one Label CSV
+    <out_dir>/manifest.json                      written last, relative paths
 
 Every video of a tree must be on one frame grid, and the manifest records
-it (``frame_len_ms`` is written only when it is not 250).
+it (``frame_len_ms`` is written only when it is not 250). A command that
+writes a tree removes an existing ``manifest.json`` before it writes any
+file, so a tree that a failed run has partly rewritten has no manifest.
+
+Parse cache (sidecar) of a tree's Feature CSV, ``<csv path>.cols``: the
+columns that parsing the CSV gives, so that reading it again costs no text
+parsing. It is a 40-byte header, all little-endian::
+
+    magic b"SQFCOLS1", int64 n, int64 dim, uint64 CSV byte length,
+    uint32 zlib.crc32 of the CSV's bytes, uint32 zlib.crc32 of the payload
+
+then the payload: ``start_ms`` as n int64, ``end_ms`` as n int64 and the
+(n, dim) ``vectors`` row by row as float64. The CSV always wins: a sidecar
+is used only when its magic, its length, the CSV's length and both checks
+match the CSV's bytes as read; otherwise, or when it is absent or cannot be
+read, the CSV is parsed, with the same results and errors as if there were
+no sidecar. The checks guard against stale and damaged files, not against
+a sidecar forged for its CSV. The manifest does not list sidecars, and any
+Feature CSV may have one: the readers look for it beside every CSV.
 
 Cells: ``start_ms``, ``end_ms`` and ``frame_ms`` are decimal integers in the
 int64 range [-2**63, 2**63 - 1]; values are decimal floats with optional
@@ -93,6 +112,7 @@ from .errors import (
     LengthMismatchError,
     MalformedRowError,
 )
+from .sidecar import SIDECAR_SUFFIX, read_sidecar, sidecar_bytes, sidecar_path
 from .util import (
     read_input,
     read_input_text,
@@ -379,10 +399,18 @@ def parse_feature_csv(path: str | Path, name: str | None = None) -> TokenTrack:
     The track name defaults to the file stem. Raises MalformedRowError on a
     bad header, wrong column count, unparsable or non-finite cells and empty
     spans, naming ``path:lineno`` of the first bad row; EmptyTrackError when
-    the file has no data rows.
+    the file has no data rows. A sidecar that matches the file's bytes (see
+    the module docstring) stands in for the parse, with the same columns.
     """
     path = Path(path)
-    lines = read_input_text(path, "feature file").splitlines()
+    data = read_input(path, "feature file")
+    cached = read_sidecar(path, data)
+    if cached is not None:
+        start_ms, end_ms, vectors = cached
+        return TokenTrack._from_columns(
+            name or path.stem, vectors.shape[1], start_ms, end_ms, vectors
+        )
+    lines = read_input_text(path, "feature file", data).splitlines()
     if not lines:
         raise MalformedRowError(f"{path}: empty file, missing header")
     header = lines[0].split(",")
@@ -417,13 +445,14 @@ def _repeats_previous(vectors: np.ndarray) -> list[bool]:
     return [False] + (bits[1:] == bits[:-1]).all(axis=1).tolist()
 
 
-def write_feature_csv(path: str | Path, track: TokenTrack) -> None:
+def write_feature_csv(path: str | Path, track: TokenTrack) -> bytes:
     """Write a TokenTrack as a Feature CSV (LF endings, round-trip exact floats).
 
     The file is replaced atomically; floats use shortest round-trip ``repr``.
     A row bit-identical to the one before it reuses that row's cell text, so
     each run of equal rows is formatted once. A track with no tokens raises
     EmptyTrackError, as :func:`parse_feature_csv` would, and writes nothing.
+    Returns the bytes written.
     """
     if not len(track.start_ms):
         raise EmptyTrackError(f"{path}: no data rows")
@@ -440,7 +469,14 @@ def write_feature_csv(path: str | Path, track: TokenTrack) -> None:
         parts.append(f"\n{start},{end},")
         parts.append(cells)
     parts.append("\n")
-    write_atomic(path, "".join(parts))
+    # Each form of the text is dropped as soon as the next is made, so the
+    # file is held at most twice at once.
+    text = "".join(parts)
+    del parts
+    data = text.encode()
+    del text
+    write_atomic(path, data)
+    return data
 
 
 def frame_track_to_tokens(track: FrameTrack, frame_len_ms: int) -> TokenTrack:
@@ -679,6 +715,8 @@ def synth_generate(
 
 PARTITIONS = ("train", "devel", "test")
 
+MANIFEST_NAME = "manifest.json"  # a dataset tree's completion marker
+
 
 @dataclass
 class VideoEntry:
@@ -788,16 +826,24 @@ def _video_files(
     )
 
 
+def _tree_files(video_id: str, targets: Iterable[str], tracks: Iterable[str]) -> list[str]:
+    """Relative paths of every file one video writes in a dataset tree, in the order written."""
+    labels, features = _video_files(video_id, targets, tracks)
+    files = list(labels.values())
+    for csv in features.values():
+        files += [csv, csv + SIDECAR_SUFFIX]
+    return files
+
+
 def _claim_files(
     claimed: set[str], out_dir: Path, video_id: str, targets: Iterable[str], tracks: Iterable[str]
 ) -> None:
-    """Add one video's file names to ``claimed``, in the order they are written.
+    """Add one video's file names, sidecars included, to ``claimed``, in the order written.
 
     Names are joined with "_", so two dataset entries can map to one file
     name: the first name already in ``claimed`` raises ConfigError.
     """
-    labels, features = _video_files(video_id, targets, tracks)
-    for relpath in (*labels.values(), *features.values()):
+    for relpath in _tree_files(video_id, targets, tracks):
         if relpath in claimed:
             raise ConfigError(f"{out_dir / relpath}: two dataset entries map to this file")
         claimed.add(relpath)
@@ -810,7 +856,8 @@ def _write_video(
 
     Labels are copied byte for byte from ``label_bytes`` where the sequence
     kept them and formatted on ``frame_len_ms`` otherwise; tracks are written
-    as frame-aligned Feature CSVs, to the file names of :func:`_video_files`.
+    as frame-aligned Feature CSVs, to the file names of :func:`_video_files`,
+    each followed by its sidecar.
     A grid that :func:`load_manifest` would reject raises ConfigError, a
     sequence on another grid than ``frame_len_ms`` LengthMismatchError, and
     a last frame that ends past the int64 range, which no Feature CSV can
@@ -832,7 +879,10 @@ def _write_video(
             write_label_csv(path, values, frame_len_ms)
     for track in seq.tracks:
         tokens = frame_track_to_tokens(track, frame_len_ms)
-        write_feature_csv(out_dir / features[track.name], tokens)
+        path = out_dir / features[track.name]
+        csv = write_feature_csv(path, tokens)
+        cache = sidecar_bytes(tokens.start_ms, tokens.end_ms, tokens.vectors, csv)
+        write_atomic(sidecar_path(path), cache)
     return VideoEntry(partition, features, labels)
 
 
@@ -844,11 +894,13 @@ def write_dataset(out_dir: str | Path, videos: Iterable[tuple[str, LabeledSequen
     of a sequence's files is written, a file name that an earlier sequence
     wrote or a grid that :func:`load_manifest` rejects raises ConfigError,
     and a sequence on another grid LengthMismatchError. ``manifest.json``,
-    which records the grid, is written last, so a failure leaves none; no
-    videos at all raise EmptyDatasetError, since a manifest must list one.
+    which records the grid, is written last, and an existing one is removed
+    first, so a failure leaves none; no videos at all raise
+    EmptyDatasetError, since a manifest must list one.
     """
     out_dir = Path(out_dir)
     _make_tree_dirs(out_dir)
+    (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
     claimed, entries, frame_len_ms = set(), {}, None
     for partition, seq in videos:
         frame_len_ms = frame_len_ms or seq.frame_len_ms
@@ -857,45 +909,74 @@ def write_dataset(out_dir: str | Path, videos: Iterable[tuple[str, LabeledSequen
     if not entries:
         raise EmptyDatasetError(f"{out_dir}: no videos to write")
     manifest = Manifest(entries, out_dir, frame_len_ms)
-    save_manifest(manifest, out_dir / "manifest.json")
+    save_manifest(manifest, out_dir / MANIFEST_NAME)
     return len(entries)
 
 
-# Bytes of feature and label input from which ``map_video_groups`` (``align``,
-# ``train``'s loading and ``metrics.score_partition``) works in worker
-# processes (see pool_workers). Measured on a 2-CPU Xeon with BLAS pinned to
-# one thread. Align: starting the pool costs about 45 ms, and serial alignment
-# runs at about 17 MB of input per second, so the pool breaks even near
-# 1.6 MB. Scoring: starting and stopping a two-worker pool costs 8-15 ms, and
-# serial loading and prediction run at 30 MB (e16/h32/m16 over D = 10) to
-# 50 MB (D = 900) of input per second, so the pool breaks even below 1 MB.
-# Train: serial loading runs at about 49 MB of input per second at D = 900
-# (ingest-wide's 14.2 MB of aligned train and devel input in 0.29 s). Two
-# workers took 0.22 s: each group loads in 0.16 s, and starting the pool and
-# sending the fused arrays back cost the rest. The benchmark's train-small
-# input (0.23 MB, and a 0.05 MB devel partition) stays in-process; ingest-wide
-# (23.1 MB, its 14.2 MB of aligned train and devel videos and a 5.2 MB test
-# partition) and infer-long's 6.3 MB test partition go to the pool.
+# Bytes of feature and label input (as input_bytes counts them) from which
+# ``map_video_groups`` (``align``, ``train``'s loading and
+# ``metrics.score_partition``) works in worker processes (see pool_workers).
+# Measured on a 2-CPU Xeon with BLAS pinned to one thread. Align: starting the
+# pool costs about 45 ms, and serial alignment runs at about 17 MB of input per
+# second, so the pool breaks even near 1.6 MB. Scoring: starting and stopping
+# a two-worker pool costs 8-15 ms, and serial loading and prediction of parsed
+# input run at 30 MB (e16/h32/m16 over D = 10) to 50 MB (D = 900) of input per
+# second, so the pool breaks even below 1 MB. Train: serial parsing loads run
+# at about 49 MB of input per second at D = 900 (ingest-wide's 14.2 MB of
+# aligned train and devel input in 0.29 s); two workers took 0.22 s, since
+# starting the pool and sending the fused arrays back cost about 60 ms.
+#
+# Cached reads: a Feature CSV read through its sidecar is not parsed. On
+# ingest-wide's 13.8 MB of aligned train and devel input, a serial load took
+# 0.024-0.028 s (500-575 MB/s, most of it the CRC of the CSV's bytes) against
+# 0.175-0.19 s parsed (73-79 MB/s), a ratio of 6.5-7.9. So input_bytes counts
+# such a file at an eighth of its bytes, except for ``align``, which formats
+# every track again at about 30 MB/s whether it parsed it or not. Then
+# ingest-wide's aligned train and devel input counts 1.7 MiB and its test
+# partition 0.6 MiB, and both stay in-process, as measured in-process: train
+# 0.08-0.14 s serial against 0.11-0.17 s pooled, evaluate and predict each
+# 0.015-0.027 s against 0.025-0.041 s. Its 22 MiB of token-rate input still
+# aligns in the pool, and train-small (0.23 MB) stays in-process. The count
+# does not see the model's per-frame cost: infer-long's test partition, 6.0 MiB
+# without sidecars, still goes to the pool, but the same 22k frames at D = 10
+# with sidecars count 1.8 MiB and score serially, in 0.25-0.39 s against
+# 0.24-0.30 s pooled.
 POOL_MIN_INPUT_BYTES = 4 << 20
 
 
-def input_bytes(manifest: Manifest, video_ids: Iterable[str]) -> list[int]:
-    """Bytes on disk of each listed video's feature and label files.
+# One parsed byte of a Feature CSV costs about as much as this many read
+# through its sidecar (see POOL_MIN_INPUT_BYTES).
+_PARSED_PER_CACHED_BYTE = 8
 
+
+def _file_size(path: Path) -> int | None:
+    """Bytes of the regular file ``path``; None for anything else, without raising."""
+    try:
+        info = path.stat()
+    except (OSError, ValueError):
+        return None
+    return info.st_size if stat.S_ISREG(info.st_mode) else None
+
+
+def input_bytes(manifest: Manifest, video_ids: Iterable[str], rewrites: bool = False) -> list[int]:
+    """Each listed video's input, in bytes of feature and label files to parse.
+
+    A Feature CSV with a sidecar beside it counts an eighth of its bytes,
+    its read cost, unless ``rewrites``: a caller that formats every track
+    again, as ``align`` does, pays for each byte whether it is parsed or not.
     Never raises: a path that is missing, not a regular file or that the OS
     cannot take counts 0, and the reader reports it when the video is loaded.
     """
     sizes = []
     for vid in video_ids:
         entry = manifest.videos[vid]
-        total = 0
-        for relpath in (*entry.features.values(), *entry.labels.values()):
-            try:
-                info = manifest.resolve(relpath).stat()
-            except (OSError, ValueError):
-                continue
-            if stat.S_ISREG(info.st_mode):
-                total += info.st_size
+        total = sum(_file_size(manifest.resolve(p)) or 0 for p in entry.labels.values())
+        for relpath in entry.features.values():
+            path = manifest.resolve(relpath)
+            size = _file_size(path) or 0
+            if not rewrites and size and _file_size(sidecar_path(path)) is not None:
+                size //= _PARSED_PER_CACHED_BYTE
+            total += size
         sizes.append(total)
     return sizes
 
@@ -936,11 +1017,12 @@ def _refuse_cross_reads(manifest: Manifest, out_dir: Path) -> None:
     root, out = os.path.abspath(manifest.root), os.path.abspath(out_dir)
     readers: dict[str, list[str]] = {}
     for vid, entry in manifest.videos.items():
-        for relpath in (*entry.labels.values(), *entry.features.values()):
+        features = entry.features.values()
+        sidecars = [relpath + SIDECAR_SUFFIX for relpath in features]
+        for relpath in (*entry.labels.values(), *features, *sidecars):
             readers.setdefault(os.path.normpath(os.path.join(root, relpath)), []).append(vid)
     for vid, entry in manifest.videos.items():
-        labels, features = _video_files(vid, entry.labels, entry.features)
-        for relpath in (*labels.values(), *features.values()):
+        for relpath in _tree_files(vid, entry.labels, entry.features):
             path = os.path.normpath(os.path.join(out, relpath))
             other = next((r for r in readers.get(path, ()) if r != vid), None)
             if other is not None:
@@ -963,7 +1045,8 @@ def align_dataset(manifest: Manifest, out_dir: str | Path) -> int:
     :func:`map_video_groups`, whose workers on a large input each align and
     write one group of videos and return only their manifest entries. A
     failed pooled run is made again in this process, which writes the same
-    bytes again. ``manifest.json`` is written last, so a failure leaves none.
+    bytes again. An existing ``manifest.json`` is removed before the first
+    file is written, and the new one is written last, so a failure leaves none.
     """
     out_dir = Path(out_dir)
     claimed = set()
@@ -971,9 +1054,12 @@ def align_dataset(manifest: Manifest, out_dir: str | Path) -> int:
         _claim_files(claimed, out_dir, vid, entry.labels, entry.features)
     _refuse_cross_reads(manifest, out_dir)
     _make_tree_dirs(out_dir)
-    aligned = map_video_groups(manifest, list(manifest.videos), _align_group, out_dir)
+    (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
+    aligned = map_video_groups(
+        manifest, list(manifest.videos), _align_group, out_dir, rewrites=True
+    )
     entries = dict(zip(manifest.videos, aligned))
-    save_manifest(Manifest(entries, out_dir, manifest.frame_len_ms), out_dir / "manifest.json")
+    save_manifest(Manifest(entries, out_dir, manifest.frame_len_ms), out_dir / MANIFEST_NAME)
     return len(entries)
 
 
@@ -1051,7 +1137,9 @@ def _split_by_size(video_ids: list[str], sizes: list[int], n_groups: int) -> lis
     return [[video_ids[k] for k in sorted(group)] for group in members]
 
 
-def map_video_groups(manifest: Manifest, video_ids: list[str], group_fn, *args) -> list:
+def map_video_groups(
+    manifest: Manifest, video_ids: list[str], group_fn, *args, rewrites: bool = False
+) -> list:
     """``group_fn(manifest, video_ids, *args)``: one result per listed video, in order.
 
     ``group_fn`` takes videos in the given order and returns one result per
@@ -1063,9 +1151,10 @@ def map_video_groups(manifest: Manifest, video_ids: list[str], group_fn, *args) 
     error in the given order, with this process's traceback, or returns its
     results if the failure does not repeat. So ``group_fn`` must be safe to
     run twice. A caller that runs threads of its own should not call this
-    on a large input, since the workers are forked.
+    on a large input, since the workers are forked. ``rewrites`` says that
+    ``group_fn`` formats every track again (see :func:`input_bytes`).
     """
-    sizes = input_bytes(manifest, video_ids)
+    sizes = input_bytes(manifest, video_ids, rewrites)
     workers = pool_workers(sizes)
     if workers:
         # Imported here because these modules add about 2 MB to every process

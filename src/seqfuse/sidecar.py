@@ -1,0 +1,72 @@
+"""The parse cache (sidecar) of a Feature CSV in a dataset tree.
+
+``<csv path>.cols`` holds the columns that parsing the CSV gives, behind a
+header that ties them to the CSV's exact bytes; the featureio module
+docstring gives the layout and the rule that the CSV always wins.
+"""
+
+from __future__ import annotations
+
+import struct
+import zlib
+from pathlib import Path
+
+import numpy as np
+
+from .errors import ConfigError
+from .util import read_input
+
+SIDECAR_SUFFIX = ".cols"
+_MAGIC = b"SQFCOLS1"
+# magic, n, dim, CSV byte length, crc32 of the CSV, crc32 of the payload.
+_SIDECAR_HEAD = struct.Struct("<8sqqQII")
+
+
+def sidecar_path(csv_path: Path) -> Path:
+    return csv_path.with_name(csv_path.name + SIDECAR_SUFFIX)
+
+
+def sidecar_bytes(
+    start_ms: np.ndarray, end_ms: np.ndarray, vectors: np.ndarray, csv: bytes
+) -> bytearray:
+    """The sidecar of the Feature CSV ``csv``, written from these n spans and (n, dim) vectors."""
+    (n, dim), size = vectors.shape, _SIDECAR_HEAD.size
+    out = bytearray(size + 8 * n * (2 + dim))
+    spans = np.frombuffer(out, "<i8", 2 * n, size)
+    spans[:n], spans[n:] = start_ms, end_ms
+    np.frombuffer(out, "<f8", n * dim, size + 16 * n).reshape(n, dim)[:] = vectors
+    payload_crc = zlib.crc32(memoryview(out)[size:])
+    _SIDECAR_HEAD.pack_into(out, 0, _MAGIC, n, dim, len(csv), zlib.crc32(csv), payload_crc)
+    return out
+
+
+def read_sidecar(csv_path: Path, csv: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The columns cached beside ``csv_path`` if its sidecar matches ``csv``, the CSV's bytes.
+
+    Returns writable int64 ``start_ms`` and ``end_ms`` and the (n, dim)
+    float64 ``vectors``, as a parse does; None when the sidecar is absent,
+    unreadable, or does not match in magic, length or either check.
+    """
+    try:
+        data = read_input(sidecar_path(csv_path), "feature parse cache")
+    except (ConfigError, OSError):
+        return None
+    size = _SIDECAR_HEAD.size
+    if len(data) < size:
+        return None
+    magic, n, dim, csv_len, csv_crc, payload_crc = _SIDECAR_HEAD.unpack_from(data)
+    payload = memoryview(data)[size:]
+    if (
+        magic != _MAGIC
+        or n < 1
+        or dim < 1
+        or len(payload) != 8 * n * (2 + dim)
+        or csv_len != len(csv)
+        or zlib.crc32(csv) != csv_crc
+        or zlib.crc32(payload) != payload_crc
+    ):
+        return None
+    columns = bytearray(payload)  # one copy, so the columns are writable
+    spans = np.frombuffer(columns, "<i8", 2 * n).astype(np.int64, copy=False)
+    vectors = np.frombuffer(columns, "<f8", n * dim, 16 * n).astype(np.float64, copy=False)
+    return spans[:n], spans[n:], vectors.reshape(n, dim)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -110,8 +111,13 @@ class TestSynth:
          "error: dims [2, 10000000000000000]: the tracks do not fit in memory\n"),
         (["--dims", "100000000000000000000"],
          "error: dims [100000000000000000000]: the tracks do not fit in memory\n"),
+        # The smallest refused count; a huge one once got the process killed
+        # while its list of partitions was built.
+        (["--n-train", 100_001, "--n-devel", 0],
+         "error: n-train + n-devel + n-test = 100001 videos, more than the 100000 that "
+         "synth makes\n"),
     ], ids=["snr-nan", "t-range-past-int64", "t-range-past-memory", "dims-past-memory",
-            "dims-past-index-range"])
+            "dims-past-index-range", "video-count-past-bound"])
     def test_bad_value_exit_2_naming_it(self, tmp_path, run_cli, argv, message):
         out = tmp_path / "x"
         code, _, err = run_cli("synth", "--out-dir", out, "--seed", 1, *argv)
@@ -165,6 +171,14 @@ GOLDEN_SYNTH_SHA256 = {
     "features/video002_track1.csv": "549bbce01f292242819afce5bad993b681ac91c8cccf886825fdda9abdb76600",
     "features/video003_track0.csv": "ea70b0ab0e54cf43134235ba59f6edf444479e90ce08ef444189b3c4e4853344",
     "features/video003_track1.csv": "8f2587b9f3dc30bb8280352fb54be8435e5e07053919d0a9a7d7abaccf9a5ba5",
+    "features/video000_track0.csv.cols": "8298cb7e47ecaae177b6455a32398461d22b75214f846403723db0c19a4d367c",
+    "features/video000_track1.csv.cols": "1e6ebd834b683b71244bc16efc10559d9e5b24fa284fbfea6ef59a973fbce667",
+    "features/video001_track0.csv.cols": "d29f2f01f3cb0b8995ec235b89e02c031e5ff19d195d008c1efc9d7a9c086ae6",
+    "features/video001_track1.csv.cols": "6b4745183f6a79c6cf34726d08bd293281d54845d03ded095c4bd5dde1f470af",
+    "features/video002_track0.csv.cols": "922b1c7fb8af2fa0ef99a1d7749d03a9c145bf30a01081b500b140442303f5fa",
+    "features/video002_track1.csv.cols": "3df1ebc4a136938041f5ee3236b4e7ceeea2f6ccd6dd321e0905bac753273145",
+    "features/video003_track0.csv.cols": "01191d38216c9130d1ceefb3dd977373f0a4e8ae7c12e273566c531a160d5975",
+    "features/video003_track1.csv.cols": "444efb30d0ddea82ebe7490bca885acdd371a7c035a901ec4ec7a48881f76bca",
     "labels/video000_arousal.csv": "b609cffbd301a0dc40005717f065bf91980e173c96bb898b79634a03e83c2c54",
     "labels/video000_valence.csv": "4e6221f78c3256d4aafe84c861eac3fbe8d083d6f24746f83723db78e545b13d",
     "labels/video001_arousal.csv": "8361eca960bd58f08421ac592d9076b1fe0e811ed701481ae103071118256a1d",
@@ -207,6 +221,10 @@ GOLDEN_ALIGN_SHA256 = {
     "features/v1_video.csv": "e0addd332f89c2be9800584425d4fc2b2afc52cc81b24e06cb8e1b20f5787ebc",
     "features/v2_text.csv": "896a0b6dcbf3269eb1f3e319116354539f34b5848b06810e2335f20f9c5c042f",
     "features/v2_video.csv": "4df694d3478738cf3910ee57827da28fb6243b9af516c09e54480e391199f218",
+    "features/v1_text.csv.cols": "3ce49b5916db63f08b2c3f512e557f58951bc1998234ddeeda5d5dc827923a0c",
+    "features/v1_video.csv.cols": "514847c17a576b1c52cd00def65b8628bbcd290d8871e7348c61915041074bee",
+    "features/v2_text.csv.cols": "3a14ba55b569133a27e501add42262733918d59c39bf0b6ff41858532d04ba8f",
+    "features/v2_video.csv.cols": "49e8d02977856e90cfa4d4e6380b87aa35d222b9e297456b6dbb09f255ebb4dc",
     "labels/v1_arousal.csv": "05db94c15a20e1f1f4afedc98d3606e252d52b9b3bbea31bb6f26532193ad4d8",
     "labels/v2_arousal.csv": "12147ead8ec641fe585652d971affe48132c0cb868be0b24adf5a8d8048754af",
     "manifest.json": "15f8e2a0a75e2df83faa9a741dae205499df4d55245f9015eace1dfde5685cf4",
@@ -288,7 +306,7 @@ class TestAlign:
         assert tree_bytes(out) == first
 
     def test_missing_feature_file_exit_2_with_path(self, synth_dir, tmp_path, run_cli):
-        victim = next((synth_dir / "features").iterdir())
+        victim = next((synth_dir / "features").glob("*.csv"))
         victim.unlink()
         code, _, err = run_cli("align", "--manifest", synth_dir / "manifest.json",
                                "--out-dir", tmp_path / "out")
@@ -304,7 +322,21 @@ class TestAlign:
         code, _, err = run_cli("align", "--manifest", manifest, "--out-dir", out)
         monkeypatch.undo()
         assert code == 3 and "No space left" in err
+        # Every file keeps its bytes, but the run removed the tree's manifest first.
+        del before["manifest.json"]
         assert tree_bytes(out) == before
+
+    def test_failed_realign_leaves_no_manifest(self, synth_dir, tmp_path, run_cli):
+        # The old manifest once stayed beside the new run's files.
+        out = tmp_path / "aligned"
+        manifest = synth_dir / "manifest.json"
+        assert run_cli("align", "--manifest", manifest, "--out-dir", out)[0] == 0
+        *_, last = json.loads(manifest.read_text())["videos"].values()
+        victim = synth_dir / last["features"]["track1"]
+        victim.write_text(victim.read_text().replace(",", ",x", 1))
+        code, _, err = run_cli("align", "--manifest", manifest, "--out-dir", out)
+        assert code == 2 and f"{victim}: bad header" in err, err
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize(
         "videos",
@@ -686,6 +718,17 @@ class TestTrain:
         code, _, err = run_cli("train", "--config", cfg)
         assert code == 3, err
         assert "history.csv" in err
+        assert not (run_dir / "checkpoint.sqf").exists()
+
+    def test_failed_retrain_leaves_no_checkpoint(self, synth_dir, tmp_path, run_cli):
+        # The old checkpoint once stayed beside a failed run's output.
+        run_dir = tmp_path / "run"
+        cfg = write_train_config(tmp_path / "cfg.json", synth_dir / "manifest.json", run_dir)
+        assert run_cli("train", "--config", cfg)[0] == 0
+        (run_dir / "history.csv").unlink()
+        (run_dir / "history.csv").mkdir()
+        code, _, err = run_cli("train", "--config", cfg)
+        assert code == 3 and "history.csv" in err, err
         assert not (run_dir / "checkpoint.sqf").exists()
 
     def test_devel_tracks_with_other_dims_exit_2(self, tmp_path, run_cli):
@@ -1511,7 +1554,7 @@ class TestPooledAlign:
         raw = tmp_path / "raw"
         write_dataset(raw, zip(["train", "devel"], synth_generate(1, 2, (230, 230), [200, 200], 100.0)))
         manifest = load_manifest(raw / "manifest.json")
-        size = sum(featureio.input_bytes(manifest, manifest.videos))
+        size = sum(featureio.input_bytes(manifest, manifest.videos, rewrites=True))
         assert size < featureio.POOL_MIN_INPUT_BYTES
         # Blank lines are skipped by the reader, so padding changes only the size.
         padded = manifest.resolve(manifest.videos["video001"].features["track1"])
@@ -1525,7 +1568,7 @@ class TestPooledAlign:
             code, _, err = run_cli("align", "--manifest", raw / "manifest.json", "--out-dir", out)
             assert code == 0, err
             trees.append(tree_bytes(out))
-        size = sum(featureio.input_bytes(manifest, manifest.videos))
+        size = sum(featureio.input_bytes(manifest, manifest.videos, rewrites=True))
         assert size == featureio.POOL_MIN_INPUT_BYTES
         assert pool_spy == [2]  # only the run at the threshold
         assert trees[0] == trees[1]
@@ -2038,3 +2081,44 @@ def test_blas_thread_count_leaves_checkpoint_and_prediction_bytes_unchanged(tmp_
         trees.append(tree_bytes(run_dir))
     assert len(trees[0]) == 2 + 5  # checkpoint, history and one prediction file per video
     assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("mode", ["serial", "pooled"])
+def test_sidecars_leave_train_evaluate_and_predict_bytes_unchanged(
+    synth_dir, tmp_path, run_cli, pool_spy, monkeypatch, mode
+):
+    bare = tmp_path / "bare"
+    shutil.copytree(synth_dir, bare)
+    sidecars = sorted(bare.rglob("*.csv.cols"))
+    assert len(sidecars) == 6
+    for sidecar in sidecars:
+        sidecar.unlink()
+    monkeypatch.setattr(featureio, "POOL_MIN_INPUT_BYTES", 0 if mode == "pooled" else 1 << 62)
+    parse_rows = featureio._parse_rows
+    parsed = []
+    monkeypatch.setattr(featureio, "_parse_rows",
+                        lambda path, *a: parsed.append(path) or parse_rows(path, *a))
+    runs = []
+    for data in (synth_dir, bare):
+        run_dir = tmp_path / f"run-{data.name}"
+        manifest = data / "manifest.json"
+        cfg = write_train_config(tmp_path / f"{data.name}.json", manifest, run_dir)
+        outputs = [run_cli("train", "--config", cfg)]
+        outputs.append(run_cli("evaluate", "--checkpoint", run_dir / "checkpoint.sqf",
+                               "--manifest", manifest, "--partition", "all"))
+        outputs.append(run_cli("predict", "--checkpoint", run_dir / "checkpoint.sqf",
+                               "--manifest", manifest, "--out-dir", run_dir / "preds"))
+        assert [code for code, _, _ in outputs] == [0, 0, 0], outputs
+        runs.append(([(out.replace(str(run_dir), "RUN"), err) for _, out, err in outputs],
+                     tree_bytes(run_dir)))
+        features = [path for path in parsed if path.parent.name == "features"]
+        runs[-1] += (len(parsed) - len(features), len(features))
+        parsed.clear()
+    assert runs[0][:2] == runs[1][:2]
+    assert len(runs[0][1]) == 2 + 3  # checkpoint, history and one prediction file per video
+    if mode == "serial":
+        # Three loads of 3 videos, each with two label files and two tracks;
+        # only the bare tree's tracks are parsed.
+        assert (runs[0][2:], runs[1][2:]) == ((18, 0), (18, 18))
+    else:
+        assert pool_spy == [2, 2, 2] * 2

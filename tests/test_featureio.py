@@ -6,12 +6,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fail_writes_halfway
 from oracles import align_bruteforce, feature_csv_rowwise
-from seqfuse import featureio
+from seqfuse import featureio, sidecar
 from seqfuse import (
     ConfigError,
     DimMismatchError,
@@ -1045,3 +1045,168 @@ class TestAtomicWrites:
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["artefact"]
+
+
+# ---------------------------------------------------------------------------
+# sidecars: the parse cache beside each Feature CSV of a dataset tree
+# ---------------------------------------------------------------------------
+
+# Cells a property draws from: signed zeros, extremes and ordinary values.
+SIDECAR_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.5, -2.25, 5e-324, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def sidecar_sequences(draw):
+    """One video with 1-3 tracks of dim 1-4, whose rows repeat often."""
+    t = draw(st.integers(1, 8))
+    tracks = []
+    for k in range(draw(st.integers(1, 3))):
+        dim = draw(st.integers(1, 4))
+        pool = draw(st.lists(st.lists(SIDECAR_CELLS, min_size=dim, max_size=dim),
+                             min_size=1, max_size=3))
+        rows = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(t)]
+        tracks.append(FrameTrack(f"track{k}", np.array(rows, dtype=np.float64)))
+    return LabeledSequence("v", tracks, {"arousal": np.zeros(t)})
+
+
+def assert_same_track(a, b):
+    assert (a.name, a.dim) == (b.name, b.dim)
+    for column in ("start_ms", "end_ms", "vectors"):
+        x, y = getattr(a, column), getattr(b, column)
+        assert x.dtype == y.dtype and x.shape == y.shape, column
+        assert x.flags.writeable and y.flags.writeable, column
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64)), column
+
+
+def parse_outcome(path):
+    """``parse_feature_csv``'s track, or its error's type and message."""
+    try:
+        return parse_feature_csv(path, name="t")
+    except (ConfigError, MalformedRowError, EmptyTrackError) as exc:
+        return type(exc), str(exc)
+
+
+def sidecar_of(path):
+    return sidecar.sidecar_path(path)
+
+
+class TestSidecar:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seq=sidecar_sequences())
+    @example(seq=LabeledSequence(
+        "v",
+        [FrameTrack("track0", [[-0.0], [-0.0], [0.0]]), FrameTrack("track1", [[1.0, -0.0]] * 3)],
+        {"arousal": np.zeros(3)},
+    ))
+    def test_cached_parse_is_bit_identical_to_the_csv_parse(self, tmp_path_factory, seq):
+        out = tmp_path_factory.mktemp("tree")
+        write_dataset(out, [("train", seq)])
+        for track in seq.tracks:
+            path = out / "features" / f"v_{track.name}.csv"
+            assert sidecar.read_sidecar(path, path.read_bytes()) is not None
+            cached = parse_feature_csv(path, name="t")
+            sidecar_of(path).unlink()
+            assert_same_track(cached, parse_feature_csv(path, name="t"))
+            assert np.array_equal(cached.vectors.view(np.uint64), track.frames.view(np.uint64))
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        """A tree's Feature CSV with its sidecar, and the parse without the sidecar."""
+        rows = np.array([[0.5, -0.0], [0.5, -0.0], [1.25, 3.0]])
+        seq = LabeledSequence("v", [FrameTrack("a", rows)], {"arousal": np.zeros(3)})
+        write_dataset(tmp_path, [("train", seq)])
+        path = tmp_path / "features" / "v_a.csv"
+        blob = sidecar_of(path).read_bytes()
+        sidecar_of(path).unlink()
+        expected = parse_feature_csv(path, name="t")
+        sidecar_of(path).write_bytes(blob)
+        return path, expected
+
+    def flip(self, path, at):
+        data = bytearray(path.read_bytes())
+        data[at] ^= 0x01
+        path.write_bytes(bytes(data))
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "payload-byte", "wrong-magic", "directory", "missing", "unreadable",
+    ])
+    def test_damaged_sidecar_falls_back_to_the_csv(self, written, monkeypatch, damage):
+        path, expected = written
+        cache = sidecar_of(path)
+        if damage == "truncated":
+            cache.write_bytes(cache.read_bytes()[:-1])
+        elif damage == "payload-byte":
+            self.flip(cache, len(cache.read_bytes()) - 3)
+        elif damage == "wrong-magic":
+            self.flip(cache, 0)
+        elif damage == "directory":
+            cache.unlink()
+            cache.mkdir()
+        elif damage == "missing":
+            cache.unlink()
+        else:
+            real = sidecar.read_input
+
+            def denied(p, what):
+                if p == cache:
+                    raise PermissionError(13, "Permission denied", str(p))
+                return real(p, what)
+
+            monkeypatch.setattr(sidecar, "read_input", denied)
+        assert sidecar.read_sidecar(path, path.read_bytes()) is None
+        assert_same_track(parse_feature_csv(path, name="t"), expected)
+
+    @pytest.mark.parametrize("edit", ["value", "malformed"])
+    def test_edited_csv_wins_over_its_sidecar(self, written, edit):
+        path, _ = written
+        text = path.read_text()
+        at = text.index("1.25")
+        if edit == "value":
+            self.flip(path, at)  # "1.25" becomes "0.25"
+        else:
+            path.write_text(text[:at] + "x" + text[at + 1:])
+        assert sidecar_of(path).is_file()
+        with_sidecar = parse_outcome(path)
+        sidecar_of(path).unlink()
+        without = parse_outcome(path)
+        if edit == "value":
+            assert with_sidecar.vectors[2, 0] == 0.25
+            assert_same_track(with_sidecar, without)
+        else:
+            assert with_sidecar == without == (
+                MalformedRowError, f"{path}:4: column 3: 'x.25' is not a decimal number")
+
+    def test_tree_names_claim_each_sidecar(self, tmp_path):
+        assert featureio._tree_files("v", ["arousal"], ["a", "b"]) == [
+            "labels/v_arousal.csv", "features/v_a.csv", "features/v_a.csv.cols",
+            "features/v_b.csv", "features/v_b.csv.cols",
+        ]
+
+    def test_output_sidecar_that_another_video_reads_exit_2(self, tmp_path):
+        # Video w reads, as a Feature CSV, the sidecar that video v would write.
+        manifest = Manifest(
+            {
+                "v": VideoEntry("train", {"a": "in/a.csv"}, {"arousal": "in/l.csv"}),
+                "w": VideoEntry("train", {"a": "out/features/v_a.csv.cols"},
+                                {"arousal": "in/l.csv"}),
+            },
+            root=tmp_path,
+        )
+        with pytest.raises(ConfigError, match="video 'v' would write this file, which video 'w'"):
+            featureio._refuse_cross_reads(manifest, tmp_path / "out")
+
+    def test_tracks_with_sidecars_count_an_eighth_unless_rewritten(self, tmp_path):
+        write_dataset(tmp_path, zip(["train"], synth_generate(1, 1, (40, 40), [3], 100.0)))
+        manifest = load_manifest(tmp_path / "manifest.json")
+        csv = tmp_path / "features" / "video000_track0.csv"
+        labels = sum(p.stat().st_size for p in (tmp_path / "labels").iterdir())
+        full = labels + csv.stat().st_size
+        assert featureio.input_bytes(manifest, ["video000"], rewrites=True) == [full]
+        assert featureio.input_bytes(manifest, ["video000"]) == [
+            labels + csv.stat().st_size // 8]
+        sidecar_of(csv).unlink()
+        assert featureio.input_bytes(manifest, ["video000"]) == [full]

@@ -123,3 +123,20 @@ def test_one_prediction_format():
                for function, called in calls_by_function(tree)
                if called.split(".")[-1] == "prediction_csv"}
     assert callers == {("metrics.py", "_predict_group")}
+
+
+def test_one_sidecar_format():
+    # One function writes the parse cache beside a tree's Feature CSV and one
+    # reads it, each through the one header layout; the reader takes the
+    # file's bytes from util.read_input, as every input is read.
+    layout = {(name, node.name) for name, tree in modules() for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)
+              and any(isinstance(n, ast.Name) and n.id == "_SIDECAR_HEAD" for n in ast.walk(node))}
+    assert layout == {("sidecar.py", "sidecar_bytes"), ("sidecar.py", "read_sidecar")}
+    calls = {(name, function, called) for name, tree in modules()
+             for function, called in calls_by_function(tree)}
+    callers = {called: {(name, function) for name, function, c in calls if c == called}
+               for called in ("sidecar_bytes", "read_sidecar")}
+    assert callers == {"sidecar_bytes": {("featureio.py", "_write_video")},
+                       "read_sidecar": {("featureio.py", "parse_feature_csv")}}
+    assert ("sidecar.py", "read_sidecar", "read_input") in calls
