@@ -60,11 +60,12 @@ parsing. It is a 40-byte header, all little-endian::
 then the payload: ``start_ms`` as n int64, ``end_ms`` as n int64 and the
 (n, dim) ``vectors`` row by row as float64. The CSV always wins: a sidecar
 is used only when its magic, its length, the CSV's length and both checks
-match the CSV's bytes as read; otherwise, or when it is absent or cannot be
-read, the CSV is parsed, with the same results and errors as if there were
-no sidecar. The checks guard against stale and damaged files, not against
-a sidecar forged for its CSV. The manifest does not list sidecars, and any
-Feature CSV may have one: the readers look for it beside every CSV.
+match the CSV's bytes as read and every vector value is finite; otherwise,
+or when it is absent or cannot be read, the CSV is parsed, with the same
+results and errors as if there were no sidecar. The checks guard against
+stale and damaged files, not against a sidecar forged for its CSV. The
+manifest does not list sidecars, and any Feature CSV may have one: the
+readers look for it beside every CSV.
 
 Cells: ``start_ms``, ``end_ms`` and ``frame_ms`` are decimal integers in the
 int64 range [-2**63, 2**63 - 1]; values are decimal floats with optional
@@ -256,9 +257,7 @@ class LabeledSequence:
     block of ``data``, so the frames are held once. Every track must have t
     frames on the one grid ``frame_len_ms``, and every label array t values
     in [-1, 1]. ``label_bytes`` holds each label file's bytes as they were
-    read and validated, when the sequence was loaded from files. Pickled, as
-    a worker process sends it, a sequence holds ``data`` once, and its
-    tracks' frames are views of ``data`` again when it is unpickled.
+    read and validated, when the sequence was loaded from files.
     """
 
     video_id: str
@@ -292,26 +291,11 @@ class LabeledSequence:
             if np.any(values < -1.0) or np.any(values > 1.0):
                 raise MalformedRowError(f"{self.video_id}: label outside [-1, 1]")
         self.data = fuse(self.tracks)
-        self._view_tracks()
-
-    def _view_tracks(self) -> None:
-        """Point each track's ``frames`` at its column block of ``data``."""
+        # Point each track's ``frames`` at its column block of ``data``.
         offset = 0
         for track in self.tracks:
             track.frames = self.data[:, offset : offset + track.dim]
             offset += track.dim
-
-    def __getstate__(self) -> dict:
-        # Pickled as they are, the tracks' frames would be sent a second time:
-        # numpy pickles a view as an array of its own.
-        state = dict(self.__dict__)
-        state["tracks"] = [(tr.name, tr.dim) for tr in self.tracks]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.tracks = [FrameTrack(name, np.empty((0, dim))) for name, dim in state["tracks"]]
-        self._view_tracks()
 
     @property
     def n_frames(self) -> int:
@@ -914,17 +898,14 @@ def write_dataset(out_dir: str | Path, videos: Iterable[tuple[str, LabeledSequen
 
 
 # Bytes of feature and label input (as input_bytes counts them) from which
-# ``map_video_groups`` (``align``, ``train``'s loading and
-# ``metrics.score_partition``) works in worker processes (see pool_workers).
-# Measured on a 2-CPU Xeon with BLAS pinned to one thread. Align: starting the
-# pool costs about 45 ms, and serial alignment runs at about 17 MB of input per
-# second, so the pool breaks even near 1.6 MB. Scoring: starting and stopping
-# a two-worker pool costs 8-15 ms, and serial loading and prediction of parsed
-# input run at 30 MB (e16/h32/m16 over D = 10) to 50 MB (D = 900) of input per
-# second, so the pool breaks even below 1 MB. Train: serial parsing loads run
-# at about 49 MB of input per second at D = 900 (ingest-wide's 14.2 MB of
-# aligned train and devel input in 0.29 s); two workers took 0.22 s, since
-# starting the pool and sending the fused arrays back cost about 60 ms.
+# ``map_video_groups`` (``align`` and ``metrics.score_partition``) works in
+# worker processes (see pool_workers). Measured on a 2-CPU Xeon with BLAS
+# pinned to one thread. Align: starting the pool costs about 45 ms, and serial
+# alignment runs at about 17 MB of input per second, so the pool breaks even
+# near 1.6 MB. Scoring: starting and stopping a two-worker pool costs 8-15 ms,
+# and serial loading and prediction of parsed input run at 30 MB (e16/h32/m16
+# over D = 10) to 50 MB (D = 900) of input per second, so the pool breaks even
+# below 1 MB.
 #
 # Cached reads: a Feature CSV read through its sidecar is not parsed. On
 # ingest-wide's 13.8 MB of aligned train and devel input, a serial load took
@@ -932,15 +913,13 @@ def write_dataset(out_dir: str | Path, videos: Iterable[tuple[str, LabeledSequen
 # 0.175-0.19 s parsed (73-79 MB/s), a ratio of 6.5-7.9. So input_bytes counts
 # such a file at an eighth of its bytes, except for ``align``, which formats
 # every track again at about 30 MB/s whether it parsed it or not. Then
-# ingest-wide's aligned train and devel input counts 1.7 MiB and its test
-# partition 0.6 MiB, and both stay in-process, as measured in-process: train
-# 0.08-0.14 s serial against 0.11-0.17 s pooled, evaluate and predict each
-# 0.015-0.027 s against 0.025-0.041 s. Its 22 MiB of token-rate input still
-# aligns in the pool, and train-small (0.23 MB) stays in-process. The count
-# does not see the model's per-frame cost: infer-long's test partition, 6.0 MiB
-# without sidecars, still goes to the pool, but the same 22k frames at D = 10
-# with sidecars count 1.8 MiB and score serially, in 0.25-0.39 s against
-# 0.24-0.30 s pooled.
+# ingest-wide's aligned test partition counts 0.6 MiB and stays in-process, as
+# measured in-process: evaluate and predict each 0.015-0.027 s against
+# 0.025-0.041 s pooled. Its 22 MiB of token-rate input still aligns in the
+# pool. The count does not see the model's per-frame cost: infer-long's test
+# partition, 6.0 MiB without sidecars, still goes to the pool, but the same
+# 22k frames at D = 10 with sidecars count 1.8 MiB and score serially, in
+# 0.25-0.39 s against 0.24-0.30 s pooled.
 POOL_MIN_INPUT_BYTES = 4 << 20
 
 
@@ -1005,26 +984,41 @@ def _align_group(manifest: Manifest, video_ids: list[str], out_dir: Path) -> lis
     ]
 
 
+def _file_id(path: str) -> tuple[int, int] | None:
+    """``(st_dev, st_ino)`` of the file that ``path`` names, links followed; None if none."""
+    try:
+        info = os.stat(path)
+    except (OSError, ValueError):
+        return None
+    return info.st_dev, info.st_ino
+
+
 def _refuse_cross_reads(manifest: Manifest, out_dir: Path) -> None:
     """Raise ConfigError if one video's output file under ``out_dir`` is another video's input.
 
     A video reads every input before it writes, so it may be aligned onto
     its own input files. Another video might read such a file before or
     after it is rewritten, and on a pooled run that would depend on worker
-    timing. Paths are compared absolute and normalised, with no system call
-    per file, so a symlink or hard link that aliases a file is not detected.
+    timing. Paths are compared absolute and normalised, and a path that
+    exists also by its file's ``(st_dev, st_ino)``, so an output that a
+    symlink (of a file or of a directory above it) or a hard link makes
+    the same file as another video's input is refused too.
     """
     root, out = os.path.abspath(manifest.root), os.path.abspath(out_dir)
-    readers: dict[str, list[str]] = {}
+    readers: dict[str | tuple[int, int], list[str]] = {}
     for vid, entry in manifest.videos.items():
         features = entry.features.values()
         sidecars = [relpath + SIDECAR_SUFFIX for relpath in features]
         for relpath in (*entry.labels.values(), *features, *sidecars):
-            readers.setdefault(os.path.normpath(os.path.join(root, relpath)), []).append(vid)
+            path = os.path.normpath(os.path.join(root, relpath))
+            for key in (path, _file_id(path)):
+                readers.setdefault(key, []).append(vid)
+    readers.pop(None, None)
     for vid, entry in manifest.videos.items():
         for relpath in _tree_files(vid, entry.labels, entry.features):
             path = os.path.normpath(os.path.join(out, relpath))
-            other = next((r for r in readers.get(path, ()) if r != vid), None)
+            found = [*readers.get(path, ()), *readers.get(_file_id(path), ())]
+            other = next((r for r in found if r != vid), None)
             if other is not None:
                 raise ConfigError(
                     f"{out_dir / relpath}: video {vid!r} would write this file, "
@@ -1177,25 +1171,20 @@ def map_video_groups(
     return group_fn(manifest, video_ids, *args)
 
 
-def _load_group(
-    manifest: Manifest, video_ids: list[str], track_order: list[str]
-) -> list[LabeledSequence]:
-    return [load_labeled_sequence(manifest, vid, track_order) for vid in video_ids]
-
-
 def load_fused_datasets(
     manifest: Manifest, partitions: Sequence[str], track_order: list[str]
 ) -> list[list[LabeledSequence]]:
     """The sequences of each partition, in manifest video order, all loaded in one pass.
 
-    Every video is loaded through :func:`map_video_groups` with the tracks
-    of ``track_order``; the first load error in partition and manifest
-    order is raised. No track dims are compared here: ``training.train``
-    checks every train and devel video against the first train video, and
-    a caller with another reference checks with :func:`check_same_tracks`.
+    Every video is loaded in this process with :func:`load_labeled_sequence`
+    and the tracks of ``track_order``, in partition and manifest order, so
+    the first load error in that order is raised. No track dims are compared
+    here: ``training.train`` checks every train and devel video against the
+    first train video, and a caller with another reference checks with
+    :func:`check_same_tracks`.
     """
-    ids = [manifest.video_ids(p) for p in partitions]
-    loaded = iter(map_video_groups(manifest, [vid for part in ids for vid in part],
-                                   _load_group, track_order))
-    return [[next(loaded) for _ in part] for part in ids]
+    return [
+        [load_labeled_sequence(manifest, vid, track_order) for vid in manifest.video_ids(p)]
+        for p in partitions
+    ]
 

@@ -4,7 +4,7 @@ Two paths score a model. :func:`evaluate` scores sequences already in
 memory, as ``train`` does on its devel set after each epoch.
 :func:`score_partition` loads a manifest partition and predicts it, as the
 ``evaluate`` command does, through ``featureio.map_video_groups``, the
-grouped loader that ``train`` loads its partitions with too. Each video's
+grouped loader that ``align`` runs on too. Each video's
 tracks are checked against the model's as soon as it is loaded, and the
 errors, their order and the predictions are those of loading the partition
 video by video in this process and predicting it in one call; on a large

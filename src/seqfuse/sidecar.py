@@ -45,7 +45,8 @@ def read_sidecar(csv_path: Path, csv: bytes) -> tuple[np.ndarray, np.ndarray, np
 
     Returns writable int64 ``start_ms`` and ``end_ms`` and the (n, dim)
     float64 ``vectors``, as a parse does; None when the sidecar is absent,
-    unreadable, or does not match in magic, length or either check.
+    unreadable, does not match in magic, length or either check, or holds a
+    value that is not finite, which no parse gives.
     """
     try:
         data = read_input(sidecar_path(csv_path), "feature parse cache")
@@ -69,4 +70,6 @@ def read_sidecar(csv_path: Path, csv: bytes) -> tuple[np.ndarray, np.ndarray, np
     columns = bytearray(payload)  # one copy, so the columns are writable
     spans = np.frombuffer(columns, "<i8", 2 * n).astype(np.int64, copy=False)
     vectors = np.frombuffer(columns, "<f8", n * dim, 16 * n).astype(np.float64, copy=False)
+    if not np.isfinite(vectors).all():
+        return None
     return spans[:n], spans[n:], vectors.reshape(n, dim)

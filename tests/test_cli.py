@@ -487,6 +487,52 @@ class TestAlign:
         assert tree_bytes(synth_dir) == before
         assert pooled == [2]
 
+    @pytest.mark.parametrize("alias", ["symlinked-out-dir", "symlinked-file", "hard-link"])
+    def test_output_that_aliases_another_videos_input_exit_2_writing_nothing(
+        self, synth_dir, tmp_path, run_cli, pooled, alias
+    ):
+        manifest = synth_dir / "manifest.json"
+        victim = synth_dir / "features" / "video001_track0.csv"
+        if alias == "symlinked-out-dir":
+            # Videos 0 and 1 read each other's track0 file, and the output
+            # directory is the manifest's own under another name.
+            raw = json.loads(manifest.read_text())
+            first, second = (raw["videos"][vid]["features"] for vid in ("video000", "video001"))
+            first["track0"], second["track0"] = second["track0"], first["track0"]
+            manifest.write_text(json.dumps(raw))
+            victim = synth_dir / "features" / "video000_track0.csv"
+            out = tmp_path / "alias"
+            out.symlink_to(synth_dir, target_is_directory=True)
+        else:
+            out = tmp_path / "out"
+            (out / "features").mkdir(parents=True)
+            link = out / "features" / "video000_track0.csv"
+            if alias == "symlinked-file":
+                link.symlink_to(victim)
+            else:
+                os.link(victim, link)
+        before = tree_bytes(tmp_path)
+        code, stdout, err = run_cli("align", "--manifest", manifest, "--out-dir", out)
+        assert (code, stdout, err) == (
+            2, "", f"error: {out / 'features' / 'video000_track0.csv'}: video 'video000' "
+            "would write this file, which video 'video001' reads\n"
+        )
+        assert tree_bytes(tmp_path) == before and victim.is_file()
+        assert pooled == []
+
+    def test_in_place_through_a_symlinked_out_dir_keeps_the_tree(
+        self, synth_dir, tmp_path, run_cli, pooled
+    ):
+        # Every output is its own video's input by inode too, which stays legal.
+        before = tree_bytes(synth_dir)
+        alias = tmp_path / "alias"
+        alias.symlink_to(synth_dir, target_is_directory=True)
+        code, _, err = run_cli("align", "--manifest", synth_dir / "manifest.json",
+                               "--out-dir", alias)
+        assert code == 0, err
+        assert tree_bytes(synth_dir) == before
+        assert pooled == [2]
+
 
 # The run config that ``edited_run_config`` edits, after its two paths. With
 # patience 1, seed 11 stops after epoch 1, so any epoch count trains fast.
@@ -1476,7 +1522,7 @@ def pool_spy(monkeypatch):
 
 @pytest.fixture
 def pooled(pool_spy, monkeypatch):
-    """Make ``align``, ``train``, ``evaluate`` and ``predict`` use workers on any input."""
+    """Make ``align``, ``evaluate`` and ``predict`` use workers on any input."""
     monkeypatch.setattr(featureio, "POOL_MIN_INPUT_BYTES", 0)
     return pool_spy
 
@@ -1800,13 +1846,6 @@ def train_runs(run_cli, monkeypatch, tmp_path, manifest, thresholds, **overrides
     return runs
 
 
-def train_groups(manifest_path):
-    """The video groups that a two-worker pool loads for ``train``: train, then devel videos."""
-    manifest = load_manifest(manifest_path)
-    ids = manifest.video_ids("train") + manifest.video_ids("devel")
-    return featureio._split_by_size(ids, featureio.input_bytes(manifest, ids), 2)
-
-
 # Values that ``edited_dataset`` may set a manifest field to.
 JSON_VALUES = [5, None, [], {}, "", -1, 1.5, True, "../x", float("inf"), float("nan"), "a\0b"]
 
@@ -1848,7 +1887,11 @@ def edited_dataset(draw, files):
 
 
 class TestPooledTrain:
-    """``train`` loading its videos in worker processes keeps the serial run's bytes and errors."""
+    """``train`` loads in its own process at every pool threshold, with the same bytes and errors.
+
+    A worker would have to send every fused matrix back, so ``train`` starts
+    no pool even where ``align``, ``evaluate`` and ``predict`` would.
+    """
 
     def test_same_outputs_below_and_at_the_threshold(self, synth_dir, tmp_path, run_cli,
                                                      pool_spy, monkeypatch):
@@ -1859,7 +1902,7 @@ class TestPooledTrain:
         (serial, serial_files), (pooled_run, pooled_files) = train_runs(
             run_cli, monkeypatch, tmp_path, manifest, (size + 1, size)
         )
-        assert pool_spy == [2]  # only the run at the threshold
+        assert pool_spy == []
         assert serial[0] == 0 and "checkpoint written to RUN/checkpoint.sqf" in serial[1]
         # Two epochs on three short videos do not beat epoch 0, so stderr has a line too.
         assert serial[2].startswith("warning: no trained epoch beat")
@@ -1886,10 +1929,9 @@ class TestPooledTrain:
                 entry["features"]["track1"] = entry["labels"]["valence"]
                 bad.append(synth_dir / entry["features"]["track1"])
         manifest.write_text(json.dumps(raw))
-        assert train_groups(manifest) == [["video002"], ["video000", "video001"]]
         runs = train_runs(run_cli, monkeypatch, tmp_path, manifest,
                           (featureio.POOL_MIN_INPUT_BYTES, 0))
-        assert pool_spy == [2]
+        assert pool_spy == []
         (serial, serial_files), (pooled_run, pooled_files) = runs
         assert pooled_run == serial and pooled_files == serial_files == {}
         code, _, err = serial
@@ -1899,11 +1941,9 @@ class TestPooledTrain:
     def test_partition_with_dims_of_two_groups_exit_2(self, tmp_path, run_cli, pool_spy,
                                                       monkeypatch):
         manifest = write_mixed_dims_dataset(tmp_path / "raw", "train")
-        groups = train_groups(manifest)
-        assert "video000" not in next(group for group in groups if "video003" in group)
         runs = train_runs(run_cli, monkeypatch, tmp_path, manifest,
                           (featureio.POOL_MIN_INPUT_BYTES, 0))
-        assert pool_spy == [2]
+        assert pool_spy == []
         (serial, serial_files), (pooled_run, pooled_files) = runs
         assert pooled_run == serial and pooled_files == serial_files == {}
         assert serial[0] == 2
@@ -1926,7 +1966,7 @@ class TestPooledTrain:
         corrupt(victim, "non-utf8")
         runs = train_runs(run_cli, monkeypatch, tmp_path, raw / "manifest.json",
                           (featureio.POOL_MIN_INPUT_BYTES, 0))
-        assert pool_spy == [2]
+        assert pool_spy == []
         (serial, serial_files), (pooled_run, pooled_files) = runs
         assert pooled_run == serial and pooled_files == serial_files == {}
         assert serial[0] == 2
@@ -1947,7 +1987,7 @@ class TestPooledTrain:
         corrupt(victim, "non-utf8")
         runs = train_runs(run_cli, monkeypatch, tmp_path, raw / "manifest.json",
                           (featureio.POOL_MIN_INPUT_BYTES, 0))
-        assert pool_spy == [2]
+        assert pool_spy == []
         (serial, serial_files), (pooled_run, pooled_files) = runs
         assert pooled_run == serial and pooled_files == serial_files == {}
         assert serial[0] == 2
@@ -1968,7 +2008,7 @@ class TestPooledTrain:
         monkeypatch.setattr(featureio, "read_input", denied)
         runs = train_runs(run_cli, monkeypatch, tmp_path, manifest,
                           (featureio.POOL_MIN_INPUT_BYTES, 0))
-        assert pool_spy == [2]
+        assert pool_spy == []
         for (code, out, err), files in runs:
             assert (code, out, files) == (3, "", {})
             assert err == f"I/O error: [Errno 13] Permission denied: '{victim}'\n"
@@ -1985,6 +2025,7 @@ class TestPooledTrain:
             (root / name).write_bytes(content)
         runs = train_runs(run_cli, monkeypatch, root, root / "manifest.json",
                           (featureio.POOL_MIN_INPUT_BYTES, 0), epochs=1)
+        assert pool_spy == []
         ((code, _, err), serial_files), ((pooled_code, _, pooled_err), pooled_files) = runs
         assert code in (0, 2, 3), err
         assert pooled_code == code, (err, pooled_err)
@@ -2015,11 +2056,11 @@ def test_internal_error_in_worker_prints_the_serial_traceback(
     assert err.endswith("internal error: boom\n")
     # The frame that called the reader, as the serial run in this process made it.
     assert "read_label_csv(" in err
-    assert pooled == [2]
+    assert pooled == ([] if command == "train" else [2])
 
 
 @pytest.mark.parametrize("fault", ["raise", "exit"])
-@pytest.mark.parametrize("command", ["align", "train", "evaluate"])
+@pytest.mark.parametrize("command", ["align", "evaluate"])
 def test_failure_only_in_a_worker_gives_the_serial_result(
     synth_dir, tmp_path, run_cli, pool_spy, monkeypatch, command, fault
 ):
@@ -2042,8 +2083,6 @@ def test_failure_only_in_a_worker_gives_the_serial_result(
         out = tmp_path / f"out{threshold}"
         argv = {
             "align": ["--manifest", manifest, "--out-dir", out],
-            "train": ["--config", write_train_config(tmp_path / f"cfg{threshold}.json",
-                                                     manifest, out)],
             "evaluate": ["--checkpoint", ckpt, "--manifest", manifest, "--partition", "all",
                          "--out", out / "report.json"],
         }[command]
@@ -2121,4 +2160,6 @@ def test_sidecars_leave_train_evaluate_and_predict_bytes_unchanged(
         # only the bare tree's tracks are parsed.
         assert (runs[0][2:], runs[1][2:]) == ((18, 0), (18, 18))
     else:
-        assert pool_spy == [2, 2, 2] * 2
+        # evaluate and predict load in workers; train loads in this process.
+        assert pool_spy == [2, 2] * 2
+        assert (runs[0][2:], runs[1][2:]) == ((6, 0), (6, 6))

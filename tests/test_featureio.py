@@ -1,5 +1,4 @@
 import json
-import pickle
 import re
 import tracemalloc
 from unittest import mock
@@ -658,28 +657,6 @@ class TestFuse:
         assert np.array_equal(seq.data[:, :2], a)
         assert np.array_equal(seq.data[:, 2:], b)
 
-    def test_pickle_sends_data_once_and_tracks_view_it(self, tmp_path):
-        videos = synth_generate(4, 1, (120, 120), [300, 40, 7], 100.0)
-        videos[0].frame_len_ms = 500
-        write_dataset(tmp_path, zip(["train"], videos))
-        manifest = load_manifest(tmp_path / "manifest.json")
-        seq = load_labeled_sequence(manifest, "video000", ["track0", "track1", "track2"])
-        raw = pickle.dumps(seq)
-        back = pickle.loads(raw)
-        assert back.video_id == seq.video_id and back.track_dims == seq.track_dims
-        assert back.frame_len_ms == seq.frame_len_ms == 500
-        assert back.data.tobytes() == seq.data.tobytes()
-        assert back.labels.keys() == seq.labels.keys()
-        for target, values in seq.labels.items():
-            assert back.labels[target].tobytes() == values.tobytes()
-        assert back.label_bytes == seq.label_bytes and len(seq.label_bytes) == 2
-        for track, original in zip(back.tracks, seq.tracks):
-            assert np.shares_memory(track.frames, back.data)
-            assert track.frames.tobytes() == original.frames.tobytes()
-        label_size = sum(v.nbytes for v in seq.labels.values())
-        label_size += sum(map(len, seq.label_bytes.values()))
-        assert len(raw) < 1.1 * seq.data.nbytes + label_size
-
 
 # ---------------------------------------------------------------------------
 # synthetic data
@@ -1133,6 +1110,7 @@ class TestSidecar:
 
     @pytest.mark.parametrize("damage", [
         "truncated", "payload-byte", "wrong-magic", "directory", "missing", "unreadable",
+        "nan-payload", "inf-payload",
     ])
     def test_damaged_sidecar_falls_back_to_the_csv(self, written, monkeypatch, damage):
         path, expected = written
@@ -1148,6 +1126,12 @@ class TestSidecar:
             cache.mkdir()
         elif damage == "missing":
             cache.unlink()
+        elif damage.endswith("-payload"):
+            # Both checks match, but no parse gives a value that is not finite.
+            vectors = expected.vectors.copy()
+            vectors[1, 1] = np.nan if damage == "nan-payload" else -np.inf
+            cache.write_bytes(sidecar.sidecar_bytes(
+                expected.start_ms, expected.end_ms, vectors, path.read_bytes()))
         else:
             real = sidecar.read_input
 

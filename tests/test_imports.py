@@ -110,6 +110,19 @@ def test_one_scoring_path():
     assert refusals == {("metrics.py", "_predict_videos")}
 
 
+def test_pool_serves_align_and_scoring_only():
+    # A pool worker sends its results back pickled, so only callers whose
+    # workers send back little use the grouped loader: align (manifest
+    # entries) and scoring (labels and predictions, or prediction text).
+    # Loading train and devel this way would send every fused matrix back.
+    calls = [(name, function, called) for name, tree in modules()
+             for function, called in calls_by_function(tree)]
+    callers = {(name, function) for name, function, called in calls
+               if called.split(".")[-1] == "map_video_groups"}
+    assert callers == {("featureio.py", "align_dataset"), ("metrics.py", "score_partition"),
+                       ("metrics.py", "predict_partition")}
+
+
 def test_one_prediction_format():
     # One function builds a prediction file's text, and only the group
     # function that scores each video calls it, so every pooled worker
