@@ -228,8 +228,12 @@ class FrameTrack:
         self.frames = np.asarray(self.frames, dtype=np.float64)
         if self.frames.ndim != 2:
             raise DimMismatchError(f"track {self.name!r}: frames must be (t, dim)")
-        if not np.all(np.isfinite(self.frames)):
-            raise MalformedRowError(f"track {self.name!r}: non-finite frame value")
+        # The one finiteness guard for frames that are computed, such as
+        # alignment's means or synth's noisy tracks.
+        finite = np.isfinite(self.frames)
+        if not finite.all():
+            frame = np.flatnonzero(~finite.all(axis=1))[0]
+            raise MalformedRowError(f"track {self.name!r}: frame {frame} is not finite")
 
     @property
     def n_frames(self) -> int:
@@ -607,9 +611,11 @@ def _average_tokens(track: TokenTrack, frame_len_ms: int, n_frames: int) -> np.n
         pair = np.arange(lo, min(lo + block, n_pairs))
         token = np.searchsorted(stop, pair, side="right")
         frame = first[token] + pair - (stop[token] - n_covered[token])
-        # np.add.at applies repeated indices one by one in index order.
+        # np.add.at applies repeated indices one by one in index order. A sum
+        # past the float range is inf, and FrameTrack refuses its frame.
         cells = (frame[:, None] * dim + np.arange(dim)).reshape(-1)
-        np.add.at(flat_sums, cells, vectors[used[token]].reshape(-1))
+        with np.errstate(over="ignore"):
+            np.add.at(flat_sums, cells, vectors[used[token]].reshape(-1))
     bounds = np.bincount(first, minlength=n_frames + 1)
     bounds -= np.bincount(first + n_covered, minlength=n_frames + 1)
     counts = np.cumsum(bounds)[:n_frames]
@@ -655,7 +661,8 @@ def synth_generate(
     ``dims``. Track ``k`` is a fixed linear image of the stacked label pair,
     shared across videos, plus Gaussian noise scaled by ``1/snr``. The same
     seed yields bitwise-identical output. Tracks too wide or a video too
-    long to allocate raise ConfigError naming ``dims`` or ``t_range``.
+    long to allocate raise ConfigError naming ``dims`` or ``t_range``, and
+    so does an ``snr`` so small that the noise is not finite, naming it.
     """
     lo, hi = int(t_range[0]), int(t_range[1])
     if lo < 2 or hi < lo:
@@ -682,9 +689,15 @@ def synth_generate(
             stacked = np.stack([labels[target] for target in TARGETS], axis=1)
             tracks = []
             for k, dim in enumerate(dims):
-                noise = rng.normal(size=(t, dim)) / snr
+                with np.errstate(over="ignore"):
+                    noise = rng.normal(size=(t, dim)) / snr
                 frames = stacked @ mixers[k].T + noise
-                tracks.append(FrameTrack(f"track{k}", frames))
+                try:
+                    tracks.append(FrameTrack(f"track{k}", frames))
+                except MalformedRowError:  # the labels' image is finite; the noise is not
+                    raise ConfigError(
+                        f"snr {snr} is too small: the noise it scales is not finite"
+                    ) from None
             videos.append(LabeledSequence(f"video{v:03d}", tracks, labels))
     except MemoryError as exc:
         raise ConfigError(
@@ -1065,7 +1078,8 @@ def load_labeled_sequence(
     Its tracks are fused in ``track_order``, the caller's choice of the
     video's manifest tracks (ConfigError names one it lacks). The number of
     frames comes from the label files (features beyond the labelled horizon
-    are dropped); all label targets must agree on length.
+    are dropped); all label targets must agree on length. A frame whose mean
+    is not finite raises MalformedRowError naming the feature file.
     """
     entry = manifest.videos[video_id]
     labels, label_bytes = {}, {}
@@ -1086,10 +1100,12 @@ def load_labeled_sequence(
     for track_name in track_order:
         if track_name not in entry.features:
             raise ConfigError(f"{video_id}: manifest has no track {track_name!r}")
-        token_track = parse_feature_csv(
-            manifest.resolve(entry.features[track_name]), name=track_name
-        )
-        tracks.append(align_tokens_to_frames(token_track, manifest.frame_len_ms, t))
+        path = manifest.resolve(entry.features[track_name])
+        token_track = parse_feature_csv(path, name=track_name)
+        try:
+            tracks.append(align_tokens_to_frames(token_track, manifest.frame_len_ms, t))
+        except MalformedRowError as exc:  # a frame's mean is past the float range
+            raise MalformedRowError(f"{path}: {exc}") from None
     return LabeledSequence(video_id, tracks, labels, label_bytes, manifest.frame_len_ms)
 
 

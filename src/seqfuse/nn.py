@@ -15,32 +15,35 @@ divided by ``1 - rate``) and is applied only at the two marked sites, never
 inside the recurrence. ``backward`` computes exact reverse-mode gradients of
 the mean-squared per-step loss via backpropagation through time.
 
-Only the recurrence runs step by step. A ``forward`` step is one
-``Wh @ h_{j-1}`` matvec, one tanh over the whole 4h gate row, one
-scale-and-shift that turns the i, f and o blocks into sigmoids through
-sigmoid(x) = tanh(x/2)/2 + 1/2, and the c/h update written in place into
-the step's rows of the trace. A ``backward`` step is the reverse pass for
-dh, dc and one gate-gradient row, also in preallocated buffers. The
-projection, the input-to-gate product ``Wx @ embed_j + b``, the head, both
-dropout sites and every weight gradient are single matrix expressions over
-all t steps.
+Only the recurrence runs step by step, and one loop runs its steps for
+both ``forward`` and ``predict``. A step is one ``Wh @ h_{j-1}`` matvec,
+one tanh over the whole 4h gate row, one scale-and-shift that turns the i,
+f and o blocks into sigmoids through sigmoid(x) = tanh(x/2)/2 + 1/2, and
+the c/h update, all in place: into the step's rows of the trace in
+``forward``, into block buffers in ``predict``. A ``backward`` step is the
+reverse pass for dh, dc and one gate-gradient row, also in preallocated
+buffers. The projection, the input-to-gate product ``Wx @ embed_j + b``,
+the head, both dropout sites and every weight gradient are single matrix
+expressions over all t steps.
 
 ``forward`` and ``backward`` are the training path. ``predict`` is the eval
 path: it scores up to EVAL_ROWS sequences in one recurrence and keeps no
 trace. The sequences, longest first, are the rows of a (B, h) state whose
 active prefix shrinks as they end, so a step costs one call sequence however
-many rows are active. Its step buffers are gate-major, so each gate block of
-the active rows (the i, f, g or o part of every row) is one contiguous
-(rows, h) array, as the c/h update reads it. Each row still gets its own
-``Wh @ h`` gemv and its own products over its own steps, so its predictions
-do not depend on the other sequences in the batch. With numpy's OpenBLAS
-they are byte-identical to ``forward(...).predictions`` unless e >= 32 and
-h <= 4 (see EVAL_BLOCK).
+many rows are active: the shared loop runs over (rows, h) arrays, or over
+``forward``'s 1-D arrays once one row is left. Its step buffers are
+gate-major, so each gate block of the active rows (the i, f, g or o part of
+every row) is one contiguous (rows, h) array, as the c/h update reads it.
+Each row still gets its own ``Wh @ h`` gemv and its own products over its
+own steps, so its predictions do not depend on the other sequences in the
+batch. With numpy's OpenBLAS they are byte-identical to
+``forward(...).predictions`` unless e >= 32 and h <= 4 (see EVAL_BLOCK).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -200,6 +203,33 @@ def _tanh_form(model: Model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return scale, shift, model.tensors["lstm_recurrent_w"] * scale[:, None]
 
 
+def _lstm_steps(steps, h_prev, c_prev, matvec, rec_out, rec, scale, shift, part) -> None:
+    """Run tanh-form LSTM steps in place: the one recurrence loop.
+
+    Each item of ``steps`` is (gates, i, f, g, o, c, hj): the step's gate
+    row holding its halved input-to-gate product, that row's four gate
+    blocks, and where c_j and h_j go. ``matvec(h_prev, rec_out)`` writes the
+    halved ``Wh @ h_prev`` into ``rec_out``, which ``rec`` views in the gate
+    row's shape. ``scale`` and ``shift`` (see :func:`_tanh_form`) have that
+    shape too, and ``part`` is a scratch shaped like c. The functions are
+    bound once and ``out`` is passed positionally, so a step does little
+    Python work beside its numpy calls.
+    """
+    tanh, multiply = np.tanh, np.multiply
+    for gates, i, f, g, o, c, hj in steps:
+        matvec(h_prev, rec_out)
+        gates += rec
+        tanh(gates, gates)
+        gates *= scale
+        gates += shift
+        multiply(f, c_prev, c)
+        multiply(i, g, part)
+        c += part
+        tanh(c, hj)
+        hj *= o
+        h_prev, c_prev = hj, c
+
+
 def forward(
     model: Model,
     inputs: np.ndarray,
@@ -233,32 +263,17 @@ def forward(
         embed = embed * mask_embed * keep_scale
 
     # Rows hold the halved input-to-gate product until step j overwrites
-    # row j with its activated gates. The per-gate (t, h) views and the
-    # functions are bound once and ``out`` is passed positionally, so a step
-    # does no Python work beside its numpy calls. ``Wh_half.dot`` is
-    # ``np.dot`` without its Python-level dispatch.
+    # row j with its activated gates. The per-gate (t, h) views are made
+    # once; ``Wh_half.dot`` is ``np.dot`` without its Python-level dispatch.
     scale, shift, Wh_half = _tanh_form(model)
     gates = embed @ p["lstm_input_w"].T + p["lstm_b"]
     gates *= scale
     cell = np.empty((t, h))
     hidden = np.empty((t, h))
     recurrent = np.empty(4 * h)
-    input_part = np.empty(h)
-    h_prev = c_prev = np.zeros(h)
-    wh_dot, tanh, multiply = Wh_half.dot, np.tanh, np.multiply
     steps = zip(gates, *gates.reshape(t, 4, h).transpose(1, 0, 2), cell, hidden)
-    for row, i, f, g, o, c, hj in steps:
-        wh_dot(h_prev, recurrent)
-        row += recurrent
-        tanh(row, row)
-        row *= scale
-        row += shift
-        multiply(f, c_prev, c)
-        multiply(i, g, input_part)
-        c += input_part
-        tanh(c, hj)
-        hj *= o
-        h_prev, c_prev = hj, c
+    _lstm_steps(steps, np.zeros(h), np.zeros(h), Wh_half.dot, recurrent, recurrent,
+                scale, shift, np.empty(h))
 
     head_pre = hidden @ p["head_hidden_w"].T + p["head_hidden_b"]
     head_act = np.maximum(0.0, head_pre)
@@ -347,12 +362,17 @@ def _predict_batch(model: Model, inputs: list[np.ndarray]) -> list[np.ndarray]:
     cell = np.zeros((B, h))
     recurrent = np.empty((B, 4 * h, 1))
     input_part = np.empty((B, h))
-    h_prev = np.zeros((B, h, 1))
+    h_prev = np.zeros((B, h))
     preds = [None] * B
     a = B
-    # One row's gemv is forward's; several rows' is one stacked matmul, a gemv per row.
-    tanh, multiply = np.tanh, np.multiply
-    wh_dot, rows_dot = Wh_half.dot, functools.partial(np.matmul, Wh_half)
+
+    # One row's gemv is forward's; several rows' is one stacked matmul, a gemv
+    # per row, over the rows' h_prev as columns.
+    matmul = np.matmul
+
+    def rows_dot(rows, out):
+        matmul(Wh_half, rows[..., None], out)
+
     for j0 in range(0, lengths[0], K):
         while lengths[a - 1] <= j0:
             a -= 1
@@ -373,37 +393,24 @@ def _predict_batch(model: Model, inputs: list[np.ndarray]) -> list[np.ndarray]:
                 # (copied when other rows share the block)
                 G = gate_blk[k0:k1, :, 0].reshape(k1 - k0, 4 * h)
                 ifgo = G.reshape(k1 - k0, 4, h).transpose(1, 0, 2)
-                H = H_next = hidden_blk[k0:k1, 0]
-                c, part, hp = cell[0], input_part[0], h_prev[0, :, 0]
-                matvec, rec = wh_dot, recurrent[0, :, 0]
-                rec_out, gate_scale, gate_shift = rec, scale, shift
+                H, c, part, hp = hidden_blk[k0:k1, 0], cell[0], input_part[0], h_prev[0]
+                matvec, rec_out = Wh_half.dot, recurrent[0, :, 0]
+                rec, gate_scale, gate_shift = rec_out, scale, shift
             else:
                 # Copied only once a row has ended in this block, so that
                 # every operand of a step's gate operations but ``rec`` is
                 # contiguous.
                 G = np.ascontiguousarray(gate_blk[k0:k1, :, :a])
                 ifgo = G.transpose(1, 0, 2, 3)
-                H = hidden_blk[k0:k1, :a]
-                H_next = H[..., None]  # the next step's h_prev, as columns
-                c, part, hp = cell[:a], input_part[:a], h_prev[:a]
+                H, c, part, hp = hidden_blk[k0:k1, :a], cell[:a], input_part[:a], h_prev[:a]
                 matvec, rec_out = rows_dot, recurrent[:a]
                 rec = rec_out[..., 0].reshape(a, 4, h).transpose(1, 0, 2)
                 gate_scale, gate_shift = (
                     np.ascontiguousarray(x[:, :a]) for x in (scale_blk, shift_blk)
                 )
-            for gates, i, f, g, o, hj, hj_next in zip(G, *ifgo, H, H_next):
-                matvec(hp, rec_out)
-                gates += rec
-                tanh(gates, gates)
-                gates *= gate_scale
-                gates += gate_shift
-                c *= f
-                multiply(i, g, part)
-                c += part
-                tanh(c, hj)
-                hj *= o
-                hp = hj_next
-            h_prev = hidden_blk[k1 - 1, :a, :, None]  # as columns, also after a 1-D pass
+            steps = zip(G, *ifgo, itertools.repeat(c), H)  # c is carried in place
+            _lstm_steps(steps, hp, c, matvec, rec_out, rec, gate_scale, gate_shift, part)
+            h_prev = hidden_blk[k1 - 1]
             k0 = k1
         for v in range(a_blk):
             n = min(K, lengths[v] - j0)

@@ -100,6 +100,9 @@ class TestSynth:
 
     @pytest.mark.parametrize("argv,message", [
         (["--snr", "nan"], "error: snr must be positive, got nan\n"),
+        # Positive, but the noise it scales overflows.
+        (["--snr", "1e-320"],
+         "error: snr 1e-320 is too small: the noise it scales is not finite\n"),
         (["--t-range", "2:100000000000000000000"],
          "error: t_range (2, 100000000000000000000) puts frame_ms past the int64 range\n"),
         (["--n-train", 1, "--n-devel", 0, "--dims", "2",
@@ -116,8 +119,9 @@ class TestSynth:
         (["--n-train", 100_001, "--n-devel", 0],
          "error: n-train + n-devel + n-test = 100001 videos, more than the 100000 that "
          "synth makes\n"),
-    ], ids=["snr-nan", "t-range-past-int64", "t-range-past-memory", "dims-past-memory",
-            "dims-past-index-range", "video-count-past-bound"])
+    ], ids=["snr-nan", "snr-noise-past-float-range", "t-range-past-int64",
+            "t-range-past-memory", "dims-past-memory", "dims-past-index-range",
+            "video-count-past-bound"])
     def test_bad_value_exit_2_naming_it(self, tmp_path, run_cli, argv, message):
         out = tmp_path / "x"
         code, _, err = run_cli("synth", "--out-dir", out, "--seed", 1, *argv)
@@ -413,6 +417,26 @@ class TestAlign:
         assert lines[0] == "start_ms,end_ms,f0"
         assert lines[1] == "0,250,3.0"  # mean of 2.0 and 4.0
         assert lines[2] == "250,500,2.0"  # only the long token overlaps
+
+    def test_frame_mean_past_the_float_range_exit_2_naming_file_and_frame(
+        self, tmp_path, run_cli
+    ):
+        # Each value is finite, but frame 1's sum is not. The run once leaked
+        # numpy's overflow warning and then named only the track.
+        data = tmp_path / "data"
+        (data / "f").mkdir(parents=True)
+        (data / "l").mkdir()
+        features = data / "f" / "v_a.csv"
+        features.write_text("start_ms,end_ms,f0\n0,250,1.0\n250,500,1e308\n250,500,1e308\n")
+        (data / "l" / "v_ar.csv").write_text("frame_ms,value\n0,0.5\n250,-0.5\n")
+        manifest = {"videos": {"v": {"partition": "train", "features": {"a": "f/v_a.csv"},
+                                     "labels": {"arousal": "l/v_ar.csv"}}}}
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        code, _, err = run_cli("align", "--manifest", data / "manifest.json",
+                               "--out-dir", out)
+        assert (code, err) == (2, f"error: {features}: track 'a': frame 1 is not finite\n")
+        assert not (out / "manifest.json").exists()
 
     def test_empty_track_name_exit_2_writing_nothing(self, synth_dir, tmp_path, run_cli):
         manifest = synth_dir / "manifest.json"

@@ -498,6 +498,18 @@ class TestAlignAdversarial:
         ref = align_bruteforce(track, frame_len_ms, n_frames)
         assert np.array_equal(ours.frames, ref.frames)
 
+    def test_mean_past_the_float_range_refused_naming_the_frame(self):
+        # Frame 1's sum overflows, and frame 2's sums to -inf; the other means
+        # keep their bits, and no overflow warning escapes.
+        track = make_track([(0, 250, [1.0, 0.5]), (250, 500, [1e308, 2.0]),
+                            (250, 500, [1e308, 3.0]), (500, 750, [-1e308, 1.0]),
+                            (500, 750, [-1e308, 1.0]), (750, 1000, [0.25, -0.0])], 2, "a")
+        with pytest.raises(MalformedRowError, match=r"^track 'a': frame 1 is not finite$"):
+            align_tokens_to_frames(track, 250, 4)
+        means = featureio._average_tokens(track, 250, 4)
+        assert np.array_equal(means[:, 1], [0.5, 2.5, 1.0, -0.0])
+        assert list(means[:, 0]) == [1.0, np.inf, -np.inf, 0.25]
+
 
 _INT64_MAX = 2**63 - 1
 
@@ -707,6 +719,11 @@ class TestSynthGenerate:
     def test_snr_not_positive_rejected(self, snr):
         with pytest.raises(ConfigError, match=r"^snr must be positive, got "):
             synth_generate(1, 1, (4, 4), [2], snr)
+
+    def test_snr_too_small_for_the_noise_rejected(self):
+        # The noise 1/snr scales overflows; no overflow warning escapes.
+        with pytest.raises(ConfigError, match=r"^snr 1e-320 is too small: the noise"):
+            synth_generate(1, 1, (4, 4), [2], 1e-320)
 
     def test_frame_grid_past_int64_rejected(self):
         last = (2**63 - 1) // 250  # the last row whose frame_ms fits in int64

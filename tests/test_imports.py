@@ -110,6 +110,24 @@ def test_one_scoring_path():
     assert refusals == {("metrics.py", "_predict_videos")}
 
 
+def test_one_lstm_step_loop():
+    # forward and predict run the one recurrence loop, nn._lstm_steps, so
+    # their steps cannot drift apart; it is the only place that runs tanh in
+    # place.
+    calls = [(name, function, called) for name, tree in modules()
+             for function, called in calls_by_function(tree)]
+    callers = {(name, function) for name, function, called in calls
+               if called.split(".")[-1] == "_lstm_steps"}
+    assert callers == {("nn.py", "forward"), ("nn.py", "_predict_batch")}
+    in_place = {node.name for node in ast.walk(dict(modules())["nn.py"])
+                if isinstance(node, ast.FunctionDef)
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+                and getattr(call.func, "id", getattr(call.func, "attr", None)) == "tanh"
+                and (len(call.args) > 1 or any(k.arg == "out" for k in call.keywords))}
+    assert in_place == {"_lstm_steps"}
+
+
 def test_pool_serves_align_and_scoring_only():
     # A pool worker sends its results back pickled, so only callers whose
     # workers send back little use the grouped loader: align (manifest

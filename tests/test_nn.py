@@ -424,6 +424,18 @@ def _bytes(arrays):
     return [a.tobytes() for a in arrays]
 
 
+@st.composite
+def predict_cases(draw):
+    """(model, videos): e < 32, N(0, s^2) weights, lengths around EVAL_BLOCK multiples."""
+    e, h, m, D = (draw(st.integers(1, hi)) for hi in (31, 40, 8, 12))
+    scale = draw(st.sampled_from([0.3, 1.0, 3.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    near_block = st.builds(lambda n, d: max(1, n * K + d), st.integers(0, 4), st.integers(-2, 2))
+    length = st.one_of(near_block, st.integers(1, 300))
+    lengths = draw(st.lists(length, min_size=1, max_size=20))
+    return random_model(seed, D=D, e=e, h=h, m=m, scale=scale), _videos(D, lengths, seed)
+
+
 class TestPredict:
     """``predict``: one shrinking-batch recurrence over many videos."""
 
@@ -463,6 +475,13 @@ class TestPredict:
         model = init_model(7, {"D": 10, "e": 16, "h": 32, "m": 16})
         tails = tuple(n * K + 1 for n in range(1, 17))
         videos = _videos(10, BATCH_LENGTHS + (1000, 333) + tails, seed=8)
+        expected = [forward(model, x).predictions.tobytes() for x in videos]
+        assert _bytes(predict(model, videos)) == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=predict_cases())
+    def test_byte_identical_to_forward(self, case):
+        model, videos = case
         expected = [forward(model, x).predictions.tobytes() for x in videos]
         assert _bytes(predict(model, videos)) == expected
 
