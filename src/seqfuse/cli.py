@@ -24,6 +24,8 @@ from .featureio import (
     PARTITIONS,
     Manifest,
     align_dataset,
+    check_outputs,
+    input_readers,
     load_fused_datasets,
     load_manifest,
     synth_generate,
@@ -185,21 +187,32 @@ def cmd_train(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _scored_partition(args: argparse.Namespace, score) -> tuple[Checkpoint, Manifest, list]:
-    """The checkpoint, and ``score``'s results on the partition, whose tracks must have its dims.
+def _scored_partition(
+    args: argparse.Namespace, ckpt: Checkpoint, manifest: Manifest, score, out_flag: str,
+    paths: list[Path]
+) -> list:
+    """``score``'s results on the partition, whose tracks must have the checkpoint's dims.
 
-    ``score`` is ``metrics.score_partition`` or ``metrics.predict_partition``.
+    ``paths`` are the files that the command will write where ``out_flag``
+    points. Before any video is scored, one that is the manifest, the
+    checkpoint or an input file of a scored video raises ConfigError
+    (``featureio.check_outputs``). ``score`` is ``metrics.score_partition``
+    or ``metrics.predict_partition``.
     """
-    ckpt = load_checkpoint(args.checkpoint)
-    manifest = load_manifest(args.manifest)
-    results = score(
+    video_ids = manifest.video_ids(args.partition)
+    inputs = [(args.manifest, f"{args.command} --manifest"),
+              (args.checkpoint, f"{args.command} --checkpoint")]
+    writes = [(path, f"{args.command} {out_flag}") for path in paths]
+    check_outputs(writes, input_readers(manifest, video_ids, inputs), set())
+    return score(
         ckpt.model, manifest, args.partition, ckpt.track_dims, f"checkpoint {args.checkpoint}"
     )
-    return ckpt, manifest, results
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    ckpt, _, videos = _scored_partition(args, score_partition)
+    ckpt, manifest = load_checkpoint(args.checkpoint), load_manifest(args.manifest)
+    outputs = [] if args.out is None else [Path(args.out)]
+    videos = _scored_partition(args, ckpt, manifest, score_partition, "--out", outputs)
     report = ccc_report(ckpt.config.target, videos)
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.out is not None:
@@ -212,15 +225,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    ckpt, manifest = load_checkpoint(args.checkpoint), load_manifest(args.manifest)
+    out_dir = Path(args.out_dir)
+    target = ckpt.config.target
+    paths = [out_dir / f"{vid}_{target}.csv" for vid in manifest.video_ids(args.partition)]
     # Every video is scored and formatted before the output directory is made.
-    ckpt, manifest, texts = _scored_partition(args, predict_partition)
+    texts = _scored_partition(args, ckpt, manifest, predict_partition, "--out-dir", paths)
     if not texts:
         raise EmptyDatasetError(f"partition {args.partition!r} has no videos to predict")
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    target = ckpt.config.target
-    for video_id, text in zip(manifest.video_ids(args.partition), texts):
-        write_atomic(out_dir / f"{video_id}_{target}.csv", text)
+    for path, text in zip(paths, texts):
+        write_atomic(path, text)
     print(f"wrote predictions for {len(texts)} videos to {out_dir}")
     return 0
 
@@ -258,6 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Frame-aligned multimodal fusion and LSTM affect regression.",
     )
     sub = parser.add_subparsers(dest="command")
+    partitions = [*PARTITIONS, "all"]
 
     p = sub.add_parser(
         "synth", help="generate a synthetic dataset on disk", formatter_class=fmt
@@ -311,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--partition",
         default="devel",
-        choices=["train", "devel", "test", "all"],
+        choices=partitions,
         help="partition to score",
     )
     p.add_argument("--out", default=None, help="write the JSON report here")
@@ -326,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--partition",
         default="all",
-        choices=["train", "devel", "test", "all"],
+        choices=partitions,
         help="partition to predict",
     )
     p.set_defaults(func=cmd_predict)

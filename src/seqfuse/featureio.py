@@ -558,6 +558,8 @@ def align_tokens_to_frames(
     overlap counts, with no duration weighting. Frames overlapped by no token
     are zero vectors. Each frame's sum starts at zero and adds its tokens in
     track order (ascending start_ms), so results are reproducible bit for bit.
+    Finite tokens have a finite mean: a cell whose sum overflows is averaged
+    again from its tokens scaled by a power of two (see :func:`_average_tokens`).
     A track already on the grid (see :func:`_on_grid`) holds one token per
     frame, whose mean ``(0.0 + v) / 1`` is ``v + 0.0``, so its rows are
     copied, with the same bits. A grid that ``load_manifest`` would reject
@@ -612,7 +614,7 @@ def _average_tokens(track: TokenTrack, frame_len_ms: int, n_frames: int) -> np.n
         token = np.searchsorted(stop, pair, side="right")
         frame = first[token] + pair - (stop[token] - n_covered[token])
         # np.add.at applies repeated indices one by one in index order. A sum
-        # past the float range is inf, and FrameTrack refuses its frame.
+        # past the float range is inf, and is recomputed below.
         cells = (frame[:, None] * dim + np.arange(dim)).reshape(-1)
         with np.errstate(over="ignore"):
             np.add.at(flat_sums, cells, vectors[used[token]].reshape(-1))
@@ -621,6 +623,17 @@ def _average_tokens(track: TokenTrack, frame_len_ms: int, n_frames: int) -> np.n
     counts = np.cumsum(bounds)[:n_frames]
     covered = counts > 0
     sums[covered] /= counts[covered, None]
+    overflowed = ~np.isfinite(sums)
+    if overflowed.any():
+        # The mean of finite tokens is finite, though their sum may not be.
+        # Scaled by 2**-shift, which keeps every normal value's bits, c
+        # tokens sum to less than half the float range, since c < 2**shift / 2.
+        shift = int(counts.max()).bit_length() + 1
+        scaled = TokenTrack._from_columns(
+            track.name, dim, track.start_ms, track.end_ms, np.ldexp(vectors, -shift)
+        )
+        means = _average_tokens(scaled, frame_len_ms, n_frames)
+        sums[overflowed] = np.ldexp(means[overflowed], shift)
     return sums
 
 
@@ -832,20 +845,6 @@ def _tree_files(video_id: str, targets: Iterable[str], tracks: Iterable[str]) ->
     return files
 
 
-def _claim_files(
-    claimed: set[str], out_dir: Path, video_id: str, targets: Iterable[str], tracks: Iterable[str]
-) -> None:
-    """Add one video's file names, sidecars included, to ``claimed``, in the order written.
-
-    Names are joined with "_", so two dataset entries can map to one file
-    name: the first name already in ``claimed`` raises ConfigError.
-    """
-    for relpath in _tree_files(video_id, targets, tracks):
-        if relpath in claimed:
-            raise ConfigError(f"{out_dir / relpath}: two dataset entries map to this file")
-        claimed.add(relpath)
-
-
 def _write_video(
     partition: str, seq: LabeledSequence, frame_len_ms: int, out_dir: Path
 ) -> VideoEntry:
@@ -901,7 +900,8 @@ def write_dataset(out_dir: str | Path, videos: Iterable[tuple[str, LabeledSequen
     claimed, entries, frame_len_ms = set(), {}, None
     for partition, seq in videos:
         frame_len_ms = frame_len_ms or seq.frame_len_ms
-        _claim_files(claimed, out_dir, seq.video_id, seq.labels, [tr.name for tr in seq.tracks])
+        relpaths = _tree_files(seq.video_id, seq.labels, [tr.name for tr in seq.tracks])
+        check_outputs([(out_dir / p, f"video {seq.video_id!r}") for p in relpaths], {}, claimed)
         entries[seq.video_id] = _write_video(partition, seq, frame_len_ms, out_dir)
     if not entries:
         raise EmptyDatasetError(f"{out_dir}: no videos to write")
@@ -941,13 +941,17 @@ POOL_MIN_INPUT_BYTES = 4 << 20
 _PARSED_PER_CACHED_BYTE = 8
 
 
-def _file_size(path: Path) -> int | None:
-    """Bytes of the regular file ``path``; None for anything else, without raising."""
+def _regular_file(path: str | Path) -> os.stat_result | None:
+    """``os.stat`` of the regular file at ``path``, links followed; None for anything else.
+
+    Never raises: a path that is missing, names no regular file or that the
+    OS cannot take gives None.
+    """
     try:
-        info = path.stat()
+        info = os.stat(path)
     except (OSError, ValueError):
         return None
-    return info.st_size if stat.S_ISREG(info.st_mode) else None
+    return info if stat.S_ISREG(info.st_mode) else None
 
 
 def input_bytes(manifest: Manifest, video_ids: Iterable[str], rewrites: bool = False) -> list[int]:
@@ -962,11 +966,13 @@ def input_bytes(manifest: Manifest, video_ids: Iterable[str], rewrites: bool = F
     sizes = []
     for vid in video_ids:
         entry = manifest.videos[vid]
-        total = sum(_file_size(manifest.resolve(p)) or 0 for p in entry.labels.values())
+        total = sum(
+            getattr(_regular_file(manifest.resolve(p)), "st_size", 0) for p in entry.labels.values()
+        )
         for relpath in entry.features.values():
             path = manifest.resolve(relpath)
-            size = _file_size(path) or 0
-            if not rewrites and size and _file_size(sidecar_path(path)) is not None:
+            size = getattr(_regular_file(path), "st_size", 0)
+            if not rewrites and size and _regular_file(sidecar_path(path)) is not None:
                 size //= _PARSED_PER_CACHED_BYTE
             total += size
         sizes.append(total)
@@ -997,55 +1003,73 @@ def _align_group(manifest: Manifest, video_ids: list[str], out_dir: Path) -> lis
     ]
 
 
-def _file_id(path: str) -> tuple[int, int] | None:
-    """``(st_dev, st_ino)`` of the file that ``path`` names, links followed; None if none."""
-    try:
-        info = os.stat(path)
-    except (OSError, ValueError):
-        return None
-    return info.st_dev, info.st_ino
+def _file_keys(path: str | Path) -> list:
+    """The keys by which :func:`check_outputs` compares ``path`` with other files.
 
-
-def _refuse_cross_reads(manifest: Manifest, out_dir: Path) -> None:
-    """Raise ConfigError if one video's output file under ``out_dir`` is another video's input.
-
-    A video reads every input before it writes, so it may be aligned onto
-    its own input files. Another video might read such a file before or
-    after it is rewritten, and on a pooled run that would depend on worker
-    timing. Paths are compared absolute and normalised, and a path that
-    exists also by its file's ``(st_dev, st_ino)``, so an output that a
-    symlink (of a file or of a directory above it) or a hard link makes
-    the same file as another video's input is refused too.
+    They are its absolute, normalised path, then the ``(st_dev, st_ino)`` of
+    the regular file there, if there is one.
     """
-    root, out = os.path.abspath(manifest.root), os.path.abspath(out_dir)
-    readers: dict[str | tuple[int, int], list[str]] = {}
-    for vid, entry in manifest.videos.items():
+    path = os.path.abspath(path)
+    info = _regular_file(path)
+    return [path] if info is None else [path, (info.st_dev, info.st_ino)]
+
+
+def input_readers(
+    manifest: Manifest, video_ids: Iterable[str], others: Iterable[tuple[str | Path, str]] = ()
+) -> dict:
+    """What reads each input file, as :func:`check_outputs` takes it.
+
+    Each key of :func:`_file_keys` maps to the names of its readers: first
+    the reader of each ``(path, reader)`` of ``others``, such as a command's
+    manifest, then ``video 'v'`` for each listed video, in order, that reads
+    the file as a label file, a Feature CSV or a Feature CSV's sidecar.
+    """
+    files = list(others)
+    for vid in video_ids:
+        entry = manifest.videos[vid]
         features = entry.features.values()
-        sidecars = [relpath + SIDECAR_SUFFIX for relpath in features]
-        for relpath in (*entry.labels.values(), *features, *sidecars):
-            path = os.path.normpath(os.path.join(root, relpath))
-            for key in (path, _file_id(path)):
-                readers.setdefault(key, []).append(vid)
-    readers.pop(None, None)
-    for vid, entry in manifest.videos.items():
-        for relpath in _tree_files(vid, entry.labels, entry.features):
-            path = os.path.normpath(os.path.join(out, relpath))
-            found = [*readers.get(path, ()), *readers.get(_file_id(path), ())]
-            other = next((r for r in found if r != vid), None)
-            if other is not None:
-                raise ConfigError(
-                    f"{out_dir / relpath}: video {vid!r} would write this file, "
-                    f"which video {other!r} reads"
-                )
+        relpaths = (*entry.labels.values(), *features, *(p + SIDECAR_SUFFIX for p in features))
+        files += [(manifest.resolve(relpath), f"video {vid!r}") for relpath in relpaths]
+    readers: dict = {}
+    for path, reader in files:
+        for key in _file_keys(path):
+            readers.setdefault(key, []).append(reader)
+    return readers
+
+
+def check_outputs(outputs: Iterable[tuple[Path, str]], readers: dict, claimed: set) -> None:
+    """Raise ConfigError at the first output file that is written twice or read.
+
+    ``outputs`` yields ``(path, writer)`` pairs in the order written, where
+    ``writer`` names what would write ``path``. For each in turn, the path
+    is claimed first: one that ``claimed`` already holds raises ConfigError,
+    since names are joined with "_" and two dataset entries can map to one
+    file name; ``claimed`` takes each path. Then a file that ``readers`` (see
+    :func:`input_readers`) lists under another reader than ``writer`` raises
+    ConfigError naming the first such reader. A writer may replace what it
+    reads itself: ``align`` writes a video's files only once that video has
+    read all of its inputs, so a tree can be aligned in place. Files are
+    compared by :func:`_file_keys`, so an output that a symlink (of a file
+    or of a directory above it) or a hard link makes the same file as an
+    input is refused too.
+    """
+    for path, writer in outputs:
+        keys = _file_keys(path)
+        if keys[0] in claimed:
+            raise ConfigError(f"{path}: two dataset entries map to this file")
+        claimed.add(keys[0])
+        other = next((r for key in keys for r in readers.get(key, ()) if r != writer), None)
+        if other is not None:
+            raise ConfigError(f"{path}: {writer} would write this file, which {other} reads")
 
 
 def align_dataset(manifest: Manifest, out_dir: str | Path) -> int:
     """Align every manifest video onto its frame grid and write the tree; returns the count.
 
-    Every file name is checked first: a name that two videos map to raises
-    ConfigError, as :func:`write_dataset` would, and so does an output file
-    of one video that is an input file of another (see
-    :func:`_refuse_cross_reads`), before any directory or file is made.
+    Every output file is checked first, in one :func:`check_outputs` walk in
+    manifest order: a name that two videos map to raises ConfigError, as
+    :func:`write_dataset` would, and so does an output file of one video
+    that is an input file of another, before any directory or file is made.
     Each video's features and labels are then loaded with
     :func:`load_labeled_sequence` in manifest track order and written as by
     :func:`write_dataset`, with the same bytes and errors, through
@@ -1056,10 +1080,12 @@ def align_dataset(manifest: Manifest, out_dir: str | Path) -> int:
     file is written, and the new one is written last, so a failure leaves none.
     """
     out_dir = Path(out_dir)
-    claimed = set()
-    for vid, entry in manifest.videos.items():
-        _claim_files(claimed, out_dir, vid, entry.labels, entry.features)
-    _refuse_cross_reads(manifest, out_dir)
+    outputs = [
+        (out_dir / relpath, f"video {vid!r}")
+        for vid, entry in manifest.videos.items()
+        for relpath in _tree_files(vid, entry.labels, entry.features)
+    ]
+    check_outputs(outputs, input_readers(manifest, manifest.videos), set())
     _make_tree_dirs(out_dir)
     (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
     aligned = map_video_groups(
@@ -1077,35 +1103,23 @@ def load_labeled_sequence(
 
     Its tracks are fused in ``track_order``, the caller's choice of the
     video's manifest tracks (ConfigError names one it lacks). The number of
-    frames comes from the label files (features beyond the labelled horizon
-    are dropped); all label targets must agree on length. A frame whose mean
-    is not finite raises MalformedRowError naming the feature file.
+    frames comes from the first label file (features beyond the labelled
+    horizon are dropped); LabeledSequence refuses a label file of another
+    length with LengthMismatchError, naming the video and the target.
     """
     entry = manifest.videos[video_id]
     labels, label_bytes = {}, {}
-    t = None
     for target, relpath in entry.labels.items():
         path = manifest.resolve(relpath)
         label_bytes[target] = read_input(path, "label file")
-        values = read_label_csv(path, manifest.frame_len_ms, label_bytes[target])
-        if t is None:
-            t = len(values)
-        elif len(values) != t:
-            raise LengthMismatchError(
-                f"{video_id}: label files disagree on length ({target!r} has "
-                f"{len(values)}, expected {t})"
-            )
-        labels[target] = values
+        labels[target] = read_label_csv(path, manifest.frame_len_ms, label_bytes[target])
+    t = len(next(iter(labels.values())))
     tracks = []
     for track_name in track_order:
         if track_name not in entry.features:
             raise ConfigError(f"{video_id}: manifest has no track {track_name!r}")
-        path = manifest.resolve(entry.features[track_name])
-        token_track = parse_feature_csv(path, name=track_name)
-        try:
-            tracks.append(align_tokens_to_frames(token_track, manifest.frame_len_ms, t))
-        except MalformedRowError as exc:  # a frame's mean is past the float range
-            raise MalformedRowError(f"{path}: {exc}") from None
+        token_track = parse_feature_csv(manifest.resolve(entry.features[track_name]), track_name)
+        tracks.append(align_tokens_to_frames(token_track, manifest.frame_len_ms, t))
     return LabeledSequence(video_id, tracks, labels, label_bytes, manifest.frame_len_ms)
 
 

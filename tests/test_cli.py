@@ -418,16 +418,14 @@ class TestAlign:
         assert lines[1] == "0,250,3.0"  # mean of 2.0 and 4.0
         assert lines[2] == "250,500,2.0"  # only the long token overlaps
 
-    def test_frame_mean_past_the_float_range_exit_2_naming_file_and_frame(
-        self, tmp_path, run_cli
-    ):
-        # Each value is finite, but frame 1's sum is not. The run once leaked
-        # numpy's overflow warning and then named only the track.
+    def test_frame_sum_past_the_float_range_aligned_to_its_mean(self, tmp_path, run_cli):
+        # Each value is finite, and so is frame 0's mean, but not its sum. The
+        # run once exited 2 with "track 'a': frame 0 is not finite".
         data = tmp_path / "data"
         (data / "f").mkdir(parents=True)
         (data / "l").mkdir()
         features = data / "f" / "v_a.csv"
-        features.write_text("start_ms,end_ms,f0\n0,250,1.0\n250,500,1e308\n250,500,1e308\n")
+        features.write_text("start_ms,end_ms,f0\n0,250,1e308\n0,250,1e308\n250,500,1.0\n")
         (data / "l" / "v_ar.csv").write_text("frame_ms,value\n0,0.5\n250,-0.5\n")
         manifest = {"videos": {"v": {"partition": "train", "features": {"a": "f/v_a.csv"},
                                      "labels": {"arousal": "l/v_ar.csv"}}}}
@@ -435,8 +433,9 @@ class TestAlign:
         out = tmp_path / "out"
         code, _, err = run_cli("align", "--manifest", data / "manifest.json",
                                "--out-dir", out)
-        assert (code, err) == (2, f"error: {features}: track 'a': frame 1 is not finite\n")
-        assert not (out / "manifest.json").exists()
+        assert (code, err) == (0, "")
+        assert (out / "features" / "v_a.csv").read_text() == (
+            "start_ms,end_ms,f0\n0,250,1e+308\n250,500,1.0\n")
 
     def test_empty_track_name_exit_2_writing_nothing(self, synth_dir, tmp_path, run_cli):
         manifest = synth_dir / "manifest.json"
@@ -938,6 +937,25 @@ class TestEvaluate:
                                "--manifest", synth_dir / "manifest.json")
         assert code == 2
 
+    @pytest.mark.parametrize("out,reader", [
+        ("manifest.json", "evaluate --manifest"),
+        ("z.sqf", "evaluate --checkpoint"),
+        ("labels/video002_valence.csv", "video 'video002'"),
+    ], ids=["manifest", "checkpoint", "label-file"])
+    def test_out_that_it_reads_exit_2_writing_nothing(self, synth_dir, tmp_path, run_cli,
+                                                      out, reader):
+        # --out once replaced the manifest with the report, and exited 0.
+        ckpt_path = synth_dir / "z.sqf"
+        make_zero_checkpoint(ckpt_path)
+        before = tree_bytes(tmp_path)
+        code, stdout, err = run_cli("evaluate", "--checkpoint", ckpt_path,
+                                    "--manifest", synth_dir / "manifest.json",
+                                    "--out", synth_dir / out)
+        assert (code, stdout, err) == (
+            2, "", f"error: {synth_dir / out}: evaluate --out would write this file, "
+            f"which {reader} reads\n")
+        assert tree_bytes(tmp_path) == before
+
     def test_non_finite_config_float_in_header_exit_2(self, synth_dir, tmp_path, run_cli):
         ckpt = tmp_path / "z.sqf"
         make_zero_checkpoint(ckpt)
@@ -1213,6 +1231,48 @@ class TestPredict:
         assert "'test'" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("out_dir", ["labels", "symlinked-labels", "features"])
+    def test_out_dir_holding_its_inputs_exit_2_writing_nothing(self, tmp_path, run_cli,
+                                                               out_dir):
+        # Predicting the test partition into the tree's labels/ once replaced
+        # its label files with predictions, and the next evaluate exited 2
+        # with "bad label header". A track named like the target puts a
+        # Feature CSV where features/ as --out-dir puts a prediction file.
+        data = tmp_path / "data"
+        code, _, err = run_cli("synth", "--out-dir", data, "--seed", 5, "--n-train", 2,
+                               "--n-devel", 1, "--n-test", 2, "--dims", "2,3",
+                               "--t-range", "8:14")
+        assert code == 0, err
+        track_dims = (("track0", 2), ("track1", 3))
+        reader, partition = "video003", "test"
+        if out_dir == "features":
+            raw = json.loads((data / "manifest.json").read_text())
+            for vid, entry in raw["videos"].items():
+                del entry["features"]["track0"]
+                entry["features"]["arousal"] = f"features/{vid}_arousal.csv"
+                for suffix in ("", ".cols"):
+                    (data / f"features/{vid}_track0.csv{suffix}").rename(
+                        data / f"features/{vid}_arousal.csv{suffix}")
+            (data / "manifest.json").write_text(json.dumps(raw))
+            track_dims = (("arousal", 2), ("track1", 3))
+            reader, partition = "video000", "all"
+        out = data / out_dir
+        if out_dir == "symlinked-labels":
+            out = tmp_path / "preds"
+            out.symlink_to(data / "labels", target_is_directory=True)
+        ckpt_path = tmp_path / "z.sqf"
+        make_zero_checkpoint(ckpt_path, track_dims=track_dims)
+        before = tree_bytes(tmp_path)
+        code, stdout, err = run_cli("predict", "--checkpoint", ckpt_path,
+                                    "--manifest", data / "manifest.json",
+                                    "--out-dir", out, "--partition", partition)
+        assert (code, stdout, err) == (
+            2, "", f"error: {out / f'{reader}_arousal.csv'}: predict --out-dir would write "
+            f"this file, which video {reader!r} reads\n")
+        assert tree_bytes(tmp_path) == before
+        assert run_cli("evaluate", "--checkpoint", ckpt_path, "--manifest",
+                       data / "manifest.json", "--partition", partition)[0] == 0
+
     def test_test_video_bytes_same_when_predicted_with_all(self, tmp_path, run_cli):
         raw = tmp_path / "raw"
         code, _, err = run_cli(
@@ -1355,6 +1415,27 @@ def assert_bad_input_file_exit_2_naming_path(synth_dir, tmp_path, run_cli, kind,
     assert (repr(str(victim)) if fault == "nul" else str(victim)) in err
     if fault == "non-utf8" and kind != "checkpoint":
         assert f"{victim}:2: not UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["align", "train", "evaluate"])
+def test_label_files_of_two_lengths_exit_2_naming_video_and_target(
+    synth_dir, tmp_path, run_cli, trained_checkpoint, command
+):
+    # The frame count comes from a video's first label file; LabeledSequence
+    # refuses one of another length.
+    valence = synth_dir / "labels" / "video000_valence.csv"
+    valence.write_text("".join(valence.read_text().splitlines(keepends=True)[:-1]))
+    manifest = synth_dir / "manifest.json"
+    argv = {
+        "align": ["--manifest", manifest, "--out-dir", tmp_path / "aligned"],
+        "train": ["--config", write_train_config(tmp_path / "cfg2.json", manifest,
+                                                 tmp_path / "run2")],
+        "evaluate": ["--checkpoint", tmp_path / "run" / "checkpoint.sqf",
+                     "--manifest", manifest, "--partition", "train"],
+    }[command]
+    code, _, err = run_cli(command, *argv)
+    assert code == 2
+    assert "video000" in err and "'valence'" in err and "Traceback" not in err
 
 
 class TestInputFileContract:

@@ -498,17 +498,16 @@ class TestAlignAdversarial:
         ref = align_bruteforce(track, frame_len_ms, n_frames)
         assert np.array_equal(ours.frames, ref.frames)
 
-    def test_mean_past_the_float_range_refused_naming_the_frame(self):
-        # Frame 1's sum overflows, and frame 2's sums to -inf; the other means
-        # keep their bits, and no overflow warning escapes.
+    def test_sum_past_the_float_range_averaged_from_scaled_tokens(self):
+        # Frame 1's sum overflows, and frame 2's sums to -inf, but each mean is
+        # finite; the other cells keep their bits, and no overflow warning
+        # escapes. The sums were once refused as "frame 1 is not finite".
         track = make_track([(0, 250, [1.0, 0.5]), (250, 500, [1e308, 2.0]),
                             (250, 500, [1e308, 3.0]), (500, 750, [-1e308, 1.0]),
                             (500, 750, [-1e308, 1.0]), (750, 1000, [0.25, -0.0])], 2, "a")
-        with pytest.raises(MalformedRowError, match=r"^track 'a': frame 1 is not finite$"):
-            align_tokens_to_frames(track, 250, 4)
-        means = featureio._average_tokens(track, 250, 4)
-        assert np.array_equal(means[:, 1], [0.5, 2.5, 1.0, -0.0])
-        assert list(means[:, 0]) == [1.0, np.inf, -np.inf, 0.25]
+        frames = align_tokens_to_frames(track, 250, 4).frames
+        assert list(frames[:, 0]) == [1.0, 1e308, -1e308, 0.25]
+        assert frames[:, 1].tobytes() == np.array([0.5, 2.5, 1.0, 0.0]).tobytes()
 
 
 _INT64_MAX = 2**63 - 1
@@ -1198,7 +1197,8 @@ class TestSidecar:
             root=tmp_path,
         )
         with pytest.raises(ConfigError, match="video 'v' would write this file, which video 'w'"):
-            featureio._refuse_cross_reads(manifest, tmp_path / "out")
+            featureio.align_dataset(manifest, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_tracks_with_sidecars_count_an_eighth_unless_rewritten(self, tmp_path):
         write_dataset(tmp_path, zip(["train"], synth_generate(1, 1, (40, 40), [3], 100.0)))

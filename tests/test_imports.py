@@ -171,3 +171,34 @@ def test_one_sidecar_format():
     assert callers == {"sidecar_bytes": {("featureio.py", "_write_video")},
                        "read_sidecar": {("featureio.py", "parse_feature_csv")}}
     assert ("sidecar.py", "read_sidecar", "read_input") in calls
+
+
+def test_one_stat_helper_and_one_output_check():
+    # One function stats files, for input_bytes' sizes and for the identity
+    # of the files that the output check compares. align, evaluate and
+    # predict each refuse an output that is one of their inputs through the
+    # one output check, and align walks its outputs once.
+    calls = [(name, function, called) for name, tree in modules()
+             for function, called in calls_by_function(tree)]
+    stats = {(name, function) for name, function, called in calls
+             if called.split(".")[-1] in {"stat", "lstat", "fstat", "getsize"}}
+    assert stats == {("featureio.py", "_regular_file")}
+    callees = {}
+    for _, function, called in calls:
+        callees.setdefault(function, set()).add(called.split(".")[-1])
+
+    def reached(function):
+        """Every name that ``function`` calls, directly or through the package's functions."""
+        found, todo = set(), [function]
+        while todo:
+            for called in callees.get(todo.pop(), set()) - found:
+                found.add(called)
+                todo.append(called)
+        return found
+
+    assert all("check_outputs" in reached(f) for f in ("align_dataset", "cmd_predict",
+                                                          "cmd_evaluate"))
+    assert all("_regular_file" in reached(f) for f in ("input_bytes", "check_outputs"))
+    checks = [called for _, function, called in calls
+              if function == "align_dataset" and called == "check_outputs"]
+    assert checks == ["check_outputs"]
