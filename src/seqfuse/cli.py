@@ -195,15 +195,14 @@ def _scored_partition(
 
     ``paths`` are the files that the command will write where ``out_flag``
     points. Before any video is scored, one that is the manifest, the
-    checkpoint or an input file of a scored video raises ConfigError
-    (``featureio.check_outputs``). ``score`` is ``metrics.score_partition``
-    or ``metrics.predict_partition``.
+    checkpoint or an input file of any manifest video, scored or not, raises
+    ConfigError (``featureio.check_outputs``). ``score`` is
+    ``metrics.score_partition`` or ``metrics.predict_partition``.
     """
-    video_ids = manifest.video_ids(args.partition)
     inputs = [(args.manifest, f"{args.command} --manifest"),
               (args.checkpoint, f"{args.command} --checkpoint")]
     writes = [(path, f"{args.command} {out_flag}") for path in paths]
-    check_outputs(writes, input_readers(manifest, video_ids, inputs), set())
+    check_outputs(writes, input_readers(manifest, inputs), set())
     return score(
         ckpt.model, manifest, args.partition, ckpt.track_dims, f"checkpoint {args.checkpoint}"
     )

@@ -1014,19 +1014,18 @@ def _file_keys(path: str | Path) -> list:
     return [path] if info is None else [path, (info.st_dev, info.st_ino)]
 
 
-def input_readers(
-    manifest: Manifest, video_ids: Iterable[str], others: Iterable[tuple[str | Path, str]] = ()
-) -> dict:
+def input_readers(manifest: Manifest, others: Iterable[tuple[str | Path, str]] = ()) -> dict:
     """What reads each input file, as :func:`check_outputs` takes it.
 
     Each key of :func:`_file_keys` maps to the names of its readers: first
     the reader of each ``(path, reader)`` of ``others``, such as a command's
-    manifest, then ``video 'v'`` for each listed video, in order, that reads
-    the file as a label file, a Feature CSV or a Feature CSV's sidecar.
+    manifest, then ``video 'v'`` for each manifest video, in manifest order,
+    that reads the file as a label file, a Feature CSV or a Feature CSV's
+    sidecar. Every video is listed, whichever ones a command reads, so a
+    command that scores one partition cannot replace an input of another.
     """
     files = list(others)
-    for vid in video_ids:
-        entry = manifest.videos[vid]
+    for vid, entry in manifest.videos.items():
         features = entry.features.values()
         relpaths = (*entry.labels.values(), *features, *(p + SIDECAR_SUFFIX for p in features))
         files += [(manifest.resolve(relpath), f"video {vid!r}") for relpath in relpaths]
@@ -1085,7 +1084,7 @@ def align_dataset(manifest: Manifest, out_dir: str | Path) -> int:
         for vid, entry in manifest.videos.items()
         for relpath in _tree_files(vid, entry.labels, entry.features)
     ]
-    check_outputs(outputs, input_readers(manifest, manifest.videos), set())
+    check_outputs(outputs, input_readers(manifest), set())
     _make_tree_dirs(out_dir)
     (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
     aligned = map_video_groups(

@@ -71,7 +71,11 @@ def param_layout(dims: dict[str, int]) -> tuple[ParamSpec, ...]:
     This is the one description of the parameter format: the flat vector and
     its named views, the init draw order and the checkpoint payload all
     follow it. LSTM gate blocks are stacked in (i, f, g, o) row order.
+    Each dim is an integer, numpy's included; a bool is refused.
     """
+    for key in "Dehm":
+        if isinstance(dims[key], (bool, np.bool_)):
+            raise DimMismatchError(f"dim {key} must be an integer, got {dims[key]!r}")
     D, e, h, m = (operator.index(dims[k]) for k in "Dehm")
     for key, value in zip("Dehm", (D, e, h, m)):
         if value < 1:

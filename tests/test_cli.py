@@ -956,6 +956,26 @@ class TestEvaluate:
             f"which {reader} reads\n")
         assert tree_bytes(tmp_path) == before
 
+    def test_out_over_an_unscored_videos_label_file_exit_2_keeping_it(self, tmp_path, run_cli):
+        # Scoring the train partition once wrote its report over a devel
+        # label file and exited 0, and the next evaluate of devel exited 2
+        # with "bad label header".
+        data = tmp_path / "d"
+        code, _, err = run_cli("synth", "--out-dir", data, "--seed", 5, "--n-train", 2,
+                               "--n-devel", 2, "--dims", "2,3", "--t-range", "8:14")
+        assert code == 0, err
+        cfg = write_train_config(tmp_path / "cfg.json", data / "manifest.json",
+                                 tmp_path / "run", epochs=1)
+        assert run_cli("train", "--config", cfg)[0] == 0
+        ckpt_path, label = tmp_path / "run" / "checkpoint.sqf", data / "labels/video002_arousal.csv"
+        before = tree_bytes(tmp_path)
+        code, stdout, err = run_cli("evaluate", "--checkpoint", ckpt_path,
+                                    "--manifest", data / "manifest.json",
+                                    "--partition", "train", "--out", label)
+        assert (code, stdout) == (2, "")
+        assert "evaluate --out" in err and "video 'video002'" in err
+        assert tree_bytes(tmp_path) == before
+
     def test_non_finite_config_float_in_header_exit_2(self, synth_dir, tmp_path, run_cli):
         ckpt = tmp_path / "z.sqf"
         make_zero_checkpoint(ckpt)
@@ -1272,6 +1292,32 @@ class TestPredict:
         assert tree_bytes(tmp_path) == before
         assert run_cli("evaluate", "--checkpoint", ckpt_path, "--manifest",
                        data / "manifest.json", "--partition", partition)[0] == 0
+
+    def test_out_dir_over_an_unscored_videos_feature_csv_exit_2_writing_nothing(
+            self, tmp_path, run_cli):
+        # A train video's Feature CSV named like devel's prediction file: predicting
+        # devel into its directory once replaced that input of an unscored video.
+        data = tmp_path / "data"
+        code, _, err = run_cli("synth", "--out-dir", data, "--seed", 5, "--n-train", 2,
+                               "--n-devel", 1, "--dims", "2,3", "--t-range", "8:14")
+        assert code == 0, err
+        raw = json.loads((data / "manifest.json").read_text())
+        out = data / "preds"
+        out.mkdir()
+        for suffix in ("", ".cols"):
+            (data / f"features/video000_track0.csv{suffix}").rename(
+                out / f"video002_arousal.csv{suffix}")
+        raw["videos"]["video000"]["features"]["track0"] = "preds/video002_arousal.csv"
+        (data / "manifest.json").write_text(json.dumps(raw))
+        ckpt_path = tmp_path / "z.sqf"
+        make_zero_checkpoint(ckpt_path)
+        before = tree_bytes(tmp_path), sorted(tmp_path.rglob("*"))
+        code, stdout, err = run_cli("predict", "--checkpoint", ckpt_path,
+                                    "--manifest", data / "manifest.json",
+                                    "--out-dir", out, "--partition", "devel")
+        assert (code, stdout) == (2, "")
+        assert "predict --out-dir" in err and "video 'video000'" in err
+        assert (tree_bytes(tmp_path), sorted(tmp_path.rglob("*"))) == before
 
     def test_test_video_bytes_same_when_predicted_with_all(self, tmp_path, run_cli):
         raw = tmp_path / "raw"

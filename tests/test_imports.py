@@ -202,3 +202,17 @@ def test_one_stat_helper_and_one_output_check():
     checks = [called for _, function, called in calls
               if function == "align_dataset" and called == "check_outputs"]
     assert checks == ["check_outputs"]
+
+
+def test_input_readers_map_the_whole_manifest():
+    # The output check guards every manifest video's inputs, so input_readers
+    # takes no list of videos that a caller could narrow to the ones it scores.
+    (node,) = [n for n in ast.walk(dict(modules())["featureio.py"])
+               if isinstance(n, ast.FunctionDef) and n.name == "input_readers"]
+    args = node.args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["manifest", "others"]
+    assert args.vararg is None and args.kwarg is None
+    callers = [(name, function) for name, tree in modules()
+               for function, called in calls_by_function(tree)
+               if called.split(".")[-1] == "input_readers"]
+    assert sorted(callers) == [("cli.py", "_scored_partition"), ("featureio.py", "align_dataset")]

@@ -96,6 +96,23 @@ class TestInitModel:
         with pytest.raises(DimMismatchError):
             init_model(0, {"D": 0, "e": 4, "h": 3, "m": 2})
 
+    @pytest.mark.parametrize("key", list("Dehm"))
+    @pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_bool_dim_refused_naming_it(self, key, value):
+        # True once passed operator.index and built a model with that dim 1.
+        dims = {"D": 2, "e": 2, "h": 2, "m": 2, key: value}
+        with pytest.raises(DimMismatchError, match=f"dim {key} "):
+            init_model(1, dims)
+        with pytest.raises(DimMismatchError, match=f"dim {key} "):
+            Model(dims)
+
+    def test_numpy_integer_dims_accepted(self):
+        dims = {"D": np.int64(5), "e": np.int32(4), "h": np.uint8(3), "m": np.int16(2)}
+        model = init_model(1, dims)
+        assert model.dims == {"D": 5, "e": 4, "h": 3, "m": 2}
+        assert all(type(v) is int for v in model.dims.values())
+        assert_models_equal(model, init_model(1, {"D": 5, "e": 4, "h": 3, "m": 2}))
+
 
 class TestLinearRelu:
     """The projection and head stages of ``forward``: relu(W @ x + b)."""
