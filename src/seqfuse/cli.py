@@ -40,12 +40,13 @@ from .training import (
     train,
     write_history_csv,
 )
-from .util import fmt_float, read_json_object, write_atomic
+from .util import fmt_float, read_input, read_json_object, write_atomic
 
 SEED_ENV_VAR = "SEQFUSE_SEED"
 
 CHECKPOINT_NAME = "checkpoint.sqf"
 HISTORY_NAME = "history.csv"
+INDEX_NAME = "index.json"  # a prediction directory's completion marker
 
 # synth builds every video in memory before it writes the first, at a few kB
 # each however short, so a count far past this would exhaust memory before
@@ -223,18 +224,37 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sha256(path: str, what: str) -> str:
+    # Imported here because hashlib loads OpenSSL, which adds about 3.5 MB to
+    # every process that imports it, and only predict hashes.
+    import hashlib
+
+    return hashlib.sha256(read_input(path, what)).hexdigest()
+
+
 def cmd_predict(args: argparse.Namespace) -> int:
     ckpt, manifest = load_checkpoint(args.checkpoint), load_manifest(args.manifest)
     out_dir = Path(args.out_dir)
     target = ckpt.config.target
-    paths = [out_dir / f"{vid}_{target}.csv" for vid in manifest.video_ids(args.partition)]
+    names = [f"{vid}_{target}.csv" for vid in manifest.video_ids(args.partition)]
+    paths = [out_dir / name for name in names]
+    # Hashed right after loading, so the index names the bytes that are scored.
+    index = {"checkpoint_sha256": _sha256(args.checkpoint, "checkpoint"),
+             "manifest_sha256": _sha256(args.manifest, "manifest"),
+             "partition": args.partition, "target": target, "files": names}
     # Every video is scored and formatted before the output directory is made.
-    texts = _scored_partition(args, ckpt, manifest, predict_partition, "--out-dir", paths)
+    texts = _scored_partition(
+        args, ckpt, manifest, predict_partition, "--out-dir", [*paths, out_dir / INDEX_NAME]
+    )
     if not texts:
         raise EmptyDatasetError(f"partition {args.partition!r} has no videos to predict")
     out_dir.mkdir(parents=True, exist_ok=True)
+    # The old index goes first and the new one last, so a failed run leaves
+    # none beside a mix of two runs' prediction files.
+    (out_dir / INDEX_NAME).unlink(missing_ok=True)
     for path, text in zip(paths, texts):
         write_atomic(path, text)
+    write_atomic(out_dir / INDEX_NAME, json.dumps(index, indent=2, sort_keys=True) + "\n")
     print(f"wrote predictions for {len(texts)} videos to {out_dir}")
     return 0
 

@@ -96,6 +96,7 @@ track's ``frames`` is a view of its column block, held once.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import stat
 from collections.abc import Iterable, Sequence
@@ -122,6 +123,8 @@ from .util import (
     usable_cpus,
     write_atomic,
 )
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_FRAME_LEN_MS = 250
 
@@ -261,7 +264,10 @@ class LabeledSequence:
     block of ``data``, so the frames are held once. Every track must have t
     frames on the one grid ``frame_len_ms``, and every label array t values
     in [-1, 1]. ``label_bytes`` holds each label file's bytes as they were
-    read and validated, when the sequence was loaded from files.
+    read and validated, when the sequence was loaded from files. A label
+    that is not finite or not in [-1, 1] raises MalformedRowError naming the
+    video, the target and the first such frame (``v: labels 'arousal' frame
+    1: non-finite value nan``), with the message of :func:`read_label_csv`.
     """
 
     video_id: str
@@ -290,10 +296,8 @@ class LabeledSequence:
                     f"{self.video_id}: labels {name!r} have length "
                     f"{values.shape[0]}, tracks have {t} frames"
                 )
-            if not np.all(np.isfinite(values)):
-                raise MalformedRowError(f"{self.video_id}: non-finite label")
-            if np.any(values < -1.0) or np.any(values > 1.0):
-                raise MalformedRowError(f"{self.video_id}: label outside [-1, 1]")
+            _check_rows(lambda row: f"{self.video_id}: labels {name!r} frame {row}",
+                        _label_checks(values))
         self.data = fuse(self.tracks)
         # Point each track's ``frames`` at its column block of ``data``.
         offset = 0
@@ -379,6 +383,26 @@ def _check_rows(where, checks) -> None:
     if flagged:
         row, k = min(flagged)
         raise MalformedRowError(f"{where(row)}: {checks[k][1](row)}")
+
+
+def _label_checks(values: np.ndarray, *grid) -> list:
+    """The :func:`_check_rows` pairs of the label-value rule, in reporting order.
+
+    Each value must be finite, then pass the caller's ``grid`` check if it
+    gives one, then lie in [-1, 1].
+    """
+    return [(~np.isfinite(values), lambda row: f"non-finite value {values[row]}"), *grid,
+            (np.abs(values) > 1.0, lambda row: f"label {values[row]} outside [-1, 1]")]
+
+
+def frame_csv(header: str, values: np.ndarray, frame_len_ms: int) -> str:
+    """A frame-value file's text: ``header``, then row ``j`` as ``j*frame_len_ms,repr(values[j])``.
+
+    Label files and prediction files share this layout; floats use shortest
+    round-trip ``repr``, and lines end in LF.
+    """
+    rows = [f"{j * frame_len_ms},{value!r}" for j, value in enumerate(values.tolist())]
+    return "\n".join([header, *rows]) + "\n"
 
 
 def parse_feature_csv(path: str | Path, name: str | None = None) -> TokenTrack:
@@ -496,14 +520,8 @@ def read_label_csv(
     rows, last = np.arange(len(values)), _INT64_MAX // frame_len_ms
     grid = np.minimum(rows, last) * frame_len_ms
     off_grid = (rows > last) | (frame_ms != grid)
-    _check_rows(
-        lambda row: f"{path}:{_lineno(lines, row)}",
-        [
-            (~np.isfinite(values), lambda row: f"non-finite value {values[row]}"),
-            (off_grid, lambda row: f"frame_ms {frame_ms[row]} != {row * frame_len_ms}"),
-            (np.abs(values) > 1.0, lambda row: f"label {values[row]} outside [-1, 1]"),
-        ],
-    )
+    grid_check = (off_grid, lambda row: f"frame_ms {frame_ms[row]} != {row * frame_len_ms}")
+    _check_rows(lambda row: f"{path}:{_lineno(lines, row)}", _label_checks(values, grid_check))
     return values.copy()
 
 
@@ -524,18 +542,10 @@ def write_label_csv(
         raise MalformedRowError(f"{path}: labels must be 1-D, got shape {values.shape}")
     if not len(values):
         raise EmptyTrackError(f"{path}: no data rows")
-    _check_rows(
-        lambda row: f"{path}: frame {row}",
-        [
-            (~np.isfinite(values), lambda row: f"non-finite value {values[row]}"),
-            (np.arange(len(values)) > _INT64_MAX // frame_len_ms,
-             lambda row: f"frame_ms {row * frame_len_ms} is past the int64 range"),
-            (np.abs(values) > 1.0, lambda row: f"label {values[row]} outside [-1, 1]"),
-        ],
-    )
-    rows = ["frame_ms,value"]
-    rows += [f"{j * frame_len_ms},{value!r}" for j, value in enumerate(values.tolist())]
-    write_atomic(path, "\n".join(rows) + "\n")
+    past_int64 = (np.arange(len(values)) > _INT64_MAX // frame_len_ms,
+                  lambda row: f"frame_ms {row * frame_len_ms} is past the int64 range")
+    _check_rows(lambda row: f"{path}: frame {row}", _label_checks(values, past_int64))
+    write_atomic(path, frame_csv("frame_ms,value", values, frame_len_ms))
 
 
 # ---------------------------------------------------------------------------
@@ -821,9 +831,11 @@ def save_manifest(manifest: Manifest, path: str | Path) -> None:
     write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _make_tree_dirs(out_dir: Path) -> None:
+def _start_tree(out_dir: Path) -> None:
+    """Make a tree's directories and remove its old ``manifest.json``, before any file is made."""
     (out_dir / "features").mkdir(parents=True, exist_ok=True)
     (out_dir / "labels").mkdir(parents=True, exist_ok=True)
+    (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
 
 
 def _video_files(
@@ -895,8 +907,7 @@ def write_dataset(out_dir: str | Path, videos: Iterable[tuple[str, LabeledSequen
     EmptyDatasetError, since a manifest must list one.
     """
     out_dir = Path(out_dir)
-    _make_tree_dirs(out_dir)
-    (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
+    _start_tree(out_dir)
     claimed, entries, frame_len_ms = set(), {}, None
     for partition, seq in videos:
         frame_len_ms = frame_len_ms or seq.frame_len_ms
@@ -1085,8 +1096,7 @@ def align_dataset(manifest: Manifest, out_dir: str | Path) -> int:
         for relpath in _tree_files(vid, entry.labels, entry.features)
     ]
     check_outputs(outputs, input_readers(manifest), set())
-    _make_tree_dirs(out_dir)
-    (out_dir / MANIFEST_NAME).unlink(missing_ok=True)
+    _start_tree(out_dir)
     aligned = map_video_groups(
         manifest, list(manifest.videos), _align_group, out_dir, rewrites=True
     )
@@ -1170,12 +1180,13 @@ def map_video_groups(
     error. On a large input (see :func:`pool_workers`) the videos are first
     split by input size into one group per forked worker process, so
     ``group_fn``, its arguments and its results are pickled. If that pooled
-    run raises anything, the serial run is made instead: it raises the first
-    error in the given order, with this process's traceback, or returns its
-    results if the failure does not repeat. So ``group_fn`` must be safe to
-    run twice. A caller that runs threads of its own should not call this
-    on a large input, since the workers are forked. ``rewrites`` says that
-    ``group_fn`` formats every track again (see :func:`input_bytes`).
+    run raises anything, one WARNING names the exception and the serial run
+    is made instead: it raises the first error in the given order, with this
+    process's traceback, or returns its results if the failure does not
+    repeat. So ``group_fn`` must be safe to run twice. A caller that runs
+    threads of its own should not call this on a large input, since the
+    workers are forked. ``rewrites`` says that ``group_fn`` formats every
+    track again (see :func:`input_bytes`).
     """
     sizes = input_bytes(manifest, video_ids, rewrites)
     workers = pool_workers(sizes)
@@ -1195,8 +1206,9 @@ def map_video_groups(
                 results = pool.map(group_fn, repeat(manifest), groups, *map(repeat, args))
                 done = {vid: r for group, rs in zip(groups, results) for vid, r in zip(group, rs)}
             return [done[vid] for vid in video_ids]
-        except Exception:  # noqa: BLE001 - the serial run below raises it in order
-            pass
+        except Exception as exc:  # noqa: BLE001 - the serial run below raises it in order
+            logger.warning("pooled run failed, so its %d videos run again in this process: "
+                           "%s: %s", len(video_ids), type(exc).__name__, exc)
     return group_fn(manifest, video_ids, *args)
 
 

@@ -35,6 +35,7 @@ from .featureio import (
     LabeledSequence,
     Manifest,
     check_same_tracks,
+    frame_csv,
     load_labeled_sequence,
     map_video_groups,
 )
@@ -187,10 +188,7 @@ def prediction_csv(predictions: np.ndarray, frame_len_ms: int) -> str:
     Row ``j`` is ``j*frame_len_ms`` and the prediction clamped to [-1, 1],
     in shortest round-trip ``repr``.
     """
-    clamped = np.clip(predictions, -1.0, 1.0)
-    rows = ["frame_ms,prediction"]
-    rows += [f"{j * frame_len_ms},{v!r}" for j, v in enumerate(clamped.tolist())]
-    return "\n".join(rows) + "\n"
+    return frame_csv("frame_ms,prediction", np.clip(predictions, -1.0, 1.0), frame_len_ms)
 
 
 def _predict_group(

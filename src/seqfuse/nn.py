@@ -22,9 +22,10 @@ f and o blocks into sigmoids through sigmoid(x) = tanh(x/2)/2 + 1/2, and
 the c/h update, all in place: into the step's rows of the trace in
 ``forward``, into block buffers in ``predict``. A ``backward`` step is the
 reverse pass for dh, dc and one gate-gradient row, also in preallocated
-buffers. The projection, the input-to-gate product ``Wx @ embed_j + b``,
-the head, both dropout sites and every weight gradient are single matrix
-expressions over all t steps.
+buffers. The projection, the head, both dropout sites and every weight
+gradient are single matrix expressions over all t steps. The input-to-gate
+product ``Wx @ embed_j + b`` is computed in windows of EVAL_BLOCK steps, the
+same windows in ``forward`` and ``predict`` (see :func:`_input_gates`).
 
 ``forward`` and ``backward`` are the training path. ``predict`` is the eval
 path: it scores up to EVAL_ROWS sequences in one recurrence and keeps no
@@ -37,7 +38,7 @@ every row) is one contiguous (rows, h) array, as the c/h update reads it.
 Each row still gets its own ``Wh @ h`` gemv and its own products over its
 own steps, so its predictions do not depend on the other sequences in the
 batch. With numpy's OpenBLAS they are byte-identical to
-``forward(...).predictions`` unless e >= 32 and h <= 4 (see EVAL_BLOCK).
+``forward(...).predictions`` at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -270,8 +271,9 @@ def forward(
     # row j with its activated gates. The per-gate (t, h) views are made
     # once; ``Wh_half.dot`` is ``np.dot`` without its Python-level dispatch.
     scale, shift, Wh_half = _tanh_form(model)
-    gates = embed @ p["lstm_input_w"].T + p["lstm_b"]
-    gates *= scale
+    gates = np.empty((t, 4 * h))
+    for j0 in range(0, t, EVAL_BLOCK):
+        gates[j0 : j0 + EVAL_BLOCK] = _input_gates(model, embed, j0, scale)
     cell = np.empty((t, h))
     hidden = np.empty((t, h))
     recurrent = np.empty(4 * h)
@@ -301,21 +303,32 @@ def forward(
     )
 
 
-# Rows per input-to-gate product in ``predict``: each video's product is
-# computed in blocks of this many of its own steps. BLAS sends a product of
-# a few rows to other kernels whose last bits can differ (OpenBLAS also
-# sends products of at most 1200 cells when e >= 32), so a video's last
-# block is the window of this many rows that ends at its last step, and a
-# shorter video is one product over all its steps, as in ``forward``. With
-# 64 rows the blocks match ``forward``'s product bit for bit unless e >= 32
-# and h <= 4. The recurrence's step buffers hold one block: the gates
-# gate-major, as (EVAL_BLOCK, 4, rows, h), and the hidden states as
-# (EVAL_BLOCK, rows, h).
+# Rows per input-to-gate product (see :func:`_input_gates`). ``predict``'s
+# step buffers hold one block: the gates gate-major, as
+# (EVAL_BLOCK, 4, rows, h), and the hidden states as (EVAL_BLOCK, rows, h).
 EVAL_BLOCK = 64
 # Most videos in one recurrence. A batch holds every member's projection
 # and hidden states at once, so this bounds memory on partitions of many
 # videos; past about 16 rows a step's fixed cost is already spread thin.
 EVAL_ROWS = 16
+
+
+def _input_gates(model: Model, embed: np.ndarray, j0: int, scale: np.ndarray) -> np.ndarray:
+    """Halved input-to-gate rows of steps j0 to min(j0 + EVAL_BLOCK, t).
+
+    They are one product over the window of EVAL_BLOCK rows that ends at
+    the last of those steps, or over all t rows when t < EVAL_BLOCK. BLAS
+    gives a product's rows last bits that depend on its shape: a product of
+    a few rows goes to other kernels, and a large one is split between
+    threads. So ``forward`` and ``predict`` both take every row from this
+    function, and a row's bits depend only on the sequence and the step.
+    """
+    hi = min(j0 + EVAL_BLOCK, len(embed))
+    lo = max(0, hi - EVAL_BLOCK)
+    p = model.tensors
+    rows = embed[lo:hi] @ p["lstm_input_w"].T + p["lstm_b"]
+    rows *= scale
+    return rows[j0 - lo :]
 
 
 def predict(model: Model, sequences) -> list[np.ndarray]:
@@ -328,9 +341,9 @@ def predict(model: Model, sequences) -> list[np.ndarray]:
     ``forward``'s gate and c/h operations to the active rows at once, on
     gate-major buffers; with one row left it is ``forward``'s own 1-D step.
     Each sequence's projection and head are products over its own steps,
-    and its input-to-gate product is computed in blocks of EVAL_BLOCK of its
-    own steps, so no result depends on which other sequences are scored
-    with it.
+    and its input-to-gate product is computed in ``forward``'s windows of
+    its own steps, so no result depends on which other sequences are
+    scored with it.
     """
     inputs = [_checked_inputs(model, x) for x in sequences]
     preds = [np.zeros(0) for _ in inputs]
@@ -382,11 +395,8 @@ def _predict_batch(model: Model, inputs: list[np.ndarray]) -> list[np.ndarray]:
             a -= 1
         gate_blk = gate_buf[: K * 4 * a * h].reshape(K, 4, a, h)
         for v in range(a):
-            hi = min(j0 + K, lengths[v])
-            lo = max(0, hi - K)
-            blk = embeds[v][lo:hi] @ p["lstm_input_w"].T + p["lstm_b"]
-            blk *= scale
-            gate_blk[: hi - j0, :, v] = blk[j0 - lo :].reshape(-1, 4, h)
+            rows = _input_gates(model, embeds[v], j0, scale)
+            gate_blk[: len(rows), :, v] = rows.reshape(-1, 4, h)
         a_blk, k0, n = a, 0, min(K, lengths[0] - j0)
         while k0 < n:  # one pass per run of steps with the same active rows
             while lengths[a - 1] <= j0 + k0:

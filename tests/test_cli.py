@@ -3,6 +3,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -1209,8 +1210,8 @@ class TestPredict:
                                "--manifest", synth_dir / "manifest.json",
                                "--out-dir", out)
         assert code == 0, err
-        files = sorted(out.iterdir())
-        assert len(files) == 3
+        files = sorted(out.glob("*.csv"))
+        assert len(files) == 3 and sorted(out.iterdir()) == [out / "index.json", *files]
         lines = files[0].read_text().splitlines()
         assert lines[0] == "frame_ms,prediction"
         assert all(line.endswith(",0.0") for line in lines[1:])
@@ -1225,7 +1226,7 @@ class TestPredict:
                                "--manifest", synth_dir / "manifest.json",
                                "--out-dir", out)
         assert code == 0, err
-        for path in out.iterdir():
+        for path in out.glob("*.csv"):
             for line in path.read_text().splitlines()[1:]:
                 assert line.endswith(",1.0")
 
@@ -1237,7 +1238,62 @@ class TestPredict:
                            "--manifest", synth_dir / "manifest.json",
                            "--out-dir", out, "--partition", "devel")
         assert code == 0
-        assert len(list(out.iterdir())) == 1
+        assert len(list(out.iterdir())) == 2  # one prediction file and the index
+
+    def test_index_lists_only_the_last_runs_files(self, synth_dir, tmp_path, run_cli):
+        # Old prediction files of other videos stay beside the new ones, so
+        # the index, written last, says which files the last run wrote.
+        ckpt_path = tmp_path / "z.sqf"
+        make_zero_checkpoint(ckpt_path)
+        manifest, out = synth_dir / "manifest.json", tmp_path / "preds"
+        for partition in ("all", "devel"):
+            code, _, err = run_cli("predict", "--checkpoint", ckpt_path, "--manifest", manifest,
+                                   "--out-dir", out, "--partition", partition)
+            assert code == 0, err
+        assert len(list(out.glob("*.csv"))) == 3
+        index = (out / "index.json").read_text()
+        assert json.loads(index) == {
+            "checkpoint_sha256": hashlib.sha256(ckpt_path.read_bytes()).hexdigest(),
+            "manifest_sha256": hashlib.sha256(manifest.read_bytes()).hexdigest(),
+            "partition": "devel",
+            "target": "arousal",
+            "files": ["video002_arousal.csv"],
+        }
+        assert index == json.dumps(json.loads(index), indent=2, sort_keys=True) + "\n"
+
+    def test_failed_run_leaves_no_index(self, synth_dir, tmp_path, run_cli, monkeypatch):
+        ckpt_path = tmp_path / "z.sqf"
+        make_zero_checkpoint(ckpt_path)
+        argv = ["predict", "--checkpoint", ckpt_path, "--manifest", synth_dir / "manifest.json",
+                "--out-dir", tmp_path / "preds"]
+        assert run_cli(*argv)[0] == 0
+        assert (tmp_path / "preds" / "index.json").is_file()
+        real_write_atomic, written = cli_module.write_atomic, []
+
+        def second_write_fails(path, data):
+            written.append(Path(path).name)
+            if len(written) == 2:
+                raise OSError(28, "No space left on device")
+            real_write_atomic(path, data)
+
+        monkeypatch.setattr(cli_module, "write_atomic", second_write_fails)
+        code, stdout, err = run_cli(*argv)
+        assert (code, stdout, err) == (3, "", "I/O error: [Errno 28] No space left on device\n")
+        assert written == ["video000_arousal.csv", "video001_arousal.csv"]
+        assert not (tmp_path / "preds" / "index.json").exists()
+
+    def test_index_over_the_manifest_exit_2_writing_nothing(self, synth_dir, tmp_path, run_cli):
+        manifest = synth_dir / "index.json"
+        (synth_dir / "manifest.json").rename(manifest)
+        ckpt_path = tmp_path / "z.sqf"
+        make_zero_checkpoint(ckpt_path)
+        before = tree_bytes(tmp_path)
+        code, stdout, err = run_cli("predict", "--checkpoint", ckpt_path, "--manifest", manifest,
+                                    "--out-dir", synth_dir)
+        assert (code, stdout, err) == (
+            2, "", f"error: {manifest}: predict --out-dir would write this file, which "
+            "predict --manifest reads\n")
+        assert tree_bytes(tmp_path) == before
 
 
     def test_empty_partition_exit_2_naming_it(self, synth_dir, tmp_path, run_cli):
@@ -1340,6 +1396,7 @@ class TestPredict:
                                    "--out-dir", tmp_path / partition, "--partition", partition)
             assert code == 0, err
             outs[partition] = tree_bytes(tmp_path / partition)
+            del outs[partition]["index.json"]  # it names the partition
         assert (len(outs["test"]), len(outs["all"])) == (3, 6)
         for name, data in outs["test"].items():
             assert outs["all"][name] == data, name
@@ -1844,9 +1901,9 @@ class TestPooledScoring:
         (serial, serial_preds), (pooled_run, pooled_preds) = runs
         assert serial[0] == serial[3] == 0 and "wrote predictions for 3" in serial[4], serial
         assert pooled_run == serial
-        assert pooled_preds == serial_preds and len(serial_preds) == 3
-        values = {line.split(b",")[1] for data in serial_preds.values()
-                  for line in data.splitlines()[1:]}
+        assert pooled_preds == serial_preds and len(serial_preds) == 3 + 1  # and the index
+        values = {line.split(b",")[1] for name, data in serial_preds.items()
+                  if name.endswith(".csv") for line in data.splitlines()[1:]}
         assert len(values) > 2  # not clamped to a constant
 
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
@@ -2226,6 +2283,9 @@ def test_failure_only_in_a_worker_gives_the_serial_result(
         return real_read_label_csv(*args, **kwargs)
 
     monkeypatch.setattr(featureio, "read_label_csv", fails_in_a_worker)
+    # As in the command line, where the root logger has no handler, the
+    # warning reaches stderr through logging's last resort.
+    monkeypatch.setattr(featureio.logger, "propagate", False)
     manifest = synth_dir / "manifest.json"
     ckpt = write_scoring_checkpoint(tmp_path / "r.sqf")
     runs = []
@@ -2241,8 +2301,16 @@ def test_failure_only_in_a_worker_gives_the_serial_result(
         runs.append((code, stdout.replace(str(out), "OUT"), err, tree_bytes(out)))
         assert multiprocessing.active_children() == []
     assert pool_spy == [2]  # only the run at threshold 0
-    assert runs[0][0] == 0 and runs[0][3], runs[0]
-    assert runs[1] == runs[0]
+    (code, stdout, err, tree), (pooled_code, pooled_stdout, pooled_err, pooled_tree) = runs
+    assert code == 0 and tree, runs[0]
+    assert (pooled_code, pooled_stdout, pooled_tree) == (code, stdout, tree)
+    # The pooled run's failure is logged once, then the serial run says what it says.
+    warning, rest = pooled_err.split("\n", 1)
+    assert rest == err
+    message = {"raise": re.escape("RuntimeError: only in a worker"),
+               "exit": "BrokenProcessPool: .+"}[fault]
+    assert re.fullmatch(f"pooled run failed, so its 3 videos run again in this process: "
+                        f"{message}", warning), warning
 
 
 def test_blas_thread_count_leaves_checkpoint_and_prediction_bytes_unchanged(tmp_path, run_cli):
@@ -2269,7 +2337,8 @@ def test_blas_thread_count_leaves_checkpoint_and_prediction_bytes_unchanged(tmp_
                                   env=env, capture_output=True, text=True, timeout=120)
             assert done.returncode == 0, done.stderr
         trees.append(tree_bytes(run_dir))
-    assert len(trees[0]) == 2 + 5  # checkpoint, history and one prediction file per video
+    # Checkpoint, history, one prediction file per video and the prediction index.
+    assert len(trees[0]) == 2 + 5 + 1
     assert trees[0] == trees[1]
 
 
@@ -2305,7 +2374,8 @@ def test_sidecars_leave_train_evaluate_and_predict_bytes_unchanged(
         runs[-1] += (len(parsed) - len(features), len(features))
         parsed.clear()
     assert runs[0][:2] == runs[1][:2]
-    assert len(runs[0][1]) == 2 + 3  # checkpoint, history and one prediction file per video
+    # Checkpoint, history, one prediction file per video and the prediction index.
+    assert len(runs[0][1]) == 2 + 3 + 1
     if mode == "serial":
         # Three loads of 3 videos, each with two label files and two tracks;
         # only the bare tree's tracks are parsed.

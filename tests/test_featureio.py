@@ -654,6 +654,20 @@ class TestFuse:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             LabeledSequence("v", tracks, {"arousal": np.zeros(4)}, frame_len_ms=frame_len_ms)
 
+    @pytest.mark.parametrize("value,problem", [
+        (np.nan, "non-finite value nan"),
+        (2.0, "label 2.0 outside [-1, 1]"),
+    ], ids=["nan", "out-of-range"])
+    def test_bad_label_names_the_target_and_the_frame(self, value, problem):
+        # The second target, so the message must name which one; a NaN at
+        # frame 1 is reported before a value past 1 at frame 3.
+        valence = np.zeros(4)
+        valence[[1, 3]] = value, 1.5
+        labels = {"arousal": np.zeros(4), "valence": valence}
+        message = f"v: labels 'valence' frame 1: {problem}"
+        with pytest.raises(MalformedRowError, match=f"^{re.escape(message)}$"):
+            LabeledSequence("v", [frame_track("a", np.zeros((4, 2)))], labels)
+
     def test_column_slice_recovers_tracks(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(6, 2))

@@ -2,7 +2,8 @@
 
 The worker-pool modules are imported only inside the functions that start a
 pool: at module level they add about 2 MB to every process that imports the
-package, and only large inputs use them.
+package, and only large inputs use them. hashlib, which loads OpenSSL (about
+3.5 MB), is imported only where ``predict`` hashes its inputs.
 """
 
 import ast
@@ -10,7 +11,7 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "seqfuse"
-LAZY = {"multiprocessing", "concurrent"}
+LAZY = {"multiprocessing", "concurrent", "hashlib"}
 
 
 def imported_names(node):
@@ -56,6 +57,7 @@ def test_pool_modules_are_imported_only_inside_functions():
     # The grouped loader does import them, so the check above has something to find.
     pool_helper = dict(modules())["featureio.py"]
     assert any(n in LAZY for node in ast.walk(pool_helper) for n in imported_names(node))
+    assert any("hashlib" in imported_names(node) for node in ast.walk(dict(modules())["cli.py"]))
 
 
 def calls_by_function(tree):
@@ -216,3 +218,31 @@ def test_input_readers_map_the_whole_manifest():
                for function, called in calls_by_function(tree)
                if called.split(".")[-1] == "input_readers"]
     assert sorted(callers) == [("cli.py", "_scored_partition"), ("featureio.py", "align_dataset")]
+
+
+def test_one_frame_value_writer_one_label_check_one_tree_start():
+    # Label files and prediction files share one row writer; the label-value
+    # rule is stated once for label files read or written and for sequences
+    # in memory; and one function starts a dataset tree, removing its old
+    # manifest before any file is written.
+    calls = [(name, function, called) for name, tree in modules()
+             for function, called in calls_by_function(tree)]
+
+    def callers(callee):
+        return {(name, function) for name, function, called in calls
+                if called.split(".")[-1] == callee}
+
+    assert callers("frame_csv") == {("featureio.py", "write_label_csv"),
+                                    ("metrics.py", "prediction_csv")}
+    assert callers("_label_checks") == {("featureio.py", "read_label_csv"),
+                                        ("featureio.py", "write_label_csv"),
+                                        ("featureio.py", "__post_init__")}
+    unlinks = {(name, node.name) for name, tree in modules() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               for call in ast.walk(node)
+               if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "unlink"
+               and any(isinstance(n, ast.Name) and n.id == "MANIFEST_NAME"
+                       for n in ast.walk(call.func))}
+    assert unlinks == {("featureio.py", "_start_tree")}
+    assert callers("_start_tree") == {("featureio.py", "write_dataset"),
+                                      ("featureio.py", "align_dataset")}

@@ -443,8 +443,8 @@ def _bytes(arrays):
 
 @st.composite
 def predict_cases(draw):
-    """(model, videos): e < 32, N(0, s^2) weights, lengths around EVAL_BLOCK multiples."""
-    e, h, m, D = (draw(st.integers(1, hi)) for hi in (31, 40, 8, 12))
+    """(model, videos): N(0, s^2) weights, lengths around EVAL_BLOCK multiples."""
+    e, h, m, D = (draw(st.integers(1, hi)) for hi in (48, 40, 8, 12))
     scale = draw(st.sampled_from([0.3, 1.0, 3.0]))
     seed = draw(st.integers(0, 2**32 - 1))
     near_block = st.builds(lambda n, d: max(1, n * K + d), st.integers(0, 4), st.integers(-2, 2))
