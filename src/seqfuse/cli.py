@@ -107,7 +107,8 @@ def _env_seed() -> int | None:
         raise ConfigError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from exc
 
 
-def _resolve_run_config(args: argparse.Namespace) -> tuple[Manifest, Path, TrainConfig]:
+def _resolve_run_config(args: argparse.Namespace) -> tuple[Path, Manifest, Path, TrainConfig]:
+    """The manifest path, the manifest, the output directory and the config of a train run."""
     known = [f.name for f in fields(TrainConfig)] + ["manifest", "out_dir"]
     merged: dict = {}
     if args.config is not None:
@@ -151,15 +152,18 @@ def _resolve_run_config(args: argparse.Namespace) -> tuple[Manifest, Path, Train
     for f in fields(TrainConfig):
         if f.default is MISSING and f.default_factory is MISSING and f.name not in merged:
             raise ConfigError(f"missing required config field: {f.name}")
-    try:
-        config = TrainConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(f"bad train config: {exc}") from exc
-    return manifest, out_dir, config
+    return manifest_path, manifest, out_dir, TrainConfig(**merged)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    manifest, out_dir, config = _resolve_run_config(args)
+    manifest_path, manifest, out_dir, config = _resolve_run_config(args)
+    # Before any video is loaded: no output may be the manifest, the config
+    # file or an input file of any manifest video.
+    inputs = [(manifest_path, "train --manifest")]
+    if args.config is not None:
+        inputs.append((args.config, "train --config"))
+    writes = [(out_dir / name, "train --out-dir") for name in (HISTORY_NAME, CHECKPOINT_NAME)]
+    check_outputs(writes, input_readers(manifest, inputs), set())
     train_set, devel_set = load_fused_datasets(manifest, ("train", "devel"), config.track_order)
     ckpt, history = train(train_set, devel_set, config)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -116,6 +116,7 @@ from .errors import (
 )
 from .sidecar import SIDECAR_SUFFIX, read_sidecar, sidecar_bytes, sidecar_path
 from .util import (
+    check_int,
     read_input,
     read_input_text,
     read_json_object,
@@ -164,7 +165,8 @@ class TokenTrack:
     objects. It keeps each token's own vector array, so reading ``vectors``
     stacks them. ``tokens`` builds one TokenFeature per row on every access,
     sharing the row vectors; the file readers, alignment and the writers
-    never use it.
+    never use it. ``dim`` follows :func:`seqfuse.util.check_int` with least
+    1 (DimMismatchError).
     """
 
     def __init__(self, name: str, dim: int, tokens: Sequence[TokenFeature]):
@@ -192,8 +194,7 @@ class TokenTrack:
 
     def _assign(self, name, dim, start_ms, end_ms, rows) -> None:
         # ``rows`` is an (n, dim) array or a list of n 1-D arrays.
-        if dim < 1:
-            raise DimMismatchError("track dim must be positive")
+        dim = check_int(dim, f"track {name!r}: dim", 1, DimMismatchError)
         if np.any(start_ms[1:] < start_ms[:-1]):
             order = np.argsort(start_ms, kind="stable")
             start_ms, end_ms = start_ms[order], end_ms[order]
@@ -247,12 +248,12 @@ class FrameTrack:
         return self.frames.shape[1]
 
 
-def _check_frame_len(value, where: str | Path) -> None:
-    """Raise ConfigError unless ``value`` is an int (not a bool) from 1 to 2**63 - 1."""
-    if type(value) is not int or value < 1:  # bools are rejected too
-        raise ConfigError(f"{where}: frame_len_ms must be an integer >= 1, got {value!r}")
+def _check_frame_len(value, where: str | Path) -> int:
+    """``value`` as an int; ConfigError unless it is an integer from 1 to 2**63 - 1."""
+    value = check_int(value, f"{where}: frame_len_ms", 1, ConfigError)
     if value > _INT64_MAX:
         raise ConfigError(f"{where}: frame_len_ms {value} is past the int64 range")
+    return value
 
 
 @dataclass(eq=False)
@@ -278,7 +279,7 @@ class LabeledSequence:
     data: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_frame_len(self.frame_len_ms, self.video_id)
+        self.frame_len_ms = _check_frame_len(self.frame_len_ms, self.video_id)
         if not self.tracks:
             raise LengthMismatchError(f"{self.video_id}: needs at least one track")
         lengths = {tr.n_frames for tr in self.tracks}
@@ -510,7 +511,7 @@ def read_label_csv(
     raises ConfigError before anything is read.
     """
     path = Path(path)
-    _check_frame_len(frame_len_ms, path)
+    frame_len_ms = _check_frame_len(frame_len_ms, path)
     lines = read_input_text(path, "label file", data).splitlines()
     if not lines or lines[0] != "frame_ms,value":
         raise MalformedRowError(f"{path}: bad label header")
@@ -536,7 +537,7 @@ def write_label_csv(
     ``frame_ms`` would be past the int64 range. So does a ``frame_len_ms``
     that :func:`load_manifest` would reject, with ConfigError.
     """
-    _check_frame_len(frame_len_ms, path)
+    frame_len_ms = _check_frame_len(frame_len_ms, path)
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise MalformedRowError(f"{path}: labels must be 1-D, got shape {values.shape}")
@@ -573,11 +574,11 @@ def align_tokens_to_frames(
     A track already on the grid (see :func:`_on_grid`) holds one token per
     frame, whose mean ``(0.0 + v) / 1`` is ``v + 0.0``, so its rows are
     copied, with the same bits. A grid that ``load_manifest`` would reject
-    raises ConfigError.
+    raises ConfigError, and an ``n_frames`` that is not an integer >= 1
+    LengthMismatchError.
     """
-    if n_frames < 1:
-        raise LengthMismatchError("n_frames must be >= 1")
-    _check_frame_len(frame_len_ms, track.name)
+    n_frames = check_int(n_frames, "n_frames", 1, LengthMismatchError)
+    frame_len_ms = _check_frame_len(frame_len_ms, track.name)
     if _on_grid(track.start_ms, track.end_ms, frame_len_ms, n_frames):
         frames = np.zeros((n_frames, track.dim))
         m = min(len(track.start_ms), n_frames)
@@ -683,19 +684,22 @@ def synth_generate(
     low-frequency sinusoids) and one frame-aligned track per entry of
     ``dims``. Track ``k`` is a fixed linear image of the stacked label pair,
     shared across videos, plus Gaussian noise scaled by ``1/snr``. The same
-    seed yields bitwise-identical output. Tracks too wide or a video too
-    long to allocate raise ConfigError naming ``dims`` or ``t_range``, and
-    so does an ``snr`` so small that the noise is not finite, naming it.
+    seed yields bitwise-identical output. Both ends of ``t_range`` (at
+    least 2, the high end at least the low), ``n_videos`` (at least 1) and
+    each entry of the nonempty ``dims`` (at least 1) follow
+    :func:`seqfuse.util.check_int` with ConfigError. Tracks too wide or a
+    video too long to allocate raise ConfigError naming ``dims`` or
+    ``t_range``, and so does an ``snr`` so small that the noise is not
+    finite, naming it.
     """
-    lo, hi = int(t_range[0]), int(t_range[1])
-    if lo < 2 or hi < lo:
-        raise ConfigError(f"t_range ({lo}, {hi}) must satisfy 2 <= lo <= hi")
+    lo = check_int(t_range[0], "t_range low end", 2, ConfigError)
+    hi = check_int(t_range[1], "t_range high end", lo, ConfigError)
     if (hi - 1) * DEFAULT_FRAME_LEN_MS > _INT64_MAX:
         raise ConfigError(f"t_range ({lo}, {hi}) puts frame_ms past the int64 range")
-    if n_videos < 1:
-        raise ConfigError("n_videos must be >= 1")
-    if not dims or any(d < 1 for d in dims):
-        raise ConfigError("dims must be a nonempty list of positive integers")
+    n_videos = check_int(n_videos, "n_videos", 1, ConfigError)
+    if not dims:
+        raise ConfigError("dims must be a nonempty list")
+    dims = [check_int(dim, f"dims[{k}]", 1, ConfigError) for k, dim in enumerate(dims)]
     if not snr > 0:  # also NaN
         raise ConfigError(f"snr must be positive, got {snr}")
 

@@ -46,14 +46,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimMismatchError, TraceMismatchError
-from .util import seeded_rng
+from .util import check_int, seeded_rng
 
 
 class ParamSpec(NamedTuple):
@@ -72,16 +71,10 @@ def param_layout(dims: dict[str, int]) -> tuple[ParamSpec, ...]:
     This is the one description of the parameter format: the flat vector and
     its named views, the init draw order and the checkpoint payload all
     follow it. LSTM gate blocks are stacked in (i, f, g, o) row order.
-    Each dim is an integer, numpy's included; a bool is refused.
+    Each dim follows :func:`seqfuse.util.check_int` with least 1
+    (DimMismatchError).
     """
-    for key in "Dehm":
-        if isinstance(dims[key], (bool, np.bool_)):
-            raise DimMismatchError(f"dim {key} must be an integer, got {dims[key]!r}")
-    D, e, h, m = (operator.index(dims[k]) for k in "Dehm")
-    for key, value in zip("Dehm", (D, e, h, m)):
-        if value < 1:
-            raise DimMismatchError(f"dim {key} must be >= 1, got {value}")
-    return _layout(D, e, h, m)
+    return _layout(*(check_int(dims[k], f"dim {k}", 1, DimMismatchError) for k in "Dehm"))
 
 
 # Every Adam step builds a new Model of the same dims, so a layout is built

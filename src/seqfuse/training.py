@@ -3,8 +3,9 @@
 Checkpoint file format (version 1)
 ----------------------------------
 ``SQF1`` magic, a little-endian uint32 header length, a UTF-8 JSON header
-(config, dims, track order with per-track dims, best devel CCC, best epoch,
-and per-parameter name, shape and byte offsets), then the model's flat
+(config, the model dims that the config and track dims give, track order
+with per-track dims, best devel CCC, best epoch, and per-parameter name,
+shape and byte offsets), then the model's flat
 parameter vector as raw little-endian float64, laid out by
 :func:`seqfuse.nn.param_layout` (projection W, projection b, lstm input W,
 lstm recurrent W, lstm b, head_hidden W, head_hidden b, head_out W,
@@ -37,7 +38,7 @@ from .errors import (
 from .featureio import LabeledSequence, check_name, check_same_tracks
 from .metrics import evaluate
 from .nn import Model, ParamSpec, backward, forward, init_model, param_layout
-from .util import _UINT64_MASK, fmt_float, read_input, seeded_rng, write_atomic
+from .util import _UINT64_MASK, check_int, fmt_float, read_input, seeded_rng, write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -65,8 +66,10 @@ class TrainConfig:
 
     The fields without a default are the ones a run config must give.
     ``target`` follows :func:`seqfuse.featureio.check_name`, and
-    ``track_order`` is a nonempty list of distinct track names. A bad value
-    raises ConfigError naming its field.
+    ``track_order`` is a nonempty list of distinct track names. Each int
+    field follows :func:`seqfuse.util.check_int`: ``epochs`` at least 0,
+    ``seed`` any integer, the others at least 1. A bad value raises
+    ConfigError naming its field.
     """
 
     target: str
@@ -86,17 +89,13 @@ class TrainConfig:
 
     def __post_init__(self):
         check_name(self.target, "target")
+        least = {"epochs": 0, "seed": None}
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and type(value) is not int:  # bools are rejected too
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and not _is_finite_number(value):
+            if f.type == "int":
+                setattr(self, f.name, check_int(value, f.name, least.get(f.name, 1), ConfigError))
+            elif f.type == "float" and not _is_finite_number(value):
                 raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
-        for name in ("embed_dim", "hidden_units", "head_hidden"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         for name in ("adam_beta1", "adam_beta2"):
@@ -106,10 +105,6 @@ class TrainConfig:
             raise ConfigError("adam_eps must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must lie in [0, 1)")
-        if self.max_time_step < 1:
-            raise ConfigError("max_time_step must be >= 1")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
         names = self.track_order
         if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
             raise ConfigError(f"track_order must be a nonempty list of names, got {names!r}")
@@ -154,9 +149,10 @@ def chunk(
 
     Non-overlapping windows of ``max_time_step`` rows, last one possibly
     shorter, in temporal order; concatenating them reconstructs the sequence.
+    ``max_time_step`` follows :func:`seqfuse.util.check_int` with least 1
+    (ConfigError).
     """
-    if max_time_step < 1:
-        raise ConfigError("max_time_step must be >= 1")
+    max_time_step = check_int(max_time_step, "max_time_step", 1, ConfigError)
     if target not in sequence.labels:
         raise TargetMissingError(
             f"{sequence.video_id}: no labels for target {target!r}"
@@ -227,6 +223,12 @@ class EpochStats:
     devel_ccc: float
 
 
+def model_dims(config: TrainConfig, track_dims: tuple[tuple[str, int], ...]) -> dict[str, int]:
+    """The model's dims: D the sum of the track dims, e, h and m from ``config``."""
+    return {"D": sum(dim for _, dim in track_dims), "e": config.embed_dim,
+            "h": config.hidden_units, "m": config.head_hidden}
+
+
 def _mask_seed(seed: int, epoch: int, chunk_index: int) -> int:
     ss = np.random.SeedSequence([seed & _UINT64_MASK, _MASK_SALT, epoch, chunk_index])
     return int(ss.generate_state(1)[0])
@@ -276,8 +278,7 @@ def train(
             f"{list(config.track_order)}"
         )
 
-    dims = {"D": train_set[0].dim, "e": config.embed_dim, "h": config.hidden_units,
-            "m": config.head_hidden}
+    dims = model_dims(config, track_dims)
     try:
         model = init_model(config.seed, dims)
         state = init_adam_state(model)
@@ -398,9 +399,12 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read and validate a checkpoint; inverse of :func:`save_checkpoint`.
 
-    Once its fields are checked, the header must be byte for byte the one
-    that :func:`save_checkpoint` writes for them, so a repeated, missing or
-    unknown key, another layout or another spacing is rejected.
+    The model's dims are not read from the header but derived from its
+    config and track dims (:func:`model_dims`). Once its fields are checked,
+    the header must be byte for byte the one that :func:`save_checkpoint`
+    writes for them, so stored ``dims`` other than the derived ones, a
+    repeated, missing or unknown key, another layout or another spacing is
+    rejected.
     """
     data = read_input(path, "checkpoint")
     if len(data) < 8:
@@ -433,36 +437,23 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         track_dims = tuple((n, d) for n, d in header["track_dims"])
         best_ccc = header["best_ccc"]
         best_epoch = header["best_epoch"]
-        dims = {key: header["dims"][key] for key in "Dehm"}
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise CorruptCheckpointError(f"{path}: bad header fields: {exc}") from exc
     if type(best_ccc) is not float or not math.isfinite(best_ccc):
         raise CorruptCheckpointError(
             f"{path}: best_ccc must be a finite number, got {best_ccc!r}"
         )
-    # Checked as TrainConfig checks its int fields: bools, floats and strings are refused.
-    ints = [("best_epoch", best_epoch, 0)]
-    ints += [(f"dim {key}", value, 1) for key, value in dims.items()]
-    ints += [(f"track {name!r} dim", dim, 1) for name, dim in track_dims]
-    for what, value, least in ints:
-        if type(value) is not int or value < least:
-            raise CorruptCheckpointError(
-                f"{path}: {what} must be an integer >= {least}, got {value!r}"
-            )
-    if not all(isinstance(name, str) for name, _ in track_dims):
-        raise CorruptCheckpointError(f"{path}: track names must be strings")
+    check_int(best_epoch, f"{path}: best_epoch", 0, CorruptCheckpointError)
+    for name, dim in track_dims:
+        check_int(dim, f"{path}: track {name!r} dim", 1, CorruptCheckpointError)
     names = [name for name, _ in track_dims]
     if names != list(config.track_order):
         raise CorruptCheckpointError(
             f"{path}: track_dims name tracks {names}, but config.track_order is "
             f"{list(config.track_order)}"
         )
-    if sum(dim for _, dim in track_dims) != dims["D"]:
-        raise CorruptCheckpointError(
-            f"{path}: track dims sum to {sum(dim for _, dim in track_dims)}, "
-            f"the model takes D={dims['D']}"
-        )
 
+    dims = model_dims(config, track_dims)
     layout = param_layout(dims)
     expected = 8 * (layout[-1].start + layout[-1].size)
     if len(payload) != expected:

@@ -1,6 +1,6 @@
-"""Small shared helpers: seeded RNG construction, exact float text output,
-atomic file writes, the one reader of user-supplied input files and the
-count of usable CPUs."""
+"""Small shared helpers: seeded RNG construction, the one integer rule,
+exact float text output, atomic file writes, the one reader of
+user-supplied input files and the count of usable CPUs."""
 
 from __future__ import annotations
 
@@ -23,6 +23,19 @@ def seeded_rng(*entropy: int) -> np.random.Generator:
     """
     words = [int(e) & _UINT64_MASK for e in entropy]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+
+
+def check_int(value, what: str, least: int | None, error: type[Exception]) -> int:
+    """``value`` as a Python int: an int or numpy integer, not a bool, and >= ``least``.
+
+    ``least`` None takes any integer. Anything else raises ``error`` with
+    ``"<what> must be an integer >= <least>, got <value!r>"``.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if least is None or value >= least:
+            return int(value)
+    bound = "" if least is None else f" >= {least}"
+    raise error(f"{what} must be an integer{bound}, got {value!r}")
 
 
 def fmt_float(value: float) -> str:

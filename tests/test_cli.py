@@ -622,6 +622,35 @@ class TestTrain:
         assert ckpt.config.target == "arousal"
         assert ckpt.track_dims == (("track0", 2), ("track1", 3))
 
+    @pytest.mark.parametrize("kind", ["label-file", "manifest", "config"])
+    def test_output_that_is_an_input_exit_2_leaving_inputs_unchanged(
+        self, synth_dir, tmp_path, run_cli, kind
+    ):
+        # A label file at run/history.csv, a manifest named checkpoint.sqf in
+        # the run directory, and a config file at run/history.csv.
+        run_dir, manifest, cfg = tmp_path / "run", synth_dir / "manifest.json", tmp_path / "c.json"
+        run_dir.mkdir()
+        if kind == "label-file":
+            (synth_dir / "labels" / "video000_arousal.csv").rename(run_dir / "history.csv")
+            entries = json.loads(manifest.read_text())
+            entries["videos"]["video000"]["labels"]["arousal"] = "../run/history.csv"
+            manifest.write_text(json.dumps(entries))
+            output, reader = run_dir / "history.csv", "video 'video000'"
+        elif kind == "manifest":
+            run_dir = synth_dir
+            manifest = manifest.rename(synth_dir / "checkpoint.sqf")
+            output, reader = manifest, "train --manifest"
+        else:
+            cfg = output = run_dir / "history.csv"
+            reader = "train --config"
+        write_train_config(cfg, manifest, run_dir)
+        before = tree_bytes(tmp_path)
+        code, out, err = run_cli("train", "--config", cfg)
+        assert (code, out, err) == (
+            2, "", f"error: {output}: train --out-dir would write this file, which {reader} "
+                   "reads\n")
+        assert tree_bytes(tmp_path) == before
+
     def test_identical_config_identical_checkpoint_bytes(self, synth_dir, tmp_path, run_cli):
         run_a, run_b = tmp_path / "a", tmp_path / "b"
         cfg_a = write_train_config(tmp_path / "ca.json", synth_dir / "manifest.json", run_a)
@@ -1160,7 +1189,29 @@ class TestTrackDims:
         assert f"{ckpt}: track_dims name tracks ['track0', 'track1'], but " in err
         assert "Traceback" not in err and not out.exists()
 
-    @pytest.mark.parametrize("value", [float("inf"), 1.5, True], ids=["inf", "float", "bool"])
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_stored_dims_other_than_the_configs_exit_2(self, synth_dir, tmp_path, run_cli,
+                                                        command):
+        # The header's dims say e4/h5, its config e7/h9. The model's dims are
+        # the config's, so the header describes another payload size.
+        ckpt, out = tmp_path / "z.sqf", tmp_path / "out"
+        make_zero_checkpoint(ckpt)
+        data = ckpt.read_bytes()
+        (n,) = struct.unpack("<I", data[4:8])
+        header = json.loads(data[8 : 8 + n])
+        assert (header["dims"]["e"], header["dims"]["h"]) == (4, 5)
+        header["config"].update(embed_dim=7, hidden_units=9)
+        raw = json.dumps(header, sort_keys=True).encode()
+        ckpt.write_bytes(data[:4] + struct.pack("<I", len(raw)) + raw + data[8 + n :])
+        argv = {"evaluate": ["--out", out / "report.json"], "predict": ["--out-dir", out]}[command]
+        code, stdout, err = run_cli(command, "--checkpoint", ckpt,
+                                    "--manifest", synth_dir / "manifest.json", *argv)
+        assert (code, stdout) == (2, ""), err
+        assert err.startswith(f"error: {ckpt}: payload has ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [float("inf"), 1.5, True, "2"],
+                             ids=["inf", "float", "bool", "string"])
     @pytest.mark.parametrize("field", ["best_epoch", "dim"])
     def test_bad_header_integer_exit_2(self, synth_dir, tmp_path, run_cli, field, value):
         ckpt = tmp_path / "z.sqf"
@@ -2314,8 +2365,11 @@ def test_failure_only_in_a_worker_gives_the_serial_result(
 
 
 def test_blas_thread_count_leaves_checkpoint_and_prediction_bytes_unchanged(tmp_path, run_cli):
-    # At D = 100 and e64/h32/m16 the projection's matrix products are large
-    # enough for OpenBLAS to split them between threads.
+    # train and predict run in fresh processes at 1 and 2 BLAS threads and
+    # must write the same bytes. At D = 100 and e64/h32/m16, with chunks of
+    # at most 100 rows, OpenBLAS does not split these products between
+    # threads, so this checks that the thread count reaches no other code
+    # path; a shape whose products OpenBLAS does split is ROADMAP item 20.
     raw = tmp_path / "raw"
     code, _, err = run_cli("synth", "--out-dir", raw, "--seed", 2, "--n-train", 3, "--n-devel", 1,
                            "--n-test", 1, "--dims", "60,40", "--t-range", "120:160")

@@ -419,13 +419,27 @@ class TestAlign:
     # Before the grid rule was shared, True aligned onto a 1 ms grid, 250.0
     # raised IndexError and 2**63 OverflowError.
     @pytest.mark.parametrize(
-        "frame_len_ms", [0, -250, True, 250.0, 2**63],
-        ids=["zero", "negative", "bool", "float", "past-int64"],
+        "frame_len_ms", [0, -250, True, 250.0, 2**63, "250"],
+        ids=["zero", "negative", "bool", "float", "past-int64", "string"],
     )
     def test_refuses_a_grid_that_load_manifest_rejects(self, frame_len_ms):
         track = make_track([(0, 1000, [2.0])], dim=1)
         with pytest.raises(ConfigError, match=f"^{track.name}: frame_len_ms "):
             align_tokens_to_frames(track, frame_len_ms, 4)
+
+    # True once aligned onto one frame.
+    @pytest.mark.parametrize("n_frames", [0, True, 4.0, "4"],
+                             ids=["zero", "bool", "float", "string"])
+    def test_refuses_a_frame_count_that_is_not_an_integer_of_at_least_1(self, n_frames):
+        track = make_track([(0, 1000, [2.0])], dim=1)
+        message = f"n_frames must be an integer >= 1, got {n_frames!r}"
+        with pytest.raises(LengthMismatchError, match=f"^{re.escape(message)}$"):
+            align_tokens_to_frames(track, 250, n_frames)
+
+    def test_numpy_integer_grid_and_frame_count_accepted(self):
+        track = make_track([(0, 1000, [2.0])], dim=1)
+        out = align_tokens_to_frames(track, np.int64(250), np.uint16(4))
+        assert np.array_equal(out.frames, align_tokens_to_frames(track, 250, 4).frames)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_tokens=st.integers(0, 60))
@@ -646,13 +660,20 @@ class TestFuse:
             (250.5, "v: frame_len_ms must be an integer >= 1, got 250.5"),
             (True, "v: frame_len_ms must be an integer >= 1, got True"),
             (2**63, f"v: frame_len_ms {2**63} is past the int64 range"),
+            ("250", "v: frame_len_ms must be an integer >= 1, got '250'"),
+            (np.True_, f"v: frame_len_ms must be an integer >= 1, got {np.True_!r}"),
         ],
-        ids=["zero", "float", "bool", "past-int64"],
+        ids=["zero", "float", "bool", "past-int64", "string", "numpy-bool"],
     )
     def test_labeled_sequence_bad_grid_rejected(self, frame_len_ms, message):
         tracks = [frame_track("a", np.zeros((4, 2)))]
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             LabeledSequence("v", tracks, {"arousal": np.zeros(4)}, frame_len_ms=frame_len_ms)
+
+    def test_labeled_sequence_numpy_integer_grid_kept_as_an_int(self):
+        tracks = [frame_track("a", np.zeros((4, 2)))]
+        seq = LabeledSequence("v", tracks, {"arousal": np.zeros(4)}, frame_len_ms=np.int64(500))
+        assert type(seq.frame_len_ms) is int and seq.frame_len_ms == 500
 
     @pytest.mark.parametrize("value,problem", [
         (np.nan, "non-finite value nan"),
@@ -737,6 +758,32 @@ class TestSynthGenerate:
         # The noise 1/snr scales overflows; no overflow warning escapes.
         with pytest.raises(ConfigError, match=r"^snr 1e-320 is too small: the noise"):
             synth_generate(1, 1, (4, 4), [2], 1e-320)
+
+    # (2.9, 3.9) once made videos of 2 frames, and True one video.
+    @pytest.mark.parametrize("n_videos,t_range,dims,message", [
+        (1, (2.9, 3.9), [2], "t_range low end must be an integer >= 2, got 2.9"),
+        (1, (1, 4), [2], "t_range low end must be an integer >= 2, got 1"),
+        (1, (4, "6"), [2], "t_range high end must be an integer >= 4, got '6'"),
+        (1, (4, 3), [2], "t_range high end must be an integer >= 4, got 3"),
+        (True, (4, 6), [2], "n_videos must be an integer >= 1, got True"),
+        (0, (4, 6), [2], "n_videos must be an integer >= 1, got 0"),
+        (1, (4, 6), [2, 2.0], "dims[1] must be an integer >= 1, got 2.0"),
+        (1, (4, 6), [np.True_], f"dims[0] must be an integer >= 1, got {np.True_!r}"),
+        (1, (4, 6), [0], "dims[0] must be an integer >= 1, got 0"),
+        (1, (4, 6), [], "dims must be a nonempty list"),
+    ], ids=["t-low-float", "t-low-one", "t-high-string", "t-high-below-low", "n-bool",
+            "n-zero", "dim-float", "dim-numpy-bool", "dim-zero", "dims-empty"])
+    def test_bad_count_rejected(self, n_videos, t_range, dims, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            synth_generate(1, n_videos, t_range, dims, 100.0)
+
+    def test_numpy_integer_counts_accepted(self):
+        a = synth_generate(4, np.int64(2), (np.int32(5), np.uint8(7)), [np.int16(3)], 50.0)
+        b = synth_generate(4, 2, (5, 7), [3], 50.0)
+        assert [v.video_id for v in a] == [v.video_id for v in b]
+        for va, vb in zip(a, b):
+            assert np.array_equal(va.data, vb.data)
+            assert all(np.array_equal(va.labels[k], vb.labels[k]) for k in vb.labels)
 
     def test_frame_grid_past_int64_rejected(self):
         last = (2**63 - 1) // 250  # the last row whose frame_ms fits in int64
@@ -1000,6 +1047,17 @@ class TestColumnarTracks:
         assert track.end_ms.tolist() == [250, 500]
         assert all(tok.vector is v for tok, v in zip(track.tokens, (early, late)))
         assert np.array_equal(track.vectors, [[3.0, 4.0], [1.0, 2.0]])
+
+    # True once made a track of width 1.
+    @pytest.mark.parametrize("dim", [0, True, 2.0, "2"], ids=["zero", "bool", "float", "string"])
+    def test_dim_that_is_not_an_integer_of_at_least_1_refused(self, dim):
+        message = f"track 't': dim must be an integer >= 1, got {dim!r}"
+        with pytest.raises(DimMismatchError, match=f"^{re.escape(message)}$"):
+            TokenTrack("t", dim, [])
+
+    def test_numpy_integer_dim_kept_as_an_int(self):
+        track = TokenTrack("t", np.int64(2), [TokenFeature(0, 250, np.array([1.0, 2.0]))])
+        assert type(track.dim) is int and track.vectors.shape == (1, 2)
 
     def test_frame_track_to_tokens_shares_frames(self):
         frames = np.arange(6.0).reshape(3, 2)

@@ -177,9 +177,9 @@ def test_one_sidecar_format():
 
 def test_one_stat_helper_and_one_output_check():
     # One function stats files, for input_bytes' sizes and for the identity
-    # of the files that the output check compares. align, evaluate and
-    # predict each refuse an output that is one of their inputs through the
-    # one output check, and align walks its outputs once.
+    # of the files that the output check compares. align, train, evaluate
+    # and predict each refuse an output that is one of their inputs through
+    # the one output check, and align walks its outputs once.
     calls = [(name, function, called) for name, tree in modules()
              for function, called in calls_by_function(tree)]
     stats = {(name, function) for name, function, called in calls
@@ -198,8 +198,8 @@ def test_one_stat_helper_and_one_output_check():
                 todo.append(called)
         return found
 
-    assert all("check_outputs" in reached(f) for f in ("align_dataset", "cmd_predict",
-                                                          "cmd_evaluate"))
+    assert all("check_outputs" in reached(f) for f in ("align_dataset", "cmd_train",
+                                                          "cmd_predict", "cmd_evaluate"))
     assert all("_regular_file" in reached(f) for f in ("input_bytes", "check_outputs"))
     checks = [called for _, function, called in calls
               if function == "align_dataset" and called == "check_outputs"]
@@ -217,7 +217,8 @@ def test_input_readers_map_the_whole_manifest():
     callers = [(name, function) for name, tree in modules()
                for function, called in calls_by_function(tree)
                if called.split(".")[-1] == "input_readers"]
-    assert sorted(callers) == [("cli.py", "_scored_partition"), ("featureio.py", "align_dataset")]
+    assert sorted(callers) == [("cli.py", "_scored_partition"), ("cli.py", "cmd_train"),
+                               ("featureio.py", "align_dataset")]
 
 
 def test_one_frame_value_writer_one_label_check_one_tree_start():
@@ -246,3 +247,35 @@ def test_one_frame_value_writer_one_label_check_one_tree_start():
     assert unlinks == {("featureio.py", "_start_tree")}
     assert callers("_start_tree") == {("featureio.py", "write_dataset"),
                                       ("featureio.py", "align_dataset")}
+
+
+def test_one_integer_rule_and_model_dims_stated_once():
+    # Every count a run reads is checked by util.check_int, the one function
+    # that states the integer rule and builds its message. The model's dims
+    # are derived from a config and its track dims by training.model_dims,
+    # for train and for load_checkpoint, which reads no dims from a header.
+    messages = {(name, node.name) for name, tree in modules() for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and any(isinstance(c, ast.Constant) and "must be an integer" in str(c.value)
+                        for c in ast.walk(node))}
+    assert messages == {("util.py", "check_int")}
+    calls = [(name, function, called) for name, tree in modules()
+             for function, called in calls_by_function(tree)]
+
+    def callers(callee):
+        return {(name, function) for name, function, called in calls
+                if called.split(".")[-1] == callee}
+
+    assert callers("check_int") == {
+        ("featureio.py", "_check_frame_len"), ("featureio.py", "_assign"),
+        ("featureio.py", "align_tokens_to_frames"), ("featureio.py", "synth_generate"),
+        ("nn.py", "param_layout"), ("training.py", "__post_init__"),
+        ("training.py", "chunk"), ("training.py", "load_checkpoint"),
+    }
+    assert callers("model_dims") == {("training.py", "train"),
+                                     ("training.py", "load_checkpoint")}
+    (loader,) = [n for n in ast.walk(dict(modules())["training.py"])
+                 if isinstance(n, ast.FunctionDef) and n.name == "load_checkpoint"]
+    keys = [n.slice.value for n in ast.walk(loader)
+            if isinstance(n, ast.Subscript) and isinstance(n.slice, ast.Constant)]
+    assert "config" in keys and "dims" not in keys

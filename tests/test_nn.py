@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -97,13 +98,16 @@ class TestInitModel:
             init_model(0, {"D": 0, "e": 4, "h": 3, "m": 2})
 
     @pytest.mark.parametrize("key", list("Dehm"))
-    @pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy-bool"])
+    @pytest.mark.parametrize("value", [True, np.True_, 2.0, "2", 0],
+                             ids=["bool", "numpy-bool", "float", "string", "zero"])
     def test_bool_dim_refused_naming_it(self, key, value):
-        # True once passed operator.index and built a model with that dim 1.
+        # True once passed operator.index and built a model with that dim 1;
+        # a float or a string raised TypeError.
         dims = {"D": 2, "e": 2, "h": 2, "m": 2, key: value}
-        with pytest.raises(DimMismatchError, match=f"dim {key} "):
+        message = f"^dim {key} must be an integer >= 1, got {re.escape(repr(value))}$"
+        with pytest.raises(DimMismatchError, match=message):
             init_model(1, dims)
-        with pytest.raises(DimMismatchError, match=f"dim {key} "):
+        with pytest.raises(DimMismatchError, match=message):
             Model(dims)
 
     def test_numpy_integer_dims_accepted(self):

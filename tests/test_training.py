@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import struct
 from types import SimpleNamespace
 
@@ -73,11 +74,38 @@ class TestTrainConfig:
             pytest.param("learning_rate", 10**400, id="learning_rate-past-float"),
             ("adam_beta2", None),
             ("dropout_rate", float("-inf")),
+            ("max_time_step", True),
+            ("max_time_step", 0),
+            ("patience", "3"),
+            ("seed", True),
+            ("seed", 1.0),
+            ("head_hidden", np.True_),
+            ("hidden_units", 0),
+            ("epochs", -1),
         ],
     )
     def test_bad_value_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             small_train_config(**{field: value})
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("embed_dim", 0, "embed_dim must be an integer >= 1, got 0"),
+        ("epochs", -1, "epochs must be an integer >= 0, got -1"),
+        ("max_time_step", 2.0, "max_time_step must be an integer >= 1, got 2.0"),
+        ("patience", True, "patience must be an integer >= 1, got True"),
+        ("seed", "x", "seed must be an integer, got 'x'"),
+    ], ids=["embed-dim-zero", "epochs-negative", "chunk-float", "patience-bool", "seed-string"])
+    def test_int_field_message_names_its_least(self, field, value, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            small_train_config(**{field: value})
+
+    def test_numpy_integer_fields_kept_as_ints(self):
+        ints = dict(embed_dim=np.int64(4), hidden_units=np.uint8(5), head_hidden=np.int32(3),
+                    epochs=np.int16(0), seed=np.int64(-3), max_time_step=np.uint64(7),
+                    patience=np.int8(2))
+        cfg = small_train_config(**ints)
+        assert {name: getattr(cfg, name) for name in ints} == ints
+        assert all(type(getattr(cfg, name)) is int for name in ints)
 
     def test_boundary_values_accepted(self):
         cfg = small_train_config(adam_beta1=0.0, adam_beta2=0.0, adam_eps=1e-300)
@@ -141,6 +169,18 @@ class TestChunk:
     def test_target_missing(self):
         with pytest.raises(TargetMissingError):
             chunk(_sequence(10), 100, "dominance")
+
+    # True once cut a sequence into one-frame chunks.
+    @pytest.mark.parametrize("max_time_step", [0, True, 100.0, "100"],
+                             ids=["zero", "bool", "float", "string"])
+    def test_chunk_length_that_is_not_an_integer_of_at_least_1_refused(self, max_time_step):
+        message = f"max_time_step must be an integer >= 1, got {max_time_step!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            chunk(_sequence(10), max_time_step, "arousal")
+
+    def test_numpy_integer_chunk_length_accepted(self):
+        chunks = chunk(_sequence(250), np.int64(100), "arousal")
+        assert [c[0].shape[0] for c in chunks] == [100, 100, 50]
 
     def test_empty_sequence(self):
         # No sequence without frames reaches chunk: the constructor refuses it.
@@ -502,9 +542,12 @@ class TestCheckpointIo:
             ),
             lambda header: header.update(extra=1),
             lambda header: header.pop("params"),
+            # The model's dims come from the config, not from the stored dims.
+            lambda header: header["config"].update(embed_dim=7, hidden_units=9),
+            lambda header: header.pop("dims"),
         ],
         ids=["dims", "shape", "offsets", "target-path", "track-renamed", "track-order-swapped",
-             "track-named-twice", "extra-key", "params-missing"],
+             "track-named-twice", "extra-key", "params-missing", "config-dims", "dims-missing"],
     )
     def test_tampered_header_rejected(self, tmp_path, edit):
         save_checkpoint(_golden_checkpoint(), tmp_path / "g.sqf")
@@ -552,13 +595,15 @@ class TestCheckpointIo:
             ("dims", {"D": 5, "e": 4, "h": 3, "m": 0}),
             ("dims", {"D": 5, "e": 4, "h": 3}),
             ("dims", [5, 4, 3, 2]),
+            ("track_dims", [["track0", "5"]]),
+            ("best_epoch", None),
         ],
         ids=[
             "epoch-inf", "epoch-float", "epoch-bool", "epoch-string", "epoch-negative",
             "dim-inf", "dim-float", "dim-bool", "dim-zero", "name-int", "dims-sum",
             "ccc-bool", "ccc-string", "ccc-int", "ccc-null", "ccc-nan", "ccc-inf",
             "model-D-bool", "model-e-float", "model-h-string", "model-m-zero",
-            "model-m-missing", "model-dims-list",
+            "model-m-missing", "model-dims-list", "dim-string", "epoch-null",
         ],
     )
     def test_bad_header_integer_rejected(self, tmp_path, field, value):
@@ -579,13 +624,15 @@ class TestCheckpointIo:
 
     @pytest.mark.parametrize("key", "Dehm")
     def test_bool_model_dim_rejected(self, tmp_path, key):
-        # At width 1 a ``true`` dim gives the same layout, so only its type tells.
+        # At width 1 a ``true`` dim gives the same layout, so only its type
+        # tells: the header's dims are not the ones its config gives.
         cfg = small_train_config(embed_dim=1, hidden_units=1, head_hidden=1, track_order=["t"])
         model = init_model(0, {"D": 1, "e": 1, "h": 1, "m": 1})
         save_checkpoint(Checkpoint(model, cfg, (("t", 1),), 0.5, 0), tmp_path / "g.sqf")
         _rewrite_header(tmp_path / "g.sqf", tmp_path / "bad.sqf",
                         lambda header: header["dims"].update({key: True}))
-        with pytest.raises(CorruptCheckpointError, match=f"bad.sqf: dim {key} must be"):
+        with pytest.raises(CorruptCheckpointError,
+                           match="bad.sqf: header differs from the one its fields are saved"):
             load_checkpoint(tmp_path / "bad.sqf")
 
     @pytest.mark.parametrize("header", [b"[]", b'"SQF1"', b"3", b"null"])
