@@ -25,27 +25,27 @@ from .errors import (
     TraceMismatchError,
     VersionMismatchError,
 )
+from .align import align_tokens_to_frames
+from .csvfiles import parse_feature_csv, write_feature_csv, write_label_csv
 from .featureio import (
-    DEFAULT_FRAME_LEN_MS,
-    FrameTrack,
-    LabeledSequence,
     Manifest,
-    TokenFeature,
-    TokenTrack,
     VideoEntry,
     align_dataset,
-    align_tokens_to_frames,
-    fuse,
     load_manifest,
-    parse_feature_csv,
     save_manifest,
-    synth_generate,
     write_dataset,
-    write_feature_csv,
-    write_label_csv,
 )
 from .metrics import CccReport, ccc, evaluate
 from .nn import ForwardTrace, Model, backward, forward, init_model, predict
+from .synth import synth_generate
+from .tracks import (
+    DEFAULT_FRAME_LEN_MS,
+    FrameTrack,
+    LabeledSequence,
+    TokenFeature,
+    TokenTrack,
+    fuse,
+)
 from .training import (
     AdamState,
     Checkpoint,

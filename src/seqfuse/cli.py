@@ -1,7 +1,8 @@
 """Command-line pipeline: synth, align, train, evaluate, predict.
 
 Exit codes: 0 success; 2 input/config error, including an input file that is
-missing, a directory, or not UTF-8 text; 3 any other OS error; 4 internal
+missing, a directory, or not UTF-8 text, and an output path that names no
+file or where a directory exists; 3 any other OS error; 4 internal
 invariant violation. Train runs are configured by a JSON file holding every
 ``TrainConfig`` field plus ``manifest`` and ``out_dir``, and no other field;
 command-line flags override file values. ``SEQFUSE_SEED`` serves as a
@@ -28,10 +29,10 @@ from .featureio import (
     input_readers,
     load_fused_datasets,
     load_manifest,
-    synth_generate,
     write_dataset,
 )
 from .metrics import ccc_report, predict_partition, score_partition
+from .synth import synth_generate
 from .training import (
     Checkpoint,
     TrainConfig,

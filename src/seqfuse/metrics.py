@@ -3,13 +3,13 @@
 Two paths score a model. :func:`evaluate` scores sequences already in
 memory, as ``train`` does on its devel set after each epoch.
 :func:`score_partition` loads a manifest partition and predicts it, as the
-``evaluate`` command does, through ``featureio.map_video_groups``, the
+``evaluate`` command does, through ``pool.map_video_groups``, the
 grouped loader that ``align`` runs on too. Each video's
 tracks are checked against the model's as soon as it is loaded, and the
 errors, their order and the predictions are those of loading the partition
 video by video in this process and predicting it in one call; on a large
 partition, forked workers first try the same work group by group (see
-``featureio.map_video_groups``). :func:`predict_partition`, for the
+``pool.map_video_groups``). :func:`predict_partition`, for the
 ``predict`` command, does the same work and formats each video's prediction
 file (:func:`prediction_csv`) where it was scored, so each worker formats its
 own videos. Both paths refuse predictions that are not finite with
@@ -31,15 +31,11 @@ from .errors import (
     NonFiniteOutputError,
     TargetMissingError,
 )
-from .featureio import (
-    LabeledSequence,
-    Manifest,
-    check_same_tracks,
-    frame_csv,
-    load_labeled_sequence,
-    map_video_groups,
-)
+from .csvfiles import frame_csv
+from .featureio import Manifest, load_labeled_sequence
 from .nn import Model, predict
+from .pool import map_video_groups
+from .tracks import LabeledSequence, check_same_tracks
 from .util import fmt_float
 
 logger = logging.getLogger(__name__)
@@ -239,7 +235,7 @@ def score_partition(
     order is raised, whether a video fails to load or to match; then the
     first video whose predictions are not finite, as NonFiniteOutputError.
 
-    The videos go through ``featureio.map_video_groups``: on a large
+    The videos go through ``pool.map_video_groups``: on a large
     partition each forked worker loads and predicts one group of them and
     sends back only labels and predictions. The predictions are the same
     either way, since ``predict``'s output for a video does not depend on

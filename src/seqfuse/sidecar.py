@@ -1,8 +1,21 @@
 """The parse cache (sidecar) of a Feature CSV in a dataset tree.
 
-``<csv path>.cols`` holds the columns that parsing the CSV gives, behind a
-header that ties them to the CSV's exact bytes; the featureio module
-docstring gives the layout and the rule that the CSV always wins.
+``<csv path>.cols`` holds the columns that parsing the CSV gives, so that
+reading it again costs no text parsing. It is a 40-byte header, all
+little-endian::
+
+    magic b"SQFCOLS1", int64 n, int64 dim, uint64 CSV byte length,
+    uint32 zlib.crc32 of the CSV's bytes, uint32 zlib.crc32 of the payload
+
+then the payload: ``start_ms`` as n int64, ``end_ms`` as n int64 and the
+(n, dim) ``vectors`` row by row as float64. The CSV always wins: a sidecar
+is used only when its magic, its length, the CSV's length and both checks
+match the CSV's bytes as read and every vector value is finite; otherwise,
+or when it is absent or cannot be read, the CSV is parsed, with the same
+results and errors as if there were no sidecar. The checks guard against
+stale and damaged files, not against a sidecar forged for its CSV. The
+manifest does not list sidecars, and any Feature CSV may have one: the
+readers look for it beside every CSV.
 """
 
 from __future__ import annotations

@@ -35,9 +35,10 @@ from .errors import (
     TargetMissingError,
     VersionMismatchError,
 )
-from .featureio import LabeledSequence, check_name, check_same_tracks
+from .featureio import check_name
 from .metrics import evaluate
 from .nn import Model, ParamSpec, backward, forward, init_model, param_layout
+from .tracks import LabeledSequence, check_same_tracks
 from .util import _UINT64_MASK, check_int, fmt_float, read_input, seeded_rng, write_atomic
 
 logger = logging.getLogger(__name__)
@@ -384,8 +385,34 @@ def _header_bytes(ckpt: Checkpoint) -> bytes:
     return json.dumps(header, sort_keys=True).encode("utf-8")
 
 
+def _check_track_order(
+    config: TrainConfig, track_dims: tuple[tuple[str, int], ...], where: str | Path,
+    error: type[Exception],
+) -> None:
+    """Raise ``error`` unless ``track_dims`` name ``config.track_order``'s tracks, in order."""
+    names = [name for name, _ in track_dims]
+    if names != list(config.track_order):
+        raise error(
+            f"{where}: track_dims name tracks {names}, but config.track_order is "
+            f"{list(config.track_order)}"
+        )
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Write the versioned binary checkpoint described in the module docstring."""
+    """Write the versioned binary checkpoint described in the module docstring.
+
+    A checkpoint that :func:`load_checkpoint` would refuse for its tracks or
+    its model's dims raises before anything is written: ConfigError when
+    its track dims do not name the tracks of ``config.track_order``, and
+    ShapeMismatchError when the model's dims are not the ones that
+    :func:`model_dims` gives for its config and track dims.
+    """
+    _check_track_order(ckpt.config, ckpt.track_dims, path, ConfigError)
+    dims = model_dims(ckpt.config, ckpt.track_dims)
+    if ckpt.model.dims != dims:
+        raise ShapeMismatchError(
+            f"{path}: model dims {ckpt.model.dims}, but its config and track dims give {dims}"
+        )
     header_bytes = _header_bytes(ckpt)
     write_atomic(
         path,
@@ -446,13 +473,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     check_int(best_epoch, f"{path}: best_epoch", 0, CorruptCheckpointError)
     for name, dim in track_dims:
         check_int(dim, f"{path}: track {name!r} dim", 1, CorruptCheckpointError)
-    names = [name for name, _ in track_dims]
-    if names != list(config.track_order):
-        raise CorruptCheckpointError(
-            f"{path}: track_dims name tracks {names}, but config.track_order is "
-            f"{list(config.track_order)}"
-        )
-
+    _check_track_order(config, track_dims, path, CorruptCheckpointError)
     dims = model_dims(config, track_dims)
     layout = param_layout(dims)
     expected = 8 * (layout[-1].start + layout[-1].size)

@@ -1,11 +1,13 @@
 """Small shared helpers: seeded RNG construction, the one integer rule,
 exact float text output, atomic file writes, the one reader of
-user-supplied input files and the count of usable CPUs."""
+user-supplied input files, the count of usable CPUs and the one stat of a
+file."""
 
 from __future__ import annotations
 
 import json
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -128,3 +130,19 @@ def usable_cpus() -> int:
     """CPUs this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
+
+def _stat(path: str | Path) -> os.stat_result | None:
+    """``os.stat`` of ``path``, links followed: the one place a file is stat'ed.
+
+    Never raises: a path that is missing or that the OS cannot take gives None.
+    """
+    try:
+        return os.stat(path)
+    except (OSError, ValueError):
+        return None
+
+
+def _regular_file(path: str | Path) -> os.stat_result | None:
+    """:func:`_stat` of the regular file at ``path``; None for anything else."""
+    info = _stat(path)
+    return info if info is not None and stat.S_ISREG(info.st_mode) else None

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from seqfuse import forward, mse_loss
-from seqfuse.featureio import FrameTrack
+from seqfuse.tracks import FrameTrack
 from seqfuse.nn import ForwardTrace
 from seqfuse.util import seeded_rng
 

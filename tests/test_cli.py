@@ -29,7 +29,7 @@ from seqfuse import (
     write_dataset,
 )
 from seqfuse import cli as cli_module
-from seqfuse import featureio
+from seqfuse import csvfiles, featureio, metrics, pool
 from seqfuse.cli import main as cli_main
 from seqfuse.featureio import load_fused_datasets
 from seqfuse.nn import param_layout
@@ -60,6 +60,35 @@ def write_train_config(path, manifest, out_dir, **overrides):
     cfg = {k: v for k, v in cfg.items() if v is not None}
     path.write_text(json.dumps(cfg))
     return path
+
+
+# What check_outputs says of an output path where a directory exists.
+DIRECTORY = "which is a directory or something else that is not a regular file"
+
+
+def paths_and_bytes(root: Path):
+    """Every path under ``root``, directories too, and the bytes of every file."""
+    return sorted(root.rglob("*")), tree_bytes(root)
+
+
+@pytest.fixture
+def no_video_loads(monkeypatch):
+    """Make loading any manifest video fail the test."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("a video was loaded")
+
+    monkeypatch.setattr(featureio, "load_labeled_sequence", never)
+    monkeypatch.setattr(metrics, "load_labeled_sequence", never)
+
+
+def fail_history_write(monkeypatch):
+    """Make train's history write fail as a full disk would, naming the file."""
+
+    def failing(history, path):
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr(cli_module, "write_history_csv", failing)
 
 
 @pytest.fixture
@@ -651,6 +680,21 @@ class TestTrain:
                    "reads\n")
         assert tree_bytes(tmp_path) == before
 
+    @pytest.mark.parametrize("name", ["history.csv", "checkpoint.sqf"])
+    def test_output_that_is_a_directory_exit_2_before_loading(
+        self, synth_dir, tmp_path, run_cli, no_video_loads, name
+    ):
+        # It once trained, then exited 3 when the write met the directory.
+        run_dir = tmp_path / "run"
+        (run_dir / name).mkdir(parents=True)
+        cfg = write_train_config(tmp_path / "cfg.json", synth_dir / "manifest.json", run_dir)
+        before = paths_and_bytes(tmp_path)
+        code, out, err = run_cli("train", "--config", cfg)
+        assert (code, out, err) == (
+            2, "", f"error: {run_dir / name}: train --out-dir would write this file, "
+                   f"{DIRECTORY}\n")
+        assert paths_and_bytes(tmp_path) == before
+
     def test_identical_config_identical_checkpoint_bytes(self, synth_dir, tmp_path, run_cli):
         run_a, run_b = tmp_path / "a", tmp_path / "b"
         cfg_a = write_train_config(tmp_path / "ca.json", synth_dir / "manifest.json", run_a)
@@ -810,22 +854,23 @@ class TestTrain:
         assert f"{field} must be a path string" in err and "Traceback" not in err
         assert not run_dir.exists()
 
-    def test_unwritable_history_leaves_no_checkpoint(self, synth_dir, tmp_path, run_cli):
+    def test_unwritable_history_leaves_no_checkpoint(self, synth_dir, tmp_path, run_cli,
+                                                     monkeypatch):
         run_dir = tmp_path / "run"
-        (run_dir / "history.csv").mkdir(parents=True)
+        fail_history_write(monkeypatch)
         cfg = write_train_config(tmp_path / "cfg.json", synth_dir / "manifest.json", run_dir)
         code, _, err = run_cli("train", "--config", cfg)
         assert code == 3, err
         assert "history.csv" in err
         assert not (run_dir / "checkpoint.sqf").exists()
 
-    def test_failed_retrain_leaves_no_checkpoint(self, synth_dir, tmp_path, run_cli):
+    def test_failed_retrain_leaves_no_checkpoint(self, synth_dir, tmp_path, run_cli,
+                                                 monkeypatch):
         # The old checkpoint once stayed beside a failed run's output.
         run_dir = tmp_path / "run"
         cfg = write_train_config(tmp_path / "cfg.json", synth_dir / "manifest.json", run_dir)
         assert run_cli("train", "--config", cfg)[0] == 0
-        (run_dir / "history.csv").unlink()
-        (run_dir / "history.csv").mkdir()
+        fail_history_write(monkeypatch)
         code, _, err = run_cli("train", "--config", cfg)
         assert code == 3 and "history.csv" in err, err
         assert not (run_dir / "checkpoint.sqf").exists()
@@ -985,6 +1030,26 @@ class TestEvaluate:
             2, "", f"error: {synth_dir / out}: evaluate --out would write this file, "
             f"which {reader} reads\n")
         assert tree_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("out", ["", ".", "/", "dir"], ids=["empty", "dot", "root", "dir"])
+    def test_out_that_names_no_file_exit_2_before_loading(
+        self, synth_dir, tmp_path, run_cli, monkeypatch, no_video_loads, out
+    ):
+        # Each once scored the partition, then exited 4 (no file name) or 3
+        # (a directory).
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        ckpt_path = tmp_path / "z.sqf"
+        make_zero_checkpoint(ckpt_path)
+        before = paths_and_bytes(tmp_path)
+        code, stdout, err = run_cli("evaluate", "--checkpoint", ckpt_path,
+                                    "--manifest", synth_dir / "manifest.json", "--out", out)
+        expected = {"": "'.': evaluate --out needs a path that names a file",
+                    ".": "'.': evaluate --out needs a path that names a file",
+                    "/": "'/': evaluate --out needs a path that names a file",
+                    "dir": f"dir: evaluate --out would write this file, {DIRECTORY}"}[out]
+        assert (code, stdout, err) == (2, "", f"error: {expected}\n")
+        assert paths_and_bytes(tmp_path) == before
 
     def test_out_over_an_unscored_videos_label_file_exit_2_keeping_it(self, tmp_path, run_cli):
         # Scoring the train partition once wrote its report over a devel
@@ -1346,6 +1411,22 @@ class TestPredict:
             "predict --manifest reads\n")
         assert tree_bytes(tmp_path) == before
 
+    @pytest.mark.parametrize("name", ["video000_arousal.csv", "index.json"])
+    def test_output_that_is_a_directory_exit_2_before_loading(
+        self, synth_dir, tmp_path, run_cli, no_video_loads, name
+    ):
+        # It once scored every video, then exited 3 when the write met the
+        # directory.
+        out = tmp_path / "preds"
+        (out / name).mkdir(parents=True)
+        ckpt_path = tmp_path / "z.sqf"
+        make_zero_checkpoint(ckpt_path)
+        before = paths_and_bytes(tmp_path)
+        code, stdout, err = run_cli("predict", "--checkpoint", ckpt_path,
+                                    "--manifest", synth_dir / "manifest.json", "--out-dir", out)
+        assert (code, stdout, err) == (
+            2, "", f"error: {out / name}: predict --out-dir would write this file, {DIRECTORY}\n")
+        assert paths_and_bytes(tmp_path) == before
 
     def test_empty_partition_exit_2_naming_it(self, synth_dir, tmp_path, run_cli):
         ckpt_path = tmp_path / "z.sqf"
@@ -1782,7 +1863,7 @@ def pool_spy(monkeypatch):
 @pytest.fixture
 def pooled(pool_spy, monkeypatch):
     """Make ``align``, ``evaluate`` and ``predict`` use workers on any input."""
-    monkeypatch.setattr(featureio, "POOL_MIN_INPUT_BYTES", 0)
+    monkeypatch.setattr(pool, "POOL_MIN_INPUT_BYTES", 0)
     return pool_spy
 
 
@@ -1821,8 +1902,8 @@ class TestPooledAlign:
         # Unlike train, evaluate and predict, align does not compare videos' tracks.
         manifest = write_mixed_dims_dataset(tmp_path / "raw", "train")
         trees = []
-        for threshold in (featureio.POOL_MIN_INPUT_BYTES, 0):
-            monkeypatch.setattr(featureio, "POOL_MIN_INPUT_BYTES", threshold)
+        for threshold in (pool.POOL_MIN_INPUT_BYTES, 0):
+            monkeypatch.setattr(pool, "POOL_MIN_INPUT_BYTES", threshold)
             out = tmp_path / f"out{threshold}"
             code, _, err = run_cli("align", "--manifest", manifest, "--out-dir", out)
             assert code == 0, err
@@ -1859,12 +1940,12 @@ class TestPooledAlign:
         raw = tmp_path / "raw"
         write_dataset(raw, zip(["train", "devel"], synth_generate(1, 2, (230, 230), [200, 200], 100.0)))
         manifest = load_manifest(raw / "manifest.json")
-        size = sum(featureio.input_bytes(manifest, manifest.videos, rewrites=True))
-        assert size < featureio.POOL_MIN_INPUT_BYTES
+        size = sum(pool.input_bytes(manifest, manifest.videos, rewrites=True))
+        assert size < pool.POOL_MIN_INPUT_BYTES
         # Blank lines are skipped by the reader, so padding changes only the size.
         padded = manifest.resolve(manifest.videos["video001"].features["track1"])
         with open(padded, "ab") as fh:
-            fh.write(b"\n" * (featureio.POOL_MIN_INPUT_BYTES - 1 - size))
+            fh.write(b"\n" * (pool.POOL_MIN_INPUT_BYTES - 1 - size))
         trees = []
         for extra in (b"", b"\n"):
             with open(padded, "ab") as fh:
@@ -1873,8 +1954,8 @@ class TestPooledAlign:
             code, _, err = run_cli("align", "--manifest", raw / "manifest.json", "--out-dir", out)
             assert code == 0, err
             trees.append(tree_bytes(out))
-        size = sum(featureio.input_bytes(manifest, manifest.videos, rewrites=True))
-        assert size == featureio.POOL_MIN_INPUT_BYTES
+        size = sum(pool.input_bytes(manifest, manifest.videos, rewrites=True))
+        assert size == pool.POOL_MIN_INPUT_BYTES
         assert pool_spy == [2]  # only the run at the threshold
         assert trees[0] == trees[1]
 
@@ -1889,8 +1970,8 @@ class TestPooledAlign:
             (root / name).parent.mkdir(parents=True, exist_ok=True)
             (root / name).write_bytes(content)
         runs = []
-        for threshold in (featureio.POOL_MIN_INPUT_BYTES, 0):
-            monkeypatch.setattr(featureio, "POOL_MIN_INPUT_BYTES", threshold)
+        for threshold in (pool.POOL_MIN_INPUT_BYTES, 0):
+            monkeypatch.setattr(pool, "POOL_MIN_INPUT_BYTES", threshold)
             out = root / f"out{threshold}"
             code, _, err = run_cli("align", "--manifest", root / "manifest.json", "--out-dir", out)
             runs.append((code, err.replace(str(out), "OUT"), out))
@@ -1931,7 +2012,7 @@ def groups_of(manifest_path, partition):
     """The video groups that a two-worker pool scores, as ``score_partition`` splits them."""
     manifest = load_manifest(manifest_path)
     ids = manifest.video_ids(partition)
-    return featureio._split_by_size(ids, featureio.input_bytes(manifest, ids), 2)
+    return pool._split_by_size(ids, pool.input_bytes(manifest, ids), 2)
 
 
 class TestPooledScoring:
@@ -1942,10 +2023,10 @@ class TestPooledScoring:
         ckpt = write_scoring_checkpoint(tmp_path / "r.sqf")
         manifest = synth_dir / "manifest.json"
         loaded = load_manifest(manifest)
-        size = sum(featureio.input_bytes(loaded, loaded.videos))
+        size = sum(pool.input_bytes(loaded, loaded.videos))
         runs = []
         for threshold in (size + 1, size):
-            monkeypatch.setattr(featureio, "POOL_MIN_INPUT_BYTES", threshold)
+            monkeypatch.setattr(pool, "POOL_MIN_INPUT_BYTES", threshold)
             runs.append(score_outputs(run_cli, ckpt, manifest, tmp_path / f"p{threshold}"))
             assert multiprocessing.active_children() == []
         assert pool_spy == [2, 2]  # only the runs at the threshold
@@ -1984,8 +2065,8 @@ class TestPooledScoring:
         ckpt = tmp_path / "z.sqf"
         make_zero_checkpoint(ckpt)  # trained on track0:2, track1:3
         runs = []
-        for threshold in (featureio.POOL_MIN_INPUT_BYTES, 0):
-            monkeypatch.setattr(featureio, "POOL_MIN_INPUT_BYTES", threshold)
+        for threshold in (pool.POOL_MIN_INPUT_BYTES, 0):
+            monkeypatch.setattr(pool, "POOL_MIN_INPUT_BYTES", threshold)
             out = tmp_path / f"out{threshold}"
             argv = {"evaluate": ["--out", out / "report.json"],
                     "predict": ["--out-dir", out]}[command]
@@ -2045,8 +2126,8 @@ class TestPooledScoring:
         monkeypatch.setattr(featureio, "read_input", denied)
         ckpt = write_scoring_checkpoint(tmp_path / "r.sqf")
         errs = []
-        for threshold in (featureio.POOL_MIN_INPUT_BYTES, 0):
-            monkeypatch.setattr(featureio, "POOL_MIN_INPUT_BYTES", threshold)
+        for threshold in (pool.POOL_MIN_INPUT_BYTES, 0):
+            monkeypatch.setattr(pool, "POOL_MIN_INPUT_BYTES", threshold)
             code, out, err = run_cli("evaluate", "--checkpoint", ckpt, "--manifest", manifest,
                                      "--partition", "all")
             assert code == 3 and out == "", err
@@ -2067,8 +2148,8 @@ class TestPooledScoring:
         ckpt = write_scoring_checkpoint(root / "r.sqf")
         for command in ("evaluate", "predict"):
             runs = []
-            for threshold in (featureio.POOL_MIN_INPUT_BYTES, 0):
-                monkeypatch.setattr(featureio, "POOL_MIN_INPUT_BYTES", threshold)
+            for threshold in (pool.POOL_MIN_INPUT_BYTES, 0):
+                monkeypatch.setattr(pool, "POOL_MIN_INPUT_BYTES", threshold)
                 out = root / f"{command}{threshold}"
                 argv = {"evaluate": ["--out", out / "report.json"],
                         "predict": ["--out-dir", out]}[command]
@@ -2096,7 +2177,7 @@ def train_runs(run_cli, monkeypatch, tmp_path, manifest, thresholds, **overrides
     """
     runs = []
     for k, threshold in enumerate(thresholds):
-        monkeypatch.setattr(featureio, "POOL_MIN_INPUT_BYTES", threshold)
+        monkeypatch.setattr(pool, "POOL_MIN_INPUT_BYTES", threshold)
         run_dir = tmp_path / f"run{k}"
         cfg = write_train_config(tmp_path / f"cfg{k}.json", manifest, run_dir, **overrides)
         code, out, err = run_cli("train", "--config", cfg)
@@ -2157,7 +2238,7 @@ class TestPooledTrain:
         manifest = synth_dir / "manifest.json"
         loaded = load_manifest(manifest)
         ids = loaded.video_ids("train") + loaded.video_ids("devel")
-        size = sum(featureio.input_bytes(loaded, ids))
+        size = sum(pool.input_bytes(loaded, ids))
         (serial, serial_files), (pooled_run, pooled_files) = train_runs(
             run_cli, monkeypatch, tmp_path, manifest, (size + 1, size)
         )
@@ -2189,7 +2270,7 @@ class TestPooledTrain:
                 bad.append(synth_dir / entry["features"]["track1"])
         manifest.write_text(json.dumps(raw))
         runs = train_runs(run_cli, monkeypatch, tmp_path, manifest,
-                          (featureio.POOL_MIN_INPUT_BYTES, 0))
+                          (pool.POOL_MIN_INPUT_BYTES, 0))
         assert pool_spy == []
         (serial, serial_files), (pooled_run, pooled_files) = runs
         assert pooled_run == serial and pooled_files == serial_files == {}
@@ -2201,7 +2282,7 @@ class TestPooledTrain:
                                                       monkeypatch):
         manifest = write_mixed_dims_dataset(tmp_path / "raw", "train")
         runs = train_runs(run_cli, monkeypatch, tmp_path, manifest,
-                          (featureio.POOL_MIN_INPUT_BYTES, 0))
+                          (pool.POOL_MIN_INPUT_BYTES, 0))
         assert pool_spy == []
         (serial, serial_files), (pooled_run, pooled_files) = runs
         assert pooled_run == serial and pooled_files == serial_files == {}
@@ -2224,7 +2305,7 @@ class TestPooledTrain:
         victim = raw / "labels" / "video002_valence.csv"
         corrupt(victim, "non-utf8")
         runs = train_runs(run_cli, monkeypatch, tmp_path, raw / "manifest.json",
-                          (featureio.POOL_MIN_INPUT_BYTES, 0))
+                          (pool.POOL_MIN_INPUT_BYTES, 0))
         assert pool_spy == []
         (serial, serial_files), (pooled_run, pooled_files) = runs
         assert pooled_run == serial and pooled_files == serial_files == {}
@@ -2245,7 +2326,7 @@ class TestPooledTrain:
         victim = raw / "labels" / "video003_valence.csv"
         corrupt(victim, "non-utf8")
         runs = train_runs(run_cli, monkeypatch, tmp_path, raw / "manifest.json",
-                          (featureio.POOL_MIN_INPUT_BYTES, 0))
+                          (pool.POOL_MIN_INPUT_BYTES, 0))
         assert pool_spy == []
         (serial, serial_files), (pooled_run, pooled_files) = runs
         assert pooled_run == serial and pooled_files == serial_files == {}
@@ -2266,7 +2347,7 @@ class TestPooledTrain:
 
         monkeypatch.setattr(featureio, "read_input", denied)
         runs = train_runs(run_cli, monkeypatch, tmp_path, manifest,
-                          (featureio.POOL_MIN_INPUT_BYTES, 0))
+                          (pool.POOL_MIN_INPUT_BYTES, 0))
         assert pool_spy == []
         for (code, out, err), files in runs:
             assert (code, out, files) == (3, "", {})
@@ -2283,7 +2364,7 @@ class TestPooledTrain:
             (root / name).parent.mkdir(parents=True, exist_ok=True)
             (root / name).write_bytes(content)
         runs = train_runs(run_cli, monkeypatch, root, root / "manifest.json",
-                          (featureio.POOL_MIN_INPUT_BYTES, 0), epochs=1)
+                          (pool.POOL_MIN_INPUT_BYTES, 0), epochs=1)
         assert pool_spy == []
         ((code, _, err), serial_files), ((pooled_code, _, pooled_err), pooled_files) = runs
         assert code in (0, 2, 3), err
@@ -2336,12 +2417,12 @@ def test_failure_only_in_a_worker_gives_the_serial_result(
     monkeypatch.setattr(featureio, "read_label_csv", fails_in_a_worker)
     # As in the command line, where the root logger has no handler, the
     # warning reaches stderr through logging's last resort.
-    monkeypatch.setattr(featureio.logger, "propagate", False)
+    monkeypatch.setattr(pool.logger, "propagate", False)
     manifest = synth_dir / "manifest.json"
     ckpt = write_scoring_checkpoint(tmp_path / "r.sqf")
     runs = []
-    for threshold in (featureio.POOL_MIN_INPUT_BYTES, 0):
-        monkeypatch.setattr(featureio, "POOL_MIN_INPUT_BYTES", threshold)
+    for threshold in (pool.POOL_MIN_INPUT_BYTES, 0):
+        monkeypatch.setattr(pool, "POOL_MIN_INPUT_BYTES", threshold)
         out = tmp_path / f"out{threshold}"
         argv = {
             "align": ["--manifest", manifest, "--out-dir", out],
@@ -2406,10 +2487,10 @@ def test_sidecars_leave_train_evaluate_and_predict_bytes_unchanged(
     assert len(sidecars) == 6
     for sidecar in sidecars:
         sidecar.unlink()
-    monkeypatch.setattr(featureio, "POOL_MIN_INPUT_BYTES", 0 if mode == "pooled" else 1 << 62)
-    parse_rows = featureio._parse_rows
+    monkeypatch.setattr(pool, "POOL_MIN_INPUT_BYTES", 0 if mode == "pooled" else 1 << 62)
+    parse_rows = csvfiles._parse_rows
     parsed = []
-    monkeypatch.setattr(featureio, "_parse_rows",
+    monkeypatch.setattr(csvfiles, "_parse_rows",
                         lambda path, *a: parsed.append(path) or parse_rows(path, *a))
     runs = []
     for data in (synth_dir, bare):

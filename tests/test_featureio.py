@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import fail_writes_halfway
 from oracles import align_bruteforce, feature_csv_rowwise
-from seqfuse import featureio, sidecar
+from seqfuse import align, featureio, pool, sidecar
 from seqfuse import (
     ConfigError,
     DimMismatchError,
@@ -28,19 +28,17 @@ from seqfuse import (
     synth_generate,
     write_feature_csv,
 )
+from seqfuse.csvfiles import frame_track_to_tokens, read_label_csv, write_label_csv
 from seqfuse.featureio import (
-    check_same_tracks,
-    frame_track_to_tokens,
     load_fused_datasets,
     load_labeled_sequence,
     load_manifest,
-    read_label_csv,
     save_manifest,
     write_dataset,
-    write_label_csv,
     Manifest,
     VideoEntry,
 )
+from seqfuse.tracks import check_same_tracks
 from seqfuse.util import write_atomic
 
 
@@ -555,7 +553,7 @@ def on_grid_alignments(draw):
 
 def align_counting_averages(track, frame_len_ms, n_frames):
     """align_tokens_to_frames' frames, and how often it took the general path."""
-    with mock.patch.object(featureio, "_average_tokens", wraps=featureio._average_tokens) as spy:
+    with mock.patch.object(align, "_average_tokens", wraps=align._average_tokens) as spy:
         frames = align_tokens_to_frames(track, frame_len_ms, n_frames).frames
     return frames, spy.call_count
 
@@ -569,7 +567,7 @@ class TestAlignOnGrid:
         track, frame_len_ms, n_frames = case
         frames, averaged = align_counting_averages(track, frame_len_ms, n_frames)
         assert averaged == 0
-        general = featureio._average_tokens(track, frame_len_ms, n_frames)
+        general = align._average_tokens(track, frame_len_ms, n_frames)
         ref = align_bruteforce(track, frame_len_ms, n_frames).frames
         assert frames.tobytes() == general.tobytes() == ref.tobytes()
 
@@ -1278,8 +1276,8 @@ class TestSidecar:
         csv = tmp_path / "features" / "video000_track0.csv"
         labels = sum(p.stat().st_size for p in (tmp_path / "labels").iterdir())
         full = labels + csv.stat().st_size
-        assert featureio.input_bytes(manifest, ["video000"], rewrites=True) == [full]
-        assert featureio.input_bytes(manifest, ["video000"]) == [
+        assert pool.input_bytes(manifest, ["video000"], rewrites=True) == [full]
+        assert pool.input_bytes(manifest, ["video000"]) == [
             labels + csv.stat().st_size // 8]
         sidecar_of(csv).unlink()
-        assert featureio.input_bytes(manifest, ["video000"]) == [full]
+        assert pool.input_bytes(manifest, ["video000"]) == [full]

@@ -41,6 +41,77 @@ def test_every_import_is_relative_numpy_or_stdlib():
     assert outside == []
 
 
+# The package's modules in import order: each imports only modules before it.
+ORDER = ["errors", "util", "sidecar", "tracks", "csvfiles", "align", "synth", "pool",
+         "featureio", "nn", "metrics", "training", "cli", "__init__"]
+
+
+def package_imports(tree):
+    """(package modules imported when ``tree`` runs, those imported for type checking only)."""
+    run, typing_only = set(), set()
+
+    def visit(node, found):
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            found = typing_only
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+        for child in ast.iter_child_nodes(node):
+            visit(child, found)
+
+    visit(tree, run)
+    return run, typing_only
+
+
+def test_package_imports_form_one_acyclic_order():
+    graph = {name[:-3]: package_imports(tree) for name, tree in modules()}
+    assert sorted(graph) == sorted(ORDER)
+    backward = [(module, dep) for module, (run, _) in graph.items() for dep in run
+                if ORDER.index(dep) >= ORDER.index(module)]
+    assert backward == []
+    # pool annotates with featureio's Manifest, and featureio imports pool.
+    typing_only = {(module, dep) for module, (_, deps) in graph.items() for dep in deps}
+    assert typing_only == {("pool", "featureio")}
+
+
+def dotted(node):
+    """The dotted name of a name or attribute expression (``np.add.at``); None for others."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        owner = dotted(node.value)
+        return owner and f"{owner}.{node.attr}"
+    return None
+
+
+def test_each_bulk_kernel_lives_in_its_concern_module():
+    # Text parsing, alignment's scatter-add and the worker pool each have one home.
+    calls = {(name, dotted(node.func)) for name, tree in modules() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)}
+
+    def where(callee):
+        parts = callee.split(".")
+        return {name for name, called in calls
+                if called and called.split(".")[-len(parts):] == parts}
+
+    assert where("np.loadtxt") == {"csvfiles.py"}
+    assert where("np.add.at") == {"align.py"}
+    assert where("ProcessPoolExecutor") == {"pool.py"}
+
+
+def test_modules_import_only_names_they_use():
+    # featureio also holds the four names that perfbench/ reads from it
+    # without featureio using them; __init__ exists to re-export.
+    unused = {}
+    for name, tree in modules():
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names} - {"annotations"}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used and name != "__init__.py":
+            unused[name] = imported - used
+    assert unused == {"featureio.py": {"fuse", "TokenFeature", "TokenTrack", "synth_generate"}}
+
+
 def test_pool_modules_are_imported_only_inside_functions():
     functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
@@ -55,7 +126,7 @@ def test_pool_modules_are_imported_only_inside_functions():
     hoisted = [f"{name} {found}" for name, tree in modules() for found in eager(tree)]
     assert hoisted == []
     # The grouped loader does import them, so the check above has something to find.
-    pool_helper = dict(modules())["featureio.py"]
+    pool_helper = dict(modules())["pool.py"]
     assert any(n in LAZY for node in ast.walk(pool_helper) for n in imported_names(node))
     assert any("hashlib" in imported_names(node) for node in ast.walk(dict(modules())["cli.py"]))
 
@@ -171,20 +242,21 @@ def test_one_sidecar_format():
     callers = {called: {(name, function) for name, function, c in calls if c == called}
                for called in ("sidecar_bytes", "read_sidecar")}
     assert callers == {"sidecar_bytes": {("featureio.py", "_write_video")},
-                       "read_sidecar": {("featureio.py", "parse_feature_csv")}}
+                       "read_sidecar": {("csvfiles.py", "parse_feature_csv")}}
     assert ("sidecar.py", "read_sidecar", "read_input") in calls
 
 
 def test_one_stat_helper_and_one_output_check():
-    # One function stats files, for input_bytes' sizes and for the identity
-    # of the files that the output check compares. align, train, evaluate
-    # and predict each refuse an output that is one of their inputs through
-    # the one output check, and align walks its outputs once.
+    # One function stats files, for input_bytes' sizes, for the identity of
+    # the files that the output check compares and for an output where a
+    # directory is. align, train, evaluate and predict each refuse an output
+    # that is one of their inputs through the one output check, and align
+    # walks its outputs once.
     calls = [(name, function, called) for name, tree in modules()
              for function, called in calls_by_function(tree)]
     stats = {(name, function) for name, function, called in calls
              if called.split(".")[-1] in {"stat", "lstat", "fstat", "getsize"}}
-    assert stats == {("featureio.py", "_regular_file")}
+    assert stats == {("util.py", "_stat")}
     callees = {}
     for _, function, called in calls:
         callees.setdefault(function, set()).add(called.split(".")[-1])
@@ -200,7 +272,7 @@ def test_one_stat_helper_and_one_output_check():
 
     assert all("check_outputs" in reached(f) for f in ("align_dataset", "cmd_train",
                                                           "cmd_predict", "cmd_evaluate"))
-    assert all("_regular_file" in reached(f) for f in ("input_bytes", "check_outputs"))
+    assert all({"_regular_file", "_stat"} <= reached(f) for f in ("input_bytes", "check_outputs"))
     checks = [called for _, function, called in calls
               if function == "align_dataset" and called == "check_outputs"]
     assert checks == ["check_outputs"]
@@ -233,11 +305,11 @@ def test_one_frame_value_writer_one_label_check_one_tree_start():
         return {(name, function) for name, function, called in calls
                 if called.split(".")[-1] == callee}
 
-    assert callers("frame_csv") == {("featureio.py", "write_label_csv"),
+    assert callers("frame_csv") == {("csvfiles.py", "write_label_csv"),
                                     ("metrics.py", "prediction_csv")}
-    assert callers("_label_checks") == {("featureio.py", "read_label_csv"),
-                                        ("featureio.py", "write_label_csv"),
-                                        ("featureio.py", "__post_init__")}
+    assert callers("_label_checks") == {("csvfiles.py", "read_label_csv"),
+                                        ("csvfiles.py", "write_label_csv"),
+                                        ("tracks.py", "__post_init__")}
     unlinks = {(name, node.name) for name, tree in modules() for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef)
                for call in ast.walk(node)
@@ -253,7 +325,8 @@ def test_one_integer_rule_and_model_dims_stated_once():
     # Every count a run reads is checked by util.check_int, the one function
     # that states the integer rule and builds its message. The model's dims
     # are derived from a config and its track dims by training.model_dims,
-    # for train and for load_checkpoint, which reads no dims from a header.
+    # for train, for save_checkpoint, which refuses a model of other dims,
+    # and for load_checkpoint, which reads no dims from a header.
     messages = {(name, node.name) for name, tree in modules() for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef)
                 and any(isinstance(c, ast.Constant) and "must be an integer" in str(c.value)
@@ -267,12 +340,13 @@ def test_one_integer_rule_and_model_dims_stated_once():
                 if called.split(".")[-1] == callee}
 
     assert callers("check_int") == {
-        ("featureio.py", "_check_frame_len"), ("featureio.py", "_assign"),
-        ("featureio.py", "align_tokens_to_frames"), ("featureio.py", "synth_generate"),
+        ("tracks.py", "_check_frame_len"), ("tracks.py", "_assign"),
+        ("align.py", "align_tokens_to_frames"), ("synth.py", "synth_generate"),
         ("nn.py", "param_layout"), ("training.py", "__post_init__"),
         ("training.py", "chunk"), ("training.py", "load_checkpoint"),
     }
     assert callers("model_dims") == {("training.py", "train"),
+                                     ("training.py", "save_checkpoint"),
                                      ("training.py", "load_checkpoint")}
     (loader,) = [n for n in ast.walk(dict(modules())["training.py"])
                  if isinstance(n, ast.FunctionDef) and n.name == "load_checkpoint"]

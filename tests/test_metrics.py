@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import seqfuse.metrics as metrics_mod
-from seqfuse.featureio import _split_by_size
+from seqfuse.pool import _split_by_size
 from oracles import ccc_direct
 from seqfuse import (
     DegenerateInputError,
@@ -257,7 +257,7 @@ class TestEvaluate:
 
 
 class TestSplitBySize:
-    """The grouping of ``featureio.map_video_groups``, which scoring runs on."""
+    """The grouping of ``pool.map_video_groups``, which scoring runs on."""
 
     def test_largest_first_onto_the_lightest_group_each_in_order(self):
         groups = _split_by_size(["a", "b", "c", "d", "e"], [5, 9, 2, 7, 3], 2)

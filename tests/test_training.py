@@ -486,6 +486,26 @@ class TestCheckpointIo:
         save_checkpoint(ckpt, tmp_path / "b.sqf")
         assert (tmp_path / "a.sqf").read_bytes() == (tmp_path / "b.sqf").read_bytes()
 
+    @pytest.mark.parametrize("case", ["embed-dim", "track-names"])
+    def test_save_refuses_what_load_refuses_writing_nothing(self, tmp_path, case):
+        # Such a checkpoint once saved, then loaded as CorruptCheckpointError.
+        model = init_model(0, {"D": 5, "e": 4, "h": 5, "m": 3})
+        cfg = small_train_config(embed_dim=8 if case == "embed-dim" else 4)
+        names = ("a", "b") if case == "track-names" else ("track0", "track1")
+        ckpt = Checkpoint(model, cfg, ((names[0], 2), (names[1], 3)), 0.5, 0)
+        path = tmp_path / "c.sqf"
+        if case == "embed-dim":
+            error, message = ShapeMismatchError, (
+                "c.sqf: model dims {'D': 5, 'e': 4, 'h': 5, 'm': 3}, but its config and "
+                "track dims give {'D': 5, 'e': 8, 'h': 5, 'm': 3}")
+        else:
+            error, message = ConfigError, (
+                "c.sqf: track_dims name tracks ['a', 'b'], but config.track_order is "
+                "['track0', 'track1']")
+        with pytest.raises(error, match=re.escape(message)):
+            save_checkpoint(ckpt, path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "ckpt.sqf"
         save_checkpoint(_random_checkpoint(1), path)
