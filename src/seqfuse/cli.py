@@ -2,12 +2,12 @@
 
 Exit codes: 0 success; 2 input/config error, including an input file that is
 missing, a directory, or not UTF-8 text, and an output path that names no
-file or where a directory exists; 3 any other OS error; 4 internal
-invariant violation. Train runs are configured by a JSON file holding every
-``TrainConfig`` field plus ``manifest`` and ``out_dir``, and no other field;
-command-line flags override file values. ``SEQFUSE_SEED`` serves as a
-fallback seed when the config omits one. Every command takes the frame grid
-from the dataset manifest.
+file, where a directory exists or under a regular file; 3 any other OS
+error; 4 internal invariant violation. Train runs are configured by a JSON
+file holding every ``TrainConfig`` field plus ``manifest`` and ``out_dir``,
+and no other field; command-line flags override file values.
+``SEQFUSE_SEED`` serves as a fallback seed when the config omits one. Every
+command takes the frame grid from the dataset manifest.
 """
 
 from __future__ import annotations

@@ -31,15 +31,16 @@ The manifest does not list sidecars (see :mod:`seqfuse.sidecar`).
 
 Every command checks each output file with :func:`check_outputs` before it
 writes it: none may be written twice, be read by a manifest video or other
-input, name no file, or be a directory. :func:`load_labeled_sequence` reads,
-aligns (:mod:`seqfuse.align`) and fuses one manifest video into a
-LabeledSequence (:mod:`seqfuse.tracks`).
+input, name no file, be a directory, or lie under a regular file.
+:func:`load_labeled_sequence` reads, aligns (:mod:`seqfuse.align`) and fuses
+one manifest video into a LabeledSequence (:mod:`seqfuse.tracks`).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import stat
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -234,11 +235,14 @@ def write_dataset(out_dir: str | Path, videos: Iterable[tuple[str, LabeledSequen
     and a sequence on another grid LengthMismatchError. ``manifest.json``,
     which records the grid, is written last, and an existing one is removed
     first, so a failure leaves none; no videos at all raise
-    EmptyDatasetError, since a manifest must list one.
+    EmptyDatasetError, since a manifest must list one. Before any directory
+    is made, :func:`check_outputs` refuses ``manifest.json`` as an output,
+    so an ``out_dir`` under a regular file raises ConfigError.
     """
     out_dir = Path(out_dir)
-    _start_tree(out_dir)
     claimed, entries, frame_len_ms = set(), {}, None
+    check_outputs([(out_dir / MANIFEST_NAME, "the dataset tree")], {}, claimed)
+    _start_tree(out_dir)
     for partition, seq in videos:
         frame_len_ms = frame_len_ms or seq.frame_len_ms
         relpaths = _tree_files(seq.video_id, seq.labels, [tr.name for tr in seq.tracks])
@@ -297,23 +301,24 @@ def input_readers(manifest: Manifest, others: Iterable[tuple[str | Path, str]] =
 
 
 def check_outputs(outputs: Iterable[tuple[Path, str]], readers: dict, claimed: set) -> None:
-    """Raise ConfigError at the first output path that names no file, or is written twice or read.
+    """Raise ConfigError at the first output path that cannot be made, or is written twice or read.
 
     ``outputs`` yields ``(path, writer)`` pairs in the order written, where
     ``writer`` names what would write ``path``. For each in turn, a path
     without a file name (``""``, ``.``, ``/``, ``..``) raises ConfigError,
     and so does one where a directory, or anything else that is not a
-    regular file, exists. Then the path is claimed: one that ``claimed``
-    already holds raises ConfigError, since names are joined with "_" and
-    two dataset entries can map to one file name; ``claimed`` takes each
-    path. Then a file that ``readers`` (see
-    :func:`input_readers`) lists under another reader than ``writer`` raises
-    ConfigError naming the first such reader. A writer may replace what it
-    reads itself: ``align`` writes a video's files only once that video has
-    read all of its inputs, so a tree can be aligned in place. Files are
-    compared by :func:`_file_keys`, so an output that a symlink (of a file
-    or of a directory above it) or a hard link makes the same file as an
-    input is refused too.
+    regular file, exists, and one whose nearest existing parent is not a
+    directory (a regular file, say). Then the path is claimed: one that
+    ``claimed`` already holds raises ConfigError, since names are joined
+    with "_" and two dataset entries can map to one file name; ``claimed``
+    takes each path. Then a file that ``readers`` (see
+    :func:`input_readers`) lists under another reader than ``writer``
+    raises ConfigError naming the first such reader. A writer may replace
+    what it reads itself: ``align`` writes a video's files only once that
+    video has read all of its inputs, so a tree can be aligned in place.
+    Files are compared by :func:`_file_keys`, so an output that a symlink
+    (of a file or of a directory above it) or a hard link makes the same
+    file as an input is refused too.
     """
     for path, writer in outputs:
         if Path(path).name in ("", ".."):
@@ -322,6 +327,12 @@ def check_outputs(outputs: Iterable[tuple[Path, str]], readers: dict, claimed: s
         if len(keys) == 1 and _stat(path) is not None:
             raise ConfigError(f"{path}: {writer} would write this file, which is a directory "
                               "or something else that is not a regular file")
+        above = Path(path).parent
+        while (info := _stat(above)) is None and above != above.parent:
+            above = above.parent
+        if info is not None and not stat.S_ISDIR(info.st_mode):
+            raise ConfigError(f"{path}: {writer} would write this file under {above}, "
+                              "which is not a directory")
         if keys[0] in claimed:
             raise ConfigError(f"{path}: two dataset entries map to this file")
         claimed.add(keys[0])
@@ -334,9 +345,10 @@ def align_dataset(manifest: Manifest, out_dir: str | Path) -> int:
     """Align every manifest video onto its frame grid and write the tree; returns the count.
 
     Every output file is checked first, in one :func:`check_outputs` walk in
-    manifest order: a name that two videos map to raises ConfigError, as
-    :func:`write_dataset` would, and so does an output file of one video
-    that is an input file of another, before any directory or file is made.
+    manifest order and then ``manifest.json``: a name that two videos map to
+    raises ConfigError, as :func:`write_dataset` would, and so does an
+    output file of one video that is an input file of another, before any
+    directory or file is made.
     Each video's features and labels are then loaded with
     :func:`load_labeled_sequence` in manifest track order and written as by
     :func:`write_dataset`, with the same bytes and errors, through
@@ -352,6 +364,7 @@ def align_dataset(manifest: Manifest, out_dir: str | Path) -> int:
         for vid, entry in manifest.videos.items()
         for relpath in _tree_files(vid, entry.labels, entry.features)
     ]
+    outputs.append((out_dir / MANIFEST_NAME, "the dataset tree"))
     check_outputs(outputs, input_readers(manifest), set())
     _start_tree(out_dir)
     aligned = map_video_groups(

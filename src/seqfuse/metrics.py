@@ -29,13 +29,12 @@ from .errors import (
     EmptyDatasetError,
     LengthMismatchError,
     NonFiniteOutputError,
-    TargetMissingError,
 )
 from .csvfiles import frame_csv
 from .featureio import Manifest, load_labeled_sequence
 from .nn import Model, predict
 from .pool import map_video_groups
-from .tracks import LabeledSequence, check_same_tracks
+from .tracks import LabeledSequence, check_same_tracks, target_labels
 from .util import fmt_float
 
 logger = logging.getLogger(__name__)
@@ -114,12 +113,9 @@ def ccc_report(target: str, videos: list[ScoredVideo]) -> CccReport:
     """
     if not videos:
         raise EmptyDatasetError("evaluate needs at least one sequence")
-    for video in videos:
-        if target not in video.labels:
-            raise TargetMissingError(f"video {video.video_id!r} lacks target {target!r}")
+    targets = [target_labels(video.video_id, video.labels, target) for video in videos]
     per_video: dict[str, float] = {}
-    for video in videos:
-        labels = video.labels[target]
+    for video, labels in zip(videos, targets):
         if len(labels) < 2:
             logger.warning(
                 "video %r: per-video CCC undefined (needs 2 frames, has %d)",
@@ -134,7 +130,7 @@ def ccc_report(target: str, videos: list[ScoredVideo]) -> CccReport:
                 "video %r: per-video CCC undefined (constant equal sequences)",
                 video.video_id,
             )
-    all_labels = np.concatenate([video.labels[target] for video in videos])
+    all_labels = np.concatenate(targets)
     all_preds = np.concatenate([video.predictions for video in videos])
     return CccReport(target, ccc(all_preds, all_labels), per_video, len(all_labels))
 

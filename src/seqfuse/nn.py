@@ -252,7 +252,7 @@ def forward(
         rng = seeded_rng(mask_seed)
         mask_embed = rng.random((t, e)) >= dropout_rate
         mask_head = rng.random((t, m)) >= dropout_rate
-    keep_scale = 1.0 / (1.0 - dropout_rate) if mask_embed is not None else 1.0
+    keep_scale = 1.0 / (1.0 - dropout_rate)  # used only where a mask was drawn
 
     p = model.tensors
     proj_pre = inputs @ p["projection_w"].T + p["projection_b"]
@@ -453,9 +453,7 @@ def backward(model: Model, trace: ForwardTrace, labels: np.ndarray) -> np.ndarra
         raise TraceMismatchError("trace shapes do not match this model")
 
     p = model.tensors
-    keep_scale = (
-        1.0 / (1.0 - trace.dropout_rate) if trace.mask_embed is not None else 1.0
-    )
+    keep_scale = 1.0 / (1.0 - trace.dropout_rate)  # used only where a mask was drawn
     grad = np.zeros_like(model.params)
     named = model.views(grad)
 

@@ -27,7 +27,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimMismatchError, LengthMismatchError, MalformedRowError
+from .errors import (
+    ConfigError,
+    DimMismatchError,
+    LengthMismatchError,
+    MalformedRowError,
+    TargetMissingError,
+)
 from .util import check_int
 
 DEFAULT_FRAME_LEN_MS = 250
@@ -218,6 +224,17 @@ class LabeledSequence:
     @property
     def track_dims(self) -> tuple[tuple[str, int], ...]:
         return tuple((tr.name, tr.dim) for tr in self.tracks)
+
+
+def target_labels(video_id: str, labels: dict[str, np.ndarray], target: str) -> np.ndarray:
+    """``labels[target]``, one video's labels for the target a model is trained or scored on.
+
+    A video without them raises TargetMissingError
+    (``v: no labels for target 'arousal'``).
+    """
+    if target not in labels:
+        raise TargetMissingError(f"{video_id}: no labels for target {target!r}")
+    return labels[target]
 
 
 def _check_rows(where, checks) -> None:

@@ -32,13 +32,12 @@ from .errors import (
     LengthMismatchError,
     NonFiniteOutputError,
     ShapeMismatchError,
-    TargetMissingError,
     VersionMismatchError,
 )
 from .featureio import check_name
 from .metrics import evaluate
 from .nn import Model, ParamSpec, backward, forward, init_model, param_layout
-from .tracks import LabeledSequence, check_same_tracks
+from .tracks import LabeledSequence, check_same_tracks, target_labels
 from .util import _UINT64_MASK, check_int, fmt_float, read_input, seeded_rng, write_atomic
 
 logger = logging.getLogger(__name__)
@@ -99,13 +98,11 @@ class TrainConfig:
                 raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
-        for name in ("adam_beta1", "adam_beta2"):
+        for name in ("adam_beta1", "adam_beta2", "dropout_rate"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1)")
         if self.adam_eps <= 0:
             raise ConfigError("adam_eps must be positive")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError("dropout_rate must lie in [0, 1)")
         names = self.track_order
         if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
             raise ConfigError(f"track_order must be a nonempty list of names, got {names!r}")
@@ -154,11 +151,7 @@ def chunk(
     (ConfigError).
     """
     max_time_step = check_int(max_time_step, "max_time_step", 1, ConfigError)
-    if target not in sequence.labels:
-        raise TargetMissingError(
-            f"{sequence.video_id}: no labels for target {target!r}"
-        )
-    labels = sequence.labels[target]
+    labels = target_labels(sequence.video_id, sequence.labels, target)
     return [
         (sequence.data[lo : lo + max_time_step], labels[lo : lo + max_time_step])
         for lo in range(0, sequence.n_frames, max_time_step)
@@ -235,17 +228,6 @@ def _mask_seed(seed: int, epoch: int, chunk_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _validate_dataset(
-    dataset: list[LabeledSequence], target: str, reference: LabeledSequence, what: str
-) -> None:
-    for seq in dataset:
-        if target not in seq.labels:
-            raise TargetMissingError(
-                f"{what} video {seq.video_id!r} lacks target {target!r}"
-            )
-        check_same_tracks(seq, reference.track_dims, reference.video_id)
-
-
 # A diverging run ends in ConfigError below; numpy's overflow warnings on the way add nothing.
 @np.errstate(over="ignore", invalid="ignore")
 def train(
@@ -263,21 +245,20 @@ def train(
     epoch's parameters are kept. Training stops early after ``patience``
     epochs without improvement. The fresh (epoch 0) model is the initial
     best candidate, so ``epochs=0`` returns it with an empty history.
-    Every sequence must have the first train sequence's tracks and dims
-    (DimMismatchError otherwise), in ``config.track_order`` (ConfigError).
+    Every sequence, train then devel, must have labels for ``config.target``
+    (TargetMissingError) and the first train sequence's tracks and dims
+    (DimMismatchError), and those tracks must be ``config.track_order``'s
+    (ConfigError).
     A model too large to allocate raises ConfigError naming its dims.
     """
     if not train_set or not devel_set:
         raise EmptyDatasetError("train and devel sets must be nonempty")
-    _validate_dataset(train_set, config.target, train_set[0], "train")
-    _validate_dataset(devel_set, config.target, train_set[0], "devel")
-    track_dims = train_set[0].track_dims
-    names = [name for name, _ in track_dims]
-    if names != list(config.track_order):
-        raise ConfigError(
-            f"fused track order {names} does not match configured "
-            f"{list(config.track_order)}"
-        )
+    reference = train_set[0]
+    for seq in [*train_set, *devel_set]:
+        target_labels(seq.video_id, seq.labels, config.target)
+        check_same_tracks(seq, reference.track_dims, reference.video_id)
+    track_dims = reference.track_dims
+    _check_track_order(config, track_dims, f"train video {reference.video_id!r}", ConfigError)
 
     dims = model_dims(config, track_dims)
     try:

@@ -66,6 +66,20 @@ def write_train_config(path, manifest, out_dir, **overrides):
 DIRECTORY = "which is a directory or something else that is not a regular file"
 
 
+def under_a_file(output, writer, blocker) -> str:
+    """What the CLI prints for an output under the regular file ``blocker``."""
+    return (f"error: {output}: {writer} would write this file under {blocker}, "
+            "which is not a directory\n")
+
+
+@pytest.fixture
+def blocker(tmp_path) -> Path:
+    """A regular file where an output directory would go."""
+    path = tmp_path / "runfile"
+    path.write_text("a file, not a directory\n")
+    return path
+
+
 def paths_and_bytes(root: Path):
     """Every path under ``root``, directories too, and the bytes of every file."""
     return sorted(root.rglob("*")), tree_bytes(root)
@@ -157,6 +171,16 @@ class TestSynth:
         code, _, err = run_cli("synth", "--out-dir", out, "--seed", 1, *argv)
         assert (code, err) == (2, message)
         assert not out.exists()
+
+    def test_out_dir_under_a_regular_file_exit_2_writing_nothing(self, tmp_path, run_cli,
+                                                                  blocker):
+        # It once exited 3 when making the tree's directories met the file.
+        out = blocker / "s"
+        before = paths_and_bytes(tmp_path)
+        code, stdout, err = run_cli("synth", "--out-dir", out, "--seed", 1)
+        assert (code, stdout, err) == (
+            2, "", under_a_file(out / "manifest.json", "the dataset tree", blocker))
+        assert paths_and_bytes(tmp_path) == before
 
     def test_manifest_partitions(self, synth_dir):
         manifest = json.loads((synth_dir / "manifest.json").read_text())
@@ -338,6 +362,33 @@ class TestAlign:
         first = tree_bytes(out)
         assert run_cli("align", "--manifest", manifest, "--out-dir", out)[0] == 0
         assert tree_bytes(out) == first
+
+    def test_out_dir_under_a_regular_file_exit_2_before_loading(
+        self, synth_dir, tmp_path, run_cli, no_video_loads, blocker
+    ):
+        # It once exited 3 when making the tree's directories met the file.
+        out = blocker / "al"
+        before = paths_and_bytes(tmp_path)
+        code, stdout, err = run_cli("align", "--manifest", synth_dir / "manifest.json",
+                                    "--out-dir", out)
+        assert (code, stdout, err) == (
+            2, "", under_a_file(out / "labels/video000_arousal.csv", "video 'video000'", blocker))
+        assert paths_and_bytes(tmp_path) == before
+
+    def test_manifest_that_is_a_directory_exit_2_before_loading(
+        self, synth_dir, tmp_path, run_cli, no_video_loads
+    ):
+        # It once made the tree's directories, then exited 3 when removing
+        # the old manifest met the directory.
+        out = tmp_path / "al"
+        (out / "manifest.json").mkdir(parents=True)
+        before = paths_and_bytes(tmp_path)
+        code, stdout, err = run_cli("align", "--manifest", synth_dir / "manifest.json",
+                                    "--out-dir", out)
+        assert (code, stdout, err) == (
+            2, "", f"error: {out / 'manifest.json'}: the dataset tree would write this file, "
+                   f"{DIRECTORY}\n")
+        assert paths_and_bytes(tmp_path) == before
 
     def test_missing_feature_file_exit_2_with_path(self, synth_dir, tmp_path, run_cli):
         victim = next((synth_dir / "features").glob("*.csv"))
@@ -695,6 +746,18 @@ class TestTrain:
                    f"{DIRECTORY}\n")
         assert paths_and_bytes(tmp_path) == before
 
+    def test_out_dir_under_a_regular_file_exit_2_before_loading(
+        self, synth_dir, tmp_path, run_cli, no_video_loads, blocker
+    ):
+        # It once trained, then exited 3 when making the run directory met the file.
+        run_dir = blocker / "run"
+        cfg = write_train_config(tmp_path / "cfg.json", synth_dir / "manifest.json", run_dir)
+        before = paths_and_bytes(tmp_path)
+        code, out, err = run_cli("train", "--config", cfg)
+        assert (code, out, err) == (
+            2, "", under_a_file(run_dir / "history.csv", "train --out-dir", blocker))
+        assert paths_and_bytes(tmp_path) == before
+
     def test_identical_config_identical_checkpoint_bytes(self, synth_dir, tmp_path, run_cli):
         run_a, run_b = tmp_path / "a", tmp_path / "b"
         cfg_a = write_train_config(tmp_path / "ca.json", synth_dir / "manifest.json", run_a)
@@ -1049,6 +1112,21 @@ class TestEvaluate:
                     "/": "'/': evaluate --out needs a path that names a file",
                     "dir": f"dir: evaluate --out would write this file, {DIRECTORY}"}[out]
         assert (code, stdout, err) == (2, "", f"error: {expected}\n")
+        assert paths_and_bytes(tmp_path) == before
+
+    def test_out_under_a_regular_file_exit_2_before_loading(
+        self, synth_dir, tmp_path, run_cli, no_video_loads, blocker
+    ):
+        # It once scored the partition, then exited 3 when making the
+        # report's directory met the file.
+        ckpt_path = tmp_path / "z.sqf"
+        make_zero_checkpoint(ckpt_path)
+        before = paths_and_bytes(tmp_path)
+        code, stdout, err = run_cli("evaluate", "--checkpoint", ckpt_path,
+                                    "--manifest", synth_dir / "manifest.json",
+                                    "--out", blocker / "r.json")
+        assert (code, stdout, err) == (
+            2, "", under_a_file(blocker / "r.json", "evaluate --out", blocker))
         assert paths_and_bytes(tmp_path) == before
 
     def test_out_over_an_unscored_videos_label_file_exit_2_keeping_it(self, tmp_path, run_cli):
@@ -1428,6 +1506,21 @@ class TestPredict:
             2, "", f"error: {out / name}: predict --out-dir would write this file, {DIRECTORY}\n")
         assert paths_and_bytes(tmp_path) == before
 
+    def test_out_dir_that_is_a_regular_file_exit_2_before_loading(
+        self, synth_dir, tmp_path, run_cli, no_video_loads, blocker
+    ):
+        # It once scored every video, then exited 3 when making the output
+        # directory met the file.
+        ckpt_path = tmp_path / "z.sqf"
+        make_zero_checkpoint(ckpt_path)
+        before = paths_and_bytes(tmp_path)
+        code, stdout, err = run_cli("predict", "--checkpoint", ckpt_path,
+                                    "--manifest", synth_dir / "manifest.json",
+                                    "--out-dir", blocker)
+        assert (code, stdout, err) == (
+            2, "", under_a_file(blocker / "video000_arousal.csv", "predict --out-dir", blocker))
+        assert paths_and_bytes(tmp_path) == before
+
     def test_empty_partition_exit_2_naming_it(self, synth_dir, tmp_path, run_cli):
         ckpt_path = tmp_path / "z.sqf"
         make_zero_checkpoint(ckpt_path)
@@ -1576,11 +1669,21 @@ class TestCliSurface:
         assert code == 2
         assert "gone.sqf" in err
 
-    def test_unwritable_out_dir_exit_3(self, synth_dir, tmp_path, run_cli):
-        blocker = tmp_path / "blocked"
-        blocker.write_text("file, not a directory")
+    def test_unwritable_out_dir_exit_3(self, synth_dir, tmp_path, run_cli, monkeypatch):
+        # The OS refuses to make the directory, as a read-only parent does
+        # for a user other than root. (A regular file in its way is refused
+        # with exit 2 before any work: see TestAlign.)
+        blocked = tmp_path / "blocked"
+        real_mkdir = Path.mkdir
+
+        def refuse(self, *args, **kwargs):
+            if blocked in (self, *self.parents):
+                raise PermissionError(13, "Permission denied", str(self))
+            return real_mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", refuse)
         code, _, err = run_cli("align", "--manifest", synth_dir / "manifest.json",
-                               "--out-dir", blocker)
+                               "--out-dir", blocked)
         assert code == 3
 
 

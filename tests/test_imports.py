@@ -353,3 +353,39 @@ def test_one_integer_rule_and_model_dims_stated_once():
     keys = [n.slice.value for n in ast.walk(loader)
             if isinstance(n, ast.Subscript) and isinstance(n.slice, ast.Constant)]
     assert "config" in keys and "dims" not in keys
+
+
+def test_one_target_lookup_track_order_check_rate_loop_and_dropout_scale():
+    # tracks.target_labels is the one place that finds a video's labels for
+    # a target, for chunk, train and ccc_report, so a missing target has
+    # one message. training._check_track_order is the one check that the
+    # tracks are config.track_order's, for train and for both checkpoint
+    # ends. TrainConfig states its [0, 1) rule once, and the dropout scale
+    # of forward and backward does not branch on whether masks were drawn.
+    calls = [(name, function, called) for name, tree in modules()
+             for function, called in calls_by_function(tree)]
+
+    def callers(callee):
+        return {(name, function) for name, function, called in calls
+                if called.split(".")[-1] == callee}
+
+    assert callers("TargetMissingError") == {("tracks.py", "target_labels")}
+    assert callers("target_labels") == {("training.py", "chunk"), ("training.py", "train"),
+                                        ("metrics.py", "ccc_report")}
+    assert callers("_check_track_order") == {("training.py", "train"),
+                                             ("training.py", "save_checkpoint"),
+                                             ("training.py", "load_checkpoint")}
+    training = dict(modules())["training.py"]
+    order_readers = {node.name for node in ast.walk(training)
+                     if isinstance(node, ast.FunctionDef)
+                     and any(isinstance(n, ast.Attribute) and n.attr == "track_order"
+                             for n in ast.walk(node))}
+    assert order_readers == {"__post_init__", "_check_track_order"}
+    assert (PACKAGE / "training.py").read_text(encoding="utf-8").count("must lie in [0, 1)") == 1
+    scales = {node.name: [a.value for a in ast.walk(node) if isinstance(a, ast.Assign)
+                          and [getattr(t, "id", None) for t in a.targets] == ["keep_scale"]]
+              for node in ast.walk(dict(modules())["nn.py"])
+              if isinstance(node, ast.FunctionDef) and node.name in ("forward", "backward")}
+    assert sorted(scales) == ["backward", "forward"]
+    assert all(len(values) == 1 and not any(isinstance(n, ast.IfExp) for n in ast.walk(values[0]))
+               for values in scales.values())

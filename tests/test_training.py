@@ -327,6 +327,26 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train(train_set, devel_set, small_train_config(track_order=["track1", "track0"]))
 
+    def test_devel_video_without_the_target_named(self):
+        train_set, devel_set = make_split(seed=9, n_train=1, n_devel=1, t_range=(10, 10))
+        del devel_set[0].labels["arousal"]
+        message = f"{devel_set[0].video_id}: no labels for target 'arousal'"
+        with pytest.raises(TargetMissingError, match=re.escape(message)):
+            train(train_set, devel_set, small_train_config())
+
+    def test_tracks_in_another_order_than_the_config_named(self):
+        train_set, devel_set = make_split(seed=10, n_train=1, n_devel=1, t_range=(10, 10))
+        train_set, devel_set = (
+            [LabeledSequence(seq.video_id, [FrameTrack(tr.name, tr.frames)
+                                            for tr in reversed(seq.tracks)], seq.labels)
+             for seq in videos]
+            for videos in (train_set, devel_set)
+        )
+        message = (f"train video {train_set[0].video_id!r}: track_dims name tracks "
+                   "['track1', 'track0'], but config.track_order is ['track0', 'track1']")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            train(train_set, devel_set, small_train_config())
+
     def test_early_stopping_after_patience_epochs(self, monkeypatch):
         import seqfuse.training as training_mod
 
