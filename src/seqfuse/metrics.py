@@ -46,7 +46,9 @@ def ccc(x: np.ndarray, y: np.ndarray) -> float:
     """Lin's concordance: 2*cov(x,y) / (var(x) + var(y) + (mean gap)^2).
 
     Population (1/n) moments. Raises DegenerateInputError when the
-    denominator vanishes, i.e. both sequences are constant with equal means.
+    denominator vanishes, i.e. both sequences are constant with equal means:
+    when it is below DEGENERATE_EPS once both inputs are scaled together so
+    that the larger peak magnitude lies in [1/2, 1).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -55,10 +57,12 @@ def ccc(x: np.ndarray, y: np.ndarray) -> float:
     if x.shape[0] < 2:
         raise LengthMismatchError("ccc needs at least 2 points")
     # CCC is unchanged when x and y are scaled together, and a power of two
-    # scales exactly, so finite inputs past 2**480 are brought below it
-    # before a sum or a square can overflow. Other inputs are left as given.
+    # scales exactly, so finite inputs are brought to a peak magnitude in
+    # [1/2, 1): no sum or square can overflow, and the degenerate threshold
+    # is relative to the inputs' scale. A zero, inf or NaN peak leaves them as
+    # given.
     peak = max(np.max(np.abs(x)), np.max(np.abs(y)))
-    shift = min(0, 480 - math.frexp(peak)[1])
+    shift = -math.frexp(peak)[1]
     if shift:
         x, y = np.ldexp(x, shift), np.ldexp(y, shift)
     mean_x = np.mean(x)

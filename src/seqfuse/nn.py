@@ -23,9 +23,13 @@ the c/h update, all in place: into the step's rows of the trace in
 ``forward``, into block buffers in ``predict``. A ``backward`` step is the
 reverse pass for dh, dc and one gate-gradient row, also in preallocated
 buffers. The projection, the head, both dropout sites and every weight
-gradient are single matrix expressions over all t steps. The input-to-gate
-product ``Wx @ embed_j + b`` is computed in windows of EVAL_BLOCK steps, the
-same windows in ``forward`` and ``predict`` (see :func:`_input_gates`).
+gradient are single matrix expressions over all t steps. One function
+computes both relu layers (:func:`_relu_layer`) and one the output unit, for
+``forward`` and ``predict`` alike, and one applies either dropout site
+(:func:`_dropout`); ``backward`` reads each relu-and-dropout gate from the
+stored activation. The input-to-gate product ``Wx @ embed_j + b`` is
+computed in windows of EVAL_BLOCK steps, the same windows in ``forward``
+and ``predict`` (see :func:`_input_gates`).
 
 ``forward`` and ``backward`` are the training path. ``predict`` is the eval
 path: it scores up to EVAL_ROWS sequences in one recurrence and keeps no
@@ -136,20 +140,16 @@ class Model:
 
 @dataclass(eq=False)
 class ForwardTrace:
-    """Every intermediate, one row per step, needed to rerun the backward pass."""
+    """Every intermediate, one row per step, that the backward pass reads."""
 
     inputs: np.ndarray  # (t, D) fused features
-    proj_pre: np.ndarray  # (t, e) projection pre-activation
     embed: np.ndarray  # (t, e) after relu and embedding dropout
     gates: np.ndarray  # (t, 4h) activated gates, blocks in (i, f, g, o) order
     cell: np.ndarray  # (t, h) c_j
     hidden: np.ndarray  # (t, h) h_j
-    head_pre: np.ndarray  # (t, m) head hidden pre-activation
     head_act: np.ndarray  # (t, m) after relu and head dropout
     predictions: np.ndarray  # (t,)
-    mask_embed: np.ndarray | None  # (t, e) keep mask, None when dropout is off
-    mask_head: np.ndarray | None  # (t, m)
-    dropout_rate: float
+    dropout_rate: float  # 0.0 when no masks were drawn
 
     @property
     def n_steps(self) -> int:
@@ -228,6 +228,28 @@ def _lstm_steps(steps, h_prev, c_prev, matvec, rec_out, rec, scale, shift, part)
         h_prev, c_prev = hj, c
 
 
+def _relu_layer(model: Model, layer: str, x: np.ndarray) -> np.ndarray:
+    """relu(x @ W.T + b) over the rows of x, for the projection or the head's
+    hidden layer: ``layer`` is "projection" or "head_hidden"."""
+    p = model.tensors
+    return np.maximum(0.0, x @ p[layer + "_w"].T + p[layer + "_b"])
+
+
+def _output_unit(model: Model, head_act: np.ndarray) -> np.ndarray:
+    """The head's linear output unit: one raw prediction per row of ``head_act``."""
+    p = model.tensors
+    return head_act @ p["head_out_w"][0] + p["head_out_b"][0]
+
+
+def _dropout(x: np.ndarray, rng: np.random.Generator | None, rate: float) -> np.ndarray:
+    """``x`` times a fresh keep mask drawn from ``rng``, kept units divided
+    by ``1 - rate``; ``x`` itself when ``rng`` is None."""
+    if rng is None:
+        return x
+    keep_scale = 1.0 / (1.0 - rate)
+    return x * (rng.random(x.shape) >= rate) * keep_scale
+
+
 def forward(
     model: Model,
     inputs: np.ndarray,
@@ -237,28 +259,17 @@ def forward(
     """Run the full network over a (t, D) input matrix, recording the trace.
 
     Dropout is active only when ``mask_seed`` is given and the rate is
-    positive; evaluation mode never touches a random generator. Masks are
-    drawn once per call from the seeded generator (embedding mask first,
-    then head mask) so a given (model, inputs, mask_seed) is deterministic.
+    positive; evaluation mode never touches a random generator. One seeded
+    generator draws the embedding mask and then the head mask, so a given
+    (model, inputs, mask_seed) is deterministic.
     """
     inputs = _checked_inputs(model, inputs)
-    e, h, m = (model.dims[k] for k in "ehm")
+    h = model.dims["h"]
     if not 0.0 <= dropout_rate < 1.0:
         raise DimMismatchError("dropout_rate must lie in [0, 1)")
     t = inputs.shape[0]
-
-    mask_embed = mask_head = None
-    if mask_seed is not None and dropout_rate > 0.0:
-        rng = seeded_rng(mask_seed)
-        mask_embed = rng.random((t, e)) >= dropout_rate
-        mask_head = rng.random((t, m)) >= dropout_rate
-    keep_scale = 1.0 / (1.0 - dropout_rate)  # used only where a mask was drawn
-
-    p = model.tensors
-    proj_pre = inputs @ p["projection_w"].T + p["projection_b"]
-    embed = np.maximum(0.0, proj_pre)
-    if mask_embed is not None:
-        embed = embed * mask_embed * keep_scale
+    rng = seeded_rng(mask_seed) if mask_seed is not None and dropout_rate > 0.0 else None
+    embed = _dropout(_relu_layer(model, "projection", inputs), rng, dropout_rate)
 
     # Rows hold the halved input-to-gate product until step j overwrites
     # row j with its activated gates. The per-gate (t, h) views are made
@@ -274,25 +285,16 @@ def forward(
     _lstm_steps(steps, np.zeros(h), np.zeros(h), Wh_half.dot, recurrent, recurrent,
                 scale, shift, np.empty(h))
 
-    head_pre = hidden @ p["head_hidden_w"].T + p["head_hidden_b"]
-    head_act = np.maximum(0.0, head_pre)
-    if mask_head is not None:
-        head_act = head_act * mask_head * keep_scale
-    predictions = head_act @ p["head_out_w"][0] + p["head_out_b"][0]
-
+    head_act = _dropout(_relu_layer(model, "head_hidden", hidden), rng, dropout_rate)
     return ForwardTrace(
         inputs=inputs,
-        proj_pre=proj_pre,
         embed=embed,
         gates=gates,
         cell=cell,
         hidden=hidden,
-        head_pre=head_pre,
         head_act=head_act,
-        predictions=predictions,
-        mask_embed=mask_embed,
-        mask_head=mask_head,
-        dropout_rate=dropout_rate if mask_embed is not None else 0.0,
+        predictions=_output_unit(model, head_act),
+        dropout_rate=dropout_rate if rng is not None else 0.0,
     )
 
 
@@ -353,12 +355,9 @@ def predict(model: Model, sequences) -> list[np.ndarray]:
 def _predict_batch(model: Model, inputs: list[np.ndarray]) -> list[np.ndarray]:
     """``predict`` for nonempty inputs sorted longest first."""
     h, K, B = model.dims["h"], EVAL_BLOCK, len(inputs)
-    p = model.tensors
     scale, shift, Wh_half = _tanh_form(model)
     lengths = [len(x) for x in inputs]
-    embeds = [
-        np.maximum(0.0, x @ p["projection_w"].T + p["projection_b"]) for x in inputs
-    ]
+    embeds = [_relu_layer(model, "projection", x) for x in inputs]
     hidden = [np.empty((t, h)) for t in lengths]
 
     # Buffers for one block. Step k of sequence v is gate_blk[k, :, v] and
@@ -423,10 +422,7 @@ def _predict_batch(model: Model, inputs: list[np.ndarray]) -> list[np.ndarray]:
             n = min(K, lengths[v] - j0)
             hidden[v][j0 : j0 + n] = hidden_blk[:n, v]
             if lengths[v] <= j0 + K:
-                head_act = np.maximum(
-                    0.0, hidden[v] @ p["head_hidden_w"].T + p["head_hidden_b"]
-                )
-                preds[v] = head_act @ p["head_out_w"][0] + p["head_out_b"][0]
+                preds[v] = _output_unit(model, _relu_layer(model, "head_hidden", hidden[v]))
                 embeds[v] = hidden[v] = None
     return preds
 
@@ -435,7 +431,10 @@ def backward(model: Model, trace: ForwardTrace, labels: np.ndarray) -> np.ndarra
     """Exact gradients of mean((y - yhat)^2) through the recorded trace.
 
     Returns one flat vector in the layout of ``model.params``;
-    ``model.views`` names its blocks. Reuses the trace's dropout masks, so
+    ``model.views`` names its blocks. Each relu-and-dropout gate is read
+    from the stored activation: a unit of ``embed`` or ``head_act`` is
+    nonzero exactly where relu passed it and its mask kept it, and a kept
+    unit was scaled by ``keep_scale``, which is 1.0 without dropout. So the
     gradients match finite differences of a forward pass run with the same
     mask seed.
     """
@@ -453,7 +452,7 @@ def backward(model: Model, trace: ForwardTrace, labels: np.ndarray) -> np.ndarra
         raise TraceMismatchError("trace shapes do not match this model")
 
     p = model.tensors
-    keep_scale = 1.0 / (1.0 - trace.dropout_rate)  # used only where a mask was drawn
+    keep_scale = 1.0 / (1.0 - trace.dropout_rate)
     grad = np.zeros_like(model.params)
     named = model.views(grad)
 
@@ -461,10 +460,7 @@ def backward(model: Model, trace: ForwardTrace, labels: np.ndarray) -> np.ndarra
     d_pred = 2.0 * (trace.predictions - labels) / t
     named["head_out_w"][0] = d_pred @ trace.head_act
     named["head_out_b"][0] = d_pred.sum()
-    d_act = d_pred[:, None] * p["head_out_w"][0]
-    if trace.mask_head is not None:
-        d_act = d_act * trace.mask_head * keep_scale
-    d_head_pre = d_act * (trace.head_pre > 0.0)
+    d_head_pre = d_pred[:, None] * p["head_out_w"][0] * (trace.head_act > 0.0) * keep_scale
     named["head_hidden_w"][...] = d_head_pre.T @ trace.hidden
     named["head_hidden_b"][...] = d_head_pre.sum(axis=0)
     d_hidden = d_head_pre @ p["head_hidden_w"]
@@ -505,10 +501,7 @@ def backward(model: Model, trace: ForwardTrace, labels: np.ndarray) -> np.ndarra
     named["lstm_input_w"][...] = d_gate.T @ trace.embed
     named["lstm_recurrent_w"][...] = d_gate[1:].T @ trace.hidden[:-1]
     named["lstm_b"][...] = d_gate.sum(axis=0)
-    d_embed = d_gate @ p["lstm_input_w"]
-    if trace.mask_embed is not None:
-        d_embed = d_embed * trace.mask_embed * keep_scale
-    d_proj_pre = d_embed * (trace.proj_pre > 0.0)
+    d_proj_pre = d_gate @ p["lstm_input_w"] * (trace.embed > 0.0) * keep_scale
     named["projection_w"][...] = d_proj_pre.T @ trace.inputs
     named["projection_b"][...] = d_proj_pre.sum(axis=0)
     return grad

@@ -13,12 +13,12 @@ pins the bytes the package computes.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from seqfuse import forward, mse_loss
 from seqfuse.tracks import FrameTrack
-from seqfuse.nn import ForwardTrace
 from seqfuse.util import seeded_rng
 
 
@@ -172,7 +172,35 @@ def _recurrence_rowwise(gates, Wh):
     return gates, cell, hidden
 
 
-def _forward(model, inputs, dropout_rate, mask_seed, recurrence) -> ForwardTrace:
+@dataclass(eq=False)
+class ReferenceTrace:
+    """The reference passes' own forward record.
+
+    Beside what ``nn.ForwardTrace`` keeps, it holds both relu
+    pre-activations and both keep masks, so the reference backward applies
+    each relu gate and each dropout mask from its own record rather than
+    from the stored activations as ``nn.backward`` does.
+    """
+
+    inputs: np.ndarray
+    proj_pre: np.ndarray
+    embed: np.ndarray
+    gates: np.ndarray
+    cell: np.ndarray
+    hidden: np.ndarray
+    head_pre: np.ndarray
+    head_act: np.ndarray
+    predictions: np.ndarray
+    mask_embed: np.ndarray | None
+    mask_head: np.ndarray | None
+    dropout_rate: float
+
+    @property
+    def n_steps(self) -> int:
+        return self.predictions.shape[0]
+
+
+def _forward(model, inputs, dropout_rate, mask_seed, recurrence) -> ReferenceTrace:
     inputs = np.asarray(inputs, dtype=np.float64)
     e, m = model.dims["e"], model.dims["m"]
     t = inputs.shape[0]
@@ -196,7 +224,7 @@ def _forward(model, inputs, dropout_rate, mask_seed, recurrence) -> ForwardTrace
     if mask_head is not None:
         head_act = head_act * mask_head * keep_scale
     predictions = head_act @ p["head_out_w"][0] + p["head_out_b"][0]
-    return ForwardTrace(
+    return ReferenceTrace(
         inputs=inputs,
         proj_pre=proj_pre,
         embed=embed,
@@ -212,7 +240,7 @@ def _forward(model, inputs, dropout_rate, mask_seed, recurrence) -> ForwardTrace
     )
 
 
-def forward_reference(model, inputs, dropout_rate=0.0, mask_seed=None) -> ForwardTrace:
+def forward_reference(model, inputs, dropout_rate=0.0, mask_seed=None) -> ReferenceTrace:
     """The network of ``seqfuse.nn`` with the plain per-step recurrence.
 
     Dropout masks are drawn exactly as ``nn.forward`` draws them.
@@ -220,7 +248,7 @@ def forward_reference(model, inputs, dropout_rate=0.0, mask_seed=None) -> Forwar
     return _forward(model, inputs, dropout_rate, mask_seed, _recurrence_expform)
 
 
-def forward_rowwise(model, inputs, dropout_rate=0.0, mask_seed=None) -> ForwardTrace:
+def forward_rowwise(model, inputs, dropout_rate=0.0, mask_seed=None) -> ReferenceTrace:
     """``nn.forward`` with its step loop as first written; it must match byte for byte."""
     return _forward(model, inputs, dropout_rate, mask_seed, _recurrence_rowwise)
 
@@ -260,7 +288,7 @@ def _bptt_rowwise(d_hidden, dc_per_dh, local, f, Wh):
     return d_gate
 
 
-def _backward(model, trace: ForwardTrace, labels, bptt) -> np.ndarray:
+def _backward(model, trace: ReferenceTrace, labels, bptt) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.float64)
     t = trace.n_steps
     h = model.dims["h"]
@@ -309,7 +337,7 @@ def _backward(model, trace: ForwardTrace, labels, bptt) -> np.ndarray:
     return grad
 
 
-def backward_reference(model, trace: ForwardTrace, labels) -> np.ndarray:
+def backward_reference(model, trace: ReferenceTrace, labels) -> np.ndarray:
     """Gradients of the MSE loss through ``trace``, one fresh array per step.
 
     Same formulas as ``nn.backward``; returns a flat vector in the layout of
@@ -318,7 +346,7 @@ def backward_reference(model, trace: ForwardTrace, labels) -> np.ndarray:
     return _backward(model, trace, labels, _bptt_fresh)
 
 
-def backward_rowwise(model, trace: ForwardTrace, labels) -> np.ndarray:
+def backward_rowwise(model, trace: ReferenceTrace, labels) -> np.ndarray:
     """``nn.backward`` with its reverse loop as first written; it must match byte for byte."""
     return _backward(model, trace, labels, _bptt_rowwise)
 

@@ -361,7 +361,8 @@ def test_one_target_lookup_track_order_check_rate_loop_and_dropout_scale():
     # one message. training._check_track_order is the one check that the
     # tracks are config.track_order's, for train and for both checkpoint
     # ends. TrainConfig states its [0, 1) rule once, and the dropout scale
-    # of forward and backward does not branch on whether masks were drawn.
+    # of the dropout site and of backward does not branch on whether masks
+    # were drawn.
     calls = [(name, function, called) for name, tree in modules()
              for function, called in calls_by_function(tree)]
 
@@ -385,7 +386,54 @@ def test_one_target_lookup_track_order_check_rate_loop_and_dropout_scale():
     scales = {node.name: [a.value for a in ast.walk(node) if isinstance(a, ast.Assign)
                           and [getattr(t, "id", None) for t in a.targets] == ["keep_scale"]]
               for node in ast.walk(dict(modules())["nn.py"])
-              if isinstance(node, ast.FunctionDef) and node.name in ("forward", "backward")}
-    assert sorted(scales) == ["backward", "forward"]
+              if isinstance(node, ast.FunctionDef) and node.name in ("_dropout", "backward")}
+    assert sorted(scales) == ["_dropout", "backward"]
     assert all(len(values) == 1 and not any(isinstance(n, ast.IfExp) for n in ast.walk(values[0]))
                for values in scales.values())
+
+
+def test_one_relu_layer_output_unit_and_dropout_site():
+    # The network is written once: one function computes both relu layers,
+    # one the output unit and one a dropout site (its mask draw and scale),
+    # and forward and _predict_batch both call them. So outside the layout
+    # table and backward's gradient lines no function names a layer's
+    # tensors. ForwardTrace holds only what backward reads, and backward
+    # takes each relu-and-dropout gate from the stored activation: its only
+    # ifs are its input checks, each of which raises.
+    nn = dict(modules())["nn.py"]
+    functions = {node.name: node for node in ast.walk(nn) if isinstance(node, ast.FunctionDef)}
+
+    def naming(constant):
+        return {name for name, node in functions.items()
+                if any(isinstance(c, ast.Constant) and c.value == constant
+                       for c in ast.walk(node))}
+
+    for tensor in ("projection_w", "projection_b", "head_hidden_w", "head_hidden_b"):
+        assert naming(tensor) == {"_layout", "backward"}, tensor
+    assert naming("head_out_w") == {"_layout", "_output_unit", "backward"}
+    layers = sorted((function, call.args[1].value)
+                    for function, node in functions.items() for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_relu_layer")
+    assert layers == [("_predict_batch", "head_hidden"), ("_predict_batch", "projection"),
+                      ("forward", "head_hidden"), ("forward", "projection")]
+    calls = [(name, function, called) for name, tree in modules()
+             for function, called in calls_by_function(tree)]
+
+    def callers(callee):
+        return {(name, function) for name, function, called in calls
+                if called.split(".")[-1] == callee}
+
+    assert {c for c in callers("maximum") if c[0] == "nn.py"} == {("nn.py", "_relu_layer")}
+    assert callers("_output_unit") == {("nn.py", "forward"), ("nn.py", "_predict_batch")}
+    assert callers("random") == {("nn.py", "_dropout")}
+    assert callers("_dropout") == {("nn.py", "forward")}
+    (trace,) = [node for node in ast.walk(nn)
+                if isinstance(node, ast.ClassDef) and node.name == "ForwardTrace"]
+    fields = [n.target.id for n in trace.body if isinstance(n, ast.AnnAssign)]
+    assert fields == ["inputs", "embed", "gates", "cell", "hidden", "head_act",
+                      "predictions", "dropout_rate"]
+    backward = functions["backward"]
+    assert not any(isinstance(n, ast.IfExp) for n in ast.walk(backward))
+    branches = [n for n in ast.walk(backward) if isinstance(n, ast.If)]
+    assert len(branches) == 2
+    assert all(not n.orelse and [type(b) for b in n.body] == [ast.Raise] for n in branches)

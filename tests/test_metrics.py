@@ -62,6 +62,17 @@ class TestCcc:
         with pytest.raises(DegenerateInputError):
             ccc(x, x.copy())
 
+    @pytest.mark.parametrize("s", [1e-7, 1e-100, 1e-300])
+    def test_small_scale_inputs_are_not_degenerate(self, s):
+        # The threshold is relative to the inputs' scale, not to 1.
+        x = np.array([0.0, s, 2.0 * s, s])
+        assert ccc(x, x.copy()) == 1.0
+
+    @pytest.mark.parametrize("c", [0.1, 1e-200, 3e300])
+    def test_constant_equal_inputs_raise_at_any_scale(self, c):
+        with pytest.raises(DegenerateInputError):
+            ccc(np.full(6, c), np.full(6, c))
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             ccc(np.zeros(3), np.zeros(4))

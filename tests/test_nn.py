@@ -219,14 +219,28 @@ class TestForward:
         b = forward(tiny_model, x, dropout_rate=0.0, mask_seed=123)
         assert np.array_equal(a.predictions, b.predictions)
         assert np.array_equal(a.hidden, b.hidden)
-        assert a.mask_embed is None and b.mask_embed is None
+        assert np.array_equal(a.embed, b.embed) and np.array_equal(a.head_act, b.head_act)
+        assert a.dropout_rate == 0.0 and b.dropout_rate == 0.0
 
     def test_eval_mode_ignores_rate(self, tiny_model):
         x = np.random.default_rng(2).normal(size=(5, 3))
         a = forward(tiny_model, x)
         b = forward(tiny_model, x, dropout_rate=0.9, mask_seed=None)
         assert np.array_equal(a.predictions, b.predictions)
-        assert b.mask_embed is None and b.dropout_rate == 0.0
+        assert np.array_equal(a.embed, b.embed) and np.array_equal(a.head_act, b.head_act)
+        assert b.dropout_rate == 0.0
+
+    def test_evaluation_never_draws_from_a_generator(self, tiny_model, monkeypatch):
+        def no_generator(*seeds):
+            raise AssertionError(f"seeded_rng{seeds} called in evaluation mode")
+
+        monkeypatch.setattr("seqfuse.nn.seeded_rng", no_generator)
+        x = np.random.default_rng(2).normal(size=(5, 3))
+        forward(tiny_model, x, dropout_rate=0.9, mask_seed=None)
+        forward(tiny_model, x, dropout_rate=0.0, mask_seed=123)
+        predict(tiny_model, [x, x[:2]])
+        with pytest.raises(AssertionError, match="seeded_rng"):
+            forward(tiny_model, x, dropout_rate=0.5, mask_seed=123)
 
     def test_single_step_equals_manual_composition(self, tiny_model):
         x = np.random.default_rng(3).normal(size=(1, 3))
@@ -249,14 +263,14 @@ class TestForward:
         a = forward(tiny_model, x, dropout_rate=0.5, mask_seed=77)
         b = forward(tiny_model, x, dropout_rate=0.5, mask_seed=77)
         assert np.array_equal(a.predictions, b.predictions)
-        assert np.array_equal(a.mask_embed, b.mask_embed)
-        assert np.array_equal(a.mask_head, b.mask_head)
+        assert np.array_equal(a.embed, b.embed)
+        assert np.array_equal(a.head_act, b.head_act)
 
     def test_mask_seeds_change_masks(self, tiny_model):
         x = np.random.default_rng(4).normal(size=(30, 3))
         a = forward(tiny_model, x, dropout_rate=0.5, mask_seed=1)
         b = forward(tiny_model, x, dropout_rate=0.5, mask_seed=2)
-        assert not np.array_equal(a.mask_embed, b.mask_embed)
+        assert not np.array_equal(a.embed > 0.0, b.embed > 0.0)
 
     @pytest.mark.parametrize("t,D,e,h,m", [(1, 2, 3, 2, 2), (13, 4, 5, 6, 3), (100, 1, 1, 1, 1)])
     def test_prediction_length_matches_input(self, t, D, e, h, m):
