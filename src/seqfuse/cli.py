@@ -7,18 +7,23 @@ error; 4 internal invariant violation. Train runs are configured by a JSON
 file holding every ``TrainConfig`` field plus ``manifest`` and ``out_dir``,
 and no other field; command-line flags override file values.
 ``SEQFUSE_SEED`` serves as a fallback seed when the config omits one. Every
-command takes the frame grid from the dataset manifest.
+command takes the frame grid from the dataset manifest, and runs numpy's
+bundled OpenBLAS on one thread (:func:`_pin_blas_threads`).
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
+import logging
 import os
 import sys
 import traceback
 from dataclasses import MISSING, fields
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError, EmptyDatasetError, InputError
 from .featureio import (
@@ -43,11 +48,16 @@ from .training import (
 )
 from .util import fmt_float, read_input, read_json_object, write_atomic
 
+logger = logging.getLogger(__name__)
+
 SEED_ENV_VAR = "SEQFUSE_SEED"
 
 CHECKPOINT_NAME = "checkpoint.sqf"
 HISTORY_NAME = "history.csv"
 INDEX_NAME = "index.json"  # a prediction directory's completion marker
+
+# The TrainConfig fields that no train flag sets, only a run config file.
+UNFLAGGED_FIELDS = ("adam_beta1", "adam_beta2", "adam_eps")
 
 # synth builds every video in memory before it writes the first, at a few kB
 # each however short, so a count far past this would exhaust memory before
@@ -325,22 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON run config file")
     p.add_argument("--manifest", default=None, help="dataset manifest JSON")
     p.add_argument("--out-dir", dest="out_dir", default=None, help="run output directory")
-    p.add_argument("--target", default=None, help="label target name")
-    p.add_argument("--seed", type=int, default=None, help="run seed")
-    p.add_argument("--epochs", type=int, default=None, help="max training epochs")
-    p.add_argument("--learning-rate", type=float, default=None, help="Adam step size")
-    p.add_argument("--dropout-rate", type=float, default=None, help="dropout rate")
-    p.add_argument("--max-time-step", type=int, default=None, help="chunk length")
-    p.add_argument("--embed-dim", type=int, default=None, help="projection width")
-    p.add_argument("--hidden-units", type=int, default=None, help="LSTM width")
-    p.add_argument("--head-hidden", type=int, default=None, help="head hidden width")
-    p.add_argument("--patience", type=int, default=None, help="early-stop patience")
-    p.add_argument(
-        "--track-order",
-        type=_parse_str_list,
-        default=None,
-        help="comma-separated fusion order",
-    )
+    flag_types = {"int": int, "float": float, "str": str, "list[str]": _parse_str_list}
+    for f in fields(TrainConfig):
+        if f.name not in UNFLAGGED_FIELDS:
+            p.add_argument(f"--{f.name.replace('_', '-')}", type=flag_types[f.type],
+                           help=f.metadata["help"])
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser(
@@ -374,7 +373,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _openblas_thread_setter():
+    """The thread-count setter of the OpenBLAS that numpy's wheel bundles; None without one."""
+    numpy_dir = Path(np.__file__).parent
+    for lib in [*numpy_dir.parent.glob("numpy.libs/libscipy_openblas64_*"),
+                *numpy_dir.glob(".dylibs/libscipy_openblas64_*")]:
+        try:
+            setter = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None  # void f(int)
+        return setter
+    return None
+
+
+def _pin_blas_threads() -> None:
+    """Run BLAS on one thread in this process and in the workers it forks.
+
+    OpenBLAS gives a matrix product other last bits once it splits it
+    between threads, as it does at D near 900, so output bytes would depend
+    on the thread count. This overrides ``OPENBLAS_NUM_THREADS``. Another
+    BLAS (MKL, Accelerate, a system OpenBLAS) keeps its own count, and one
+    WARNING says so.
+    """
+    setter = _openblas_thread_setter()
+    if setter is None:
+        logger.warning("numpy's BLAS is not its bundled OpenBLAS, so its thread count is not "
+                       "pinned to 1 and output bytes may depend on that count")
+    else:
+        setter(1)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _pin_blas_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):

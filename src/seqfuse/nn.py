@@ -140,7 +140,13 @@ class Model:
 
 @dataclass(eq=False)
 class ForwardTrace:
-    """Every intermediate, one row per step, that the backward pass reads."""
+    """Every intermediate, one row per step, that the backward pass reads.
+
+    It keeps no pre-activation and no dropout mask: :func:`backward` takes
+    each relu-and-dropout gate from the stored activation, as
+    ``d * (embed > 0) * keep_scale`` and ``d * (head_act > 0) * keep_scale``
+    with ``keep_scale = 1 / (1 - dropout_rate)``.
+    """
 
     inputs: np.ndarray  # (t, D) fused features
     embed: np.ndarray  # (t, e) after relu and embedding dropout

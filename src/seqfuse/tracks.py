@@ -270,8 +270,9 @@ def check_same_tracks(
 ) -> None:
     """Raise DimMismatchError naming the first track where ``seq`` and ``track_dims`` differ.
 
-    Names and dims are compared in order. ``owner`` names whose tracks
-    ``track_dims`` are, such as the first train video or a checkpoint file.
+    Names and dims are compared in order, so a track that one side lacks
+    differs too. ``owner`` names whose tracks ``track_dims`` are, such as
+    the first train video or a checkpoint file.
     """
     pairs = zip_longest(seq.track_dims, track_dims, fillvalue=(None, None))
     for (name, dim), (ref_name, ref_dim) in pairs:

@@ -18,7 +18,7 @@ import json
 import logging
 import math
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -72,20 +72,20 @@ class TrainConfig:
     ConfigError naming its field.
     """
 
-    target: str
-    embed_dim: int
-    hidden_units: int
-    head_hidden: int
-    epochs: int
-    seed: int
-    track_order: list[str]
-    learning_rate: float = 1e-3
+    target: str = field(metadata={"help": "label target name"})
+    embed_dim: int = field(metadata={"help": "projection width"})
+    hidden_units: int = field(metadata={"help": "LSTM width"})
+    head_hidden: int = field(metadata={"help": "head hidden width"})
+    epochs: int = field(metadata={"help": "max training epochs"})
+    seed: int = field(metadata={"help": "run seed"})
+    track_order: list[str] = field(metadata={"help": "comma-separated fusion order"})
+    learning_rate: float = field(default=1e-3, metadata={"help": "Adam step size"})
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    dropout_rate: float = 0.5
-    max_time_step: int = 100
-    patience: int = 10
+    dropout_rate: float = field(default=0.5, metadata={"help": "dropout rate"})
+    max_time_step: int = field(default=100, metadata={"help": "chunk length"})
+    patience: int = field(default=10, metadata={"help": "early-stop patience"})
 
     def __post_init__(self):
         check_name(self.target, "target")
@@ -115,7 +115,7 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class AdamState:
-    """First/second moment vectors in the layout of ``Model.params``."""
+    """First/second moment vectors in the layout of ``Model.params``, and the step count."""
 
     m: np.ndarray
     v: np.ndarray

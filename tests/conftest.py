@@ -4,7 +4,8 @@ import io
 import numpy as np
 import pytest
 
-from seqfuse import Model, TrainConfig, init_model, synth_generate
+from seqfuse import Model, TrainConfig, synth_generate
+from seqfuse.nn import init_model
 from seqfuse.cli import main as cli_main
 
 

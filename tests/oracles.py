@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seqfuse import forward, mse_loss
+from seqfuse.nn import forward
+from seqfuse.training import mse_loss
 from seqfuse.tracks import FrameTrack
 from seqfuse.util import seeded_rng
 

@@ -12,21 +12,11 @@ import pytest
 
 from conftest import assert_models_equal, make_split
 from oracles import align_bruteforce, ccc_direct, finite_diff_grads, gradcheck_max_relerr
-from seqfuse import (
-    TrainConfig,
-    TokenFeature,
-    TokenTrack,
-    align_tokens_to_frames,
-    backward,
-    ccc,
-    chunk,
-    forward,
-    init_model,
-    load_checkpoint,
-    load_manifest,
-    save_checkpoint,
-    train,
-)
+from seqfuse import TrainConfig, ccc, load_checkpoint, load_manifest, save_checkpoint, train
+from seqfuse.align import align_tokens_to_frames
+from seqfuse.nn import backward, forward, init_model
+from seqfuse.tracks import TokenFeature, TokenTrack
+from seqfuse.training import chunk
 from seqfuse.cli import main as cli_main
 from seqfuse.featureio import load_fused_datasets
 

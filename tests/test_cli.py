@@ -20,7 +20,6 @@ from seqfuse import (
     Checkpoint,
     TrainConfig,
     evaluate,
-    init_model,
     load_checkpoint,
     load_manifest,
     save_checkpoint,
@@ -32,7 +31,7 @@ from seqfuse import cli as cli_module
 from seqfuse import csvfiles, featureio, metrics, pool
 from seqfuse.cli import main as cli_main
 from seqfuse.featureio import load_fused_datasets
-from seqfuse.nn import param_layout
+from seqfuse.nn import init_model, param_layout
 from seqfuse.training import write_history_csv
 
 
@@ -1248,6 +1247,71 @@ def edited_checkpoint(draw, data):
         else:
             data.insert(at, draw(st.integers(0, 255)))
     return bytes(data)
+
+
+# The characters an edit inserts: those of numbers, nan, inf and CSV rows.
+EDIT_CHARS = "0123456789.,-enaif+ \n"
+TRAIN_ONE_EPOCH = ["--target", "arousal", "--seed", 1, "--epochs", 1, "--embed-dim", 4,
+                   "--hidden-units", 5, "--head-hidden", 3]
+
+
+@st.composite
+def edited_bytes(draw, data):
+    """``data`` with one byte set, 1-7 bytes deleted, 1-5 characters inserted, or truncated."""
+    at = draw(st.integers(0, len(data) - 1))
+    edit = draw(st.sampled_from(["set", "delete", "insert", "truncate"]))
+    if edit == "set":
+        return data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+    if edit == "delete":
+        return data[:at] + data[at + draw(st.integers(1, 7)):]
+    if edit == "insert":
+        return data[:at] + draw(st.text(EDIT_CHARS, min_size=1, max_size=5)).encode() + data[at:]
+    return data[:at]
+
+
+@pytest.fixture(scope="module")
+def edit_trees(tmp_path_factory):
+    """A raw tree, the tree that align makes of it and a checkpoint trained on that one."""
+    root = tmp_path_factory.mktemp("edit")
+    for argv in (
+        ["synth", "--out-dir", root / "raw", "--seed", 5, "--n-train", 2, "--n-devel", 1,
+         "--dims", "2,3", "--t-range", "8:14"],
+        ["align", "--manifest", root / "raw" / "manifest.json", "--out-dir", root / "aligned"],
+        ["train", "--manifest", root / "aligned" / "manifest.json", "--out-dir", root / "run",
+         *TRAIN_ONE_EPOCH],
+    ):
+        assert cli_main([str(a) for a in argv]) == 0
+    return root
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_edited_dataset_tree_file_exit_0_or_2(edit_trees, tmp_path, run_cli, data):
+    # One file of a raw or an aligned tree is edited: the manifest, a label
+    # CSV, a Feature CSV or a sidecar. The command that reads it, align on
+    # the raw tree and evaluate, predict or train on the aligned one, exits 0
+    # or 2.
+    tree = data.draw(st.sampled_from(["raw", "aligned"]))
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    shutil.copytree(edit_trees / tree, work / tree)
+    pattern = data.draw(st.sampled_from(["manifest.json", "labels/*.csv", "features/*.csv",
+                                         "features/*.csv.cols"]))
+    path = data.draw(st.sampled_from(sorted((work / tree).glob(pattern))))
+    path.write_bytes(data.draw(edited_bytes(path.read_bytes())))
+    manifest, out = work / tree / "manifest.json", work / "out"
+    ckpt = edit_trees / "run" / "checkpoint.sqf"
+    command = "align" if tree == "raw" else data.draw(st.sampled_from(["evaluate", "predict",
+                                                                       "train"]))
+    argv = {
+        "align": ["--manifest", manifest, "--out-dir", out],
+        "evaluate": ["--checkpoint", ckpt, "--manifest", manifest, "--partition", "all"],
+        "predict": ["--checkpoint", ckpt, "--manifest", manifest, "--out-dir", out],
+        "train": ["--manifest", manifest, "--out-dir", out, *TRAIN_ONE_EPOCH],
+    }[command]
+    code, _, err = run_cli(command, *argv)
+    assert code in (0, 2), err
+    assert "Traceback" not in err
 
 
 def assert_dims_other_than_the_checkpoints_exit_2(tmp_path, run_cli, command, partition=None):
@@ -2550,13 +2614,14 @@ def test_failure_only_in_a_worker_gives_the_serial_result(
 
 def test_blas_thread_count_leaves_checkpoint_and_prediction_bytes_unchanged(tmp_path, run_cli):
     # train and predict run in fresh processes at 1 and 2 BLAS threads and
-    # must write the same bytes. At D = 100 and e64/h32/m16, with chunks of
-    # at most 100 rows, OpenBLAS does not split these products between
-    # threads, so this checks that the thread count reaches no other code
-    # path; a shape whose products OpenBLAS does split is ROADMAP item 20.
+    # must write the same bytes. At D = 900 and e64/h32/m16, OpenBLAS on two
+    # threads splits the projection and weight-gradient products of every
+    # chunk of 70 rows or more, and of predict's whole-video projection, and
+    # gives them other last bits; cli.main pins BLAS to one thread, so both
+    # runs use the one-thread kernel.
     raw = tmp_path / "raw"
     code, _, err = run_cli("synth", "--out-dir", raw, "--seed", 2, "--n-train", 3, "--n-devel", 1,
-                           "--n-test", 1, "--dims", "60,40", "--t-range", "120:160")
+                           "--n-test", 1, "--dims", "768,88,44", "--t-range", "120:160")
     assert code == 0, err
     src = str(Path(featureio.__file__).parents[1])
     trees = []
@@ -2578,6 +2643,19 @@ def test_blas_thread_count_leaves_checkpoint_and_prediction_bytes_unchanged(tmp_
     # Checkpoint, history, one prediction file per video and the prediction index.
     assert len(trees[0]) == 2 + 5 + 1
     assert trees[0] == trees[1]
+
+
+def test_blas_without_the_openblas_setter_warns_once_and_runs(tmp_path, run_cli, monkeypatch):
+    # Another BLAS (MKL, Accelerate, a system OpenBLAS) has no setter to find:
+    # the command keeps that BLAS's thread count, says so once and runs.
+    monkeypatch.setattr(cli_module, "_openblas_thread_setter", lambda: None)
+    # As in the command line, where the root logger has no handler, the
+    # warning reaches stderr through logging's last resort.
+    monkeypatch.setattr(cli_module.logger, "propagate", False)
+    code, out, err = run_cli("synth", "--out-dir", tmp_path / "raw", "--seed", 1)
+    assert (code, out) == (0, f"wrote 10 videos to {tmp_path / 'raw'}\n")
+    assert err == ("numpy's BLAS is not its bundled OpenBLAS, so its thread count is not "
+                   "pinned to 1 and output bytes may depend on that count\n")
 
 
 @pytest.mark.parametrize("mode", ["serial", "pooled"])

@@ -20,15 +20,16 @@ from seqfuse import (
     LabeledSequence,
     LengthMismatchError,
     MalformedRowError,
-    TokenFeature,
-    TokenTrack,
-    align_tokens_to_frames,
-    fuse,
-    parse_feature_csv,
     synth_generate,
-    write_feature_csv,
 )
-from seqfuse.csvfiles import frame_track_to_tokens, read_label_csv, write_label_csv
+from seqfuse.align import align_tokens_to_frames
+from seqfuse.csvfiles import (
+    frame_track_to_tokens,
+    parse_feature_csv,
+    read_label_csv,
+    write_feature_csv,
+    write_label_csv,
+)
 from seqfuse.featureio import (
     load_fused_datasets,
     load_labeled_sequence,
@@ -38,7 +39,7 @@ from seqfuse.featureio import (
     Manifest,
     VideoEntry,
 )
-from seqfuse.tracks import check_same_tracks
+from seqfuse.tracks import TokenFeature, TokenTrack, check_same_tracks, fuse
 from seqfuse.util import write_atomic
 
 

@@ -6,6 +6,7 @@ package, and only large inputs use them. hashlib, which loads OpenSSL (about
 3.5 MB), is imported only where ``predict`` hashes its inputs.
 """
 
+import argparse
 import ast
 import sys
 from pathlib import Path
@@ -98,18 +99,75 @@ def test_each_bulk_kernel_lives_in_its_concern_module():
     assert where("ProcessPoolExecutor") == {"pool.py"}
 
 
+def exported(tree):
+    """The names that a module's ``__all__`` lists."""
+    return {c.value for node in tree.body if isinstance(node, ast.Assign)
+            and [getattr(target, "id", None) for target in node.targets] == ["__all__"]
+            for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+
+
 def test_modules_import_only_names_they_use():
     # featureio also holds the four names that perfbench/ reads from it
-    # without featureio using them; __init__ exists to re-export.
+    # without featureio using them; a name that __all__ lists counts as used.
     unused = {}
     for name, tree in modules():
         imported = {(alias.asname or alias.name).split(".")[0]
                     for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
                     for alias in node.names} - {"annotations"}
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        if imported - used and name != "__init__.py":
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported(tree)
+        if imported - used:
             unused[name] = imported - used
     assert unused == {"featureio.py": {"fuse", "TokenFeature", "TokenTrack", "synth_generate"}}
+
+
+def test_public_api_is_stated_once_as_all():
+    # __init__ imports exactly the names that __all__ lists, so every other
+    # name is internal and is imported from its own module; every error
+    # class is public.
+    import seqfuse
+
+    trees = dict(modules())
+    imported = [alias.asname or alias.name for node in ast.walk(trees["__init__.py"])
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert exported(trees["__init__.py"]) == set(seqfuse.__all__)
+    assert len(set(seqfuse.__all__)) == len(seqfuse.__all__)
+    assert sorted(imported) == sorted(set(seqfuse.__all__) - {"__version__"})
+    assert all(hasattr(seqfuse, name) for name in seqfuse.__all__)
+    errors = {node.name for node in trees["errors.py"].body if isinstance(node, ast.ClassDef)}
+    assert len(errors) == 16 and errors <= set(seqfuse.__all__)
+
+
+def test_train_flags_are_train_config_fields():
+    # build_parser derives one train flag from each TrainConfig field but the
+    # named exclusion, so cli names no field's flag itself.
+    from dataclasses import fields
+
+    from seqfuse import TrainConfig, cli
+
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {a.dest for a in sub.choices["train"]._actions} - {"help", "config", "manifest",
+                                                               "out_dir"}
+    names = {f.name for f in fields(TrainConfig)}
+    assert set(cli.UNFLAGGED_FIELDS) == {"adam_beta1", "adam_beta2", "adam_eps"}
+    assert flags == names - set(cli.UNFLAGGED_FIELDS)
+    written = {c.value for c in ast.walk(dict(modules())["cli.py"]) if isinstance(c, ast.Constant)}
+    assert written & {"--" + name.replace("_", "-") for name in names} == {"--seed"}  # synth's
+
+
+def test_cli_main_alone_pins_blas():
+    # The first thing cli.main does is pin BLAS to one thread, and nothing
+    # else in the package pins it, so library callers keep their own setting.
+    calls = [(name, function, called) for name, tree in modules()
+             for function, called in calls_by_function(tree)]
+    assert {(name, function) for name, function, called in calls
+            if called == "_pin_blas_threads"} == {("cli.py", "main")}
+    assert {(name, function) for name, function, called in calls
+            if called == "_openblas_thread_setter"} == {("cli.py", "_pin_blas_threads")}
+    (main,) = [node for node in dict(modules())["cli.py"].body
+               if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    assert dotted(main.body[0].value.func) == "_pin_blas_threads"
+    setters = [name for name, tree in modules() if "set_num_threads" in ast.unparse(tree)]
+    assert setters == ["cli.py"]
 
 
 def test_pool_modules_are_imported_only_inside_functions():

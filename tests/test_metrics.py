@@ -19,12 +19,12 @@ from seqfuse import (
     NonFiniteOutputError,
     ccc,
     evaluate,
-    init_model,
     load_manifest,
     predict,
     synth_generate,
     write_dataset,
 )
+from seqfuse.nn import init_model
 
 @st.composite
 def vector_pairs(draw):

@@ -18,17 +18,9 @@ from oracles import (
     linear_relu_naive,
     lstm_step_scalar,
 )
-from seqfuse import (
-    DimMismatchError,
-    Model,
-    TraceMismatchError,
-    backward,
-    forward,
-    init_model,
-    mse_loss,
-    predict,
-)
-from seqfuse.nn import EVAL_BLOCK, EVAL_ROWS
+from seqfuse import DimMismatchError, Model, TraceMismatchError, predict
+from seqfuse.nn import EVAL_BLOCK, EVAL_ROWS, backward, forward, init_model
+from seqfuse.training import mse_loss
 
 
 def sigmoid(z):

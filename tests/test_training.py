@@ -30,19 +30,13 @@ from seqfuse import (
     TargetMissingError,
     TrainConfig,
     VersionMismatchError,
-    adam_step,
-    backward,
-    chunk,
-    forward,
-    init_adam_state,
-    init_model,
     load_checkpoint,
-    mse_loss,
     save_checkpoint,
     synth_generate,
     train,
 )
-from seqfuse.training import write_history_csv
+from seqfuse.nn import backward, forward, init_model
+from seqfuse.training import adam_step, chunk, init_adam_state, mse_loss, write_history_csv
 
 
 class TestTrainConfig:
