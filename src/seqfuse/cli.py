@@ -8,7 +8,7 @@ file holding every ``TrainConfig`` field plus ``manifest`` and ``out_dir``,
 and no other field; command-line flags override file values.
 ``SEQFUSE_SEED`` serves as a fallback seed when the config omits one. Every
 command takes the frame grid from the dataset manifest, and runs numpy's
-bundled OpenBLAS on one thread (:func:`_pin_blas_threads`).
+bundled OpenBLAS on one thread (:func:`_one_blas_thread`).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import logging
 import os
 import sys
 import traceback
+from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -373,22 +374,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _openblas_thread_setter():
-    """The thread-count setter of the OpenBLAS that numpy's wheel bundles; None without one."""
-    numpy_dir = Path(np.__file__).parent
-    for lib in [*numpy_dir.parent.glob("numpy.libs/libscipy_openblas64_*"),
-                *numpy_dir.glob(".dylibs/libscipy_openblas64_*")]:
-        try:
-            setter = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes, setter.restype = [ctypes.c_int], None  # void f(int)
-        return setter
+# The library file pattern and symbol prefix of the OpenBLAS that numpy's
+# wheels bundle: scipy-openblas from numpy 2 on, numpy's own 64-bit build before.
+_BUNDLED_OPENBLAS = (("libscipy_openblas64_*", "scipy_openblas_"), ("libopenblas64_*", "openblas_"))
+
+
+def _openblas_thread_functions(numpy_dir: Path):
+    """The thread-count getter and setter of the OpenBLAS bundled with the numpy
+    package at ``numpy_dir``; None without one."""
+    for pattern, prefix in _BUNDLED_OPENBLAS:
+        for lib in [*numpy_dir.parent.glob(f"numpy.libs/{pattern}"),
+                    *numpy_dir.glob(f".dylibs/{pattern}"), *numpy_dir.glob(f".libs/{pattern}")]:
+            try:
+                dll = ctypes.CDLL(str(lib))
+                get = getattr(dll, f"{prefix}get_num_threads64_")
+                set_ = getattr(dll, f"{prefix}set_num_threads64_")
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int  # int f(void)
+            set_.argtypes, set_.restype = [ctypes.c_int], None  # void f(int)
+            return get, set_
     return None
 
 
-def _pin_blas_threads() -> None:
-    """Run BLAS on one thread in this process and in the workers it forks.
+@contextmanager
+def _one_blas_thread():
+    """Run BLAS on one thread in this process, and in the workers it forks,
+    until the block ends; then give the caller's thread count back.
 
     OpenBLAS gives a matrix product other last bits once it splits it
     between threads, as it does at D near 900, so output bytes would depend
@@ -396,33 +408,40 @@ def _pin_blas_threads() -> None:
     BLAS (MKL, Accelerate, a system OpenBLAS) keeps its own count, and one
     WARNING says so.
     """
-    setter = _openblas_thread_setter()
-    if setter is None:
+    functions = _openblas_thread_functions(Path(np.__file__).parent)
+    if functions is None:
         logger.warning("numpy's BLAS is not its bundled OpenBLAS, so its thread count is not "
                        "pinned to 1 and output bytes may depend on that count")
-    else:
-        setter(1)
+        yield
+        return
+    get, set_ = functions
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def main(argv: list[str] | None = None) -> int:
-    _pin_blas_threads()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "func"):
-        parser.print_help(sys.stderr)
-        return 2
-    try:
-        return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 3
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        traceback.print_exc()
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
+    with _one_blas_thread():
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if not hasattr(args, "func"):
+            parser.print_help(sys.stderr)
+            return 2
+        try:
+            return args.func(args)
+        except InputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"I/O error: {exc}", file=sys.stderr)
+            return 3
+        except Exception as exc:  # noqa: BLE001 - CLI boundary
+            traceback.print_exc()
+            print(f"internal error: {exc}", file=sys.stderr)
+            return 4
 
 
 if __name__ == "__main__":

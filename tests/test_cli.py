@@ -10,7 +10,9 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -2648,7 +2650,7 @@ def test_blas_thread_count_leaves_checkpoint_and_prediction_bytes_unchanged(tmp_
 def test_blas_without_the_openblas_setter_warns_once_and_runs(tmp_path, run_cli, monkeypatch):
     # Another BLAS (MKL, Accelerate, a system OpenBLAS) has no setter to find:
     # the command keeps that BLAS's thread count, says so once and runs.
-    monkeypatch.setattr(cli_module, "_openblas_thread_setter", lambda: None)
+    monkeypatch.setattr(cli_module, "_openblas_thread_functions", lambda numpy_dir: None)
     # As in the command line, where the root logger has no handler, the
     # warning reaches stderr through logging's last resort.
     monkeypatch.setattr(cli_module.logger, "propagate", False)
@@ -2656,6 +2658,70 @@ def test_blas_without_the_openblas_setter_warns_once_and_runs(tmp_path, run_cli,
     assert (code, out) == (0, f"wrote 10 videos to {tmp_path / 'raw'}\n")
     assert err == ("numpy's BLAS is not its bundled OpenBLAS, so its thread count is not "
                    "pinned to 1 and output bytes may depend on that count\n")
+
+
+@pytest.mark.parametrize("outcome", ["exit", "raise"])
+def test_cli_main_runs_on_one_blas_thread_and_gives_the_callers_count_back(
+    tmp_path, run_cli, monkeypatch, outcome
+):
+    # The installed numpy bundles OpenBLAS, so the lookup finds its getter and
+    # setter. A command runs on one thread; an in-process caller gets its own
+    # count back when cli.main returns, also when the command fails.
+    found = cli_module._openblas_thread_functions(Path(np.__file__).parent)
+    assert found is not None
+    get, set_ = found
+    during = []
+
+    def cmd_synth(args):
+        during.append(get())
+        if outcome == "raise":
+            raise RuntimeError("inside the command")
+        return 0
+
+    monkeypatch.setattr(cli_module, "cmd_synth", cmd_synth)
+    before = get()
+    set_(2)
+    try:
+        code, _, _ = run_cli("synth", "--out-dir", tmp_path / "raw")
+        after = get()
+    finally:
+        set_(before)
+    assert (code, during, after) == ({"exit": 0, "raise": 4}[outcome], [1], 2)
+
+
+@pytest.mark.parametrize("lib, prefix", [
+    ("numpy.libs/libscipy_openblas64_-32a4b2a6.so", "scipy_openblas_"),  # numpy 2, Linux
+    ("numpy/.dylibs/libscipy_openblas64_.dylib", "scipy_openblas_"),  # numpy 2, macOS
+    ("numpy.libs/libopenblas64_p-r0-0cf96a72.3.23.dev.so", "openblas_"),  # numpy 1.x, Linux
+    ("numpy/.dylibs/libopenblas64_.0.dylib", "openblas_"),  # numpy 1.x, macOS
+    ("numpy/.libs/libopenblas64__v0.3.23-gcc_10_3_0.dll", "openblas_"),  # numpy 1.x, Windows
+    ("numpy.libs/libmkl_rt.so.2", None),
+])
+def test_openblas_thread_functions_are_found_in_each_wheel_layout(tmp_path, monkeypatch, lib,
+                                                                  prefix):
+    # Each numpy wheel bundles its OpenBLAS under its own file and symbol
+    # names; the lookup finds the getter and setter in each, and none where
+    # numpy bundles another library.
+    (tmp_path / "numpy").mkdir()
+    (tmp_path / lib).parent.mkdir(exist_ok=True)
+    (tmp_path / lib).touch()
+
+    class Library:
+        def __init__(self, path):
+            self.path = Path(path)
+
+        def __getattr__(self, symbol):
+            if prefix is None or not symbol.startswith(prefix):
+                raise AttributeError(symbol)
+            return SimpleNamespace(name=f"{self.path.relative_to(tmp_path)}:{symbol}")
+
+    monkeypatch.setattr(cli_module.ctypes, "CDLL", Library)
+    found = cli_module._openblas_thread_functions(tmp_path / "numpy")
+    if prefix is None:
+        assert found is None
+    else:
+        assert [f.name for f in found] == [f"{lib}:{prefix}get_num_threads64_",
+                                           f"{lib}:{prefix}set_num_threads64_"]
 
 
 @pytest.mark.parametrize("mode", ["serial", "pooled"])

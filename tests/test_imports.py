@@ -155,17 +155,19 @@ def test_train_flags_are_train_config_fields():
 
 
 def test_cli_main_alone_pins_blas():
-    # The first thing cli.main does is pin BLAS to one thread, and nothing
-    # else in the package pins it, so library callers keep their own setting.
+    # cli.main runs inside the one-thread BLAS block, and nothing else in the
+    # package pins BLAS, so library callers keep their own setting.
     calls = [(name, function, called) for name, tree in modules()
              for function, called in calls_by_function(tree)]
     assert {(name, function) for name, function, called in calls
-            if called == "_pin_blas_threads"} == {("cli.py", "main")}
+            if called == "_one_blas_thread"} == {("cli.py", "main")}
     assert {(name, function) for name, function, called in calls
-            if called == "_openblas_thread_setter"} == {("cli.py", "_pin_blas_threads")}
+            if called == "_openblas_thread_functions"} == {("cli.py", "_one_blas_thread")}
     (main,) = [node for node in dict(modules())["cli.py"].body
                if isinstance(node, ast.FunctionDef) and node.name == "main"]
-    assert dotted(main.body[0].value.func) == "_pin_blas_threads"
+    (block,) = main.body
+    assert isinstance(block, ast.With)
+    assert [dotted(item.context_expr.func) for item in block.items] == ["_one_blas_thread"]
     setters = [name for name, tree in modules() if "set_num_threads" in ast.unparse(tree)]
     assert setters == ["cli.py"]
 
