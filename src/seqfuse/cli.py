@@ -240,23 +240,25 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sha256(path: str, what: str) -> str:
+def _load_hashed(load, path: str, what: str):
+    """``load(path, data)`` of the bytes ``data`` of the file ``path``, and their SHA-256."""
     # Imported here because hashlib loads OpenSSL, which adds about 3.5 MB to
     # every process that imports it, and only predict hashes.
     import hashlib
 
-    return hashlib.sha256(read_input(path, what)).hexdigest()
+    data = read_input(path, what)
+    return load(path, data), hashlib.sha256(data).hexdigest()
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    ckpt, manifest = load_checkpoint(args.checkpoint), load_manifest(args.manifest)
+    # Each file is read once, so the index names the bytes that are scored.
+    ckpt, ckpt_sha256 = _load_hashed(load_checkpoint, args.checkpoint, "checkpoint")
+    manifest, manifest_sha256 = _load_hashed(load_manifest, args.manifest, "manifest")
     out_dir = Path(args.out_dir)
     target = ckpt.config.target
     names = [f"{vid}_{target}.csv" for vid in manifest.video_ids(args.partition)]
     paths = [out_dir / name for name in names]
-    # Hashed right after loading, so the index names the bytes that are scored.
-    index = {"checkpoint_sha256": _sha256(args.checkpoint, "checkpoint"),
-             "manifest_sha256": _sha256(args.manifest, "manifest"),
+    index = {"checkpoint_sha256": ckpt_sha256, "manifest_sha256": manifest_sha256,
              "partition": args.partition, "target": target, "files": names}
     # Every video is scored and formatted before the output directory is made.
     texts = _scored_partition(

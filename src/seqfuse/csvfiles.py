@@ -30,13 +30,12 @@ are skipped. Files must be UTF-8 text. Errors name ``path:lineno`` of the
 first bad row or byte.
 
 Each file is parsed in one bulk ``np.loadtxt`` pass and validated with
-whole-array operations. A Feature CSV whose parse cache matches it is read
-through the cache instead, with the same columns (:mod:`seqfuse.sidecar`).
-Floats are written with shortest round-trip formatting so write/parse is
-bitwise exact, and every file is written to a temporary sibling and renamed
-into place. The Feature CSV writer formats each run of bit-identical rows
-once, so the repeated rows of an aligned track (a word spanning several
-frames, a pause between words) share one cell text.
+whole-array operations. Floats are written with shortest round-trip
+formatting so write/parse is bitwise exact, and every file is written to a
+temporary sibling and renamed into place. The Feature CSV writer formats
+each run of bit-identical rows once, so the repeated rows of an aligned
+track (a word spanning several frames, a pause between words) share one
+cell text.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyTrackError, MalformedRowError
-from .sidecar import read_sidecar
 from .tracks import (
     _INT64_MAX,
     DEFAULT_FRAME_LEN_MS,
@@ -56,7 +54,7 @@ from .tracks import (
     _check_rows,
     _label_checks,
 )
-from .util import read_input, read_input_text, write_atomic
+from .util import read_input_text, write_atomic
 
 def _feature_header(dim: int) -> list[str]:
     return ["start_ms", "end_ms"] + [f"f{i}" for i in range(dim)]
@@ -117,23 +115,18 @@ def frame_csv(header: str, values: np.ndarray, frame_len_ms: int) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
-def parse_feature_csv(path: str | Path, name: str | None = None) -> TokenTrack:
+def parse_feature_csv(
+    path: str | Path, name: str | None = None, data: bytes | None = None
+) -> TokenTrack:
     """Read a Feature CSV into a TokenTrack.
 
-    The track name defaults to the file stem. Raises MalformedRowError on a
-    bad header, wrong column count, unparsable or non-finite cells and empty
-    spans, naming ``path:lineno`` of the first bad row; EmptyTrackError when
-    the file has no data rows. A sidecar that matches the file's bytes (see
-    :mod:`seqfuse.sidecar`) stands in for the parse, with the same columns.
+    The track name defaults to the file stem. ``data``, when given, holds
+    the file's bytes already read, and those are parsed instead of reading
+    ``path``. Raises MalformedRowError on a bad header, wrong column count,
+    unparsable or non-finite cells and empty spans, naming ``path:lineno``
+    of the first bad row; EmptyTrackError when the file has no data rows.
     """
     path = Path(path)
-    data = read_input(path, "feature file")
-    cached = read_sidecar(path, data)
-    if cached is not None:
-        start_ms, end_ms, vectors = cached
-        return TokenTrack._from_columns(
-            name or path.stem, vectors.shape[1], start_ms, end_ms, vectors
-        )
     lines = read_input_text(path, "feature file", data).splitlines()
     if not lines:
         raise MalformedRowError(f"{path}: empty file, missing header")

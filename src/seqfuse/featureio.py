@@ -29,6 +29,14 @@ writes a tree removes an existing ``manifest.json`` before it writes any
 file, so a tree that a failed run has partly rewritten has no manifest.
 The manifest does not list sidecars (see :mod:`seqfuse.sidecar`).
 
+This module alone knows which files a video reads and writes. A video
+reads its label files and its Feature CSVs, and beside each Feature CSV the
+sidecar if there is one: :func:`read_feature_csv` reads the CSV once and
+takes the sidecar's columns when they match its bytes (see
+:mod:`seqfuse.sidecar`), and parses it otherwise. :func:`input_bytes` prices
+each video for the worker pool (:mod:`seqfuse.pool`) in bytes of its files,
+a Feature CSV with a sidecar at an eighth of its bytes.
+
 Every command checks each output file with :func:`check_outputs` before it
 writes it: none may be written twice, be read by a manifest video or other
 input, name no file, be a directory, or lie under a regular file.
@@ -55,14 +63,14 @@ from .csvfiles import (
 )
 from .errors import ConfigError, EmptyDatasetError, LengthMismatchError, MalformedRowError
 from .pool import map_video_groups
-from .sidecar import SIDECAR_SUFFIX, sidecar_bytes, sidecar_path
-from .tracks import _INT64_MAX, DEFAULT_FRAME_LEN_MS, LabeledSequence, _check_frame_len
+from .sidecar import read_sidecar, sidecar_bytes, sidecar_path
+from .tracks import _INT64_MAX, DEFAULT_FRAME_LEN_MS, LabeledSequence, TokenTrack, _check_frame_len
 from .util import _regular_file, _stat, read_input, read_json_object, write_atomic
 
 # Not used here: perfbench/ imports these from this module, and its tracer
 # books calls to ``fuse`` under this module's name.
 from .synth import synth_generate  # noqa: F401
-from .tracks import TokenFeature, TokenTrack, fuse  # noqa: F401
+from .tracks import TokenFeature, fuse  # noqa: F401
 
 PARTITIONS = ("train", "devel", "test")
 
@@ -114,9 +122,10 @@ def check_name(name: str, what: str) -> None:
         raise ConfigError(f"{what} must be a name without '/', '\\' or NUL, got {name!r}")
 
 
-def load_manifest(path: str | Path) -> Manifest:
+def load_manifest(path: str | Path, data: bytes | None = None) -> Manifest:
+    """The manifest at ``path``; ``data``, when given, is its bytes already read."""
     path = Path(path)
-    raw = read_json_object(path, "manifest")
+    raw = read_json_object(path, "manifest", data)
     if not isinstance(raw.get("videos"), dict):
         raise ConfigError(f"{path}: manifest must contain a 'videos' object")
     unknown = sorted(set(raw) - {"videos", "frame_len_ms"})
@@ -184,7 +193,7 @@ def _tree_files(video_id: str, targets: Iterable[str], tracks: Iterable[str]) ->
     labels, features = _video_files(video_id, targets, tracks)
     files = list(labels.values())
     for csv in features.values():
-        files += [csv, csv + SIDECAR_SUFFIX]
+        files += [csv, str(sidecar_path(csv))]
     return files
 
 
@@ -255,7 +264,7 @@ def write_dataset(out_dir: str | Path, videos: Iterable[tuple[str, LabeledSequen
     return len(entries)
 
 
-def _align_group(manifest: Manifest, video_ids: list[str], out_dir: Path) -> list[VideoEntry]:
+def _align_group(video_ids: list[str], manifest: Manifest, out_dir: Path) -> list[VideoEntry]:
     return [
         _write_video(
             manifest.videos[vid].partition,
@@ -278,6 +287,52 @@ def _file_keys(path: str | Path) -> list:
     return [path] if info is None else [path, (info.st_dev, info.st_ino)]
 
 
+def _video_inputs(manifest: Manifest, video_id: str) -> tuple[list[Path], list[Path]]:
+    """The label files and the Feature CSVs that one manifest video reads, resolved."""
+    entry = manifest.videos[video_id]
+    return ([manifest.resolve(p) for p in entry.labels.values()],
+            [manifest.resolve(p) for p in entry.features.values()])
+
+
+# One parsed byte of a Feature CSV costs about as much as this many read
+# through its sidecar. On ingest-wide's 13.8 MB of aligned train and devel
+# input, a serial load took 0.024-0.028 s (500-575 MB/s, most of it the CRC
+# of the CSV's bytes) against 0.175-0.19 s parsed (73-79 MB/s), a ratio of
+# 6.5-7.9. So input_bytes counts such a file at an eighth of its bytes,
+# except for ``align``, which formats every track again at about 30 MB/s
+# whether it parsed it or not. Then ingest-wide's aligned test partition
+# counts 0.6 MiB and stays in-process (below pool.POOL_MIN_INPUT_BYTES), as
+# measured in-process: evaluate and predict each 0.015-0.027 s against
+# 0.025-0.041 s pooled. Its 22 MiB of token-rate input still aligns in the
+# pool. The count does not see the model's per-frame cost: infer-long's test
+# partition, 6.0 MiB without sidecars, still goes to the pool, but the same
+# 22k frames at D = 10 with sidecars count 1.8 MiB and score serially, in
+# 0.25-0.39 s against 0.24-0.30 s pooled.
+_PARSED_PER_CACHED_BYTE = 8
+
+
+def input_bytes(manifest: Manifest, video_ids: Iterable[str], rewrites: bool = False) -> list[int]:
+    """Each listed video's input, in bytes of feature and label files to parse.
+
+    A Feature CSV with a sidecar beside it counts an eighth of its bytes,
+    its read cost, unless ``rewrites``: a caller that formats every track
+    again, as ``align`` does, pays for each byte whether it is parsed or not.
+    Never raises: a path that is missing, not a regular file or that the OS
+    cannot take counts 0, and the reader reports it when the video is loaded.
+    """
+    sizes = []
+    for vid in video_ids:
+        labels, features = _video_inputs(manifest, vid)
+        total = sum(getattr(_regular_file(path), "st_size", 0) for path in labels)
+        for path in features:
+            size = getattr(_regular_file(path), "st_size", 0)
+            if not rewrites and size and _regular_file(sidecar_path(path)) is not None:
+                size //= _PARSED_PER_CACHED_BYTE
+            total += size
+        sizes.append(total)
+    return sizes
+
+
 def input_readers(manifest: Manifest, others: Iterable[tuple[str | Path, str]] = ()) -> dict:
     """What reads each input file, as :func:`check_outputs` takes it.
 
@@ -289,10 +344,10 @@ def input_readers(manifest: Manifest, others: Iterable[tuple[str | Path, str]] =
     command that scores one partition cannot replace an input of another.
     """
     files = list(others)
-    for vid, entry in manifest.videos.items():
-        features = entry.features.values()
-        relpaths = (*entry.labels.values(), *features, *(p + SIDECAR_SUFFIX for p in features))
-        files += [(manifest.resolve(relpath), f"video {vid!r}") for relpath in relpaths]
+    for vid in manifest.videos:
+        labels, features = _video_inputs(manifest, vid)
+        paths = (*labels, *features, *map(sidecar_path, features))
+        files += [(path, f"video {vid!r}") for path in paths]
     readers: dict = {}
     for path, reader in files:
         for key in _file_keys(path):
@@ -367,12 +422,28 @@ def align_dataset(manifest: Manifest, out_dir: str | Path) -> int:
     outputs.append((out_dir / MANIFEST_NAME, "the dataset tree"))
     check_outputs(outputs, input_readers(manifest), set())
     _start_tree(out_dir)
-    aligned = map_video_groups(
-        manifest, list(manifest.videos), _align_group, out_dir, rewrites=True
-    )
+    ids = list(manifest.videos)
+    sizes = input_bytes(manifest, ids, rewrites=True)
+    aligned = map_video_groups(ids, sizes, _align_group, manifest, out_dir)
     entries = dict(zip(manifest.videos, aligned))
     save_manifest(Manifest(entries, out_dir, manifest.frame_len_ms), out_dir / MANIFEST_NAME)
     return len(entries)
+
+
+def read_feature_csv(path: Path, name: str) -> TokenTrack:
+    """A dataset tree's Feature CSV as the TokenTrack ``name``, its file read once.
+
+    When the sidecar beside it matches the bytes read (see
+    :func:`seqfuse.sidecar.read_sidecar`), its columns stand in for the
+    parse; otherwise those bytes are parsed, with the same columns, or with
+    the errors of ``csvfiles.parse_feature_csv``.
+    """
+    data = read_input(path, "feature file")
+    cached = read_sidecar(path, data)
+    if cached is None:
+        return parse_feature_csv(path, name, data)
+    start_ms, end_ms, vectors = cached
+    return TokenTrack._from_columns(name, vectors.shape[1], start_ms, end_ms, vectors)
 
 
 def load_labeled_sequence(
@@ -397,7 +468,7 @@ def load_labeled_sequence(
     for track_name in track_order:
         if track_name not in entry.features:
             raise ConfigError(f"{video_id}: manifest has no track {track_name!r}")
-        token_track = parse_feature_csv(manifest.resolve(entry.features[track_name]), track_name)
+        token_track = read_feature_csv(manifest.resolve(entry.features[track_name]), track_name)
         tracks.append(align_tokens_to_frames(token_track, manifest.frame_len_ms, t))
     return LabeledSequence(video_id, tracks, labels, label_bytes, manifest.frame_len_ms)
 

@@ -31,7 +31,7 @@ from .errors import (
     NonFiniteOutputError,
 )
 from .csvfiles import frame_csv
-from .featureio import Manifest, load_labeled_sequence
+from .featureio import Manifest, input_bytes, load_labeled_sequence
 from .nn import Model, predict
 from .pool import map_video_groups
 from .tracks import LabeledSequence, check_same_tracks, target_labels
@@ -163,8 +163,8 @@ def evaluate(model: Model, dataset: list[LabeledSequence], target: str) -> CccRe
 
 
 def _score_group(
-    manifest: Manifest,
     video_ids: list[str],
+    manifest: Manifest,
     model: Model,
     track_dims: tuple[tuple[str, int], ...],
     owner: str,
@@ -188,8 +188,8 @@ def prediction_csv(predictions: np.ndarray, frame_len_ms: int) -> str:
 
 
 def _predict_group(
-    manifest: Manifest,
     video_ids: list[str],
+    manifest: Manifest,
     model: Model,
     track_dims: tuple[tuple[str, int], ...],
     owner: str,
@@ -197,7 +197,7 @@ def _predict_group(
     """:func:`predict_partition`'s group function: :func:`_score_group`, then each file's text."""
     return [
         prediction_csv(video.predictions, manifest.frame_len_ms)
-        for video in _score_group(manifest, video_ids, model, track_dims, owner)
+        for video in _score_group(video_ids, manifest, model, track_dims, owner)
     ]
 
 
@@ -214,9 +214,9 @@ def predict_partition(
     :func:`score_partition`. On a large partition each forked worker formats
     the files of the videos it scored and sends back only their text.
     """
-    return map_video_groups(
-        manifest, manifest.video_ids(partition), _predict_group, model, track_dims, owner
-    )
+    ids = manifest.video_ids(partition)
+    return map_video_groups(ids, input_bytes(manifest, ids), _predict_group, manifest, model,
+                            track_dims, owner)
 
 
 def score_partition(
@@ -241,6 +241,6 @@ def score_partition(
     either way, since ``predict``'s output for a video does not depend on
     the other videos it is scored with.
     """
-    return map_video_groups(
-        manifest, manifest.video_ids(partition), _score_group, model, track_dims, owner
-    )
+    ids = manifest.video_ids(partition)
+    return map_video_groups(ids, input_bytes(manifest, ids), _score_group, manifest, model,
+                            track_dims, owner)

@@ -1,83 +1,36 @@
 """The worker pool that ``align``, ``evaluate`` and ``predict`` run their videos in.
 
-:func:`map_video_groups` runs a group function over a manifest's videos in
+:func:`map_video_groups` runs a group function over a list of videos in
 this process, or, on a large input, in forked worker processes, one group
-of videos per worker, split by input size. :func:`pool_workers` decides: at
-least two usable CPUs, two videos and ``POOL_MIN_INPUT_BYTES`` of input as
-:func:`input_bytes` counts it. Whatever a pooled run raises, the serial run
-is made instead, so every result and error is this process's.
+of videos per worker, split by input size. It knows only the sizes that its
+caller gives, one per video (``featureio.input_bytes``), not what a video
+reads. :func:`pool_workers` decides: at least two usable CPUs, two videos
+and ``POOL_MIN_INPUT_BYTES`` of input. Whatever a pooled run raises, the
+serial run is made instead, so every result and error is this process's.
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from itertools import repeat
-from typing import TYPE_CHECKING
 
-from .sidecar import sidecar_path
-from .util import _regular_file, usable_cpus
-
-if TYPE_CHECKING:  # featureio imports this module, so the name is only annotated
-    from .featureio import Manifest
+from .util import usable_cpus
 
 logger = logging.getLogger(__name__)
 
 
-# Bytes of feature and label input (as input_bytes counts them) from which
-# ``map_video_groups`` (``align`` and ``metrics.score_partition``) works in
-# worker processes (see pool_workers). Measured on a 2-CPU Xeon with BLAS
-# pinned to one thread. Align: starting the pool costs about 45 ms, and serial
-# alignment runs at about 17 MB of input per second, so the pool breaks even
-# near 1.6 MB. Scoring: starting and stopping a two-worker pool costs 8-15 ms,
-# and serial loading and prediction of parsed input run at 30 MB (e16/h32/m16
-# over D = 10) to 50 MB (D = 900) of input per second, so the pool breaks even
-# below 1 MB.
-#
-# Cached reads: a Feature CSV read through its sidecar is not parsed. On
-# ingest-wide's 13.8 MB of aligned train and devel input, a serial load took
-# 0.024-0.028 s (500-575 MB/s, most of it the CRC of the CSV's bytes) against
-# 0.175-0.19 s parsed (73-79 MB/s), a ratio of 6.5-7.9. So input_bytes counts
-# such a file at an eighth of its bytes, except for ``align``, which formats
-# every track again at about 30 MB/s whether it parsed it or not. Then
-# ingest-wide's aligned test partition counts 0.6 MiB and stays in-process, as
-# measured in-process: evaluate and predict each 0.015-0.027 s against
-# 0.025-0.041 s pooled. Its 22 MiB of token-rate input still aligns in the
-# pool. The count does not see the model's per-frame cost: infer-long's test
-# partition, 6.0 MiB without sidecars, still goes to the pool, but the same
-# 22k frames at D = 10 with sidecars count 1.8 MiB and score serially, in
-# 0.25-0.39 s against 0.24-0.30 s pooled.
+# Bytes of feature and label input (as featureio.input_bytes counts them)
+# from which ``map_video_groups`` (``align`` and ``metrics.score_partition``)
+# works in worker processes (see pool_workers). Measured on a 2-CPU Xeon with
+# BLAS pinned to one thread. Align: starting the pool costs about 45 ms, and
+# serial alignment runs at about 17 MB of input per second, so the pool
+# breaks even near 1.6 MB. Scoring: starting and stopping a two-worker pool
+# costs 8-15 ms, and serial loading and prediction of parsed input run at
+# 30 MB (e16/h32/m16 over D = 10) to 50 MB (D = 900) of input per second, so
+# the pool breaks even below 1 MB. How a cached read counts: see
+# featureio._PARSED_PER_CACHED_BYTE.
 POOL_MIN_INPUT_BYTES = 4 << 20
-
-
-# One parsed byte of a Feature CSV costs about as much as this many read
-# through its sidecar (see POOL_MIN_INPUT_BYTES).
-_PARSED_PER_CACHED_BYTE = 8
-
-
-def input_bytes(manifest: Manifest, video_ids: Iterable[str], rewrites: bool = False) -> list[int]:
-    """Each listed video's input, in bytes of feature and label files to parse.
-
-    A Feature CSV with a sidecar beside it counts an eighth of its bytes,
-    its read cost, unless ``rewrites``: a caller that formats every track
-    again, as ``align`` does, pays for each byte whether it is parsed or not.
-    Never raises: a path that is missing, not a regular file or that the OS
-    cannot take counts 0, and the reader reports it when the video is loaded.
-    """
-    sizes = []
-    for vid in video_ids:
-        entry = manifest.videos[vid]
-        total = sum(
-            getattr(_regular_file(manifest.resolve(p)), "st_size", 0) for p in entry.labels.values()
-        )
-        for relpath in entry.features.values():
-            path = manifest.resolve(relpath)
-            size = getattr(_regular_file(path), "st_size", 0)
-            if not rewrites and size and _regular_file(sidecar_path(path)) is not None:
-                size //= _PARSED_PER_CACHED_BYTE
-            total += size
-        sizes.append(total)
-    return sizes
 
 
 def pool_workers(sizes: Sequence[int]) -> int:
@@ -106,25 +59,22 @@ def _split_by_size(video_ids: list[str], sizes: list[int], n_groups: int) -> lis
     return [[video_ids[k] for k in sorted(group)] for group in members]
 
 
-def map_video_groups(
-    manifest: Manifest, video_ids: list[str], group_fn, *args, rewrites: bool = False
-) -> list:
-    """``group_fn(manifest, video_ids, *args)``: one result per listed video, in order.
+def map_video_groups(video_ids: list[str], sizes: list[int], group_fn, *args) -> list:
+    """``group_fn(video_ids, *args)``: one result per listed video, in order.
 
-    ``group_fn`` takes videos in the given order and returns one result per
-    video, in that order. Run in this process, it defines every result and
-    error. On a large input (see :func:`pool_workers`) the videos are first
-    split by input size into one group per forked worker process, so
+    ``sizes`` holds each listed video's input size, in bytes. ``group_fn``
+    takes videos in the given order and returns one result per video, in
+    that order. Run in this process, it defines every result and error. On
+    a large input (see :func:`pool_workers`) the videos are first split by
+    these sizes into one group per forked worker process, so
     ``group_fn``, its arguments and its results are pickled. If that pooled
     run raises anything, one WARNING names the exception and the serial run
     is made instead: it raises the first error in the given order, with this
     process's traceback, or returns its results if the failure does not
     repeat. So ``group_fn`` must be safe to run twice. A caller that runs
     threads of its own should not call this on a large input, since the
-    workers are forked. ``rewrites`` says that ``group_fn`` formats every
-    track again (see :func:`input_bytes`).
+    workers are forked.
     """
-    sizes = input_bytes(manifest, video_ids, rewrites)
     workers = pool_workers(sizes)
     if workers:
         # Imported here because these modules add about 2 MB to every process
@@ -139,10 +89,10 @@ def map_video_groups(
         context = multiprocessing.get_context("fork")
         try:
             with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                results = pool.map(group_fn, repeat(manifest), groups, *map(repeat, args))
+                results = pool.map(group_fn, groups, *map(repeat, args))
                 done = {vid: r for group, rs in zip(groups, results) for vid, r in zip(group, rs)}
             return [done[vid] for vid in video_ids]
         except Exception as exc:  # noqa: BLE001 - the serial run below raises it in order
             logger.warning("pooled run failed, so its %d videos run again in this process: "
                            "%s: %s", len(video_ids), type(exc).__name__, exc)
-    return group_fn(manifest, video_ids, *args)
+    return group_fn(video_ids, *args)

@@ -14,8 +14,10 @@ match the CSV's bytes as read and every vector value is finite; otherwise,
 or when it is absent or cannot be read, the CSV is parsed, with the same
 results and errors as if there were no sidecar. The checks guard against
 stale and damaged files, not against a sidecar forged for its CSV. The
-manifest does not list sidecars, and any Feature CSV may have one: the
-readers look for it beside every CSV.
+manifest does not list sidecars, and any Feature CSV may have one.
+:mod:`seqfuse.featureio` is this format's one writer (``_write_video``) and
+one reader (``read_feature_csv``), and looks for a sidecar beside every
+Feature CSV it reads.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ _MAGIC = b"SQFCOLS1"
 _SIDECAR_HEAD = struct.Struct("<8sqqQII")
 
 
-def sidecar_path(csv_path: Path) -> Path:
-    return csv_path.with_name(csv_path.name + SIDECAR_SUFFIX)
+def sidecar_path(csv_path: str | Path) -> Path:
+    """``csv_path`` with ``.cols`` appended; defined for any path, even one that names no file."""
+    return Path(f"{csv_path}{SIDECAR_SUFFIX}")
 
 
 def sidecar_bytes(

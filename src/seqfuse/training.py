@@ -404,7 +404,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     )
 
 
-def load_checkpoint(path: str | Path) -> Checkpoint:
+def load_checkpoint(path: str | Path, data: bytes | None = None) -> Checkpoint:
     """Read and validate a checkpoint; inverse of :func:`save_checkpoint`.
 
     The model's dims are not read from the header but derived from its
@@ -412,9 +412,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     the header must be byte for byte the one that :func:`save_checkpoint`
     writes for them, so stored ``dims`` other than the derived ones, a
     repeated, missing or unknown key, another layout or another spacing is
-    rejected.
+    rejected. ``data``, when given, holds the file's bytes already read, and
+    those are loaded instead of reading ``path``.
     """
-    data = read_input(path, "checkpoint")
+    data = read_input(path, "checkpoint") if data is None else data
     if len(data) < 8:
         raise CorruptCheckpointError(f"{path}: file too short")
     magic = data[:4]

@@ -103,10 +103,11 @@ def read_input_text(path: str | Path, what: str, data: bytes | None = None) -> s
         ) from exc
 
 
-def read_json_object(path: str | Path, what: str) -> dict:
+def read_json_object(path: str | Path, what: str, data: bytes | None = None) -> dict:
     """The JSON object held in the UTF-8 file ``path``; anything else is a ConfigError.
 
-    So is a key given twice in one object, at any depth.
+    So is a key given twice in one object, at any depth. ``data``, when
+    given, is the file's bytes already read (see :func:`read_input_text`).
     """
 
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -118,7 +119,7 @@ def read_json_object(path: str | Path, what: str) -> dict:
         return dict(pairs)
 
     try:
-        value = json.loads(read_input_text(path, what), object_pairs_hook=unique_keys)
+        value = json.loads(read_input_text(path, what, data), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(value, dict):

@@ -1521,6 +1521,41 @@ class TestPredict:
         }
         assert index == json.dumps(json.loads(index), indent=2, sort_keys=True) + "\n"
 
+    def test_reads_each_input_once_and_indexes_the_bytes_it_scored(
+        self, synth_dir, tmp_path, run_cli, monkeypatch
+    ):
+        # The checkpoint and the manifest are each replaced right after they
+        # are read, so an index that hashed a second read of either would not
+        # name the bytes that were scored.
+        ckpt_path = tmp_path / "z.sqf"
+        make_zero_checkpoint(ckpt_path)
+        manifest = synth_dir / "manifest.json"
+        inputs = sorted([ckpt_path, *(p for p in synth_dir.rglob("*") if p.is_file())])
+        # The checkpoint, the manifest, and 6 label files, Feature CSVs and sidecars.
+        assert len(inputs) == 1 + 1 + 6 + 6 + 6
+        reads, scored = [], {}
+        read_bytes = Path.read_bytes
+
+        def replacing_read_bytes(path):
+            data = read_bytes(path)
+            reads.append(path)
+            scored.setdefault(path, data)
+            if path in (ckpt_path, manifest):
+                path.write_bytes(data + b" ")
+            return data
+
+        monkeypatch.setattr(Path, "read_bytes", replacing_read_bytes)
+        out = tmp_path / "preds"
+        code, _, err = run_cli("predict", "--checkpoint", ckpt_path, "--manifest", manifest,
+                               "--out-dir", out)
+        monkeypatch.undo()
+        assert code == 0, err
+        assert sorted(reads) == inputs
+        index = json.loads((out / "index.json").read_text())
+        assert (index["checkpoint_sha256"], index["manifest_sha256"]) == (
+            hashlib.sha256(scored[ckpt_path]).hexdigest(),
+            hashlib.sha256(scored[manifest]).hexdigest())
+
     def test_failed_run_leaves_no_index(self, synth_dir, tmp_path, run_cli, monkeypatch):
         ckpt_path = tmp_path / "z.sqf"
         make_zero_checkpoint(ckpt_path)
@@ -2109,7 +2144,7 @@ class TestPooledAlign:
         raw = tmp_path / "raw"
         write_dataset(raw, zip(["train", "devel"], synth_generate(1, 2, (230, 230), [200, 200], 100.0)))
         manifest = load_manifest(raw / "manifest.json")
-        size = sum(pool.input_bytes(manifest, manifest.videos, rewrites=True))
+        size = sum(featureio.input_bytes(manifest, manifest.videos, rewrites=True))
         assert size < pool.POOL_MIN_INPUT_BYTES
         # Blank lines are skipped by the reader, so padding changes only the size.
         padded = manifest.resolve(manifest.videos["video001"].features["track1"])
@@ -2123,7 +2158,7 @@ class TestPooledAlign:
             code, _, err = run_cli("align", "--manifest", raw / "manifest.json", "--out-dir", out)
             assert code == 0, err
             trees.append(tree_bytes(out))
-        size = sum(pool.input_bytes(manifest, manifest.videos, rewrites=True))
+        size = sum(featureio.input_bytes(manifest, manifest.videos, rewrites=True))
         assert size == pool.POOL_MIN_INPUT_BYTES
         assert pool_spy == [2]  # only the run at the threshold
         assert trees[0] == trees[1]
@@ -2181,7 +2216,7 @@ def groups_of(manifest_path, partition):
     """The video groups that a two-worker pool scores, as ``score_partition`` splits them."""
     manifest = load_manifest(manifest_path)
     ids = manifest.video_ids(partition)
-    return pool._split_by_size(ids, pool.input_bytes(manifest, ids), 2)
+    return pool._split_by_size(ids, featureio.input_bytes(manifest, ids), 2)
 
 
 class TestPooledScoring:
@@ -2192,7 +2227,7 @@ class TestPooledScoring:
         ckpt = write_scoring_checkpoint(tmp_path / "r.sqf")
         manifest = synth_dir / "manifest.json"
         loaded = load_manifest(manifest)
-        size = sum(pool.input_bytes(loaded, loaded.videos))
+        size = sum(featureio.input_bytes(loaded, loaded.videos))
         runs = []
         for threshold in (size + 1, size):
             monkeypatch.setattr(pool, "POOL_MIN_INPUT_BYTES", threshold)
@@ -2407,7 +2442,7 @@ class TestPooledTrain:
         manifest = synth_dir / "manifest.json"
         loaded = load_manifest(manifest)
         ids = loaded.video_ids("train") + loaded.video_ids("devel")
-        size = sum(pool.input_bytes(loaded, ids))
+        size = sum(featureio.input_bytes(loaded, ids))
         (serial, serial_files), (pooled_run, pooled_files) = train_runs(
             run_cli, monkeypatch, tmp_path, manifest, (size + 1, size)
         )
@@ -2615,12 +2650,12 @@ def test_failure_only_in_a_worker_gives_the_serial_result(
 
 
 def test_blas_thread_count_leaves_checkpoint_and_prediction_bytes_unchanged(tmp_path, run_cli):
-    # train and predict run in fresh processes at 1 and 2 BLAS threads and
-    # must write the same bytes. At D = 900 and e64/h32/m16, OpenBLAS on two
-    # threads splits the projection and weight-gradient products of every
-    # chunk of 70 rows or more, and of predict's whole-video projection, and
-    # gives them other last bits; cli.main pins BLAS to one thread, so both
-    # runs use the one-thread kernel.
+    # train, predict and evaluate run in fresh processes at 1 and 2 BLAS
+    # threads and must write the same bytes. At D = 900 and e64/h32/m16,
+    # OpenBLAS on two threads splits the projection and weight-gradient
+    # products of every chunk of 70 rows or more, and of predict's whole-video
+    # projection, and gives them other last bits; cli.main pins BLAS to one
+    # thread, so both runs use the one-thread kernel.
     raw = tmp_path / "raw"
     code, _, err = run_cli("synth", "--out-dir", raw, "--seed", 2, "--n-train", 3, "--n-devel", 1,
                            "--n-test", 1, "--dims", "768,88,44", "--t-range", "120:160")
@@ -2637,13 +2672,17 @@ def test_blas_thread_count_leaves_checkpoint_and_prediction_bytes_unchanged(tmp_
              "--hidden-units", 32, "--head-hidden", 16],
             ["predict", "--checkpoint", run_dir / "checkpoint.sqf",
              "--manifest", raw / "manifest.json", "--out-dir", run_dir / "predictions"],
+            ["evaluate", "--checkpoint", run_dir / "checkpoint.sqf",
+             "--manifest", raw / "manifest.json", "--partition", "all",
+             "--out", run_dir / "report.json"],
         ):
             done = subprocess.run([sys.executable, "-m", "seqfuse.cli", *map(str, argv)],
                                   env=env, capture_output=True, text=True, timeout=120)
             assert done.returncode == 0, done.stderr
         trees.append(tree_bytes(run_dir))
-    # Checkpoint, history, one prediction file per video and the prediction index.
-    assert len(trees[0]) == 2 + 5 + 1
+    # Checkpoint, history, one prediction file per video, the prediction index
+    # and the report.
+    assert len(trees[0]) == 2 + 5 + 1 + 1
     assert trees[0] == trees[1]
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import fail_writes_halfway
 from oracles import align_bruteforce, feature_csv_rowwise
-from seqfuse import align, featureio, pool, sidecar
+from seqfuse import align, csvfiles, featureio, sidecar
 from seqfuse import (
     ConfigError,
     DimMismatchError,
@@ -1145,12 +1145,15 @@ def assert_same_track(a, b):
         assert np.array_equal(x.view(np.uint64), y.view(np.uint64)), column
 
 
-def parse_outcome(path):
-    """``parse_feature_csv``'s track, or its error's type and message."""
-    try:
-        return parse_feature_csv(path, name="t")
-    except (ConfigError, MalformedRowError, EmptyTrackError) as exc:
-        return type(exc), str(exc)
+def read_outcome(path):
+    """``featureio.read_feature_csv``'s track, or its error's type and message, and
+    whether it parsed the CSV (False when the sidecar stood in for the parse)."""
+    with mock.patch.object(csvfiles, "_parse_rows", side_effect=csvfiles._parse_rows) as parse:
+        try:
+            outcome = featureio.read_feature_csv(path, "t")
+        except (ConfigError, MalformedRowError, EmptyTrackError) as exc:
+            outcome = type(exc), str(exc)
+    return outcome, parse.called
 
 
 def sidecar_of(path):
@@ -1172,22 +1175,29 @@ class TestSidecar:
         for track in seq.tracks:
             path = out / "features" / f"v_{track.name}.csv"
             assert sidecar.read_sidecar(path, path.read_bytes()) is not None
-            cached = parse_feature_csv(path, name="t")
+            cached, parsed = read_outcome(path)
+            assert not parsed
             sidecar_of(path).unlink()
-            assert_same_track(cached, parse_feature_csv(path, name="t"))
+            back, parsed = read_outcome(path)
+            assert parsed
+            assert_same_track(cached, back)
             assert np.array_equal(cached.vectors.view(np.uint64), track.frames.view(np.uint64))
 
     @pytest.fixture
     def written(self, tmp_path):
-        """A tree's Feature CSV with its sidecar, and the parse without the sidecar."""
+        """A tree's Feature CSV with its sidecar, and its parse.
+
+        The reader takes the track from the sidecar, which gives the parse's
+        columns, without parsing.
+        """
         rows = np.array([[0.5, -0.0], [0.5, -0.0], [1.25, 3.0]])
         seq = LabeledSequence("v", [FrameTrack("a", rows)], {"arousal": np.zeros(3)})
         write_dataset(tmp_path, [("train", seq)])
         path = tmp_path / "features" / "v_a.csv"
-        blob = sidecar_of(path).read_bytes()
-        sidecar_of(path).unlink()
         expected = parse_feature_csv(path, name="t")
-        sidecar_of(path).write_bytes(blob)
+        cached, parsed = read_outcome(path)
+        assert not parsed
+        assert_same_track(cached, expected)
         return path, expected
 
     def flip(self, path, at):
@@ -1229,7 +1239,9 @@ class TestSidecar:
 
             monkeypatch.setattr(sidecar, "read_input", denied)
         assert sidecar.read_sidecar(path, path.read_bytes()) is None
-        assert_same_track(parse_feature_csv(path, name="t"), expected)
+        track, parsed = read_outcome(path)
+        assert parsed
+        assert_same_track(track, expected)
 
     @pytest.mark.parametrize("edit", ["value", "malformed"])
     def test_edited_csv_wins_over_its_sidecar(self, written, edit):
@@ -1241,15 +1253,30 @@ class TestSidecar:
         else:
             path.write_text(text[:at] + "x" + text[at + 1:])
         assert sidecar_of(path).is_file()
-        with_sidecar = parse_outcome(path)
+        with_sidecar, parsed = read_outcome(path)
+        assert parsed
         sidecar_of(path).unlink()
-        without = parse_outcome(path)
+        without, _ = read_outcome(path)
         if edit == "value":
             assert with_sidecar.vectors[2, 0] == 0.25
             assert_same_track(with_sidecar, without)
         else:
             assert with_sidecar == without == (
                 MalformedRowError, f"{path}:4: column 3: 'x.25' is not a decimal number")
+
+    def test_output_check_guards_the_sidecar_that_the_reader_reads(self, written):
+        # A manifest path that ends in "/" reads the file without it, and the
+        # sidecar beside that file: the output check guards that sidecar.
+        path, expected = written
+        manifest = Manifest({"v": VideoEntry("train", {"a": "features/v_a.csv/"},
+                                             {"arousal": "labels/v_arousal.csv"})},
+                            root=path.parents[1])
+        cached, parsed = read_outcome(manifest.resolve("features/v_a.csv/"))
+        assert not parsed
+        assert_same_track(cached, expected)
+        with pytest.raises(ConfigError, match="evaluate --out would write this file, which video"):
+            featureio.check_outputs([(sidecar_of(path), "evaluate --out")],
+                                    featureio.input_readers(manifest), set())
 
     def test_tree_names_claim_each_sidecar(self, tmp_path):
         assert featureio._tree_files("v", ["arousal"], ["a", "b"]) == [
@@ -1277,8 +1304,8 @@ class TestSidecar:
         csv = tmp_path / "features" / "video000_track0.csv"
         labels = sum(p.stat().st_size for p in (tmp_path / "labels").iterdir())
         full = labels + csv.stat().st_size
-        assert pool.input_bytes(manifest, ["video000"], rewrites=True) == [full]
-        assert pool.input_bytes(manifest, ["video000"]) == [
+        assert featureio.input_bytes(manifest, ["video000"], rewrites=True) == [full]
+        assert featureio.input_bytes(manifest, ["video000"]) == [
             labels + csv.stat().st_size // 8]
         sidecar_of(csv).unlink()
-        assert pool.input_bytes(manifest, ["video000"]) == [full]
+        assert featureio.input_bytes(manifest, ["video000"]) == [full]

@@ -48,30 +48,23 @@ ORDER = ["errors", "util", "sidecar", "tracks", "csvfiles", "align", "synth", "p
 
 
 def package_imports(tree):
-    """(package modules imported when ``tree`` runs, those imported for type checking only)."""
-    run, typing_only = set(), set()
-
-    def visit(node, found):
-        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
-            found = typing_only
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            found.update([node.module] if node.module else [a.name for a in node.names])
-        for child in ast.iter_child_nodes(node):
-            visit(child, found)
-
-    visit(tree, run)
-    return run, typing_only
+    """The package modules that the relative imports under ``tree`` name."""
+    return {name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
+            for name in ([node.module] if node.module else [a.name for a in node.names])}
 
 
 def test_package_imports_form_one_acyclic_order():
     graph = {name[:-3]: package_imports(tree) for name, tree in modules()}
     assert sorted(graph) == sorted(ORDER)
-    backward = [(module, dep) for module, (run, _) in graph.items() for dep in run
+    backward = [(module, dep) for module, deps in graph.items() for dep in deps
                 if ORDER.index(dep) >= ORDER.index(module)]
     assert backward == []
-    # pool annotates with featureio's Manifest, and featureio imports pool.
-    typing_only = {(module, dep) for module, (_, deps) in graph.items() for dep in deps}
-    assert typing_only == {("pool", "featureio")}
+    # No import is made for type checking only, so every edge above is one
+    # that runs. The pool is given each video's size (featureio.input_bytes)
+    # and knows nothing of a dataset tree's files or manifest.
+    assert [name for name, tree in modules() if "TYPE_CHECKING" in ast.unparse(tree)] == []
+    assert graph["pool"] == {"util"}
+    assert "Manifest" not in ast.unparse(dict(modules())["pool.py"])
 
 
 def dotted(node):
@@ -107,7 +100,7 @@ def exported(tree):
 
 
 def test_modules_import_only_names_they_use():
-    # featureio also holds the four names that perfbench/ reads from it
+    # featureio also holds the three names that perfbench/ reads from it
     # without featureio using them; a name that __all__ lists counts as used.
     unused = {}
     for name, tree in modules():
@@ -117,7 +110,7 @@ def test_modules_import_only_names_they_use():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported(tree)
         if imported - used:
             unused[name] = imported - used
-    assert unused == {"featureio.py": {"fuse", "TokenFeature", "TokenTrack", "synth_generate"}}
+    assert unused == {"featureio.py": {"fuse", "TokenFeature", "synth_generate"}}
 
 
 def test_public_api_is_stated_once_as_all():
@@ -266,12 +259,18 @@ def test_pool_serves_align_and_scoring_only():
     # workers send back little use the grouped loader: align (manifest
     # entries) and scoring (labels and predictions, or prediction text).
     # Loading train and devel this way would send every fused matrix back.
+    # Each caller gives the pool its videos' sizes from featureio.input_bytes.
     calls = [(name, function, called) for name, tree in modules()
              for function, called in calls_by_function(tree)]
-    callers = {(name, function) for name, function, called in calls
-               if called.split(".")[-1] == "map_video_groups"}
-    assert callers == {("featureio.py", "align_dataset"), ("metrics.py", "score_partition"),
-                       ("metrics.py", "predict_partition")}
+
+    def callers(callee):
+        return {(name, function) for name, function, called in calls
+                if called.split(".")[-1] == callee}
+
+    assert callers("map_video_groups") == {("featureio.py", "align_dataset"),
+                                           ("metrics.py", "score_partition"),
+                                           ("metrics.py", "predict_partition")}
+    assert callers("input_bytes") == callers("map_video_groups")
 
 
 def test_one_prediction_format():
@@ -292,7 +291,10 @@ def test_one_prediction_format():
 def test_one_sidecar_format():
     # One function writes the parse cache beside a tree's Feature CSV and one
     # reads it, each through the one header layout; the reader takes the
-    # file's bytes from util.read_input, as every input is read.
+    # file's bytes from util.read_input, as every input is read. featureio
+    # alone imports and calls them: _write_video writes each sidecar, and
+    # read_feature_csv is the one reader of a tree's Feature CSV, so csvfiles
+    # only parses. Only sidecar itself spells a sidecar's name.
     layout = {(name, node.name) for name, tree in modules() for node in ast.walk(tree)
               if isinstance(node, ast.FunctionDef)
               and any(isinstance(n, ast.Name) and n.id == "_SIDECAR_HEAD" for n in ast.walk(node))}
@@ -302,16 +304,21 @@ def test_one_sidecar_format():
     callers = {called: {(name, function) for name, function, c in calls if c == called}
                for called in ("sidecar_bytes", "read_sidecar")}
     assert callers == {"sidecar_bytes": {("featureio.py", "_write_video")},
-                       "read_sidecar": {("csvfiles.py", "parse_feature_csv")}}
+                       "read_sidecar": {("featureio.py", "read_feature_csv")}}
     assert ("sidecar.py", "read_sidecar", "read_input") in calls
+    trees = dict(modules())
+    assert {name for name, tree in trees.items() if "sidecar" in package_imports(tree)} == {
+        "featureio.py"}
+    assert [name for name, tree in trees.items() if "SIDECAR_SUFFIX" in ast.unparse(tree)] == [
+        "sidecar.py"]
 
 
 def test_one_stat_helper_and_one_output_check():
-    # One function stats files, for input_bytes' sizes, for the identity of
-    # the files that the output check compares and for an output where a
-    # directory is. align, train, evaluate and predict each refuse an output
-    # that is one of their inputs through the one output check, and align
-    # walks its outputs once.
+    # One function stats files, for featureio.input_bytes' sizes, for the
+    # identity of the files that the output check compares and for an output
+    # where a directory is. align, train, evaluate and predict each refuse an
+    # output that is one of their inputs through the one output check, and
+    # align walks its outputs once.
     calls = [(name, function, called) for name, tree in modules()
              for function, called in calls_by_function(tree)]
     stats = {(name, function) for name, function, called in calls
