@@ -53,6 +53,7 @@ from .tracks import (
     _check_frame_len,
     _check_rows,
     _label_checks,
+    _token_checks,
 )
 from .util import read_input_text, write_atomic
 
@@ -140,16 +141,8 @@ def parse_feature_csv(
     table = _parse_rows(path, lines, 2, dim)
     start_ms, end_ms = table["ints"][:, 0], table["ints"][:, 1]
     vectors = table["floats"]
-    _check_rows(
-        lambda row: f"{path}:{_lineno(lines, row)}",
-        [
-            (
-                start_ms >= end_ms,
-                lambda row: f"token span [{start_ms[row]}, {end_ms[row]}) is empty",
-            ),
-            (~np.isfinite(vectors).all(axis=1), lambda row: "token vector contains NaN/Inf"),
-        ],
-    )
+    checks = _token_checks(start_ms, end_ms, np.isfinite(vectors).all(axis=1))
+    _check_rows(lambda row: f"{path}:{_lineno(lines, row)}", checks)
     return TokenTrack._from_columns(name or path.stem, dim, start_ms, end_ms, vectors)
 
 

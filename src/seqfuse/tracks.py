@@ -2,8 +2,10 @@
 
 Token tracks are columnar: a TokenTrack holds int64 ``start_ms`` and
 ``end_ms`` arrays and an (n, d) float64 ``vectors`` matrix, stably sorted by
-``start_ms``; ``TokenTrack.tokens`` builds TokenFeature objects only when
-read.
+``start_ms``. Its rows follow the token-row rule that Feature CSV rows follow
+too (:func:`_token_checks`): a nonempty span, then a finite vector. A
+TokenFeature is a plain record of one token, checked only when a TokenTrack
+is built from it; ``TokenTrack.tokens`` builds them only when read.
 
 A FrameTrack's row ``j`` is frame ``j`` of its video's frame grid. A grid is
 ``frame_len_ms`` long, an integer from 1 to 2**63 - 1 (250,
@@ -20,7 +22,7 @@ follow the label-value rule that label files follow too
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
@@ -41,24 +43,16 @@ DEFAULT_FRAME_LEN_MS = 250
 _INT64_MAX = (1 << 63) - 1  # the largest start_ms, end_ms or frame_ms a file holds
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class TokenFeature:
-    """One token-level feature vector with its half-open time span."""
+    """One token's half-open time span and feature vector, as given: a record.
+
+    It checks nothing; :class:`TokenTrack` checks each token it is built from.
+    """
 
     start_ms: int
     end_ms: int
     vector: np.ndarray
-
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=np.float64)
-        if self.vector.ndim != 1:
-            raise DimMismatchError("token vector must be 1-D")
-        if self.start_ms >= self.end_ms:
-            raise MalformedRowError(
-                f"token span [{self.start_ms}, {self.end_ms}) is empty"
-            )
-        if not np.all(np.isfinite(self.vector)):
-            raise MalformedRowError("token vector contains NaN/Inf")
 
 
 class TokenTrack:
@@ -68,40 +62,57 @@ class TokenTrack:
     (n, dim) float64 matrix, all stably sorted by ``start_ms``; overlapping
     and duplicate spans are legal (subwords may share a span).
 
-    ``TokenTrack(name, dim, tokens)`` builds a track from TokenFeature
-    objects. It keeps each token's own vector array, so reading ``vectors``
-    stacks them. ``tokens`` builds one TokenFeature per row on every access,
-    sharing the row vectors; the file readers, alignment and the writers
-    never use it. ``dim`` follows :func:`seqfuse.util.check_int` with least
-    1 (DimMismatchError).
+    ``TokenTrack(name, dim, tokens)`` builds a track from any iterable of
+    TokenFeature records, walked once. ``dim`` is checked first, by
+    :func:`seqfuse.util.check_int` with least 1 (DimMismatchError). Then each
+    token's vector is converted with ``np.asarray(..., float64)``, so a
+    float64 array is kept as given and reading ``vectors`` stacks them; it
+    must have shape ``(dim,)`` (DimMismatchError). Each bound must be an
+    integer (:func:`seqfuse.util.check_int`) within int64, and the rows must
+    follow the token-row rule (MalformedRowError). Each error names the track
+    and the token's row in the given order (``track 't' row 1: token span
+    [5, 5) is empty``). ``tokens`` builds one TokenFeature per row on every
+    access, sharing the row vectors; the file readers, alignment and the
+    writers never use it.
     """
 
-    def __init__(self, name: str, dim: int, tokens: Sequence[TokenFeature]):
-        for tok in tokens:
-            if tok.vector.shape != (dim,):
+    def __init__(self, name: str, dim: int, tokens: Iterable[TokenFeature]):
+        dim = check_int(dim, f"track {name!r}: dim", 1, DimMismatchError)
+        where = f"track {name!r} row"
+        starts, ends, rows = [], [], []
+        for row, tok in enumerate(tokens):
+            at = f"{where} {row}"
+            vector = np.asarray(tok.vector, dtype=np.float64)
+            if vector.shape != (dim,):
                 raise DimMismatchError(
-                    f"track {name!r}: token vector has length "
-                    f"{tok.vector.shape[0]}, expected {dim}"
+                    f"{at}: token vector has shape {vector.shape}, expected ({dim},)"
                 )
-        try:
-            start_ms = np.array([tok.start_ms for tok in tokens], dtype=np.int64)
-            end_ms = np.array([tok.end_ms for tok in tokens], dtype=np.int64)
-        except OverflowError as exc:
-            raise MalformedRowError(
-                f"track {name!r}: token span outside the int64 range"
-            ) from exc
-        self._assign(name, dim, start_ms, end_ms, [tok.vector for tok in tokens])
+            for what, bound, column in (("start_ms", tok.start_ms, starts),
+                                        ("end_ms", tok.end_ms, ends)):
+                bound = check_int(bound, f"{at}: {what}", None, MalformedRowError)
+                if not -_INT64_MAX - 1 <= bound <= _INT64_MAX:
+                    raise MalformedRowError(f"{at}: {what} {bound} is outside the int64 range")
+                column.append(bound)
+            rows.append(vector)
+        start_ms, end_ms = np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
+        finite = np.isfinite(np.asarray(rows).reshape(len(rows), dim)).all(axis=1)
+        _check_rows(lambda row: f"{where} {row}", _token_checks(start_ms, end_ms, finite))
+        self._assign(name, dim, start_ms, end_ms, rows)
 
     @classmethod
     def _from_columns(cls, name, dim, start_ms, end_ms, rows) -> TokenTrack:
-        """Track over already validated columns, kept without copying when sorted."""
+        """Track over already validated columns, kept without copying when sorted.
+
+        ``dim`` is checked as in the constructor: a frame track of width 0
+        reaches here.
+        """
+        dim = check_int(dim, f"track {name!r}: dim", 1, DimMismatchError)
         track = cls.__new__(cls)
         track._assign(name, dim, start_ms, end_ms, rows)
         return track
 
     def _assign(self, name, dim, start_ms, end_ms, rows) -> None:
         # ``rows`` is an (n, dim) array or a list of n 1-D arrays.
-        dim = check_int(dim, f"track {name!r}: dim", 1, DimMismatchError)
         if np.any(start_ms[1:] < start_ms[:-1]):
             order = np.argsort(start_ms, kind="stable")
             start_ms, end_ms = start_ms[order], end_ms[order]
@@ -258,6 +269,17 @@ def _label_checks(values: np.ndarray, *grid) -> list:
     """
     return [(~np.isfinite(values), lambda row: f"non-finite value {values[row]}"), *grid,
             (np.abs(values) > 1.0, lambda row: f"label {values[row]} outside [-1, 1]")]
+
+
+def _token_checks(start_ms: np.ndarray, end_ms: np.ndarray, finite: np.ndarray) -> list:
+    """The :func:`_check_rows` pairs of the token-row rule, in reporting order.
+
+    Each token's span must be nonempty, then its vector finite (``finite``
+    flags the rows whose vector is).
+    """
+    return [(start_ms >= end_ms,
+             lambda row: f"token span [{start_ms[row]}, {end_ms[row]}) is empty"),
+            (~finite, lambda row: "token vector contains NaN/Inf")]
 
 
 def fuse(tracks: list[FrameTrack]) -> np.ndarray:

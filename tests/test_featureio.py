@@ -1047,12 +1047,59 @@ class TestColumnarTracks:
         assert all(tok.vector is v for tok, v in zip(track.tokens, (early, late)))
         assert np.array_equal(track.vectors, [[3.0, 4.0], [1.0, 2.0]])
 
-    # True once made a track of width 1.
+    # True once made a track of width 1; a token of width 2 once let "2"
+    # through to a vector length message.
     @pytest.mark.parametrize("dim", [0, True, 2.0, "2"], ids=["zero", "bool", "float", "string"])
     def test_dim_that_is_not_an_integer_of_at_least_1_refused(self, dim):
         message = f"track 't': dim must be an integer >= 1, got {dim!r}"
-        with pytest.raises(DimMismatchError, match=f"^{re.escape(message)}$"):
-            TokenTrack("t", dim, [])
+        for tokens in ([], [TokenFeature(0, 250, np.array([1.0, 2.0]))]):
+            with pytest.raises(DimMismatchError, match=f"^{re.escape(message)}$"):
+                TokenTrack("t", dim, tokens)
+
+    def test_tokens_from_an_iterator_all_kept(self):
+        tokens = (TokenFeature(j * 250, (j + 1) * 250, np.full(2, j)) for j in range(3))
+        track = TokenTrack("t", 2, tokens)
+        assert track.start_ms.tolist() == [0, 250, 500]
+        assert track.end_ms.tolist() == [250, 500, 750]
+        assert np.array_equal(track.vectors, [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+
+    # Row 0 is fine and sorts after the rest, so each message names the
+    # row in the order given; where one row fails several checks, or
+    # several rows fail, the first check of the first row is reported.
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            ([(250, 250, [1.0, 2.0])], MalformedRowError, "token span [250, 250) is empty"),
+            ([(300, 250, [np.nan, 2.0])], MalformedRowError, "token span [300, 250) is empty"),
+            ([(0, 250, [1.0, np.nan])], MalformedRowError, "token vector contains NaN/Inf"),
+            ([(0, 250, [-np.inf, 2.0])], MalformedRowError, "token vector contains NaN/Inf"),
+            ([(0, 250, [1.0, 2.0, 3.0])], DimMismatchError,
+             "token vector has shape (3,), expected (2,)"),
+            ([(0, 250, np.ones((1, 2)))], DimMismatchError,
+             "token vector has shape (1, 2), expected (2,)"),
+            ([(0, 2**63, [1.0, 2.0])], MalformedRowError,
+             f"end_ms {2**63} is outside the int64 range"),
+            ([(-(2**63) - 1, 0, [1.0, 2.0])], MalformedRowError,
+             f"start_ms {-(2**63) - 1} is outside the int64 range"),
+            ([(5.5, 250, [1.0, 2.0])], MalformedRowError, "start_ms must be an integer, got 5.5"),
+            ([(True, 250, [1.0, 2.0])], MalformedRowError,
+             "start_ms must be an integer, got True"),
+            ([(0, "250", [1.0, 2.0])], MalformedRowError, "end_ms must be an integer, got '250'"),
+            ([(0, np.float64(250.0), [1.0, 2.0])], MalformedRowError,
+             f"end_ms must be an integer, got {np.float64(250.0)!r}"),
+            ([(0, 250, [np.inf, 2.0]), (250, 250, [1.0, 2.0])], MalformedRowError,
+             "token vector contains NaN/Inf"),
+        ],
+        ids=["empty-span", "reversed-span", "nan", "inf", "wrong-length", "2-d", "end-overflow",
+             "start-underflow", "float-bound", "bool-bound", "string-bound",
+             "numpy-float-bound", "first-bad-row"],
+    )
+    def test_bad_token_refused_naming_track_and_row(self, bad, error, message):
+        tokens = [TokenFeature(1000, 1250, np.array([1.0, 2.0]))]
+        tokens += [TokenFeature(s, e, np.asarray(v)) for s, e, v in bad]
+        message = f"track 't' row 1: {message}"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            TokenTrack("t", 2, tokens)
 
     def test_numpy_integer_dim_kept_as_an_int(self):
         track = TokenTrack("t", np.int64(2), [TokenFeature(0, 250, np.array([1.0, 2.0]))])
@@ -1065,21 +1112,27 @@ class TestColumnarTracks:
         assert track.start_ms.tolist() == [0, 250, 500]
 
     def test_load_path_builds_no_token_objects(self, tmp_path, run_cli, monkeypatch):
-        def refuse(self):
+        def refuse(self, *args):
             raise AssertionError("a TokenFeature was built")
 
-        monkeypatch.setattr(TokenFeature, "__post_init__", refuse)
+        monkeypatch.setattr(TokenFeature, "__init__", refuse)
+        with pytest.raises(AssertionError, match="a TokenFeature was built"):
+            featureio.TokenFeature(0, 250, np.ones(2))
         raw = tmp_path / "raw"
         code, _, err = run_cli(
             "synth", "--out-dir", raw, "--seed", 2, "--n-train", 2, "--n-devel", 1,
             "--dims", "2,3", "--t-range", "8:12",
         )
         assert code == 0, err
-        (dataset,) = load_fused_datasets(
-            load_manifest(raw / "manifest.json"), ["all"], ["track0", "track1"]
-        )
-        assert [seq.dim for seq in dataset] == [5, 5, 5]
-        assert all(np.shares_memory(seq.data, tr.frames) for seq in dataset for tr in seq.tracks)
+        manifest = load_manifest(raw / "manifest.json")
+        # Loaded through the sidecars, then parsed with the sidecars gone.
+        for _ in range(2):
+            (dataset,) = load_fused_datasets(manifest, ["all"], ["track0", "track1"])
+            assert [seq.dim for seq in dataset] == [5, 5, 5]
+            assert all(np.shares_memory(seq.data, tr.frames)
+                       for seq in dataset for tr in seq.tracks)
+            for cols in (raw / "features").glob(f"*{sidecar.SIDECAR_SUFFIX}"):
+                cols.unlink()
         code, _, err = run_cli(
             "align", "--manifest", raw / "manifest.json", "--out-dir", tmp_path / "aligned"
         )

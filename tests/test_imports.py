@@ -388,6 +388,29 @@ def test_one_frame_value_writer_one_label_check_one_tree_start():
                                       ("featureio.py", "align_dataset")}
 
 
+def test_one_token_row_rule_and_a_plain_token_record():
+    # tracks._token_checks states the token-row rule (a nonempty span, then
+    # a finite vector) once, for Feature CSV rows and for the tokens that a
+    # TokenTrack is built from. TokenFeature is a record that checks nothing.
+    trees = dict(modules())
+    stating = {(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and any(isinstance(c, ast.Constant) and isinstance(c.value, str)
+                       and (") is empty" in c.value or "NaN/Inf" in c.value)
+                       for c in ast.walk(node))}
+    assert stating == {("tracks.py", "_token_checks")}
+    calls = [(name, function, called) for name, tree in trees.items()
+             for function, called in calls_by_function(tree)]
+    assert {(name, function) for name, function, called in calls
+            if called.split(".")[-1] == "_token_checks"} == {
+        ("csvfiles.py", "parse_feature_csv"), ("tracks.py", "__init__")}
+    (record,) = [node for node in ast.walk(trees["tracks.py"])
+                 if isinstance(node, ast.ClassDef) and node.name == "TokenFeature"]
+    assert not [n for n in ast.walk(record) if isinstance(n, (ast.FunctionDef, ast.Lambda))]
+    assert [n.target.id for n in record.body if isinstance(n, ast.AnnAssign)] == [
+        "start_ms", "end_ms", "vector"]
+
+
 def test_one_integer_rule_and_model_dims_stated_once():
     # Every count a run reads is checked by util.check_int, the one function
     # that states the integer rule and builds its message. The model's dims
@@ -407,7 +430,8 @@ def test_one_integer_rule_and_model_dims_stated_once():
                 if called.split(".")[-1] == callee}
 
     assert callers("check_int") == {
-        ("tracks.py", "_check_frame_len"), ("tracks.py", "_assign"),
+        ("tracks.py", "_check_frame_len"), ("tracks.py", "__init__"),
+        ("tracks.py", "_from_columns"),
         ("align.py", "align_tokens_to_frames"), ("synth.py", "synth_generate"),
         ("nn.py", "param_layout"), ("training.py", "__post_init__"),
         ("training.py", "chunk"), ("training.py", "load_checkpoint"),

@@ -27,7 +27,7 @@ def test_unknown_step_exits_2_and_runs_nothing(capsys, monkeypatch):
     monkeypatch.setattr(ci.subprocess, "run", lambda *a, **k: 1 / 0)
     assert ci.main(["tier1", "lint"]) == 2
     assert capsys.readouterr().err == (
-        "unknown step: lint (steps: tier1, tier1-unpinned, smoke, code-lines)\n")
+        "unknown step: lint (steps: tier1, tier1-unpinned, smoke, trace-smoke, code-lines)\n")
 
 
 def test_unpinned_step_unsets_the_blas_thread_count(monkeypatch):

@@ -30,6 +30,9 @@ STEPS = [
     ("tier1-unpinned", {"PYTHONPATH": SRC_PATH, "OPENBLAS_NUM_THREADS": None}, TIER1),
     ("smoke", {"OPENBLAS_NUM_THREADS": "1"},
      [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", "1", "--seconds", "2"]),
+    ("trace-smoke", {"OPENBLAS_NUM_THREADS": "1"},
+     [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", "1", "--seconds", "2",
+      "--trace", "1"]),
     ("code-lines", {"OPENBLAS_NUM_THREADS": "1"}, [sys.executable, "tools/code_lines.py"]),
 ]
 
