@@ -5,7 +5,8 @@ overlaps [j*frame_len_ms, (j+1)*frame_len_ms) (see
 :func:`align_tokens_to_frames`), summed with ``np.add.at`` in blocks of
 bounded size. A track already on the frame grid, one token per frame as
 every aligned file holds, is copied onto the frames rather than averaged
-again, with the same bits.
+again, with the same bits. Averaging reads a track's columns and builds no
+TokenTrack; its result is a FrameTrack, which checks the frames' shape.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ def align_tokens_to_frames(
         m = min(len(track.start_ms), n_frames)
         np.add(track.vectors[:m], 0.0, out=frames[:m])  # -0.0 becomes 0.0, as in a sum
         return FrameTrack(track.name, frames)
-    return FrameTrack(track.name, _average_tokens(track, frame_len_ms, n_frames))
+    means = _average_tokens(track.start_ms, track.end_ms, track.vectors, frame_len_ms, n_frames)
+    return FrameTrack(track.name, means)
 
 
 def _on_grid(start_ms: np.ndarray, end_ms: np.ndarray, frame_len_ms: int, n_frames: int) -> bool:
@@ -68,18 +70,18 @@ def _on_grid(start_ms: np.ndarray, end_ms: np.ndarray, frame_len_ms: int, n_fram
     )
 
 
-def _average_tokens(track: TokenTrack, frame_len_ms: int, n_frames: int) -> np.ndarray:
-    """:func:`align_tokens_to_frames`' (n_frames, dim) means, for any sorted track."""
-    dim = track.dim
-    first = np.maximum(track.start_ms // frame_len_ms, 0)
-    last = np.minimum((track.end_ms - 1) // frame_len_ms, n_frames - 1)
+def _average_tokens(start_ms: np.ndarray, end_ms: np.ndarray, vectors: np.ndarray,
+                    frame_len_ms: int, n_frames: int) -> np.ndarray:
+    """:func:`align_tokens_to_frames`' (n_frames, dim) means of a sorted track's columns."""
+    dim = vectors.shape[1]
+    first = np.maximum(start_ms // frame_len_ms, 0)
+    last = np.minimum((end_ms - 1) // frame_len_ms, n_frames - 1)
     used = np.flatnonzero(first <= last)
     first = first[used]
     n_covered = last[used] - first + 1
     # Token i's (token, frame) pairs are pair numbers [stop[i] - n_covered[i], stop[i]).
     stop = np.cumsum(n_covered)
     n_pairs = int(stop[-1]) if len(stop) else 0
-    vectors = track.vectors
     sums = np.zeros((n_frames, dim), dtype=np.float64)
     flat_sums = sums.reshape(-1)
     block = max(1, _ALIGN_BLOCK_CELLS // dim)
@@ -103,9 +105,6 @@ def _average_tokens(track: TokenTrack, frame_len_ms: int, n_frames: int) -> np.n
         # Scaled by 2**-shift, which keeps every normal value's bits, c
         # tokens sum to less than half the float range, since c < 2**shift / 2.
         shift = int(counts.max()).bit_length() + 1
-        scaled = TokenTrack._from_columns(
-            track.name, dim, track.start_ms, track.end_ms, np.ldexp(vectors, -shift)
-        )
-        means = _average_tokens(scaled, frame_len_ms, n_frames)
+        means = _average_tokens(start_ms, end_ms, np.ldexp(vectors, -shift), frame_len_ms, n_frames)
         sums[overflowed] = np.ldexp(means[overflowed], shift)
     return sums

@@ -13,7 +13,12 @@ absent) is the dataset's frame grid; the 250 of the CSV formats
 (:mod:`seqfuse.csvfiles`) stands for it. No other top-level key is accepted.
 Relative paths are resolved against the manifest's directory. Video ids,
 track names and targets become parts of file names, so a name holding ``/``,
-``\\`` or NUL is rejected when the manifest is loaded.
+``\\`` or NUL is rejected. That is one rule of a video's entry, which
+:func:`_check_entry` states once: the id, a partition of PARTITIONS, at least
+one track and one target, and their names. :func:`load_manifest` applies it
+to every entry it reads, and :func:`write_dataset` and :func:`align_dataset`
+to every entry they would write, before they make any file of its video, so
+neither writes a tree that its reader refuses or a file outside ``out_dir``.
 
 Dataset tree, as :func:`write_dataset` lays it out for ``synth`` and
 ``align``::
@@ -122,8 +127,31 @@ def check_name(name: str, what: str) -> None:
         raise ConfigError(f"{what} must be a name without '/', '\\' or NUL, got {name!r}")
 
 
+def _check_entry(where: str | Path, video_id, partition, tracks, targets) -> None:
+    """Raise ConfigError unless :func:`load_manifest` takes this video's entry in ``where``.
+
+    The video id, then the partition (one of PARTITIONS), then that
+    ``tracks`` and ``targets``, the entry's track and target names, are
+    both nonempty, then each name by :func:`check_name`. The manifest
+    reader checks each entry it reads, and the writers each entry they
+    would write, before they make any of its files.
+    """
+    at = f"{where}: video {video_id!r}"
+    check_name(video_id, f"{at}: id")
+    if partition not in PARTITIONS:
+        raise ConfigError(f"{at}: partition {partition!r} not in {PARTITIONS}")
+    if not tracks or not targets:
+        raise ConfigError(f"{at}: needs features and labels")
+    for key, names in (("track", tracks), ("target", targets)):
+        for name in names:
+            check_name(name, f"{at}: {key}")
+
+
 def load_manifest(path: str | Path, data: bytes | None = None) -> Manifest:
-    """The manifest at ``path``; ``data``, when given, is its bytes already read."""
+    """The manifest at ``path``; ``data``, when given, is its bytes already read.
+
+    Each entry must have the JSON shape above, then pass :func:`_check_entry`.
+    """
     path = Path(path)
     raw = read_json_object(path, "manifest", data)
     if not isinstance(raw.get("videos"), dict):
@@ -135,29 +163,16 @@ def load_manifest(path: str | Path, data: bytes | None = None) -> Manifest:
     _check_frame_len(frame_len_ms, path)
     videos = {}
     for vid, entry in raw["videos"].items():
-        check_name(vid, f"{path}: video {vid!r}: id")
         try:
             partition = entry["partition"]
             features = entry["features"]
             labels = entry["labels"]
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: video {vid!r}: bad entry ({exc})") from exc
-        if partition not in PARTITIONS:
-            raise ConfigError(
-                f"{path}: video {vid!r}: partition {partition!r} not in {PARTITIONS}"
-            )
         for key, paths in (("features", features), ("labels", labels)):
-            if not isinstance(paths, dict) or not all(
-                isinstance(p, str) for p in paths.values()
-            ):
-                raise ConfigError(
-                    f"{path}: video {vid!r}: {key!r} must map names to path strings"
-                )
-        if not features or not labels:
-            raise ConfigError(f"{path}: video {vid!r}: needs features and labels")
-        for key, names in (("track", features), ("target", labels)):
-            for name in names:
-                check_name(name, f"{path}: video {vid!r}: {key}")
+            if not isinstance(paths, dict) or not all(isinstance(p, str) for p in paths.values()):
+                raise ConfigError(f"{path}: video {vid!r}: {key!r} must map names to path strings")
+        _check_entry(path, vid, partition, features, labels)
         videos[vid] = VideoEntry(partition, features, labels)
     if not videos:
         raise ConfigError(f"{path}: manifest lists no videos")
@@ -239,9 +254,13 @@ def write_dataset(out_dir: str | Path, videos: Iterable[tuple[str, LabeledSequen
 
     Each sequence is written as it is drawn from ``videos``: its label files,
     then its tracks, all on the first sequence's ``frame_len_ms``. Before any
-    of a sequence's files is written, a file name that an earlier sequence
-    wrote or a grid that :func:`load_manifest` rejects raises ConfigError,
-    and a sequence on another grid LengthMismatchError. ``manifest.json``,
+    of a sequence's file names is formed, an entry that :func:`load_manifest`
+    would refuse (see :func:`_check_entry`: the id, the partition, no labels,
+    a track or target name) raises ConfigError with its message for
+    ``out_dir/manifest.json``. Before any of its files is written, a file
+    name that an earlier sequence wrote or a grid that :func:`load_manifest`
+    rejects raises ConfigError, and a sequence on another grid
+    LengthMismatchError. ``manifest.json``,
     which records the grid, is written last, and an existing one is removed
     first, so a failure leaves none; no videos at all raise
     EmptyDatasetError, since a manifest must list one. Before any directory
@@ -249,18 +268,20 @@ def write_dataset(out_dir: str | Path, videos: Iterable[tuple[str, LabeledSequen
     so an ``out_dir`` under a regular file raises ConfigError.
     """
     out_dir = Path(out_dir)
+    manifest_path = out_dir / MANIFEST_NAME
     claimed, entries, frame_len_ms = set(), {}, None
-    check_outputs([(out_dir / MANIFEST_NAME, "the dataset tree")], {}, claimed)
+    check_outputs([(manifest_path, "the dataset tree")], {}, claimed)
     _start_tree(out_dir)
     for partition, seq in videos:
+        tracks = [tr.name for tr in seq.tracks]
+        _check_entry(manifest_path, seq.video_id, partition, tracks, seq.labels)
         frame_len_ms = frame_len_ms or seq.frame_len_ms
-        relpaths = _tree_files(seq.video_id, seq.labels, [tr.name for tr in seq.tracks])
+        relpaths = _tree_files(seq.video_id, seq.labels, tracks)
         check_outputs([(out_dir / p, f"video {seq.video_id!r}") for p in relpaths], {}, claimed)
         entries[seq.video_id] = _write_video(partition, seq, frame_len_ms, out_dir)
     if not entries:
         raise EmptyDatasetError(f"{out_dir}: no videos to write")
-    manifest = Manifest(entries, out_dir, frame_len_ms)
-    save_manifest(manifest, out_dir / MANIFEST_NAME)
+    save_manifest(Manifest(entries, out_dir, frame_len_ms), manifest_path)
     return len(entries)
 
 
@@ -399,11 +420,13 @@ def check_outputs(outputs: Iterable[tuple[Path, str]], readers: dict, claimed: s
 def align_dataset(manifest: Manifest, out_dir: str | Path) -> int:
     """Align every manifest video onto its frame grid and write the tree; returns the count.
 
-    Every output file is checked first, in one :func:`check_outputs` walk in
-    manifest order and then ``manifest.json``: a name that two videos map to
-    raises ConfigError, as :func:`write_dataset` would, and so does an
-    output file of one video that is an input file of another, before any
-    directory or file is made.
+    Every entry and output file is checked first, in manifest order, before
+    any directory or file is made. An entry that :func:`load_manifest` would
+    refuse in ``out_dir/manifest.json`` (see :func:`_check_entry`) raises
+    its ConfigError. Then one :func:`check_outputs` walk over every video's
+    files and then ``manifest.json`` raises ConfigError for a name that two
+    videos map to, as :func:`write_dataset` would, and for an output file of
+    one video that is an input file of another.
     Each video's features and labels are then loaded with
     :func:`load_labeled_sequence` in manifest track order and written as by
     :func:`write_dataset`, with the same bytes and errors, through
@@ -414,19 +437,19 @@ def align_dataset(manifest: Manifest, out_dir: str | Path) -> int:
     file is written, and the new one is written last, so a failure leaves none.
     """
     out_dir = Path(out_dir)
-    outputs = [
-        (out_dir / relpath, f"video {vid!r}")
-        for vid, entry in manifest.videos.items()
-        for relpath in _tree_files(vid, entry.labels, entry.features)
-    ]
-    outputs.append((out_dir / MANIFEST_NAME, "the dataset tree"))
+    manifest_path, outputs = out_dir / MANIFEST_NAME, []
+    for vid, entry in manifest.videos.items():
+        _check_entry(manifest_path, vid, entry.partition, entry.features, entry.labels)
+        relpaths = _tree_files(vid, entry.labels, entry.features)
+        outputs += [(out_dir / relpath, f"video {vid!r}") for relpath in relpaths]
+    outputs.append((manifest_path, "the dataset tree"))
     check_outputs(outputs, input_readers(manifest), set())
     _start_tree(out_dir)
     ids = list(manifest.videos)
     sizes = input_bytes(manifest, ids, rewrites=True)
     aligned = map_video_groups(ids, sizes, _align_group, manifest, out_dir)
     entries = dict(zip(manifest.videos, aligned))
-    save_manifest(Manifest(entries, out_dir, manifest.frame_len_ms), out_dir / MANIFEST_NAME)
+    save_manifest(Manifest(entries, out_dir, manifest.frame_len_ms), manifest_path)
     return len(entries)
 
 

@@ -9,7 +9,10 @@ is built from it; ``TokenTrack.tokens`` builds them only when read.
 
 A FrameTrack's row ``j`` is frame ``j`` of its video's frame grid. A grid is
 ``frame_len_ms`` long, an integer from 1 to 2**63 - 1 (250,
-``DEFAULT_FRAME_LEN_MS``, unless a dataset manifest says otherwise).
+``DEFAULT_FRAME_LEN_MS``, unless a dataset manifest says otherwise). The
+frame-shape rule is FrameTrack's alone: its frames are a finite (t, dim)
+float64 matrix with t and dim at least 1, so every sequence has frames and
+every track a column.
 
 One video in memory is a LabeledSequence, from the loaders and
 ``synth_generate`` through the writers, training and evaluation. It holds
@@ -66,8 +69,9 @@ class TokenTrack:
     TokenFeature records, walked once. ``dim`` is checked first, by
     :func:`seqfuse.util.check_int` with least 1 (DimMismatchError). Then each
     token's vector is converted with ``np.asarray(..., float64)``, so a
-    float64 array is kept as given and reading ``vectors`` stacks them; it
-    must have shape ``(dim,)`` (DimMismatchError). Each bound must be an
+    float64 array is kept as given and reading ``vectors`` stacks them; one
+    that numpy cannot convert is not real numbers (MalformedRowError), and
+    it must have shape ``(dim,)`` (DimMismatchError). Each bound must be an
     integer (:func:`seqfuse.util.check_int`) within int64, and the rows must
     follow the token-row rule (MalformedRowError). Each error names the track
     and the token's row in the given order (``track 't' row 1: token span
@@ -82,7 +86,10 @@ class TokenTrack:
         starts, ends, rows = [], [], []
         for row, tok in enumerate(tokens):
             at = f"{where} {row}"
-            vector = np.asarray(tok.vector, dtype=np.float64)
+            try:
+                vector = np.asarray(tok.vector, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise MalformedRowError(f"{at}: token vector is not real numbers") from None
             if vector.shape != (dim,):
                 raise DimMismatchError(
                     f"{at}: token vector has shape {vector.shape}, expected ({dim},)"
@@ -103,10 +110,10 @@ class TokenTrack:
     def _from_columns(cls, name, dim, start_ms, end_ms, rows) -> TokenTrack:
         """Track over already validated columns, kept without copying when sorted.
 
-        ``dim`` is checked as in the constructor: a frame track of width 0
-        reaches here.
+        ``dim`` is at least 1 here: the Feature CSV parser and the sidecar
+        reader read it from their files, and ``frame_track_to_tokens`` from a
+        FrameTrack, which is never empty.
         """
-        dim = check_int(dim, f"track {name!r}: dim", 1, DimMismatchError)
         track = cls.__new__(cls)
         track._assign(name, dim, start_ms, end_ms, rows)
         return track
@@ -141,15 +148,23 @@ class TokenTrack:
 
 @dataclass(eq=False)
 class FrameTrack:
-    """Frame-aligned features: row ``j`` is frame ``j`` of its video's frame grid."""
+    """Frame-aligned features: row ``j`` is frame ``j`` of its video's frame grid.
+
+    ``frames`` is kept as a float64 matrix. One that is not 2-D, or has no
+    frame or no column, raises DimMismatchError naming the track and the
+    shape (``track 'a': frames must be (t, dim) with t and dim at least 1,
+    got shape (3, 0)``); one with a value that is not finite raises
+    MalformedRowError naming the first such frame.
+    """
 
     name: str
     frames: np.ndarray
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
-        if self.frames.ndim != 2:
-            raise DimMismatchError(f"track {self.name!r}: frames must be (t, dim)")
+        if self.frames.ndim != 2 or not self.frames.size:
+            raise DimMismatchError(f"track {self.name!r}: frames must be (t, dim) with t and "
+                                   f"dim at least 1, got shape {self.frames.shape}")
         # The one finiteness guard for frames that are computed, such as
         # alignment's means or synth's noisy tracks.
         finite = np.isfinite(self.frames)
@@ -206,8 +221,6 @@ class LabeledSequence:
                 f"{self.video_id}: tracks disagree on frame count {sorted(lengths)}"
             )
         t = lengths.pop()
-        if t < 1:
-            raise LengthMismatchError(f"{self.video_id}: zero frames")
         self.labels = {k: np.asarray(v, dtype=np.float64) for k, v in self.labels.items()}
         for name, values in self.labels.items():
             if values.shape != (t,):

@@ -568,7 +568,8 @@ class TestAlignOnGrid:
         track, frame_len_ms, n_frames = case
         frames, averaged = align_counting_averages(track, frame_len_ms, n_frames)
         assert averaged == 0
-        general = align._average_tokens(track, frame_len_ms, n_frames)
+        general = align._average_tokens(track.start_ms, track.end_ms, track.vectors,
+                                        frame_len_ms, n_frames)
         ref = align_bruteforce(track, frame_len_ms, n_frames).frames
         assert frames.tobytes() == general.tobytes() == ref.tobytes()
 
@@ -646,6 +647,14 @@ class TestFuse:
         b = np.zeros((9, 3))
         with pytest.raises(LengthMismatchError, match=r"frame count \[9, 10\]"):
             LabeledSequence("v", [frame_track("a", a), frame_track("b", b)], {})
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 4), (0, 0), (4,), (2, 2, 2)],
+                             ids=["no-columns", "no-frames", "neither", "1-d", "3-d"])
+    def test_frame_track_refuses_a_shape_without_frames_or_columns(self, shape):
+        message = ("track 'a': frames must be (t, dim) with t and dim at least 1, "
+                   f"got shape {shape}")
+        with pytest.raises(DimMismatchError, match=f"^{re.escape(message)}$"):
+            FrameTrack("a", np.zeros(shape))
 
     def test_label_length_mismatch(self):
         a = np.zeros((10, 2))
@@ -908,6 +917,24 @@ class TestCheckSameTracks:
         assert str(info.value) == message
 
 
+def refused_entries():
+    """(video id, partition, track, targets, load_manifest's refusal) of entries it refuses."""
+    rule = "must be a name without '/', '\\' or NUL, got "
+    cases = [pytest.param("../../esc", "train", "a", ["arousal"], f"id {rule}'../../esc'",
+                          id="escaping-id"),
+             pytest.param("", "train", "a", ["arousal"], f"id {rule}''", id="empty-id")]
+    for bad, kind in (("x/y", "slash"), ("x\\y", "backslash"), ("x\0y", "nul"), ("", "empty")):
+        cases += [pytest.param("v", "train", bad, ["arousal"], f"track {rule}{bad!r}",
+                               id=f"{kind}-track"),
+                  pytest.param("v", "train", "a", [bad], f"target {rule}{bad!r}",
+                               id=f"{kind}-target")]
+    return cases + [
+        pytest.param("v", "train", "a", [], "needs features and labels", id="no-labels"),
+        pytest.param("v", "validation", "a", ["arousal"],
+                     "partition 'validation' not in ('train', 'devel', 'test')", id="partition"),
+    ]
+
+
 class TestManifest:
     def test_roundtrip(self, tmp_path):
         manifest = Manifest(
@@ -1026,6 +1053,47 @@ class TestManifest:
         with pytest.raises(ConfigError, match=re.escape(f"{path}: video {vid!r}")):
             load_manifest(path)
 
+    # Each writer refuses an entry that load_manifest would refuse, with its
+    # message for the manifest it would write, before it makes any file of
+    # that video: none is written, inside out_dir or beside it.
+    @pytest.mark.parametrize("good_first", [False, True], ids=["alone", "after-a-good-video"])
+    @pytest.mark.parametrize("video_id, partition, track, targets, problem",
+                             refused_entries())
+    def test_write_dataset_refuses_an_entry_load_manifest_refuses(
+        self, tmp_path, good_first, video_id, partition, track, targets, problem
+    ):
+        (good,) = synth_generate(3, 1, (6, 6), [2], 100.0)
+        bad = LabeledSequence(video_id, [FrameTrack(track, good.tracks[0].frames)],
+                              {target: good.labels["arousal"] for target in targets})
+        out = tmp_path / "x" / "out"
+        message = f"{out / 'manifest.json'}: video {video_id!r}: {problem}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            write_dataset(out, [("train", good)] * good_first + [(partition, bad)])
+        written = {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()}
+        kept = featureio._tree_files("video000", good.labels, ["track0"]) if good_first else []
+        assert written == {f"x/out/{relpath}" for relpath in kept}
+
+    @pytest.mark.parametrize("video_id, partition, track, targets, problem",
+                             refused_entries())
+    def test_align_dataset_refuses_an_entry_load_manifest_refuses(
+        self, tmp_path, video_id, partition, track, targets, problem
+    ):
+        # The refused entry reads the good video's files, so that only its
+        # names and partition are at fault; it comes second, so the up-front
+        # walk must reach it.
+        write_dataset(tmp_path / "in", [("train", *synth_generate(3, 1, (6, 6), [2], 100.0))])
+        inputs = sorted(p for p in (tmp_path / "in").rglob("*"))
+        good = load_manifest(tmp_path / "in" / "manifest.json").videos["video000"]
+        bad = VideoEntry(partition, {track: good.features["track0"]},
+                         {target: good.labels["arousal"] for target in targets})
+        manifest = Manifest({"video000": good, video_id: bad}, tmp_path / "in")
+        out = tmp_path / "x" / "out"
+        message = f"{out / 'manifest.json'}: video {video_id!r}: {problem}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            featureio.align_dataset(manifest, out)
+        assert not (tmp_path / "x").exists()
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "in", *inputs]
+
     def test_frame_track_to_tokens_tiles_grid(self):
         data = np.arange(6.0).reshape(3, 2)
         tokens = frame_track_to_tokens(FrameTrack("a", data), 250)
@@ -1089,10 +1157,13 @@ class TestColumnarTracks:
              f"end_ms must be an integer, got {np.float64(250.0)!r}"),
             ([(0, 250, [np.inf, 2.0]), (250, 250, [1.0, 2.0])], MalformedRowError,
              "token vector contains NaN/Inf"),
+            ([(0, 250, "ab")], MalformedRowError, "token vector is not real numbers"),
+            ([(0, 250, np.array([1j, 2.0], dtype=object))], MalformedRowError,
+             "token vector is not real numbers"),
         ],
         ids=["empty-span", "reversed-span", "nan", "inf", "wrong-length", "2-d", "end-overflow",
              "start-underflow", "float-bound", "bool-bound", "string-bound",
-             "numpy-float-bound", "first-bad-row"],
+             "numpy-float-bound", "first-bad-row", "string", "complex"],
     )
     def test_bad_token_refused_naming_track_and_row(self, bad, error, message):
         tokens = [TokenFeature(1000, 1250, np.array([1.0, 2.0]))]

@@ -411,6 +411,38 @@ def test_one_token_row_rule_and_a_plain_token_record():
         "start_ms", "end_ms", "vector"]
 
 
+def test_one_frame_shape_rule_and_one_manifest_entry_rule():
+    # FrameTrack alone states a track's shape (2-D, at least one frame and
+    # one column), so no sequence, alignment or writer checks it again. One
+    # function states a manifest entry's rule (the id, the partition, the
+    # tracks and targets and their names) for the manifest reader and for
+    # both tree writers, and only it tests a partition against PARTITIONS.
+    trees = dict(modules())
+
+    def stating(text):
+        """(module, owner, function) of each function with a string constant holding ``text``."""
+        return {(name, getattr(owner, "name", None), node.name)
+                for name, tree in trees.items() for owner in ast.walk(tree)
+                for node in ast.iter_child_nodes(owner) if isinstance(node, ast.FunctionDef)
+                and any(isinstance(c, ast.Constant) and text in str(c.value)
+                        for c in ast.walk(node))}
+
+    assert stating("frames must be (t, dim)") == {("tracks.py", "FrameTrack", "__post_init__")}
+    assert stating("zero frames") == set()
+    assert stating("needs features and labels") == {("featureio.py", None, "_check_entry")}
+    calls = [(name, function, called) for name, tree in trees.items()
+             for function, called in calls_by_function(tree)]
+    assert {(name, function) for name, function, called in calls if called == "_check_entry"} == {
+        ("featureio.py", "load_manifest"), ("featureio.py", "write_dataset"),
+        ("featureio.py", "align_dataset")}
+    membership = {(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  for test in ast.walk(node) if isinstance(test, ast.Compare)
+                  and any(isinstance(op, (ast.In, ast.NotIn)) for op in test.ops)
+                  and any(getattr(c, "id", None) == "PARTITIONS" for c in test.comparators)}
+    assert membership == {("featureio.py", "_check_entry")}
+
+
 def test_one_integer_rule_and_model_dims_stated_once():
     # Every count a run reads is checked by util.check_int, the one function
     # that states the integer rule and builds its message. The model's dims
@@ -431,7 +463,6 @@ def test_one_integer_rule_and_model_dims_stated_once():
 
     assert callers("check_int") == {
         ("tracks.py", "_check_frame_len"), ("tracks.py", "__init__"),
-        ("tracks.py", "_from_columns"),
         ("align.py", "align_tokens_to_frames"), ("synth.py", "synth_generate"),
         ("nn.py", "param_layout"), ("training.py", "__post_init__"),
         ("training.py", "chunk"), ("training.py", "load_checkpoint"),

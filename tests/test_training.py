@@ -177,10 +177,10 @@ class TestChunk:
         assert [c[0].shape[0] for c in chunks] == [100, 100, 50]
 
     def test_empty_sequence(self):
-        # No sequence without frames reaches chunk: the constructor refuses it.
-        track = FrameTrack("track0", np.zeros((0, 4)))
-        with pytest.raises(LengthMismatchError, match="e: zero frames"):
-            LabeledSequence("e", [track], {"arousal": np.zeros(0)})
+        # No sequence without frames reaches chunk: no track has zero frames.
+        message = "track 'track0': frames must be (t, dim) with t and dim at least 1"
+        with pytest.raises(DimMismatchError, match=re.escape(f"{message}, got shape (0, 4)")):
+            FrameTrack("track0", np.zeros((0, 4)))
 
 
 class TestAdamStep:
